@@ -70,8 +70,8 @@ logic::PatternBatch Evaluator::evaluate_batch(const logic::PatternBatch& inputs,
                                               ThreadPool& pool) const {
   check_width(inputs.num_signals(), num_inputs(), "evaluate_batch");
   const std::uint64_t words = inputs.words_per_lane();
-  // Below ~8 words (512 patterns) per worker the shard copies and the
-  // wakeup cost dominate; fall through to the sequential kernel.
+  // Below ~8 words (512 patterns) per worker the wakeup cost dominates;
+  // fall through to the sequential kernel.
   constexpr std::uint64_t kMinWordsPerShard = 8;
   if (pool.num_workers() <= 1 || words < 2 * kMinWordsPerShard) {
     return do_evaluate_batch(inputs);
@@ -80,27 +80,33 @@ logic::PatternBatch Evaluator::evaluate_batch(const logic::PatternBatch& inputs,
   pool.parallel_for(
       0, words, kMinWordsPerShard,
       [&](std::uint64_t word_lo, std::uint64_t word_hi) {
-        const std::uint64_t first = word_lo * 64;
-        const std::uint64_t count =
-            std::min(inputs.num_patterns(), word_hi * 64) - first;
-        // The shard boundary contract: every shard starts on a word
-        // boundary and stays inside the batch — this is what makes the
-        // slice/paste pair below word-wise and the sharded sweep
-        // bit-identical to the sequential one.
-        AMBIT_CHECK(first % 64 == 0 && count > 0 &&
-                        first + count <= inputs.num_patterns(),
+        // The shard boundary contract: every shard is a non-empty word
+        // range inside the batch — what makes the sharded sweep
+        // bit-identical to the sequential one. Shards write disjoint
+        // words of `out`, so they need no synchronization beyond
+        // parallel_for's own join.
+        AMBIT_CHECK(word_lo < word_hi && word_hi <= words,
                     "Evaluator::evaluate_batch: shard [" +
                         std::to_string(word_lo) + ", " +
                         std::to_string(word_hi) +
                         ") violates the word-aligned shard contract");
-        // Shards write disjoint word ranges of `out`, so the pastes
-        // need no synchronization beyond parallel_for's own join.
-        const logic::PatternBatch shard_in = inputs.slice(first, count);
-        logic::PatternBatch shard_out = do_evaluate_batch(shard_in);
-        check_batch_contract(*this, shard_in, shard_out);
-        out.paste(shard_out, first);
+        do_evaluate_words(inputs, out, word_lo, word_hi);
       });
+  check_batch_contract(*this, inputs, out);
   return out;
+}
+
+void Evaluator::do_evaluate_words(const logic::PatternBatch& inputs,
+                                  logic::PatternBatch& out,
+                                  std::uint64_t word_lo,
+                                  std::uint64_t word_hi) const {
+  const std::uint64_t first = word_lo * 64;
+  const std::uint64_t count =
+      std::min(inputs.num_patterns(), word_hi * 64) - first;
+  const logic::PatternBatch shard_in = inputs.slice(first, count);
+  const logic::PatternBatch shard_out = do_evaluate_batch(shard_in);
+  check_batch_contract(*this, shard_in, shard_out);
+  out.paste(shard_out, first);
 }
 
 logic::TruthTable exhaustive_truth_table(const Evaluator& e) {

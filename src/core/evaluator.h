@@ -80,14 +80,17 @@ class Evaluator {
   logic::PatternBatch evaluate_batch(const logic::PatternBatch& inputs) const;
 
   /// Sharded bit-parallel path: splits the batch into word-aligned
-  /// pattern shards and evaluates them on `pool`'s workers. By the
-  /// bit-locality contract above, the result is BIT-IDENTICAL to the
-  /// single-thread evaluate_batch for any pattern count, including
-  /// non-multiples of 64 — the shard partition is word-aligned and
-  /// deterministic (util/thread_pool.h). Small batches (< 16 words
-  /// per lane) fall through to the sequential path. Safe for
-  /// concurrent callers sharing one pool (each call joins only its
-  /// own shards).
+  /// ranges of lane words and evaluates them on `pool` through
+  /// do_evaluate_words, each shard writing its own words of the one
+  /// result batch. By the bit-locality contract above, the result is
+  /// BIT-IDENTICAL to the single-thread evaluate_batch for any pattern
+  /// count, including non-multiples of 64 — the shard partition is
+  /// word-aligned and deterministic (util/thread_pool.h). Small batches
+  /// (< 16 words per lane) fall through to the sequential path. Safe
+  /// for concurrent callers sharing one pool (each call joins only its
+  /// own shards), and from a task running on `pool` itself: the caller
+  /// runs shards too, so the call shards across whichever workers are
+  /// free and never deadlocks (util/thread_pool.h, nested calls).
   logic::PatternBatch evaluate_batch(const logic::PatternBatch& inputs,
                                      ThreadPool& pool) const;
 
@@ -99,6 +102,20 @@ class Evaluator {
   /// Width-validated batch evaluation hook.
   virtual logic::PatternBatch do_evaluate_batch(
       const logic::PatternBatch& inputs) const = 0;
+
+  /// Width-validated shard hook: evaluates lane words [word_lo,
+  /// word_hi) of `inputs` into the same words of `out`, a batch of
+  /// num_outputs() lanes over inputs.num_patterns() patterns, and
+  /// writes no other word. The sharded evaluate_batch calls it
+  /// concurrently on disjoint ranges of one `out`, so it must be const
+  /// and touch nothing shared but its own words. The default slices
+  /// the range out, runs do_evaluate_batch on it and pastes the result
+  /// back; a kernel that addresses the caller's lanes in place
+  /// (GnorPla) overrides it and skips both copies.
+  virtual void do_evaluate_words(const logic::PatternBatch& inputs,
+                                 logic::PatternBatch& out,
+                                 std::uint64_t word_lo,
+                                 std::uint64_t word_hi) const;
 };
 
 /// Evaluates every minterm of the evaluator's input space through the

@@ -16,6 +16,14 @@
 // "the availability of the product-terms with both polarities".
 //
 // Cell count = (inputs + outputs) · products, matching Table 1.
+//
+// The batch path follows the paper's evaluate cycle, in which plane 1's
+// product lines drive plane 2 directly: the words are swept in tiles,
+// plane 1 writes one L2-sized tile of every product line into a
+// scratch buffer, and plane 2 reads that tile straight into the
+// caller's output lanes, with each output's buffer tap folded into its
+// row's final polarity. Product lines never reach memory, and a shard
+// (Evaluator::do_evaluate_words) is the same loop over its own words.
 #pragma once
 
 #include <string>
@@ -75,6 +83,10 @@ class GnorPla : public Evaluator {
   std::vector<bool> do_evaluate(const std::vector<bool>& inputs) const override;
   logic::PatternBatch do_evaluate_batch(
       const logic::PatternBatch& inputs) const override;
+  /// The tile-fused sweep over lane words [word_lo, word_hi), in place.
+  void do_evaluate_words(const logic::PatternBatch& inputs,
+                         logic::PatternBatch& out, std::uint64_t word_lo,
+                         std::uint64_t word_hi) const override;
 
  private:
   GnorPlane plane1_;  // products × inputs

@@ -1,18 +1,27 @@
 #include "core/gnor_plane.h"
 
+#include <algorithm>
 #include <vector>
 
-#include "logic/lane_kernels.h"
 #include "util/error.h"
 
 namespace ambit::core {
 
-GnorPlane::GnorPlane(int rows, int cols)
-    : rows_(rows),
-      cols_(cols),
-      cells_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
-             CellConfig::kOff) {
+using logic::lanes::SweepRow;
+using logic::lanes::SweepTerm;
+
+GnorPlane::GnorPlane(int rows, int cols) : rows_(rows), cols_(cols) {
   check(rows >= 0 && cols >= 0, "GnorPlane: negative dimensions");
+  const std::size_t cells =
+      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  cells_.assign(cells, CellConfig::kOff);
+  sweep_terms_.resize(cells);
+  sweep_rows_.resize(static_cast<std::size_t>(rows));
+  for (std::size_t r = 0; r < sweep_rows_.size(); ++r) {
+    sweep_rows_[r] = {.first_term = r * static_cast<std::size_t>(cols),
+                      .num_terms = 0,
+                      .complement = true};  // NOR: invert the pull-down
+  }
 }
 
 std::size_t GnorPlane::index(int row, int col) const {
@@ -28,6 +37,28 @@ CellConfig GnorPlane::cell(int row, int col) const {
 
 void GnorPlane::set_cell(int row, int col, CellConfig config) {
   cells_[index(row, col)] = config;
+  // Keep the row's live terms sorted by column: find the cell's slot,
+  // then overwrite, insert or erase it. Programming a row in column
+  // order appends, so building a plane cell by cell stays linear.
+  SweepRow& sweep = sweep_rows_[static_cast<std::size_t>(row)];
+  SweepTerm* first = sweep_terms_.data() + sweep.first_term;
+  SweepTerm* last = first + sweep.num_terms;
+  SweepTerm* at = std::lower_bound(
+      first, last, col,
+      [](const SweepTerm& term, int c) { return term.lane < c; });
+  const bool present = at != last && at->lane == col;
+  if (config == CellConfig::kOff) {
+    if (present) {
+      std::copy(at + 1, last, at);
+      --sweep.num_terms;
+    }
+    return;
+  }
+  if (!present) {
+    std::copy_backward(at, last, last + 1);
+    ++sweep.num_terms;
+  }
+  *at = {.lane = col, .invert = config == CellConfig::kInvert};
 }
 
 GnorGate GnorPlane::row_gate(int row) const {
@@ -58,36 +89,9 @@ logic::PatternBatch GnorPlane::evaluate_batch(
   check(inputs.num_signals() == cols_,
         "GnorPlane::evaluate_batch: input arity mismatch");
   logic::PatternBatch out(rows_, inputs.num_patterns());
-  // Describe the pull-down network as sweep rows — an n-type cell
-  // conducts on the input lane as-is (pass term), a p-type cell on its
-  // complement (invert term) — and hand the word-wide NOR reduction to
-  // the dispatched lane kernel (scalar/NEON/AVX2, bit-identical).
-  std::vector<logic::lanes::SweepTerm> terms;
-  terms.reserve(static_cast<std::size_t>(active_cells()));
-  std::vector<logic::lanes::SweepRow> sweep_rows(
-      static_cast<std::size_t>(rows_));
-  for (int r = 0; r < rows_; ++r) {
-    const std::uint64_t first = terms.size();
-    for (int c = 0; c < cols_; ++c) {
-      switch (cell(r, c)) {
-        case CellConfig::kPass:
-          terms.push_back({.lane = c, .invert = false});
-          break;
-        case CellConfig::kInvert:
-          terms.push_back({.lane = c, .invert = true});
-          break;
-        case CellConfig::kOff:
-          break;
-      }
-    }
-    sweep_rows[static_cast<std::size_t>(r)] = {
-        .first_term = first,
-        .num_terms = terms.size() - first,
-        .complement = true};  // NOR: invert the pull-down accumulator
-  }
-  logic::lanes::nor_plane_sweep(sweep_rows.data(),
+  logic::lanes::nor_plane_sweep(sweep_rows(),
                                 static_cast<std::uint64_t>(rows_),
-                                terms.data(), inputs, out);
+                                sweep_terms(), inputs, out);
   return out;
 }
 

@@ -40,33 +40,33 @@ void scalar_complement_masked(std::uint64_t* dst, std::uint64_t n,
 
 void scalar_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
                         const SweepTerm* terms, const std::uint64_t* in,
-                        std::uint64_t num_in_lanes,
-                        std::uint64_t words_per_lane, std::uint64_t tail_mask,
-                        std::uint64_t* out) {
+                        std::uint64_t in_stride, std::uint64_t num_in_lanes,
+                        std::uint64_t* out, std::uint64_t out_stride,
+                        std::uint64_t num_words, std::uint64_t tail_mask) {
   (void)num_in_lanes;  // the scalar tier does not tile
-  if (words_per_lane == 0) {
+  if (num_words == 0) {
     return;
   }
   for (std::uint64_t r = 0; r < num_rows; ++r) {
-    std::uint64_t* lane = out + r * words_per_lane;
-    std::fill(lane, lane + words_per_lane, 0);
+    std::uint64_t* lane = out + r * out_stride;
+    std::fill(lane, lane + num_words, 0);
     const SweepRow& row = rows[r];
     for (std::uint64_t t = 0; t < row.num_terms; ++t) {
       const SweepTerm& term = terms[row.first_term + t];
       const std::uint64_t* src =
-          in + static_cast<std::uint64_t>(term.lane) * words_per_lane;
+          in + static_cast<std::uint64_t>(term.lane) * in_stride;
       if (term.invert) {
-        scalar_or_not_into(lane, src, words_per_lane);
+        scalar_or_not_into(lane, src, num_words);
       } else {
-        scalar_or_into(lane, src, words_per_lane);
+        scalar_or_into(lane, src, num_words);
       }
     }
     if (row.complement) {
-      scalar_complement_masked(lane, words_per_lane, tail_mask);
+      scalar_complement_masked(lane, num_words, tail_mask);
     } else {
       // An inverted-term OR row can set padding bits; keep the tail
       // clean here so every row honors the PatternBatch invariant.
-      lane[words_per_lane - 1] &= tail_mask;
+      lane[num_words - 1] &= tail_mask;
     }
   }
 }
@@ -117,10 +117,11 @@ void nor_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
   }
   // Lanes are stored contiguously signal-major in both batches, so the
   // whole sweep is one kernel call over the raw words.
+  const std::uint64_t words = in.words_per_lane();
   const std::uint64_t* in_base = in.num_signals() > 0 ? in.lane(0) : nullptr;
-  kernels().plane_sweep(rows, num_rows, terms, in_base,
+  kernels().plane_sweep(rows, num_rows, terms, in_base, words,
                         static_cast<std::uint64_t>(in.num_signals()),
-                        in.words_per_lane(), in.tail_mask(), out.lane(0));
+                        out.lane(0), words, words, in.tail_mask());
   out.assert_tail_clean("nor_plane_sweep (result)");
 }
 

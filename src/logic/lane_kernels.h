@@ -34,8 +34,20 @@
 // so one tile of every input lane stays resident across all rows of
 // the plane (large covers — hundreds of products over the same input
 // lanes — are memory-bound without this; see docs/BENCHMARKS.md).
+//
+// STRIDE/RANGE CONTRACT: plane_sweep addresses the caller's lanes in
+// place. It sweeps `num_words` words per lane, reading input lane l at
+// `in + l * in_stride` and writing output row r at `out + r *
+// out_stride`, so a caller selects a word range of a PatternBatch (a
+// shard) by offsetting the base pointers, and points either side at a
+// packed tile buffer by passing that buffer's own stride. The tail mask
+// applies to the last word of the range, so a range that ends before
+// the batch does passes all ones. By bit-locality (core/evaluator.h)
+// sweeping any partition of the words this way is bit-identical to one
+// full-lane sweep.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -90,18 +102,37 @@ struct LaneKernels {
   void (*complement_masked)(std::uint64_t* dst, std::uint64_t n,
                             std::uint64_t tail_mask);
 
-  /// The tiled plane sweep. Input lane l occupies words
-  /// [l*words_per_lane, (l+1)*words_per_lane) of `in`; output row r
-  /// likewise in `out`. Every output row is fully overwritten:
-  /// row r = OR of its terms (complemented per term), then NOR'd when
-  /// rows[r].complement, and the final word is ANDed with tail_mask.
-  /// A row with zero terms is constant 1 (NOR) or 0 (OR). `in` and
-  /// `out` must not alias.
+  /// The tiled plane sweep over `num_words` words of every lane (see the
+  /// stride/range contract above). Input lane l is the words
+  /// [l*in_stride, l*in_stride + num_words) of `in`; output row r the
+  /// words [r*out_stride, r*out_stride + num_words) of `out`. Every
+  /// output word is overwritten: row r = OR of its terms (complemented
+  /// per term), then NOR'd when rows[r].complement, and the row's last
+  /// word is ANDed with tail_mask. A row with zero terms is constant 1
+  /// (NOR) or 0 (OR). `num_in_lanes` only sizes the cache tiles. Input
+  /// and output words must not overlap.
   void (*plane_sweep)(const SweepRow* rows, std::uint64_t num_rows,
                       const SweepTerm* terms, const std::uint64_t* in,
-                      std::uint64_t num_in_lanes, std::uint64_t words_per_lane,
-                      std::uint64_t tail_mask, std::uint64_t* out);
+                      std::uint64_t in_stride, std::uint64_t num_in_lanes,
+                      std::uint64_t* out, std::uint64_t out_stride,
+                      std::uint64_t num_words, std::uint64_t tail_mask);
 };
+
+/// Bytes one cache tile of every resident lane may take: half a typical
+/// 512 KiB L2, so output-row stores and the term arrays fit alongside.
+inline constexpr std::uint64_t kTileBudgetBytes = 256 * 1024;
+
+/// Words per cache tile when `resident_lanes` lanes must stay in L2
+/// across a sweep of `num_words` words: the lanes' share of the budget,
+/// rounded down to a whole 8-word strip (a multiple of every SIMD
+/// tier's strip) but at least one strip, and never more than the
+/// `num_words` the sweep has — which may be fewer than a strip.
+inline constexpr std::uint64_t tile_words(std::uint64_t resident_lanes,
+                                          std::uint64_t num_words) {
+  const std::uint64_t share =
+      kTileBudgetBytes / 8 / std::max<std::uint64_t>(resident_lanes, 1);
+  return std::min(std::max<std::uint64_t>(share - share % 8, 8), num_words);
+}
 
 /// The kernel table for cpu::active_tier() — one atomic load per call,
 /// so per-sweep dispatch cost is negligible and AMBIT_FORCE_SCALAR /

@@ -56,27 +56,22 @@ void neon_complement_masked(std::uint64_t* dst, std::uint64_t n,
   dst[n - 1] &= tail_mask;
 }
 
-/// Same tile budget rationale as the AVX2 tier: one tile of every
-/// input lane stays L2-resident across all rows.
-constexpr std::uint64_t kTileBudgetBytes = 256 * 1024;
-
 void neon_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
                       const SweepTerm* terms, const std::uint64_t* in,
-                      std::uint64_t num_in_lanes, std::uint64_t words_per_lane,
-                      std::uint64_t tail_mask, std::uint64_t* out) {
-  if (words_per_lane == 0) {
+                      std::uint64_t in_stride, std::uint64_t num_in_lanes,
+                      std::uint64_t* out, std::uint64_t out_stride,
+                      std::uint64_t num_words, std::uint64_t tail_mask) {
+  if (num_words == 0) {
     return;
   }
-  std::uint64_t tile_words =
-      num_in_lanes > 0 ? kTileBudgetBytes / 8 / num_in_lanes : words_per_lane;
-  tile_words = std::clamp<std::uint64_t>(tile_words - tile_words % 4, 4,
-                                         words_per_lane);
+  // Same L2 tile budget as the AVX2 tier (lanes::tile_words).
+  const std::uint64_t tile = tile_words(num_in_lanes, num_words);
 
   const uint64x2_t ones = vdupq_n_u64(~std::uint64_t{0});
-  for (std::uint64_t t0 = 0; t0 < words_per_lane; t0 += tile_words) {
-    const std::uint64_t t1 = std::min(words_per_lane, t0 + tile_words);
+  for (std::uint64_t t0 = 0; t0 < num_words; t0 += tile) {
+    const std::uint64_t t1 = std::min(num_words, t0 + tile);
     for (std::uint64_t r = 0; r < num_rows; ++r) {
-      std::uint64_t* lane = out + r * words_per_lane;
+      std::uint64_t* lane = out + r * out_stride;
       const SweepRow& row = rows[r];
       const SweepTerm* row_terms = terms + row.first_term;
       std::uint64_t w = t0;
@@ -85,8 +80,7 @@ void neon_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
         uint64x2_t acc1 = vdupq_n_u64(0);
         for (std::uint64_t t = 0; t < row.num_terms; ++t) {
           const std::uint64_t* src =
-              in + static_cast<std::uint64_t>(row_terms[t].lane) *
-                       words_per_lane +
+              in + static_cast<std::uint64_t>(row_terms[t].lane) * in_stride +
               w;
           uint64x2_t v0 = vld1q_u64(src);
           uint64x2_t v1 = vld1q_u64(src + 2);
@@ -108,15 +102,14 @@ void neon_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
         std::uint64_t acc = 0;
         for (std::uint64_t t = 0; t < row.num_terms; ++t) {
           const std::uint64_t v =
-              in[static_cast<std::uint64_t>(row_terms[t].lane) *
-                     words_per_lane +
+              in[static_cast<std::uint64_t>(row_terms[t].lane) * in_stride +
                  w];
           acc |= row_terms[t].invert ? ~v : v;
         }
         lane[w] = row.complement ? ~acc : acc;
       }
-      if (t1 == words_per_lane) {
-        lane[words_per_lane - 1] &= tail_mask;
+      if (t1 == num_words) {
+        lane[num_words - 1] &= tail_mask;
       }
     }
   }

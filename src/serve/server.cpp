@@ -133,7 +133,7 @@ struct Server::ServeMetrics {
       phase_us[p] = &reg.histogram(
           "ambit_serve_phase_us",
           "Per-request phase time in microseconds; the phases are "
-          "additive (queue_wait is subtracted out of evaluate)",
+          "additive",
           metrics::Histogram::default_latency_bounds_us(),
           {{"phase", metrics::phase_name(static_cast<metrics::Phase>(p))}});
     }
@@ -156,10 +156,11 @@ struct Server::ServeMetrics {
                               "Worker threads in the session pool");
     pool_queue_depth =
         &reg.gauge("ambit_pool_queue_depth",
-                   "Chunks waiting in the session pool queue, sampled "
-                   "at scrape time");
+                   "Tasks (request jobs and sharded-sweep helpers) "
+                   "waiting in the session pool queue, sampled at "
+                   "scrape time");
     pool_busy = &reg.gauge("ambit_pool_busy_workers",
-                           "Pool workers executing a chunk, sampled at "
+                           "Pool workers executing a task, sampled at "
                            "scrape time");
     coalesce_requests =
         &reg.counter("ambit_serve_coalesce_requests_total",
@@ -440,13 +441,6 @@ bool Server::serve_line(const std::string& line,
         serve_line_inner(line, read_payload, write_bytes, outcome, &verb_index);
   }
   const std::uint64_t total_us = metrics::monotonic_us() - start_us;
-  // parallel_for records its submit->start queue wait while the
-  // surrounding evaluate timer is open; subtract it back out so the
-  // five phases stay additive (evaluate = kernel time only).
-  const std::uint64_t queue_wait = trace.get(metrics::Phase::kQueueWait);
-  std::uint64_t& evaluate =
-      trace.us[static_cast<std::size_t>(metrics::Phase::kEvaluate)];
-  evaluate = queue_wait < evaluate ? evaluate - queue_wait : 0;
   if (verb_index < 0) {
     metrics_->requests_malformed->add();
   } else {
@@ -475,7 +469,8 @@ bool Server::serve_line(const std::string& line,
          {"parse_us", std::to_string(trace.get(metrics::Phase::kParse))},
          {"coalesce_wait_us",
           std::to_string(trace.get(metrics::Phase::kCoalesceWait))},
-         {"queue_wait_us", std::to_string(queue_wait)},
+         {"queue_wait_us",
+          std::to_string(trace.get(metrics::Phase::kQueueWait))},
          {"evaluate_us", std::to_string(trace.get(metrics::Phase::kEvaluate))},
          {"serialize_us",
           std::to_string(trace.get(metrics::Phase::kSerialize))}});

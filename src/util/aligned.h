@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <new>
 
 namespace ambit {
@@ -32,13 +34,33 @@ struct AlignedAllocator {
     using other = AlignedAllocator<U, Align>;
   };
 
+  /// Over-allocates through the plain operator new and aligns by hand,
+  /// keeping the raw pointer in the word just below the aligned block.
+  /// glibc serves the aligned operator new through memalign, whose padded
+  /// requests never fit a freed block of the same size: every multi-MB
+  /// lane buffer was a fresh mmap and paid one page fault per 4 KiB on
+  /// first touch. Same-size plain requests are recycled from the heap.
   T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{Align}));
+    if (n > (static_cast<std::size_t>(-1) - Align) / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    // operator new returns at least pointer-aligned storage, so rounding
+    // raw up to the next Align boundary strictly above it leaves a gap of
+    // at least one pointer.
+    static_assert(Align >= sizeof(void*), "no room for the raw pointer");
+    void* raw = ::operator new(n * sizeof(T) + Align);
+    const std::uintptr_t aligned =
+        (reinterpret_cast<std::uintptr_t>(raw) + Align) & ~(Align - 1);
+    std::memcpy(reinterpret_cast<void*>(aligned - sizeof(void*)), &raw,
+                sizeof(void*));
+    return reinterpret_cast<T*>(aligned);
   }
 
   void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{Align});
+    void* raw = nullptr;
+    std::memcpy(&raw, reinterpret_cast<const char*>(p) - sizeof(void*),
+                sizeof(void*));
+    ::operator delete(raw);
   }
 
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {

@@ -245,7 +245,8 @@ class Registry {
 enum class Phase : std::size_t {
   kParse = 0,         ///< request-line tokenizing + argument parsing
   kCoalesceWait = 1,  ///< leader window / follower future wait
-  kQueueWait = 2,     ///< ThreadPool submission -> first chunk running
+  kQueueWait = 2,     ///< pool queue wait; no path records it today
+                      ///< (parallel_for callers run chunks themselves)
   kEvaluate = 3,      ///< kernel sweep (eval/sim/verify)
   kSerialize = 4,     ///< response formatting + payload write
 };

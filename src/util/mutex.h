@@ -78,7 +78,7 @@ enum class LockRank : int {
   /// ThreadPool::mutex_ — the task queue. Acquired while a caller may
   /// hold kCircuitVerify (VERIFY's sharded sweep).
   kThreadPool = 50,
-  /// ThreadPool's per-parallel_for completion latch (Join::m).
+  /// ThreadPool's per-parallel_for completion latch (ForJob::m).
   kPoolJoin = 60,
   /// metrics::Registry::mutex_ — registration + exposition snapshots.
   kMetricsRegistry = 70,

@@ -4,18 +4,75 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "util/check.h"
 #include "util/error.h"
-#include "util/metrics.h"
 
 namespace ambit {
 
 namespace {
-/// The pool (if any) whose worker_loop owns the calling thread. One
-/// slot suffices: a worker thread belongs to exactly one pool for its
-/// whole life, and nothing nests worker loops.
-thread_local const ThreadPool* t_worker_pool = nullptr;
+
+using Body = std::function<void(std::uint64_t, std::uint64_t)>;
+
+/// One parallel_for call's shared state: the chunk cursor every runner
+/// claims from, and the latch the caller waits on. Helper tasks hold it
+/// by shared_ptr, so one that reaches a worker after the call returned
+/// still finds a live cursor (already exhausted) and leaves without
+/// touching `body`.
+struct ForJob {
+  ForJob(std::uint64_t range_begin, std::uint64_t range_end,
+         std::uint64_t chunk_size, std::uint64_t chunk_count,
+         const Body* chunk_body)
+      : begin(range_begin), end(range_end), chunk(chunk_size),
+        num_chunks(chunk_count), body(chunk_body), pending(chunk_count) {}
+
+  const std::uint64_t begin;
+  const std::uint64_t end;
+  const std::uint64_t chunk;
+  const std::uint64_t num_chunks;
+  // Dereferenced only after a successful claim, and the caller does not
+  // return while a claimed chunk is unfinished.
+  const Body* const body;
+  std::atomic<std::uint64_t> next{0};
+
+  Mutex m{LockRank::kPoolJoin};
+  CondVar done;
+  std::uint64_t pending AMBIT_GUARDED_BY(m);
+  std::exception_ptr error AMBIT_GUARDED_BY(m);
+
+  /// Runs chunks until the cursor passes the last one. Exceptions are
+  /// captured, the first one wins, and the remaining chunks still run.
+  void drain() {
+    for (;;) {
+      const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= num_chunks) {
+        return;
+      }
+      const std::uint64_t lo = begin + i * chunk;
+      const std::uint64_t hi = std::min(end, lo + chunk);
+      AMBIT_CHECK(lo < hi, "ThreadPool::parallel_for: degenerate chunk");
+      std::exception_ptr failure;
+      try {
+        (*body)(lo, hi);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      bool last = false;
+      {
+        const MutexLock lock(m);
+        if (failure && !error) {
+          error = failure;
+        }
+        last = --pending == 0;
+      }
+      if (last) {
+        done.notify_one();
+      }
+    }
+  }
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_workers) {
@@ -36,8 +93,6 @@ ThreadPool::~ThreadPool() {
     worker.join();
   }
 }
-
-bool ThreadPool::on_worker_thread() const { return t_worker_pool == this; }
 
 void ThreadPool::submit(std::function<void()> task) {
   // A task that throws must cost only itself, never the worker thread
@@ -64,7 +119,6 @@ void ThreadPool::submit(std::function<void()> task) {
 }
 
 void ThreadPool::worker_loop() {
-  t_worker_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -97,11 +151,8 @@ void ThreadPool::parallel_for(
   }
   grain = std::max<std::uint64_t>(grain, 1);
   const std::uint64_t count = end - begin;
-  // Inline cases: a zero-worker pool, a range too small to shard, and
-  // a call made FROM one of this pool's own workers (a submitted task
-  // sharding its evaluation). The last one is what makes submit +
-  // parallel_for composition deadlock-free — see on_worker_thread().
-  if (num_workers() == 0 || count <= grain || on_worker_thread()) {
+  // Inline cases: a zero-worker pool and a range too small to shard.
+  if (num_workers() == 0 || count <= grain) {
     body(begin, end);
     return;
   }
@@ -113,88 +164,38 @@ void ThreadPool::parallel_for(
   const std::uint64_t slices = std::min<std::uint64_t>(
       max_slices, static_cast<std::uint64_t>(num_workers()) * 4);
   const std::uint64_t chunk = (count + slices - 1) / slices;
-
-  // Shared completion state for this call. Exceptions are captured
-  // under the same mutex; the first one wins and is rethrown below.
-  struct Join {
-    Mutex m{LockRank::kPoolJoin};
-    CondVar done;
-    std::uint64_t pending AMBIT_GUARDED_BY(m) = 0;
-    std::exception_ptr error AMBIT_GUARDED_BY(m);
-    // Phase-trace support: submit->first-chunk-start latency, measured
-    // by whichever chunk runs first and read back by the caller (who is
-    // blocked until all chunks finish, so the read never races).
-    std::atomic<bool> started{false};
-    std::atomic<std::uint64_t> queue_wait_us{0};
-  };
-  auto join = std::make_shared<Join>();
-
-#ifdef AMBIT_METRICS
-  // Attribute scheduling delay to the ambient request trace (if any):
-  // the caller is a serve connection thread inside serve_line(), and
-  // its pool-queue wait is a phase of the request's latency.
-  metrics::PhaseTrace* trace = metrics::current_trace();
-  const std::uint64_t submit_us = trace != nullptr ? metrics::monotonic_us() : 0;
-  const bool record_wait = trace != nullptr;
-#else
-  const bool record_wait = false;
-  const std::uint64_t submit_us = 0;
-#endif
-
-  // The partition invariants everything downstream leans on: chunks are
-  // non-empty, contiguous, in order, and cover [begin, end) exactly —
-  // the determinism guarantee in the header is THIS, stated executably.
-  std::uint64_t covered = 0;
-  {
-    const MutexLock lock(mutex_);
-    for (std::uint64_t lo = begin; lo < end; lo += chunk) {
-      const std::uint64_t hi = std::min(end, lo + chunk);
-      AMBIT_CHECK(lo < hi && hi <= end,
-                  "ThreadPool::parallel_for: degenerate chunk");
-      covered += hi - lo;
-      ++join->pending;
-#ifdef AMBIT_METRICS
-      queued_.fetch_add(1, std::memory_order_relaxed);
-#endif
-      tasks_.push([join, lo, hi, record_wait, submit_us, &body] {
-        if (record_wait &&
-            !join->started.exchange(true, std::memory_order_relaxed)) {
-          join->queue_wait_us.store(metrics::monotonic_us() - submit_us,
-                                    std::memory_order_relaxed);
-        }
-        try {
-          body(lo, hi);
-        } catch (...) {
-          const MutexLock jlock(join->m);
-          if (!join->error) {
-            join->error = std::current_exception();
-          }
-        }
-        {
-          const MutexLock jlock(join->m);
-          --join->pending;
-        }
-        join->done.notify_one();
-      });
-    }
-  }
-  AMBIT_CHECK(covered == count,
+  const std::uint64_t num_chunks = (count + chunk - 1) / chunk;
+  // The partition invariant everything downstream leans on: every chunk
+  // is non-empty and together they cover [begin, end) exactly — the
+  // determinism guarantee in the header, stated executably.
+  AMBIT_CHECK((num_chunks - 1) * chunk < count && num_chunks * chunk >= count,
               "ThreadPool::parallel_for: chunk partition does not cover the "
               "range exactly");
+  const auto job =
+      std::make_shared<ForJob>(begin, end, chunk, num_chunks, &body);
+
+  // One helper per worker at most; the caller is a runner too.
+  const std::uint64_t helpers = std::min<std::uint64_t>(
+      num_chunks - 1, static_cast<std::uint64_t>(num_workers()));
+  {
+    const MutexLock lock(mutex_);
+    for (std::uint64_t h = 0; h < helpers; ++h) {
+      tasks_.push([job] { job->drain(); });
+    }
+#ifdef AMBIT_METRICS
+    queued_.fetch_add(static_cast<std::int64_t>(helpers),
+                      std::memory_order_relaxed);
+#endif
+  }
   work_ready_.notify_all();
 
-  MutexLock jlock(join->m);
-  while (join->pending != 0) {
-    join->done.wait(jlock);
+  job->drain();
+  MutexLock lock(job->m);
+  while (job->pending != 0) {
+    job->done.wait(lock);
   }
-#ifdef AMBIT_METRICS
-  if (record_wait) {
-    trace->add(metrics::Phase::kQueueWait,
-               join->queue_wait_us.load(std::memory_order_relaxed));
-  }
-#endif
-  if (join->error) {
-    std::rethrow_exception(join->error);
+  if (job->error) {
+    std::rethrow_exception(job->error);
   }
 }
 

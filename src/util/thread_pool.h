@@ -20,6 +20,11 @@
 //     front door (serve/server.h) can all shard their evaluations
 //     through the one shared session pool at once — calls interleave
 //     in the task queue but each blocks only on its own chunks;
+//   * parallel_for NESTS: the calling thread claims chunks from the
+//     same atomic cursor as the workers, so a call made from a pool
+//     worker (a submitted task, or another call's chunk) shards across
+//     whichever workers are free and can never deadlock — see
+//     parallel_for below;
 //   * a pool with zero workers degrades to an inline sequential loop,
 //     which keeps single-core containers and TSan runs cheap.
 #pragma once
@@ -54,7 +59,19 @@ class ThreadPool {
   /// (the last chunk may be smaller). Blocks until every chunk is done;
   /// rethrows the first exception any chunk raised. The partition is a
   /// pure function of the arguments and num_workers(), so work
-  /// assignment is reproducible run to run.
+  /// assignment is reproducible run to run; which thread runs a chunk
+  /// is not.
+  ///
+  /// NESTED-CALL CONTRACT: the caller is one of the chunk runners. The
+  /// call enqueues helper tasks for the workers, then claims chunks
+  /// from the call's atomic cursor itself, and blocks only once the
+  /// cursor is exhausted, waiting for the chunks other threads have
+  /// already started. It never waits for a chunk nobody is running, so
+  /// a call from a pool worker — every request on the serve event loop
+  /// runs on one — needs no free worker to finish: with the pool
+  /// saturated it runs every chunk itself, and with workers idle they
+  /// help. Helper tasks that reach a worker after the cursor ran out
+  /// return at once.
   void parallel_for(
       std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
       const std::function<void(std::uint64_t, std::uint64_t)>& body);
@@ -66,19 +83,8 @@ class ThreadPool {
   /// submitted task owns its own error reporting, exactly like a
   /// connection-thread body. A zero-worker pool runs the task inline
   /// before returning. Tasks may call parallel_for (or submit) on this
-  /// same pool: see on_worker_thread() below for why that cannot
-  /// deadlock.
+  /// same pool; see the nested-call contract above.
   void submit(std::function<void()> task);
-
-  /// True when the calling thread is one of THIS pool's workers.
-  /// parallel_for uses it to run nested calls inline: a submitted task
-  /// that shards through its own pool would otherwise park a worker on
-  /// the join latch waiting for chunks that are queued BEHIND other
-  /// submitted tasks — with every worker parked the same way, nothing
-  /// would ever run them. Inline nesting trades sharding of that one
-  /// call for a hard no-deadlock guarantee (concurrency still comes
-  /// from the other workers running other tasks).
-  bool on_worker_thread() const;
 
   /// Worker count for "use the machine": the AMBIT_THREADS environment
   /// variable when set and positive, else std::thread::hardware_concurrency.
@@ -86,11 +92,12 @@ class ThreadPool {
 
   /// Observability snapshots (relaxed; maintained only when the
   /// metrics layer is compiled in — see util/metrics.h — and always 0
-  /// otherwise). Chunks enqueued but not yet picked up by a worker:
+  /// otherwise). Tasks (submitted ones and parallel_for helpers)
+  /// enqueued but not yet picked up by a worker:
   std::int64_t queued_tasks() const {
     return queued_.load(std::memory_order_relaxed);
   }
-  /// Workers currently executing a chunk:
+  /// Workers currently executing a task:
   std::int64_t busy_workers() const {
     return busy_.load(std::memory_order_relaxed);
   }

@@ -11,8 +11,13 @@
 #include "core/fabric.h"
 #include "core/gnor_pla.h"
 #include "core/wpla.h"
+#include "logic/lane_kernels.h"
 #include "logic/pattern_batch.h"
+#include "logic/synth_bench.h"
 #include "logic/truth_table.h"
+#include "pool_task.h"
+#include "simulate/sim_evaluator.h"
+#include "tech/technology.h"
 #include "util/cpu_features.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -21,14 +26,48 @@
 namespace ambit {
 namespace {
 
+using core::CellConfig;
 using core::ClassicalPla;
 using core::Fabric;
 using core::FabricStage;
 using core::GnorPla;
+using core::GnorPlane;
 using core::Wpla;
 using logic::Cover;
 using logic::PatternBatch;
 using logic::TruthTable;
+
+PatternBatch random_batch(int signals, std::uint64_t count, Rng& rng) {
+  PatternBatch batch(signals, count);
+  for (std::uint64_t p = 0; p < count; ++p) {
+    for (int s = 0; s < signals; ++s) {
+      batch.set(p, s, rng.next_bool());
+    }
+  }
+  return batch;
+}
+
+/// The scalar reference: evaluate(), one pattern at a time, repacked.
+PatternBatch scalar_reference(const Evaluator& e, const PatternBatch& inputs) {
+  PatternBatch expected(e.num_outputs(), inputs.num_patterns());
+  for (std::uint64_t p = 0; p < inputs.num_patterns(); ++p) {
+    const std::vector<bool> out = e.evaluate(inputs.pattern(p));
+    for (int j = 0; j < e.num_outputs(); ++j) {
+      expected.set(p, j, out[static_cast<std::size_t>(j)]);
+    }
+  }
+  return expected;
+}
+
+/// The tiers this host can run: the scalar reference plus the detected
+/// SIMD tier, if any.
+std::vector<cpu::SimdTier> available_tiers() {
+  std::vector<cpu::SimdTier> tiers{cpu::SimdTier::kScalar};
+  if (cpu::detected_tier() != cpu::SimdTier::kScalar) {
+    tiers.push_back(cpu::detected_tier());
+  }
+  return tiers;
+}
 
 TEST(PatternBatchTest, SetGetRoundTrip) {
   PatternBatch batch(3, 130);  // spans three words per lane
@@ -430,27 +469,12 @@ TEST(EvaluatorTest, ParallelBatchValidatesWidthAtBoundary) {
 void expect_batch_matches_scalar_at_boundaries(const Evaluator& e,
                                                const char* what) {
   Rng rng(67);
-  std::vector<cpu::SimdTier> tiers{cpu::SimdTier::kScalar};
-  if (cpu::detected_tier() != cpu::SimdTier::kScalar) {
-    tiers.push_back(cpu::detected_tier());
-  }
+  const std::vector<cpu::SimdTier> tiers = available_tiers();
   const cpu::SimdTier entry = cpu::active_tier();
   for (const std::uint64_t count :
        {1ull, 63ull, 64ull, 65ull, 127ull, 128ull, 129ull}) {
-    PatternBatch inputs(e.num_inputs(), count);
-    for (std::uint64_t p = 0; p < count; ++p) {
-      for (int s = 0; s < e.num_inputs(); ++s) {
-        inputs.set(p, s, rng.next_bool());
-      }
-    }
-    // Scalar reference: one evaluate() per pattern.
-    PatternBatch expected(e.num_outputs(), count);
-    for (std::uint64_t p = 0; p < count; ++p) {
-      const std::vector<bool> out = e.evaluate(inputs.pattern(p));
-      for (int j = 0; j < e.num_outputs(); ++j) {
-        expected.set(p, j, out[static_cast<std::size_t>(j)]);
-      }
-    }
+    const PatternBatch inputs = random_batch(e.num_inputs(), count, rng);
+    const PatternBatch expected = scalar_reference(e, inputs);
     for (const cpu::SimdTier tier : tiers) {
       cpu::force_tier(tier);
       const PatternBatch got = e.evaluate_batch(inputs);
@@ -479,6 +503,143 @@ TEST(EvaluatorTest, BatchBoundaryCountsMatchScalarAcrossCircuitTypes) {
   fabric.add_stage(FabricStage(Fabric::identity_routing(5, 5),
                                gnor.product_plane()));
   expect_batch_matches_scalar_at_boundaries(fabric, "Fabric");
+}
+
+// ---------------------------------------------------------------------------
+// Compiled sweep programs: a plane compiles its cells into lane-kernel
+// sweep rows as they are set, and GnorPla fuses its two planes tile by
+// tile. Reprogramming must reach the next evaluation, and tile edges
+// must be invisible in the result.
+// ---------------------------------------------------------------------------
+
+TEST(EvaluatorTest, ReprogrammedCellsReachTheNextBatch) {
+  // Evaluate, reprogram, evaluate again: a program cached at the first
+  // evaluation (or copied stale into a Fabric stage) would answer with
+  // the old cells. Every batch is checked against the scalar path,
+  // which reads the cells directly.
+  const Cover f = Cover::parse(5, 3, {"11--- 100", "--0-1 010", "0--1- 111",
+                                      "-10-0 001"});
+  const PatternBatch inputs = PatternBatch::exhaustive(5);
+  ThreadPool pool(2);
+
+  GnorPla pla = GnorPla::map_cover(f);
+  EXPECT_EQ(pla.evaluate_batch(inputs), scalar_reference(pla, inputs));
+  pla.product_plane().set_cell(0, 4, CellConfig::kInvert);  // insert
+  pla.product_plane().set_cell(1, 2, CellConfig::kOff);     // erase
+  pla.product_plane().set_cell(2, 0, CellConfig::kInvert);  // flip polarity
+  pla.output_plane().set_cell(2, 1, CellConfig::kPass);
+  pla.set_buffer_inverted(1, false);
+  EXPECT_EQ(pla.evaluate_batch(inputs), scalar_reference(pla, inputs));
+  EXPECT_EQ(pla.evaluate_batch(inputs, pool), scalar_reference(pla, inputs));
+
+  GnorPlane plane = pla.product_plane();
+  Fabric before(5);
+  before.add_stage(FabricStage(Fabric::identity_routing(5, 5), plane));
+  EXPECT_EQ(before.evaluate_batch(inputs), scalar_reference(before, inputs));
+  plane.set_cell(3, 3, CellConfig::kPass);
+  plane.set_cell(3, 1, CellConfig::kOff);
+  Fabric after(5);
+  after.add_stage(FabricStage(Fabric::identity_routing(5, 5), plane));
+  EXPECT_EQ(after.evaluate_batch(inputs), scalar_reference(after, inputs));
+  EXPECT_FALSE(after.evaluate_batch(inputs) == before.evaluate_batch(inputs))
+      << "the reprogrammed cells should change the function";
+
+  // The same plane, reprogrammed at random — every insert, erase and
+  // overwrite position inside a row's sorted terms — against the scalar
+  // row evaluation after every step.
+  Rng rng(71);
+  const PatternBatch wide = PatternBatch::exhaustive(7);
+  GnorPlane random_plane(4, 7);
+  for (int step = 0; step < 300; ++step) {
+    const int row = static_cast<int>(rng.next_u64() % 4);
+    const int col = static_cast<int>(rng.next_u64() % 7);
+    random_plane.set_cell(row, col,
+                          static_cast<CellConfig>(rng.next_u64() % 3));
+    const PatternBatch got = random_plane.evaluate_batch(wide);
+    for (std::uint64_t p = 0; p < wide.num_patterns(); ++p) {
+      ASSERT_EQ(got.pattern(p), random_plane.evaluate(wide.pattern(p)))
+          << "step " << step << " pattern " << p << "\n"
+          << random_plane.to_ascii();
+    }
+  }
+}
+
+TEST(EvaluatorTest, FusedTileBoundariesMatchScalarAndSimulation) {
+  // GnorPla sweeps in tiles of lanes::tile_words(products) words. 512
+  // products make the tile 64 words (4096 patterns), so the counts below
+  // end one word short of a tile, exactly on it, one word past it, and
+  // with a partial tail word in the next tile — on every tier, through
+  // the sequential and the sharded path.
+  const logic::SynthSpec spec{.num_inputs = 6,
+                              .num_outputs = 3,
+                              .num_cubes = 512,
+                              .literals_per_cube = 3};
+  const GnorPla pla = GnorPla::map_cover(logic::generate_cover(spec, 5));
+  const std::uint64_t tile = logic::lanes::tile_words(
+      static_cast<std::uint64_t>(pla.num_products()), ~std::uint64_t{0});
+  ASSERT_GE(tile, 2u);
+  const simulate::SimEvaluator sim(pla, tech::default_cnfet_electrical());
+  ThreadPool pool(3);
+  Rng rng(73);
+  const cpu::SimdTier entry = cpu::active_tier();
+  for (const std::uint64_t count :
+       {(tile - 1) * 64, tile * 64, (tile + 1) * 64, 2 * tile * 64 + 1}) {
+    const PatternBatch inputs = random_batch(pla.num_inputs(), count, rng);
+    const PatternBatch expected = scalar_reference(pla, inputs);
+    for (const cpu::SimdTier tier : available_tiers()) {
+      cpu::force_tier(tier);
+      EXPECT_EQ(pla.evaluate_batch(inputs), expected)
+          << count << " patterns on the " << cpu::tier_name(tier) << " tier";
+      EXPECT_EQ(pla.evaluate_batch(inputs, pool), expected)
+          << count << " patterns, sharded, on the " << cpu::tier_name(tier)
+          << " tier";
+    }
+    // The switch-level oracle on the patterns either side of every tile
+    // edge and at the batch end.
+    for (const std::uint64_t p :
+         {tile * 64 - 1, tile * 64, count - 2, count - 1}) {
+      if (p < count) {
+        EXPECT_EQ(sim.evaluate(inputs.pattern(p)), expected.pattern(p))
+            << "pattern " << p << " of " << count;
+      }
+    }
+  }
+  cpu::force_tier(entry);
+}
+
+TEST(EvaluatorTest, ShardedFromPoolTaskMatchesSequential) {
+  // The serve event loop evaluates every request in a task on the pool
+  // it shards through. A sharded call made from such a task shards
+  // across the idle workers; the result must still be bit-identical to
+  // the sequential sweep, for every circuit type.
+  const Cover f = Cover::parse(6, 3, {"11---- 100", "--11-- 010",
+                                      "----11 001", "1--0-1 110",
+                                      "0-1-0- 011"});
+  const GnorPla gnor = GnorPla::map_cover(f);
+  const Cover a = Cover::parse(6, 1, {"11---- 1", "--0-1- 1"});
+  const Cover b = Cover::parse(7, 1, {"--1---- 1", "------1 1"});
+  const Wpla wpla(a, b, 6);
+  Fabric fabric(6);
+  fabric.add_stage(FabricStage(Fabric::identity_routing(6, 6),
+                               gnor.product_plane()));
+  fabric.add_stage(FabricStage(Fabric::identity_routing(5, 5),
+                               gnor.output_plane(), /*feed=*/true));
+  ThreadPool pool(3);
+  Rng rng(79);
+  for (const std::uint64_t count : {4000ull, 20000ull}) {
+    const PatternBatch inputs = random_batch(6, count, rng);
+    for (const Evaluator* e :
+         {static_cast<const Evaluator*>(&gnor),
+          static_cast<const Evaluator*>(&wpla),
+          static_cast<const Evaluator*>(&fabric)}) {
+      const PatternBatch expected = e->evaluate_batch(inputs);
+      PatternBatch from_task(e->num_outputs(), count);
+      testing_support::run_as_submitted_task(
+          pool, [&] { from_task = e->evaluate_batch(inputs, pool); });
+      EXPECT_EQ(from_task, expected) << count << " patterns";
+      EXPECT_EQ(e->evaluate_batch(inputs, pool), expected) << count;
+    }
+  }
 }
 
 TEST(EvaluatorTest, ZeroPatternBatchAcrossCircuitTypes) {

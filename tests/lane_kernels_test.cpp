@@ -6,6 +6,7 @@
 // force_tier/active_tier hooks must clamp and restore as documented.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -183,10 +184,11 @@ TEST(LaneKernelsTest, PlaneSweepBitIdenticalAcrossTiers) {
   const int num_in_lanes = 5;
   const int num_rows = 17;
   // 63/64/65 and 127/128/129 cross the word boundary on both sides of
-  // the tail mask; 513 and 1031 cross the 8-word AVX2 strip and leave a
-  // scalar remainder inside a tile.
+  // the tail mask; 513 and 1031 cross the 8- and 16-word AVX2 strips and
+  // leave a scalar remainder inside a tile; 4133 (64 words + 37 bits)
+  // runs the 32-word strips of pass-only rows.
   for (const std::uint64_t np : {1ull, 63ull, 64ull, 65ull, 127ull, 128ull,
-                                 129ull, 513ull, 1031ull}) {
+                                 129ull, 513ull, 1031ull, 4133ull}) {
     PatternBatch in(num_in_lanes, np);
     randomize(in, rng);
 
@@ -222,6 +224,83 @@ TEST(LaneKernelsTest, PlaneSweepBitIdenticalAcrossTiers) {
       out.assert_tail_clean("PlaneSweepBitIdenticalAcrossTiers");
     }
   }
+}
+
+TEST(LaneKernelsTest, PlaneSweepWordRangesAddressLanesInPlace) {
+  // The stride/range contract: sweeping a batch as a sequence of word
+  // ranges — each read in place from the input lanes and written either
+  // in place into the output lanes or through a packed tile buffer with
+  // its own stride — must reproduce the one-call full sweep bit for
+  // bit, on every tier, with the tail mask applied only where a range
+  // ends the batch.
+  Rng rng(95);
+  const int num_in_lanes = 4;
+  const std::uint64_t num_rows = 9;
+  std::vector<lanes::SweepTerm> terms;
+  std::vector<lanes::SweepRow> rows(num_rows);
+  for (std::uint64_t r = 0; r < num_rows; ++r) {
+    const std::uint64_t first = terms.size();
+    const int nt = static_cast<int>(rng.next_u64() % 5);
+    for (int t = 0; t < nt; ++t) {
+      terms.push_back(
+          {.lane = static_cast<std::int32_t>(rng.next_u64() % num_in_lanes),
+           .invert = rng.next_bool()});
+    }
+    rows[r] = {.first_term = first,
+               .num_terms = terms.size() - first,
+               .complement = rng.next_bool()};
+  }
+  for (const std::uint64_t np : {1ull, 100ull, 640ull, 1500ull}) {
+    PatternBatch in(num_in_lanes, np);
+    randomize(in, rng);
+    const std::uint64_t words = in.words_per_lane();
+    PatternBatch reference(static_cast<int>(num_rows), np);
+    lanes::kernels_for(cpu::SimdTier::kScalar)
+        .plane_sweep(rows.data(), num_rows, terms.data(), in.lane(0), words,
+                     num_in_lanes, reference.lane(0), words, words,
+                     in.tail_mask());
+    for (const cpu::SimdTier tier : available_tiers()) {
+      const lanes::LaneKernels& table = lanes::kernels_for(tier);
+      for (const std::uint64_t range : {1ull, 3ull, 8ull, 13ull}) {
+        PatternBatch direct(static_cast<int>(num_rows), np);
+        PatternBatch via_tile(static_cast<int>(num_rows), np);
+        std::vector<std::uint64_t> tile(num_rows * range);
+        for (std::uint64_t w = 0; w < words; w += range) {
+          const std::uint64_t n = std::min(range, words - w);
+          const std::uint64_t mask =
+              w + n == words ? in.tail_mask() : ~std::uint64_t{0};
+          table.plane_sweep(rows.data(), num_rows, terms.data(),
+                            in.lane(0) + w, words, num_in_lanes,
+                            direct.lane(0) + w, words, n, mask);
+          table.plane_sweep(rows.data(), num_rows, terms.data(),
+                            in.lane(0) + w, words, num_in_lanes, tile.data(),
+                            range, n, mask);
+          for (std::uint64_t r = 0; r < num_rows; ++r) {
+            std::copy_n(tile.data() + r * range, n,
+                        via_tile.lane(static_cast<int>(r)) + w);
+          }
+        }
+        EXPECT_EQ(direct, reference)
+            << table.name << " np=" << np << " range=" << range;
+        EXPECT_EQ(via_tile, reference)
+            << table.name << " np=" << np << " range=" << range << " (tile)";
+      }
+    }
+  }
+}
+
+TEST(LaneKernelsTest, TileWordsStaysWithinTheSweep) {
+  // A sweep shorter than one strip (every EVAL of <= 448 patterns) gets
+  // one tile of exactly its length; longer sweeps get whole strips.
+  EXPECT_EQ(lanes::tile_words(16, 1), 1u);
+  EXPECT_EQ(lanes::tile_words(16, 7), 7u);
+  EXPECT_EQ(lanes::tile_words(100000, 5), 5u);
+  EXPECT_EQ(lanes::tile_words(100000, 1000), 8u);
+  EXPECT_EQ(lanes::tile_words(0, 13), 13u);
+  EXPECT_EQ(lanes::tile_words(0, 0), 0u);
+  const std::uint64_t t = lanes::tile_words(223, 16384);
+  EXPECT_EQ(t % 8, 0u);
+  EXPECT_LE(t * 223 * 8, lanes::kTileBudgetBytes);
 }
 
 TEST(LaneKernelsTest, PlaneSweepConstantRowsAndFullWordTail) {

@@ -2,21 +2,26 @@
 // index range, deterministic partitioning, exception propagation out of
 // workers, the inline zero-worker degenerate mode, and the
 // fire-and-forget submit() path with its deadlock-free nesting rules
-// (a worker that calls parallel_for runs it inline).
+// (a worker that calls parallel_for runs chunks itself, and idle
+// workers help).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "pool_task.h"
 #include "util/error.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
 
 namespace ambit {
 namespace {
+
+using testing_support::run_as_submitted_task;
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   for (const int workers : {0, 1, 3}) {
@@ -127,8 +132,11 @@ TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   CondVar all_done;
   for (int i = 0; i < kTasks; ++i) {
     pool.submit([&] {
+      // Count under the lock: the test thread sees the final count only
+      // once this task is done with `mutex` and `all_done`, so it cannot
+      // destroy them under a late notify.
+      const MutexLock lock(mutex);
       if (done.fetch_add(1) + 1 == kTasks) {
-        const MutexLock lock(mutex);
         all_done.notify_one();
       }
     });
@@ -151,8 +159,8 @@ TEST(ThreadPoolTest, SubmitSwallowsTaskExceptions) {
   CondVar cv;
   pool.submit([] { throw Error("submitted task failure"); });
   pool.submit([&] {
+    const MutexLock lock(mutex);  // see SubmitRunsEveryTask
     ran_after.store(true);
-    const MutexLock lock(mutex);
     cv.notify_one();
   });
   const auto deadline = std::chrono::steady_clock::now() +
@@ -171,26 +179,63 @@ TEST(ThreadPoolTest, SubmitOnZeroWorkerPoolRunsInline) {
   EXPECT_TRUE(ran);  // no workers: submit degenerates to a direct call
 }
 
-TEST(ThreadPoolTest, WorkerSeesItselfOnWorkerThread) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.on_worker_thread());
-  std::atomic<int> on_worker{0};
-  pool.parallel_for(0, 2, 1, [&](std::uint64_t, std::uint64_t) {
-    if (pool.on_worker_thread()) {
-      on_worker.fetch_add(1);
-    }
+TEST(ThreadPoolTest, NestedParallelForFromSubmittedTaskShardsOnIdleWorkers) {
+  // A request task on the serve event loop runs on a pool worker; when
+  // the other workers are idle, its sharded sweep must use them rather
+  // than run every chunk on the calling worker. Each chunk sleeps long
+  // enough for the idle workers to wake and claim chunks; which threads
+  // ran them is recorded lock-free (slots claimed through a cursor).
+  ThreadPool pool(4);
+  std::vector<std::thread::id> ran_on(64);
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<std::uint64_t> covered{0};
+  run_as_submitted_task(pool, [&] {
+    pool.parallel_for(0, 64, 1, [&](std::uint64_t lo, std::uint64_t hi) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ran_on[cursor.fetch_add(1)] = std::this_thread::get_id();
+      covered.fetch_add(hi - lo);
+    });
   });
-  EXPECT_FALSE(pool.on_worker_thread());
-  EXPECT_GE(on_worker.load(), 1);
+  EXPECT_EQ(covered.load(), 64u);
+  const std::set<std::thread::id> threads(
+      ran_on.begin(),
+      ran_on.begin() + static_cast<std::ptrdiff_t>(cursor.load()));
+  EXPECT_GE(threads.size(), 2u)
+      << "a nested parallel_for ran every chunk on the calling worker";
+}
+
+TEST(ThreadPoolTest, NestedParallelForPropagatesChunkExceptionToTask) {
+  // A chunk of a nested call throws: the exception must reach the
+  // submitted task that made the call (whichever thread ran the chunk),
+  // and the pool must stay usable for the next nested call.
+  ThreadPool pool(3);
+  std::string caught;
+  std::atomic<std::uint64_t> covered{0};
+  run_as_submitted_task(pool, [&] {
+    try {
+      pool.parallel_for(0, 100, 1, [](std::uint64_t, std::uint64_t hi) {
+        if (hi > 40) {
+          throw Error("nested chunk failure");
+        }
+      });
+    } catch (const Error& e) {
+      caught = e.what();
+    }
+    pool.parallel_for(0, 100, 1, [&](std::uint64_t lo, std::uint64_t hi) {
+      covered.fetch_add(hi - lo);
+    });
+  });
+  EXPECT_EQ(caught, "nested chunk failure");
+  EXPECT_EQ(covered.load(), 100u);
 }
 
 TEST(ThreadPoolTest, NestedParallelForFromSubmittedTaskCannotDeadlock) {
   // The serve event loop submits request jobs that themselves call
   // parallel_for on the SAME pool (sharded EVAL). With every worker
   // busy on such a job, a queue-and-wait nested call would park all
-  // workers on work only they could drain — so nested calls run
-  // inline on the worker, and saturating the pool with them must
-  // still complete.
+  // workers on work only they could drain — so the calling worker runs
+  // chunks itself and waits only for chunks already running, and
+  // saturating the pool with such calls must still complete.
   ThreadPool pool(2);
   constexpr int kJobs = 8;  // > workers: saturation is the point
   std::atomic<std::uint64_t> covered{0};
