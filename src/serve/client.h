@@ -84,6 +84,28 @@ inline bool decode_simb_response(const std::string& response,
                               expected_words, words, consumed);
 }
 
+/// Replaces the load time in every "OK loaded ..., <t> ms" response
+/// line of a transcript with "T". It is the one wall-clock value in the
+/// protocol; with it canonicalised, the responses to the same requests
+/// compare byte for byte.
+inline std::string canonical_load_times(std::string transcript) {
+  const std::string key = "OK loaded ";
+  const std::string cells = " cells, ";
+  for (std::size_t at = transcript.find(key); at != std::string::npos;
+       at = transcript.find(key, at + key.size())) {
+    const std::size_t eol = transcript.find('\n', at);
+    const std::size_t start = transcript.find(cells, at);
+    const std::size_t end = start == std::string::npos
+                                ? std::string::npos
+                                : transcript.find(" ms", start);
+    if (end != std::string::npos && end < eol) {
+      transcript.replace(start + cells.size(), end - start - cells.size(), 1,
+                         'T');
+    }
+  }
+  return transcript;
+}
+
 /// Waits for a thread running Server::serve_tcp(host, 0, &port) to
 /// publish its kernel-assigned port. Returns the port once non-zero;
 /// a NEGATIVE value means the caller's server thread reported failure

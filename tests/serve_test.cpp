@@ -6,10 +6,13 @@
 // per-verb accounting under a concurrent mixed-verb hammer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,6 +39,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #endif
 
@@ -2572,144 +2576,174 @@ TEST_P(ObservabilitySocketTest, DroppedConnectionsAreClassified) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-model byte identity: the same wire input produces the same
-// wire output under both io models, compared directly.
+// Golden wire transcripts (tests/data/serve_golden/, captured from a live
+// ambit_serve by scripts/capture_serve_golden.py): each .in file is one
+// connection's request bytes, each .out file the socket path's response
+// bytes with load times canonicalised. Every transport must reproduce
+// them exactly, so the wire behaviour is pinned by data rather than by
+// comparing one implementation against another.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Runs one server under `model`, plays three canned connections
-/// against it (a mixed happy-path pipeline ending in QUIT, an unframed
-/// bulk header that drops the connection, and a residual line at clean
-/// EOF), and returns each connection's complete response byte stream.
-std::vector<std::string> capture_model_responses(IoModel model,
-                                                 const std::string& pla_path,
-                                                 const std::string& tag) {
-  const std::string socket_path =
-      testing::TempDir() + "/ambit_serve_ident_" + tag + ".sock";
-  Session session(2);
-  ServerOptions options;
-  options.io_model = model;
-  Server server(session, options);
-  std::thread server_thread([&] { server.serve_unix(socket_path); });
+/// STATS reports the session's worker count; the transcripts were
+/// captured with this many.
+constexpr int kGoldenWorkers = 2;
 
-  const auto drain = [](int fd) {
-    std::string buffer;
-    char chunk[65536];
-    for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-    return buffer;
-  };
-  const auto send_all = [](int fd, const std::string& wire) {
-    std::size_t sent = 0;
-    while (sent < wire.size()) {
-      const ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      if (n <= 0) {
-        break;
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-  };
-  std::vector<std::string> captures;
+struct Golden {
+  std::string name;
+  std::string in;   ///< request bytes, LOAD paths as placeholders
+  std::string out;  ///< expected response bytes
+};
 
-  // Connection 1: every response-shape the protocol has — text OK
-  // lines, an ERR line, both binary bulk frames — pipelined, ending in
-  // QUIT.
-  {
-    PatternBatch inputs = PatternBatch::exhaustive(3);
-    std::ostringstream wire;
-    wire << "LOAD s " << pla_path << "\n"
-         << "EVAL s 7 0\n"
-         << "SIM s 5\n"
-         << "FROBNICATE nope\n"
-         << "EVALB s " << inputs.num_patterns() << " " << inputs.total_words()
-         << "\n"
-         << frame_payload(inputs) << "SIMB s " << inputs.num_patterns() << " "
-         << inputs.total_words() << "\n"
-         << frame_payload(inputs) << "VERIFY s\nSTATS\nQUIT\n";
-    const int fd = connect_with_retry(socket_path);
-    EXPECT_GE(fd, 0);
-    send_all(fd, wire.str());
-    ::shutdown(fd, SHUT_WR);
-    captures.push_back(drain(fd));
-    ::close(fd);
-  }
-
-  // Connection 2: an unframed bulk header — one ERR response, then the
-  // server drops the connection.
-  {
-    const int fd = connect_with_retry(socket_path);
-    EXPECT_GE(fd, 0);
-    send_all(fd, "EVALB s not_a_number 4\n");
-    captures.push_back(drain(fd));
-    ::close(fd);
-  }
-
-  // Connection 3: a residual unterminated line at clean EOF is served.
-  {
-    const int fd = connect_with_retry(socket_path);
-    EXPECT_GE(fd, 0);
-    send_all(fd, "EVAL s 3");
-    ::shutdown(fd, SHUT_WR);
-    captures.push_back(drain(fd));
-    ::close(fd);
-  }
-
-  const int ctl = connect_with_retry(socket_path);
-  EXPECT_GE(ctl, 0);
-  socket_transact(ctl, "SHUTDOWN\n", 1);
-  ::close(ctl);
-  server_thread.join();
-  return captures;
+std::string read_file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
-/// The LOAD response embeds the measured load time ("…, 0.6 ms") — the
-/// one legitimately non-deterministic byte range in the script — so the
-/// identity comparison canonicalizes that number to "T" on both sides.
-std::string normalize_load_time(std::string s) {
-  const std::string key = " cells, ";
-  const std::size_t at = s.find(key);
-  if (at == std::string::npos) {
-    return s;
+std::vector<Golden> read_goldens() {
+  namespace fs = std::filesystem;
+  std::vector<Golden> goldens;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(AMBIT_TEST_DATA_DIR) / "serve_golden")) {
+    if (entry.path().extension() != ".in") {
+      continue;
+    }
+    fs::path out = entry.path();
+    out.replace_extension(".out");
+    goldens.push_back({entry.path().stem().string(),
+                       read_file_bytes(entry.path()), read_file_bytes(out)});
   }
-  const std::size_t start = at + key.size();
-  const std::size_t end = s.find(" ms", start);
-  if (end == std::string::npos) {
-    return s;
+  std::sort(goldens.begin(), goldens.end(),
+            [](const Golden& a, const Golden& b) { return a.name < b.name; });
+  return goldens;
+}
+
+void replace_all(std::string& text, const std::string& from,
+                 const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
   }
-  return s.replace(start, end - start, "T");
+}
+
+/// Fills the LOAD placeholders with the two circuits the capture script
+/// loaded (byte-identical texts).
+std::string fill_golden_paths(std::string wire) {
+  const auto write = [](const std::string& name, const char* text) {
+    const std::string path = testing::TempDir() + "/" + name;
+    std::ofstream(path, std::ios::trunc) << text;
+    return path;
+  };
+  static const std::string sample = write(
+      "golden_sample.pla", ".i 3\n.o 2\n11- 10\n0-1 01\n10- 11\n.e\n");
+  static const std::string seed =
+      write("golden_seed.pla", ".i 2\n.o 1\n10 1\n01 1\n.e\n");
+  replace_all(wire, "@SAMPLE_PLA@", sample);
+  replace_all(wire, "@SEED_PLA@", seed);
+  return wire;
+}
+
+/// STATS' connections=<active>/<accepted> counts socket connections;
+/// the in-process transports accept none, so their transcripts compare
+/// with that field masked.
+std::string mask_connection_counts(std::string transcript) {
+  const std::string key = " connections=";
+  for (std::size_t at = transcript.find(key); at != std::string::npos;
+       at = transcript.find(key, at + key.size())) {
+    const std::size_t start = at + key.size();
+    std::size_t end = start;
+    while (end < transcript.size() &&
+           ((transcript[end] >= '0' && transcript[end] <= '9') ||
+            transcript[end] == '/')) {
+      ++end;
+    }
+    transcript.replace(start, end - start, 1, '*');
+  }
+  return transcript;
+}
+
+void send_all(int fd, const std::string& wire) {
+  std::size_t sent = 0;
+  while (sent < wire.size()) {
+    const ssize_t n =
+        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      break;  // the server dropped the connection mid-request
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+std::string read_to_eof(int fd) {
+  std::string buffer;
+  char chunk[65536];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return buffer;
+    }
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// One connection through a fresh serve_unix: send every byte,
+/// half-close, read the responses to EOF.
+std::string golden_over_unix(const std::string& wire) {
+  const std::string socket_path =
+      testing::TempDir() + "/ambit_serve_golden.sock";
+  Session session(kGoldenWorkers);
+  Server server(session);
+  std::thread server_thread([&] { server.serve_unix(socket_path); });
+  const int fd = connect_with_retry(socket_path);
+  EXPECT_GE(fd, 0);
+  send_all(fd, wire);
+  ::shutdown(fd, SHUT_WR);
+  const std::string out = read_to_eof(fd);
+  ::close(fd);
+  if (!server.shutdown_requested()) {
+    const int ctl = connect_with_retry(socket_path);
+    EXPECT_GE(ctl, 0);
+    socket_transact(ctl, "SHUTDOWN\n", 1);
+    ::close(ctl);
+  }
+  server_thread.join();
+  return out;
+}
+
+/// One connection through serve_chunks, one byte per read.
+std::string golden_over_chunks(const std::string& wire) {
+  Session session(kGoldenWorkers);
+  Server server(session);
+  std::size_t pos = 0;
+  std::string out;
+  server.serve_chunks(
+      [&] { return pos < wire.size() ? wire.substr(pos++, 1) : std::string(); },
+      out);
+  return out;
 }
 
 }  // namespace
 
-TEST(IoModelIdentityTest, BothModelsProduceByteIdenticalResponses) {
-  // The conformance matrix above asserts each model against expected
-  // values; this asserts them against EACH OTHER, byte for byte, over
-  // one mixed script — any framing or text drift between the paths
-  // fails here even if both happen to satisfy the per-test predicates.
-  const std::string path = write_sample_pla("serve_ident.pla");
-  const std::vector<std::string> threads =
-      capture_model_responses(IoModel::kThreads, path, "threads");
-  const std::vector<std::string> epoll =
-      capture_model_responses(IoModel::kEpoll, path, "epoll");
-  ASSERT_EQ(threads.size(), epoll.size());
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    EXPECT_EQ(normalize_load_time(threads[i]), normalize_load_time(epoll[i]))
-        << "connection " << i;
+TEST(ServeGoldenTest, EveryTransportReproducesTheTranscripts) {
+  const std::vector<Golden> goldens = read_goldens();
+  ASSERT_GE(goldens.size(), 18u);
+  for (const Golden& golden : goldens) {
+    const std::string wire = fill_golden_paths(golden.in);
+    EXPECT_EQ(canonical_load_times(golden_over_unix(wire)), golden.out)
+        << golden.name << " over serve_unix";
+    EXPECT_EQ(mask_connection_counts(
+                  canonical_load_times(golden_over_chunks(wire))),
+              mask_connection_counts(golden.out))
+        << golden.name << " over 1-byte serve_chunks";
   }
-  // And the happy-path capture is non-trivial: it holds every response
-  // shape (OK text, ERR text, both bulk frame headers).
-  EXPECT_NE(threads[0].find("OK loaded s"), std::string::npos);
-  EXPECT_NE(threads[0].find("ERR "), std::string::npos);
-  EXPECT_NE(threads[0].find("OK EVALB "), std::string::npos);
-  EXPECT_NE(threads[0].find("OK SIMB "), std::string::npos);
-  EXPECT_NE(threads[0].find("OK bye"), std::string::npos);
-  EXPECT_NE(threads[2].find("OK "), std::string::npos);  // residual served
 }
 
 #endif  // !_WIN32
