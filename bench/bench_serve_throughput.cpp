@@ -3,7 +3,7 @@
 // cross-connection request coalescing, and the cost of the metrics
 // instrumentation itself.
 //
-// Six measurements, against >= 16-input Espresso-minimized GNOR PLAs
+// Seven measurements, against >= 16-input Espresso-minimized GNOR PLAs
 // (smaller under --smoke):
 //
 //   1. evaluate_batch sharding: the exhaustive input space swept
@@ -31,6 +31,8 @@
 //      with per-request metrics recording enabled and once with
 //      ServerOptions::enable_metrics = false — the gap is what the
 //      counters, histograms, and phase timers cost the hot path.
+//   7. C10k (Linux): >= 2000 connections held open at once against the
+//      event loop, one EVAL each, every one of them answered.
 //
 // Every section reports latency distributions — p50 / p99 / max from
 // util/metrics.h histograms (the serve layer's own per-request
@@ -740,17 +742,13 @@ int main(int argc, char** argv) {
   // --- 7. C10k: thousands of SIMULTANEOUSLY open connections --------------
   // The event-loop transport's reason to exist: every client below
   // connects and STAYS connected while one EVAL per client flows
-  // through — the thread-per-connection model would need one stack per
-  // client for the same shape. The threads arm churns the identical
-  // request count through its 64 connection slots for comparison.
-  // Self-skips (reported, not failed) when RLIMIT_NOFILE cannot cover
-  // both ends of every connection living in this one process.
+  // through, all multiplexed by one loop thread. Self-skips (reported,
+  // not failed) when RLIMIT_NOFILE cannot cover both ends of every
+  // connection living in this one process.
   std::uint64_t c10k_clients = 0;
   std::uint64_t c10k_epoll_served = 0;
-  std::uint64_t c10k_threads_served = 0;
   std::uint64_t c10k_peak_active = 0;
   double c10k_epoll_req_per_s = 0;
-  double c10k_threads_req_per_s = 0;
   LatencyStats c10k_eval{};
   bool c10k_ran = false;
 #ifdef __linux__
@@ -778,14 +776,13 @@ int main(int argc, char** argv) {
           (std::filesystem::temp_directory_path() / "ambit_bench_c10k.sock")
               .string();
 
-      // Epoll arm: connect everyone, prove the concurrency with STATS,
-      // then one EVAL per held-open connection.
+      // Connect everyone, prove the concurrency with STATS, then one
+      // EVAL per held-open connection.
       {
         serve::Session c10k_session(1);
         c10k_session.load("bench", pla_path);
         metrics::Registry c10k_registry;
         serve::ServerOptions c10k_options;
-        c10k_options.io_model = serve::IoModel::kEpoll;
         c10k_options.max_connections = static_cast<int>(want_clients) + 8;
         c10k_options.registry = &c10k_registry;
         serve::Server c10k_server(c10k_session, c10k_options);
@@ -863,80 +860,17 @@ int main(int argc, char** argv) {
             "ambit_serve_request_us", {{"verb", "EVAL"}}));
       }
 
-      // Threads arm: the same request count churned through 64 slots —
-      // connections cannot be held open past the slot cap, so each
-      // client is one connect/EVAL/QUIT round trip.
-      {
-        serve::Session threads_session(1);
-        threads_session.load("bench", pla_path);
-        serve::ServerOptions threads_options;
-        threads_options.io_model = serve::IoModel::kThreads;
-        threads_options.max_connections = 64;
-        serve::Server threads_server(threads_session, threads_options);
-        std::thread server_thread(
-            [&] { threads_server.serve_unix(socket_path); });
-
-        const int churners = 8;
-        std::atomic<std::uint64_t> ok_count{0};
-        const auto start = std::chrono::steady_clock::now();
-        std::vector<std::thread> churn;
-        for (int t = 0; t < churners; ++t) {
-          churn.emplace_back([&, t] {
-            Rng churn_rng(100 + t);
-            const std::uint64_t share =
-                c10k_clients / churners +
-                (static_cast<std::uint64_t>(t) < c10k_clients % churners ? 1
-                                                                         : 0);
-            for (std::uint64_t i = 0; i < share; ++i) {
-              const int fd = serve::connect_with_retry(socket_path);
-              if (fd < 0) {
-                continue;
-              }
-              const auto lines = serve::socket_transact(
-                  fd,
-                  "EVAL bench " +
-                      random_hex_pattern(pla.num_inputs(), churn_rng) +
-                      "\nQUIT\n",
-                  2);
-              if (lines.size() == 2 && lines[0].compare(0, 3, "OK ") == 0) {
-                ok_count.fetch_add(1);
-              }
-              ::close(fd);
-            }
-          });
-        }
-        for (std::thread& t : churn) {
-          t.join();
-        }
-        const double secs = seconds_since(start);
-        c10k_threads_served = ok_count.load();
-        c10k_threads_req_per_s =
-            secs > 0 ? static_cast<double>(c10k_threads_served) / secs : 0;
-        const int ctl = serve::connect_with_retry(socket_path);
-        if (ctl >= 0) {
-          serve::socket_transact(ctl, "SHUTDOWN\n", 1);
-          ::close(ctl);
-        }
-        server_thread.join();
-      }
-
       std::printf(
           "\nC10k: %llu clients held open concurrently (peak active %llu): "
-          "epoll served %llu (%.0f req/s, EVAL %s); "
-          "threads @64 slots churned %llu (%.0f req/s)\n",
+          "epoll served %llu (%.0f req/s, EVAL %s)\n",
           static_cast<unsigned long long>(c10k_clients),
           static_cast<unsigned long long>(c10k_peak_active),
           static_cast<unsigned long long>(c10k_epoll_served),
-          c10k_epoll_req_per_s, format_latency(c10k_eval).c_str(),
-          static_cast<unsigned long long>(c10k_threads_served),
-          c10k_threads_req_per_s);
+          c10k_epoll_req_per_s, format_latency(c10k_eval).c_str());
       json.add("c10k_clients", static_cast<double>(c10k_clients));
       json.add("c10k_peak_active", static_cast<double>(c10k_peak_active));
       json.add("c10k_epoll_served", static_cast<double>(c10k_epoll_served));
-      json.add("c10k_threads_served",
-               static_cast<double>(c10k_threads_served));
       json.add("c10k_epoll_req_per_s", c10k_epoll_req_per_s);
-      json.add("c10k_threads_req_per_s", c10k_threads_req_per_s);
       json.add("c10k_eval", c10k_eval);
     }
   }
@@ -970,8 +904,7 @@ int main(int argc, char** argv) {
   // section ran at all (a correctness bar, enforced even in smoke);
   // the >= 2000 simultaneous-connection floor only outside smoke /
   // sanitizer runs (smoke deliberately shrinks the client count).
-  const bool c10k_all_served = !c10k_ran || (c10k_epoll_served == c10k_clients &&
-                                             c10k_threads_served == c10k_clients);
+  const bool c10k_all_served = !c10k_ran || c10k_epoll_served == c10k_clients;
   const bool enforce_c10k_scale = c10k_ran && !smoke && !instrumented;
   if (c10k_ran) {
     std::printf("C10k epoll served every held-open client: %s\n",

@@ -3,23 +3,30 @@
 // Feeds arbitrary bytes through Server::serve_stream — the exact code
 // path behind the stdio transport — so it exercises the full request
 // loop: line framing, parse_request, dispatch, EVALB/SIMB binary
-// payload framing and the drop-the-connection error paths. Inputs
-// starting with the "CHNK" magic instead drive Server::serve_chunks,
-// the incremental ConnState machine behind the epoll socket transport,
-// with fuzzer-chosen read boundaries (see LLVMFuzzerTestOneInput).
-// Two hermeticity measures:
+// payload framing and the drop-the-connection error paths. Every such
+// input is ALSO fed through Server::serve_chunks one byte per read, and
+// the harness aborts when the two transcripts differ (after
+// canonicalising LOAD's load time): both transports frame through the
+// same ConnState machine, so any difference is a framing bug. Inputs
+// starting with the "CHNK" magic instead drive serve_chunks with
+// fuzzer-chosen read boundaries (see LLVMFuzzerTestOneInput).
+// Hermeticity:
 //
 //   * every well-formed "LOAD <name> <path>" line is rewritten to load
 //     a fixed seed circuit from a temp file this harness wrote at
 //     startup — the fuzzer must not open attacker-chosen paths (or
 //     block forever on /dev/stdin);
-//   * each input gets a fresh Session (0 workers: in-line evaluation)
+//   * each run gets a fresh Session (0 workers: in-line evaluation)
 //     and a fresh Server, so SHUTDOWN's latch and loaded-circuit state
-//     cannot leak between runs and every input reproduces standalone.
+//     cannot leak between runs and every input reproduces standalone;
+//   * each Server records into its own registry with per-request
+//     metrics off, so a METRICS page is the same in both transcripts
+//     of the differential.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -27,9 +34,11 @@
 #include <sstream>
 #include <string>
 
+#include "serve/client.h"
 #include "serve/server.h"
 #include "serve/session.h"
 #include "util/error.h"
+#include "util/metrics.h"
 
 namespace {
 
@@ -85,61 +94,19 @@ std::string sanitize(const std::string& text) {
   return out;
 }
 
-}  // namespace
-
-extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
-                                      std::size_t size) {
-  // Arbitrary-chunking mode: a "CHNK" magic selects the incremental
-  // ConnState path (Server::serve_chunks — the epoll transport's state
-  // machine) instead of the blocking serve_stream loop, with the
-  // fuzzer choosing every read() boundary. Layout:
-  //
-  //   "CHNK" | count:1 | count bytes of chunk-size seeds | wire bytes
-  //
-  // Each seed byte maps to a chunk length in [1, 64], cycled over the
-  // wire; count == 0 means one byte per chunk — the maximal split.
-  // This is what drives EVALB/SIMB headers and payloads across every
-  // possible read boundary, which the line-at-a-time serve_stream loop
-  // structurally cannot reach.
-  if (size >= 5 && std::memcmp(data, "CHNK", 4) == 0 &&
-      size >= 5 + static_cast<std::size_t>(data[4])) {
-    const std::size_t count = data[4];
-    const std::uint8_t* seeds = data + 5;
-    const std::string wire = sanitize(std::string(
-        reinterpret_cast<const char*>(data + 5 + count), size - 5 - count));
-    try {
-      ambit::serve::Session session(0);
-      ambit::serve::Server server(session);
-      std::size_t pos = 0;
-      std::size_t turn = 0;
-      std::string out;
-      server.serve_chunks(
-          [&]() -> std::string {
-            if (pos >= wire.size()) {
-              return std::string();  // clean EOF
-            }
-            const std::size_t want =
-                count == 0 ? 1 : (seeds[turn++ % count] % 64) + 1;
-            const std::size_t len = std::min(want, wire.size() - pos);
-            const std::string chunk = wire.substr(pos, len);
-            pos += len;
-            return chunk;
-          },
-          out);
-    } catch (const ambit::Error&) {
-    } catch (const std::bad_alloc&) {
-    }
-    return 0;
-  }
-
-  const std::string text =
-      sanitize(std::string(reinterpret_cast<const char*>(data), size));
+/// Runs `serve` against a fresh Session and Server; returns false when
+/// the connection ended in an exception instead of a transcript.
+template <typename Serve>
+bool run_connection(Serve&& serve) {
   try {
     ambit::serve::Session session(0);
-    ambit::serve::Server server(session);
-    std::istringstream in(text);
-    std::ostringstream out;
-    server.serve_stream(in, out);
+    ambit::metrics::Registry registry;
+    ambit::serve::ServerOptions options;
+    options.registry = &registry;
+    options.enable_metrics = false;
+    ambit::serve::Server server(session, options);
+    serve(server);
+    return true;
   } catch (const ambit::Error&) {
     // request-level failures surface as ERR lines, not exceptions, so
     // this is rare (e.g. resource exhaustion) — but it is a clean exit
@@ -147,6 +114,80 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // a fuzzed EVALB header may legitimately request a payload buffer
     // this process cannot serve; the server's contract is to fail the
     // request, but the fallback path may still propagate under ASan
+  }
+  return false;
+}
+
+/// serve_chunks over `wire`, `next_len(turn)` bytes per read.
+template <typename NextLen>
+bool serve_in_chunks(const std::string& wire, NextLen&& next_len,
+                     std::string& out) {
+  return run_connection([&](ambit::serve::Server& server) {
+    std::size_t pos = 0;
+    std::size_t turn = 0;
+    server.serve_chunks(
+        [&]() -> std::string {
+          if (pos >= wire.size()) {
+            return std::string();  // clean EOF
+          }
+          const std::size_t len = std::min(next_len(turn++), wire.size() - pos);
+          const std::string chunk = wire.substr(pos, len);
+          pos += len;
+          return chunk;
+        },
+        out);
+  });
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size) {
+  // Arbitrary-chunking mode: a "CHNK" magic selects
+  // Server::serve_chunks with the fuzzer choosing every read()
+  // boundary. Layout:
+  //
+  //   "CHNK" | count:1 | count bytes of chunk-size seeds | wire bytes
+  //
+  // Each seed byte maps to a chunk length in [1, 64], cycled over the
+  // wire; count == 0 means one byte per chunk — the maximal split. This
+  // is what drives EVALB/SIMB headers and payloads across read
+  // boundaries the differential's one-byte split does not vary.
+  if (size >= 5 && std::memcmp(data, "CHNK", 4) == 0 &&
+      size >= 5 + static_cast<std::size_t>(data[4])) {
+    const std::size_t count = data[4];
+    const std::uint8_t* seeds = data + 5;
+    const std::string wire = sanitize(std::string(
+        reinterpret_cast<const char*>(data + 5 + count), size - 5 - count));
+    std::string out;
+    serve_in_chunks(
+        wire,
+        [&](std::size_t turn) -> std::size_t {
+          return count == 0 ? 1 : (seeds[turn % count] % 64) + 1;
+        },
+        out);
+    return 0;
+  }
+
+  const std::string text =
+      sanitize(std::string(reinterpret_cast<const char*>(data), size));
+  std::ostringstream streamed;
+  const bool stream_ok = run_connection([&](ambit::serve::Server& server) {
+    std::istringstream in(text);
+    server.serve_stream(in, streamed);
+  });
+  std::string chunked;
+  const bool chunks_ok =
+      serve_in_chunks(text, [](std::size_t) -> std::size_t { return 1; },
+                      chunked);
+  if (stream_ok && chunks_ok &&
+      ambit::serve::canonical_load_times(streamed.str()) !=
+          ambit::serve::canonical_load_times(chunked)) {
+    std::fprintf(stderr,
+                 "fuzz_serve_stream: serve_stream and 1-byte serve_chunks "
+                 "answered differently (%zu vs %zu bytes)\n",
+                 streamed.str().size(), chunked.size());
+    std::abort();
   }
   return 0;
 }

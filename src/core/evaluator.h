@@ -41,7 +41,7 @@
 // Thread-safety: evaluation is const and touches no shared mutable
 // state, so any number of threads may evaluate the SAME immutable
 // model concurrently (the serve layer relies on this — one loaded
-// circuit answers every connection thread). Mutating a model (e.g.
+// circuit answers every concurrent request). Mutating a model (e.g.
 // reprogramming cells) while another thread evaluates it is a data
 // race; the serve registry sidesteps it by treating loaded circuits
 // as immutable and replacing them wholesale.

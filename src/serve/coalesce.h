@@ -90,7 +90,7 @@ struct CoalesceInstruments {
 };
 
 /// Fuses small concurrent EVAL/EVALB requests per circuit. Safe to call
-/// from any number of connection threads; one instance per Server.
+/// from any number of request threads; one instance per Server.
 class CoalescingQueue {
  public:
   CoalescingQueue(Session& session, CoalesceOptions options,

@@ -1,7 +1,8 @@
 #include "serve/conn_state.h"
 
+#include <cctype>
 #include <cstdint>
-#include <cstring>
+#include <string_view>
 
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -25,9 +26,9 @@ ConnState::Step ConnState::advance() {
       const std::size_t newline = buffer_.find('\n');
       if (newline == std::string::npos) {
         // A newline-free byte stream must not grow the buffer without
-        // bound; the boundary (strictly MORE than kMaxLineBytes
+        // bound; the boundary is strictly MORE than kMaxLineBytes
         // buffered, so a line of exactly the cap is still accepted once
-        // its newline arrives) matches the stream transport exactly.
+        // its newline arrives.
         if (buffer_.size() > kMaxLineBytes) {
           closed_ = true;
           return Step::kOversized;
@@ -40,7 +41,7 @@ ConnState::Step ConnState::advance() {
         // it like any other line instead of silently dropping it. The
         // line is MOVED out of the buffer first so a residual bulk
         // header cannot re-read its own text as payload — its payload
-        // read hits the (empty) buffer, runs short, and fails cleanly.
+        // comes up short and the request fails cleanly.
         if (clean_eof_ && !trim(buffer_).empty()) {
           line_ = std::move(buffer_);
           buffer_.clear();
@@ -61,36 +62,28 @@ ConnState::Step ConnState::advance() {
         line_ = buffer_.substr(0, newline);
         buffer_.erase(0, newline + 1);
         if (trim(line_).empty()) {
-          continue;  // blank lines are ignored, like every transport
+          continue;  // blank lines are ignored
         }
         have_line_ = true;
         payload_need_ = required_payload(line_);
       }
     }
-    if (mode_ == PayloadMode::kBuffered && buffer_.size() < payload_need_ &&
-        !eof_) {
+    if (buffer_.size() < payload_need_ && !eof_) {
       return Step::kNeedInput;  // the frame's payload is still arriving
     }
     return Step::kRequest;
   }
 }
 
-std::size_t ConnState::take_payload(char* dst, std::size_t n) {
-  const std::size_t take = buffer_.size() < n ? buffer_.size() : n;
-  std::memcpy(dst, buffer_.data(), take);
-  buffer_.erase(0, take);
-  return take;
-}
-
 std::string ConnState::take_request_payload() {
-  const std::size_t take =
-      buffer_.size() < payload_need_ ? buffer_.size() : payload_need_;
-  std::string payload = buffer_.substr(0, take);
-  buffer_.erase(0, take);
+  std::string payload(request_payload());
+  buffer_.erase(0, payload.size());
+  payload_need_ = 0;
   return payload;
 }
 
 void ConnState::finish_request(bool quit) {
+  buffer_.erase(0, payload_need_);
   have_line_ = false;
   line_.clear();
   payload_need_ = 0;
@@ -100,8 +93,18 @@ void ConnState::finish_request(bool quit) {
   }
 }
 
-std::size_t ConnState::required_payload(const std::string& line) const {
-  if (mode_ == PayloadMode::kExternal) {
+std::size_t ConnState::required_payload(const std::string& line) {
+  // Only a bulk header declares a payload, so every other line skips
+  // the full parse that serve_line repeats. The verb is split off by
+  // split_ws's rule, as parse_request sees it.
+  const std::string_view text = trim(line);
+  std::size_t verb_end = 0;
+  while (verb_end < text.size() &&
+         !std::isspace(static_cast<unsigned char>(text[verb_end]))) {
+    ++verb_end;
+  }
+  const std::string_view verb = text.substr(0, verb_end);
+  if (verb != "EVALB" && verb != "SIMB") {
     return 0;
   }
   try {

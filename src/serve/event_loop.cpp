@@ -47,6 +47,11 @@ std::uint64_t now_ms() {
 constexpr std::uint64_t kListenerTag = ~std::uint64_t{0};
 constexpr std::uint64_t kWakeTag = ~std::uint64_t{0} - 1;
 
+/// epoll_wait timeout: the housekeeping tick that advances the timer
+/// wheel and retries an accept starved of descriptors, even when no
+/// descriptor is ready.
+constexpr int kHousekeepingMs = 50;
+
 }  // namespace
 
 /// Which per-connection deadline a wheel entry tracks.
@@ -138,7 +143,7 @@ class EventLoop {
   struct Conn {
     int fd = -1;
     std::uint64_t id = 0;
-    ConnState state{ConnState::PayloadMode::kBuffered};
+    ConnState state;
     /// Write-backpressure queue: response bytes the socket has not
     /// taken yet. out_off tracks the flushed prefix; both reset when
     /// the outbox drains.
@@ -213,8 +218,7 @@ class EventLoop {
   }
 
   /// Non-blocking flush of the outbox; false when the peer is gone (a
-  /// hard write error — the "send" drop, like a threaded write_all
-  /// failure).
+  /// hard write error — the "send" drop).
   bool try_flush(Conn& c) {
     std::size_t flushed = 0;
     bool ok = true;
@@ -238,8 +242,8 @@ class EventLoop {
     if (flushed > 0) {
       server_.note_pending_write_delta(-static_cast<std::int64_t>(flushed));
       if (server_.options_.send_timeout_secs > 0) {
-        // Progress re-arms the send deadline, mirroring SO_SNDTIMEO's
-        // per-send accounting.
+        // Progress re-arms the send deadline: the timeout bounds a
+        // stall, not a whole large response.
         c.send_deadline_ms =
             now_ms() +
             static_cast<std::uint64_t>(server_.options_.send_timeout_secs) *
@@ -268,7 +272,10 @@ class EventLoop {
     ::close(c.fd);
     server_.connections_active_.fetch_sub(1, std::memory_order_relaxed);
     conns_.erase(c.id);  // invalidates c — callers return immediately
+    // A freed slot — and a freed descriptor, if accept was starved —
+    // lets the listener back in.
     if (!draining_ && active() < static_cast<std::size_t>(max_connections_)) {
+      accept_retry_ms_ = 0;
       set_listener_registered(true);
     }
   }
@@ -285,32 +292,14 @@ class EventLoop {
     Server* server = &server_;
     EventLoop* loop = this;
     server_.session_.pool().submit([loop, server, id, line = std::move(line),
-                                    payload = std::move(payload)]() mutable {
+                                    payload = std::move(payload)] {
       Completion done;
       done.conn_id = id;
-      std::size_t off = 0;
-      const Server::PayloadReader read_payload = [&](char* dst,
-                                                     std::size_t n) {
-        const std::size_t have = payload.size() - off;
-        const std::size_t take = have < n ? have : n;
-        std::memcpy(dst, payload.data() + off, take);
-        off += take;
-        if (take != n) {
-          // The buffered frame ran short: EOF truncated the payload.
-          done.payload_truncated = true;
-          return false;
-        }
-        return true;
-      };
-      const Server::ByteWriter write_bytes = [&done](const char* data,
-                                                     std::size_t n) {
-        done.out.append(data, n);
-        return true;
-      };
       Server::Outcome outcome;
       try {
-        done.alive =
-            server->serve_line(line, read_payload, write_bytes, outcome, id);
+        done.alive = server->serve_line(line, payload, done.out, outcome, id);
+        // serve_line fails only when EOF truncated the buffered frame.
+        done.payload_truncated = !done.alive;
       } catch (...) {
         // serve_line's guards make this near-unreachable (bad_alloc
         // building a response); cost the connection, not the loop.
@@ -323,9 +312,9 @@ class EventLoop {
 
   /// Drives one connection as far as it can go without new input:
   /// flush pending writes, serve buffered requests (one at a time — a
-  /// response must drain before the next request is parsed, matching
-  /// the threaded path's blocking-write backpressure), then settle
-  /// interest and timers. May close (and erase) the connection.
+  /// response must drain before the next request is parsed, so a peer
+  /// that stops reading stops being served), then settle interest and
+  /// timers. May close (and erase) the connection.
   void step(std::uint64_t id) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) {
@@ -362,9 +351,8 @@ class EventLoop {
       return;
     }
     // Interest: read only while actually waiting for the peer's next
-    // bytes (not while a job runs or a response drains — the threaded
-    // path does not read then either, which is what bounds per-
-    // connection memory); write while the outbox has bytes.
+    // bytes (not while a job runs or a response drains, which is what
+    // bounds per-connection memory); write while the outbox has bytes.
     std::uint32_t want = 0;
     if (!c.busy && !c.want_close && !c.no_reads && !c.state.eof() &&
         c.out_off >= c.outbox.size()) {
@@ -417,7 +405,7 @@ class EventLoop {
       }
       // read()==0 is a clean close only when the PEER closed; during a
       // SHUTDOWN drain a residual partial line is still treated as
-      // truncated, never served — same rule as the threaded path.
+      // truncated, never served.
       c.state.note_eof(n == 0 && !server_.shutdown_.load());
       break;
     }
@@ -438,6 +426,21 @@ class EventLoop {
           continue;
         }
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          return;
+        }
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+          // Out of descriptors or kernel memory: the live connections
+          // are fine, only this accept is not. Park the listener (the
+          // backlog holds the new peer) until a connection closes or
+          // the next housekeeping tick, like a full max_connections.
+          const std::string reason = std::strerror(errno);
+          set_listener_registered(false);
+          accept_retry_ms_ = now_ms() + kHousekeepingMs;
+          logs::warn_rate_limited(accept_log_limiter_, "conn.accept_starved",
+                                  {{"transport", what_},
+                                   {"error", reason},
+                                   {"active", std::to_string(active())}});
           return;
         }
         fatal_ = what_ + ": accept failed: " + std::strerror(errno);
@@ -511,11 +514,10 @@ class EventLoop {
     close_conn(c, "send");
   }
 
-  /// SHUTDOWN (or a fatal error): stop accepting and cut every
-  /// connection's input side — the epoll equivalent of the threaded
-  /// path's shutdown(SHUT_RD) drain. Buffered complete requests are
-  /// still served, in-flight jobs finish, owed responses flush; only
-  /// then do the connections close and the loop exit.
+  /// SHUTDOWN (or a fatal error): stop accepting and stop reading every
+  /// connection. Buffered complete requests are still served, in-flight
+  /// jobs finish, owed responses flush; only then do the connections
+  /// close and the loop exit.
   void begin_drain() {
     if (draining_) {
       return;
@@ -582,6 +584,10 @@ class EventLoop {
   int wake_fd_ = -1;
   int max_connections_ = 1;
   bool listener_registered_ = false;
+  /// Non-zero while accept is starved of descriptors: the loop clock
+  /// time at which the parked listener is re-registered.
+  std::uint64_t accept_retry_ms_ = 0;
+  logs::RateLimiter accept_log_limiter_{1'000'000};
   bool draining_ = false;
   std::string fatal_;
   std::uint64_t served_total_ = 0;
@@ -593,14 +599,16 @@ class EventLoop {
 };
 
 std::uint64_t EventLoop::run() {
+  // One Server may serve consecutive listeners: each starts un-shut.
+  server_.shutdown_.store(false);
   max_connections_ = server_.options_.max_connections < 1
                          ? 1
                          : server_.options_.max_connections;
-  // The listener arrives BLOCKING from bind_tcp_listener/serve_unix
-  // (the threaded path wants it that way). SOCK_NONBLOCK in accept4
-  // only shapes the ACCEPTED socket — the accept call itself blocks on
-  // a blocking listener, so the accept-burst loop would hang on the
-  // call after the last pending connection.
+  // The listener arrives BLOCKING from bind_tcp_listener/serve_unix.
+  // SOCK_NONBLOCK in accept4 only shapes the ACCEPTED socket — the
+  // accept call itself blocks on a blocking listener, so the
+  // accept-burst loop would hang on the call after the last pending
+  // connection.
   ::fcntl(listener_, F_SETFL,
           ::fcntl(listener_, F_GETFL, 0) | O_NONBLOCK);
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -630,7 +638,7 @@ std::uint64_t EventLoop::run() {
   while (!(draining_ && conns_.empty())) {
     const int ready = ::epoll_wait(epoll_fd_, events.data(),
                                    static_cast<int>(events.size()),
-                                   /*timeout_ms=*/50);
+                                   kHousekeepingMs);
     if (ready < 0) {
       if (errno == EINTR) {
         continue;
@@ -660,15 +668,22 @@ std::uint64_t EventLoop::run() {
       if (it == conns_.end()) {
         continue;  // closed earlier in this batch
       }
-      // EPOLLERR/EPOLLHUP surface through a read attempt, exactly like
-      // the threaded path learns of a reset from read() failing.
+      // EPOLLERR/EPOLLHUP surface through a read attempt: read()
+      // reports the reset or the close.
       if ((mask & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
         handle_readable(*it->second);
       }
       step(tag);
     }
     drain_completions();
-    wheel_.advance(now_ms(), [this](const TimerWheel::Entry& e) { on_timer(e); });
+    const std::uint64_t now = now_ms();
+    wheel_.advance(now, [this](const TimerWheel::Entry& e) { on_timer(e); });
+    if (accept_retry_ms_ != 0 && now >= accept_retry_ms_ && !draining_) {
+      accept_retry_ms_ = 0;
+      if (active() < static_cast<std::size_t>(max_connections_)) {
+        set_listener_registered(true);
+      }
+    }
   }
 
   // A handful of jobs may still be in flight after a hard epoll

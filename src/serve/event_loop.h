@@ -1,8 +1,8 @@
-// The epoll-backed serve core (IoModel::kEpoll): one loop thread
-// multiplexing every accepted connection through non-blocking sockets
-// and the shared ConnState framing machine (serve/conn_state.h), with
-// request evaluation dispatched to the session ThreadPool so the loop
-// never blocks on a sweep.
+// The epoll serve core behind Server::serve_unix and serve_tcp: one
+// loop thread multiplexing every accepted connection through
+// non-blocking sockets and the ConnState framing machine
+// (serve/conn_state.h), with request evaluation dispatched to the
+// session ThreadPool so the loop never blocks on a sweep.
 //
 // Division of labor (ownership rules in docs/ARCHITECTURE.md):
 //
@@ -17,14 +17,12 @@
 //     kEventLoop) workers post finished results to, paired with an
 //     eventfd that wakes the loop.
 //
-// Timeouts reimplement the SO_RCVTIMEO/SO_SNDTIMEO semantics of the
-// threaded path on a hashed timer wheel: an idle peer is dropped
+// Timeouts run on a hashed timer wheel: an idle peer is dropped
 // (reason=idle) after idle_timeout_secs without input while the server
 // is waiting on it, and a peer that stops reading its responses is
 // dropped (reason=send) after send_timeout_secs without write
-// progress. Drop classification, logging, and the response bytes
-// themselves are identical to the threaded path — the dual-path
-// conformance matrix in tests/serve_test.cpp holds both to that.
+// progress. Running out of descriptors is not fatal: accept pauses
+// until a connection closes or the next housekeeping tick.
 #pragma once
 
 #ifdef __linux__
@@ -38,9 +36,9 @@ namespace ambit::serve {
 class Server;
 
 /// Runs `server`'s accept + connection machinery as an epoll event
-/// loop until a SHUTDOWN request drains it (Server::serve_listener
-/// calls this when the resolved io model is kEpoll). Takes ownership
-/// of `listener`; `what` prefixes error messages; `cleanup` runs after
+/// loop until a SHUTDOWN request — or a fatal socket error — drains
+/// it (Server::serve_unix and serve_tcp call this). Takes ownership of
+/// `listener`; `what` prefixes error messages; `cleanup` runs after
 /// the listener closes (serve_unix unlinks its socket file there).
 /// Returns the number of requests served; throws ambit::Error on fatal
 /// socket-level failures (after draining in-flight connections).

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <memory>
@@ -13,23 +12,16 @@
 #include "serve/event_loop.h"
 #include "serve/protocol.h"
 #include "util/error.h"
-#include "util/mutex.h"
 #include "util/strings.h"
-#include "util/thread_annotations.h"
 
 #ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <map>
-#include <thread>
 #endif
 
 namespace ambit::serve {
@@ -49,33 +41,6 @@ std::pair<std::string, int> parse_host_port(const std::string& spec) {
           "port '" + port_text + "' in '" + spec + "' exceeds 65535");
   }
   return {host, port};
-}
-
-const char* io_model_name(IoModel model) {
-  return model == IoModel::kThreads ? "threads" : "epoll";
-}
-
-IoModel parse_io_model(const std::string& text) {
-  if (text == "threads") {
-    return IoModel::kThreads;
-  }
-  if (text == "epoll") {
-    return IoModel::kEpoll;
-  }
-  throw Error("unknown io model '" + text + "' (expected threads or epoll)");
-}
-
-IoModel resolve_io_model(IoModel requested) {
-  // getenv, not a cached static: tests flip the variable between
-  // listeners in one process.
-  const char* forced = std::getenv("AMBIT_IO_MODEL");
-  if (forced != nullptr && *forced != '\0') {
-    requested = parse_io_model(forced);
-  }
-#ifndef __linux__
-  requested = IoModel::kThreads;  // epoll is Linux-only
-#endif
-  return requested;
 }
 
 /// Every handle the per-request path records through, registered once
@@ -179,8 +144,7 @@ struct Server::ServeMetrics {
         metrics::Histogram::default_latency_bounds_us());
     loop_iterations =
         &reg.counter("ambit_serve_loop_iterations_total",
-                     "Event-loop iterations (one epoll_wait return each; "
-                     "io_model=epoll only)");
+                     "Event-loop iterations (one epoll_wait return each)");
     loop_ready_events = &reg.histogram(
         "ambit_serve_loop_ready_events",
         "Descriptors ready per event-loop iteration — 0 means the "
@@ -189,7 +153,7 @@ struct Server::ServeMetrics {
     pending_write_bytes = &reg.gauge(
         "ambit_serve_pending_write_bytes",
         "Response bytes queued in per-connection write-backpressure "
-        "outboxes, not yet taken by the sockets (io_model=epoll only)");
+        "outboxes, not yet taken by the sockets");
   }
 };
 
@@ -424,27 +388,25 @@ logic::PatternBatch Server::coalesced_eval(
   return session_.eval(circuit, inputs);
 }
 
-bool Server::serve_line(const std::string& line,
-                        const PayloadReader& read_payload,
-                        const ByteWriter& write_bytes, Outcome& outcome,
+bool Server::serve_line(const std::string& line, std::string_view payload,
+                        std::string& out, Outcome& outcome,
                         std::uint64_t conn_id) {
   if (!metrics_on()) {
-    return serve_line_inner(line, read_payload, write_bytes, outcome, nullptr);
+    return serve_line_inner(line, payload, out, outcome, nullptr);
   }
   metrics::PhaseTrace trace;
   int verb_index = -1;
   const std::uint64_t start_us = metrics::monotonic_us();
-  bool alive = false;
+  bool complete = false;
   {
     const metrics::TraceScope scope(&trace);
-    alive =
-        serve_line_inner(line, read_payload, write_bytes, outcome, &verb_index);
+    complete = serve_line_inner(line, payload, out, outcome, &verb_index);
   }
   const std::uint64_t total_us = metrics::monotonic_us() - start_us;
   if (verb_index < 0) {
     metrics_->requests_malformed->add();
   } else {
-    // Bumped AFTER the response went out: a scrape through the METRICS
+    // Bumped AFTER the response is built: a scrape through the METRICS
     // verb reports the requests completed before it, never itself.
     metrics_->requests[static_cast<std::size_t>(verb_index)]->add();
     metrics_->request_us[static_cast<std::size_t>(verb_index)]->observe(
@@ -475,22 +437,21 @@ bool Server::serve_line(const std::string& line,
          {"serialize_us",
           std::to_string(trace.get(metrics::Phase::kSerialize))}});
   }
-  return alive;
+  return complete;
 }
 
 bool Server::serve_line_inner(const std::string& line,
-                              const PayloadReader& read_payload,
-                              const ByteWriter& write_bytes, Outcome& outcome,
-                              int* verb_index_out) {
+                              std::string_view payload, std::string& out,
+                              Outcome& outcome, int* verb_index_out) {
   outcome = Outcome{};
   if (verb_index_out != nullptr) {
     *verb_index_out = -1;
   }
-  // Sends the response line set in `outcome`; false when the peer is
-  // gone.
+  // Appends the response line set in `outcome`.
   const auto respond = [&] {
-    const std::string text = outcome.response + "\n";
-    return write_bytes(text.data(), text.size());
+    out += outcome.response;
+    out += '\n';
+    return true;
   };
   Request request;
   try {
@@ -522,10 +483,9 @@ bool Server::serve_line_inner(const std::string& line,
       page = metrics_page();
     }
     outcome.response = "OK METRICS " + std::to_string(page.size());
-    if (!respond()) {
-      return false;
-    }
-    return write_bytes(page.data(), page.size());
+    respond();
+    out += page;
+    return true;
   }
 
   if (!is_bulk_verb(request.verb)) {
@@ -545,27 +505,27 @@ bool Server::serve_line_inner(const std::string& line,
     outcome.quit = true;
     return respond();
   }
-  std::vector<std::uint64_t> payload;
+  std::vector<std::uint64_t> words;
   try {
-    payload.resize(request.num_words);
+    words.resize(request.num_words);
   } catch (const std::exception&) {
     // Under memory pressure even a within-limit payload buffer can
-    // fail to allocate. The payload cannot be consumed, so the stream
-    // is unframed and the connection must go — but the SERVER stays
-    // up (a thrown bad_alloc would escape the connection thread and
-    // call std::terminate).
+    // fail to allocate. The request cannot be served, so the
+    // connection must go — but the SERVER stays up.
     outcome.response = err_response(
         std::string(verb) + ": cannot allocate " +
         std::to_string(request.num_words) + "-word payload buffer");
     outcome.quit = true;
     return respond();
   }
-  if (request.num_words > 0 &&
-      !read_payload(reinterpret_cast<char*>(payload.data()),
-                    payload.size() * sizeof(std::uint64_t))) {
+  const std::size_t payload_bytes = words.size() * sizeof(std::uint64_t);
+  if (payload.size() < payload_bytes) {
     // EOF mid-payload: nothing sensible to answer.
     outcome.quit = true;
     return false;
+  }
+  if (payload_bytes > 0) {
+    std::memcpy(words.data(), payload.data(), payload_bytes);
   }
   std::vector<std::uint64_t> out_words;
   try {
@@ -616,7 +576,7 @@ bool Server::serve_line_inner(const std::string& line,
     logic::PatternBatch inputs(width, request.num_patterns);
     {
       const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-      inputs.load_words(payload.data(), payload.size());
+      inputs.load_words(words.data(), words.size());
     }
     // Evaluate the circuit the width check ran against — a concurrent
     // same-name reload must not swap it out between the two.
@@ -657,113 +617,115 @@ bool Server::serve_line_inner(const std::string& line,
     out_words.clear();
   }
   const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-  if (!respond()) {
-    return false;
-  }
-  if (!out_words.empty() &&
-      !write_bytes(reinterpret_cast<const char*>(out_words.data()),
-                   out_words.size() * sizeof(std::uint64_t))) {
-    return false;
+  respond();
+  if (!out_words.empty()) {
+    out.append(reinterpret_cast<const char*>(out_words.data()),
+               out_words.size() * sizeof(std::uint64_t));
   }
   return true;
 }
 
-std::uint64_t Server::serve_stream(std::istream& in, std::ostream& out) {
+template <typename Feed, typename Emit>
+std::uint64_t Server::serve_framed(Feed&& feed, Emit&& emit) {
+  ConnState state;
   std::uint64_t served = 0;
-  bool quit = false;
-  const PayloadReader read_payload = [&in](char* dst, std::size_t n) {
-    in.read(dst, static_cast<std::streamsize>(n));
-    return in.gcount() == static_cast<std::streamsize>(n);
-  };
-  const ByteWriter write_bytes = [&out](const char* data, std::size_t n) {
-    out.write(data, static_cast<std::streamsize>(n));
-    out.flush();
-    return out.good();
-  };
-  // istream::getline into a bounded buffer, not std::getline: this
-  // transport must enforce kMaxLineBytes too — a newline-free byte
-  // stream must not grow a std::string until OOM. The buffer holds
-  // kMaxLineBytes + 1 line bytes plus the terminator, so a line of
-  // exactly kMaxLineBytes is accepted — the same boundary the socket
-  // transport's `buffer.size() > kMaxLineBytes` check draws.
-  std::vector<char> linebuf(kMaxLineBytes + 2);
-  while (!quit) {
-    in.getline(linebuf.data(), static_cast<std::streamsize>(linebuf.size()));
-    if (in.bad()) {
-      break;
-    }
-    if (in.fail() && !in.eof()) {
-      // The buffer filled before any newline: answer once and stop —
-      // the rest of the stream is an unframed continuation of this
-      // over-long line.
-      const std::string text =
-          err_response("request line exceeds " +
-                       std::to_string(kMaxLineBytes) + " bytes") +
-          "\n";
-      write_bytes(text.data(), text.size());
-      break;
-    }
-    const std::string line(linebuf.data());
-    if (line.empty() && in.eof()) {
-      break;
-    }
-    if (!trim(line).empty()) {
-      Outcome outcome;
-      if (!serve_line(line, read_payload, write_bytes, outcome)) {
+  std::string response;
+  for (;;) {
+    switch (state.advance()) {
+      case ConnState::Step::kNeedInput:
+        feed(state);
+        break;
+      case ConnState::Step::kRequest: {
+        Outcome outcome;
+        response.clear();
+        const bool complete = serve_line(
+            state.line(), state.request_payload(), response, outcome);
+        state.finish_request(outcome.quit);
+        if (!complete || !emit(response)) {
+          return served;
+        }
+        ++served;
+        if (outcome.quit) {
+          return served;
+        }
         break;
       }
-      ++served;
-      quit = outcome.quit;
-    }
-    if (in.eof()) {
-      break;  // the final unterminated line was just served
+      case ConnState::Step::kOversized:
+        emit(oversized_line_response());
+        return served;
+      case ConnState::Step::kClosed:
+        return served;
     }
   }
-  return served;
+}
+
+namespace {
+
+/// Bytes one serve_stream line read may take: a line longer than this
+/// arrives in several reads and ConnState reassembles it.
+constexpr std::size_t kStreamLineBytes = 65536;
+
+/// Reads from `in` up to and including the next '\n', at most
+/// `size` - 1 bytes, into `buf`; returns the byte count (0 at EOF).
+std::size_t read_line_piece(std::istream& in, char* buf, std::size_t size) {
+  in.getline(buf, static_cast<std::streamsize>(size));
+  const auto n = static_cast<std::size_t>(in.gcount());
+  if (in.fail() && !in.eof() && !in.bad()) {
+    in.clear();  // the buffer filled before the '\n': more to come
+  } else if (!in.eof() && n > 0) {
+    buf[n - 1] = '\n';  // getline consumed the '\n' but stored a NUL
+  }
+  return n;
+}
+
+}  // namespace
+
+std::uint64_t Server::serve_stream(std::istream& in, std::ostream& out) {
+  // Each read stops at the end of the current frame: a line at its
+  // '\n', a payload at the bytes ConnState still lacks. A peer that
+  // waits for each response before sending its next request has sent
+  // nothing past the frame, so reading further would block on input
+  // that only follows the response.
+  char line[kStreamLineBytes];
+  return serve_framed(
+      [&](ConnState& state) {
+        const std::size_t missing = state.missing_payload_bytes();
+        std::size_t got = 0;
+        if (missing > 0) {
+          got = state.append_from(missing, [&](char* dst, std::size_t n) {
+            in.read(dst, static_cast<std::streamsize>(n));
+            return static_cast<std::size_t>(in.gcount());
+          });
+        } else {
+          got = read_line_piece(in, line, sizeof(line));
+          state.append(line, got);
+        }
+        if (got == 0) {
+          state.note_eof(/*clean=*/!in.bad());
+        }
+      },
+      [&](const std::string& bytes) {
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        out.flush();
+        return out.good();
+      });
 }
 
 std::uint64_t Server::serve_chunks(
     const std::function<std::string()>& next_chunk, std::string& out) {
-  std::uint64_t served = 0;
-  ConnState state(ConnState::PayloadMode::kBuffered);
-  const ByteWriter write_bytes = [&out](const char* data, std::size_t n) {
-    out.append(data, n);
-    return true;
-  };
-  const PayloadReader read_payload = [&state](char* dst, std::size_t n) {
-    return state.read_payload(dst, n);
-  };
-  for (;;) {
-    switch (state.advance()) {
-      case ConnState::Step::kNeedInput: {
+  return serve_framed(
+      [&](ConnState& state) {
         const std::string chunk = next_chunk();
         if (chunk.empty()) {
           state.note_eof(/*clean=*/true);
         } else {
           state.append(chunk.data(), chunk.size());
         }
-        break;
-      }
-      case ConnState::Step::kRequest: {
-        Outcome outcome;
-        const bool alive =
-            serve_line(state.line(), read_payload, write_bytes, outcome);
-        if (alive) {
-          ++served;
-        }
-        state.finish_request(outcome.quit);
-        if (!alive || outcome.quit) {
-          return served;
-        }
-        break;
-      }
-      case ConnState::Step::kOversized:
-        out += oversized_line_response();
-        return served;
-      case ConnState::Step::kClosed:
-        return served;
-    }
-  }
+      },
+      [&](const std::string& bytes) {
+        out += bytes;
+        return true;
+      });
 }
 
 void Server::note_connection_accepted() {
@@ -803,509 +765,6 @@ void Server::note_pending_write_delta(std::int64_t delta) {
 }
 
 #ifndef _WIN32
-
-namespace {
-
-/// Writes all of `data` to `fd`, retrying on short writes. MSG_NOSIGNAL
-/// keeps a peer that hung up from raising SIGPIPE; returns false when
-/// the peer is gone (any non-EINTR failure), which the caller treats as
-/// a dropped connection — never as a server-fatal error.
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// One std::thread per live connection, with three jobs: cap the number
-/// of simultaneously served connections (launch blocks until a slot
-/// frees), reap finished threads opportunistically so a long-running
-/// server never accumulates dead thread handles, and cut the pending
-/// reads of every live connection on shutdown so the drain is bounded.
-/// Connection fds leave the live set BEFORE they are closed, so
-/// shutdown_inputs can never touch a recycled descriptor.
-class ConnectionRegistry {
- public:
-  /// `abort` interrupts the slot wait in launch: when it goes true
-  /// (SHUTDOWN handled on an already-running connection), a blocked
-  /// accept loop must stop waiting for a slot instead of serving one
-  /// more connection.
-  ConnectionRegistry(int max_active, const std::atomic<bool>& abort)
-      : max_active_(max_active < 1 ? 1 : max_active), abort_(abort) {}
-
-  /// Blocks until fewer than max_active connections are live, then runs
-  /// `body` on its own thread and returns true; the registry closes
-  /// `fd` when the body returns. Returns false — fd untouched — when
-  /// the abort flag went true while waiting.
-  bool launch(int fd, std::function<void()> body) {
-    MutexLock lock(mutex_);
-    while (active_ >= max_active_ && !abort_.load()) {
-      slot_free_.wait(lock);
-    }
-    if (abort_.load()) {
-      return false;
-    }
-    reap_locked();
-    const std::uint64_t id = next_id_++;
-    // Every allocation happens BEFORE the thread exists (the map nodes
-    // below) and nothing that can throw happens AFTER it: if thread
-    // creation fails (RLIMIT_NPROC exhaustion), the pre-inserted state
-    // is rolled back under this same lock and launch propagates with
-    // the registry unchanged — a joinable std::thread is never left
-    // for a destructor (std::terminate) and the fd stays owned by the
-    // caller. The new thread cannot race the bookkeeping: its tail
-    // needs mutex_, which this call still holds.
-    const auto slot = threads_.emplace(id, std::thread()).first;
-    try {
-      live_fds_[id] = fd;
-      slot->second = std::thread([this, id, fd, body = std::move(body)] {
-        body();
-        {
-          const MutexLock inner(mutex_);
-          live_fds_.erase(id);
-          finished_.push_back(id);
-          --active_;
-        }
-        slot_free_.notify_one();
-        ::close(fd);
-      });
-    } catch (...) {
-      threads_.erase(slot);
-      live_fds_.erase(id);
-      throw;
-    }
-    ++active_;
-    return true;
-  }
-
-  /// SHUT_RD on every live connection: blocked reads return EOF, so
-  /// each connection finishes its current request, flushes, and exits.
-  /// Responses still in flight are unaffected (the write side stays
-  /// open until the connection thread is done).
-  void shutdown_inputs() {
-    const MutexLock lock(mutex_);
-    for (const auto& [id, fd] : live_fds_) {
-      ::shutdown(fd, SHUT_RD);
-    }
-  }
-
-  /// Joins every connection thread (the SHUTDOWN drain). Must not race
-  /// launch — the accept loop has exited by the time this runs.
-  void join_all() {
-    std::map<std::uint64_t, std::thread> grab;
-    {
-      const MutexLock lock(mutex_);
-      grab.swap(threads_);
-      finished_.clear();
-    }
-    for (auto& [id, thread] : grab) {
-      thread.join();
-    }
-  }
-
- private:
-  void reap_locked() AMBIT_REQUIRES(mutex_) {
-    for (const std::uint64_t id : finished_) {
-      const auto it = threads_.find(id);
-      if (it != threads_.end()) {
-        it->second.join();
-        threads_.erase(it);
-      }
-    }
-    finished_.clear();
-  }
-
-  const int max_active_;
-  const std::atomic<bool>& abort_;
-  Mutex mutex_{LockRank::kConnectionRegistry};
-  CondVar slot_free_;
-  int active_ AMBIT_GUARDED_BY(mutex_) = 0;
-  std::uint64_t next_id_ AMBIT_GUARDED_BY(mutex_) = 0;
-  std::map<std::uint64_t, int> live_fds_ AMBIT_GUARDED_BY(mutex_);
-  std::map<std::uint64_t, std::thread> threads_ AMBIT_GUARDED_BY(mutex_);
-  std::vector<std::uint64_t> finished_ AMBIT_GUARDED_BY(mutex_);
-};
-
-/// True when a listener may still be accepting behind `socket_path` —
-/// the probe that keeps serve_unix from silently stealing a live
-/// server's socket. Only two outcomes prove the path is SAFE to
-/// replace: ECONNREFUSED (a socket file with nobody behind it — a
-/// stale crash leftover) and ENOENT (no file at all). Everything else
-/// — a successful connect, but also EAGAIN from a listener whose
-/// backlog is momentarily full — is treated as live: when in doubt,
-/// refuse to unlink.
-bool socket_is_live(const std::string& socket_path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (probe < 0) {
-    return false;  // cannot probe; let bind() report the real problem
-  }
-  const bool connected =
-      ::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) == 0;
-  const int reason = errno;
-  ::close(probe);
-  if (connected) {
-    return true;
-  }
-  return reason != ECONNREFUSED && reason != ENOENT;
-}
-
-}  // namespace
-
-std::uint64_t Server::serve_connection(int conn, std::uint64_t conn_id) {
-  std::uint64_t served = 0;
-  std::string buffer;
-  char chunk[4096];
-  bool eof = false;
-  // True only for a real peer close (read() == 0) — an SO_RCVTIMEO
-  // idle timeout also ends the connection, but any truncated partial
-  // line it leaves behind must NOT be served as a request: the client
-  // is slow, not done, and executing half its line would desync the
-  // request/response pairing if it ever resumed.
-  bool clean_eof = false;
-  // The SO_RCVTIMEO expiry specifically — the one read failure that is
-  // a server-side policy drop (counted as reason=idle) rather than the
-  // peer going away.
-  bool timed_out = false;
-  // Set when an EVALB/SIMB payload read hit EOF — distinguishes "the
-  // frame was truncated" (reason=malformed) from "the peer stopped
-  // reading its response" (reason=send) when serve_line returns false.
-  bool payload_eof = false;
-  // Why the SERVER closed this connection; nullptr for peer-initiated
-  // ends (QUIT, clean close, reset), which are not drops.
-  const char* drop_reason = nullptr;
-
-  // Appends the next chunk from the socket; false on EOF, timeout or
-  // error.
-  const auto read_more = [&]() -> bool {
-    for (;;) {
-      const ssize_t n = ::read(conn, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      if (n <= 0) {
-        eof = true;
-        timed_out = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
-        // read()==0 is a clean close only when the PEER closed; the
-        // SHUTDOWN drain's shutdown(SHUT_RD) also yields 0 while the
-        // peer may be mid-send, so under shutdown a residual partial
-        // line is still treated as truncated, never served.
-        clean_eof = (n == 0) && !shutdown_.load();
-        return false;
-      }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      return true;
-    }
-  };
-  // EVALB payloads take whatever is already in the line buffer
-  // (pipelined clients may have sent payload bytes along with the
-  // header), then read the remainder from the socket STRAIGHT into the
-  // destination — a 128 MiB frame must not be staged through the line
-  // buffer a second time.
-  const PayloadReader read_payload = [&](char* dst, std::size_t n) {
-    const std::size_t buffered = buffer.size() < n ? buffer.size() : n;
-    std::memcpy(dst, buffer.data(), buffered);
-    buffer.erase(0, buffered);
-    std::size_t done = buffered;
-    while (done < n) {
-      const ssize_t got = ::read(conn, dst + done, n - done);
-      if (got < 0 && errno == EINTR) {
-        continue;
-      }
-      if (got <= 0) {
-        eof = true;
-        payload_eof = true;
-        return false;
-      }
-      done += static_cast<std::size_t>(got);
-    }
-    return true;
-  };
-  const ByteWriter write_bytes = [&](const char* data, std::size_t n) {
-    return write_all(conn, data, n);
-  };
-
-  bool quit = false;
-  while (!quit && !eof) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline == std::string::npos) {
-      if (buffer.size() > kMaxLineBytes) {
-        // A newline-free byte stream must not grow the buffer without
-        // bound; answer once and drop the connection.
-        const std::string text =
-            err_response("request line exceeds " +
-                         std::to_string(kMaxLineBytes) + " bytes") +
-            "\n";
-        write_all(conn, text.data(), text.size());
-        drop_reason = "malformed";
-        break;
-      }
-      if (read_more()) {
-        continue;
-      }
-      if (timed_out) {
-        drop_reason = "idle";
-      }
-      // CLEAN EOF with a residual unterminated line: the peer sent a
-      // final request and closed without the trailing newline. Serve it
-      // like any other line instead of silently dropping it. (After an
-      // idle TIMEOUT the residual is a truncated line from a stalled
-      // peer and is dropped, see clean_eof above.) The line is MOVED
-      // out of the buffer first so a residual EVALB header can't
-      // re-read its own text as payload — its payload read hits the
-      // (empty) buffer, then EOF, and fails cleanly.
-      if (clean_eof && !trim(buffer).empty()) {
-        const std::string line = buffer;
-        buffer.clear();
-        Outcome outcome;
-        if (serve_line(line, read_payload, write_bytes, outcome, conn_id)) {
-          ++served;
-        }
-      }
-      break;
-    }
-    if (newline > kMaxLineBytes) {
-      // A complete line can still exceed the cap when its newline
-      // arrived in the same read chunk; the boundary must match the
-      // no-newline path (and the stream transport) exactly.
-      const std::string text =
-          err_response("request line exceeds " +
-                       std::to_string(kMaxLineBytes) + " bytes") +
-          "\n";
-      write_all(conn, text.data(), text.size());
-      drop_reason = "malformed";
-      break;
-    }
-    const std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
-    if (trim(line).empty()) {
-      continue;
-    }
-    Outcome outcome;
-    if (!serve_line(line, read_payload, write_bytes, outcome, conn_id)) {
-      // A truncated bulk frame is the peer's protocol error; a failed
-      // response write means the peer stopped reading (SO_SNDTIMEO or
-      // a hard reset mid-response).
-      drop_reason = payload_eof ? "malformed" : "send";
-      break;
-    }
-    ++served;
-    quit = outcome.quit;
-    if (quit && outcome.response.rfind("ERR", 0) == 0) {
-      // A server-initiated close with an ERR response: an unframed or
-      // over-limit bulk request (see serve_line_inner). QUIT/SHUTDOWN
-      // answer OK and are peer-initiated, not drops.
-      drop_reason = "malformed";
-    }
-    // Post-QUIT/SHUTDOWN drain policy: complete lines still sitting in
-    // this connection's buffer are deliberately DISCARDED, never
-    // half-processed — the quit response is the last thing the peer
-    // gets, and pipelining past QUIT is a client bug.
-  }
-  if (drop_reason != nullptr) {
-    note_connection_dropped(drop_reason, conn_id, served);
-  }
-  return served;
-}
-
-std::uint64_t Server::serve_listener(int listener, const std::string& what,
-                                     const std::function<void()>& cleanup) {
-  shutdown_.store(false);
-  const IoModel model = resolve_io_model(options_.io_model);
-#ifdef __linux__
-  if (model == IoModel::kEpoll) {
-    return serve_event_loop(*this, listener, what, cleanup);
-  }
-#else
-  (void)model;  // resolve_io_model already clamped to kThreads
-#endif
-  return serve_listener_threads(listener, what, cleanup);
-}
-
-std::uint64_t Server::serve_listener_threads(
-    int listener, const std::string& what,
-    const std::function<void()>& cleanup) {
-  std::atomic<std::uint64_t> served{0};
-  ConnectionRegistry registry(options_.max_connections, shutdown_);
-
-  // Self-pipe SHUTDOWN wakeup: the verb is handled on a CONNECTION
-  // thread, while the accept loop sits in poll() or in the registry's
-  // slot wait. The handling connection's exit already wakes the slot
-  // wait (its slot frees); this pipe wakes the poll, so SHUTDOWN stops
-  // the accept loop in one scheduler hop instead of up to a full poll
-  // timeout — under continuous connect pressure, that poll timeout
-  // never fires at all, and without the pipe the loop would keep
-  // accepting as long as clients kept arriving.
-  int wake[2] = {-1, -1};
-  if (::pipe(wake) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listener);
-    cleanup();
-    throw Error(what + ": cannot create shutdown pipe: " + reason);
-  }
-
-  // Every exit from the accept loop — SHUTDOWN or a socket-level
-  // failure — must drain the in-flight connection threads before the
-  // registry leaves scope: destroying a joinable std::thread calls
-  // std::terminate, which would turn a catchable accept error (e.g.
-  // EMFILE under fd exhaustion) into a process abort. The pipe's write
-  // end outlives the drain: the connection threads being joined may
-  // still write their shutdown byte.
-  const auto drain_and_cleanup = [&] {
-    registry.shutdown_inputs();
-    registry.join_all();
-    ::close(wake[0]);
-    ::close(wake[1]);
-    ::close(listener);
-    cleanup();
-  };
-
-  while (!shutdown_.load()) {
-    // Poll with a timeout as a belt-and-suspenders backstop for the
-    // pipe (a SHUTDOWN whose wake byte was somehow lost still stops
-    // the loop at the next timeout).
-    pollfd pfds[2] = {{listener, POLLIN, 0}, {wake[0], POLLIN, 0}};
-    const int ready = ::poll(pfds, 2, /*timeout_ms=*/50);
-    if (ready < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      const std::string reason = std::strerror(errno);
-      drain_and_cleanup();
-      throw Error(what + ": poll failed: " + reason);
-    }
-    if (ready == 0 || (pfds[1].revents & POLLIN) != 0 ||
-        (pfds[0].revents & POLLIN) == 0) {
-      continue;  // timeout or shutdown wakeup: re-check the latch
-    }
-    const int conn = ::accept(listener, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      const std::string reason = std::strerror(errno);
-      drain_and_cleanup();
-      throw Error(what + ": accept failed: " + reason);
-    }
-    // A peer that stops READING while the server owes it a big
-    // response would otherwise block ::send forever — past SHUT_RD,
-    // beyond the reach of shutdown_inputs — and make the SHUTDOWN
-    // drain unbounded. The send timeout turns that stall into a
-    // dropped connection.
-    if (options_.send_timeout_secs > 0) {
-      const timeval send_timeout{options_.send_timeout_secs, 0};
-      ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-                   sizeof(send_timeout));
-    }
-    // A silent peer must not pin its slot forever: the receive timeout
-    // turns an idle connection into an EOF drop (which is also what
-    // keeps a slot-saturated server reachable for SHUTDOWN).
-    if (options_.idle_timeout_secs > 0) {
-      const timeval recv_timeout{options_.idle_timeout_secs, 0};
-      ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
-                   sizeof(recv_timeout));
-    }
-    // Request lines are tens of bytes; Nagle batching them behind a
-    // 40 ms delayed ACK would dwarf every latency in the server. No-op
-    // (EOPNOTSUPP) on a Unix-domain connection — deliberately ignored.
-    const int nodelay = 1;
-    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-    // The accept-order id doubles as the conn=<n> key in every log line
-    // about this connection. The atomic (not a metrics counter) feeds
-    // STATS, which must stay exact even with metrics compiled out.
-    const std::uint64_t conn_id =
-        connections_accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
-    note_connection_accepted();
-    logs::debug("conn.accept",
-                {{"conn", std::to_string(conn_id)}, {"transport", what}});
-    try {
-      const int wake_w = wake[1];
-      const bool launched =
-          registry.launch(conn, [this, conn, conn_id, wake_w, &served] {
-            connections_active_.fetch_add(1, std::memory_order_relaxed);
-            std::uint64_t on_conn = 0;
-            try {
-              on_conn = serve_connection(conn, conn_id);
-              served.fetch_add(on_conn, std::memory_order_relaxed);
-            } catch (...) {
-              // Whatever a connection manages to throw past
-              // serve_line's guards (e.g. bad_alloc building a
-              // response string), it costs that one connection — never
-              // the process, which is what an exception escaping a
-              // thread body would do.
-            }
-            connections_active_.fetch_sub(1, std::memory_order_relaxed);
-            logs::debug("conn.close", {{"conn", std::to_string(conn_id)},
-                                       {"served", std::to_string(on_conn)}});
-            if (shutdown_.load()) {
-              // This connection handled (or raced with) SHUTDOWN: kick
-              // the accept loop's poll awake. One byte per exiting
-              // connection cannot fill the pipe before the loop drains
-              // it by closing the read end.
-              const char byte = 1;
-              (void)!::write(wake_w, &byte, 1);
-            }
-          });
-      if (!launched) {
-        // SHUTDOWN arrived while this accept waited for a slot.
-        ::close(conn);
-        break;
-      }
-    } catch (const std::exception& e) {
-      // Thread creation failed (e.g. process thread limit): this is a
-      // server-fatal condition, but it must surface as a catchable
-      // Error after a proper drain — never as std::terminate from a
-      // registry destroyed with joinable threads.
-      ::close(conn);
-      drain_and_cleanup();
-      throw Error(what + ": cannot spawn connection thread: " + e.what());
-    }
-  }
-
-  // Graceful drain: no new accepts, pending reads cut, every in-flight
-  // connection finishes its current request and is joined before the
-  // listener (and, for serve_unix, the socket file) disappears.
-  drain_and_cleanup();
-  return served.load();
-}
-
-std::uint64_t Server::serve_unix(const std::string& socket_path) {
-  sockaddr_un addr{};
-  check(socket_path.size() < sizeof(addr.sun_path),
-        "serve_unix: socket path too long: " + socket_path);
-  if (socket_is_live(socket_path)) {
-    throw Error("serve_unix: another server is already accepting on " +
-                socket_path + " (shut it down first)");
-  }
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  check(listener >= 0, "serve_unix: cannot create socket");
-  // Only a STALE socket file (probe above found no listener) is
-  // replaced.
-  ::unlink(socket_path.c_str());
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listener, kListenBacklog) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listener);
-    throw Error("serve_unix: cannot bind " + socket_path + ": " + reason);
-  }
-  return serve_listener(listener, "serve_unix", [socket_path] {
-    ::unlink(socket_path.c_str());
-  });
-}
 
 int bind_tcp_listener(const std::string& host, int port,
                       const std::string& what, int* bound_port_out) {
@@ -1351,6 +810,68 @@ int bind_tcp_listener(const std::string& host, int port,
   return listener;
 }
 
+#endif  // !_WIN32
+
+#ifdef __linux__
+
+namespace {
+
+/// True when a listener may still be accepting behind `socket_path` —
+/// the probe that keeps serve_unix from silently stealing a live
+/// server's socket. Only two outcomes prove the path is SAFE to
+/// replace: ECONNREFUSED (a socket file with nobody behind it — a
+/// stale crash leftover) and ENOENT (no file at all). Everything else
+/// — a successful connect, but also EAGAIN from a listener whose
+/// backlog is momentarily full — is treated as live: when in doubt,
+/// refuse to unlink.
+bool socket_is_live(const std::string& socket_path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (probe < 0) {
+    return false;  // cannot probe; let bind() report the real problem
+  }
+  const bool connected =
+      ::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0;
+  const int reason = errno;
+  ::close(probe);
+  if (connected) {
+    return true;
+  }
+  return reason != ECONNREFUSED && reason != ENOENT;
+}
+
+}  // namespace
+
+std::uint64_t Server::serve_unix(const std::string& socket_path) {
+  sockaddr_un addr{};
+  check(socket_path.size() < sizeof(addr.sun_path),
+        "serve_unix: socket path too long: " + socket_path);
+  if (socket_is_live(socket_path)) {
+    throw Error("serve_unix: another server is already accepting on " +
+                socket_path + " (shut it down first)");
+  }
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  check(listener >= 0, "serve_unix: cannot create socket");
+  // Only a STALE socket file (probe above found no listener) is
+  // replaced.
+  ::unlink(socket_path.c_str());
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listener, kListenBacklog) != 0) {
+    const std::string reason = std::strerror(errno);
+    ::close(listener);
+    throw Error("serve_unix: cannot bind " + socket_path + ": " + reason);
+  }
+  return serve_event_loop(*this, listener, "serve_unix", [socket_path] {
+    ::unlink(socket_path.c_str());
+  });
+}
+
 std::uint64_t Server::serve_tcp(const std::string& host, int port,
                                 std::atomic<int>* bound_port) {
   int actual_port = 0;
@@ -1361,19 +882,19 @@ std::uint64_t Server::serve_tcp(const std::string& host, int port,
     // on its own thread spins on this atomic, then connects.
     bound_port->store(actual_port, std::memory_order_release);
   }
-  return serve_listener(listener, "serve_tcp", [] {});
+  return serve_event_loop(*this, listener, "serve_tcp", [] {});
 }
 
-#else  // _WIN32
+#else  // !__linux__: the event loop needs epoll
 
 std::uint64_t Server::serve_unix(const std::string&) {
-  throw Error("serve_unix: Unix-domain sockets unavailable on this platform");
+  throw Error("serve_unix: socket transports need Linux (epoll)");
 }
 
 std::uint64_t Server::serve_tcp(const std::string&, int, std::atomic<int>*) {
-  throw Error("serve_tcp: socket transports unavailable on this platform");
+  throw Error("serve_tcp: socket transports need Linux (epoll)");
 }
 
-#endif
+#endif  // __linux__
 
 }  // namespace ambit::serve

@@ -11,24 +11,25 @@
 //   * serve_tcp  — a TCP socket, so clients on other hosts (or ones
 //     that only speak TCP) reach the same service.
 //
-// The two socket transports are thin listeners over ONE shared
-// connection loop (serve_listener): every accepted connection is served
-// on ITS OWN THREAD against the one shared (thread-safe) Session, up to
-// ServerOptions::max_connections at a time, with identical line
-// framing, EVALB/SIMB payload handling, idle/send timeouts, and
-// graceful-SHUTDOWN drain. QUIT ends a connection; SHUTDOWN stops
-// accepting, drains the in-flight connections (their pending reads are
-// cut with shutdown(SHUT_RD), responses already owed are still
-// written), then closes the listener — and, for serve_unix, unlinks
-// the socket file.
+// Every transport frames its byte stream with the same ConnState
+// machine (serve/conn_state.h) and answers through the same
+// serve_line. The two socket transports run one epoll event loop
+// (serve/event_loop.h, Linux only): one thread multiplexes up to
+// ServerOptions::max_connections non-blocking connections, request
+// evaluation runs on the Session's ThreadPool against the one shared
+// (thread-safe) Session, and idle/send timeouts live on a timer wheel.
+// QUIT ends a connection; SHUTDOWN stops accepting, drains the
+// in-flight connections (their input is cut, responses already owed
+// are still written), then closes the listener — and, for serve_unix,
+// unlinks the socket file.
 //
-// Per-connection loop state (the QUIT flag, the receive buffer) lives
-// on the connection's stack, never in the shared Server object — the
-// only cross-connection state is the SHUTDOWN latch, the Session, and
-// the coalescing queue below.
+// Per-connection state (the framing buffer, the outbox, the QUIT flag)
+// is owned by the loop, never by the shared Server object — the only
+// cross-connection state is the SHUTDOWN latch, the Session, and the
+// coalescing queue below.
 //
 // Bulk evaluation uses the EVALB binary frame (see protocol.h): the
-// payload words stream straight into a logic::PatternBatch via its
+// payload words load straight into a logic::PatternBatch via its
 // load_words/store_words lane helpers, so a million-pattern request
 // pays two memcpys instead of a million hex parses. All transports
 // speak it. SIMB rides the exact same input framing and answers from
@@ -58,8 +59,8 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "serve/coalesce.h"
 #include "serve/protocol.h"
@@ -93,8 +94,7 @@ inline constexpr std::uint64_t kMaxSimbPatterns = std::uint64_t{1} << 20;
 
 /// Default send timeout per connection (seconds): a peer that stops
 /// reading its responses for this long is dropped (which also bounds
-/// the SHUTDOWN drain — a blocked send is past the reach of
-/// shutdown(SHUT_RD)).
+/// the SHUTDOWN drain, which waits for owed responses to flush).
 inline constexpr long kSendTimeoutSecs = 30;
 
 /// Default idle receive timeout per connection (seconds): a peer that
@@ -108,45 +108,15 @@ inline constexpr long kIdleTimeoutSecs = 300;
 /// the text-side counterpart of kMaxEvalbWords.
 inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
-/// How the socket transports multiplex connections. The FRAMING and
-/// response bytes are identical either way (the dual-path conformance
-/// matrix in tests/serve_test.cpp runs every socket test against both);
-/// the models differ only in how many connections they can carry.
-enum class IoModel {
-  /// One thread per accepted connection, up to max_connections at a
-  /// time (further accepts wait for a slot). Timeouts via
-  /// SO_RCVTIMEO/SO_SNDTIMEO. Portable; caps out at thread count.
-  kThreads,
-  /// One epoll loop thread driving non-blocking per-connection state
-  /// machines (serve/event_loop.h); evaluation runs on the session
-  /// ThreadPool, timeouts on a timer wheel. max_connections bounds the
-  /// connections admitted at once, but they are cheap — this is the
-  /// C10k path. Linux-only; other platforms fall back to kThreads.
-  kEpoll,
-};
-
-/// "threads" / "epoll".
-const char* io_model_name(IoModel model);
-
-/// Parses "threads" / "epoll"; throws ambit::Error on anything else.
-IoModel parse_io_model(const std::string& text);
-
-/// The model a serve listener will actually run `requested` under:
-/// the AMBIT_IO_MODEL environment variable ("threads" / "epoll")
-/// overrides it when set (the CI fallback leg forces the whole test
-/// matrix onto threads this way, mirroring AMBIT_FORCE_SCALAR), and
-/// non-Linux platforms fall back to kThreads.
-IoModel resolve_io_model(IoModel requested);
-
 /// Knobs for the socket transports (serve_unix / serve_tcp).
 struct ServerOptions {
   /// Connections served at once; further accepts wait for a free slot.
   int max_connections = kDefaultMaxConnections;
-  /// SO_RCVTIMEO per connection: a silent peer is dropped after this
-  /// many seconds (tests shrink it; 0 keeps the OS default = forever).
+  /// A peer the server has waited this many seconds on for its next
+  /// request is dropped (tests shrink it; 0 = never).
   long idle_timeout_secs = kIdleTimeoutSecs;
-  /// SO_SNDTIMEO per connection: a peer that stops reading is dropped
-  /// after this many seconds (0 = OS default).
+  /// A peer whose owed response made no write progress for this many
+  /// seconds is dropped (0 = never).
   long send_timeout_secs = kSendTimeoutSecs;
   /// Cross-connection EVAL/EVALB coalescing (serve/coalesce.h);
   /// window_us == 0 (default) disables it.
@@ -163,10 +133,6 @@ struct ServerOptions {
   /// their phase trace (parse / coalesce_wait / queue_wait / evaluate /
   /// serialize) at warn, rate-limited. 0 (default) disables the dump.
   std::uint64_t slow_request_us = 0;
-  /// Connection multiplexing model for the socket transports (see
-  /// IoModel above; resolve_io_model applies the AMBIT_IO_MODEL
-  /// override and the platform fallback).
-  IoModel io_model = IoModel::kEpoll;
 };
 
 /// Splits "host:port" into its parts; throws ambit::Error on a missing
@@ -188,7 +154,7 @@ int bind_tcp_listener(const std::string& host, int port,
 #endif
 
 /// Serves the line protocol for one Session. A single Server instance
-/// drives all connection threads of a socket transport; it holds no
+/// drives every connection of a socket transport; it holds no
 /// per-connection state, so one instance can serve any number of
 /// consecutive serve_* calls (but only one listener at a time — the
 /// SHUTDOWN latch is shared).
@@ -204,24 +170,28 @@ class Server {
   /// serve_unix / serve_tcp).
   std::string handle_line(const std::string& line);
 
-  /// Reads request lines from `in` until QUIT, SHUTDOWN or EOF, writing
-  /// one response line each to `out` (flushed per response, so a pipe
-  /// peer can interleave). EVALB payloads are read from / written to
-  /// the same streams. Returns the number of requests served.
+  /// Serves one connection read from `in` until QUIT, SHUTDOWN or EOF,
+  /// writing each response to `out` (flushed per response). EVALB/SIMB
+  /// payloads are read from / written to the same streams. Each read
+  /// stops at the end of the current frame — a line up to its '\n', a
+  /// payload up to its last byte — so a peer that waits for each
+  /// response before sending the next request (a pipe, a terminal)
+  /// never stalls the server. Returns the number of requests served.
   std::uint64_t serve_stream(std::istream& in, std::ostream& out);
 
-  /// Binds and listens on `socket_path` and serves each accepted
-  /// connection on its own thread until a SHUTDOWN request, then drains
-  /// the in-flight connections and unlinks the socket. A STALE socket
-  /// file (no listener behind it) is replaced; a LIVE one — another
-  /// server still accepting — is a hard ambit::Error, never silently
-  /// stolen. Returns the number of requests served across all
-  /// connections. Throws ambit::Error on socket-level failures.
+  /// Binds and listens on `socket_path` and serves connections on the
+  /// epoll event loop until a SHUTDOWN request, then drains the
+  /// in-flight connections and unlinks the socket. A STALE socket file
+  /// (no listener behind it) is replaced; a LIVE one — another server
+  /// still accepting — is a hard ambit::Error, never silently stolen.
+  /// Returns the number of requests served across all connections.
+  /// Throws ambit::Error on socket-level failures, and on platforms
+  /// without epoll.
   std::uint64_t serve_unix(const std::string& socket_path);
 
   /// Binds and listens on TCP `host:port` and serves connections
-  /// exactly like serve_unix (same connection loop, framing, timeouts
-  /// and SHUTDOWN drain). `host` is an IPv4 dotted-quad or
+  /// exactly like serve_unix (same event loop, framing, timeouts and
+  /// SHUTDOWN drain). `host` is an IPv4 dotted-quad or
   /// "localhost"; port 0 binds an ephemeral port. When `bound_port` is
   /// non-null it receives the actually bound port (release-stored)
   /// BEFORE the first accept, so a caller that runs serve_tcp on its
@@ -231,16 +201,14 @@ class Server {
   std::uint64_t serve_tcp(const std::string& host, int port,
                           std::atomic<int>* bound_port = nullptr);
 
-  /// Feeds ONE connection's byte stream through the same incremental
-  /// ConnState machine the epoll transport runs (serve/conn_state.h) —
-  /// no sockets involved. `next_chunk` returns the peer's next burst
-  /// of bytes (empty string = clean EOF); every chunk boundary is a
-  /// potential read() boundary, so a caller that returns one byte at a
-  /// time exercises every split point of the framing. Responses are
-  /// appended to `out`. Returns the number of requests served. This is
-  /// the harness the arbitrary-chunking fuzz mode and the state-machine
-  /// unit tests drive; production traffic reaches the same code through
-  /// serve_unix/serve_tcp with io_model = kEpoll.
+  /// Feeds ONE connection's byte stream through the ConnState machine
+  /// every transport runs (serve/conn_state.h) — no sockets involved.
+  /// `next_chunk` returns the peer's next burst of bytes (empty string
+  /// = clean EOF); every chunk boundary is a potential read() boundary,
+  /// so a caller that returns one byte at a time exercises every split
+  /// point of the framing. Responses are appended to `out`. Returns the
+  /// number of requests served. This is the harness the
+  /// arbitrary-chunking fuzz mode and the golden transcripts drive.
   std::uint64_t serve_chunks(const std::function<std::string()>& next_chunk,
                              std::string& out);
 
@@ -255,7 +223,7 @@ class Server {
   /// the server's registry. Served by the METRICS verb and by the
   /// --metrics HTTP side listener (serve/metrics_http.h). The page
   /// reflects requests COMPLETED before the one serving it — per-verb
-  /// counters are bumped after the response is written.
+  /// counters are bumped after the response is built.
   std::string metrics_page();
 
  private:
@@ -265,12 +233,6 @@ class Server {
     bool quit = false;     ///< close this connection (QUIT, SHUTDOWN,
                            ///< or an unframed/oversized EVALB header)
   };
-
-  /// Reads exactly n payload bytes from the transport; false on EOF.
-  using PayloadReader = std::function<bool(char*, std::size_t)>;
-  /// Writes n response bytes to the transport; false when the peer is
-  /// gone.
-  using ByteWriter = std::function<bool(const char*, std::size_t)>;
 
   /// Dispatches one parsed text request (everything but EVALB).
   Outcome dispatch(const Request& request);
@@ -282,23 +244,25 @@ class Server {
       const std::shared_ptr<const LoadedCircuit>& circuit,
       const logic::PatternBatch& inputs);
 
-  /// Handles one request line on any transport, including the EVALB
-  /// payload exchange. Returns false when the peer is gone (a write
-  /// failed or an EVALB payload hit EOF); `outcome` is valid either
-  /// way. `conn_id` identifies the connection in slow-request logs
-  /// (0 for the stream transport). This wrapper owns the per-request
-  /// instrumentation — timing, phase trace, per-verb counters, the
-  /// slow-request dump; serve_line_inner does the protocol work.
-  bool serve_line(const std::string& line, const PayloadReader& read_payload,
-                  const ByteWriter& write_bytes, Outcome& outcome,
+  /// Serves one complete request on any transport: `line` plus, for
+  /// EVALB/SIMB, the `payload` bytes ConnState reassembled behind it.
+  /// Appends the response bytes — the line and any binary frame — to
+  /// `out`. Returns false, appending nothing, when the payload is
+  /// shorter than its header declares (EOF truncated the frame);
+  /// `outcome` is valid either way. `conn_id` identifies the connection
+  /// in slow-request logs (0 for the in-process transports). This
+  /// wrapper owns the per-request instrumentation — timing, phase
+  /// trace, per-verb counters, the slow-request dump; serve_line_inner
+  /// does the protocol work.
+  bool serve_line(const std::string& line, std::string_view payload,
+                  std::string& out, Outcome& outcome,
                   std::uint64_t conn_id = 0);
 
   /// The uninstrumented request path shared by every transport.
   /// `verb_index_out`, when non-null, receives the parsed verb's enum
   /// index (-1 when the line failed to parse).
-  bool serve_line_inner(const std::string& line,
-                        const PayloadReader& read_payload,
-                        const ByteWriter& write_bytes, Outcome& outcome,
+  bool serve_line_inner(const std::string& line, std::string_view payload,
+                        std::string& out, Outcome& outcome,
                         int* verb_index_out);
 
   /// True when instrumentation should record: compiled in AND enabled
@@ -310,31 +274,16 @@ class Server {
   /// The coalescer's metric hooks (empty when metrics are off).
   CoalesceInstruments coalesce_instruments() const;
 
-  /// Serves one accepted socket connection until QUIT/SHUTDOWN/EOF;
-  /// returns the number of requests served on it. `conn_id` is the
-  /// accept-order id used in logs and slow-request dumps.
-  std::uint64_t serve_connection(int conn, std::uint64_t conn_id);
+  /// The in-process connection loop behind serve_stream and
+  /// serve_chunks: drives one ConnState, calling `feed(state)` whenever
+  /// it needs input (feed appends bytes or notes EOF) and `emit(bytes)`
+  /// with each response (false when the peer is gone). Defined and
+  /// instantiated in server.cpp only.
+  template <typename Feed, typename Emit>
+  std::uint64_t serve_framed(Feed&& feed, Emit&& emit);
 
-  /// The transport-agnostic accept/connection loop shared by serve_unix
-  /// and serve_tcp. Dispatches on the resolved io model: the
-  /// thread-per-connection path below, or the epoll event loop
-  /// (serve/event_loop.h). Either way: accepts connections, applies the
-  /// idle/send timeout policy, and on SHUTDOWN — or a fatal accept
-  /// error — drains every in-flight connection, closes the listener,
-  /// and runs `cleanup` (serve_unix unlinks its socket file there).
-  /// `what` prefixes error messages ("serve_unix" / "serve_tcp").
-  /// Takes ownership of `listener`.
-  std::uint64_t serve_listener(int listener, const std::string& what,
-                               const std::function<void()>& cleanup);
-
-  /// The thread-per-connection fallback path (IoModel::kThreads).
-  std::uint64_t serve_listener_threads(int listener, const std::string& what,
-                                       const std::function<void()>& cleanup);
-
-  /// Connection-lifecycle accounting shared by both io models, so the
-  /// counters and the conn.drop/conn.accept log lines cannot drift
-  /// between them. Defined in server.cpp where ServeMetrics is
-  /// visible.
+  /// Connection-lifecycle accounting for the event loop, defined in
+  /// server.cpp where ServeMetrics is visible.
   void note_connection_accepted();
   void note_connection_dropped(const char* reason, std::uint64_t conn_id,
                                std::uint64_t served);
@@ -349,7 +298,7 @@ class Server {
   struct ServeMetrics;
 
   /// The epoll event loop (serve/event_loop.cpp) drives serve_line and
-  /// the drop accounting directly — it IS the transport on that path.
+  /// the connection accounting directly — it IS the socket transport.
   friend class EventLoop;
 
   Session& session_;

@@ -15,9 +15,9 @@
 //     a re-verify only pays the array sweep, not the cover sweep;
 //   * STATS exposes the counters a long-running operator cares about.
 //
-// Thread model: the Session is shared by EVERY connection thread of the
-// concurrent front door (serve/server.h), so all of it is thread-safe:
-// the registry map is guarded by one mutex held only for lookups and
+// Thread model: the Session is shared by EVERY request the concurrent
+// front door (serve/server.h) runs, so all of it is thread-safe: the
+// registry map is guarded by one mutex held only for lookups and
 // (un)registrations — never across an evaluation — circuits are handed
 // out as shared_ptr so an UNLOAD can never pull a circuit out from
 // under a running EVAL, counters are atomics so STATS stays exact under
@@ -50,7 +50,7 @@ namespace ambit::serve {
 /// One circuit after the LOAD pipeline: source cover, minimized cover,
 /// mapped GNOR array, lazily cached verification tables. The covers and
 /// the mapped array are immutable once registered — that immutability
-/// is what lets connection threads evaluate concurrently without a
+/// is what lets concurrent requests evaluate without a
 /// per-circuit lock; only the verify cache mutates, under verify_mutex.
 struct LoadedCircuit {
   std::string name;
@@ -78,7 +78,7 @@ struct LoadedCircuit {
   /// use under sim_mutex (the mapped array is immutable, so one build
   /// serves the circuit's whole lifetime). Held shared-and-const:
   /// GnorPlaSimulator::simulate_batch settles per-shard COPIES, so any
-  /// number of connection threads can sweep through this one instance
+  /// number of request threads can sweep through this one instance
   /// concurrently, and a caller mid-sweep survives an UNLOAD exactly
   /// like the mapped array does.
   mutable Mutex sim_mutex{LockRank::kCircuitSim};
@@ -101,7 +101,7 @@ struct SessionStats {
 };
 
 /// A registry of loaded circuits sharing one worker pool. Safe to drive
-/// from any number of connection threads concurrently.
+/// from any number of threads concurrently.
 class Session {
  public:
   /// `workers` threads shard every batch evaluation; <= 1 keeps the
@@ -199,7 +199,7 @@ class Session {
   // Session-lifetime counters: cumulative across UNLOADs and same-name
   // reloads, so STATS never goes backwards (the per-circuit counters in
   // LoadedCircuit die with the circuit). Atomics keep them exact when
-  // many connection threads bump them at once.
+  // many request threads bump them at once.
   std::atomic<std::uint64_t> loads_{0};
   std::atomic<std::uint64_t> evals_{0};
   std::atomic<std::uint64_t> patterns_{0};

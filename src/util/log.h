@@ -17,7 +17,7 @@
 //     backslash escapes; everything else is emitted bare. Keys are
 //     caller-controlled literals and are emitted as-is.
 //   * One line per record, written with a single buffered fwrite under
-//     a mutex — concurrent connection threads never interleave bytes.
+//     a mutex — concurrent threads never interleave bytes.
 //   * The sink is stderr by default; set_file() redirects to a path
 //     (append mode). The tools expose both knobs as --log-level and
 //     --log-file.
@@ -89,7 +89,7 @@ inline void error(std::string_view event, std::initializer_list<Field> f = {}) {
 /// Token-bucket-of-one for noisy call sites: allow() is true at most
 /// once per `min_interval_us`; denied calls are counted and the next
 /// allowed record should carry take_suppressed() as suppressed=<n>.
-/// Lock-free — safe to share across connection threads.
+/// Lock-free — safe to share across threads.
 class RateLimiter {
  public:
   explicit RateLimiter(std::uint64_t min_interval_us)

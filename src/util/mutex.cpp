@@ -16,8 +16,6 @@ const char* lock_rank_name(LockRank rank) {
       return "circuit-verify";
     case LockRank::kCircuitSim:
       return "circuit-sim";
-    case LockRank::kConnectionRegistry:
-      return "connection-registry";
     case LockRank::kEventLoop:
       return "event-loop";
     case LockRank::kThreadPool:

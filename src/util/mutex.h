@@ -67,9 +67,6 @@ enum class LockRank : int {
   kCircuitVerify = 30,
   /// serve::LoadedCircuit::sim_mutex — per-circuit simulator build.
   kCircuitSim = 35,
-  /// The serve ConnectionRegistry (server.cpp) — slots, live fds,
-  /// thread handles.
-  kConnectionRegistry = 40,
   /// serve::EventLoop's completion queue (serve/event_loop.cpp): the
   /// one lock shared between the epoll loop thread and the pool
   /// workers posting finished request results back to it. Leaf on the

@@ -16,8 +16,8 @@
 //     rethrown on the calling thread after every chunk has finished, so
 //     a throwing worker cannot leave the pool wedged;
 //   * parallel_for is safe for CONCURRENT CALLERS: each call carries
-//     its own completion state, so the connection threads of the serve
-//     front door (serve/server.h) can all shard their evaluations
+//     its own completion state, so the concurrent requests of the
+//     serve front door (serve/server.h) can all shard their evaluations
 //     through the one shared session pool at once — calls interleave
 //     in the task queue but each blocks only on its own chunks;
 //   * parallel_for NESTS: the calling thread claims chunks from the

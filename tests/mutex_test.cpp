@@ -151,8 +151,7 @@ TEST(MutexTest, RankAccessorAndNamesAreStable) {
                "session-registry");
   EXPECT_STREQ(lock_rank_name(LockRank::kCircuitVerify), "circuit-verify");
   EXPECT_STREQ(lock_rank_name(LockRank::kCircuitSim), "circuit-sim");
-  EXPECT_STREQ(lock_rank_name(LockRank::kConnectionRegistry),
-               "connection-registry");
+  EXPECT_STREQ(lock_rank_name(LockRank::kEventLoop), "event-loop");
   EXPECT_STREQ(lock_rank_name(LockRank::kThreadPool), "thread-pool");
   EXPECT_STREQ(lock_rank_name(LockRank::kPoolJoin), "pool-join");
   EXPECT_STREQ(lock_rank_name(LockRank::kMetricsRegistry),

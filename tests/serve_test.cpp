@@ -1098,61 +1098,141 @@ TEST(ServerTest, MalformedSimbHeaderDropsConnection) {
 }
 
 // ---------------------------------------------------------------------------
+// serve_stream against a lockstep peer: like a pipe client that waits
+// for each answer, it sends request k+1 only once response k arrived.
+// ---------------------------------------------------------------------------
+
+/// The number of complete responses at the start of `out`: text lines,
+/// and OK EVALB/SIMB headers together with their binary payloads.
+std::size_t complete_responses(const std::string& out) {
+  std::size_t count = 0;
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t eol = out.find('\n', pos);
+    if (eol == std::string::npos) {
+      return count;
+    }
+    const std::vector<std::string> tokens =
+        split_ws(out.substr(pos, eol - pos));
+    std::size_t payload = 0;
+    if (tokens.size() == 4 && tokens[0] == "OK" &&
+        (tokens[1] == "EVALB" || tokens[1] == "SIMB")) {
+      payload = std::stoull(tokens[3]) * sizeof(std::uint64_t);
+    }
+    if (out.size() < eol + 1 + payload) {
+      return count;
+    }
+    pos = eol + 1 + payload;
+    ++count;
+  }
+}
+
+/// A stream pair whose input releases request k+1 only after response k
+/// has been written to the output. Reading past the released requests
+/// hits EOF: where a real peer would leave a server that over-reads
+/// blocked forever, this one makes it stop early and lose responses.
+class LockstepPeer {
+ public:
+  explicit LockstepPeer(std::vector<std::string> requests)
+      : requests_(std::move(requests)) {}
+  LockstepPeer(const LockstepPeer&) = delete;
+  LockstepPeer& operator=(const LockstepPeer&) = delete;
+
+  std::istream& in() { return in_; }
+  std::ostream& out() { return out_; }
+  const std::string& responses() const { return responses_; }
+
+ private:
+  class Requests : public std::streambuf {
+   public:
+    explicit Requests(LockstepPeer& peer) : peer_(peer) {}
+
+   protected:
+    int_type underflow() override {
+      if (peer_.released_ == peer_.requests_.size() ||
+          complete_responses(peer_.responses_) < peer_.released_) {
+        return traits_type::eof();
+      }
+      std::string& next = peer_.requests_[peer_.released_++];
+      setg(next.data(), next.data(), next.data() + next.size());
+      return traits_type::to_int_type(*gptr());
+    }
+
+   private:
+    LockstepPeer& peer_;
+  };
+
+  /// Unbuffered, so every response byte is visible the moment the
+  /// server writes it.
+  class Responses : public std::streambuf {
+   public:
+    explicit Responses(LockstepPeer& peer) : peer_(peer) {}
+
+   protected:
+    int_type overflow(int_type c) override {
+      if (!traits_type::eq_int_type(c, traits_type::eof())) {
+        peer_.responses_ += traits_type::to_char_type(c);
+      }
+      return traits_type::not_eof(c);
+    }
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+      peer_.responses_.append(s, static_cast<std::size_t>(n));
+      return n;
+    }
+
+   private:
+    LockstepPeer& peer_;
+  };
+
+  std::vector<std::string> requests_;
+  std::size_t released_ = 0;
+  std::string responses_;
+  Requests requests_buf_{*this};
+  Responses responses_buf_{*this};
+  std::istream in_{&requests_buf_};
+  std::ostream out_{&responses_buf_};
+};
+
+TEST(ServerTest, StreamNeverReadsPastTheCurrentFrame) {
+  // The EVALB payload holds no 0x0A byte, so a server that reads a
+  // payload up to a newline — or reads a fixed-size block — runs into
+  // the next, unreleased request.
+  const std::string path = write_sample_pla("serve_lockstep.pla");
+  const PatternBatch inputs = PatternBatch::exhaustive(3);
+  const std::string payload = frame_payload(inputs);
+  ASSERT_EQ(payload.find('\n'), std::string::npos);
+  const std::string bulk = std::to_string(inputs.num_patterns()) + " " +
+                           std::to_string(inputs.total_words()) + "\n";
+  LockstepPeer peer({"LOAD s " + path + "\n", "EVAL s 7 0\n",
+                     "EVALB s " + bulk + payload, "SIMB s " + bulk + payload,
+                     "STATS\n", "QUIT\n"});
+  Session session(1);
+  Server server(session);
+  EXPECT_EQ(server.serve_stream(peer.in(), peer.out()), 6u);
+  EXPECT_EQ(complete_responses(peer.responses()), 6u);
+  EXPECT_NE(peer.responses().find("OK EVALB 8 2\n"), std::string::npos);
+  EXPECT_NE(peer.responses().find("OK SIMB 8 "), std::string::npos);
+  EXPECT_TRUE(peer.responses().size() >= 7 &&
+              peer.responses().compare(peer.responses().size() - 7, 7,
+                                       "OK bye\n") == 0)
+      << peer.responses();
+}
+
+// ---------------------------------------------------------------------------
 // Server over a Unix-domain socket: a real client connection.
 // ---------------------------------------------------------------------------
 
-#ifndef _WIN32
+#ifdef __linux__  // the socket transports run on epoll
 
 // connect_with_retry / socket_transact come from serve/client.h — the
 // one shared Unix-socket client implementation used by these tests AND
 // bench_serve_throughput.
 
-/// The dual-path conformance matrix: every socket test below is
-/// parameterized over BOTH io models (thread-per-connection and the
-/// epoll event loop) and must pass byte-identically on each — the
-/// framing, the EVALB/SIMB exchanges, the drop boundaries, the drain
-/// semantics, and the exact counters are all model-independent
-/// contract, not implementation accidents. (When AMBIT_IO_MODEL is set
-/// — the CI fallback leg — resolve_io_model collapses both parameter
-/// values onto the forced model; the matrix then proves that model
-/// twice rather than proving nothing.)
-class SocketMatrixTest : public ::testing::TestWithParam<IoModel> {
- protected:
-  /// ServerOptions pinned to the parameterized io model.
-  ServerOptions opts() const {
-    ServerOptions options;
-    options.io_model = GetParam();
-    return options;
-  }
-};
-
-/// Unix-domain socket transport matrix.
-class ServerSocketTest : public SocketMatrixTest {};
-/// TCP transport matrix.
-class TcpSocketTest : public SocketMatrixTest {};
-/// Observability-surface matrix (counters, drops, HTTP side listener).
-class ObservabilitySocketTest : public SocketMatrixTest {};
-
-std::string io_model_param_name(
-    const ::testing::TestParamInfo<IoModel>& info) {
-  return io_model_name(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(IoModels, ServerSocketTest,
-                         ::testing::Values(IoModel::kThreads, IoModel::kEpoll),
-                         io_model_param_name);
-INSTANTIATE_TEST_SUITE_P(IoModels, TcpSocketTest,
-                         ::testing::Values(IoModel::kThreads, IoModel::kEpoll),
-                         io_model_param_name);
-INSTANTIATE_TEST_SUITE_P(IoModels, ObservabilitySocketTest,
-                         ::testing::Values(IoModel::kThreads, IoModel::kEpoll),
-                         io_model_param_name);
-
-TEST_P(ServerSocketTest, UnixSocketSessionEndToEnd) {
+TEST(ServerSocketTest, UnixSocketSessionEndToEnd) {
   const std::string path = write_sample_pla("serve_socket.pla");
   const std::string socket_path = testing::TempDir() + "/ambit_serve_test.sock";
   Session session(2);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const int fd = connect_with_retry(socket_path);
@@ -1172,12 +1252,12 @@ TEST_P(ServerSocketTest, UnixSocketSessionEndToEnd) {
   EXPECT_TRUE(server.shutdown_requested());
 }
 
-TEST_P(ServerSocketTest, UnixSocketServesConsecutiveConnections) {
+TEST(ServerSocketTest, UnixSocketServesConsecutiveConnections) {
   const std::string path = write_sample_pla("serve_socket2.pla");
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_test2.sock";
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   // Connection 1 loads and quits; connection 2 still sees the circuit
@@ -1199,7 +1279,7 @@ TEST_P(ServerSocketTest, UnixSocketServesConsecutiveConnections) {
   EXPECT_TRUE(starts_with(lines2[0], "OK "));
 }
 
-TEST_P(ServerSocketTest, ConnectionsAreServedConcurrently) {
+TEST(ServerSocketTest, ConnectionsAreServedConcurrently) {
   // Regression for the sequential-accept prototype: with one client
   // connected and IDLE, a second client must still get answers. Under
   // sequential accept this deadlocks (the second connection sits in the
@@ -1207,7 +1287,7 @@ TEST_P(ServerSocketTest, ConnectionsAreServedConcurrently) {
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_conc.sock";
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const int idle = connect_with_retry(socket_path);
@@ -1227,7 +1307,7 @@ TEST_P(ServerSocketTest, ConnectionsAreServedConcurrently) {
   server_thread.join();
 }
 
-TEST_P(ServerSocketTest, ResidualEvalbHeaderAtEofFailsCleanly) {
+TEST(ServerSocketTest, ResidualEvalbHeaderAtEofFailsCleanly) {
   // An EVALB header that arrives WITHOUT its newline and payload before
   // the peer half-closes must not re-read its own header text as
   // payload — the payload read hits EOF and the connection just ends.
@@ -1236,7 +1316,7 @@ TEST_P(ServerSocketTest, ResidualEvalbHeaderAtEofFailsCleanly) {
       testing::TempDir() + "/ambit_serve_residb.sock";
   Session session(1);
   session.load("s", path);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const int fd = connect_with_retry(socket_path);
@@ -1261,14 +1341,14 @@ TEST_P(ServerSocketTest, ResidualEvalbHeaderAtEofFailsCleanly) {
   server_thread.join();
 }
 
-TEST_P(ServerSocketTest, OversizedRequestLineDropsConnection) {
+TEST(ServerSocketTest, OversizedRequestLineDropsConnection) {
   // A newline-free byte stream must not grow the receive buffer
   // without bound: past kMaxLineBytes the server answers ERR once and
   // drops the connection.
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_longline.sock";
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const int fd = connect_with_retry(socket_path);
@@ -1300,15 +1380,14 @@ TEST_P(ServerSocketTest, OversizedRequestLineDropsConnection) {
   server_thread.join();
 }
 
-TEST_P(ServerSocketTest, ShutdownInterruptsSlotWait) {
-  // max_connections=1: connection B is accepted but waits for A's
-  // slot. A then issues SHUTDOWN — the accept loop must abandon the
-  // slot wait and close B instead of serving one more connection.
+TEST(ServerSocketTest, ShutdownInterruptsSlotWait) {
+  // max_connections=1: connection B waits in the listen backlog while
+  // A holds the only slot. A then issues SHUTDOWN — the server must
+  // close B instead of serving one more connection.
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_slotwait.sock";
   Session session(1);
   ServerOptions slot_options;
-  slot_options.io_model = GetParam();
   slot_options.max_connections = 1;
   Server server(session, slot_options);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
@@ -1336,13 +1415,13 @@ TEST_P(ServerSocketTest, ShutdownInterruptsSlotWait) {
   ::close(b);
 }
 
-TEST_P(ServerSocketTest, ResidualLineWithoutNewlineIsServed) {
+TEST(ServerSocketTest, ResidualLineWithoutNewlineIsServed) {
   // A final request that arrives without a trailing '\n' before the
   // peer half-closes must be served, not silently dropped.
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_resid.sock";
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const int fd = connect_with_retry(socket_path);
@@ -1366,7 +1445,7 @@ TEST_P(ServerSocketTest, ResidualLineWithoutNewlineIsServed) {
   server_thread.join();
 }
 
-TEST_P(ServerSocketTest, PipelinedLinesAfterQuitAreDiscarded) {
+TEST(ServerSocketTest, PipelinedLinesAfterQuitAreDiscarded) {
   // Complete lines already buffered behind a QUIT (or SHUTDOWN) must
   // not be half-processed: the quit response is the last one, and the
   // pipelined LOAD never happens.
@@ -1374,7 +1453,7 @@ TEST_P(ServerSocketTest, PipelinedLinesAfterQuitAreDiscarded) {
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_postquit.sock";
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const int fd = connect_with_retry(socket_path);
@@ -1402,11 +1481,11 @@ TEST_P(ServerSocketTest, PipelinedLinesAfterQuitAreDiscarded) {
   EXPECT_EQ(session.stats().loads, 0u);
 }
 
-TEST_P(ServerSocketTest, RefusesToStealLiveSocket) {
+TEST(ServerSocketTest, RefusesToStealLiveSocket) {
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_live.sock";
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
   const int fd = connect_with_retry(socket_path);
   ASSERT_GE(fd, 0);  // the first server is live
@@ -1425,7 +1504,7 @@ TEST_P(ServerSocketTest, RefusesToStealLiveSocket) {
   server_thread.join();
 }
 
-TEST_P(ServerSocketTest, ReplacesStaleSocketFile) {
+TEST(ServerSocketTest, ReplacesStaleSocketFile) {
   // A leftover socket file with no listener behind it (e.g. after a
   // crash) must be replaced, not reported as a conflict.
   const std::string socket_path =
@@ -1442,7 +1521,7 @@ TEST_P(ServerSocketTest, ReplacesStaleSocketFile) {
   ::close(stale);  // socket file remains, nobody listens
 
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
   const int fd = connect_with_retry(socket_path);
   ASSERT_GE(fd, 0);
@@ -1453,7 +1532,7 @@ TEST_P(ServerSocketTest, ReplacesStaleSocketFile) {
   server_thread.join();
 }
 
-TEST_P(ServerSocketTest, MultiClientHammerMatchesSequentialServing) {
+TEST(ServerSocketTest, MultiClientHammerMatchesSequentialServing) {
   // >= 4 client threads hammer one server; every response must be
   // bit-identical to what sequential serving (== direct evaluation of
   // the mapped array) would produce, and the exact-request counters
@@ -1465,7 +1544,7 @@ TEST_P(ServerSocketTest, MultiClientHammerMatchesSequentialServing) {
   session.load("s", path);
   const core::GnorPla pla = core::GnorPla::map_cover(
       Cover::parse(3, 2, {"11- 10", "0-1 01", "10- 11"}));
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   constexpr int kClients = 4;
@@ -1534,7 +1613,7 @@ TEST_P(ServerSocketTest, MultiClientHammerMatchesSequentialServing) {
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient * 2);
 }
 
-TEST_P(ServerSocketTest, UnixSocketEvalbRoundTrip) {
+TEST(ServerSocketTest, UnixSocketEvalbRoundTrip) {
   // The binary bulk frame over the real socket transport, pipelined in
   // one write together with its header and a QUIT.
   const std::string path = write_sample_pla("serve_evalb_sock.pla");
@@ -1542,7 +1621,7 @@ TEST_P(ServerSocketTest, UnixSocketEvalbRoundTrip) {
       testing::TempDir() + "/ambit_serve_evalb.sock";
   Session session(1);
   session.load("s", path);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   PatternBatch inputs = PatternBatch::exhaustive(3);
@@ -1580,7 +1659,7 @@ TEST_P(ServerSocketTest, UnixSocketEvalbRoundTrip) {
   EXPECT_EQ(buffer.substr(consumed), "OK shutting down\n");
 }
 
-TEST_P(ServerSocketTest, UnixSocketSimAndSimbRoundTrip) {
+TEST(ServerSocketTest, UnixSocketSimAndSimbRoundTrip) {
   // SIM (text) and SIMB (binary frame) over the real socket transport,
   // checked against scalar and batch simulation of the loaded array.
   const std::string path = write_sample_pla("serve_sim_sock.pla");
@@ -1588,7 +1667,7 @@ TEST_P(ServerSocketTest, UnixSocketSimAndSimbRoundTrip) {
       testing::TempDir() + "/ambit_serve_simb.sock";
   Session session(1);
   session.load("s", path);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const core::GnorPla& gnor = session.get("s")->gnor;
@@ -1644,7 +1723,7 @@ TEST_P(ServerSocketTest, UnixSocketSimAndSimbRoundTrip) {
   EXPECT_EQ(session.stats().sim_patterns, 10u);
 }
 
-TEST_P(ServerSocketTest, MultiClientHammerMixesEvalbAndSimb) {
+TEST(ServerSocketTest, MultiClientHammerMixesEvalbAndSimb) {
   // >= 4 clients interleave EVALB and SIMB bulk frames against the SAME
   // loaded circuit on one shared session: every binary response must be
   // bit-identical to direct evaluation/simulation, and the exact
@@ -1654,7 +1733,7 @@ TEST_P(ServerSocketTest, MultiClientHammerMixesEvalbAndSimb) {
       testing::TempDir() + "/ambit_serve_mixhammer.sock";
   Session session(/*workers=*/2);
   session.load("s", path);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   PatternBatch inputs = PatternBatch::exhaustive(3);
@@ -1774,8 +1853,8 @@ TEST_P(ServerSocketTest, MultiClientHammerMixesEvalbAndSimb) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP transport: the same connection loop, framing, drain and limits
-// over AF_INET (serve_tcp shares serve_listener with serve_unix).
+// TCP transport: the same event loop, framing, drain and limits over
+// AF_INET.
 // ---------------------------------------------------------------------------
 
 /// Starts `server` on an ephemeral TCP port on its own thread. Any
@@ -1796,10 +1875,10 @@ std::thread start_tcp_server(Server& server, std::atomic<int>& port,
   });
 }
 
-TEST_P(TcpSocketTest, SessionEndToEnd) {
+TEST(TcpSocketTest, SessionEndToEnd) {
   const std::string path = write_sample_pla("serve_tcp.pla");
   Session session(2);
-  Server server(session, opts());
+  Server server(session);
   std::atomic<int> port{0};
   std::thread server_thread = start_tcp_server(server, port);
   const int bound = await_bound_port(port);
@@ -1822,12 +1901,12 @@ TEST_P(TcpSocketTest, SessionEndToEnd) {
   EXPECT_TRUE(server.shutdown_requested());
 }
 
-TEST_P(TcpSocketTest, ConnectionsAreServedConcurrently) {
+TEST(TcpSocketTest, ConnectionsAreServedConcurrently) {
   // Same regression as the Unix transport: one idle connected client
   // must not starve a second one — they share the concurrent accept
   // loop, not a sequential prototype.
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::atomic<int> port{0};
   std::thread server_thread = start_tcp_server(server, port, "localhost");
   const int bound = await_bound_port(port);
@@ -1851,14 +1930,14 @@ TEST_P(TcpSocketTest, ConnectionsAreServedConcurrently) {
   server_thread.join();
 }
 
-TEST_P(TcpSocketTest, EvalbAndSimbRoundTrip) {
+TEST(TcpSocketTest, EvalbAndSimbRoundTrip) {
   // Both binary bulk frames over a real TCP socket, pipelined with the
   // SHUTDOWN that drains the server: decoded lanes (and SIMB's delay
   // arrays) must match direct evaluation/simulation bit for bit.
   const std::string path = write_sample_pla("serve_tcp_bulk.pla");
   Session session(1);
   session.load("s", path);
-  Server server(session, opts());
+  Server server(session);
   std::atomic<int> port{0};
   std::thread server_thread = start_tcp_server(server, port);
   const int bound = await_bound_port(port);
@@ -1916,11 +1995,11 @@ TEST_P(TcpSocketTest, EvalbAndSimbRoundTrip) {
   EXPECT_EQ(buffer.substr(consumed + sim_consumed), "OK shutting down\n");
 }
 
-TEST_P(TcpSocketTest, OversizedRequestLineDropsConnection) {
+TEST(TcpSocketTest, OversizedRequestLineDropsConnection) {
   // The kMaxLineBytes boundary is transport-agnostic: the TCP side
   // must answer ERR once and drop, exactly like the Unix side.
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::atomic<int> port{0};
   std::thread server_thread = start_tcp_server(server, port);
   const int bound = await_bound_port(port);
@@ -1953,13 +2032,12 @@ TEST_P(TcpSocketTest, OversizedRequestLineDropsConnection) {
   server_thread.join();
 }
 
-TEST_P(TcpSocketTest, IdleTimeoutDropsSilentPeer) {
+TEST(TcpSocketTest, IdleTimeoutDropsSilentPeer) {
   // ServerOptions::idle_timeout_secs reaches the TCP transport through
   // the shared listener loop: a peer that never sends is dropped after
   // the timeout, and the freed slot still serves new connections.
   Session session(1);
   ServerOptions options;
-  options.io_model = GetParam();
   options.idle_timeout_secs = 1;
   Server server(session, options);
   std::atomic<int> port{0};
@@ -1969,7 +2047,7 @@ TEST_P(TcpSocketTest, IdleTimeoutDropsSilentPeer) {
 
   const int silent = connect_tcp_with_retry("127.0.0.1", bound);
   ASSERT_GE(silent, 0);
-  // Say nothing: the server's SO_RCVTIMEO must cut us loose. A clean
+  // Say nothing: the server's idle timeout must cut us loose. A clean
   // drop shows up as EOF (or a reset) on our read side within a couple
   // of timeout periods.
   char byte;
@@ -1986,8 +2064,8 @@ TEST_P(TcpSocketTest, IdleTimeoutDropsSilentPeer) {
   server_thread.join();
 }
 
-TEST_P(TcpSocketTest, MultiClientHammerMatchesDirectEvaluation) {
-  // The concurrent hammer of the Unix matrix over TCP: four clients,
+TEST(TcpSocketTest, MultiClientHammerMatchesDirectEvaluation) {
+  // The concurrent hammer of the Unix suite over TCP: four clients,
   // client-distinct patterns, every response checked against direct
   // evaluation, exact counters, graceful SHUTDOWN drain at the end.
   const std::string path = write_sample_pla("serve_tcp_hammer.pla");
@@ -1995,7 +2073,7 @@ TEST_P(TcpSocketTest, MultiClientHammerMatchesDirectEvaluation) {
   session.load("s", path);
   const core::GnorPla pla = core::GnorPla::map_cover(
       Cover::parse(3, 2, {"11- 10", "0-1 01", "10- 11"}));
-  Server server(session, opts());
+  Server server(session);
   std::atomic<int> port{0};
   std::thread server_thread = start_tcp_server(server, port);
   const int bound = await_bound_port(port);
@@ -2065,7 +2143,7 @@ TEST_P(TcpSocketTest, MultiClientHammerMatchesDirectEvaluation) {
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient * 2);
 }
 
-TEST_P(TcpSocketTest, CoalescedHammerBitIdenticalWithExactStats) {
+TEST(TcpSocketTest, CoalescedHammerBitIdenticalWithExactStats) {
   // Coalescing enabled over the TCP transport: four clients of small
   // EVAL and EVALB requests; every response must match direct
   // evaluation, the counters must equal the uncoalesced run's, and
@@ -2075,7 +2153,6 @@ TEST_P(TcpSocketTest, CoalescedHammerBitIdenticalWithExactStats) {
   session.load("s", path);
   const auto circuit = session.get("s");
   ServerOptions options;
-  options.io_model = GetParam();
   options.coalesce.window_us = 2000;
   options.coalesce.min_patterns = 4;
   Server server(session, options);
@@ -2186,14 +2263,14 @@ TEST_P(TcpSocketTest, CoalescedHammerBitIdenticalWithExactStats) {
 // concurrent mixed-verb hammer.
 // ---------------------------------------------------------------------------
 
-TEST_P(ObservabilitySocketTest, StatsReportsConnectionCounts) {
+TEST(ObservabilitySocketTest, StatsReportsConnectionCounts) {
   // The append-only STATS extension: " connections=<active>/<accepted>"
   // closes the line, exact regardless of -DAMBIT_METRICS (the counts
   // are plain Server atomics, not metrics-layer objects).
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_connstats.sock";
   Session session(1);
-  Server server(session, opts());
+  Server server(session);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const int fd = connect_with_retry(socket_path);
@@ -2268,7 +2345,7 @@ std::string http_body(const std::string& response) {
   return body;
 }
 
-TEST_P(ObservabilitySocketTest, HttpSideListenerServesScrapesMidTraffic) {
+TEST(ObservabilitySocketTest, HttpSideListenerServesScrapesMidTraffic) {
   // The --metrics side listener wired exactly as ambit_serve wires it:
   // render = Server::metrics_page, its own ephemeral port, scraped
   // while the line protocol serves a connection.
@@ -2278,7 +2355,6 @@ TEST_P(ObservabilitySocketTest, HttpSideListenerServesScrapesMidTraffic) {
   Session session(1);
   metrics::Registry registry;
   ServerOptions options;
-  options.io_model = GetParam();
   options.registry = &registry;
   Server server(session, options);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
@@ -2355,7 +2431,7 @@ TEST_P(ObservabilitySocketTest, HttpSideListenerServesScrapesMidTraffic) {
   server_thread.join();
 }
 
-TEST_P(ObservabilitySocketTest, MixedVerbHammerCountsEveryRequestExactly) {
+TEST(ObservabilitySocketTest, MixedVerbHammerCountsEveryRequestExactly) {
   // Four clients interleave EVAL, EVALB and SIMB against one server
   // with a fresh registry: afterwards every per-verb counter and
   // latency-histogram _count must equal the number of requests sent —
@@ -2367,7 +2443,6 @@ TEST_P(ObservabilitySocketTest, MixedVerbHammerCountsEveryRequestExactly) {
   session.load("s", path);
   metrics::Registry registry;
   ServerOptions options;
-  options.io_model = GetParam();
   options.registry = &registry;
   Server server(session, options);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
@@ -2519,7 +2594,7 @@ TEST_P(ObservabilitySocketTest, MixedVerbHammerCountsEveryRequestExactly) {
   EXPECT_EQ(stats.sims, static_cast<std::uint64_t>(rounds));
 }
 
-TEST_P(ObservabilitySocketTest, DroppedConnectionsAreClassified) {
+TEST(ObservabilitySocketTest, DroppedConnectionsAreClassified) {
   // An oversized request line is a server-initiated drop with
   // reason="malformed"; a clean QUIT is peer-initiated and counts
   // under no reason at all.
@@ -2528,7 +2603,6 @@ TEST_P(ObservabilitySocketTest, DroppedConnectionsAreClassified) {
   Session session(1);
   metrics::Registry registry;
   ServerOptions options;
-  options.io_model = GetParam();
   options.registry = &registry;
   Server server(session, options);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
@@ -2718,6 +2792,16 @@ std::string golden_over_unix(const std::string& wire) {
   return out;
 }
 
+/// One connection through serve_stream over a stringstream pair.
+std::string golden_over_stream(const std::string& wire) {
+  Session session(kGoldenWorkers);
+  Server server(session);
+  std::istringstream in(wire);
+  std::ostringstream out;
+  server.serve_stream(in, out);
+  return out.str();
+}
+
 /// One connection through serve_chunks, one byte per read.
 std::string golden_over_chunks(const std::string& wire) {
   Session session(kGoldenWorkers);
@@ -2739,14 +2823,19 @@ TEST(ServeGoldenTest, EveryTransportReproducesTheTranscripts) {
     const std::string wire = fill_golden_paths(golden.in);
     EXPECT_EQ(canonical_load_times(golden_over_unix(wire)), golden.out)
         << golden.name << " over serve_unix";
+    const std::string expected = mask_connection_counts(golden.out);
     EXPECT_EQ(mask_connection_counts(
                   canonical_load_times(golden_over_chunks(wire))),
-              mask_connection_counts(golden.out))
+              expected)
         << golden.name << " over 1-byte serve_chunks";
+    EXPECT_EQ(mask_connection_counts(
+                  canonical_load_times(golden_over_stream(wire))),
+              expected)
+        << golden.name << " over serve_stream";
   }
 }
 
-#endif  // !_WIN32
+#endif  // __linux__
 
 }  // namespace
 }  // namespace ambit::serve

@@ -1,12 +1,12 @@
-// Adversarial-peer tests for the socket serve paths, parameterized
-// over both io models (threads and epoll): trickled one-byte-at-a-time
-// frames (request lines and EVALB/SIMB headers split across reads),
-// slow readers that force the server to hold a multi-megabyte response
-// under write backpressure, slow-loris peers that must be idle-dropped
-// at the configured deadline without pinning healthy connections, and
-// SHUTDOWN completing promptly under continuous connect pressure (the
-// accept loop's slot wait must observe the latch via the self-pipe,
-// not a poll timeout that never fires while clients keep arriving).
+// Adversarial-peer tests for the socket serve path (the epoll event
+// loop): trickled one-byte-at-a-time frames (request lines and
+// EVALB/SIMB headers split across reads), slow readers that force the
+// server to hold a multi-megabyte response under write backpressure,
+// slow-loris peers that must be idle-dropped at the configured deadline
+// without pinning healthy connections, SHUTDOWN completing promptly
+// under continuous connect pressure, and a process out of file
+// descriptors, which must pause accepting rather than take the live
+// connections down.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,10 +23,13 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "util/error.h"
 #include "util/metrics.h"
 
-#ifndef _WIN32
+#ifdef __linux__  // the socket transports run on epoll
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -130,29 +133,11 @@ class UnixServer {
   std::thread thread_;
 };
 
-class SlowPeerTest : public ::testing::TestWithParam<IoModel> {
- protected:
-  ServerOptions opts() const {
-    ServerOptions options;
-    options.io_model = GetParam();
-    return options;
-  }
-};
-
-std::string io_model_param_name(
-    const ::testing::TestParamInfo<IoModel>& info) {
-  return io_model_name(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(IoModels, SlowPeerTest,
-                         ::testing::Values(IoModel::kThreads, IoModel::kEpoll),
-                         io_model_param_name);
-
 // ---------------------------------------------------------------------------
 // Trickled frames: every frame boundary lands mid-read.
 // ---------------------------------------------------------------------------
 
-TEST_P(SlowPeerTest, TrickledBytesProduceSameResponsesAsOneWrite) {
+TEST(SlowPeerTest, TrickledBytesProduceSameResponsesAsOneWrite) {
   // One byte per send, with a pause so the server really sees the
   // request line, the EVALB/SIMB headers, AND their binary payloads
   // split across arbitrary read boundaries — then the trickled
@@ -161,8 +146,7 @@ TEST_P(SlowPeerTest, TrickledBytesProduceSameResponsesAsOneWrite) {
   // connection: its response embeds a wall-clock load time, the one
   // non-deterministic response line in the protocol.)
   Session session(2);
-  UnixServer server(session, opts(),
-                    std::string("trickle_") + io_model_name(GetParam()));
+  UnixServer server(session, {}, "trickle");
   const std::string path = write_sample_pla("slow_trickle.pla");
   const int ctl = server.connect();
   ASSERT_GE(ctl, 0);
@@ -201,17 +185,15 @@ TEST_P(SlowPeerTest, TrickledBytesProduceSameResponsesAsOneWrite) {
 // Slow reader: the server owes megabytes while the peer sips.
 // ---------------------------------------------------------------------------
 
-TEST_P(SlowPeerTest, SlowReaderReceivesFullBackpressuredResponse) {
+TEST(SlowPeerTest, SlowReaderReceivesFullBackpressuredResponse) {
   // A 100k-pattern SIMB response (~2.4 MB: output lanes plus the 3*np
   // delay doubles) far exceeds any default socket buffer, so the
-  // server must hold the overflow — the epoll path in its outbox with
-  // EPOLLOUT-driven flushing, the threads path blocked in send — while
-  // the client reads 4 KB at a time with pauses. The frame must arrive
+  // server must hold the overflow in its outbox, flushing on EPOLLOUT,
+  // while the client reads 4 KB at a time with pauses. The frame must arrive
   // complete and the connection must still serve a follow-up request,
   // proving backpressure neither truncated nor wedged the stream.
   Session session(2);
-  UnixServer server(session, opts(),
-                    std::string("slowread_") + io_model_name(GetParam()));
+  UnixServer server(session, {}, "slowread");
   const std::string path = write_sample_pla("slow_reader.pla");
 
   constexpr std::uint64_t kPatterns = 100000;
@@ -285,14 +267,13 @@ TEST_P(SlowPeerTest, SlowReaderReceivesFullBackpressuredResponse) {
 // at the idle deadline and never pins healthy traffic.
 // ---------------------------------------------------------------------------
 
-TEST_P(SlowPeerTest, SlowLorisIsIdleDroppedWithoutPinningOthers) {
+TEST(SlowPeerTest, SlowLorisIsIdleDroppedWithoutPinningOthers) {
   Session session(2);
   metrics::Registry registry;
-  ServerOptions options = opts();
+  ServerOptions options;
   options.idle_timeout_secs = 1;
   options.registry = &registry;
-  UnixServer server(session, options,
-                    std::string("loris_") + io_model_name(GetParam()));
+  UnixServer server(session, options, "loris");
 
   // The loris: half a request line, then silence.
   const auto start = std::chrono::steady_clock::now();
@@ -335,19 +316,14 @@ TEST_P(SlowPeerTest, SlowLorisIsIdleDroppedWithoutPinningOthers) {
 // SHUTDOWN under continuous connect pressure.
 // ---------------------------------------------------------------------------
 
-TEST_P(SlowPeerTest, ShutdownCompletesWithinOneSecondUnderConnectPressure) {
-  // max_connections=1: one held slot puts the threads-path accept loop
-  // into the registry slot wait, and connect pressure keeps its poll
-  // permanently readable — the regression this pins is SHUTDOWN having
-  // no way to interrupt that state short of a timeout that never
-  // fires. The self-pipe wakeup (threads) and the drain path (epoll)
-  // must both finish serve_listener within one second of the SHUTDOWN
-  // response.
+TEST(SlowPeerTest, ShutdownCompletesWithinOneSecondUnderConnectPressure) {
+  // max_connections=1: one held slot parks the listener while connect
+  // pressure keeps its backlog full — SHUTDOWN must still drain and
+  // finish serving within one second of the SHUTDOWN response.
   Session session(1);
-  ServerOptions options = opts();
+  ServerOptions options;
   options.max_connections = 1;
-  UnixServer server(session, options,
-                    std::string("pressure_") + io_model_name(GetParam()));
+  UnixServer server(session, options, "pressure");
 
   // Occupy the only slot first, so pressure connections pile up behind
   // it in the accept queue / slot wait.
@@ -382,12 +358,126 @@ TEST_P(SlowPeerTest, ShutdownCompletesWithinOneSecondUnderConnectPressure) {
     t.join();
   }
   EXPECT_LT(elapsed, std::chrono::seconds(1))
-      << "serve_listener took "
+      << "the server took "
       << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
       << " ms to exit after SHUTDOWN was acknowledged";
+}
+
+// ---------------------------------------------------------------------------
+// Out of file descriptors: accept pauses, live connections carry on.
+// ---------------------------------------------------------------------------
+
+/// Fills this process's descriptor table: lowers the RLIMIT_NOFILE soft
+/// limit to just above the lowest free descriptor and opens /dev/null
+/// until that fails with EMFILE. release_one() frees one slot; the
+/// destructor frees the rest and restores the limit.
+class FdExhaustion {
+ public:
+  FdExhaustion() {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    const int lowest = ::open("/dev/null", O_RDONLY);
+    if (lowest < 0) {
+      return;
+    }
+    fillers_.push_back(lowest);
+    rlimit tight = saved_;
+    tight.rlim_cur = static_cast<rlim_t>(lowest) + 16;
+    ::setrlimit(RLIMIT_NOFILE, &tight);
+    for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+      fillers_.push_back(fd);
+    }
+  }
+  ~FdExhaustion() {
+    for (const int fd : fillers_) {
+      ::close(fd);
+    }
+    ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  FdExhaustion(const FdExhaustion&) = delete;
+  FdExhaustion& operator=(const FdExhaustion&) = delete;
+
+  void release_one() {
+    ::close(fillers_.back());
+    fillers_.pop_back();
+  }
+
+ private:
+  rlimit saved_{};
+  std::vector<int> fillers_;
+};
+
+TEST(SlowPeerTest, RunningOutOfDescriptorsPausesOnlyAccept) {
+  // With the descriptor table full, the server's accept of a new client
+  // fails with EMFILE. The connection already open must keep getting
+  // answers, and the queued client must be served once a connection
+  // closes and frees a descriptor.
+  const std::string socket_path = testing::TempDir() + "/ambit_slow_fds.sock";
+  Session session(1);
+  Server server(session);
+  std::atomic<bool> server_failed{false};
+  std::thread server_thread([&] {
+    try {
+      server.serve_unix(socket_path);
+    } catch (const Error& e) {
+      ADD_FAILURE() << "serve_unix threw: " << e.what();
+      server_failed = true;
+    }
+  });
+
+  const int live = connect_with_retry(socket_path);
+  const bool warmed_up =
+      live >= 0 && socket_transact(live, "STATS\n", 1).size() == 1;
+  int queued = -1;
+  std::vector<std::string> starved_lines;
+  std::vector<std::string> queued_lines;
+  if (warmed_up) {
+    FdExhaustion exhausted;
+    exhausted.release_one();  // room for exactly the client's socket
+    queued = connect_with_retry(socket_path, /*attempts=*/1);
+    if (queued >= 0) {
+      const timeval timeout{10, 0};
+      ::setsockopt(queued, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                   sizeof(timeout));
+      const std::string stats = "STATS\n";
+      (void)!::send(queued, stats.data(), stats.size(), MSG_NOSIGNAL);
+    }
+    // Several housekeeping ticks of failing accepts.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    starved_lines = socket_transact(live, "STATS\n", 1);
+    ::close(live);  // frees descriptors: the queued client gets in
+    if (queued >= 0) {
+      queued_lines = socket_transact(queued, "", 1);
+    }
+  }
+  if (queued >= 0) {
+    ::close(queued);
+  }
+  if (!server_failed) {
+    const int ctl = connect_with_retry(socket_path);
+    if (ctl >= 0) {
+      socket_transact(ctl, "SHUTDOWN\n", 1);
+      ::close(ctl);
+    }
+  }
+  server_thread.join();
+
+  ASSERT_TRUE(warmed_up);
+  ASSERT_GE(queued, 0);
+  ASSERT_EQ(starved_lines.size(), 1u)
+      << "the live connection lost its answer while accept was starved";
+  // Accepted count 1: the queued client was really held off.
+  EXPECT_TRUE(starved_lines[0].size() >= 16 &&
+              starved_lines[0].compare(starved_lines[0].size() - 16, 16,
+                                       " connections=1/1") == 0)
+      << starved_lines[0];
+  ASSERT_EQ(queued_lines.size(), 1u) << "the queued client was never served";
+  EXPECT_TRUE(queued_lines[0].size() >= 2 &&
+              queued_lines[0].compare(queued_lines[0].size() - 2, 2, "/2") ==
+                  0)
+      << queued_lines[0];
 }
 
 }  // namespace
 }  // namespace ambit::serve
 
-#endif  // !_WIN32
+#endif  // __linux__

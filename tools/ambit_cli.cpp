@@ -19,8 +19,9 @@
 //                       for more options and docs/PROTOCOL.md for the
 //                       wire grammar)
 //   --tcp <host:port>   with --serve: serve over TCP instead of
-//                       stdin/stdout (port 0 binds an ephemeral port,
-//                       announced on stderr once listening)
+//                       stdin/stdout, Linux only (port 0 binds an
+//                       ephemeral port, announced on stderr once
+//                       listening)
 //   --log-level <level> debug|info|warn|error|off (default info) for
 //                       the structured serve logs (util/log.h)
 //   --log-file <path>   append log records to <path> instead of stderr
@@ -72,8 +73,7 @@ int usage() {
                "                 [--out-pla <path>] [--out-blif <path>]\n"
                "                 [--verify] [--sim]\n"
                "       ambit_cli --serve [--tcp <host:port>] "
-               "[--io-model threads|epoll]\n"
-               "                 [--log-level <level>] [--log-file <path>]\n");
+               "[--log-level <level>] [--log-file <path>]\n");
   return 2;
 }
 
@@ -92,25 +92,12 @@ int main(int argc, char** argv) {
   bool sim = false;
   bool serve_mode = false;
   std::string tcp_spec;
-  serve::ServerOptions serve_options;
-  bool io_model_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--serve") {
       serve_mode = true;
     } else if (arg == "--tcp" && i + 1 < argc) {
       tcp_spec = argv[++i];
-    } else if (arg == "--io-model" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      try {
-        serve_options.io_model = serve::parse_io_model(value);
-      } catch (const Error&) {
-        std::fprintf(stderr,
-                     "ambit_cli: --io-model needs threads|epoll, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      io_model_set = true;
     } else if (arg == "--phase-opt") {
       phase_opt = true;
     } else if (arg == "--wpla") {
@@ -158,7 +145,7 @@ int main(int argc, char** argv) {
     }
     try {
       serve::Session session;
-      serve::Server server(session, serve_options);
+      serve::Server server(session);
       if (!tcp_spec.empty()) {
         const auto [host, port] = serve::parse_host_port(tcp_spec);
         std::fprintf(stderr, "ambit_cli: serving tcp %s:%d; %s\n",
@@ -188,8 +175,8 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (!tcp_spec.empty() || io_model_set) {
-    // --tcp and --io-model only mean something with --serve.
+  if (!tcp_spec.empty()) {
+    // --tcp only means something with --serve.
     return usage();
   }
   if (input.empty()) {

@@ -6,11 +6,13 @@
 // Options:
 //   --stdio              serve the line protocol over stdin/stdout
 //                        (the default)
-//   --socket <path>      serve over a Unix-domain socket at <path>,
-//                        each connection on its own thread
+//   --socket <path>      serve over a Unix-domain socket at <path>: one
+//                        epoll event-loop thread multiplexes every
+//                        connection, evaluation runs on the worker pool
+//                        (Linux only)
 //   --tcp <host:port>    serve over TCP (IPv4 or "localhost") — the
-//                        same protocol, concurrency model and limits
-//                        as --socket. The bound port is announced on
+//                        same protocol, event loop and limits as
+//                        --socket. The bound port is announced on
 //                        stderr as "tcp bound port <n>" once
 //                        listening; port 0 binds an ephemeral port,
 //                        which that line is how you discover
@@ -19,14 +21,6 @@
 //   --max-connections <n>
 //                        connections served at once over --socket/--tcp
 //                        (default 64); further accepts wait for a slot
-//   --io-model <model>   connection multiplexing for --socket/--tcp:
-//                        "epoll" (default on Linux: one event-loop
-//                        thread, non-blocking sockets, evaluation on
-//                        the worker pool — the C10k path) or "threads"
-//                        (one thread per connection). Responses are
-//                        byte-identical either way. The AMBIT_IO_MODEL
-//                        environment variable overrides this flag;
-//                        non-Linux platforms always run "threads"
 //   --coalesce-window-us <n>
 //                        fuse small EVAL/EVALB requests from different
 //                        connections that arrive within <n> us into one
@@ -89,8 +83,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: ambit_serve [--stdio] [--socket <path>] "
                "[--tcp <host:port>]\n"
-               "                   [--workers <n>] [--max-connections <n>] "
-               "[--io-model threads|epoll]\n"
+               "                   [--workers <n>] [--max-connections <n>]\n"
                "                   [--coalesce-window-us <n>] "
                "[--coalesce-min-patterns <n>]\n"
                "                   [--preload <name>=<path>] "
@@ -128,16 +121,6 @@ int main(int argc, char** argv) {
       options.max_connections = std::atoi(argv[++i]);
       if (options.max_connections < 1) {
         std::fprintf(stderr, "ambit_serve: --max-connections must be >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--io-model" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      try {
-        options.io_model = serve::parse_io_model(value);
-      } catch (const Error&) {
-        std::fprintf(stderr,
-                     "ambit_serve: --io-model needs threads|epoll, got '%s'\n",
-                     value.c_str());
         return 2;
       }
     } else if (arg == "--coalesce-window-us" && i + 1 < argc) {
@@ -272,20 +255,15 @@ int main(int argc, char** argv) {
              " us / " + std::to_string(options.coalesce.min_patterns) +
              " patterns";
     };
-    // The ANNOUNCED model is the resolved one: what the listener will
-    // actually run, after the AMBIT_IO_MODEL override and the platform
-    // fallback.
-    const char* io_model =
-        serve::io_model_name(serve::resolve_io_model(options.io_model));
     if (!tcp_spec.empty()) {
       const auto [host, port] = serve::parse_host_port(tcp_spec);
       std::atomic<int> bound_port{0};
       std::fprintf(stderr,
                    "ambit_serve: serving tcp %s:%d, %d worker(s), up to %d "
-                   "concurrent connection(s), io-model %s, %s; %s\n",
+                   "concurrent connection(s), %s; %s\n",
                    host.c_str(), port, session.pool().num_workers(),
-                   options.max_connections, io_model,
-                   describe_coalescing().c_str(), serve::help_text().c_str());
+                   options.max_connections, describe_coalescing().c_str(),
+                   serve::help_text().c_str());
       // With port 0 the kernel picks the port, and a script driving
       // this tool needs it WHILE the server runs — serve_tcp publishes
       // it before the first accept and serve_tcp_announced prints it
@@ -299,10 +277,10 @@ int main(int argc, char** argv) {
     } else if (!socket_path.empty()) {
       std::fprintf(stderr,
                    "ambit_serve: serving %s, %d worker(s), up to %d "
-                   "concurrent connection(s), io-model %s, %s; %s\n",
+                   "concurrent connection(s), %s; %s\n",
                    socket_path.c_str(), session.pool().num_workers(),
-                   options.max_connections, io_model,
-                   describe_coalescing().c_str(), serve::help_text().c_str());
+                   options.max_connections, describe_coalescing().c_str(),
+                   serve::help_text().c_str());
       report_served(server.serve_unix(socket_path));
     } else {
 #ifdef _WIN32
