@@ -151,8 +151,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   //
   // Each seed byte maps to a chunk length in [1, 64], cycled over the
   // wire; count == 0 means one byte per chunk — the maximal split. This
-  // is what drives EVALB/SIMB headers and payloads across read
-  // boundaries the differential's one-byte split does not vary.
+  // varies where the reads split EVALB/SIMB headers and payloads, which
+  // the differential's fixed one-byte split cannot.
   if (size >= 5 && std::memcmp(data, "CHNK", 4) == 0 &&
       size >= 5 + static_cast<std::size_t>(data[4])) {
     const std::size_t count = data[4];

@@ -2738,21 +2738,6 @@ std::string mask_connection_counts(std::string transcript) {
   return transcript;
 }
 
-void send_all(int fd, const std::string& wire) {
-  std::size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t n =
-        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      break;  // the server dropped the connection mid-request
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
 std::string read_to_eof(int fd) {
   std::string buffer;
   char chunk[65536];
@@ -2778,7 +2763,7 @@ std::string golden_over_unix(const std::string& wire) {
   std::thread server_thread([&] { server.serve_unix(socket_path); });
   const int fd = connect_with_retry(socket_path);
   EXPECT_GE(fd, 0);
-  send_all(fd, wire);
+  socket_transact(fd, wire, /*expected_lines=*/0);  // send only
   ::shutdown(fd, SHUT_WR);
   const std::string out = read_to_eof(fd);
   ::close(fd);
