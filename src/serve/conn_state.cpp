@@ -1,7 +1,7 @@
 #include "serve/conn_state.h"
 
-#include <cctype>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "serve/protocol.h"
@@ -95,16 +95,10 @@ void ConnState::finish_request(bool quit) {
 
 std::size_t ConnState::required_payload(const std::string& line) {
   // Only a bulk header declares a payload, so every other line skips
-  // the full parse that serve_line repeats. The verb is split off by
-  // split_ws's rule, as parse_request sees it.
-  const std::string_view text = trim(line);
-  std::size_t verb_end = 0;
-  while (verb_end < text.size() &&
-         !std::isspace(static_cast<unsigned char>(text[verb_end]))) {
-    ++verb_end;
-  }
-  const std::string_view verb = text.substr(0, verb_end);
-  if (verb != "EVALB" && verb != "SIMB") {
+  // the full parse that serve_line repeats.
+  std::string_view rest = line;
+  const std::optional<Verb> verb = find_verb(next_token(rest));
+  if (!verb.has_value() || !is_bulk_verb(*verb)) {
     return 0;
   }
   try {

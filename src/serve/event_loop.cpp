@@ -12,21 +12,28 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "serve/conn_state.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/error.h"
 #include "util/log.h"
+#include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace ambit::serve {
@@ -51,6 +58,83 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0} - 1;
 /// wheel and retries an accept starved of descriptors, even when no
 /// descriptor is ready.
 constexpr int kHousekeepingMs = 50;
+
+/// The largest EVAL/EVALB the loop serves itself: one lane word, far
+/// below the 16 words at which Evaluator::evaluate_batch shards. On the
+/// 223-product benchmark circuit the one-word sweep costs about 10 us
+/// at any count up to 64; a text EVAL adds about 0.7 us of hex codec
+/// per pattern, an EVALB nothing.
+constexpr std::uint64_t kLoopMaxPatterns = 64;
+
+/// ... and the most pattern bytes it may carry (the EVAL line, the
+/// EVALB payload): a 64-pattern request against a circuit with
+/// thousands of inputs is neither one cheap word nor small to copy.
+constexpr std::size_t kLoopMaxPatternBytes = std::size_t{16} << 10;
+
+/// Whether the loop thread serves the request on `line` itself (true)
+/// or hands it to the pool (false), read from the line alone with the
+/// tokenizer parse_request uses, but without its allocations. The
+/// switch names every verb and has no default, so a new verb does not
+/// compile (-Wswitch) until it is placed here. Cheap requests run on
+/// the loop: one-word EVAL/EVALB (only while the coalescer is off — its
+/// leader parks on a CondVar, which must never park the loop), the
+/// bookkeeping verbs, and the lines whose answer is one ERR: an unknown
+/// verb, an EVAL without patterns, an EVALB header whose counts do not
+/// parse. A LOAD, VERIFY, SIM or SIMB line with bad arguments is
+/// answered on the pool like a good one.
+bool runs_on_loop(std::string_view line, bool coalescing) {
+  std::string_view rest = line;
+  const std::optional<Verb> verb = find_verb(next_token(rest));
+  if (!verb.has_value()) {
+    return true;
+  }
+  switch (*verb) {
+    case Verb::kEval: {
+      if (coalescing || line.size() > kLoopMaxPatternBytes) {
+        return false;
+      }
+      next_token(rest);  // the circuit name
+      std::uint64_t patterns = 0;
+      while (!next_token(rest).empty()) {
+        ++patterns;
+      }
+      return patterns <= kLoopMaxPatterns;
+    }
+    case Verb::kEvalB: {
+      if (coalescing) {
+        return false;
+      }
+      next_token(rest);  // the circuit name
+      const std::string_view patterns_token = next_token(rest);
+      const std::string_view words_token = next_token(rest);
+      std::uint64_t patterns = 0;
+      std::uint64_t words = 0;
+      const auto parse = [](std::string_view token, std::uint64_t& value) {
+        const auto [end, error] =
+            std::from_chars(token.data(), token.data() + token.size(), value);
+        return error == std::errc() && end == token.data() + token.size();
+      };
+      if (!parse(patterns_token, patterns) || !parse(words_token, words)) {
+        return true;  // an unframed header: ERR, then the drop
+      }
+      return patterns <= kLoopMaxPatterns &&
+             words <= kLoopMaxPatternBytes / sizeof(std::uint64_t);
+    }
+    case Verb::kStats:
+    case Verb::kMetrics:
+    case Verb::kUnload:
+    case Verb::kHelp:
+    case Verb::kQuit:
+    case Verb::kShutdown:
+      return true;
+    case Verb::kLoad:
+    case Verb::kSim:
+    case Verb::kSimB:
+    case Verb::kVerify:
+      return false;
+  }
+  return false;  // unreachable: the switch names every verb
+}
 
 }  // namespace
 
@@ -152,6 +236,11 @@ class EventLoop {
     bool busy = false;        ///< a request job is on the pool
     bool want_close = false;  ///< close once the outbox drains
     bool no_reads = false;    ///< SHUTDOWN drain cut the input side
+    /// On runnable_: a complete request is buffered but this turn
+    /// already served one. Not read from while listed, which bounds
+    /// the buffer of a peer that pipelines.
+    bool runnable = false;
+    std::uint64_t inline_turn = 0;  ///< last turn the loop served it
     const char* drop_reason = nullptr;
     std::uint64_t served = 0;
     /// Deadlines (loop clock ms); 0 = disarmed. Refreshed on activity
@@ -163,7 +252,8 @@ class EventLoop {
     std::uint32_t interest = 0;  ///< epoll interest currently registered
   };
 
-  /// A finished request job, posted by a pool worker.
+  /// A served request: posted by a pool worker, or built on the loop
+  /// for a request it served itself.
   struct Completion {
     std::uint64_t conn_id = 0;
     std::string out;  ///< response bytes (line + any bulk payload)
@@ -280,52 +370,110 @@ class EventLoop {
     }
   }
 
+  /// Runs one framed request through serve_line, on a pool worker or
+  /// on the loop thread. Touches no connection state: `payload` is the
+  /// job's own copy or a view into the connection's buffer.
+  static Completion serve(Server& server, std::uint64_t conn_id,
+                          const std::string& line, std::string_view payload,
+                          std::uint64_t queued_at_us) {
+    Completion done;
+    done.conn_id = conn_id;
+    Server::Outcome outcome;
+    try {
+      done.alive =
+          server.serve_line(line, payload, done.out, outcome, conn_id,
+                            queued_at_us);
+      // serve_line fails only when EOF truncated the buffered frame.
+      done.payload_truncated = !done.alive;
+    } catch (...) {
+      // serve_line's guards make this near-unreachable (bad_alloc
+      // building a response); cost the connection, not the loop.
+      done.alive = false;
+    }
+    done.quit = outcome.quit;
+    return done;
+  }
+
   /// Hands the ready request to a pool worker: the job owns copies of
   /// the line and payload, builds its response bytes locally, and posts
-  /// a Completion — it never touches connection state.
+  /// a Completion — it never touches connection state. The dispatch
+  /// stamp makes the wait for a worker the request's queue_wait phase.
   void dispatch(Conn& c) {
     c.busy = true;
     c.idle_deadline_ms = 0;  // the idle clock only runs while reading
+    const std::uint64_t queued_at_us = metrics::monotonic_us();
     const std::uint64_t id = c.id;
     std::string line = c.state.line();
     std::string payload = c.state.take_request_payload();
     Server* server = &server_;
     EventLoop* loop = this;
-    server_.session_.pool().submit([loop, server, id, line = std::move(line),
+    server_.session_.pool().submit([loop, server, id, queued_at_us,
+                                    line = std::move(line),
                                     payload = std::move(payload)] {
-      Completion done;
-      done.conn_id = id;
-      Server::Outcome outcome;
-      try {
-        done.alive = server->serve_line(line, payload, done.out, outcome, id);
-        // serve_line fails only when EOF truncated the buffered frame.
-        done.payload_truncated = !done.alive;
-      } catch (...) {
-        // serve_line's guards make this near-unreachable (bad_alloc
-        // building a response); cost the connection, not the loop.
-        done.alive = false;
-      }
-      done.quit = outcome.quit;
-      loop->post(std::move(done));
+      loop->post(serve(*server, id, line, payload, queued_at_us));
     });
+  }
+
+  /// Serves the ready request to completion on the loop thread, reading
+  /// the payload where it sits in the connection buffer.
+  void serve_inline(Conn& c) {
+    c.idle_deadline_ms = 0;
+    c.inline_turn = turn_;
+    finish(c, serve(server_, c.id, c.state.line(), c.state.request_payload(),
+                    /*queued_at_us=*/0));
+  }
+
+  /// Settles a served request on its connection, wherever it ran: the
+  /// served counts, the QUIT/SHUTDOWN close, the drop reasons, and the
+  /// queued response. The caller steps the connection next.
+  void finish(Conn& c, const Completion& done) {
+    c.busy = false;
+    if (done.alive) {
+      ++c.served;
+      ++served_total_;
+    }
+    c.state.finish_request(done.quit);
+    if (!done.alive) {
+      // A truncated bulk frame is the peer's protocol error; anything
+      // else here is the peer gone mid-exchange.
+      c.drop_reason = done.payload_truncated ? "malformed" : "send";
+      c.want_close = true;
+    } else if (done.quit) {
+      if (done.out.rfind("ERR", 0) == 0) {
+        // Server-initiated close with an ERR response: an unframed or
+        // over-limit bulk request. QUIT/SHUTDOWN answer OK and are
+        // peer-initiated, not drops.
+        c.drop_reason = "malformed";
+      }
+      c.want_close = true;
+    }
+    queue_output(c, done.out);
   }
 
   /// Drives one connection as far as it can go without new input:
   /// flush pending writes, serve buffered requests (one at a time — a
   /// response must drain before the next request is parsed, so a peer
   /// that stops reading stops being served), then settle interest and
-  /// timers. May close (and erase) the connection.
+  /// timers. A cheap request (runs_on_loop) is served right here, but
+  /// only one per connection per turn: a second one waits on runnable_
+  /// for the next turn, so one peer's pipelined burst cannot hold the
+  /// loop while another peer waits. Any other request goes to the pool,
+  /// and the connection waits for its Completion. May close (and
+  /// erase) the connection.
   void step(std::uint64_t id) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) {
       return;
     }
     Conn& c = *it->second;
-    if (!try_flush(c)) {
-      close_conn(c, c.drop_reason != nullptr ? c.drop_reason : "send");
-      return;
-    }
-    while (!c.busy && !c.want_close && c.out_off >= c.outbox.size()) {
+    for (;;) {
+      if (!try_flush(c)) {
+        close_conn(c, c.drop_reason != nullptr ? c.drop_reason : "send");
+        return;
+      }
+      if (c.busy || c.want_close || c.out_off < c.outbox.size()) {
+        break;
+      }
       const ConnState::Step s = c.state.advance();
       if (s == ConnState::Step::kNeedInput) {
         break;  // wait for the socket
@@ -338,24 +486,33 @@ class EventLoop {
         queue_output(c, oversized_line_response());
         c.drop_reason = "malformed";
         c.want_close = true;
-        if (!try_flush(c)) {
-          close_conn(c, c.drop_reason);
-          return;
+        continue;  // flush the ERR line, then close
+      }
+      // kRequest
+      if (!runs_on_loop(c.state.line(), server_.coalescer_.enabled())) {
+        dispatch(c);
+        break;
+      }
+      if (c.inline_turn == turn_) {
+        if (!c.runnable) {
+          c.runnable = true;
+          runnable_.push_back(c.id);
         }
         break;
       }
-      dispatch(c);  // kRequest
+      serve_inline(c);
     }
     if (c.want_close && !c.busy && c.out_off >= c.outbox.size()) {
       close_conn(c, c.drop_reason);
       return;
     }
     // Interest: read only while actually waiting for the peer's next
-    // bytes (not while a job runs or a response drains, which is what
-    // bounds per-connection memory); write while the outbox has bytes.
+    // bytes (not while a job runs, a response drains or a request waits
+    // its turn, which is what bounds per-connection memory); write while
+    // the outbox has bytes.
     std::uint32_t want = 0;
-    if (!c.busy && !c.want_close && !c.no_reads && !c.state.eof() &&
-        c.out_off >= c.outbox.size()) {
+    if (!c.busy && !c.want_close && !c.no_reads && !c.runnable &&
+        !c.state.eof() && c.out_off >= c.outbox.size()) {
       want |= EPOLLIN;
     }
     if (c.out_off < c.outbox.size()) {
@@ -384,8 +541,27 @@ class EventLoop {
     }
   }
 
+  /// Steps every connection that waited a turn with a request buffered.
+  void serve_runnable() {
+    std::vector<std::uint64_t> batch;
+    batch.swap(runnable_);
+    for (const std::uint64_t id : batch) {
+      const auto it = conns_.find(id);
+      if (it == conns_.end()) {
+        continue;  // closed since it was queued
+      }
+      Conn& c = *it->second;
+      if (c.inline_turn == turn_) {
+        runnable_.push_back(id);  // already served this turn
+        continue;
+      }
+      c.runnable = false;
+      step(id);  // may queue it again
+    }
+  }
+
   void handle_readable(Conn& c) {
-    if (c.busy || c.no_reads || c.state.eof()) {
+    if (c.busy || c.runnable || c.no_reads || c.state.eof()) {
       return;  // stale event; completion/flush paths own the next move
     }
     char chunk[65536];
@@ -542,37 +718,13 @@ class EventLoop {
       const MutexLock lock(mutex_);
       batch.swap(completions_);
     }
-    for (Completion& done : batch) {
+    for (const Completion& done : batch) {
       const auto it = conns_.find(done.conn_id);
       if (it == conns_.end()) {
         continue;
       }
-      Conn& c = *it->second;
-      c.busy = false;
-      if (done.alive) {
-        ++c.served;
-        ++served_total_;
-      }
-      c.state.finish_request(done.quit);
-      if (!done.alive) {
-        // A truncated bulk frame is the peer's protocol error; anything
-        // else here is the peer gone mid-exchange.
-        c.drop_reason = done.payload_truncated ? "malformed" : "send";
-        c.want_close = true;
-      } else if (done.quit) {
-        if (done.out.rfind("ERR", 0) == 0) {
-          // Server-initiated close with an ERR response: an unframed or
-          // over-limit bulk request. QUIT/SHUTDOWN answer OK and are
-          // peer-initiated, not drops.
-          c.drop_reason = "malformed";
-        }
-        c.want_close = true;
-      }
-      queue_output(c, done.out);
+      finish(*it->second, done);
       step(done.conn_id);
-    }
-    if (server_.shutdown_.load() && !draining_) {
-      begin_drain();
     }
   }
 
@@ -591,6 +743,11 @@ class EventLoop {
   bool draining_ = false;
   std::string fatal_;
   std::uint64_t served_total_ = 0;
+  /// Loop iterations so far: a connection is served on the loop at most
+  /// once per turn.
+  std::uint64_t turn_ = 0;
+  /// Connections holding a request that waits for the next turn.
+  std::vector<std::uint64_t> runnable_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   TimerWheel wheel_;
   // The worker→loop handoff: the ONLY state two threads share.
@@ -636,9 +793,12 @@ std::uint64_t EventLoop::run() {
 
   std::vector<epoll_event> events(512);
   while (!(draining_ && conns_.empty())) {
+    ++turn_;
+    // A runnable connection must not wait out the housekeeping tick:
+    // poll, serve whatever became ready, then serve it.
     const int ready = ::epoll_wait(epoll_fd_, events.data(),
                                    static_cast<int>(events.size()),
-                                   kHousekeepingMs);
+                                   runnable_.empty() ? kHousekeepingMs : 0);
     if (ready < 0) {
       if (errno == EINTR) {
         continue;
@@ -676,6 +836,11 @@ std::uint64_t EventLoop::run() {
       step(tag);
     }
     drain_completions();
+    serve_runnable();
+    // A SHUTDOWN served this turn, on the loop or on a worker.
+    if (server_.shutdown_.load() && !draining_) {
+      begin_drain();
+    }
     const std::uint64_t now = now_ms();
     wheel_.advance(now, [this](const TimerWheel::Entry& e) { on_timer(e); });
     if (accept_retry_ms_ != 0 && now >= accept_retry_ms_ && !draining_) {

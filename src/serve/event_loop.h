@@ -1,15 +1,20 @@
 // The epoll serve core behind Server::serve_unix and serve_tcp: one
 // loop thread multiplexing every accepted connection through
 // non-blocking sockets and the ConnState framing machine
-// (serve/conn_state.h), with request evaluation dispatched to the
-// session ThreadPool so the loop never blocks on a sweep.
+// (serve/conn_state.h). Cheap requests — one-word EVAL/EVALB while the
+// coalescer is off, STATS, HELP, METRICS, UNLOAD, QUIT, SHUTDOWN and
+// unparseable lines — are served to completion on the loop thread, at
+// most one per connection per loop turn. LOAD, VERIFY, SIM, SIMB and
+// larger evaluations go to the session ThreadPool, so the loop never
+// blocks on a multi-word sweep or an Espresso run.
 //
 // Division of labor (ownership rules in docs/ARCHITECTURE.md):
 //
 //   * the LOOP THREAD owns every per-connection object — fds, the
 //     ConnState buffer, the write-backpressure outbox, the timer-wheel
-//     deadlines. No lock guards them because no other thread touches
-//     them.
+//     deadlines — and serves the cheap requests in place, reading
+//     their payload where it sits in the buffer. No lock guards
+//     connection state because no other thread touches it.
 //   * WORKERS own only what a dispatched request job captured: the
 //     request line, its payload bytes (moved out of the connection
 //     buffer before dispatch), and the response bytes they build.

@@ -1,7 +1,9 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/strings.h"
@@ -31,71 +33,88 @@ std::uint64_t parse_count(const std::string& token, const std::string& what) {
   return value;
 }
 
+/// Every verb's wire spelling, in Verb enum order: find_verb maps a
+/// position back to its Verb, and verb_names() lists the same table.
+constexpr std::array<std::string_view, 12> kVerbNames = {
+    "LOAD",  "EVAL",    "EVALB",  "SIM",  "SIMB", "VERIFY",
+    "STATS", "METRICS", "UNLOAD", "HELP", "QUIT", "SHUTDOWN"};
+static_assert(kVerbNames.size() ==
+                  static_cast<std::size_t>(Verb::kShutdown) + 1,
+              "kVerbNames must name every Verb");
+
 }  // namespace
 
 Request parse_request(const std::string& line) {
   const std::vector<std::string> tokens = split_ws(line);
   check(!tokens.empty(), "empty request");
-  const std::string& verb = tokens[0];
+  const std::optional<Verb> verb = find_verb(tokens[0]);
+  if (!verb.has_value()) {
+    throw Error("unknown verb '" + tokens[0] + "' (try HELP)");
+  }
   Request request;
-  if (verb == "LOAD") {
-    check(tokens.size() == 3, "LOAD needs: LOAD <name> <path>");
-    request.verb = Verb::kLoad;
-    request.name = tokens[1];
-    request.path = tokens[2];
-  } else if (verb == "EVAL") {
-    check(tokens.size() >= 3, "EVAL needs: EVAL <name> <hex-pattern>...");
-    request.verb = Verb::kEval;
-    request.name = tokens[1];
-    request.patterns.assign(tokens.begin() + 2, tokens.end());
-  } else if (verb == "EVALB") {
-    check(tokens.size() == 4, "EVALB needs: EVALB <name> <npatterns> <nwords>");
-    request.verb = Verb::kEvalB;
-    request.name = tokens[1];
-    request.num_patterns = parse_count(tokens[2], "EVALB pattern count");
-    request.num_words = parse_count(tokens[3], "EVALB word count");
-  } else if (verb == "SIM") {
-    check(tokens.size() >= 3, "SIM needs: SIM <name> <hex-pattern>...");
-    request.verb = Verb::kSim;
-    request.name = tokens[1];
-    request.patterns.assign(tokens.begin() + 2, tokens.end());
-  } else if (verb == "SIMB") {
-    check(tokens.size() == 4, "SIMB needs: SIMB <name> <npatterns> <nwords>");
-    request.verb = Verb::kSimB;
-    request.name = tokens[1];
-    request.num_patterns = parse_count(tokens[2], "SIMB pattern count");
-    request.num_words = parse_count(tokens[3], "SIMB word count");
-  } else if (verb == "VERIFY") {
-    check(tokens.size() == 2, "VERIFY needs: VERIFY <name>");
-    request.verb = Verb::kVerify;
-    request.name = tokens[1];
-  } else if (verb == "STATS") {
-    check(tokens.size() == 1, "STATS takes no arguments");
-    request.verb = Verb::kStats;
-  } else if (verb == "METRICS") {
-    check(tokens.size() == 1, "METRICS takes no arguments");
-    request.verb = Verb::kMetrics;
-  } else if (verb == "UNLOAD") {
-    check(tokens.size() == 2, "UNLOAD needs: UNLOAD <name>");
-    request.verb = Verb::kUnload;
-    request.name = tokens[1];
-  } else if (verb == "HELP") {
-    request.verb = Verb::kHelp;
-  } else if (verb == "QUIT") {
-    request.verb = Verb::kQuit;
-  } else if (verb == "SHUTDOWN") {
-    request.verb = Verb::kShutdown;
-  } else {
-    throw Error("unknown verb '" + verb + "' (try HELP)");
+  request.verb = *verb;
+  switch (*verb) {
+    case Verb::kLoad:
+      check(tokens.size() == 3, "LOAD needs: LOAD <name> <path>");
+      request.name = tokens[1];
+      request.path = tokens[2];
+      break;
+    case Verb::kEval:
+      check(tokens.size() >= 3, "EVAL needs: EVAL <name> <hex-pattern>...");
+      request.name = tokens[1];
+      request.patterns.assign(tokens.begin() + 2, tokens.end());
+      break;
+    case Verb::kEvalB:
+      check(tokens.size() == 4,
+            "EVALB needs: EVALB <name> <npatterns> <nwords>");
+      request.name = tokens[1];
+      request.num_patterns = parse_count(tokens[2], "EVALB pattern count");
+      request.num_words = parse_count(tokens[3], "EVALB word count");
+      break;
+    case Verb::kSim:
+      check(tokens.size() >= 3, "SIM needs: SIM <name> <hex-pattern>...");
+      request.name = tokens[1];
+      request.patterns.assign(tokens.begin() + 2, tokens.end());
+      break;
+    case Verb::kSimB:
+      check(tokens.size() == 4, "SIMB needs: SIMB <name> <npatterns> <nwords>");
+      request.name = tokens[1];
+      request.num_patterns = parse_count(tokens[2], "SIMB pattern count");
+      request.num_words = parse_count(tokens[3], "SIMB word count");
+      break;
+    case Verb::kVerify:
+      check(tokens.size() == 2, "VERIFY needs: VERIFY <name>");
+      request.name = tokens[1];
+      break;
+    case Verb::kStats:
+      check(tokens.size() == 1, "STATS takes no arguments");
+      break;
+    case Verb::kMetrics:
+      check(tokens.size() == 1, "METRICS takes no arguments");
+      break;
+    case Verb::kUnload:
+      check(tokens.size() == 2, "UNLOAD needs: UNLOAD <name>");
+      request.name = tokens[1];
+      break;
+    case Verb::kHelp:
+    case Verb::kQuit:
+    case Verb::kShutdown:
+      break;
   }
   return request;
 }
 
+std::optional<Verb> find_verb(std::string_view name) {
+  for (std::size_t i = 0; i < kVerbNames.size(); ++i) {
+    if (kVerbNames[i] == name) {
+      return static_cast<Verb>(i);
+    }
+  }
+  return std::nullopt;
+}
+
 std::vector<std::string> verb_names() {
-  // Must cover every case parse_request accepts — the HELP audit test
-  // (tests/serve_test.cpp) fails when help_text() misses one of these.
-  return {"LOAD", "EVAL",    "EVALB", "SIM",  "SIMB", "VERIFY",
-          "STATS", "METRICS", "UNLOAD", "HELP", "QUIT", "SHUTDOWN"};
+  return {kVerbNames.begin(), kVerbNames.end()};
 }
 
 std::string hex_encode(const std::vector<bool>& bits) {

@@ -65,7 +65,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ambit::serve {
@@ -113,7 +115,11 @@ struct Request {
 /// (unknown verb, wrong argument count).
 Request parse_request(const std::string& line);
 
-/// Every verb string parse_request dispatches, in grammar order. The
+/// The verb `name` spells, matched exactly the way parse_request reads
+/// a line's first token; std::nullopt for an unknown verb.
+std::optional<Verb> find_verb(std::string_view name);
+
+/// Every verb string parse_request dispatches, in Verb enum order. The
 /// HELP audit test checks help_text() against this list, so a new verb
 /// cannot land without its HELP entry (and docs/PROTOCOL.md is written
 /// against the same list).

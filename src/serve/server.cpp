@@ -148,7 +148,8 @@ struct Server::ServeMetrics {
     loop_ready_events = &reg.histogram(
         "ambit_serve_loop_ready_events",
         "Descriptors ready per event-loop iteration — 0 means the "
-        "50 ms housekeeping timeout fired with nothing to do",
+        "50 ms housekeeping timeout fired, or a zero-timeout poll made "
+        "while pipelined requests wait their turn found nothing new",
         {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
     pending_write_bytes = &reg.gauge(
         "ambit_serve_pending_write_bytes",
@@ -390,19 +391,23 @@ logic::PatternBatch Server::coalesced_eval(
 
 bool Server::serve_line(const std::string& line, std::string_view payload,
                         std::string& out, Outcome& outcome,
-                        std::uint64_t conn_id) {
+                        std::uint64_t conn_id, std::uint64_t queued_at_us) {
   if (!metrics_on()) {
     return serve_line_inner(line, payload, out, outcome, nullptr);
   }
   metrics::PhaseTrace trace;
   int verb_index = -1;
   const std::uint64_t start_us = metrics::monotonic_us();
+  // A request that waited in the pool queue counts that wait as its
+  // first phase, so the phases still add up to total_us.
+  const std::uint64_t arrived_us = queued_at_us != 0 ? queued_at_us : start_us;
+  trace.add(metrics::Phase::kQueueWait, start_us - arrived_us);
   bool complete = false;
   {
     const metrics::TraceScope scope(&trace);
     complete = serve_line_inner(line, payload, out, outcome, &verb_index);
   }
-  const std::uint64_t total_us = metrics::monotonic_us() - start_us;
+  const std::uint64_t total_us = metrics::monotonic_us() - arrived_us;
   if (verb_index < 0) {
     metrics_->requests_malformed->add();
   } else {

@@ -15,9 +15,11 @@
 // machine (serve/conn_state.h) and answers through the same
 // serve_line. The two socket transports run one epoll event loop
 // (serve/event_loop.h, Linux only): one thread multiplexes up to
-// ServerOptions::max_connections non-blocking connections, request
-// evaluation runs on the Session's ThreadPool against the one shared
-// (thread-safe) Session, and idle/send timeouts live on a timer wheel.
+// ServerOptions::max_connections non-blocking connections and serves
+// the cheap requests (one-word EVAL/EVALB, the bookkeeping verbs)
+// itself; LOAD, VERIFY, SIM, SIMB and multi-word evaluations run on
+// the Session's ThreadPool. All of them share the one thread-safe
+// Session, and idle/send timeouts live on a timer wheel.
 // QUIT ends a connection; SHUTDOWN stops accepting, drains the
 // in-flight connections (their input is cut, responses already owed
 // are still written), then closes the listener — and, for serve_unix,
@@ -250,13 +252,16 @@ class Server {
   /// `out`. Returns false, appending nothing, when the payload is
   /// shorter than its header declares (EOF truncated the frame);
   /// `outcome` is valid either way. `conn_id` identifies the connection
-  /// in slow-request logs (0 for the in-process transports). This
-  /// wrapper owns the per-request instrumentation — timing, phase
-  /// trace, per-verb counters, the slow-request dump; serve_line_inner
-  /// does the protocol work.
+  /// in slow-request logs (0 for the in-process transports).
+  /// `queued_at_us` is the metrics::monotonic_us() stamp at which the
+  /// event loop queued the request for a pool worker (0 = served where
+  /// it was framed): the gap to now is the request's queue_wait phase
+  /// and counts toward its total. This wrapper owns the per-request
+  /// instrumentation — timing, phase trace, per-verb counters, the
+  /// slow-request dump; serve_line_inner does the protocol work.
   bool serve_line(const std::string& line, std::string_view payload,
                   std::string& out, Outcome& outcome,
-                  std::uint64_t conn_id = 0);
+                  std::uint64_t conn_id = 0, std::uint64_t queued_at_us = 0);
 
   /// The uninstrumented request path shared by every transport.
   /// `verb_index_out`, when non-null, receives the parsed verb's enum

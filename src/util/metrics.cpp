@@ -170,7 +170,11 @@ std::uint64_t Histogram::quantile(double q) const {
   for (std::size_t i = 0; i < counts.size(); ++i) {
     seen += counts[i];
     if (seen >= rank) {
-      return i < bounds_.size() ? bounds_[i] : max_observed();
+      // A bucket's upper bound can lie far above every sample in it
+      // (one 38871 us sample sits in the 65536 bucket); no quantile may
+      // exceed the largest sample.
+      return i < bounds_.size() ? std::min(bounds_[i], max_observed())
+                                : max_observed();
     }
   }
   return max_observed();  // unreachable; keeps the compiler satisfied

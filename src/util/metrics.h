@@ -34,9 +34,10 @@
 // array is pre-sized, and observe() is a lower_bound over ~26 integers
 // plus two relaxed adds — allocation-free and wait-free. Quantiles are
 // exact in the histogram sense: quantile(q) returns the upper bound of
-// the bucket containing the q-rank sample (the max observed value for
-// the overflow bucket), which is the precision the bucket layout
-// promises and what p50/p90/p99 dashboards consume.
+// the bucket containing the q-rank sample, clamped to the max observed
+// value (which also answers for the overflow bucket), which is the
+// precision the bucket layout promises and what p50/p90/p99 dashboards
+// consume.
 //
 // Per-request phase tracing rides the same header: a PhaseTrace is a
 // fixed array of per-phase accumulators, installed for the current
@@ -159,9 +160,9 @@ class Histogram {
   }
 
   /// Upper bound of the bucket holding the q-quantile sample
-  /// (0 < q <= 1); the max observed value when that sample sits in the
-  /// overflow bucket; 0 when the histogram is empty. Exact at bucket
-  /// resolution by construction.
+  /// (0 < q <= 1), clamped to the max observed value (which is also the
+  /// answer when that sample sits in the overflow bucket); 0 when the
+  /// histogram is empty. Exact at bucket resolution by construction.
   std::uint64_t quantile(double q) const;
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }
@@ -245,8 +246,9 @@ class Registry {
 enum class Phase : std::size_t {
   kParse = 0,         ///< request-line tokenizing + argument parsing
   kCoalesceWait = 1,  ///< leader window / follower future wait
-  kQueueWait = 2,     ///< pool queue wait; no path records it today
-                      ///< (parallel_for callers run chunks themselves)
+  kQueueWait = 2,     ///< from the event loop's dispatch of a request
+                      ///< to a pool worker starting it; requests the
+                      ///< loop serves itself record none
   kEvaluate = 3,      ///< kernel sweep (eval/sim/verify)
   kSerialize = 4,     ///< response formatting + payload write
 };

@@ -19,20 +19,27 @@ std::string_view trim(std::string_view text) {
 
 std::vector<std::string> split_ws(std::string_view text) {
   std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    std::size_t start = i;
-    while (i < text.size() && !std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    if (i > start) {
-      tokens.emplace_back(text.substr(start, i - start));
-    }
+  for (std::string_view token = next_token(text); !token.empty();
+       token = next_token(text)) {
+    tokens.emplace_back(token);
   }
   return tokens;
+}
+
+std::string_view next_token(std::string_view& rest) {
+  std::size_t begin = 0;
+  while (begin < rest.size() &&
+         std::isspace(static_cast<unsigned char>(rest[begin]))) {
+    ++begin;
+  }
+  std::size_t end = begin;
+  while (end < rest.size() &&
+         !std::isspace(static_cast<unsigned char>(rest[end]))) {
+    ++end;
+  }
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
 }
 
 std::vector<std::string> split_on(std::string_view text, char sep) {

@@ -13,6 +13,11 @@ std::string_view trim(std::string_view text);
 /// Splits `text` on runs of ASCII whitespace; no empty tokens.
 std::vector<std::string> split_ws(std::string_view text);
 
+/// Removes the next whitespace-delimited token from the front of `rest`
+/// and returns it, split the way split_ws splits; empty once `rest`
+/// holds no more tokens. Allocates nothing.
+std::string_view next_token(std::string_view& rest);
+
 /// Splits `text` on the single character `sep`; keeps empty fields.
 std::vector<std::string> split_on(std::string_view text, char sep);
 

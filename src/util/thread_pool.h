@@ -67,21 +67,21 @@ class ThreadPool {
   /// from the call's atomic cursor itself, and blocks only once the
   /// cursor is exhausted, waiting for the chunks other threads have
   /// already started. It never waits for a chunk nobody is running, so
-  /// a call from a pool worker — every request on the serve event loop
-  /// runs on one — needs no free worker to finish: with the pool
-  /// saturated it runs every chunk itself, and with workers idle they
-  /// help. Helper tasks that reach a worker after the cursor ran out
-  /// return at once.
+  /// a call from a pool worker — every request the serve event loop
+  /// hands to the pool runs on one — needs no free worker to finish:
+  /// with the pool saturated it runs every chunk itself, and with
+  /// workers idle they help. Helper tasks that reach a worker after the
+  /// cursor ran out return at once.
   void parallel_for(
       std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
       const std::function<void(std::uint64_t, std::uint64_t)>& body);
 
   /// Enqueues one fire-and-forget task for a worker to run. Unlike
-  /// parallel_for this never blocks: the serve event loop dispatches
-  /// request evaluation through it so the loop thread keeps polling
-  /// while workers sweep. Exceptions a task throws are swallowed — a
-  /// submitted task owns its own error reporting, exactly like a
-  /// connection-thread body. A zero-worker pool runs the task inline
+  /// parallel_for this never blocks: the serve event loop hands LOAD,
+  /// VERIFY, SIM and multi-word evaluations to it, so the loop thread
+  /// keeps polling while workers sweep. Exceptions a task throws are
+  /// swallowed — a submitted task owns its own error reporting, exactly
+  /// like a connection-thread body. A zero-worker pool runs the task inline
   /// before returning. Tasks may call parallel_for (or submit) on this
   /// same pool; see the nested-call contract above.
   void submit(std::function<void()> task);

@@ -105,15 +105,28 @@ TEST(MetricsTest, HistogramQuantiles) {
   }
   histogram.observe(999);  // le=1000
   // Quantiles are bucket upper bounds — exactly the resolution the
-  // layout promises.
+  // layout promises — but never above the largest sample.
   EXPECT_EQ(histogram.quantile(0.5), 10u);
   EXPECT_EQ(histogram.quantile(0.90), 10u);
   EXPECT_EQ(histogram.quantile(0.95), 100u);
-  EXPECT_EQ(histogram.quantile(1.0), 1000u);
+  EXPECT_EQ(histogram.quantile(1.0), 999u);
   // A sample in the overflow bucket reports the max observed value
   // instead of a meaningless +Inf.
   histogram.observe(123456);
   EXPECT_EQ(histogram.quantile(1.0), 123456u);
+}
+
+TEST(MetricsTest, HistogramQuantileNeverExceedsTheLargestSample) {
+  if (!metrics::metrics_enabled()) {
+    GTEST_SKIP() << "built with -DAMBIT_METRICS=OFF";
+  }
+  // One sample in the default layout's 65536 bucket: the bucket bound
+  // would report a p50 far above anything observed.
+  metrics::Histogram histogram(
+      metrics::Histogram::default_latency_bounds_us());
+  histogram.observe(38871);
+  EXPECT_EQ(histogram.quantile(0.5), 38871u);
+  EXPECT_EQ(histogram.quantile(1.0), 38871u);
 }
 
 // ---------------------------------------------------------------------------

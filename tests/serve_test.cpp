@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/gnor_pla.h"
@@ -35,6 +37,7 @@
 #include "util/strings.h"
 
 #ifndef _WIN32
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -2141,6 +2144,261 @@ TEST(TcpSocketTest, MultiClientHammerMatchesDirectEvaluation) {
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
   EXPECT_EQ(stats.patterns,
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient * 2);
+}
+
+/// Runs a callable when the scope ends, however it ends.
+class OnScopeExit {
+ public:
+  explicit OnScopeExit(std::function<void()> run) : run_(std::move(run)) {}
+  ~OnScopeExit() { run_(); }
+  OnScopeExit(const OnScopeExit&) = delete;
+  OnScopeExit& operator=(const OnScopeExit&) = delete;
+
+ private:
+  std::function<void()> run_;
+};
+
+/// Reads the next response line from `fd` into `line`, waiting at most
+/// `timeout` for it (a zero timeout still checks once). `pending`
+/// carries bytes read past the line into the next call. False on
+/// timeout, EOF or a read error.
+bool read_line_within(int fd, std::string& pending, std::string& line,
+                      std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    const std::size_t newline = pending.find('\n');
+    if (newline != std::string::npos) {
+      line = pending.substr(0, newline);
+      pending.erase(0, newline + 1);
+      return true;
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::max<long long>(0, left.count())));
+    if (ready < 0 && errno == EINTR) {
+      continue;
+    }
+    if (ready <= 0) {
+      return false;
+    }
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    pending.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// A 4-pattern EVAL line for the sample circuit and its expected
+/// response, computed by direct GnorPla::evaluate; `r` picks the
+/// patterns.
+std::pair<std::string, std::string> sample_eval(const core::GnorPla& pla,
+                                                int r) {
+  std::string request = "EVAL s";
+  std::string expected = "OK";
+  for (int k = 0; k < 4; ++k) {
+    const int v = (r + 3 * k) % 8;
+    const std::vector<bool> bits = {(v & 1) != 0, (v & 2) != 0, (v & 4) != 0};
+    request += ' ';
+    request += hex_encode(bits);
+    expected += ' ';
+    expected += hex_encode(pla.evaluate(bits));
+  }
+  return {request + "\n", expected};
+}
+
+TEST(TcpSocketTest, LoopServesCheapRequestsWhileThePoolIsSaturated) {
+  // A one-word EVAL, STATS and HELP run on the loop thread, so they are
+  // answered while every pool worker is held; a VERIFY queues for a
+  // worker, and that wait is its queue_wait phase.
+  const std::string path = write_sample_pla("serve_saturated.pla");
+  Session session(/*workers=*/2);
+  session.load("s", path);
+  const core::GnorPla pla = core::GnorPla::map_cover(
+      Cover::parse(3, 2, {"11- 10", "0-1 01", "10- 11"}));
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server server(session, options);
+  std::atomic<int> port{0};
+  std::thread server_thread = start_tcp_server(server, port);
+  const int bound = await_bound_port(port);
+
+  std::atomic<bool> release{false};
+  std::atomic<int> held{0};
+  for (int w = 0; w < session.pool().num_workers(); ++w) {
+    session.pool().submit([&] {
+      held.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  int evals = -1;
+  int verifies = -1;
+  // However the test leaves, the workers are released and the server
+  // drained, so a failed assertion cannot hang teardown.
+  const OnScopeExit teardown([&] {
+    release.store(true);
+    if (bound > 0) {
+      const int ctl = connect_tcp_with_retry("127.0.0.1", bound);
+      if (ctl >= 0) {
+        socket_transact(ctl, "SHUTDOWN\n", 1);
+        ::close(ctl);
+      }
+    }
+    server_thread.join();
+    for (const int fd : {evals, verifies}) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+  });
+  ASSERT_GT(bound, 0);
+  const auto all_held =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (held.load() < 2 && std::chrono::steady_clock::now() < all_held) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(held.load(), 2);
+
+  evals = connect_tcp_with_retry("127.0.0.1", bound);
+  verifies = connect_tcp_with_retry("127.0.0.1", bound);
+  ASSERT_GE(evals, 0);
+  ASSERT_GE(verifies, 0);
+  const auto verify_sent = std::chrono::steady_clock::now();
+  socket_transact(verifies, "VERIFY s\n", 0);
+
+  const std::chrono::seconds answer_within(2);
+  std::string pending;
+  std::string line;
+  const auto [eval, eval_expected] = sample_eval(pla, 5);
+  socket_transact(evals, eval, 0);
+  ASSERT_TRUE(read_line_within(evals, pending, line, answer_within))
+      << "EVAL waited for a pool worker";
+  EXPECT_EQ(line, eval_expected);
+  socket_transact(evals, "STATS\n", 0);
+  ASSERT_TRUE(read_line_within(evals, pending, line, answer_within))
+      << "STATS waited for a pool worker";
+  EXPECT_TRUE(starts_with(line, "OK circuits=1")) << line;
+  socket_transact(evals, "HELP\n", 0);
+  ASSERT_TRUE(read_line_within(evals, pending, line, answer_within))
+      << "HELP waited for a pool worker";
+  EXPECT_TRUE(starts_with(line, "OK commands:")) << line;
+
+  // Hold the workers for 300 ms after the VERIFY went out: it must
+  // still be unanswered, then answered once they are released.
+  std::this_thread::sleep_until(verify_sent + std::chrono::milliseconds(300));
+  std::string verify_pending;
+  EXPECT_FALSE(read_line_within(verifies, verify_pending, line,
+                                std::chrono::milliseconds(0)))
+      << "VERIFY answered while every worker was held: " << line;
+  release.store(true);
+  ASSERT_TRUE(read_line_within(verifies, verify_pending, line,
+                               std::chrono::seconds(30)));
+  EXPECT_TRUE(starts_with(line, "OK verified s")) << line;
+
+  if (metrics::metrics_enabled()) {
+    // Only the VERIFY went through the pool queue, and it waited there
+    // for most of the hold; that wait is part of its request time too.
+    const metrics::Histogram* queue_wait = registry.find_histogram(
+        "ambit_serve_phase_us", {{"phase", "queue_wait"}});
+    ASSERT_NE(queue_wait, nullptr);
+    EXPECT_EQ(queue_wait->count(), 1u);
+    EXPECT_GE(queue_wait->sum(), 200'000u);
+    const metrics::Histogram* verify_us = registry.find_histogram(
+        "ambit_serve_request_us", {{"verb", "VERIFY"}});
+    ASSERT_NE(verify_us, nullptr);
+    EXPECT_GE(verify_us->sum(), queue_wait->sum());
+  }
+}
+
+TEST(TcpSocketTest, PipelinedBurstDoesNotStarveAnotherConnection) {
+  // The loop serves at most one request per connection per turn: while
+  // one peer pipelines 50,000 EVALs, another peer's round trips are
+  // served between them, so it finishes long before the burst does.
+  const std::string path = write_sample_pla("serve_fair.pla");
+  Session session(/*workers=*/2);
+  session.load("s", path);
+  const core::GnorPla pla = core::GnorPla::map_cover(
+      Cover::parse(3, 2, {"11- 10", "0-1 01", "10- 11"}));
+  Server server(session);
+  std::atomic<int> port{0};
+  std::thread server_thread = start_tcp_server(server, port);
+  const int bound = await_bound_port(port);
+  ASSERT_GT(bound, 0);
+  const int burst = connect_tcp_with_retry("127.0.0.1", bound);
+  const int round_trips = connect_tcp_with_retry("127.0.0.1", bound);
+  ASSERT_GE(burst, 0);
+  ASSERT_GE(round_trips, 0);
+
+  constexpr int kBurst = 50'000;
+  constexpr int kRoundTrips = 20;
+  std::vector<std::pair<std::string, std::string>> shapes;
+  for (int r = 0; r < 8; ++r) {
+    shapes.push_back(sample_eval(pla, r));
+  }
+  std::string requests;
+  for (int r = 0; r < kBurst; ++r) {
+    requests += shapes[static_cast<std::size_t>(r % 8)].first;
+  }
+  std::thread writer([&] { socket_transact(burst, requests, 0); });
+  std::atomic<bool> first_answered{false};
+  int burst_answered = 0;
+  int burst_mismatches = 0;
+  std::chrono::steady_clock::time_point burst_done;
+  std::thread reader([&] {
+    std::string pending;
+    std::string line;
+    while (burst_answered < kBurst &&
+           read_line_within(burst, pending, line, std::chrono::seconds(60))) {
+      if (line != shapes[static_cast<std::size_t>(burst_answered % 8)].second) {
+        ++burst_mismatches;
+      }
+      ++burst_answered;
+      first_answered.store(true);
+    }
+    burst_done = std::chrono::steady_clock::now();
+  });
+
+  const auto start_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!first_answered.load() &&
+         std::chrono::steady_clock::now() < start_by) {
+    std::this_thread::yield();
+  }
+  int trips_answered = 0;
+  int trip_mismatches = 0;
+  for (int r = 0; r < kRoundTrips; ++r) {
+    const auto& [request, expected] = shapes[static_cast<std::size_t>(r % 8)];
+    const std::vector<std::string> lines =
+        socket_transact(round_trips, request, 1);
+    if (lines.size() != 1) {
+      break;
+    }
+    ++trips_answered;
+    trip_mismatches += lines[0] != expected ? 1 : 0;
+  }
+  const auto trips_done = std::chrono::steady_clock::now();
+  writer.join();
+  reader.join();
+  socket_transact(round_trips, "SHUTDOWN\n", 1);
+  ::close(round_trips);
+  ::close(burst);
+  server_thread.join();
+
+  EXPECT_EQ(trips_answered, kRoundTrips);
+  EXPECT_EQ(trip_mismatches, 0);
+  EXPECT_EQ(burst_answered, kBurst);
+  EXPECT_EQ(burst_mismatches, 0);
+  EXPECT_LT(trips_done, burst_done)
+      << "the round trips waited for the pipelined burst";
 }
 
 TEST(TcpSocketTest, CoalescedHammerBitIdenticalWithExactStats) {

@@ -180,7 +180,7 @@ TEST(ThreadPoolTest, SubmitOnZeroWorkerPoolRunsInline) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForFromSubmittedTaskShardsOnIdleWorkers) {
-  // A request task on the serve event loop runs on a pool worker; when
+  // A request the serve event loop hands to the pool runs on a worker; when
   // the other workers are idle, its sharded sweep must use them rather
   // than run every chunk on the calling worker. Each chunk sleeps long
   // enough for the idle workers to wake and claim chunks; which threads
@@ -231,7 +231,7 @@ TEST(ThreadPoolTest, NestedParallelForPropagatesChunkExceptionToTask) {
 
 TEST(ThreadPoolTest, NestedParallelForFromSubmittedTaskCannotDeadlock) {
   // The serve event loop submits request jobs that themselves call
-  // parallel_for on the SAME pool (sharded EVAL). With every worker
+  // parallel_for on the SAME pool (a sharded EVALB). With every worker
   // busy on such a job, a queue-and-wait nested call would park all
   // workers on work only they could drain — so the calling worker runs
   // chunks itself and waits only for chunks already running, and

@@ -166,6 +166,17 @@ TEST(StringsTest, SplitWsEmptyInput) {
   EXPECT_TRUE(split_ws("   ").empty());
 }
 
+TEST(StringsTest, NextTokenConsumesOneTokenAtATime) {
+  std::string_view rest = "  EVAL s\t1f \n";
+  EXPECT_EQ(next_token(rest), "EVAL");
+  EXPECT_EQ(rest, " s\t1f \n");
+  EXPECT_EQ(next_token(rest), "s");
+  EXPECT_EQ(next_token(rest), "1f");
+  EXPECT_EQ(next_token(rest), "");
+  EXPECT_TRUE(rest.empty());
+  EXPECT_EQ(next_token(rest), "");
+}
+
 TEST(StringsTest, SplitOnKeepsEmptyFields) {
   const auto fields = split_on("a,,b,", ',');
   ASSERT_EQ(fields.size(), 4u);
