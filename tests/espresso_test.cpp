@@ -6,13 +6,20 @@
 // grid of (inputs, outputs, cube count) with random functions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "espresso/espresso.h"
 #include "espresso/expand.h"
 #include "espresso/irredundant.h"
 #include "espresso/reduce.h"
 #include "espresso/unate.h"
+#include "logic/pla_io.h"
+#include "logic/synth_bench.h"
 #include "logic/truth_table.h"
 #include "util/rng.h"
 
@@ -349,6 +356,134 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(std::get<2>(info.param));
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// Golden covers (tests/data/espresso_golden/, captured from a build by
+// scripts/capture_espresso_golden.py): minimize() must reproduce each
+// expected cover cube for cube, in order. The function alone would not
+// pin it: every decision (variable choice and its tie-breaks, blocker
+// slack, merge order, survivor order, the canonical sort) shows in the
+// cubes and their order.
+// ---------------------------------------------------------------------------
+
+namespace fs = std::filesystem;
+
+struct Golden {
+  std::string name;
+  logic::PlaFile input;
+  Cover expected{0, 1};
+};
+
+std::vector<Golden> load_goldens() {
+  const fs::path dir = fs::path(AMBIT_TEST_DATA_DIR) / "espresso_golden";
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    const std::string suffix = ".in.pla";
+    if (file.size() > suffix.size() &&
+        file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      names.push_back(file.substr(0, file.size() - suffix.size()));
+    }
+  }
+  std::sort(names.begin(), names.end());
+  std::vector<Golden> goldens;
+  for (const std::string& name : names) {
+    Golden g;
+    g.name = name;
+    g.input = logic::read_pla_file((dir / (name + ".in.pla")).string());
+    g.expected = logic::read_pla_file((dir / (name + ".out.pla")).string()).onset;
+    goldens.push_back(std::move(g));
+  }
+  return goldens;
+}
+
+/// Empty when `actual` is the golden cover; otherwise the first
+/// difference.
+std::string golden_mismatch(const Golden& g, const Cover& actual) {
+  if (actual.num_inputs() != g.expected.num_inputs() ||
+      actual.num_outputs() != g.expected.num_outputs()) {
+    return g.name + ": shape differs";
+  }
+  for (std::size_t i = 0; i < std::min(actual.size(), g.expected.size()); ++i) {
+    if (!(actual[i] == g.expected[i])) {
+      return g.name + ": cube " + std::to_string(i) + " is " +
+             actual[i].to_string() + ", golden " + g.expected[i].to_string();
+    }
+  }
+  if (actual.size() != g.expected.size()) {
+    return g.name + ": " + std::to_string(actual.size()) + " cubes, golden " +
+           std::to_string(g.expected.size());
+  }
+  return "";
+}
+
+TEST(EspressoGoldenTest, MinimizeReproducesEveryGoldenCover) {
+  const std::vector<Golden> goldens = load_goldens();
+  // t2, apla, max46, heavy, 40 sweep covers and 5 wide shapes.
+  ASSERT_EQ(goldens.size(), 49u);
+  for (const Golden& g : goldens) {
+    const Cover actual = minimize(g.input.onset, g.input.dcset).cover;
+    EXPECT_EQ(golden_mismatch(g, actual), "");
+  }
+}
+
+TEST(EspressoGoldenTest, HeavyIsTheBenchmarkCover) {
+  // perfbench LOADs generate_cover({16, 32, 224, 5}, 11); the golden
+  // input must stay that cover.
+  const std::vector<Golden> goldens = load_goldens();
+  const auto heavy = std::find_if(goldens.begin(), goldens.end(),
+                                  [](const Golden& g) { return g.name == "heavy"; });
+  ASSERT_NE(heavy, goldens.end());
+  EXPECT_EQ(heavy->input.onset, logic::generate_cover({16, 32, 224, 5}, 11));
+  EXPECT_TRUE(heavy->input.dcset.empty());
+}
+
+TEST(EspressoGoldenTest, OffsetCubeCountsArePinned) {
+  // EXPAND's slack counts run over the OFF-set's cube list, so its size
+  // is part of what the goldens depend on. The four circuits of
+  // perfbench's LOAD round sum to its load.offset_cubes (37,647).
+  const std::vector<std::pair<std::string, std::size_t>> pinned = {
+      {"heavy", 36093}, {"t2", 1240}, {"apla", 230}, {"max46", 84}};
+  const std::vector<Golden> goldens = load_goldens();
+  for (const auto& [name, cubes] : pinned) {
+    const auto g = std::find_if(goldens.begin(), goldens.end(),
+                                [&](const Golden& x) { return x.name == name; });
+    ASSERT_NE(g, goldens.end()) << name;
+    EXPECT_EQ(offset(g->input.onset, g->input.dcset).size(), cubes) << name;
+  }
+}
+
+TEST(EspressoGoldenTest, ConcurrentMinimizationMatchesGoldens) {
+  // Concurrent LOADs minimize on several pool workers at once, so
+  // Espresso must keep no shared scratch state; under TSan a shared
+  // buffer shows up here as a race, and anywhere as a wrong cover.
+  const std::vector<Golden> goldens = load_goldens();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::string>> mismatches(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&goldens, &mismatches, t] {
+      // Each thread starts at a different golden, so different phases
+      // overlap.
+      for (std::size_t k = 0; k < goldens.size(); ++k) {
+        const Golden& g = goldens[(k + static_cast<std::size_t>(t) * 13) %
+                                  goldens.size()];
+        const Cover actual = minimize(g.input.onset, g.input.dcset).cover;
+        if (std::string m = golden_mismatch(g, actual); !m.empty()) {
+          mismatches[static_cast<std::size_t>(t)].push_back(std::move(m));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(mismatches[static_cast<std::size_t>(t)].empty())
+        << "thread " << t << ": "
+        << mismatches[static_cast<std::size_t>(t)].front();
+  }
+}
 
 }  // namespace
 }  // namespace ambit::espresso
