@@ -49,8 +49,7 @@ int main() {
   }
 
   for (const Entry& entry : suite) {
-    const espresso::EspressoOptions no_reduce{.max_loops = 0,
-                                              .use_reduce = false};
+    const espresso::EspressoOptions no_reduce{.max_loops = 0};
     const auto single = espresso::minimize(entry.onset, entry.dcset, no_reduce);
     const auto full = espresso::minimize(entry.onset, entry.dcset);
     const auto phased =

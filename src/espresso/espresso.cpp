@@ -46,19 +46,17 @@ EspressoResult minimize(const Cover& onset, const Cover& dcset,
   Cover best = f;
   CoverCost best_cost = cost_of(best);
 
-  if (options.use_reduce) {
-    for (int loop = 0; loop < options.max_loops; ++loop) {
-      f = reduce(f, dcset);
-      f = expand(f, off);
-      f = irredundant(f, dcset);
-      ++result.stats.loops;
-      const CoverCost cost = cost_of(f);
-      if (cost < best_cost) {
-        best = f;
-        best_cost = cost;
-      } else {
-        break;
-      }
+  for (int loop = 0; loop < options.max_loops; ++loop) {
+    f = reduce(f, dcset);
+    f = expand(f, off);
+    f = irredundant(f, dcset);
+    ++result.stats.loops;
+    const CoverCost cost = cost_of(f);
+    if (cost < best_cost) {
+      best = f;
+      best_cost = cost;
+    } else {
+      break;
     }
   }
 

@@ -24,10 +24,9 @@ namespace ambit::espresso {
 
 /// Tuning knobs; defaults reproduce the standard loop.
 struct EspressoOptions {
-  /// Upper bound on REDUCE/EXPAND/IRREDUNDANT iterations.
+  /// Upper bound on REDUCE/EXPAND/IRREDUNDANT iterations; 0 runs a
+  /// single EXPAND+IRREDUNDANT pass with no REDUCE.
   int max_loops = 16;
-  /// Ablation knob: disable REDUCE (single EXPAND+IRREDUNDANT pass).
-  bool use_reduce = true;
 };
 
 /// Run statistics for reporting and tests.

@@ -5,6 +5,11 @@
 // stays disjoint from every OFF-set cube that shares an output with it.
 // Cubes that become (bitwise) contained in an expanded prime are
 // dropped, which is where EXPAND reduces cover cardinality.
+//
+// Cost: expand() indexes the OFF-set by output once, so each cube reads
+// only the OFF-set cubes of its own outputs as blockers (bit masks of
+// the parts it misses them at) and settles every output it could raise
+// with one pass over the OFF-set cubes its expanded input part meets.
 #pragma once
 
 #include "logic/cover.h"

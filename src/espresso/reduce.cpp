@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "espresso/unate.h"
@@ -11,33 +12,6 @@ namespace ambit::espresso {
 
 using logic::Cover;
 using logic::Cube;
-using logic::Literal;
-
-namespace {
-
-/// Extracts the input part of `c` as a single-output universe cube.
-Cube input_cube_of(const Cube& c) {
-  Cube input = Cube::universe(c.num_inputs(), 1);
-  for (int i = 0; i < c.num_inputs(); ++i) {
-    input.set_input(i, c.input(i));
-  }
-  return input;
-}
-
-/// Supercube over all cubes of a single-output cover; empty cover
-/// yields an all-empty-parts cube flagged by `any = false`.
-bool supercube_of(const Cover& f, Cube& result) {
-  if (f.empty()) {
-    return false;
-  }
-  result = f[0];
-  for (std::size_t i = 1; i < f.size(); ++i) {
-    result = result.supercube(f[i]);
-  }
-  return true;
-}
-
-}  // namespace
 
 Cover reduce(const Cover& f, const Cover& d) {
   check(f.num_inputs() == d.num_inputs() && f.num_outputs() == d.num_outputs(),
@@ -47,73 +21,79 @@ Cover reduce(const Cover& f, const Cover& d) {
 
   // Espresso reduces the largest cubes first: they have the most room
   // to shrink, freeing space for the others.
-  std::vector<Cube> cubes(f.cubes());
+  std::vector<Cube> cubes(f.begin(), f.end());
+  std::vector<int> literals(cubes.size());
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    literals[i] = cubes[i].input_literal_count();
+  }
   std::vector<std::size_t> order(cubes.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const int la = cubes[a].input_literal_count();
-    const int lb = cubes[b].input_literal_count();
-    if (la != lb) {
-      return la < lb;  // fewest literals = largest cube first
+    if (literals[a] != literals[b]) {
+      return literals[a] < literals[b];  // fewest literals = largest cube first
     }
     return Cube::lexicographic_less(cubes[a], cubes[b]);
   });
 
   std::vector<bool> alive(cubes.size(), true);
+  Cube c_input = Cube::universe(ni, 1);
+  Cube single = Cube::universe(ni, 1);
   for (const std::size_t idx : order) {
-    const Cube c = cubes[idx];
-    const Cube c_input = input_cube_of(c);
+    const Cube& c = cubes[idx];
+    c_input.set_inputs_from(c);
 
     // Per asserted output: what does c cover that nobody else does?
-    Cube acc_super(ni, 1);        // union-of-SCCC accumulator (inputs only)
-    bool acc_any = false;
+    std::optional<Cube> acc_super;  // union of the SCCCs (inputs only)
     Cube lowered = c;
     for (int j = 0; j < no; ++j) {
       if (!c.output(j)) {
         continue;
       }
-      Cover rest_j(ni, 1);
-      for (std::size_t i = 0; i < cubes.size(); ++i) {
-        if (i == idx || !alive[i] || !cubes[i].output(j)) {
-          continue;
+      // The rest of the cover plus the don't-cares, restricted to
+      // output j and cofactored against c's inputs.
+      Cover remainder(ni, 1);
+      const auto add_cofactor = [&](const Cube& r) {
+        single.set_inputs_from(r);
+        if (single.intersects(c_input)) {
+          remainder.add(single.cofactor(c_input));
         }
-        Cube single = input_cube_of(cubes[i]);
-        rest_j.add(std::move(single));
+      };
+      for (std::size_t i = 0; i < cubes.size(); ++i) {
+        if (i != idx && alive[i] && cubes[i].output(j)) {
+          add_cofactor(cubes[i]);
+        }
       }
       for (const Cube& dc : d) {
         if (dc.output(j)) {
-          rest_j.add(input_cube_of(dc));
+          add_cofactor(dc);
         }
       }
-      const Cover remainder = rest_j.cofactor(c_input);
-      const Cover uncovered = complement(remainder);
-      Cube sccc(ni, 1);
-      if (!supercube_of(uncovered, sccc)) {
+      if (acc_super.has_value() && acc_super->input_contains(c_input)) {
+        // The accumulated supercube already spans c, so only whether
+        // output j still needs c is open.
+        if (tautology(remainder)) {
+          lowered.set_output(j, false);
+        }
+        continue;
+      }
+      const std::optional<Cube> sccc = complement_supercube(remainder);
+      if (!sccc.has_value()) {
         // Remainder is a tautology inside c: output j no longer needs c.
         lowered.set_output(j, false);
         continue;
       }
-      if (acc_any) {
-        acc_super = acc_super.supercube(sccc);
-      } else {
-        acc_super = sccc;
-        acc_any = true;
-      }
+      acc_super = acc_super.has_value() ? acc_super->supercube(*sccc) : *sccc;
     }
 
     if (lowered.output_empty()) {
       alive[idx] = false;
       continue;
     }
-    require(acc_any, "reduce: kept outputs but no uncovered part");
+    require(acc_super.has_value(), "reduce: kept outputs but no uncovered part");
     // Shrink the input part onto the uniquely covered region.
-    for (int i = 0; i < ni; ++i) {
-      const auto meet = static_cast<std::uint8_t>(c.input(i)) &
-                        static_cast<std::uint8_t>(acc_super.input(i));
-      lowered.set_input(i, static_cast<Literal>(meet));
-    }
+    lowered.intersect_inputs(*acc_super);
     require(!lowered.input_empty(), "reduce: produced empty input part");
-    cubes[idx] = lowered;
+    cubes[idx] = std::move(lowered);
   }
 
   Cover result(ni, no);

@@ -5,6 +5,12 @@
 // SCCC is the smallest cube containing the complement. Multi-output
 // covers additionally lower output bits: output j is dropped from c
 // when the remainder already covers c for j.
+//
+// Cost: the SCCC comes from complement_supercube (unate.h), which
+// recurses like complement() but never builds the complement; once the
+// accumulated SCCC spans c, a tautology check settles the remaining
+// outputs. The SCCC is unique, so the result is the same as taking the
+// supercube of a materialized complement.
 #pragma once
 
 #include "logic/cover.h"

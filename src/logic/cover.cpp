@@ -1,11 +1,26 @@
 #include "logic/cover.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 
 #include "util/error.h"
 #include "util/strings.h"
 
 namespace ambit::logic {
+namespace {
+
+constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
+
+/// Mask of the input-part bits that fall into word `k` of a cube with
+/// `num_inputs` inputs.
+std::uint64_t input_bits(int k, int num_inputs) {
+  const int hi = 2 * num_inputs - 64 * k;
+  if (hi <= 0) return 0;
+  return hi >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
+}
+
+}  // namespace
 
 Cover::Cover(int num_inputs, int num_outputs)
     : num_inputs_(num_inputs), num_outputs_(num_outputs) {
@@ -53,10 +68,41 @@ void Cover::remove_at(std::size_t i) {
 }
 
 Cover Cover::cofactor(const Cube& p) const {
+  require(cubes_.empty() || (p.num_inputs() == num_inputs_ &&
+                             p.num_outputs() == num_outputs_),
+          "Cube::intersects shape mismatch");
+  // Per word of p: the input-part bits, the output bits and what the
+  // cofactor ORs in (~p on the valid bits), so that each cube costs
+  // one intersection test and one OR per word.
+  const int words = p.word_count();
+  const std::uint64_t* q = p.data();
+  std::vector<std::uint64_t> masks(3 * static_cast<std::size_t>(words));
+  for (int k = 0; k < words; ++k) {
+    const std::uint64_t valid = k + 1 < words ? ~std::uint64_t{0} : p.last_word_mask();
+    const std::uint64_t inputs = input_bits(k, num_inputs_);
+    masks[3 * static_cast<std::size_t>(k)] = inputs & kEvenBits;
+    masks[3 * static_cast<std::size_t>(k) + 1] = valid & ~inputs;
+    masks[3 * static_cast<std::size_t>(k) + 2] = ~q[k] & valid;
+  }
   Cover result(num_inputs_, num_outputs_);
+  result.cubes_.reserve(cubes_.size());
   for (const Cube& c : cubes_) {
-    if (c.intersects(p)) {
-      result.cubes_.push_back(c.cofactor(p));
+    const std::uint64_t* w = c.data();
+    bool disjoint_input = false;
+    bool output_meets = false;
+    for (int k = 0; k < words; ++k) {
+      const std::uint64_t x = w[k] & q[k];
+      const std::uint64_t* m = &masks[3 * static_cast<std::size_t>(k)];
+      disjoint_input |= (~(x | (x >> 1)) & m[0]) != 0;
+      output_meets |= (x & m[1]) != 0;
+    }
+    if (disjoint_input || !output_meets) {
+      continue;
+    }
+    result.cubes_.push_back(c);
+    std::uint64_t* r = result.cubes_.back().data();
+    for (int k = 0; k < words; ++k) {
+      r[k] |= masks[3 * static_cast<std::size_t>(k) + 2];
     }
   }
   return result;
@@ -65,22 +111,32 @@ Cover Cover::cofactor(const Cube& p) const {
 Cover Cover::restricted_to_output(int j) const {
   check(j >= 0 && j < num_outputs_, "Cover::restricted_to_output: bad index");
   Cover result(num_inputs_, 1);
+  const int bit = 2 * num_inputs_ + j;
+  const int word = bit / 64;
+  const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+  Cube single = Cube::universe(num_inputs_, 1);
   for (const Cube& c : cubes_) {
-    if (c.output(j)) {
-      Cube single(num_inputs_, 1);
-      for (int i = 0; i < num_inputs_; ++i) {
-        single.set_input(i, c.input(i));
-      }
-      single.set_output(0, true);
-      result.cubes_.push_back(std::move(single));
+    if ((c.data()[word] & mask) != 0) {
+      single.set_inputs_from(c);
+      result.cubes_.push_back(single);
     }
   }
   return result;
 }
 
 bool Cover::has_universal_input_cube() const {
+  // No input literal (no part whose two bits differ) and some output.
+  const int words = cubes_.empty() ? 0 : cubes_.front().word_count();
   for (const Cube& c : cubes_) {
-    if (c.input_literal_count() == 0 && !c.output_empty()) {
+    const std::uint64_t* w = c.data();
+    bool literal = false;
+    bool output = false;
+    for (int k = 0; k < words; ++k) {
+      const std::uint64_t inputs = input_bits(k, num_inputs_);
+      literal |= ((w[k] ^ (w[k] >> 1)) & inputs & kEvenBits) != 0;
+      output |= (w[k] & ~inputs) != 0;
+    }
+    if (!literal && output) {
       return true;
     }
   }
@@ -89,20 +145,27 @@ bool Cover::has_universal_input_cube() const {
 
 void Cover::and_literal(int var, bool value) {
   check(var >= 0 && var < num_inputs_, "Cover::and_literal: bad variable");
-  const Literal wanted = value ? Literal::kOne : Literal::kZero;
-  std::vector<Cube> kept;
-  kept.reserve(cubes_.size());
-  for (Cube& c : cubes_) {
-    const Literal lit = c.input(var);
-    if (lit == Literal::kDontCare) {
-      c.set_input(var, wanted);
-      kept.push_back(std::move(c));
-    } else if (lit == wanted) {
-      kept.push_back(std::move(c));
+  const int word = (2 * var) / 64;
+  const int shift = (2 * var) % 64;
+  const std::uint64_t part = std::uint64_t{0x3} << shift;
+  const std::uint64_t wanted =
+      static_cast<std::uint64_t>(value ? Literal::kOne : Literal::kZero)
+      << shift;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < cubes_.size(); ++i) {
+    std::uint64_t& w = cubes_[i].data()[word];
+    // Don't-care becomes the literal, the literal stays; the opposite
+    // literal or an empty part vanishes under the AND.
+    if ((w & wanted) == 0) {
+      continue;
     }
-    // Opposite literal or empty part: the cube vanishes under the AND.
+    w = (w & ~part) | wanted;
+    if (kept != i) {
+      cubes_[kept] = std::move(cubes_[i]);
+    }
+    ++kept;
   }
-  cubes_ = std::move(kept);
+  cubes_.erase(cubes_.begin() + static_cast<std::ptrdiff_t>(kept), cubes_.end());
 }
 
 void Cover::sort_and_dedup() {
@@ -111,45 +174,88 @@ void Cover::sort_and_dedup() {
 }
 
 void Cover::remove_single_cube_contained() {
-  std::vector<bool> dead(cubes_.size(), false);
-  for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    if (dead[i]) continue;
-    for (std::size_t j = 0; j < cubes_.size(); ++j) {
-      if (i == j || dead[j]) continue;
-      if (cubes_[i].contains(cubes_[j])) {
-        // Ties (equal cubes) keep the earlier one.
-        if (!(cubes_[j].contains(cubes_[i]) && j < i)) {
-          dead[j] = true;
-        }
+  // A cube dies when another cube strictly contains it, or when an
+  // equal cube comes earlier. Visiting cubes by descending popcount
+  // (index order among equal counts), a cube need only be tested
+  // against the survivors so far: any container has at least as many
+  // bits, and a container that died is itself inside a survivor.
+  const std::size_t n = cubes_.size();
+  std::vector<int> bits(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    int count = 0;
+    for (const std::uint64_t w : cubes_[i].words()) {
+      count += std::popcount(w);
+    }
+    bits[i] = count;
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return bits[a] > bits[b]; });
+  std::vector<std::size_t> survivors;
+  std::vector<bool> alive(n, false);
+  for (const std::size_t i : order) {
+    bool contained = false;
+    for (const std::size_t s : survivors) {
+      if (cubes_[s].contains(cubes_[i])) {
+        contained = true;
+        break;
       }
     }
-  }
-  std::vector<Cube> kept;
-  kept.reserve(cubes_.size());
-  for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    if (!dead[i]) {
-      kept.push_back(std::move(cubes_[i]));
+    if (!contained) {
+      survivors.push_back(i);
+      alive[i] = true;
     }
   }
-  cubes_ = std::move(kept);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (alive[i]) {
+      if (kept != i) {
+        cubes_[kept] = std::move(cubes_[i]);
+      }
+      ++kept;
+    }
+  }
+  cubes_.erase(cubes_.begin() + static_cast<std::ptrdiff_t>(kept), cubes_.end());
 }
 
 VarOccurrence Cover::var_occurrence(int i) const {
   check(i >= 0 && i < num_inputs_, "Cover::var_occurrence: bad variable");
+  const int word = (2 * i) / 64;
+  const int shift = (2 * i) % 64;
   VarOccurrence occ;
   for (const Cube& c : cubes_) {
-    switch (c.input(i)) {
-      case Literal::kZero: ++occ.zeros; break;
-      case Literal::kOne: ++occ.ones; break;
+    switch ((c.data()[word] >> shift) & 0x3) {
+      case static_cast<std::uint64_t>(Literal::kZero): ++occ.zeros; break;
+      case static_cast<std::uint64_t>(Literal::kOne): ++occ.ones; break;
       default: break;
     }
   }
   return occ;
 }
 
+void Cover::var_occurrences(std::vector<VarOccurrence>& counts) const {
+  counts.assign(static_cast<std::size_t>(num_inputs_), VarOccurrence{});
+  for (const Cube& c : cubes_) {
+    const std::uint64_t* w = c.data();
+    for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+      const std::uint64_t x = w[k];
+      const std::uint64_t m = input_bits(k, num_inputs_) & kEvenBits;
+      // Low bit of each 01 part (x̄) and of each 10 part (x).
+      for (std::uint64_t zeros = x & ~(x >> 1) & m; zeros != 0; zeros &= zeros - 1) {
+        ++counts[static_cast<std::size_t>(32 * k + std::countr_zero(zeros) / 2)].zeros;
+      }
+      for (std::uint64_t ones = ~x & (x >> 1) & m; ones != 0; ones &= ones - 1) {
+        ++counts[static_cast<std::size_t>(32 * k + std::countr_zero(ones) / 2)].ones;
+      }
+    }
+  }
+}
+
 bool Cover::is_unate() const {
-  for (int i = 0; i < num_inputs_; ++i) {
-    const VarOccurrence occ = var_occurrence(i);
+  std::vector<VarOccurrence> counts;
+  var_occurrences(counts);
+  for (const VarOccurrence& occ : counts) {
     if (occ.zeros > 0 && occ.ones > 0) {
       return false;
     }
@@ -158,18 +264,30 @@ bool Cover::is_unate() const {
 }
 
 int Cover::most_binate_var() const {
+  std::vector<VarOccurrence> counts;
+  var_occurrences(counts);
+  return most_binate_var(counts);
+}
+
+int Cover::most_frequent_var() const {
+  std::vector<VarOccurrence> counts;
+  var_occurrences(counts);
+  return most_frequent_var(counts);
+}
+
+int Cover::most_binate_var(std::span<const VarOccurrence> counts) {
   int best = -1;
   int best_min = -1;
   int best_total = -1;
-  for (int i = 0; i < num_inputs_; ++i) {
-    const VarOccurrence occ = var_occurrence(i);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const VarOccurrence& occ = counts[i];
     if (occ.zeros == 0 || occ.ones == 0) {
       continue;
     }
     const int lo = std::min(occ.zeros, occ.ones);
     const int total = occ.zeros + occ.ones;
     if (lo > best_min || (lo == best_min && total > best_total)) {
-      best = i;
+      best = static_cast<int>(i);
       best_min = lo;
       best_total = total;
     }
@@ -177,14 +295,13 @@ int Cover::most_binate_var() const {
   return best;
 }
 
-int Cover::most_frequent_var() const {
+int Cover::most_frequent_var(std::span<const VarOccurrence> counts) {
   int best = -1;
   int best_total = 0;
-  for (int i = 0; i < num_inputs_; ++i) {
-    const VarOccurrence occ = var_occurrence(i);
-    const int total = occ.zeros + occ.ones;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const int total = counts[i].zeros + counts[i].ones;
     if (total > best_total) {
-      best = i;
+      best = static_cast<int>(i);
       best_total = total;
     }
   }

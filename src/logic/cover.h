@@ -3,11 +3,17 @@
 // Covers are AMBIT's universal currency for two-level logic: the Espresso
 // minimizer transforms them, the GNOR-PLA mapper consumes them, the
 // switch-level simulator is verified against them. The representation is
-// a plain vector of Cubes plus shape metadata; semantic operations that
-// need recursion (tautology, complement) live in src/espresso.
+// a std::vector of Cubes plus shape metadata. A Cube of up to
+// Cube::kInlineWords words holds its words inline, so such a cover is
+// one contiguous array of fixed-stride cubes and copying or growing it
+// allocates per cover, never per cube. Every operation here is one
+// masked operation per word of each cube it touches. Semantic
+// operations that need recursion (tautology, complement) live in
+// src/espresso.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,22 +82,35 @@ class Cover {
   void sort_and_dedup();
 
   /// Removes every cube that is (bitwise) contained in another cube of
-  /// the cover. O(n²) single-cube containment, not semantic coverage.
+  /// the cover; of equal cubes the first survives. Survivors keep their
+  /// order. Single-cube containment, not semantic coverage: each cube
+  /// is compared only against the survivors with at least as many set
+  /// bits (a superset has at least as many).
   void remove_single_cube_contained();
 
   /// Literal occurrence counts for input variable `i`.
   VarOccurrence var_occurrence(int i) const;
 
+  /// Literal occurrence counts for every input variable, in one pass,
+  /// into `counts` (resized to num_inputs(); callers reuse it).
+  void var_occurrences(std::vector<VarOccurrence>& counts) const;
+
   /// True when no input variable appears in both polarities.
   bool is_unate() const;
 
   /// The input variable appearing in both polarities that maximizes
-  /// min(zeros, ones) + total occurrences; -1 when the cover is unate.
+  /// min(zeros, ones), then total occurrences (the lowest index wins
+  /// ties); -1 when the cover is unate.
   int most_binate_var() const;
 
-  /// The input variable with the most literal occurrences; -1 when no
-  /// cube has any literal.
+  /// The input variable with the most literal occurrences (the lowest
+  /// index wins ties); -1 when no cube has any literal.
   int most_frequent_var() const;
+
+  /// The two selections above over counts from var_occurrences(), for
+  /// callers that need both from one pass.
+  static int most_binate_var(std::span<const VarOccurrence> counts);
+  static int most_frequent_var(std::span<const VarOccurrence> counts);
 
   /// Sum of input literal counts over all cubes.
   int total_literals() const;

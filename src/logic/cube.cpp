@@ -1,7 +1,9 @@
 #include "logic/cube.h"
 
+#include <algorithm>
 #include <bit>
 
+#include "util/check.h"
 #include "util/error.h"
 
 namespace ambit::logic {
@@ -9,27 +11,129 @@ namespace {
 
 constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
 
-int word_count(int bits) { return (bits + 63) / 64; }
+/// The bits [lo, hi) of a cube that fall into word `w`, as a mask of
+/// that word.
+std::uint64_t bit_range(int w, int lo, int hi) {
+  const int b0 = std::max(lo - 64 * w, 0);
+  const int b1 = std::min(hi - 64 * w, 64);
+  if (b1 <= b0) {
+    return 0;
+  }
+  const std::uint64_t below_b1 =
+      b1 == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << b1) - 1;
+  return below_b1 & ~((std::uint64_t{1} << b0) - 1);
+}
+
+/// One bit (the low bit of the pair) per input part of word `x` whose
+/// two bits are both zero.
+std::uint64_t empty_pairs(std::uint64_t x, std::uint64_t pair_mask) {
+  return ~x & ~(x >> 1) & pair_mask;
+}
 
 }  // namespace
 
 Cube::Cube(int num_inputs, int num_outputs)
-    : num_inputs_(num_inputs),
-      num_outputs_(num_outputs),
-      words_(static_cast<std::size_t>(word_count(2 * num_inputs + num_outputs)),
-             0) {
+    : num_inputs_(num_inputs), num_outputs_(num_outputs) {
   check(num_inputs >= 0, "Cube: negative input count");
   check(num_outputs >= 1, "Cube: at least one output required");
+  allocate();
   // All inputs start as don't-care (11); outputs start clear.
-  for (int i = 0; i < num_inputs_; ++i) {
-    set_input(i, Literal::kDontCare);
+  std::uint64_t* w = data();
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    w[k] = bit_range(k, 0, 2 * num_inputs_);
   }
+}
+
+Cube::Cube(const Cube& other)
+    : num_inputs_(other.num_inputs_), num_outputs_(other.num_outputs_) {
+  if (on_heap()) {
+    heap_ = new std::uint64_t[static_cast<std::size_t>(word_count())];
+    std::copy_n(other.heap_, word_count(), heap_);
+  } else {
+    std::copy_n(other.inline_, kInlineWords, inline_);
+  }
+}
+
+Cube::Cube(Cube&& other) noexcept
+    : num_inputs_(other.num_inputs_), num_outputs_(other.num_outputs_) {
+  if (on_heap()) {
+    heap_ = other.heap_;
+    // The moved-from cube becomes a valid (0-input, 1-output) cube.
+    other.num_inputs_ = 0;
+    other.num_outputs_ = 1;
+    std::fill_n(other.inline_, kInlineWords, 0);
+  } else {
+    std::copy_n(other.inline_, kInlineWords, inline_);
+  }
+}
+
+Cube& Cube::operator=(const Cube& other) {
+  if (this == &other) {
+    return *this;
+  }
+  if (word_count() != other.word_count()) {
+    std::uint64_t* fresh =
+        other.on_heap()
+            ? new std::uint64_t[static_cast<std::size_t>(other.word_count())]
+            : nullptr;
+    release();
+    if (fresh != nullptr) {
+      heap_ = fresh;
+    }
+  }
+  num_inputs_ = other.num_inputs_;
+  num_outputs_ = other.num_outputs_;
+  if (on_heap()) {
+    std::copy_n(other.heap_, word_count(), heap_);
+  } else {
+    std::copy_n(other.inline_, kInlineWords, inline_);
+  }
+  return *this;
+}
+
+Cube& Cube::operator=(Cube&& other) noexcept {
+  if (this == &other) {
+    return *this;
+  }
+  release();
+  num_inputs_ = other.num_inputs_;
+  num_outputs_ = other.num_outputs_;
+  if (on_heap()) {
+    heap_ = other.heap_;
+    other.num_inputs_ = 0;
+    other.num_outputs_ = 1;
+    std::fill_n(other.inline_, kInlineWords, 0);
+  } else {
+    std::copy_n(other.inline_, kInlineWords, inline_);
+  }
+  return *this;
+}
+
+void Cube::allocate() {
+  if (on_heap()) {
+    heap_ = new std::uint64_t[static_cast<std::size_t>(word_count())]();
+  } else {
+    std::fill_n(inline_, kInlineWords, 0);
+  }
+}
+
+void Cube::release() {
+  if (on_heap()) {
+    delete[] heap_;
+  }
+}
+
+void Cube::require_same_shape(const Cube& other, const char* what) const {
+  require(num_inputs_ == other.num_inputs_ &&
+              num_outputs_ == other.num_outputs_,
+          what);
 }
 
 Cube Cube::universe(int num_inputs, int num_outputs) {
   Cube c(num_inputs, num_outputs);
-  for (int j = 0; j < num_outputs; ++j) {
-    c.set_output(j, true);
+  std::uint64_t* w = c.data();
+  for (int k = 0; k < c.word_count(); ++k) {
+    w[k] |= bit_range(k, 2 * num_inputs, c.total_bits());
   }
   return c;
 }
@@ -62,14 +166,14 @@ Cube Cube::parse(const std::string& inputs, const std::string& outputs) {
 Literal Cube::input(int i) const {
   require(i >= 0 && i < num_inputs_, "Cube::input index out of range");
   const int bit = 2 * i;
-  const std::uint64_t pair = (words_[bit / 64] >> (bit % 64)) & 0x3;
+  const std::uint64_t pair = (data()[bit / 64] >> (bit % 64)) & 0x3;
   return static_cast<Literal>(pair);
 }
 
 void Cube::set_input(int i, Literal value) {
   require(i >= 0 && i < num_inputs_, "Cube::set_input index out of range");
   const int bit = 2 * i;
-  std::uint64_t& word = words_[bit / 64];
+  std::uint64_t& word = data()[bit / 64];
   word &= ~(std::uint64_t{0x3} << (bit % 64));
   word |= static_cast<std::uint64_t>(value) << (bit % 64);
 }
@@ -77,28 +181,44 @@ void Cube::set_input(int i, Literal value) {
 bool Cube::output(int j) const {
   require(j >= 0 && j < num_outputs_, "Cube::output index out of range");
   const int bit = 2 * num_inputs_ + j;
-  return ((words_[bit / 64] >> (bit % 64)) & 1) != 0;
+  return ((data()[bit / 64] >> (bit % 64)) & 1) != 0;
 }
 
 void Cube::set_output(int j, bool value) {
   require(j >= 0 && j < num_outputs_, "Cube::set_output index out of range");
   const int bit = 2 * num_inputs_ + j;
   if (value) {
-    words_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    data()[bit / 64] |= std::uint64_t{1} << (bit % 64);
   } else {
-    words_[bit / 64] &= ~(std::uint64_t{1} << (bit % 64));
+    data()[bit / 64] &= ~(std::uint64_t{1} << (bit % 64));
+  }
+}
+
+void Cube::set_inputs_from(const Cube& other) {
+  require(num_inputs_ == other.num_inputs_,
+          "Cube::set_inputs_from input count mismatch");
+  std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    const std::uint64_t m = bit_range(k, 0, 2 * num_inputs_);
+    w[k] = (w[k] & ~m) | (o[k] & m);
+  }
+}
+
+void Cube::intersect_inputs(const Cube& other) {
+  require(num_inputs_ == other.num_inputs_,
+          "Cube::intersect_inputs input count mismatch");
+  std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    w[k] &= o[k] | ~bit_range(k, 0, 2 * num_inputs_);
   }
 }
 
 bool Cube::input_empty() const {
-  // An input part is empty when both of its bits are zero.
-  for (int w = 0; 64 * w < 2 * num_inputs_; ++w) {
-    const int bits_here = std::min(64, 2 * num_inputs_ - 64 * w);
-    const std::uint64_t pair_mask =
-        (bits_here == 64) ? kEvenBits : (kEvenBits & ((std::uint64_t{1} << bits_here) - 1));
-    const std::uint64_t x = words_[w];
-    const std::uint64_t empties = ~x & ~(x >> 1) & pair_mask;
-    if (empties != 0) {
+  const std::uint64_t* w = data();
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    if (empty_pairs(w[k], bit_range(k, 0, 2 * num_inputs_) & kEvenBits) != 0) {
       return true;
     }
   }
@@ -106,8 +226,9 @@ bool Cube::input_empty() const {
 }
 
 bool Cube::output_empty() const {
-  for (int j = 0; j < num_outputs_; ++j) {
-    if (output(j)) {
+  const std::uint64_t* w = data();
+  for (int k = (2 * num_inputs_) / 64; k < word_count(); ++k) {
+    if ((w[k] & bit_range(k, 2 * num_inputs_, total_bits())) != 0) {
       return false;
     }
   }
@@ -115,43 +236,40 @@ bool Cube::output_empty() const {
 }
 
 int Cube::input_literal_count() const {
+  // A part holds a literal when its two bits differ (01 or 10).
+  const std::uint64_t* w = data();
   int count = 0;
-  for (int i = 0; i < num_inputs_; ++i) {
-    const Literal lit = input(i);
-    if (lit == Literal::kZero || lit == Literal::kOne) {
-      ++count;
-    }
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    count += std::popcount((w[k] ^ (w[k] >> 1)) &
+                           bit_range(k, 0, 2 * num_inputs_) & kEvenBits);
   }
   return count;
 }
 
 int Cube::output_count() const {
+  const std::uint64_t* w = data();
   int count = 0;
-  for (int j = 0; j < num_outputs_; ++j) {
-    if (output(j)) {
-      ++count;
-    }
+  for (int k = (2 * num_inputs_) / 64; k < word_count(); ++k) {
+    count += std::popcount(w[k] & bit_range(k, 2 * num_inputs_, total_bits()));
   }
   return count;
 }
 
 int Cube::distance(const Cube& other) const {
-  require(num_inputs_ == other.num_inputs_ && num_outputs_ == other.num_outputs_,
-          "Cube::distance shape mismatch");
+  require_same_shape(other, "Cube::distance shape mismatch");
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
   int d = 0;
   // Input parts: 2-bit pairs never straddle a word boundary.
-  for (int w = 0; 64 * w < 2 * num_inputs_; ++w) {
-    const int bits_here = std::min(64, 2 * num_inputs_ - 64 * w);
-    const std::uint64_t pair_mask =
-        (bits_here == 64) ? kEvenBits : (kEvenBits & ((std::uint64_t{1} << bits_here) - 1));
-    const std::uint64_t x = words_[w] & other.words_[w];
-    const std::uint64_t empties = ~x & ~(x >> 1) & pair_mask;
-    d += std::popcount(empties);
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    d += std::popcount(
+        empty_pairs(a[k] & b[k], bit_range(k, 0, 2 * num_inputs_) & kEvenBits));
   }
   // Output part counts as a single part.
   bool output_meets = false;
-  for (int j = 0; j < num_outputs_ && !output_meets; ++j) {
-    output_meets = output(j) && other.output(j);
+  for (int k = (2 * num_inputs_) / 64; k < word_count() && !output_meets; ++k) {
+    output_meets =
+        (a[k] & b[k] & bit_range(k, 2 * num_inputs_, total_bits())) != 0;
   }
   if (!output_meets) {
     ++d;
@@ -159,23 +277,41 @@ int Cube::distance(const Cube& other) const {
   return d;
 }
 
-bool Cube::intersects(const Cube& other) const { return distance(other) == 0; }
+bool Cube::intersects(const Cube& other) const {
+  require_same_shape(other, "Cube::intersects shape mismatch");
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    if (empty_pairs(a[k] & b[k], bit_range(k, 0, 2 * num_inputs_) & kEvenBits) !=
+        0) {
+      return false;
+    }
+  }
+  for (int k = (2 * num_inputs_) / 64; k < word_count(); ++k) {
+    if ((a[k] & b[k] & bit_range(k, 2 * num_inputs_, total_bits())) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
 
 Cube Cube::intersect(const Cube& other) const {
-  require(num_inputs_ == other.num_inputs_ && num_outputs_ == other.num_outputs_,
-          "Cube::intersect shape mismatch");
+  require_same_shape(other, "Cube::intersect shape mismatch");
   Cube result = *this;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    result.words_[w] &= other.words_[w];
+  std::uint64_t* r = result.data();
+  const std::uint64_t* b = other.data();
+  for (int k = 0; k < word_count(); ++k) {
+    r[k] &= b[k];
   }
   return result;
 }
 
 bool Cube::contains(const Cube& other) const {
-  require(num_inputs_ == other.num_inputs_ && num_outputs_ == other.num_outputs_,
-          "Cube::contains shape mismatch");
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if ((words_[w] & other.words_[w]) != other.words_[w]) {
+  require_same_shape(other, "Cube::contains shape mismatch");
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
+  for (int k = 0; k < word_count(); ++k) {
+    if ((b[k] & ~a[k]) != 0) {
       return false;
     }
   }
@@ -184,13 +320,10 @@ bool Cube::contains(const Cube& other) const {
 
 bool Cube::input_contains(const Cube& other) const {
   require(num_inputs_ == other.num_inputs_, "Cube::input_contains shape mismatch");
-  for (int w = 0; 64 * w < 2 * num_inputs_; ++w) {
-    const int bits_here = std::min(64, 2 * num_inputs_ - 64 * w);
-    const std::uint64_t mask =
-        (bits_here == 64) ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits_here) - 1);
-    const std::uint64_t a = words_[w] & mask;
-    const std::uint64_t b = other.words_[w] & mask;
-    if ((a & b) != b) {
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    if ((b[k] & ~a[k] & bit_range(k, 0, 2 * num_inputs_)) != 0) {
       return false;
     }
   }
@@ -198,53 +331,49 @@ bool Cube::input_contains(const Cube& other) const {
 }
 
 Cube Cube::supercube(const Cube& other) const {
-  require(num_inputs_ == other.num_inputs_ && num_outputs_ == other.num_outputs_,
-          "Cube::supercube shape mismatch");
+  require_same_shape(other, "Cube::supercube shape mismatch");
   Cube result = *this;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    result.words_[w] |= other.words_[w];
+  std::uint64_t* r = result.data();
+  const std::uint64_t* b = other.data();
+  for (int k = 0; k < word_count(); ++k) {
+    r[k] |= b[k];
   }
   return result;
 }
 
 Cube Cube::consensus(const Cube& other) const {
   Cube result = intersect(other);
+  std::uint64_t* r = result.data();
   if (distance(other) != 1) {
-    // Returns an explicitly empty cube (outputs cleared).
-    for (int j = 0; j < num_outputs_; ++j) {
-      result.set_output(j, false);
-    }
-    for (int i = 0; i < num_inputs_; ++i) {
-      result.set_input(i, Literal::kEmpty);
-    }
+    // Returns an explicitly empty cube (every part cleared).
+    std::fill_n(r, word_count(), 0);
     return result;
   }
   // Exactly one part conflicts: raise that part to the union.
-  for (int i = 0; i < num_inputs_; ++i) {
-    if (result.input(i) == Literal::kEmpty) {
-      const auto merged = static_cast<Literal>(
-          static_cast<std::uint8_t>(input(i)) |
-          static_cast<std::uint8_t>(other.input(i)));
-      result.set_input(i, merged);
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
+  for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
+    const std::uint64_t conflict =
+        empty_pairs(r[k], bit_range(k, 0, 2 * num_inputs_) & kEvenBits);
+    if (conflict != 0) {
+      r[k] |= (a[k] | b[k]) & (conflict | (conflict << 1));
       return result;
     }
   }
   // The conflicting part is the output part.
-  for (int j = 0; j < num_outputs_; ++j) {
-    result.set_output(j, output(j) || other.output(j));
+  for (int k = (2 * num_inputs_) / 64; k < word_count(); ++k) {
+    r[k] |= (a[k] | b[k]) & bit_range(k, 2 * num_inputs_, total_bits());
   }
   return result;
 }
 
 Cube Cube::cofactor(const Cube& p) const {
-  require(num_inputs_ == p.num_inputs_ && num_outputs_ == p.num_outputs_,
-          "Cube::cofactor shape mismatch");
+  require_same_shape(p, "Cube::cofactor shape mismatch");
   Cube result = *this;
-  const std::uint64_t last_mask = last_word_mask();
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    const std::uint64_t mask =
-        (w + 1 == words_.size()) ? last_mask : ~std::uint64_t{0};
-    result.words_[w] = (words_[w] | (~p.words_[w] & mask));
+  std::uint64_t* r = result.data();
+  const std::uint64_t* q = p.data();
+  for (int k = 0; k < word_count(); ++k) {
+    r[k] |= ~q[k] & bit_range(k, 0, total_bits());
   }
   return result;
 }
@@ -254,10 +383,11 @@ bool Cube::covers_minterm(std::uint64_t minterm, int out) const {
   if (!output(out)) {
     return false;
   }
+  const std::uint64_t* w = data();
   for (int i = 0; i < num_inputs_; ++i) {
     const int value = static_cast<int>((minterm >> i) & 1);
     const int bit = 2 * i + value;
-    if (((words_[bit / 64] >> (bit % 64)) & 1) == 0) {
+    if (((w[bit / 64] >> (bit % 64)) & 1) == 0) {
       return false;
     }
   }
@@ -283,19 +413,40 @@ std::string Cube::to_string() const {
 }
 
 bool Cube::operator==(const Cube& other) const {
-  return num_inputs_ == other.num_inputs_ &&
-         num_outputs_ == other.num_outputs_ && words_ == other.words_;
+  if (num_inputs_ != other.num_inputs_ || num_outputs_ != other.num_outputs_) {
+    return false;
+  }
+  assert_padding_clean("Cube::operator==");
+  other.assert_padding_clean("Cube::operator==");
+  return std::equal(data(), data() + word_count(), other.data());
 }
 
 bool Cube::lexicographic_less(const Cube& a, const Cube& b) {
-  require(a.num_inputs_ == b.num_inputs_ && a.num_outputs_ == b.num_outputs_,
-          "Cube::lexicographic_less shape mismatch");
-  return a.words_ < b.words_;
+  a.require_same_shape(b, "Cube::lexicographic_less shape mismatch");
+  a.assert_padding_clean("Cube::lexicographic_less");
+  b.assert_padding_clean("Cube::lexicographic_less");
+  const std::uint64_t* x = a.data();
+  const std::uint64_t* y = b.data();
+  for (int k = 0; k < a.word_count(); ++k) {
+    if (x[k] != y[k]) {
+      return x[k] < y[k];
+    }
+  }
+  return false;
 }
 
 std::uint64_t Cube::last_word_mask() const {
   const int rem = total_bits() % 64;
   return rem == 0 ? ~std::uint64_t{0} : ((std::uint64_t{1} << rem) - 1);
+}
+
+void Cube::assert_padding_clean(const char* where) const {
+  if constexpr (invariants_enabled()) {
+    AMBIT_CHECK((data()[word_count() - 1] & ~last_word_mask()) == 0,
+                std::string(where) + ": cube padding bits are set");
+  } else {
+    (void)where;
+  }
 }
 
 std::string to_string(Literal lit) {

@@ -12,7 +12,15 @@
 //       bit j set -> the cube is part of output j's cover.
 //
 // All parts are packed LSB-first into an array of 64-bit words, so cube
-// algebra (intersection, containment, supercube) is word-parallel.
+// algebra (intersection, containment, supercube, distance, counts) is
+// one masked operation per word. Bits past the last part (the padding
+// of the last word) are always zero; equality, ordering and hashing
+// compare whole words and rely on it (assert_padding_clean).
+//
+// Storage: a cube of up to kInlineWords words (192 bits, e.g. 64 inputs
+// and 64 outputs) keeps its words inside the object, so a Cube is 32
+// bytes and copying one allocates nothing; a Cover of such cubes is one
+// contiguous array. Wider cubes keep their words in one heap block.
 //
 // Conventions used throughout AMBIT:
 //   * a cube is EMPTY when any input part is 00 or the output part is
@@ -24,7 +32,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace ambit::logic {
 
@@ -40,9 +47,18 @@ enum class Literal : std::uint8_t {
 /// subset of `num_outputs` outputs. Value-semantic, cheaply copyable.
 class Cube {
  public:
+  /// Words stored inside the object; wider cubes use one heap block.
+  static constexpr int kInlineWords = 3;
+
   /// Constructs the cube with all inputs don't-care and NO outputs
   /// asserted (an empty cube until at least one output bit is set).
   Cube(int num_inputs, int num_outputs);
+
+  Cube(const Cube& other);
+  Cube(Cube&& other) noexcept;
+  Cube& operator=(const Cube& other);
+  Cube& operator=(Cube&& other) noexcept;
+  ~Cube() { release(); }
 
   /// The universal cube: all inputs don't-care, all outputs asserted.
   static Cube universe(int num_inputs, int num_outputs);
@@ -61,6 +77,14 @@ class Cube {
   /// Reads/writes output membership bit `j`.
   bool output(int j) const;
   void set_output(int j, bool value);
+
+  /// Replaces this cube's input part with `other`'s (same input count,
+  /// any output count); the output part is kept.
+  void set_inputs_from(const Cube& other);
+
+  /// ANDs `other`'s input part (same input count, any output count)
+  /// into this cube's input part; the output part is kept.
+  void intersect_inputs(const Cube& other);
 
   /// True when some input part is 00.
   bool input_empty() const;
@@ -110,24 +134,42 @@ class Cube {
 
   bool operator==(const Cube& other) const;
 
-  /// Deterministic strict weak ordering (for canonical sorting).
+  /// Deterministic strict weak ordering (for canonical sorting): the
+  /// word arrays compared lexicographically, word 0 first.
   static bool lexicographic_less(const Cube& a, const Cube& b);
 
-  /// Raw word access for word-parallel algorithms.
-  std::span<const std::uint64_t> words() const { return words_; }
-  std::span<std::uint64_t> mutable_words() { return words_; }
+  /// Raw word access for word-parallel algorithms (read-only, so the
+  /// padding bits cannot be dirtied from outside).
+  std::span<const std::uint64_t> words() const {
+    return {data(), static_cast<std::size_t>(word_count())};
+  }
 
   /// Mask of the valid bits in the last word (other bits are zero).
   std::uint64_t last_word_mask() const;
 
+  /// AMBIT_CHECK probe (util/check.h): the padding bits of the last
+  /// word are zero. A no-op unless invariants are compiled in.
+  void assert_padding_clean(const char* where) const;
+
  private:
   friend class Cover;
 
-  int num_inputs_;
-  int num_outputs_;
-  std::vector<std::uint64_t> words_;
+  std::int32_t num_inputs_;
+  std::int32_t num_outputs_;
+  union {
+    std::uint64_t inline_[kInlineWords];
+    std::uint64_t* heap_;
+  };
 
   int total_bits() const { return 2 * num_inputs_ + num_outputs_; }
+  int word_count() const { return (total_bits() + 63) / 64; }
+  bool on_heap() const { return word_count() > kInlineWords; }
+  std::uint64_t* data() { return on_heap() ? heap_ : inline_; }
+  const std::uint64_t* data() const { return on_heap() ? heap_ : inline_; }
+  /// Allocates (or clears) zeroed storage for the current shape.
+  void allocate();
+  void release();
+  void require_same_shape(const Cube& other, const char* what) const;
 };
 
 /// Human-readable name for a literal state ("0", "1", "-", "ø").

@@ -2,8 +2,13 @@
 // merging, containment cleanup, binate variable selection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "logic/cover.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace ambit::logic {
 namespace {
@@ -160,6 +165,156 @@ TEST(CoverTest, RemoveAtPreservesOrder) {
   ASSERT_EQ(f.size(), 2u);
   EXPECT_EQ(f[0].to_string(), "10 1");
   EXPECT_EQ(f[1].to_string(), "11 1");
+}
+
+// ---------------------------------------------------------------------------
+// Multi-word covers: the word-parallel cover operations against
+// references built part by part from input(i) and output(j).
+// ---------------------------------------------------------------------------
+
+struct Shape {
+  int inputs;
+  int outputs;
+};
+
+// Input parts spanning words, output parts straddling a word boundary,
+// and one shape stored on the heap (see cube_test's kWideShapes).
+constexpr Shape kWideShapes[] = {{30, 10}, {40, 3}, {70, 3},
+                                 {16, 48}, {33, 31}, {100, 20}};
+
+/// A random cover over few distinct literal positions, so that cubes
+/// repeat, contain each other and share outputs.
+Cover random_wide_cover(Rng& rng, Shape shape, int cubes) {
+  Cover f(shape.inputs, shape.outputs);
+  for (int k = 0; k < cubes; ++k) {
+    Cube c(shape.inputs, shape.outputs);
+    for (int i = 0; i < shape.inputs; i += 7) {
+      const auto r = rng.next_below(4);
+      if (r < 2) {
+        c.set_input(i, r == 0 ? Literal::kZero : Literal::kOne);
+      }
+    }
+    c.set_output(static_cast<int>(rng.next_below(static_cast<std::uint64_t>(shape.outputs))),
+                 true);
+    for (int j = 0; j < shape.outputs; j += 5) {
+      c.set_output(j, c.output(j) || rng.next_bool(0.3));
+    }
+    f.add(c);
+  }
+  return f;
+}
+
+bool ref_contains(const Cube& a, const Cube& b) {
+  for (int i = 0; i < a.num_inputs(); ++i) {
+    const int pa = static_cast<int>(a.input(i));
+    const int pb = static_cast<int>(b.input(i));
+    if ((pa & pb) != pb) return false;
+  }
+  for (int j = 0; j < a.num_outputs(); ++j) {
+    if (b.output(j) && !a.output(j)) return false;
+  }
+  return true;
+}
+
+TEST(CoverWideTest, RemoveSingleCubeContainedMatchesPairwiseReference) {
+  // The reference is the pairwise definition: a cube dies when a live
+  // cube contains it, except that of two equal cubes the earlier one
+  // survives. Survivors and their order must match.
+  Rng rng(0xA11CE);
+  for (const Shape shape : kWideShapes) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Cover f = random_wide_cover(rng, shape, 40);
+      const std::size_t n = f.size();
+      std::vector<bool> dead(n, false);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (dead[i]) continue;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (i == j || dead[j] || !ref_contains(f[i], f[j])) continue;
+          if (!(ref_contains(f[j], f[i]) && j < i)) dead[j] = true;
+        }
+      }
+      std::vector<std::string> expected;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!dead[i]) expected.push_back(f[i].to_string());
+      }
+      f.remove_single_cube_contained();
+      std::vector<std::string> actual;
+      for (const Cube& c : f) actual.push_back(c.to_string());
+      EXPECT_EQ(actual, expected) << shape.inputs << "x" << shape.outputs;
+    }
+  }
+}
+
+TEST(CoverWideTest, RestrictedToOutputMatchesPartwiseReference) {
+  Rng rng(0xBEEF);
+  for (const Shape shape : kWideShapes) {
+    const Cover f = random_wide_cover(rng, shape, 30);
+    for (int j = 0; j < shape.outputs; ++j) {
+      const Cover r = f.restricted_to_output(j);
+      ASSERT_EQ(r.num_outputs(), 1);
+      std::size_t next = 0;
+      for (const Cube& c : f) {
+        if (!c.output(j)) continue;
+        ASSERT_LT(next, r.size());
+        for (int i = 0; i < shape.inputs; ++i) {
+          EXPECT_EQ(r[next].input(i), c.input(i));
+        }
+        EXPECT_TRUE(r[next].output(0));
+        ++next;
+      }
+      EXPECT_EQ(next, r.size());
+    }
+  }
+}
+
+TEST(CoverWideTest, ColumnCountsCofactorAndAndLiteralMatchReference) {
+  Rng rng(0xD1CE);
+  for (const Shape shape : kWideShapes) {
+    const Cover f = random_wide_cover(rng, shape, 30);
+    std::vector<VarOccurrence> counts;
+    f.var_occurrences(counts);
+    ASSERT_EQ(counts.size(), static_cast<std::size_t>(shape.inputs));
+    for (int i = 0; i < shape.inputs; ++i) {
+      int zeros = 0;
+      int ones = 0;
+      for (const Cube& c : f) {
+        zeros += c.input(i) == Literal::kZero;
+        ones += c.input(i) == Literal::kOne;
+      }
+      EXPECT_EQ(counts[static_cast<std::size_t>(i)].zeros, zeros);
+      EXPECT_EQ(counts[static_cast<std::size_t>(i)].ones, ones);
+      EXPECT_EQ(f.var_occurrence(i).zeros, zeros);
+      EXPECT_EQ(f.var_occurrence(i).ones, ones);
+    }
+    // Cofactor against a cube with literals in several words.
+    Cube p = Cube::universe(shape.inputs, shape.outputs);
+    p.set_input(0, Literal::kOne);
+    p.set_input(shape.inputs - 1, Literal::kZero);
+    p.set_output(shape.outputs - 1, false);
+    const Cover cf = f.cofactor(p);
+    std::size_t next = 0;
+    for (const Cube& c : f) {
+      if (!c.intersects(p)) continue;
+      ASSERT_LT(next, cf.size());
+      EXPECT_EQ(cf[next], c.cofactor(p));
+      ++next;
+    }
+    EXPECT_EQ(next, cf.size());
+    // and_literal on the last variable (the highest input word).
+    const int var = shape.inputs - 1;
+    Cover anded = f;
+    anded.and_literal(var, true);
+    next = 0;
+    for (const Cube& c : f) {
+      if (c.input(var) == Literal::kZero) continue;
+      Cube expected = c;
+      expected.set_input(var, Literal::kOne);
+      ASSERT_LT(next, anded.size());
+      EXPECT_EQ(anded[next], expected);
+      ++next;
+    }
+    EXPECT_EQ(next, anded.size());
+  }
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 // containment, distance, consensus, cofactor, minterm coverage.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "logic/cube.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace ambit::logic {
 namespace {
@@ -204,6 +209,244 @@ TEST(CubeTest, ShapeMismatchRejected) {
   const Cube b = Cube::parse("101", "1");
   EXPECT_THROW(a.distance(b), Error);
   EXPECT_THROW(a.contains(b), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Multi-word cubes: every word-parallel operation against a reference
+// built part by part from input(i) and output(j).
+// ---------------------------------------------------------------------------
+
+struct Shape {
+  int inputs;
+  int outputs;
+};
+
+// Input parts spanning words, output parts straddling a word boundary
+// (30x10: bits 60-69; 16x48: 32-79; 33x31: 66-96), three words (70x3),
+// and one shape wider than Cube::kInlineWords words (100x20, 220 bits).
+constexpr Shape kWideShapes[] = {{30, 10}, {40, 3}, {70, 3},
+                                 {16, 48}, {33, 31}, {100, 20}};
+
+/// A random cube; `empty_rate` of its input parts are 00.
+Cube random_cube(Rng& rng, Shape shape, double empty_rate = 0.0) {
+  Cube c(shape.inputs, shape.outputs);
+  for (int i = 0; i < shape.inputs; ++i) {
+    if (rng.next_bool(empty_rate)) {
+      c.set_input(i, Literal::kEmpty);
+      continue;
+    }
+    const auto r = rng.next_below(3);
+    c.set_input(i, r == 0 ? Literal::kZero : r == 1 ? Literal::kOne : Literal::kDontCare);
+  }
+  for (int j = 0; j < shape.outputs; ++j) {
+    c.set_output(j, rng.next_bool(0.3));
+  }
+  return c;
+}
+
+/// `b` derived from `a` by a few random part edits, so that pairs meet,
+/// contain each other and sit at distance 1 often enough.
+Cube nearby_cube(Rng& rng, const Cube& a) {
+  Cube b = a;
+  const int edits = static_cast<int>(rng.next_below(4));
+  for (int e = 0; e < edits; ++e) {
+    if (rng.next_bool(0.8)) {
+      const int i = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(a.num_inputs())));
+      b.set_input(i, static_cast<Literal>(1 + rng.next_below(3)));
+    } else {
+      const int j = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(a.num_outputs())));
+      b.set_output(j, !b.output(j));
+    }
+  }
+  return b;
+}
+
+int part(const Cube& c, int i) { return static_cast<int>(c.input(i)); }
+
+int ref_distance(const Cube& a, const Cube& b) {
+  int d = 0;
+  for (int i = 0; i < a.num_inputs(); ++i) {
+    d += (part(a, i) & part(b, i)) == 0;
+  }
+  bool meet = false;
+  for (int j = 0; j < a.num_outputs(); ++j) {
+    meet = meet || (a.output(j) && b.output(j));
+  }
+  return d + (meet ? 0 : 1);
+}
+
+bool ref_input_contains(const Cube& a, const Cube& b) {
+  for (int i = 0; i < a.num_inputs(); ++i) {
+    if ((part(a, i) & part(b, i)) != part(b, i)) return false;
+  }
+  return true;
+}
+
+bool ref_contains(const Cube& a, const Cube& b) {
+  for (int j = 0; j < a.num_outputs(); ++j) {
+    if (b.output(j) && !a.output(j)) return false;
+  }
+  return ref_input_contains(a, b);
+}
+
+/// The cube's words, assembled from the accessors.
+std::vector<std::uint64_t> ref_words(const Cube& c) {
+  const int bits = 2 * c.num_inputs() + c.num_outputs();
+  std::vector<std::uint64_t> words(static_cast<std::size_t>((bits + 63) / 64), 0);
+  const auto set = [&](int bit) {
+    words[static_cast<std::size_t>(bit / 64)] |= std::uint64_t{1} << (bit % 64);
+  };
+  for (int i = 0; i < c.num_inputs(); ++i) {
+    if (part(c, i) & 1) set(2 * i);
+    if (part(c, i) & 2) set(2 * i + 1);
+  }
+  for (int j = 0; j < c.num_outputs(); ++j) {
+    if (c.output(j)) set(2 * c.num_inputs() + j);
+  }
+  return words;
+}
+
+/// Part-wise reference for cofactor, intersect, supercube and consensus.
+Cube ref_cofactor(const Cube& a, const Cube& p) {
+  Cube r(a.num_inputs(), a.num_outputs());
+  for (int i = 0; i < a.num_inputs(); ++i) {
+    r.set_input(i, static_cast<Literal>((part(a, i) | ~part(p, i)) & 3));
+  }
+  for (int j = 0; j < a.num_outputs(); ++j) {
+    r.set_output(j, a.output(j) || !p.output(j));
+  }
+  return r;
+}
+
+Cube ref_combine(const Cube& a, const Cube& b, bool with_and) {
+  Cube r(a.num_inputs(), a.num_outputs());
+  for (int i = 0; i < a.num_inputs(); ++i) {
+    r.set_input(i, static_cast<Literal>(with_and ? part(a, i) & part(b, i)
+                                                 : part(a, i) | part(b, i)));
+  }
+  for (int j = 0; j < a.num_outputs(); ++j) {
+    r.set_output(j, with_and ? a.output(j) && b.output(j) : a.output(j) || b.output(j));
+  }
+  return r;
+}
+
+Cube ref_consensus(const Cube& a, const Cube& b) {
+  Cube r = ref_combine(a, b, true);
+  if (ref_distance(a, b) != 1) {
+    for (int i = 0; i < a.num_inputs(); ++i) r.set_input(i, Literal::kEmpty);
+    for (int j = 0; j < a.num_outputs(); ++j) r.set_output(j, false);
+    return r;
+  }
+  for (int i = 0; i < a.num_inputs(); ++i) {
+    if (part(r, i) == 0) {
+      r.set_input(i, static_cast<Literal>(part(a, i) | part(b, i)));
+      return r;
+    }
+  }
+  for (int j = 0; j < a.num_outputs(); ++j) {
+    r.set_output(j, a.output(j) || b.output(j));
+  }
+  return r;
+}
+
+TEST(CubeWideTest, PairOperationsMatchPartwiseReference) {
+  Rng rng(0x5EED);
+  for (const Shape shape : kWideShapes) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const Cube a = random_cube(rng, shape, trial % 3 == 0 ? 0.01 : 0.0);
+      const Cube b = nearby_cube(rng, a);
+      const std::string what = std::to_string(shape.inputs) + "x" +
+                               std::to_string(shape.outputs) + " trial " +
+                               std::to_string(trial);
+      ASSERT_EQ(a.distance(b), ref_distance(a, b)) << what;
+      EXPECT_EQ(a.intersects(b), ref_distance(a, b) == 0) << what;
+      EXPECT_EQ(a.contains(b), ref_contains(a, b)) << what;
+      EXPECT_EQ(b.contains(a), ref_contains(b, a)) << what;
+      EXPECT_EQ(a.input_contains(b), ref_input_contains(a, b)) << what;
+      EXPECT_EQ(a.intersect(b), ref_combine(a, b, true)) << what;
+      EXPECT_EQ(a.supercube(b), ref_combine(a, b, false)) << what;
+      EXPECT_EQ(a.consensus(b), ref_consensus(a, b)) << what;
+      EXPECT_EQ(a.cofactor(b), ref_cofactor(a, b)) << what;
+      EXPECT_EQ(Cube::lexicographic_less(a, b), ref_words(a) < ref_words(b)) << what;
+      EXPECT_EQ(Cube::lexicographic_less(b, a), ref_words(b) < ref_words(a)) << what;
+      EXPECT_EQ(a == b, ref_words(a) == ref_words(b)) << what;
+    }
+  }
+}
+
+TEST(CubeWideTest, CountsMatchPartwiseReference) {
+  Rng rng(0xC0DE);
+  for (const Shape shape : kWideShapes) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const Cube c = random_cube(rng, shape, trial % 2 == 0 ? 0.02 : 0.0);
+      int literals = 0;
+      bool input_empty = false;
+      for (int i = 0; i < shape.inputs; ++i) {
+        literals += part(c, i) == 1 || part(c, i) == 2;
+        input_empty = input_empty || part(c, i) == 0;
+      }
+      int outputs = 0;
+      for (int j = 0; j < shape.outputs; ++j) {
+        outputs += c.output(j);
+      }
+      EXPECT_EQ(c.input_literal_count(), literals);
+      EXPECT_EQ(c.output_count(), outputs);
+      EXPECT_EQ(c.output_empty(), outputs == 0);
+      EXPECT_EQ(c.input_empty(), input_empty);
+      EXPECT_EQ(std::vector<std::uint64_t>(c.words().begin(), c.words().end()),
+                ref_words(c));
+    }
+  }
+}
+
+TEST(CubeWideTest, InputPartCopiesMatchPartwiseReference) {
+  Rng rng(0xFACE);
+  for (const Shape shape : kWideShapes) {
+    for (int trial = 0; trial < 100; ++trial) {
+      const Cube src = random_cube(rng, shape);
+      // Into a single-output cube (a different word count for most
+      // shapes) and back.
+      Cube single = Cube::universe(shape.inputs, 1);
+      single.set_inputs_from(src);
+      Cube back = random_cube(rng, shape);
+      const Cube before = back;
+      back.set_inputs_from(single);
+      Cube meet = before;
+      meet.intersect_inputs(src);
+      for (int i = 0; i < shape.inputs; ++i) {
+        EXPECT_EQ(single.input(i), src.input(i));
+        EXPECT_EQ(back.input(i), src.input(i));
+        EXPECT_EQ(part(meet, i), part(before, i) & part(src, i));
+      }
+      EXPECT_TRUE(single.output(0));
+      for (int j = 0; j < shape.outputs; ++j) {
+        EXPECT_EQ(back.output(j), before.output(j));
+        EXPECT_EQ(meet.output(j), before.output(j));
+      }
+    }
+  }
+}
+
+TEST(CubeWideTest, CopiesAndMovesKeepTheWords) {
+  // Inline (70x3, three words) and heap (100x20) storage, assigned
+  // across shapes both ways.
+  Rng rng(0xB00C);
+  const Cube inline_cube = random_cube(rng, {70, 3});
+  const Cube heap_cube = random_cube(rng, {100, 20});
+  Cube a = inline_cube;
+  a = heap_cube;
+  EXPECT_EQ(a, heap_cube);
+  a = inline_cube;
+  EXPECT_EQ(a, inline_cube);
+  Cube moved = std::move(a);
+  EXPECT_EQ(moved, inline_cube);
+  Cube heap_copy = heap_cube;
+  Cube heap_moved = std::move(heap_copy);
+  EXPECT_EQ(heap_moved, heap_cube);
+  heap_copy = heap_cube;  // a moved-from cube can be assigned again
+  EXPECT_EQ(heap_copy, heap_cube);
+  heap_moved = std::move(heap_copy);
+  EXPECT_EQ(heap_moved, heap_cube);
 }
 
 }  // namespace

@@ -275,8 +275,8 @@ TEST(EspressoTest, ReduceEscapesLocalMinimum) {
   const Cover f = Cover::parse(4, 1,
                                {"1-00 1", "-100 1", "1--1 1", "011- 1",
                                 "0-11 1", "-011 1"});
-  const EspressoOptions with_reduce{.max_loops = 16, .use_reduce = true};
-  const EspressoOptions without_reduce{.max_loops = 0, .use_reduce = false};
+  const EspressoOptions with_reduce{.max_loops = 16};
+  const EspressoOptions without_reduce{.max_loops = 0};
   const auto full = minimize(f, with_reduce);
   const auto single_pass = minimize(f, without_reduce);
   EXPECT_TRUE(logic::equivalent(full.cover, f));

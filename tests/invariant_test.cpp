@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/evaluator.h"
+#include "espresso/unate.h"
+#include "logic/cover.h"
 #include "logic/pattern_batch.h"
 #include "util/check.h"
 #include "util/mutex.h"
@@ -86,6 +90,36 @@ TEST(InvariantTest, LoadWordsRemasksInsteadOfDying) {
   batch.assert_tail_clean("InvariantTest");
   for (int s = 0; s < 2; ++s) {
     EXPECT_EQ(batch.lane(s)[1] & ~batch.tail_mask(), 0u);
+  }
+}
+
+TEST(InvariantTest, CleanCubesPassThePaddingProbe) {
+  // Cube's comparison and hash boundaries (operator==,
+  // lexicographic_less, the complement merge keys) compare whole words
+  // and probe that the padding past the last part is zero. Nothing
+  // outside Cube can write its words, so every cube must pass: shapes
+  // whose last word is full, partly used, or a single bit.
+  for (const auto& [ni, no] : {std::pair{16, 32}, std::pair{30, 10},
+                               std::pair{33, 31}, std::pair{70, 3},
+                               std::pair{100, 20}, std::pair{0, 1}}) {
+    logic::Cover f(ni, no);
+    for (int k = 0; k < 6; ++k) {
+      logic::Cube c = logic::Cube::universe(ni, no);
+      if (ni > 0) {
+        c.set_input((k * 7) % ni,
+                    k % 2 == 0 ? logic::Literal::kZero : logic::Literal::kOne);
+      }
+      c.set_output(k % no, false);
+      c.set_output((k + 1) % no, true);
+      c.assert_padding_clean("InvariantTest");
+      f.add(c);
+      f.add(c);
+    }
+    f.sort_and_dedup();
+    EXPECT_FALSE(f.empty());
+    if (ni > 0) {
+      EXPECT_NO_THROW(espresso::complement(f.restricted_to_output(0)));
+    }
   }
 }
 

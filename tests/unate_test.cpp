@@ -3,6 +3,8 @@
 // exhaustive truth tables.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "espresso/unate.h"
 #include "logic/truth_table.h"
 #include "util/error.h"
@@ -133,6 +135,53 @@ TEST(ComplementTest, ComplementDisjointFromOriginal) {
       EXPECT_NE(tf.get(m, 0), tr.get(m, 0));
     }
   }
+}
+
+TEST(ComplementTest, ResultIsFreeOfSingleCubeContainment) {
+  // complement() merges its Shannon branches without a containment
+  // sweep; that is exact only because the merged cover never has one.
+  ambit::Rng rng(2468);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int ni = 3 + static_cast<int>(rng.next_below(10));
+    const Cover r = complement(random_cover(rng, ni, 14));
+    Cover swept = r;
+    swept.remove_single_cube_contained();
+    EXPECT_EQ(swept, r) << "complement:\n" << r.to_string();
+  }
+}
+
+TEST(ComplementSupercubeTest, EqualsTheSupercubeOfTheComplement) {
+  ambit::Rng rng(1357);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int ni = 2 + static_cast<int>(rng.next_below(9));
+    const Cover f = random_cover(rng, ni, 1 + trial % 12);
+    const Cover r = complement(f);
+    const std::optional<Cube> s = complement_supercube(f);
+    ASSERT_EQ(s.has_value(), !r.empty()) << f.to_string();
+    if (!s.has_value()) {
+      continue;
+    }
+    Cube expected = r[0];
+    for (std::size_t i = 1; i < r.size(); ++i) {
+      expected = expected.supercube(r[i]);
+    }
+    for (int i = 0; i < ni; ++i) {
+      EXPECT_EQ(s->input(i), expected.input(i)) << f.to_string();
+    }
+  }
+}
+
+TEST(ComplementSupercubeTest, EdgeCases) {
+  // Empty cover: the complement is everything.
+  EXPECT_EQ(complement_supercube(Cover(3, 1))->to_string(), "--- 1");
+  // Tautology: nothing left to contain.
+  EXPECT_FALSE(complement_supercube(Cover::parse(2, 1, {"1- 1", "0- 1"})).has_value());
+  // Unate covers take the closed form: a one-literal cube pins its
+  // variable to the other value, larger cubes leave it free.
+  EXPECT_EQ(complement_supercube(Cover::parse(3, 1, {"1-- 1", "-01 1"}))->to_string(),
+            "0-- 1");
+  EXPECT_EQ(complement_supercube(Cover::parse(3, 1, {"11- 1"}))->to_string(), "--- 1");
+  EXPECT_THROW(complement_supercube(Cover(2, 2)), Error);
 }
 
 TEST(CoversTest, CubeCoveredByItsCover) {
