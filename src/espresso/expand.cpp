@@ -16,16 +16,8 @@ using logic::Literal;
 
 namespace {
 
-constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
-
-/// Words of a cube that hold input bits, and the low bit of every
-/// input part in word k.
+/// Words of a cube that hold input bits.
 int input_word_count(int num_inputs) { return (2 * num_inputs + 63) / 64; }
-std::uint64_t part_bits(int k, int num_inputs) {
-  const int hi = 2 * num_inputs - 64 * k;
-  return (hi >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1) &
-         kEvenBits;
-}
 
 /// One bit (the low bit of the part) per input part at which the input
 /// words `a` and `b` do not intersect; returns the number of such parts.
@@ -144,7 +136,7 @@ Cube expand_one(const Cube& cube, const OffIndex& index, Scratch& s) {
   const std::size_t stride = static_cast<std::size_t>(iw);
   s.parts.resize(stride);
   for (int k = 0; k < iw; ++k) {
-    s.parts[static_cast<std::size_t>(k)] = part_bits(k, ni);
+    s.parts[static_cast<std::size_t>(k)] = c.input_bits(k) & Cube::kPartLowBits;
   }
   const std::uint64_t* parts = s.parts.data();
 

@@ -168,8 +168,8 @@ struct ComplementScratch {
 /// c1: each cube of c1 (in order) whose twin — identical except at x —
 /// is an unused cube of c0 becomes the fused cube with x = don't-care;
 /// the unused cubes of c0 follow in order. Both branches already carry
-/// their x literal. c0 is consumed.
-void merge_branches(Cover& c1, Cover& c0, int x, ComplementScratch& s) {
+/// their x literal.
+void merge_branches(Cover& c1, const Cover& c0, int x, ComplementScratch& s) {
   s.table.build(c0, x);
   s.used.assign(c0.size(), false);
   for (std::size_t i = 0; i < c1.size(); ++i) {
@@ -179,19 +179,11 @@ void merge_branches(Cover& c1, Cover& c0, int x, ComplementScratch& s) {
       c1[i].set_input(x, Literal::kDontCare);
     }
   }
-  std::size_t unused = 0;
   for (std::size_t i = 0; i < c0.size(); ++i) {
     if (!s.used[i]) {
-      if (unused != i) {
-        c0[unused] = std::move(c0[i]);
-      }
-      ++unused;
+      c1.add(c0[i]);
     }
   }
-  while (c0.size() > unused) {
-    c0.remove_at(c0.size() - 1);
-  }
-  c1.append(c0);
 }
 
 Cover complement_rec(const Cover& f, int depth, ComplementScratch& s) {

@@ -8,20 +8,6 @@
 #include "util/strings.h"
 
 namespace ambit::logic {
-namespace {
-
-constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
-
-/// Mask of the input-part bits that fall into word `k` of a cube with
-/// `num_inputs` inputs.
-std::uint64_t input_bits(int k, int num_inputs) {
-  const int hi = 2 * num_inputs - 64 * k;
-  if (hi <= 0) return 0;
-  return hi >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
-}
-
-}  // namespace
-
 Cover::Cover(int num_inputs, int num_outputs)
     : num_inputs_(num_inputs), num_outputs_(num_outputs) {
   check(num_inputs >= 0, "Cover: negative input count");
@@ -79,8 +65,8 @@ Cover Cover::cofactor(const Cube& p) const {
   std::vector<std::uint64_t> masks(3 * static_cast<std::size_t>(words));
   for (int k = 0; k < words; ++k) {
     const std::uint64_t valid = k + 1 < words ? ~std::uint64_t{0} : p.last_word_mask();
-    const std::uint64_t inputs = input_bits(k, num_inputs_);
-    masks[3 * static_cast<std::size_t>(k)] = inputs & kEvenBits;
+    const std::uint64_t inputs = p.input_bits(k);
+    masks[3 * static_cast<std::size_t>(k)] = inputs & Cube::kPartLowBits;
     masks[3 * static_cast<std::size_t>(k) + 1] = valid & ~inputs;
     masks[3 * static_cast<std::size_t>(k) + 2] = ~q[k] & valid;
   }
@@ -125,18 +111,8 @@ Cover Cover::restricted_to_output(int j) const {
 }
 
 bool Cover::has_universal_input_cube() const {
-  // No input literal (no part whose two bits differ) and some output.
-  const int words = cubes_.empty() ? 0 : cubes_.front().word_count();
   for (const Cube& c : cubes_) {
-    const std::uint64_t* w = c.data();
-    bool literal = false;
-    bool output = false;
-    for (int k = 0; k < words; ++k) {
-      const std::uint64_t inputs = input_bits(k, num_inputs_);
-      literal |= ((w[k] ^ (w[k] >> 1)) & inputs & kEvenBits) != 0;
-      output |= (w[k] & ~inputs) != 0;
-    }
-    if (!literal && output) {
+    if (c.input_literal_count() == 0 && !c.output_empty()) {
       return true;
     }
   }
@@ -240,7 +216,7 @@ void Cover::var_occurrences(std::vector<VarOccurrence>& counts) const {
     const std::uint64_t* w = c.data();
     for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
       const std::uint64_t x = w[k];
-      const std::uint64_t m = input_bits(k, num_inputs_) & kEvenBits;
+      const std::uint64_t m = c.input_bits(k) & Cube::kPartLowBits;
       // Low bit of each 01 part (x̄) and of each 10 part (x).
       for (std::uint64_t zeros = x & ~(x >> 1) & m; zeros != 0; zeros &= zeros - 1) {
         ++counts[static_cast<std::size_t>(32 * k + std::countr_zero(zeros) / 2)].zeros;

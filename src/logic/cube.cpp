@@ -9,8 +9,6 @@
 namespace ambit::logic {
 namespace {
 
-constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
-
 /// The bits [lo, hi) of a cube that fall into word `w`, as a mask of
 /// that word.
 std::uint64_t bit_range(int w, int lo, int hi) {
@@ -40,7 +38,7 @@ Cube::Cube(int num_inputs, int num_outputs)
   // All inputs start as don't-care (11); outputs start clear.
   std::uint64_t* w = data();
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
-    w[k] = bit_range(k, 0, 2 * num_inputs_);
+    w[k] = input_bits(k);
   }
 }
 
@@ -200,7 +198,7 @@ void Cube::set_inputs_from(const Cube& other) {
   std::uint64_t* w = data();
   const std::uint64_t* o = other.data();
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
-    const std::uint64_t m = bit_range(k, 0, 2 * num_inputs_);
+    const std::uint64_t m = input_bits(k);
     w[k] = (w[k] & ~m) | (o[k] & m);
   }
 }
@@ -211,14 +209,14 @@ void Cube::intersect_inputs(const Cube& other) {
   std::uint64_t* w = data();
   const std::uint64_t* o = other.data();
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
-    w[k] &= o[k] | ~bit_range(k, 0, 2 * num_inputs_);
+    w[k] &= o[k] | ~input_bits(k);
   }
 }
 
 bool Cube::input_empty() const {
   const std::uint64_t* w = data();
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
-    if (empty_pairs(w[k], bit_range(k, 0, 2 * num_inputs_) & kEvenBits) != 0) {
+    if (empty_pairs(w[k], input_bits(k) & kPartLowBits) != 0) {
       return true;
     }
   }
@@ -241,7 +239,7 @@ int Cube::input_literal_count() const {
   int count = 0;
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
     count += std::popcount((w[k] ^ (w[k] >> 1)) &
-                           bit_range(k, 0, 2 * num_inputs_) & kEvenBits);
+                           input_bits(k) & kPartLowBits);
   }
   return count;
 }
@@ -263,7 +261,7 @@ int Cube::distance(const Cube& other) const {
   // Input parts: 2-bit pairs never straddle a word boundary.
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
     d += std::popcount(
-        empty_pairs(a[k] & b[k], bit_range(k, 0, 2 * num_inputs_) & kEvenBits));
+        empty_pairs(a[k] & b[k], input_bits(k) & kPartLowBits));
   }
   // Output part counts as a single part.
   bool output_meets = false;
@@ -282,7 +280,7 @@ bool Cube::intersects(const Cube& other) const {
   const std::uint64_t* a = data();
   const std::uint64_t* b = other.data();
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
-    if (empty_pairs(a[k] & b[k], bit_range(k, 0, 2 * num_inputs_) & kEvenBits) !=
+    if (empty_pairs(a[k] & b[k], input_bits(k) & kPartLowBits) !=
         0) {
       return false;
     }
@@ -323,7 +321,7 @@ bool Cube::input_contains(const Cube& other) const {
   const std::uint64_t* a = data();
   const std::uint64_t* b = other.data();
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
-    if ((b[k] & ~a[k] & bit_range(k, 0, 2 * num_inputs_)) != 0) {
+    if ((b[k] & ~a[k] & input_bits(k)) != 0) {
       return false;
     }
   }
@@ -354,7 +352,7 @@ Cube Cube::consensus(const Cube& other) const {
   const std::uint64_t* b = other.data();
   for (int k = 0; 64 * k < 2 * num_inputs_; ++k) {
     const std::uint64_t conflict =
-        empty_pairs(r[k], bit_range(k, 0, 2 * num_inputs_) & kEvenBits);
+        empty_pairs(r[k], input_bits(k) & kPartLowBits);
     if (conflict != 0) {
       r[k] |= (a[k] | b[k]) & (conflict | (conflict << 1));
       return result;

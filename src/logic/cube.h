@@ -139,10 +139,20 @@ class Cube {
   static bool lexicographic_less(const Cube& a, const Cube& b);
 
   /// Raw word access for word-parallel algorithms (read-only, so the
-  /// padding bits cannot be dirtied from outside).
+  /// padding bits cannot be dirtied from outside). Input i is bits 2i
+  /// (value 0) and 2i+1 (value 1); output j is bit 2·num_inputs() + j.
   std::span<const std::uint64_t> words() const {
     return {data(), static_cast<std::size_t>(word_count())};
   }
+
+  /// The bits of word `k` of words() that hold input parts.
+  std::uint64_t input_bits(int k) const {
+    const int hi = 2 * num_inputs_ - 64 * k;
+    if (hi <= 0) return 0;
+    return hi >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
+  }
+  /// The low bit of every part position in a word.
+  static constexpr std::uint64_t kPartLowBits = 0x5555555555555555ULL;
 
   /// Mask of the valid bits in the last word (other bits are zero).
   std::uint64_t last_word_mask() const;
