@@ -8,6 +8,7 @@
 #include "util/strings.h"
 
 namespace ambit::logic {
+
 Cover::Cover(int num_inputs, int num_outputs)
     : num_inputs_(num_inputs), num_outputs_(num_outputs) {
   check(num_inputs >= 0, "Cover: negative input count");
@@ -57,19 +58,11 @@ Cover Cover::cofactor(const Cube& p) const {
   require(cubes_.empty() || (p.num_inputs() == num_inputs_ &&
                              p.num_outputs() == num_outputs_),
           "Cube::intersects shape mismatch");
-  // Per word of p: the input-part bits, the output bits and what the
-  // cofactor ORs in (~p on the valid bits), so that each cube costs
-  // one intersection test and one OR per word.
+  // One intersection test and one OR per word of each cube. Padding
+  // bits are zero, so a word's non-input bits that meet are outputs.
   const int words = p.word_count();
   const std::uint64_t* q = p.data();
-  std::vector<std::uint64_t> masks(3 * static_cast<std::size_t>(words));
-  for (int k = 0; k < words; ++k) {
-    const std::uint64_t valid = k + 1 < words ? ~std::uint64_t{0} : p.last_word_mask();
-    const std::uint64_t inputs = p.input_bits(k);
-    masks[3 * static_cast<std::size_t>(k)] = inputs & Cube::kPartLowBits;
-    masks[3 * static_cast<std::size_t>(k) + 1] = valid & ~inputs;
-    masks[3 * static_cast<std::size_t>(k) + 2] = ~q[k] & valid;
-  }
+  const std::uint64_t last = p.last_word_mask();
   Cover result(num_inputs_, num_outputs_);
   result.cubes_.reserve(cubes_.size());
   for (const Cube& c : cubes_) {
@@ -78,9 +71,9 @@ Cover Cover::cofactor(const Cube& p) const {
     bool output_meets = false;
     for (int k = 0; k < words; ++k) {
       const std::uint64_t x = w[k] & q[k];
-      const std::uint64_t* m = &masks[3 * static_cast<std::size_t>(k)];
-      disjoint_input |= (~(x | (x >> 1)) & m[0]) != 0;
-      output_meets |= (x & m[1]) != 0;
+      const std::uint64_t inputs = p.input_bits(k);
+      disjoint_input |= (~(x | (x >> 1)) & inputs & Cube::kPartLowBits) != 0;
+      output_meets |= (x & ~inputs) != 0;
     }
     if (disjoint_input || !output_meets) {
       continue;
@@ -88,7 +81,7 @@ Cover Cover::cofactor(const Cube& p) const {
     result.cubes_.push_back(c);
     std::uint64_t* r = result.cubes_.back().data();
     for (int k = 0; k < words; ++k) {
-      r[k] |= masks[3 * static_cast<std::size_t>(k) + 2];
+      r[k] |= ~q[k] & (k + 1 < words ? ~std::uint64_t{0} : last);
     }
   }
   return result;
