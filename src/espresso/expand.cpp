@@ -293,15 +293,13 @@ Cover expand(const Cover& f, const Cover& off) {
   check(f.num_inputs() == off.num_inputs() &&
             f.num_outputs() == off.num_outputs(),
         "expand: shape mismatch");
-  std::vector<int> literals(f.size());
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    literals[i] = f[i].input_literal_count();
-  }
   std::vector<std::size_t> order(f.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (literals[a] != literals[b]) {
-      return literals[a] > literals[b];  // most specific cubes first
+    const int la = f[a].input_literal_count();
+    const int lb = f[b].input_literal_count();
+    if (la != lb) {
+      return la > lb;  // most specific cubes first
     }
     return Cube::lexicographic_less(f[a], f[b]);
   });

@@ -21,16 +21,14 @@ Cover reduce(const Cover& f, const Cover& d) {
 
   // Espresso reduces the largest cubes first: they have the most room
   // to shrink, freeing space for the others.
-  std::vector<Cube> cubes(f.begin(), f.end());
-  std::vector<int> literals(cubes.size());
-  for (std::size_t i = 0; i < cubes.size(); ++i) {
-    literals[i] = cubes[i].input_literal_count();
-  }
+  std::vector<Cube> cubes(f.cubes());
   std::vector<std::size_t> order(cubes.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (literals[a] != literals[b]) {
-      return literals[a] < literals[b];  // fewest literals = largest cube first
+    const int la = cubes[a].input_literal_count();
+    const int lb = cubes[b].input_literal_count();
+    if (la != lb) {
+      return la < lb;  // fewest literals = largest cube first
     }
     return Cube::lexicographic_less(cubes[a], cubes[b]);
   });
