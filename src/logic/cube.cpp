@@ -30,6 +30,9 @@ std::uint64_t empty_pairs(std::uint64_t x, std::uint64_t pair_mask) {
 
 }  // namespace
 
+// Two ints and kInlineWords words: two cubes per 64-byte cache line.
+static_assert(sizeof(Cube) == 32, "Cube: expected two ints and three words");
+
 Cube::Cube(int num_inputs, int num_outputs)
     : num_inputs_(num_inputs), num_outputs_(num_outputs) {
   check(num_inputs >= 0, "Cube: negative input count");
