@@ -1,6 +1,6 @@
 // End-to-end serve throughput: sharded batch speedup, protocol
 // throughput, the EVALB binary bulk frame, concurrent connections,
-// cross-connection request coalescing, and the cost of the metrics
+// per-turn fusion of small requests, and the cost of the metrics
 // instrumentation itself.
 //
 // Seven measurements, against >= 16-input Espresso-minimized GNOR PLAs
@@ -21,12 +21,14 @@
 //      (--max-connections 1, the old prototype's behavior) vs
 //      concurrent accepts, responses checked against direct evaluation.
 //   5. many small clients, over the TCP transport: 8 clients of tiny
-//      EVAL requests against a heavy circuit, served once with
-//      coalescing off and once with a coalescing window — fused
-//      requests share lane words (a 4-pattern request stops paying a
-//      full 64-bit word sweep), so the coalesced run must WIN, not
-//      merely tie. Running this section over serve_tcp also makes the
-//      --smoke TSan run race the TCP accept loop and the coalescer.
+//      pipelined EVAL requests against a heavy circuit, served once
+//      with each client on its own circuit name (nothing can fuse) and
+//      once with all of them on one circuit — the requests one loop
+//      turn holds for that circuit share a lane word (a 4-pattern
+//      request stops paying a full 64-bit word sweep), so the fused
+//      run must WIN, not merely tie. Running this section over
+//      serve_tcp also makes the --smoke TSan run race the TCP accept
+//      loop and the fused pass.
 //   6. instrumentation overhead: the same serve_stream EVAL storm once
 //      with per-request metrics recording enabled and once with
 //      ServerOptions::enable_metrics = false — the gap is what the
@@ -41,10 +43,10 @@
 // alone, and the bench ends with one machine-readable `BENCH_JSON:`
 // line for perf-trajectory tracking across PRs.
 //
-// Acceptance bars: >= 3x sharded speedup at 4+ workers (ISSUE 2),
-// >= 2x aggregate multi-client speedup over the sequential-accept
-// baseline (ISSUE 3), >= 1.5x many-small-clients gain from coalescing
-// (ISSUE 5), and <= 5% instrumentation overhead (ISSUE 7). Bars are
+// Acceptance bars: >= 3x sharded speedup at 4+ workers, >= 2x
+// aggregate multi-client speedup over the sequential-accept baseline,
+// >= 1.5x many-small-clients gain from fusion, and <= 5%
+// instrumentation overhead. Bars are
 // only meaningful when the machine HAS 4 hardware threads and the
 // build is uninstrumented, so they are enforced exactly then;
 // otherwise the bench still verifies bit-identity and reports the
@@ -207,11 +209,14 @@ struct StormResult {
 /// `clients` threads hammer one server — serve_unix on `socket_path`,
 /// or serve_tcp on an ephemeral 127.0.0.1 port when `socket_path` is
 /// empty — under the given options; every response is checked against
-/// direct evaluation of the mapped array (== sequential serving).
+/// direct evaluation of the mapped array (== sequential serving). The
+/// clients evaluate the circuit "bench", or with `own_circuits` client
+/// c evaluates "bench<c>" (the caller loads them all from one PLA).
 StormResult run_storm(const core::GnorPla& pla, serve::Session& session,
                       const std::string& socket_path,
                       serve::ServerOptions options, int clients,
-                      int requests_per_client, int patterns_per_request) {
+                      int requests_per_client, int patterns_per_request,
+                      bool own_circuits = false) {
   const bool over_tcp = socket_path.empty();
   serve::Server server(session, options);
   // A transport failure must become a bench failure with a message —
@@ -248,8 +253,10 @@ StormResult run_storm(const core::GnorPla& pla, serve::Session& session,
   for (int c = 0; c < clients; ++c) {
     Rng rng(static_cast<std::uint64_t>(1000 + c));
     std::string& script = scripts[static_cast<std::size_t>(c)];
+    const std::string request =
+        own_circuits ? "EVAL bench" + std::to_string(c) : "EVAL bench";
     for (int r = 0; r < requests_per_client; ++r) {
-      script += "EVAL bench";
+      script += request;
       std::string response = "OK";
       for (int p = 0; p < patterns_per_request; ++p) {
         const std::string hex = random_hex_pattern(pla.num_inputs(), rng);
@@ -593,18 +600,22 @@ int main(int argc, char** argv) {
   std::printf("concurrent-connection storm skipped: no Unix sockets\n");
 #endif
 
-  // --- 5. Cross-connection coalescing: many small clients, over TCP -------
-  // The workload coalescing exists for: many clients, each sending
-  // requests of a FEW patterns against a heavy circuit. Uncoalesced,
-  // every 4-pattern request pays a full word sweep over every
-  // product/output lane (64-bit words it leaves 94% empty);
-  // coalesced, concurrent requests pack bit-contiguously into shared
-  // words, so the same traffic costs a fraction of the lane work.
-  // Responses are checked against direct evaluation in BOTH arms.
-  bool coalesce_identical = true;
-  bool coalesce_served = true;
-  bool coalesce_ran = false;
-  double coalesce_speedup = 0;
+  // --- 5. Per-turn fusion: many small clients, over TCP -------------------
+  // The workload fusion exists for: many clients, each sending requests
+  // of a FEW patterns against a heavy circuit. Unfused, every 4-pattern
+  // request pays a full word sweep over every product/output lane
+  // (64-bit words it leaves 94% empty); fused, the requests one loop
+  // turn holds for one circuit pack bit-contiguously into a shared word,
+  // so the same traffic costs a fraction of the lane work. The unfused
+  // arm gives each client its own name loaded from the same PLA: the
+  // same traffic and lane work per request, but no two requests ever
+  // share a circuit. Responses are checked against direct evaluation in
+  // BOTH arms.
+  bool fusion_identical = true;
+  bool fusion_served = true;
+  bool fusion_ran = false;
+  double fusion_speedup = 0;
+  std::uint64_t unfused_arm_fused = 0;
 #ifndef _WIN32
   {
     // A deliberately heavy cover — wide output plane, many products —
@@ -618,10 +629,10 @@ int main(int argc, char** argv) {
         espresso::minimize(logic::generate_cover(heavy_spec, 11)).cover;
     const auto heavy = core::GnorPla::map_cover(heavy_cover);
     const std::string heavy_path =
-        (std::filesystem::temp_directory_path() / "ambit_bench_coal.pla")
+        (std::filesystem::temp_directory_path() / "ambit_bench_fusion.pla")
             .string();
     logic::write_pla_file(heavy_path, logic::make_pla(heavy_cover, "bench"));
-    std::printf("\nheavy cover for coalescing: %d inputs, %d outputs, %d "
+    std::printf("\nheavy cover for fusion: %d inputs, %d outputs, %d "
                 "products\n",
                 heavy.num_inputs(), heavy.num_outputs(),
                 heavy.num_products());
@@ -629,52 +640,60 @@ int main(int argc, char** argv) {
     const int small_clients = 8;
     const int small_requests = smoke ? 40 : 400;
     const int small_patterns = 4;
+    const auto fused_count = [](const metrics::Registry& registry) {
+      const metrics::Counter* fused =
+          registry.find_counter("ambit_serve_coalesce_fused_total");
+      return fused != nullptr ? fused->value() : 0;
+    };
     // Single-worker sessions on purpose: the contest is per-request
     // word sweeps vs shared word sweeps, not pool sharding (tiny
     // batches never shard anyway).
-    serve::Session plain_session(1);
-    plain_session.load("bench", heavy_path);
-    serve::ServerOptions plain_options;
-    const StormResult plain =
-        run_storm(heavy, plain_session, /*socket_path=*/"", plain_options,
+    serve::Session unfused_session(1);
+    for (int c = 0; c < small_clients; ++c) {
+      unfused_session.load("bench" + std::to_string(c), heavy_path);
+    }
+    metrics::Registry unfused_registry;
+    serve::ServerOptions unfused_options;
+    unfused_options.registry = &unfused_registry;
+    const StormResult unfused = run_storm(
+        heavy, unfused_session, /*socket_path=*/"", unfused_options,
+        small_clients, small_requests, small_patterns, /*own_circuits=*/true);
+    serve::Session fused_session(1);
+    fused_session.load("bench", heavy_path);
+    metrics::Registry fused_registry;
+    serve::ServerOptions fused_options;
+    fused_options.registry = &fused_registry;
+    const StormResult fused =
+        run_storm(heavy, fused_session, /*socket_path=*/"", fused_options,
                   small_clients, small_requests, small_patterns);
-    serve::Session coal_session(1);
-    coal_session.load("bench", heavy_path);
-    metrics::Registry coal_registry;
-    serve::ServerOptions coal_options;
-    coal_options.coalesce.window_us = 200;
-    coal_options.coalesce.min_patterns =
-        static_cast<std::uint64_t>(small_clients) * small_patterns / 2;
-    coal_options.registry = &coal_registry;
-    const StormResult coal =
-        run_storm(heavy, coal_session, /*socket_path=*/"", coal_options,
-                  small_clients, small_requests, small_patterns);
-    coalesce_identical = plain.all_identical && coal.all_identical;
-    coalesce_served = plain.all_served && coal.all_served;
-    coalesce_ran = true;
-    coalesce_speedup = plain.seconds / coal.seconds;
-    const LatencyStats coal_eval = stats_of(coal_registry.find_histogram(
+    fusion_identical = unfused.all_identical && fused.all_identical;
+    fusion_served = unfused.all_served && fused.all_served;
+    fusion_ran = true;
+    fusion_speedup = unfused.seconds / fused.seconds;
+    unfused_arm_fused = fused_count(unfused_registry);
+    const LatencyStats fused_eval = stats_of(fused_registry.find_histogram(
         "ambit_serve_request_us", {{"verb", "EVAL"}}));
-    const metrics::Counter* fused = coal_registry.find_counter(
-        "ambit_serve_coalesce_fused_total");
     std::printf(
         "%d small clients x %d requests x %d patterns over TCP: "
-        "uncoalesced %.0f req/s, coalesced %.0f req/s (%.2fx, EVAL %s, "
-        "%llu fused), responses %s\n",
+        "unfused %.0f req/s (%llu fused), fused %.0f req/s (%.2fx, EVAL "
+        "%s, %llu fused), responses %s\n",
         small_clients, small_requests, small_patterns,
-        static_cast<double>(plain.requests) / plain.seconds,
-        static_cast<double>(coal.requests) / coal.seconds, coalesce_speedup,
-        format_latency(coal_eval).c_str(),
-        static_cast<unsigned long long>(fused != nullptr ? fused->value() : 0),
-        coalesce_identical && coalesce_served ? "bit-identical" : "WRONG");
-    json.add("coalesce_req_per_s",
-             static_cast<double>(coal.requests) / coal.seconds);
-    json.add("coalesce_speedup", coalesce_speedup);
-    json.add("coalesce_eval", coal_eval);
+        static_cast<double>(unfused.requests) / unfused.seconds,
+        static_cast<unsigned long long>(unfused_arm_fused),
+        static_cast<double>(fused.requests) / fused.seconds, fusion_speedup,
+        format_latency(fused_eval).c_str(),
+        static_cast<unsigned long long>(fused_count(fused_registry)),
+        fusion_identical && fusion_served ? "bit-identical" : "WRONG");
+    json.add("fusion_req_per_s",
+             static_cast<double>(fused.requests) / fused.seconds);
+    json.add("fusion_speedup", fusion_speedup);
+    json.add("fusion_eval", fused_eval);
+    json.add("fused_requests",
+             static_cast<double>(fused_count(fused_registry)));
     std::filesystem::remove(heavy_path);
   }
 #else
-  std::printf("coalescing storm skipped: no sockets\n");
+  std::printf("fusion storm skipped: no sockets\n");
 #endif
 
   // --- 6. Instrumentation overhead ----------------------------------------
@@ -898,8 +917,10 @@ int main(int argc, char** argv) {
   std::printf("EVALB frame bit-identical: %s\n", evalb_identical ? "yes" : "NO");
   std::printf("multi-client responses correct: %s\n",
               storm_identical && storm_served ? "yes" : "NO");
-  std::printf("coalesced responses correct: %s\n",
-              coalesce_identical && coalesce_served ? "yes" : "NO");
+  std::printf("fused responses correct: %s\n",
+              fusion_identical && fusion_served ? "yes" : "NO");
+  std::printf("unfused arm requests fused: %llu (bar: 0)\n",
+              static_cast<unsigned long long>(unfused_arm_fused));
   // The C10k bars: every held-open client must be served whenever the
   // section ran at all (a correctness bar, enforced even in smoke);
   // the >= 2000 simultaneous-connection floor only outside smoke /
@@ -922,8 +943,8 @@ int main(int argc, char** argv) {
                 best_speedup_4plus);
     std::printf("multi-client aggregate speedup: %.1fx (bar: >= 2x)\n",
                 conc_speedup);
-    std::printf("many-small-clients coalescing speedup: %.2fx (bar: >= 1.5x)\n",
-                coalesce_speedup);
+    std::printf("many-small-clients fusion speedup: %.2fx (bar: >= 1.5x)\n",
+                fusion_speedup);
     std::printf("metrics instrumentation overhead: %.1f%% (bar: <= 5%%)\n",
                 metrics_overhead_pct);
   } else {
@@ -936,8 +957,8 @@ int main(int argc, char** argv) {
     std::printf("multi-client aggregate speedup: %.1fx (bar NOT enforced)\n",
                 conc_speedup);
     std::printf(
-        "many-small-clients coalescing speedup: %.2fx (bar NOT enforced)\n",
-        coalesce_speedup);
+        "many-small-clients fusion speedup: %.2fx (bar NOT enforced)\n",
+        fusion_speedup);
     std::printf("metrics instrumentation overhead: %.1f%% (bar NOT enforced)\n",
                 metrics_overhead_pct);
   }
@@ -945,13 +966,13 @@ int main(int argc, char** argv) {
   // sockets -> no storm -> no bar). The overhead bar only means
   // something when the instrumentation is compiled in at all.
   const bool pass = all_identical && evalb_identical && storm_identical &&
-                    storm_served && coalesce_identical && coalesce_served &&
-                    errors == 0 && c10k_all_served &&
+                    storm_served && fusion_identical && fusion_served &&
+                    unfused_arm_fused == 0 && errors == 0 && c10k_all_served &&
                     (!enforce_c10k_scale || c10k_peak_active >= 2000) &&
                     (!enforce_speedup ||
                      (best_speedup_4plus >= 3.0 &&
                       (!storm_ran || conc_speedup >= 2.0) &&
-                      (!coalesce_ran || coalesce_speedup >= 1.5) &&
+                      (!fusion_ran || fusion_speedup >= 1.5) &&
                       (!metrics::metrics_enabled() ||
                        metrics_overhead_pct <= 5.0)));
   std::printf("\n%s\n", json.render().c_str());

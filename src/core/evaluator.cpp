@@ -42,8 +42,8 @@ namespace {
 /// The batch half of the width contract, enforced on every kernel
 /// result: output lane count and pattern count must match, and the tail
 /// padding must be clean (a kernel leaving stray bits there would break
-/// the bit-locality consumers — sharded pastes and the serve
-/// coalescer's bit-packed fusion).
+/// the bit-locality consumers — sharded pastes and the serve event
+/// loop's bit-packed fusion).
 void check_batch_contract(const Evaluator& e, const logic::PatternBatch& in,
                           const logic::PatternBatch& out) {
   AMBIT_CHECK(out.num_signals() == e.num_outputs(),

@@ -29,9 +29,9 @@
 // the input lanes. Two load-bearing consequences:
 //   * word-aligned sharding (the pool overload below) is bit-identical
 //     to the sequential sweep for any worker count;
-//   * batches packed back-to-back at BIT granularity (the serve
-//     coalescer, serve/coalesce.h) evaluate to exactly the
-//     concatenation of their separate results.
+//   * batches packed back-to-back at BIT granularity (the serve event
+//     loop's per-turn fusion, Server::serve_turn) evaluate to exactly
+//     the concatenation of their separate results.
 // A kernel that carries state across bit positions — shifts across
 // patterns, arithmetic carries, pattern-index logic — violates both;
 // do not add one without revisiting those call sites (the property

@@ -261,7 +261,7 @@ void PatternBatch::copy_patterns_from(const PatternBatch& src,
     }
   }
   // copy_bit_range preserves destination bits outside the copied range
-  // BY CONTRACT — the coalescer's exactness proof leans on it — so a
+  // BY CONTRACT — per-turn fusion's exactness proof leans on it — so a
   // clean destination must still be clean (a dirty source tail can only
   // reach our padding through an in-range copy of invalid source bits,
   // which the bounds checks above exclude).

@@ -59,51 +59,50 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0} - 1;
 /// descriptor is ready.
 constexpr int kHousekeepingMs = 50;
 
-/// The largest EVAL/EVALB the loop serves itself: one lane word, far
-/// below the 16 words at which Evaluator::evaluate_batch shards. On the
+/// The most pattern bytes a request the loop serves itself may carry
+/// (the EVAL line, the EVALB payload) besides its kLoopMaxPatterns
+/// patterns: a 64-pattern request against a circuit with thousands of
+/// inputs is neither one cheap word nor small to copy. On the
 /// 223-product benchmark circuit the one-word sweep costs about 10 us
 /// at any count up to 64; a text EVAL adds about 0.7 us of hex codec
 /// per pattern, an EVALB nothing.
-constexpr std::uint64_t kLoopMaxPatterns = 64;
-
-/// ... and the most pattern bytes it may carry (the EVAL line, the
-/// EVALB payload): a 64-pattern request against a circuit with
-/// thousands of inputs is neither one cheap word nor small to copy.
 constexpr std::size_t kLoopMaxPatternBytes = std::size_t{16} << 10;
 
-/// Whether the loop thread serves the request on `line` itself (true)
-/// or hands it to the pool (false), read from the line alone with the
-/// tokenizer parse_request uses, but without its allocations. The
+/// Where a framed request is served.
+enum class Where {
+  kPool,  ///< on a pool worker
+  kLoop,  ///< on the loop thread, at once
+  kTurn,  ///< on the loop thread, in the turn's fused EVAL/EVALB pass
+};
+
+/// Where the request on `line` is served, read from the line alone with
+/// the tokenizer parse_request uses, but without its allocations. The
 /// switch names every verb and has no default, so a new verb does not
 /// compile (-Wswitch) until it is placed here. Cheap requests run on
-/// the loop: one-word EVAL/EVALB (only while the coalescer is off — its
-/// leader parks on a CondVar, which must never park the loop), the
-/// bookkeeping verbs, and the lines whose answer is one ERR: an unknown
-/// verb, an EVAL without patterns, an EVALB header whose counts do not
-/// parse. A LOAD, VERIFY, SIM or SIMB line with bad arguments is
-/// answered on the pool like a good one.
-bool runs_on_loop(std::string_view line, bool coalescing) {
+/// the loop: the bookkeeping verbs and the lines whose answer is one
+/// ERR (an unknown verb, an EVALB header whose counts do not parse) at
+/// once; one-word EVAL/EVALB in the turn's fused pass, which answers an
+/// EVAL without patterns with its ERR too. A LOAD, VERIFY, SIM or SIMB
+/// line with bad arguments is answered on the pool like a good one.
+Where where_served(std::string_view line) {
   std::string_view rest = line;
   const std::optional<Verb> verb = find_verb(next_token(rest));
   if (!verb.has_value()) {
-    return true;
+    return Where::kLoop;
   }
   switch (*verb) {
     case Verb::kEval: {
-      if (coalescing || line.size() > kLoopMaxPatternBytes) {
-        return false;
+      if (line.size() > kLoopMaxPatternBytes) {
+        return Where::kPool;
       }
       next_token(rest);  // the circuit name
       std::uint64_t patterns = 0;
       while (!next_token(rest).empty()) {
         ++patterns;
       }
-      return patterns <= kLoopMaxPatterns;
+      return patterns <= kLoopMaxPatterns ? Where::kTurn : Where::kPool;
     }
     case Verb::kEvalB: {
-      if (coalescing) {
-        return false;
-      }
       next_token(rest);  // the circuit name
       const std::string_view patterns_token = next_token(rest);
       const std::string_view words_token = next_token(rest);
@@ -115,10 +114,12 @@ bool runs_on_loop(std::string_view line, bool coalescing) {
         return error == std::errc() && end == token.data() + token.size();
       };
       if (!parse(patterns_token, patterns) || !parse(words_token, words)) {
-        return true;  // an unframed header: ERR, then the drop
+        return Where::kLoop;  // an unframed header: ERR, then the drop
       }
       return patterns <= kLoopMaxPatterns &&
-             words <= kLoopMaxPatternBytes / sizeof(std::uint64_t);
+                     words <= kLoopMaxPatternBytes / sizeof(std::uint64_t)
+                 ? Where::kTurn
+                 : Where::kPool;
     }
     case Verb::kStats:
     case Verb::kMetrics:
@@ -126,14 +127,14 @@ bool runs_on_loop(std::string_view line, bool coalescing) {
     case Verb::kHelp:
     case Verb::kQuit:
     case Verb::kShutdown:
-      return true;
+      return Where::kLoop;
     case Verb::kLoad:
     case Verb::kSim:
     case Verb::kSimB:
     case Verb::kVerify:
-      return false;
+      return Where::kPool;
   }
-  return false;  // unreachable: the switch names every verb
+  return Where::kPool;  // unreachable: the switch names every verb
 }
 
 }  // namespace
@@ -233,7 +234,9 @@ class EventLoop {
     /// the outbox drains.
     std::string outbox;
     std::size_t out_off = 0;
-    bool busy = false;        ///< a request job is on the pool
+    /// A request is being served: a job on the pool, or set aside for
+    /// the turn's fused pass.
+    bool busy = false;
     bool want_close = false;  ///< close once the outbox drains
     bool no_reads = false;    ///< SHUTDOWN drain cut the input side
     /// On runnable_: a complete request is buffered but this turn
@@ -418,9 +421,49 @@ class EventLoop {
   /// the payload where it sits in the connection buffer.
   void serve_inline(Conn& c) {
     c.idle_deadline_ms = 0;
-    c.inline_turn = turn_;
     finish(c, serve(server_, c.id, c.state.line(), c.state.request_payload(),
                     /*queued_at_us=*/0));
+  }
+
+  /// Serves the turn's set-aside EVAL/EVALB requests in one
+  /// Server::serve_turn, which sweeps those for one circuit together,
+  /// reading each payload where it sits in its connection buffer; then
+  /// steps each connection on. Runs before the loop next waits, so a
+  /// set-aside request never waits for a tick.
+  void serve_set_aside() {
+    if (set_aside_.empty()) {
+      return;
+    }
+    std::vector<Server::TurnRequest> requests;
+    requests.reserve(set_aside_.size());
+    for (const std::uint64_t id : set_aside_) {
+      const auto it = conns_.find(id);
+      if (it != conns_.end()) {  // a failed flush may have closed it
+        Server::TurnRequest& r = requests.emplace_back();
+        r.conn_id = id;
+        r.line = &it->second->state.line();
+        r.payload = it->second->state.request_payload();
+      }
+    }
+    set_aside_.clear();
+    bool served = true;
+    try {
+      server_.serve_turn(requests);
+    } catch (...) {
+      served = false;  // bad_alloc mid-turn: cost the connections
+    }
+    for (Server::TurnRequest& r : requests) {
+      Completion done;
+      done.conn_id = r.conn_id;
+      done.out = std::move(r.out);
+      done.alive = served && r.complete;
+      done.payload_truncated = served && !r.complete;
+      done.quit = r.outcome.quit;
+      finish(*conns_.at(r.conn_id), done);
+    }
+    for (const Server::TurnRequest& r : requests) {
+      step(r.conn_id);
+    }
   }
 
   /// Settles a served request on its connection, wherever it ran: the
@@ -454,12 +497,14 @@ class EventLoop {
   /// flush pending writes, serve buffered requests (one at a time — a
   /// response must drain before the next request is parsed, so a peer
   /// that stops reading stops being served), then settle interest and
-  /// timers. A cheap request (runs_on_loop) is served right here, but
-  /// only one per connection per turn: a second one waits on runnable_
-  /// for the next turn, so one peer's pipelined burst cannot hold the
-  /// loop while another peer waits. Any other request goes to the pool,
-  /// and the connection waits for its Completion. May close (and
-  /// erase) the connection.
+  /// timers. A cheap request (where_served) runs on the loop, but only
+  /// one per connection per turn: a second one waits on runnable_ for
+  /// the next turn, so one peer's pipelined burst cannot hold the loop
+  /// while another peer waits. A one-word EVAL/EVALB is set aside for
+  /// the turn's fused pass, which steps the connection again; any other
+  /// cheap request is served right here. The rest go to the pool, and
+  /// the connection waits for its Completion. May close (and erase)
+  /// the connection.
   void step(std::uint64_t id) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) {
@@ -489,7 +534,8 @@ class EventLoop {
         continue;  // flush the ERR line, then close
       }
       // kRequest
-      if (!runs_on_loop(c.state.line(), server_.coalescer_.enabled())) {
+      const Where where = where_served(c.state.line());
+      if (where == Where::kPool) {
         dispatch(c);
         break;
       }
@@ -499,6 +545,14 @@ class EventLoop {
           runnable_.push_back(c.id);
         }
         break;
+      }
+      c.inline_turn = turn_;
+      if (where == Where::kTurn) {
+        // Interest and timers settle when serve_set_aside steps it.
+        c.busy = true;
+        c.idle_deadline_ms = 0;
+        set_aside_.push_back(c.id);
+        return;
       }
       serve_inline(c);
     }
@@ -748,6 +802,9 @@ class EventLoop {
   std::uint64_t turn_ = 0;
   /// Connections holding a request that waits for the next turn.
   std::vector<std::uint64_t> runnable_;
+  /// Connections whose one-word EVAL/EVALB waits for this turn's fused
+  /// pass (serve_set_aside).
+  std::vector<std::uint64_t> set_aside_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   TimerWheel wheel_;
   // The worker→loop handoff: the ONLY state two threads share.
@@ -805,6 +862,7 @@ std::uint64_t EventLoop::run() {
       }
       fatal_ = what_ + ": epoll_wait failed: " + std::strerror(errno);
       begin_drain();
+      serve_set_aside();
       // Without a working epoll there is nothing left to wait on;
       // busy jobs still post completions, drained below.
       break;
@@ -841,6 +899,8 @@ std::uint64_t EventLoop::run() {
     if (server_.shutdown_.load() && !draining_) {
       begin_drain();
     }
+    // Last, after every step that may set a request aside.
+    serve_set_aside();
     const std::uint64_t now = now_ms();
     wheel_.advance(now, [this](const TimerWheel::Entry& e) { on_timer(e); });
     if (accept_retry_ms_ != 0 && now >= accept_retry_ms_ && !draining_) {

@@ -1,12 +1,14 @@
 // The epoll serve core behind Server::serve_unix and serve_tcp: one
 // loop thread multiplexing every accepted connection through
 // non-blocking sockets and the ConnState framing machine
-// (serve/conn_state.h). Cheap requests — one-word EVAL/EVALB while the
-// coalescer is off, STATS, HELP, METRICS, UNLOAD, QUIT, SHUTDOWN and
-// unparseable lines — are served to completion on the loop thread, at
-// most one per connection per loop turn. LOAD, VERIFY, SIM, SIMB and
-// larger evaluations go to the session ThreadPool, so the loop never
-// blocks on a multi-word sweep or an Espresso run.
+// (serve/conn_state.h). Cheap requests — one-word EVAL/EVALB, STATS,
+// HELP, METRICS, UNLOAD, QUIT, SHUTDOWN and unparseable lines — are
+// served to completion on the loop thread, at most one per connection
+// per loop turn. The one-word EVAL/EVALBs are set aside until the end
+// of the turn, and those for one circuit share one sweep
+// (Server::serve_turn). LOAD, VERIFY, SIM, SIMB and larger evaluations
+// go to the session ThreadPool, so the loop never blocks on a
+// multi-word sweep or an Espresso run.
 //
 // Division of labor (ownership rules in docs/ARCHITECTURE.md):
 //

@@ -4,7 +4,9 @@
 #include <cstring>
 #include <istream>
 #include <memory>
+#include <optional>
 #include <ostream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,10 +66,8 @@ struct Server::ServeMetrics {
   metrics::Gauge* pool_workers;
   metrics::Gauge* pool_queue_depth;
   metrics::Gauge* pool_busy;
-  metrics::Counter* coalesce_requests;
-  metrics::Counter* coalesce_fused;
-  metrics::Counter* coalesce_batches;
-  metrics::Histogram* coalesce_wait_us;
+  metrics::Counter* fused_requests;
+  metrics::Counter* fused_sweeps;
   metrics::Counter* loop_iterations;
   metrics::Histogram* loop_ready_events;
   metrics::Gauge* pending_write_bytes;
@@ -127,21 +127,15 @@ struct Server::ServeMetrics {
     pool_busy = &reg.gauge("ambit_pool_busy_workers",
                            "Pool workers executing a task, sampled at "
                            "scrape time");
-    coalesce_requests =
-        &reg.counter("ambit_serve_coalesce_requests_total",
-                     "Requests routed through the coalescing queue");
-    coalesce_fused =
-        &reg.counter("ambit_serve_coalesce_fused_total",
-                     "Coalesced requests answered from a shared fused sweep");
-    coalesce_batches =
-        &reg.counter("ambit_serve_coalesce_batches_total",
-                     "Fused sweeps run (groups of two or more requests)");
-    coalesce_wait_us = &reg.histogram(
-        "ambit_serve_coalesce_wait_us",
-        "Microseconds a coalesced request was parked in the queue (the "
-        "leader's follower-wait window, or a follower's wait for the "
-        "fused result including the shared sweep)",
-        metrics::Histogram::default_latency_bounds_us());
+    // The names predate per-turn fusion; dashboards and perfbench's
+    // srv.* counters read them.
+    fused_requests = &reg.counter(
+        "ambit_serve_coalesce_fused_total",
+        "EVAL/EVALB requests answered from a sweep shared with other "
+        "requests for the same circuit in the same event-loop turn");
+    fused_sweeps = &reg.counter(
+        "ambit_serve_coalesce_batches_total",
+        "Shared sweeps run (two or more requests each)");
     loop_iterations =
         &reg.counter("ambit_serve_loop_iterations_total",
                      "Event-loop iterations (one epoll_wait return each)");
@@ -163,22 +157,9 @@ Server::Server(Session& session, ServerOptions options)
       options_(options),
       metrics_(std::make_unique<ServeMetrics>(options.registry != nullptr
                                                   ? *options.registry
-                                                  : metrics::Registry::global())),
-      coalescer_(session, options.coalesce, coalesce_instruments()) {}
+                                                  : metrics::Registry::global())) {}
 
 Server::~Server() = default;
-
-CoalesceInstruments Server::coalesce_instruments() const {
-  if (!metrics_on()) {
-    return {};
-  }
-  return CoalesceInstruments{
-      .requests = metrics_->coalesce_requests,
-      .fused = metrics_->coalesce_fused,
-      .batches = metrics_->coalesce_batches,
-      .wait_us = metrics_->coalesce_wait_us,
-  };
-}
 
 std::string Server::metrics_page() {
   // The sampled gauges are refreshed at scrape time — they describe
@@ -192,25 +173,29 @@ std::string Server::metrics_page() {
   return metrics_->registry.prometheus_text();
 }
 
-std::string Server::handle_line(const std::string& line) {
-  try {
-    const Request request = parse_request(line);
-    if (is_bulk_verb(request.verb)) {
-      return err_response(
-          (request.verb == Verb::kEvalB ? "EVALB" : "SIMB") +
-          std::string(" carries a binary payload and needs a stream or "
-                      "socket transport (use ") +
-          (request.verb == Verb::kEvalB ? "EVAL" : "SIM") + " for text)");
-    }
-    return dispatch(request).response;
-  } catch (const Error& e) {
-    return err_response(e.what());
-  } catch (const std::exception& e) {
-    return err_response(std::string("internal: ") + e.what());
-  }
+namespace {
+
+/// The ERR line for a failed request: an ambit::Error's own text, any
+/// other exception (bad_alloc from a cover declaring absurd widths, say)
+/// as "internal: ..." — a request failure, never a reason to take the
+/// server down.
+std::string error_response(const std::exception& e) {
+  return dynamic_cast<const Error*>(&e) != nullptr
+             ? err_response(e.what())
+             : err_response(std::string("internal: ") + e.what());
 }
 
-namespace {
+/// Appends one response line and, for a bulk answer, its payload words.
+bool respond(std::string& out, const std::string& response,
+             const std::vector<std::uint64_t>& payload = {}) {
+  out += response;
+  out += '\n';
+  if (!payload.empty()) {
+    out.append(reinterpret_cast<const char*>(payload.data()),
+               payload.size() * sizeof(std::uint64_t));
+  }
+  return true;
+}
 
 /// The shared EVAL/SIM front half: one registry handle, every hex
 /// token decoded against ITS width. One lookup on purpose — the decode
@@ -230,6 +215,29 @@ std::vector<std::vector<bool>> decode_request_patterns(
 
 }  // namespace
 
+std::string Server::handle_line(const std::string& line) {
+  std::string_view rest = line;
+  const std::optional<Verb> verb = find_verb(next_token(rest));
+  if (verb == Verb::kEvalB || verb == Verb::kSimB) {
+    const bool evalb = verb == Verb::kEvalB;
+    return err_response(std::string(evalb ? "EVALB" : "SIMB") +
+                        " carries a binary payload and needs a stream or "
+                        "socket transport (use " +
+                        (evalb ? "EVAL" : "SIM") + " for text)");
+  }
+  if (verb == Verb::kMetrics) {
+    // The page is multi-line; only serve_line's transports can frame it
+    // (OK METRICS <nbytes> + raw bytes).
+    return err_response(
+        "METRICS carries a multi-line payload and needs a stream or socket "
+        "transport");
+  }
+  std::string out;
+  Outcome outcome;
+  serve_line_inner(line, {}, out, outcome, nullptr);
+  return outcome.response;
+}
+
 Server::Outcome Server::dispatch(const Request& request) {
   try {
     switch (request.verb) {
@@ -243,26 +251,6 @@ Server::Outcome Server::dispatch(const Request& request) {
             std::to_string(circuit->gnor.num_products()) + " products, " +
             std::to_string(circuit->gnor.cell_count()) + " cells, " +
             format_double(circuit->load_seconds * 1e3, 1) + " ms")};
-      }
-      case Verb::kEval: {
-        const std::shared_ptr<const LoadedCircuit> circuit =
-            session_.get(request.name);
-        logic::PatternBatch inputs(0, 0);
-        {
-          const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-          inputs = logic::PatternBatch::from_patterns(
-              decode_request_patterns(*circuit, request));
-        }
-        const logic::PatternBatch outputs = coalesced_eval(circuit, inputs);
-        const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-        std::string detail;
-        for (std::uint64_t p = 0; p < outputs.num_patterns(); ++p) {
-          if (!detail.empty()) {
-            detail += ' ';
-          }
-          detail += hex_encode(outputs.pattern(p));
-        }
-        return {ok_response(detail)};
       }
       case Verb::kSim: {
         const std::shared_ptr<const LoadedCircuit> circuit =
@@ -293,10 +281,13 @@ Server::Outcome Server::dispatch(const Request& request) {
         }
         return {ok_response(detail)};
       }
+      case Verb::kEval:
       case Verb::kEvalB:
       case Verb::kSimB:
-        // Handled by serve_line, which owns the payload exchange.
-        return {err_response("bulk verb reached the text dispatcher")};
+      case Verb::kMetrics:
+        // Handled by serve_line_inner, which owns the decode/encode
+        // split and the payload exchange.
+        return {err_response("verb reached the one-line dispatcher")};
       case Verb::kVerify: {
         // One registry lookup, same reasoning as kEval: the verdict
         // and the reported pattern count must describe the SAME
@@ -329,17 +320,9 @@ Server::Outcome Server::dispatch(const Request& request) {
             " sim_patterns=" + std::to_string(stats.sim_patterns) +
             " verifies=" + std::to_string(stats.verifies) +
             " workers=" + std::to_string(stats.workers);
-        if (coalescer_.enabled()) {
-          // Only when the feature is on: the trailing fields appear
-          // exactly when the operator asked for coalescing, and their
-          // absence keeps pre-coalescing STATS consumers byte-stable.
-          const CoalesceStats fused = coalescer_.stats();
-          detail += " coalesced_requests=" + std::to_string(fused.fused) +
-                    " coalesced_batches=" + std::to_string(fused.batches);
-        }
-        // Appended LAST, after the optional coalescer fields: every
-        // STATS consumer so far matches fields by name, and append-only
-        // growth keeps any that slice by prefix byte-stable.
+        // Appended LAST: every STATS consumer so far matches fields by
+        // name, and append-only growth keeps any that slice by prefix
+        // byte-stable.
         detail +=
             " connections=" +
             std::to_string(connections_active_.load(std::memory_order_relaxed)) +
@@ -348,13 +331,6 @@ Server::Outcome Server::dispatch(const Request& request) {
                 connections_accepted_.load(std::memory_order_relaxed));
         return {ok_response(detail)};
       }
-      case Verb::kMetrics:
-        // The page is multi-line; only serve_line's transports can
-        // frame it (OK METRICS <nbytes> + raw bytes). handle_line is
-        // the one-line text path, so mirror the EVALB refusal.
-        return {err_response(
-            "METRICS carries a multi-line payload and needs a stream or "
-            "socket transport")};
       case Verb::kUnload:
         session_.unload(request.name);
         return {ok_response("unloaded " + request.name)};
@@ -367,26 +343,9 @@ Server::Outcome Server::dispatch(const Request& request) {
         return {ok_response("shutting down"), /*quit=*/true};
     }
     return {err_response("unhandled verb")};  // unreachable
-  } catch (const Error& e) {
-    return {err_response(e.what())};
   } catch (const std::exception& e) {
-    // Anything the request pipeline can throw beyond ambit::Error —
-    // e.g. bad_alloc from a cover declaring absurd widths — is still a
-    // request failure, not a reason to take the server down.
-    return {err_response(std::string("internal: ") + e.what())};
+    return {error_response(e)};
   }
-}
-
-logic::PatternBatch Server::coalesced_eval(
-    const std::shared_ptr<const LoadedCircuit>& circuit,
-    const logic::PatternBatch& inputs) {
-  if (coalescer_.enabled()) {
-    // The coalescer attributes its own phases: evaluate at the actual
-    // sweep sites, coalesce_wait for the parked time.
-    return coalescer_.eval(circuit, inputs);
-  }
-  const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-  return session_.eval(circuit, inputs);
 }
 
 bool Server::serve_line(const std::string& line, std::string_view payload,
@@ -407,7 +366,14 @@ bool Server::serve_line(const std::string& line, std::string_view payload,
     const metrics::TraceScope scope(&trace);
     complete = serve_line_inner(line, payload, out, outcome, &verb_index);
   }
-  const std::uint64_t total_us = metrics::monotonic_us() - arrived_us;
+  record(trace, verb_index, metrics::monotonic_us() - arrived_us, outcome,
+         conn_id);
+  return complete;
+}
+
+void Server::record(const metrics::PhaseTrace& trace, int verb_index,
+                    std::uint64_t total_us, const Outcome& outcome,
+                    std::uint64_t conn_id) {
   if (verb_index < 0) {
     metrics_->requests_malformed->add();
   } else {
@@ -434,30 +400,22 @@ bool Server::serve_line(const std::string& line, std::string_view payload,
                       : std::string("malformed")},
          {"total_us", std::to_string(total_us)},
          {"parse_us", std::to_string(trace.get(metrics::Phase::kParse))},
-         {"coalesce_wait_us",
-          std::to_string(trace.get(metrics::Phase::kCoalesceWait))},
          {"queue_wait_us",
           std::to_string(trace.get(metrics::Phase::kQueueWait))},
          {"evaluate_us", std::to_string(trace.get(metrics::Phase::kEvaluate))},
          {"serialize_us",
           std::to_string(trace.get(metrics::Phase::kSerialize))}});
   }
-  return complete;
 }
 
 bool Server::serve_line_inner(const std::string& line,
                               std::string_view payload, std::string& out,
-                              Outcome& outcome, int* verb_index_out) {
+                              Outcome& outcome, int* verb_index_out,
+                              EvalJob* held) {
   outcome = Outcome{};
   if (verb_index_out != nullptr) {
     *verb_index_out = -1;
   }
-  // Appends the response line set in `outcome`.
-  const auto respond = [&] {
-    out += outcome.response;
-    out += '\n';
-    return true;
-  };
   Request request;
   try {
     const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
@@ -472,7 +430,7 @@ bool Server::serve_line_inner(const std::string& line,
     if (!tokens.empty() && (tokens[0] == "EVALB" || tokens[0] == "SIMB")) {
       outcome.quit = true;
     }
-    return respond();
+    return respond(out, outcome.response);
   }
   if (verb_index_out != nullptr) {
     *verb_index_out = static_cast<int>(request.verb);
@@ -488,124 +446,82 @@ bool Server::serve_line_inner(const std::string& line,
       page = metrics_page();
     }
     outcome.response = "OK METRICS " + std::to_string(page.size());
-    respond();
+    respond(out, outcome.response);
     out += page;
     return true;
   }
 
-  if (!is_bulk_verb(request.verb)) {
+  if (!is_bulk_verb(request.verb) && request.verb != Verb::kEval) {
     outcome = dispatch(request);
-    return respond();
+    return respond(out, outcome.response);
   }
 
-  // EVALB/SIMB: the length prefix is trusted BEFORE the name or the
-  // pattern count, so the payload can always be consumed and the stream
-  // stays framed even when the request itself fails.
-  const char* verb = request.verb == Verb::kEvalB ? "EVALB" : "SIMB";
-  if (request.num_words > kMaxEvalbWords) {
-    outcome.response = err_response(
-        std::string(verb) + " payload of " + std::to_string(request.num_words) +
-        " words exceeds the " + std::to_string(kMaxEvalbWords) +
-        "-word limit");
-    outcome.quit = true;
-    return respond();
-  }
   std::vector<std::uint64_t> words;
-  try {
-    words.resize(request.num_words);
-  } catch (const std::exception&) {
-    // Under memory pressure even a within-limit payload buffer can
-    // fail to allocate. The request cannot be served, so the
-    // connection must go — but the SERVER stays up.
-    outcome.response = err_response(
-        std::string(verb) + ": cannot allocate " +
-        std::to_string(request.num_words) + "-word payload buffer");
-    outcome.quit = true;
-    return respond();
-  }
-  const std::size_t payload_bytes = words.size() * sizeof(std::uint64_t);
-  if (payload.size() < payload_bytes) {
-    // EOF mid-payload: nothing sensible to answer.
-    outcome.quit = true;
-    return false;
-  }
-  if (payload_bytes > 0) {
-    std::memcpy(words.data(), payload.data(), payload_bytes);
-  }
-  std::vector<std::uint64_t> out_words;
-  try {
-    check(request.num_patterns > 0,
-          std::string(verb) + " needs at least one pattern");
-    // A pattern count near 2^64 would wrap the words-per-lane
-    // computation to zero and sail through the framing checks; anything
-    // above what the word limit can carry is hostile.
-    check(request.num_patterns <= kMaxEvalbWords * 64,
-          std::string(verb) + " pattern count " +
-              std::to_string(request.num_patterns) + " exceeds the " +
-              std::to_string(kMaxEvalbWords * 64) + "-pattern limit");
-    // Simulated patterns cost three settles each, not one word-op per
-    // 64: a SIMB within the byte framing limits could still pin the
-    // pool for minutes, so its pattern count has its own cap.
-    check(request.verb != Verb::kSimB ||
-              request.num_patterns <= kMaxSimbPatterns,
-          "SIMB pattern count " + std::to_string(request.num_patterns) +
-              " exceeds the " + std::to_string(kMaxSimbPatterns) +
-              "-pattern simulation limit");
-    const std::shared_ptr<const LoadedCircuit> circuit =
-        session_.get(request.name);
-    const int width = circuit->gnor.num_inputs();
-    const std::uint64_t words_per_lane = (request.num_patterns + 63) / 64;
-    const std::uint64_t expected =
-        static_cast<std::uint64_t>(width) * words_per_lane;
-    check(request.num_words == expected,
-          std::string(verb) + ": " + std::to_string(request.num_patterns) +
-              " patterns over " + std::to_string(width) + " inputs need " +
-              std::to_string(expected) + " words, header declares " +
-              std::to_string(request.num_words));
-    // The word limit must bound the RESPONSE too: a 1-input circuit
-    // with many outputs would otherwise turn a within-limit payload
-    // into an output batch far beyond it. A SIMB response additionally
-    // carries the three per-pattern delay arrays.
-    const std::uint64_t lane_words =
-        static_cast<std::uint64_t>(circuit->gnor.num_outputs()) *
-        words_per_lane;
-    const std::uint64_t response_words =
-        request.verb == Verb::kSimB ? lane_words + 3 * request.num_patterns
-                                    : lane_words;
-    check(response_words <= kMaxEvalbWords,
-          std::string(verb) + ": response of " +
-              std::to_string(response_words) + " words over " +
-              std::to_string(circuit->gnor.num_outputs()) +
-              " outputs exceeds the " + std::to_string(kMaxEvalbWords) +
-              "-word limit");
-    logic::PatternBatch inputs(width, request.num_patterns);
-    {
-      const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-      inputs.load_words(words.data(), words.size());
+  if (is_bulk_verb(request.verb)) {
+    // EVALB/SIMB: the length prefix is trusted BEFORE the name or the
+    // pattern count, so the payload can always be consumed and the
+    // stream stays framed even when the request itself fails.
+    const char* verb = request.verb == Verb::kEvalB ? "EVALB" : "SIMB";
+    if (request.num_words > kMaxEvalbWords) {
+      outcome.response = err_response(
+          std::string(verb) + " payload of " +
+          std::to_string(request.num_words) + " words exceeds the " +
+          std::to_string(kMaxEvalbWords) + "-word limit");
+      outcome.quit = true;
+      return respond(out, outcome.response);
     }
-    // Evaluate the circuit the width check ran against — a concurrent
-    // same-name reload must not swap it out between the two.
-    if (request.verb == Verb::kEvalB) {
-      const logic::PatternBatch outputs = coalesced_eval(circuit, inputs);
-      const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-      out_words.resize(outputs.total_words());
-      outputs.store_words(out_words.data(), out_words.size());
-      outcome.response =
-          evalb_response_header(outputs.num_patterns(), out_words.size());
+    try {
+      words.resize(request.num_words);
+    } catch (const std::exception&) {
+      // Under memory pressure even a within-limit payload buffer can
+      // fail to allocate. The request cannot be served, so the
+      // connection must go — but the SERVER stays up.
+      outcome.response = err_response(
+          std::string(verb) + ": cannot allocate " +
+          std::to_string(request.num_words) + "-word payload buffer");
+      outcome.quit = true;
+      return respond(out, outcome.response);
+    }
+    const std::size_t payload_bytes = words.size() * sizeof(std::uint64_t);
+    if (payload.size() < payload_bytes) {
+      // EOF mid-payload: nothing sensible to answer.
+      outcome.quit = true;
+      return false;
+    }
+    if (payload_bytes > 0) {
+      std::memcpy(words.data(), payload.data(), payload_bytes);
+    }
+  }
+
+  std::vector<std::uint64_t> out_words;  // the binary answer
+  try {
+    EvalJob job = decode(request, words);
+    if (request.verb != Verb::kSimB) {
+      if (held != nullptr) {
+        *held = std::move(job);
+        return true;
+      }
+      logic::PatternBatch outputs(0, 0);
+      {
+        const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
+        outputs = session_.eval(job.circuit, job.inputs);
+      }
+      out_words = encode_eval(job, outputs, outcome);
     } else {
       simulate::BatchSimResult result(0, 0);
       {
         const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-        result = session_.sim(circuit, inputs);
+        result = session_.sim(job.circuit, job.inputs);
       }
       check(result.all_definite(),
             request.name + ": simulation produced non-digital outputs");
       const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-      out_words.resize(response_words);
-      result.outputs.store_words(out_words.data(), lane_words);
-      // The delay arrays ride as raw doubles, one per 8-byte word —
-      // same-endianness memcpy, like the lanes.
+      // The output lanes, then the delay arrays as raw doubles, one per
+      // 8-byte word — same-endianness memcpy, like the lanes.
       const std::uint64_t np = request.num_patterns;
+      const std::uint64_t lane_words = result.outputs.total_words();
+      out_words.resize(lane_words + 3 * np);
+      result.outputs.store_words(out_words.data(), lane_words);
       std::memcpy(out_words.data() + lane_words,
                   result.precharge_delay_s.data(), np * sizeof(double));
       std::memcpy(out_words.data() + lane_words + np,
@@ -614,20 +530,201 @@ bool Server::serve_line_inner(const std::string& line,
                   result.plane2_eval_delay_s.data(), np * sizeof(double));
       outcome.response = simb_response_header(np, out_words.size());
     }
-  } catch (const Error& e) {
-    outcome.response = err_response(e.what());
-    out_words.clear();
   } catch (const std::exception& e) {
-    outcome.response = err_response(std::string("internal: ") + e.what());
+    outcome.response = error_response(e);
     out_words.clear();
   }
+  // The input and output lanes are already freed: a bulk response
+  // grows into their memory, not on top of it.
   const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-  respond();
-  if (!out_words.empty()) {
-    out.append(reinterpret_cast<const char*>(out_words.data()),
-               out_words.size() * sizeof(std::uint64_t));
+  return respond(out, outcome.response, out_words);
+}
+
+Server::EvalJob Server::decode(const Request& request,
+                               const std::vector<std::uint64_t>& words) {
+  EvalJob job;
+  job.bulk = is_bulk_verb(request.verb);
+  if (!job.bulk) {
+    job.circuit = session_.get(request.name);
+    const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
+    job.inputs = logic::PatternBatch::from_patterns(
+        decode_request_patterns(*job.circuit, request));
+    return job;
   }
-  return true;
+  const std::string verb = request.verb == Verb::kEvalB ? "EVALB" : "SIMB";
+  check(request.num_patterns > 0, verb + " needs at least one pattern");
+  // A pattern count near 2^64 would wrap the words-per-lane computation
+  // to zero and sail through the framing checks; anything above what
+  // the word limit can carry is hostile.
+  check(request.num_patterns <= kMaxEvalbWords * 64,
+        verb + " pattern count " + std::to_string(request.num_patterns) +
+            " exceeds the " + std::to_string(kMaxEvalbWords * 64) +
+            "-pattern limit");
+  // Simulated patterns cost three settles each, not one word-op per 64:
+  // a SIMB within the byte framing limits could still pin the pool for
+  // minutes, so its pattern count has its own cap.
+  check(request.verb != Verb::kSimB ||
+            request.num_patterns <= kMaxSimbPatterns,
+        "SIMB pattern count " + std::to_string(request.num_patterns) +
+            " exceeds the " + std::to_string(kMaxSimbPatterns) +
+            "-pattern simulation limit");
+  job.circuit = session_.get(request.name);
+  const int width = job.circuit->gnor.num_inputs();
+  const int num_outputs = job.circuit->gnor.num_outputs();
+  const std::uint64_t words_per_lane = (request.num_patterns + 63) / 64;
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(width) * words_per_lane;
+  check(request.num_words == expected,
+        verb + ": " + std::to_string(request.num_patterns) +
+            " patterns over " + std::to_string(width) + " inputs need " +
+            std::to_string(expected) + " words, header declares " +
+            std::to_string(request.num_words));
+  // The word limit must bound the RESPONSE too: a 1-input circuit with
+  // many outputs would otherwise turn a within-limit payload into an
+  // output batch far beyond it. A SIMB response additionally carries
+  // the three per-pattern delay arrays.
+  const std::uint64_t lane_words =
+      static_cast<std::uint64_t>(num_outputs) * words_per_lane;
+  const std::uint64_t response_words =
+      request.verb == Verb::kSimB ? lane_words + 3 * request.num_patterns
+                                  : lane_words;
+  check(response_words <= kMaxEvalbWords,
+        verb + ": response of " + std::to_string(response_words) +
+            " words over " + std::to_string(num_outputs) +
+            " outputs exceeds the " + std::to_string(kMaxEvalbWords) +
+            "-word limit");
+  job.inputs = logic::PatternBatch(width, request.num_patterns);
+  const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
+  job.inputs.load_words(words.data(), words.size());
+  return job;
+}
+
+std::vector<std::uint64_t> Server::encode_eval(
+    const EvalJob& job, const logic::PatternBatch& outputs, Outcome& outcome) {
+  const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
+  std::vector<std::uint64_t> words;
+  if (job.bulk) {
+    words.resize(outputs.total_words());
+    outputs.store_words(words.data(), words.size());
+    outcome.response =
+        evalb_response_header(outputs.num_patterns(), words.size());
+    return words;
+  }
+  std::string detail;
+  for (std::uint64_t p = 0; p < outputs.num_patterns(); ++p) {
+    if (!detail.empty()) {
+      detail += ' ';
+    }
+    detail += hex_encode(outputs.pattern(p));
+  }
+  outcome.response = ok_response(detail);
+  return words;
+}
+
+void Server::serve_turn(std::vector<TurnRequest>& requests) {
+  const bool timed = metrics_on();
+  // Per request: the decoded job, its phase trace and the wall time of
+  // its own decode and encode plus its sweep — its total, so its phases
+  // add up to it even though the turn interleaves the requests.
+  struct Member {
+    EvalJob job;
+    metrics::PhaseTrace trace;
+    int verb_index = -1;
+    std::uint64_t us = 0;
+  };
+  std::vector<Member> members(requests.size());
+  const auto now_us = [timed] { return timed ? metrics::monotonic_us() : 0; };
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    TurnRequest& r = requests[i];
+    Member& m = members[i];
+    const std::uint64_t start = now_us();
+    {
+      const metrics::TraceScope scope(timed ? &m.trace : nullptr);
+      r.complete = serve_line_inner(*r.line, r.payload, r.out, r.outcome,
+                                    &m.verb_index, &m.job);
+    }
+    m.us = now_us() - start;
+    if (m.job.circuit == nullptr && timed) {
+      record(m.trace, m.verb_index, m.us, r.outcome, r.conn_id);  // answered
+    }
+  }
+
+  const auto size = [&](std::size_t k) {
+    return members[k].job.inputs.num_patterns();
+  };
+  std::vector<std::size_t> sweep;
+  std::vector<logic::PatternBatch> outputs;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i].job.circuit == nullptr) {
+      continue;  // answered while decoding, or by an earlier sweep
+    }
+    const std::shared_ptr<const LoadedCircuit> circuit = members[i].job.circuit;
+    sweep.assign(1, i);
+    std::uint64_t patterns = size(i);
+    for (std::size_t k = i + 1;
+         k < members.size() && patterns < kLoopMaxPatterns; ++k) {
+      if (members[k].job.circuit == circuit &&
+          patterns + size(k) <= kLoopMaxPatterns) {
+        sweep.push_back(k);
+        patterns += size(k);
+      }
+    }
+
+    outputs.clear();
+    std::string failure;  // the ERR line every member gets if it throws
+    const std::uint64_t sweep_start = now_us();
+    try {
+      if (sweep.size() == 1) {
+        outputs.push_back(session_.eval(circuit, members[i].job.inputs));
+      } else {
+        logic::PatternBatch fused(circuit->gnor.num_inputs(), patterns);
+        std::uint64_t at = 0;
+        for (const std::size_t k : sweep) {
+          fused.copy_patterns_from(members[k].job.inputs, 0, at, size(k));
+          at += size(k);
+        }
+        const logic::PatternBatch all =
+            session_.eval(circuit, fused, sweep.size());
+        at = 0;
+        for (const std::size_t k : sweep) {
+          logic::PatternBatch mine(all.num_signals(), size(k));
+          mine.copy_patterns_from(all, at, 0, size(k));
+          outputs.push_back(std::move(mine));
+          at += size(k);
+        }
+        if (timed) {
+          metrics_->fused_requests->add(sweep.size());
+          metrics_->fused_sweeps->add();
+        }
+      }
+    } catch (const std::exception& e) {
+      failure = error_response(e);
+    }
+    const std::uint64_t sweep_us = now_us() - sweep_start;
+
+    for (std::size_t j = 0; j < sweep.size(); ++j) {
+      TurnRequest& r = requests[sweep[j]];
+      Member& m = members[sweep[j]];
+      const std::uint64_t start = now_us();
+      {
+        const metrics::TraceScope scope(timed ? &m.trace : nullptr);
+        std::vector<std::uint64_t> words;
+        if (failure.empty()) {
+          words = encode_eval(m.job, outputs[j], r.outcome);
+        } else {
+          r.outcome.response = failure;
+        }
+        const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
+        respond(r.out, r.outcome.response, words);
+      }
+      m.job.circuit.reset();
+      if (timed) {
+        m.trace.add(metrics::Phase::kEvaluate, sweep_us);
+        m.us += sweep_us + (now_us() - start);
+        record(m.trace, m.verb_index, m.us, r.outcome, r.conn_id);
+      }
+    }
+  }
 }
 
 template <typename Feed, typename Emit>

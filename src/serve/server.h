@@ -27,8 +27,7 @@
 //
 // Per-connection state (the framing buffer, the outbox, the QUIT flag)
 // is owned by the loop, never by the shared Server object — the only
-// cross-connection state is the SHUTDOWN latch, the Session, and the
-// coalescing queue below.
+// cross-connection state is the SHUTDOWN latch and the Session.
 //
 // Bulk evaluation uses the EVALB binary frame (see protocol.h): the
 // payload words load straight into a logic::PatternBatch via its
@@ -38,12 +37,12 @@
 // the switch-level simulator instead — output lanes plus the three
 // per-pattern phase-delay arrays as raw doubles.
 //
-// Cross-connection coalescing (serve/coalesce.h): when
-// ServerOptions::coalesce.window_us > 0, small EVAL/EVALB requests
-// against the same circuit arriving concurrently from different
-// connections are fused into one bit-packed sharded sweep and the
-// per-request responses scattered back — bit-identical to uncoalesced
-// execution, at most window_us of added latency per request.
+// Per-turn fusion (serve_turn): the event loop sets aside the one-word
+// EVAL/EVALB requests that are ready in one loop turn, and those for
+// one circuit share a lane word — packed bit-contiguously into one
+// sweep, then each answered from its own slice. Every batch kernel is
+// bit-local (core/evaluator.h), so the answers are bit-identical to
+// separate sweeps; nothing waits for company, so no request is delayed.
 //
 // Request failures — unknown verbs, malformed covers, missing circuits
 // — never kill the server: every ambit::Error becomes one "ERR ..."
@@ -63,8 +62,8 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
-#include "serve/coalesce.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "util/log.h"
@@ -85,6 +84,11 @@ inline constexpr int kDefaultMaxConnections = 64;
 /// lanes would exceed it is rejected before evaluation. A hostile
 /// request cannot OOM the server from either direction.
 inline constexpr std::uint64_t kMaxEvalbWords = std::uint64_t{1} << 24;
+
+/// The largest EVAL/EVALB the event loop serves itself, and the most
+/// patterns one fused sweep packs (serve_turn): one 64-bit lane word,
+/// far below the 16 words at which Evaluator::evaluate_batch shards.
+inline constexpr std::uint64_t kLoopMaxPatterns = 64;
 
 /// Upper bound on one SIMB request's PATTERN count. Switch-level
 /// simulation costs three full network settles per pattern — orders of
@@ -120,9 +124,6 @@ struct ServerOptions {
   /// A peer whose owed response made no write progress for this many
   /// seconds is dropped (0 = never).
   long send_timeout_secs = kSendTimeoutSecs;
-  /// Cross-connection EVAL/EVALB coalescing (serve/coalesce.h);
-  /// window_us == 0 (default) disables it.
-  CoalesceOptions coalesce;
   /// Metrics sink (util/metrics.h): null = the process-global registry.
   /// Tests and benches pass their own Registry for isolated, exactly
   /// assertable counts.
@@ -132,8 +133,8 @@ struct ServerOptions {
   /// flips it off to measure the instrumentation overhead.
   bool enable_metrics = true;
   /// Requests whose total wall time reaches this many microseconds log
-  /// their phase trace (parse / coalesce_wait / queue_wait / evaluate /
-  /// serialize) at warn, rate-limited. 0 (default) disables the dump.
+  /// their phase trace (parse / queue_wait / evaluate / serialize) at
+  /// warn, rate-limited. 0 (default) disables the dump.
   std::uint64_t slow_request_us = 0;
 };
 
@@ -217,9 +218,6 @@ class Server {
   /// True once a SHUTDOWN request was handled.
   bool shutdown_requested() const { return shutdown_.load(); }
 
-  /// The coalescing queue (for tests and benches; counters only).
-  const CoalescingQueue& coalescer() const { return coalescer_; }
-
   /// The Prometheus text-format exposition page: refreshes the sampled
   /// gauges (pool depth/utilization, active connections), then renders
   /// the server's registry. Served by the METRICS verb and by the
@@ -236,15 +234,50 @@ class Server {
                            ///< or an unframed/oversized EVALB header)
   };
 
-  /// Dispatches one parsed text request (everything but EVALB).
+  /// An EVAL/EVALB between its decode and its encode: the circuit its
+  /// lookup returned and the patterns decoded against that circuit.
+  struct EvalJob {
+    std::shared_ptr<const LoadedCircuit> circuit;
+    logic::PatternBatch inputs{0, 0};
+    bool bulk = false;  ///< EVALB/SIMB: a binary frame carried the inputs
+  };
+
+  /// A one-word EVAL/EVALB the event loop set aside for its turn's
+  /// fused pass: the framed request, then its answer as serve_line
+  /// would have produced it.
+  struct TurnRequest {
+    std::uint64_t conn_id = 0;
+    const std::string* line = nullptr;
+    std::string_view payload;
+    std::string out;        ///< the response bytes
+    Outcome outcome;
+    bool complete = false;  ///< serve_line's return value
+  };
+
+  /// Dispatches one parsed one-line request (every verb but EVAL,
+  /// EVALB, SIMB and METRICS, which serve_line_inner handles).
   Outcome dispatch(const Request& request);
 
-  /// EVAL/EVALB evaluation entry: through the coalescer when enabled,
-  /// directly through the Session otherwise. Either way the result and
-  /// the counters are bit-identical.
-  logic::PatternBatch coalesced_eval(
-      const std::shared_ptr<const LoadedCircuit>& circuit,
-      const logic::PatternBatch& inputs);
+  /// Decodes an EVAL's hex tokens, or the payload `words` of an
+  /// EVALB/SIMB after checking its counts, against the circuit named in
+  /// `request`. Throws ambit::Error on a bad request.
+  EvalJob decode(const Request& request,
+                 const std::vector<std::uint64_t>& words);
+
+  /// Encodes `outputs` (the job's own patterns, in order) as the EVAL
+  /// or EVALB response: the line goes to outcome.response, an EVALB's
+  /// payload words are returned.
+  static std::vector<std::uint64_t> encode_eval(
+      const EvalJob& job, const logic::PatternBatch& outputs,
+      Outcome& outcome);
+
+  /// Serves a loop turn's set-aside requests. Each is decoded against
+  /// the circuit its lookup returns; those for one circuit are packed,
+  /// first fit in arrival order, into sweeps of at most
+  /// kLoopMaxPatterns patterns, one Session::eval each (a sweep of one
+  /// evaluates its own batch, no copy); each is answered and recorded
+  /// as serve_line would, with the shared sweep as its evaluate phase.
+  void serve_turn(std::vector<TurnRequest>& requests);
 
   /// Serves one complete request on any transport: `line` plus, for
   /// EVALB/SIMB, the `payload` bytes ConnState reassembled behind it.
@@ -265,19 +298,24 @@ class Server {
 
   /// The uninstrumented request path shared by every transport.
   /// `verb_index_out`, when non-null, receives the parsed verb's enum
-  /// index (-1 when the line failed to parse).
+  /// index (-1 when the line failed to parse). With `held` non-null, an
+  /// EVAL/EVALB that decodes stops before its sweep: it lands in *held
+  /// (circuit set) and nothing is appended to `out`.
   bool serve_line_inner(const std::string& line, std::string_view payload,
                         std::string& out, Outcome& outcome,
-                        int* verb_index_out);
+                        int* verb_index_out, EvalJob* held = nullptr);
+
+  /// serve_line's instrumentation tail: per-verb counters and latency,
+  /// the phase histograms, the slow-request dump.
+  void record(const metrics::PhaseTrace& trace, int verb_index,
+              std::uint64_t total_us, const Outcome& outcome,
+              std::uint64_t conn_id);
 
   /// True when instrumentation should record: compiled in AND enabled
   /// by ServerOptions::enable_metrics.
   bool metrics_on() const {
     return metrics::metrics_enabled() && options_.enable_metrics;
   }
-
-  /// The coalescer's metric hooks (empty when metrics are off).
-  CoalesceInstruments coalesce_instruments() const;
 
   /// The in-process connection loop behind serve_stream and
   /// serve_chunks: drives one ConnState, calling `feed(state)` whenever
@@ -308,10 +346,7 @@ class Server {
 
   Session& session_;
   ServerOptions options_;
-  // metrics_ precedes coalescer_: the coalescer captures pointers into
-  // it at construction.
   std::unique_ptr<ServeMetrics> metrics_;
-  CoalescingQueue coalescer_;
   std::atomic<bool> shutdown_{false};
   // Connection lifecycle counters for STATS (`connections=<active>/
   // <accepted>`). Deliberately NOT behind the metrics layer: STATS

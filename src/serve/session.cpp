@@ -62,28 +62,16 @@ logic::PatternBatch Session::eval(const std::string& name,
 
 logic::PatternBatch Session::eval(
     const std::shared_ptr<const LoadedCircuit>& circuit,
-    const logic::PatternBatch& inputs) {
-  logic::PatternBatch outputs = eval_unrecorded(circuit, inputs);
-  record_eval(circuit, inputs.num_patterns());
-  return outputs;
-}
-
-logic::PatternBatch Session::eval_unrecorded(
-    const std::shared_ptr<const LoadedCircuit>& circuit,
-    const logic::PatternBatch& inputs) {
+    const logic::PatternBatch& inputs, std::uint64_t requests) {
   check(circuit != nullptr, "Session::eval: null circuit");
   // The mapped array is immutable post-LOAD and the shared_ptr keeps it
   // alive, so the evaluation runs with no lock held.
-  return circuit->gnor.evaluate_batch(inputs, pool_);
-}
-
-void Session::record_eval(const std::shared_ptr<const LoadedCircuit>& circuit,
-                          std::uint64_t num_patterns) {
-  check(circuit != nullptr, "Session::record_eval: null circuit");
-  circuit->evals.fetch_add(1, std::memory_order_relaxed);
-  circuit->patterns.fetch_add(num_patterns, std::memory_order_relaxed);
-  evals_.fetch_add(1, std::memory_order_relaxed);
-  patterns_.fetch_add(num_patterns, std::memory_order_relaxed);
+  logic::PatternBatch outputs = circuit->gnor.evaluate_batch(inputs, pool_);
+  circuit->evals.fetch_add(requests, std::memory_order_relaxed);
+  circuit->patterns.fetch_add(inputs.num_patterns(), std::memory_order_relaxed);
+  evals_.fetch_add(requests, std::memory_order_relaxed);
+  patterns_.fetch_add(inputs.num_patterns(), std::memory_order_relaxed);
+  return outputs;
 }
 
 simulate::BatchSimResult Session::sim(const std::string& name,

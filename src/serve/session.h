@@ -132,24 +132,12 @@ class Session {
   /// Same, against a circuit the caller already holds — no second
   /// registry lookup, and immune to a concurrent same-name reload
   /// swapping the circuit between the caller's width check and the
-  /// evaluation.
+  /// evaluation. The batch answers `requests` EVAL/EVALB requests: the
+  /// event loop packs several one-word requests into one sweep
+  /// (Server::serve_turn), and STATS counts each of them.
   logic::PatternBatch eval(const std::shared_ptr<const LoadedCircuit>& circuit,
-                           const logic::PatternBatch& inputs);
-
-  /// The sharded batch evaluation alone, WITHOUT bumping any counter.
-  /// The cross-connection coalescer (serve/coalesce.h) runs ONE fused
-  /// sweep for many requests but must account per-request — it pairs
-  /// this with one record_eval per member request, so STATS is exactly
-  /// what uncoalesced execution would have reported.
-  logic::PatternBatch eval_unrecorded(
-      const std::shared_ptr<const LoadedCircuit>& circuit,
-      const logic::PatternBatch& inputs);
-
-  /// Counts one EVAL/EVALB request of `num_patterns` patterns against
-  /// `circuit` (the bookkeeping half of eval, split out for the
-  /// coalescer). Thread-safe: all counters are atomics.
-  void record_eval(const std::shared_ptr<const LoadedCircuit>& circuit,
-                   std::uint64_t num_patterns);
+                           const logic::PatternBatch& inputs,
+                           std::uint64_t requests = 1);
 
   /// Switch-level timing sweep through the circuit's lazily built
   /// transistor network (SIM/SIMB): per-pattern outputs AND phase

@@ -351,8 +351,6 @@ const char* phase_name(Phase phase) {
   switch (phase) {
     case Phase::kParse:
       return "parse";
-    case Phase::kCoalesceWait:
-      return "coalesce_wait";
     case Phase::kQueueWait:
       return "queue_wait";
     case Phase::kEvaluate:

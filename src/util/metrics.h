@@ -43,8 +43,8 @@
 // fixed array of per-phase accumulators, installed for the current
 // thread with TraceScope, and ScopedPhaseTimer adds elapsed time to
 // the ambient trace (if any) on destruction. serve_line() uses it to
-// attribute each request's latency to parse / coalesce-wait /
-// pool-queue wait / evaluate / serialize and to dump slow requests.
+// attribute each request's latency to parse / pool-queue wait /
+// evaluate / serialize and to dump slow requests.
 #pragma once
 
 #include <array>
@@ -244,17 +244,17 @@ class Registry {
 
 /// The phases a serve request's wall time decomposes into.
 enum class Phase : std::size_t {
-  kParse = 0,         ///< request-line tokenizing + argument parsing
-  kCoalesceWait = 1,  ///< leader window / follower future wait
-  kQueueWait = 2,     ///< from the event loop's dispatch of a request
-                      ///< to a pool worker starting it; requests the
-                      ///< loop serves itself record none
-  kEvaluate = 3,      ///< kernel sweep (eval/sim/verify)
-  kSerialize = 4,     ///< response formatting + payload write
+  kParse = 0,      ///< request-line tokenizing + argument parsing
+  kQueueWait = 1,  ///< from the event loop's dispatch of a request to a
+                   ///< pool worker starting it; requests the loop
+                   ///< serves itself record none
+  kEvaluate = 2,   ///< kernel sweep (eval/sim/verify); a request fused
+                   ///< into a shared sweep records the whole sweep
+  kSerialize = 3,  ///< response formatting + payload write
 };
-inline constexpr std::size_t kNumPhases = 5;
+inline constexpr std::size_t kNumPhases = 4;
 
-/// Printable phase name ("parse", "coalesce_wait", ...), used both as
+/// Printable phase name ("parse", "queue_wait", ...), used both as
 /// the Prometheus label value and in slow-request log lines.
 const char* phase_name(Phase phase);
 

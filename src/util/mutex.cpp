@@ -8,8 +8,6 @@ namespace ambit {
 
 const char* lock_rank_name(LockRank rank) {
   switch (rank) {
-    case LockRank::kCoalesce:
-      return "coalesce";
     case LockRank::kSessionRegistry:
       return "session-registry";
     case LockRank::kCircuitVerify:

@@ -54,10 +54,6 @@ namespace ambit {
 /// mutexes add a value here AND a row there. Gaps between values are
 /// deliberate room for future locks.
 enum class LockRank : int {
-  /// serve::CoalescingQueue::mutex_ — group map + fusion counters.
-  /// Outermost: held at the serve front door, released before any
-  /// Session work.
-  kCoalesce = 10,
   /// serve::Session::mutex_ — the circuit registry. Held for lookups
   /// and (un)registrations only, never across LOAD/EVAL/verify work.
   kSessionRegistry = 20,
@@ -87,7 +83,7 @@ enum class LockRank : int {
   kTest = 100,
 };
 
-/// Printable name of a rank ("coalesce", "session-registry", ...),
+/// Printable name of a rank ("session-registry", "thread-pool", ...),
 /// used in lock-order violation reports and tests.
 const char* lock_rank_name(LockRank rank);
 

@@ -150,7 +150,7 @@ TEST(PatternBatchTest, SliceAndPasteRoundTrip) {
 }
 
 TEST(PatternBatchTest, CopyPatternsFromMatchesBitwiseReference) {
-  // The bit-granular lane copy behind the serve coalescer, checked
+  // The bit-granular lane copy behind serve's per-turn fusion, checked
   // against a get/set reference over random ranges at EVERY alignment:
   // offsets straddling word boundaries on either side, sub-word and
   // multi-word counts, and full-batch copies.
@@ -309,7 +309,7 @@ TEST(PatternBatchTest, CopyPatternsFromValidatesRanges) {
 }
 
 TEST(EvaluatorTest, BitPackedFusionMatchesSeparateEvaluation) {
-  // The premise of serve's cross-connection coalescing: every batch
+  // The premise of serve's per-turn fusion: every batch
   // kernel is bit-local (output bit b of lane word w depends only on
   // bit b of word w of the inputs), so many small batches packed
   // back-to-back at BIT granularity evaluate to exactly the

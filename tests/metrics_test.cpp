@@ -239,8 +239,6 @@ TEST(MetricsTest, PhaseNamesAreStable) {
   // These strings are label values on ambit_serve_phase_us and keys in
   // slow-request log records — renaming one breaks dashboards.
   EXPECT_STREQ(metrics::phase_name(metrics::Phase::kParse), "parse");
-  EXPECT_STREQ(metrics::phase_name(metrics::Phase::kCoalesceWait),
-               "coalesce_wait");
   EXPECT_STREQ(metrics::phase_name(metrics::Phase::kQueueWait), "queue_wait");
   EXPECT_STREQ(metrics::phase_name(metrics::Phase::kEvaluate), "evaluate");
   EXPECT_STREQ(metrics::phase_name(metrics::Phase::kSerialize), "serialize");

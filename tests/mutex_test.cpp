@@ -44,15 +44,15 @@ TEST(MutexTest, MutexProvidesExclusion) {
 TEST(MutexTest, AscendingRankChainIsLegal) {
   // The whole production hierarchy, acquired in order on one thread:
   // this is the shape the detector exists to protect, so it must pass.
-  Mutex coalesce(LockRank::kCoalesce);
   Mutex registry(LockRank::kSessionRegistry);
   Mutex verify(LockRank::kCircuitVerify);
   Mutex pool(LockRank::kThreadPool);
+  Mutex metrics(LockRank::kMetricsRegistry);
   Mutex log(LockRank::kLogSink);
-  const MutexLock l1(coalesce);
-  const MutexLock l2(registry);
-  const MutexLock l3(verify);
-  const MutexLock l4(pool);
+  const MutexLock l1(registry);
+  const MutexLock l2(verify);
+  const MutexLock l3(pool);
+  const MutexLock l4(metrics);
   const MutexLock l5(log);
   if (invariants_on()) {
     EXPECT_EQ(held_lock_depth(), 5);
@@ -94,8 +94,8 @@ TEST(MutexTest, SameRankSequentiallyIsLegal) {
 }
 
 TEST(MutexTest, EarlyUnlockAndRelockWork) {
-  // The coalescer's leader path drops the queue lock before the fused
-  // sweep; this is that shape, including depth bookkeeping.
+  // A holder that drops its lock before slow work and retakes it
+  // after: that shape, including depth bookkeeping.
   Mutex low(LockRank::kSessionRegistry);
   Mutex high(LockRank::kThreadPool);
   MutexLock lock(high);
@@ -144,9 +144,8 @@ TEST(MutexTest, CondVarWaitUntilTimesOut) {
 TEST(MutexTest, RankAccessorAndNamesAreStable) {
   // Violation reports and docs/CONCURRENCY.md both quote these names;
   // renames must be deliberate.
-  const Mutex mutex(LockRank::kCoalesce);
-  EXPECT_EQ(mutex.rank(), LockRank::kCoalesce);
-  EXPECT_STREQ(lock_rank_name(LockRank::kCoalesce), "coalesce");
+  const Mutex mutex(LockRank::kSessionRegistry);
+  EXPECT_EQ(mutex.rank(), LockRank::kSessionRegistry);
   EXPECT_STREQ(lock_rank_name(LockRank::kSessionRegistry),
                "session-registry");
   EXPECT_STREQ(lock_rank_name(LockRank::kCircuitVerify), "circuit-verify");

@@ -24,7 +24,6 @@
 #include "logic/pla_io.h"
 #include "prometheus_lint.h"
 #include "serve/client.h"
-#include "serve/coalesce.h"
 #include "serve/metrics_http.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -391,160 +390,6 @@ TEST(SessionTest, SimMatchesDirectSimulatorAndCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-connection coalescing: fused sweeps must be bit-identical to
-// direct evaluation, with exact per-request accounting.
-// ---------------------------------------------------------------------------
-
-/// A deterministic small batch over `width` signals (distinct per
-/// (seed, size) so fused neighbours never accidentally match).
-PatternBatch make_request_batch(int width, std::uint64_t num_patterns,
-                                std::uint64_t seed) {
-  PatternBatch batch(width, num_patterns);
-  std::uint64_t state = seed * 0x9E3779B97F4A7C15ULL + 1;
-  for (std::uint64_t p = 0; p < num_patterns; ++p) {
-    for (int s = 0; s < width; ++s) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      batch.set(p, s, (state >> 60) & 1);
-    }
-  }
-  return batch;
-}
-
-TEST(CoalesceTest, WindowExpiryMatchesDirectEval) {
-  // A lone request whose window expires with no company must come back
-  // exactly as if coalescing were off — and count as one eval.
-  const std::string path = write_sample_pla("serve_coal_alone.pla");
-  Session session(1);
-  const auto circuit = session.load("s", path);
-  CoalescingQueue queue(session, CoalesceOptions{.window_us = 500,
-                                                 .min_patterns = 64});
-  const PatternBatch inputs = make_request_batch(3, 5, 1);
-  const PatternBatch outputs = queue.eval(circuit, inputs);
-  EXPECT_EQ(outputs, circuit->gnor.evaluate_batch(inputs));
-  const CoalesceStats stats = queue.stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.fused, 0u);
-  EXPECT_EQ(stats.batches, 0u);
-  EXPECT_EQ(session.stats().evals, 1u);
-  EXPECT_EQ(session.stats().patterns, 5u);
-}
-
-TEST(CoalesceTest, LargeRequestsBypassTheQueue) {
-  const std::string path = write_sample_pla("serve_coal_large.pla");
-  Session session(1);
-  const auto circuit = session.load("s", path);
-  CoalescingQueue queue(session, CoalesceOptions{.window_us = 500,
-                                                 .min_patterns = 8});
-  const PatternBatch inputs = make_request_batch(3, 8, 2);  // == min
-  const PatternBatch outputs = queue.eval(circuit, inputs);
-  EXPECT_EQ(outputs, circuit->gnor.evaluate_batch(inputs));
-  EXPECT_EQ(queue.stats().requests, 0u);  // went straight to the session
-  EXPECT_EQ(session.stats().evals, 1u);
-}
-
-TEST(CoalesceTest, ConcurrentRequestsFuseBitIdentically) {
-  // Eight connection threads with DIFFERENT small batches against one
-  // circuit: min_patterns equals the combined size, so the leader
-  // flushes exactly when the last member arrives, one fused sweep
-  // serves all eight, and every scattered response must equal direct
-  // evaluation of that thread's own batch.
-  const std::string path = write_sample_pla("serve_coal_fuse.pla");
-  Session session(1);
-  const auto circuit = session.load("s", path);
-  constexpr int kThreads = 8;
-  std::uint64_t total = 0;
-  std::vector<PatternBatch> inputs;
-  for (int t = 0; t < kThreads; ++t) {
-    const std::uint64_t np = static_cast<std::uint64_t>(t) % 7 + 1;
-    inputs.push_back(make_request_batch(3, np, 10 + static_cast<std::uint64_t>(t)));
-    total += np;
-  }
-  // The window is a LIVENESS bound only (a straggler past it still gets
-  // a correct answer from its own sweep); generous so slow CI cannot
-  // split the group.
-  CoalescingQueue queue(session,
-                        CoalesceOptions{.window_us = 10'000'000,
-                                        .min_patterns = total});
-  std::vector<int> mismatches(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const PatternBatch out =
-          queue.eval(circuit, inputs[static_cast<std::size_t>(t)]);
-      if (out != circuit->gnor.evaluate_batch(
-                     inputs[static_cast<std::size_t>(t)])) {
-        mismatches[static_cast<std::size_t>(t)] = 1;
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
-  }
-  const CoalesceStats stats = queue.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(stats.fused, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(stats.batches, 1u);
-  // Per-request accounting: exactly what uncoalesced serving reports.
-  EXPECT_EQ(session.stats().evals, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(session.stats().patterns, total);
-}
-
-TEST(CoalesceTest, BitIdenticalForAnyWindowAndMinPatternSettings) {
-  // The acceptance property: whatever the knobs — windows from 1 us to
-  // 100 ms, thresholds from "bypass everything" to "wait for a full
-  // word" — every response equals direct evaluation and the session
-  // counters equal the uncoalesced run's.
-  const std::string path = write_sample_pla("serve_coal_sweep.pla");
-  struct Config {
-    std::uint64_t window_us;
-    std::uint64_t min_patterns;
-  };
-  const std::vector<Config> configs = {
-      {1, 1}, {1, 64}, {50, 2}, {1000, 8}, {100'000, 3}, {5000, 64}};
-  for (const Config& config : configs) {
-    Session session(1);
-    const auto circuit = session.load("s", path);
-    CoalescingQueue queue(session,
-                          CoalesceOptions{.window_us = config.window_us,
-                                          .min_patterns = config.min_patterns});
-    constexpr int kThreads = 4;
-    constexpr int kRequestsPerThread = 5;
-    std::vector<int> mismatches(kThreads, 0);
-    std::vector<std::thread> threads;
-    std::atomic<std::uint64_t> patterns_sent{0};
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        for (int r = 0; r < kRequestsPerThread; ++r) {
-          const std::uint64_t np =
-              static_cast<std::uint64_t>(t * 13 + r * 7) % 70 + 1;
-          const PatternBatch batch = make_request_batch(
-              3, np, static_cast<std::uint64_t>(t * 100 + r));
-          patterns_sent.fetch_add(np);
-          const PatternBatch out = queue.eval(circuit, batch);
-          if (out != circuit->gnor.evaluate_batch(batch)) {
-            mismatches[static_cast<std::size_t>(t)] = 1;
-          }
-        }
-      });
-    }
-    for (std::thread& thread : threads) {
-      thread.join();
-    }
-    for (int t = 0; t < kThreads; ++t) {
-      EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0)
-          << "window_us=" << config.window_us
-          << " min_patterns=" << config.min_patterns << " thread " << t;
-    }
-    EXPECT_EQ(session.stats().evals,
-              static_cast<std::uint64_t>(kThreads) * kRequestsPerThread);
-    EXPECT_EQ(session.stats().patterns, patterns_sent.load());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Server over a stream pipe: the full protocol round trip.
 // ---------------------------------------------------------------------------
 
@@ -767,8 +612,8 @@ TEST(ServerTest, SlowRequestsDumpTheirPhaseTrace) {
   const std::string text = text_stream.str();
   EXPECT_NE(text.find("event=serve.slow_request"), std::string::npos) << text;
   for (const char* key :
-       {"verb=", "total_us=", "parse_us=", "coalesce_wait_us=",
-        "queue_wait_us=", "evaluate_us=", "serialize_us="}) {
+       {"verb=", "total_us=", "parse_us=", "queue_wait_us=", "evaluate_us=",
+        "serialize_us="}) {
     EXPECT_NE(text.find(key), std::string::npos)
         << "slow-request record missing " << key << ": " << text;
   }
@@ -777,6 +622,21 @@ TEST(ServerTest, SlowRequestsDumpTheirPhaseTrace) {
 // ---------------------------------------------------------------------------
 // The EVALB binary bulk frame, over the stream transport.
 // ---------------------------------------------------------------------------
+
+/// A deterministic small batch over `width` signals (distinct per
+/// (seed, size) so fused neighbours never accidentally match).
+PatternBatch make_request_batch(int width, std::uint64_t num_patterns,
+                                std::uint64_t seed) {
+  PatternBatch batch(width, num_patterns);
+  std::uint64_t state = seed * 0x9E3779B97F4A7C15ULL + 1;
+  for (std::uint64_t p = 0; p < num_patterns; ++p) {
+    for (int s = 0; s < width; ++s) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      batch.set(p, s, (state >> 60) & 1);
+    }
+  }
+  return batch;
+}
 
 /// Raw little-endian bytes of a batch's packed lanes — the EVALB wire
 /// payload.
@@ -2401,120 +2261,6 @@ TEST(TcpSocketTest, PipelinedBurstDoesNotStarveAnotherConnection) {
       << "the round trips waited for the pipelined burst";
 }
 
-TEST(TcpSocketTest, CoalescedHammerBitIdenticalWithExactStats) {
-  // Coalescing enabled over the TCP transport: four clients of small
-  // EVAL and EVALB requests; every response must match direct
-  // evaluation, the counters must equal the uncoalesced run's, and
-  // STATS must expose the coalescing fields.
-  const std::string path = write_sample_pla("serve_tcp_coal.pla");
-  Session session(1);
-  session.load("s", path);
-  const auto circuit = session.get("s");
-  ServerOptions options;
-  options.coalesce.window_us = 2000;
-  options.coalesce.min_patterns = 4;
-  Server server(session, options);
-  std::atomic<int> port{0};
-  std::thread server_thread = start_tcp_server(server, port);
-  const int bound = await_bound_port(port);
-  ASSERT_GT(bound, 0);
-
-  constexpr int kClients = 4;
-  constexpr int kRequestsPerClient = 25;
-  std::vector<int> failures(kClients, 0);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      // Odd clients speak EVALB (2-pattern binary frames), even ones
-      // hex EVAL — both ride the same coalescer.
-      const int fd = connect_tcp_with_retry("127.0.0.1", bound);
-      if (fd < 0) {
-        failures[static_cast<std::size_t>(c)] = 1;
-        return;
-      }
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        const PatternBatch batch = make_request_batch(
-            3, 2, static_cast<std::uint64_t>(c * 1000 + r));
-        const PatternBatch expected = circuit->gnor.evaluate_batch(batch);
-        if (c % 2 == 0) {
-          const std::string request = "EVAL s " +
-                                      hex_encode(batch.pattern(0)) + " " +
-                                      hex_encode(batch.pattern(1)) + "\n";
-          const auto lines = socket_transact(fd, request, 1);
-          const std::string want = "OK " + hex_encode(expected.pattern(0)) +
-                                   " " + hex_encode(expected.pattern(1));
-          if (lines.size() != 1 || lines[0] != want) {
-            failures[static_cast<std::size_t>(c)] = 1;
-            return;
-          }
-        } else {
-          std::ostringstream request;
-          request << "EVALB s " << batch.num_patterns() << " "
-                  << batch.total_words() << "\n" << frame_payload(batch);
-          const std::string wire = request.str();
-          if (::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) !=
-              static_cast<ssize_t>(wire.size())) {
-            failures[static_cast<std::size_t>(c)] = 1;
-            return;
-          }
-          // One EVALB response frame: header line + payload.
-          std::string buffer;
-          char chunk[4096];
-          std::vector<std::uint64_t> words;
-          std::size_t consumed = 0;
-          bool decoded = false;
-          for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;) {
-            buffer.append(chunk, static_cast<std::size_t>(n));
-            if (decode_evalb_response(buffer, batch.num_patterns(),
-                                      expected.total_words(), words,
-                                      consumed)) {
-              decoded = true;
-              break;
-            }
-            if (buffer.size() > (1u << 16)) {
-              break;  // some other (wrong) response is accumulating
-            }
-          }
-          PatternBatch got(expected.num_signals(), batch.num_patterns());
-          if (decoded) {
-            got.load_words(words.data(), words.size());
-          }
-          if (!decoded || got != expected) {
-            failures[static_cast<std::size_t>(c)] = 1;
-            return;
-          }
-        }
-      }
-      socket_transact(fd, "QUIT\n", 1);
-      ::close(fd);
-    });
-  }
-  for (std::thread& client : clients) {
-    client.join();
-  }
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(failures[static_cast<std::size_t>(c)], 0) << "client " << c;
-  }
-
-  const int ctl = connect_tcp_with_retry("127.0.0.1", bound);
-  ASSERT_GE(ctl, 0);
-  const auto stats_lines = socket_transact(ctl, "STATS\nSHUTDOWN\n", 2);
-  ::close(ctl);
-  server_thread.join();
-
-  // Exact per-request accounting regardless of how much fusion the
-  // timing produced — and the STATS line advertises the feature.
-  const SessionStats stats = session.stats();
-  EXPECT_EQ(stats.evals,
-            static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
-  EXPECT_EQ(stats.patterns,
-            static_cast<std::uint64_t>(kClients) * kRequestsPerClient * 2);
-  ASSERT_EQ(stats_lines.size(), 2u);
-  EXPECT_NE(stats_lines[0].find("coalesced_requests="), std::string::npos)
-      << stats_lines[0];
-  EXPECT_NE(stats_lines[0].find("coalesced_batches="), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Observability over real transports: STATS connection counts, the
 // HTTP side listener, and exact per-verb accounting under a
@@ -2844,8 +2590,6 @@ TEST(ObservabilitySocketTest, MixedVerbHammerCountsEveryRequestExactly) {
               0.0)
         << reason;
   }
-  // Coalescing was off: its counters exist but never moved.
-  EXPECT_EQ(count("ambit_serve_coalesce_requests_total", ""), 0.0);
   // And the totals agree with the session's own exact accounting.
   const SessionStats stats = session.stats();
   EXPECT_EQ(stats.evals, static_cast<std::uint64_t>(rounds) * 2);  // EVAL+EVALB
@@ -3075,6 +2819,163 @@ TEST(ServeGoldenTest, EveryTransportReproducesTheTranscripts) {
                   canonical_load_times(golden_over_stream(wire))),
               expected)
         << golden.name << " over serve_stream";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-turn fusion: the one-word EVAL/EVALBs ready in one loop turn share
+// a sweep per circuit, and every connection still reads exactly what it
+// would read alone.
+// ---------------------------------------------------------------------------
+
+TEST(TcpSocketTest, FusedTurnMatchesServeChunksWithExactCounts) {
+  // Four clients each write a whole pipelined script at once, so most
+  // loop turns hold a request from every connection: hex EVALs and
+  // EVALBs of 1-64 patterns against two circuits (same-circuit requests
+  // that overflow one lane word spill into a second sweep), and
+  // mid-script one bad hex token, one EVALB with a wrong word count and
+  // one EVAL for an unknown circuit. Each connection's bytes must equal
+  // serve_chunks on a fresh session fed the same bytes.
+  const std::string narrow_path = write_sample_pla("serve_fused_narrow.pla");
+  const std::string wide_path = testing::TempDir() + "/serve_fused_wide.pla";
+  logic::write_pla_file(
+      wide_path,
+      logic::make_pla(Cover::parse(5, 3,
+                                   {"11--- 101", "0-1-1 010", "-01-- 110",
+                                    "1--01 011", "---11 100"}),
+                      "wide"));
+  const auto load_both = [&](Session& session) {
+    session.load("s", narrow_path);
+    session.load("w", wide_path);
+  };
+  Session session(1);
+  load_both(session);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server server(session, options);
+  std::atomic<int> port{0};
+  std::thread server_thread = start_tcp_server(server, port);
+  const int bound = await_bound_port(port);
+  ASSERT_GT(bound, 0);
+
+  constexpr int kClients = 4;
+  constexpr int kRequests = 60;
+  const std::vector<std::uint64_t> sizes = {1, 3, 4,  2, 64, 5,
+                                            33, 8, 40, 16, 1, 31};
+  std::vector<std::string> scripts(kClients);
+  std::uint64_t evals = 0;
+  std::uint64_t patterns = 0;
+  std::uint64_t eval_lines = 0;
+  std::uint64_t evalb_lines = 0;
+  for (int c = 0; c < kClients; ++c) {
+    std::string& script = scripts[static_cast<std::size_t>(c)];
+    for (int r = 0; r < kRequests; ++r) {
+      if (r == 10 + c) {
+        script += "EVAL s 1 zz 3\n";  // a bad hex token
+        ++eval_lines;
+        continue;
+      }
+      if (r == 25 + c) {
+        // 4 patterns over 3 inputs need 3 words, not 7.
+        script += "EVALB s 4 7\n";
+        script.append(7 * sizeof(std::uint64_t), 'x');
+        ++evalb_lines;
+        continue;
+      }
+      if (r == 40 + c) {
+        script += "EVAL ghost 1 2\n";
+        ++eval_lines;
+        continue;
+      }
+      // The same circuit for every client at a given step, so any two
+      // clients in the same turn can share a sweep.
+      const bool wide = r % 3 == 2;
+      const std::uint64_t np =
+          sizes[static_cast<std::size_t>(c * 5 + r) % sizes.size()];
+      const PatternBatch batch = make_request_batch(
+          wide ? 5 : 3, np, static_cast<std::uint64_t>(c * 1000 + r));
+      const std::string name = wide ? "w" : "s";
+      if ((c + r) % 3 == 0) {
+        script += "EVALB " + name + " " + std::to_string(np) + " " +
+                  std::to_string(batch.total_words()) + "\n" +
+                  frame_payload(batch);
+        ++evalb_lines;
+      } else {
+        script += "EVAL " + name;
+        for (std::uint64_t p = 0; p < np; ++p) {
+          script += ' ';
+          script += hex_encode(batch.pattern(p));
+        }
+        script += '\n';
+        ++eval_lines;
+      }
+      ++evals;
+      patterns += np;
+    }
+    script += "QUIT\n";
+  }
+
+  std::vector<int> fds;
+  for (int c = 0; c < kClients; ++c) {
+    fds.push_back(connect_tcp_with_retry("127.0.0.1", bound));
+    ASSERT_GE(fds.back(), 0);
+  }
+  std::vector<std::string> got(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const auto k = static_cast<std::size_t>(c);
+      socket_transact(fds[k], scripts[k], /*expected_lines=*/0);  // send only
+      got[k] = read_to_eof(fds[k]);
+      ::close(fds[k]);
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  const int ctl = connect_tcp_with_retry("127.0.0.1", bound);
+  ASSERT_GE(ctl, 0);
+  socket_transact(ctl, "SHUTDOWN\n", 1);
+  ::close(ctl);
+  server_thread.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    Session fresh(1);
+    load_both(fresh);
+    Server alone(fresh);
+    std::string expected;
+    bool fed = false;
+    alone.serve_chunks(
+        [&]() -> std::string {
+          if (fed) {
+            return {};
+          }
+          fed = true;
+          return scripts[static_cast<std::size_t>(c)];
+        },
+        expected);
+    EXPECT_EQ(got[static_cast<std::size_t>(c)], expected) << "client " << c;
+  }
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.evals, evals);
+  EXPECT_EQ(stats.patterns, patterns);
+  if (metrics::metrics_enabled()) {
+    const auto value = [&](const std::string& name,
+                           const metrics::Labels& labels) {
+      const metrics::Counter* counter = registry.find_counter(name, labels);
+      return counter != nullptr ? counter->value() : 0;
+    };
+    EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "EVAL"}}),
+              eval_lines);
+    EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "EVALB"}}),
+              evalb_lines);
+    EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "QUIT"}}),
+              static_cast<std::uint64_t>(kClients));
+    EXPECT_EQ(value("ambit_serve_request_errors_total", {}),
+              3u * kClients);
+    EXPECT_GT(value("ambit_serve_coalesce_fused_total", {}), 0u)
+        << "no two requests shared a sweep";
   }
 }
 

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     // Delegate to the serve subsystem: a long-running session over
     // stdin/stdout (or TCP with --tcp), sharded across the default
     // worker count. ambit_serve has the full option surface
-    // (--socket, --max-connections, coalescing, preloads).
+    // (--socket, --max-connections, preloads, metrics).
     if (!input.empty() || phase_opt || wpla || verify || sim ||
         !out_pla.empty() || !out_blif.empty()) {
       return usage();

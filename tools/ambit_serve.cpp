@@ -21,17 +21,6 @@
 //   --max-connections <n>
 //                        connections served at once over --socket/--tcp
 //                        (default 64); further accepts wait for a slot
-//   --coalesce-window-us <n>
-//                        fuse small EVAL/EVALB requests from different
-//                        connections that arrive within <n> us into one
-//                        bit-packed sharded sweep (default 0 = off;
-//                        needs --socket or --tcp — stdio has a single
-//                        connection, nothing to fuse across); responses
-//                        are bit-identical either way
-//   --coalesce-min-patterns <n>
-//                        flush a fused batch early once it holds <n>
-//                        patterns; requests of >= <n> patterns bypass
-//                        coalescing (default 64)
 //   --preload <name>=<path>
 //                        LOAD a circuit before serving (repeatable)
 //   --metrics <host:port>
@@ -47,14 +36,18 @@
 //   --log-level <level>  debug|info|warn|error|off (default info)
 //   --log-file <path>    append log records to <path> instead of stderr
 //
+// Every numeric option takes plain decimal digits; anything else
+// ("1OO", "2x", "-1") exits 2 naming the option, never parses silently.
+//
 // The protocol grammar is documented in docs/PROTOCOL.md (normative)
 // and src/serve/protocol.h; an interactive session starts with HELP.
 // The observability surface — metric names, log schema, phase tracing
 // — is documented in docs/OBSERVABILITY.md.
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -84,13 +77,30 @@ int usage() {
                "usage: ambit_serve [--stdio] [--socket <path>] "
                "[--tcp <host:port>]\n"
                "                   [--workers <n>] [--max-connections <n>]\n"
-               "                   [--coalesce-window-us <n>] "
-               "[--coalesce-min-patterns <n>]\n"
                "                   [--preload <name>=<path>] "
                "[--metrics <host:port>]\n"
                "                   [--slow-request-us <n>] "
                "[--log-level <level>] [--log-file <path>]\n");
   return 2;
+}
+
+/// The value of numeric option `flag`: decimal digits only, at most 9
+/// of them, and at least `min`. Anything else is reported, naming the
+/// flag, and yields nullopt (the caller exits 2).
+std::optional<std::uint64_t> parse_number(const std::string& flag,
+                                          const std::string& value,
+                                          std::uint64_t min) {
+  const bool digits = !value.empty() && value.size() <= 9 &&
+                      value.find_first_not_of("0123456789") ==
+                          std::string::npos;
+  if (!digits || std::stoull(value) < min) {
+    std::fprintf(stderr,
+                 "ambit_serve: %s needs an integer >= %llu, got '%s'\n",
+                 flag.c_str(), static_cast<unsigned long long>(min),
+                 value.c_str());
+    return std::nullopt;
+  }
+  return std::stoull(value);
 }
 
 }  // namespace
@@ -112,50 +122,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--tcp" && i + 1 < argc) {
       tcp_spec = argv[++i];
     } else if (arg == "--workers" && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-      if (workers < 1) {
-        std::fprintf(stderr, "ambit_serve: --workers must be >= 1\n");
+      const auto value = parse_number(arg, argv[++i], 1);
+      if (!value.has_value()) {
         return 2;
       }
+      workers = static_cast<int>(*value);
     } else if (arg == "--max-connections" && i + 1 < argc) {
-      options.max_connections = std::atoi(argv[++i]);
-      if (options.max_connections < 1) {
-        std::fprintf(stderr, "ambit_serve: --max-connections must be >= 1\n");
+      const auto value = parse_number(arg, argv[++i], 1);
+      if (!value.has_value()) {
         return 2;
       }
-    } else if (arg == "--coalesce-window-us" && i + 1 < argc) {
-      // Strict digits, not atol: 0 legitimately means "off", so a typo
-      // ("2OO") silently parsing to 0 would disable the feature the
-      // operator explicitly asked for.
-      const std::string value = argv[++i];
-      const bool numeric =
-          !value.empty() && value.size() <= 9 &&
-          value.find_first_not_of("0123456789") == std::string::npos;
-      if (!numeric) {
-        std::fprintf(stderr,
-                     "ambit_serve: --coalesce-window-us needs a "
-                     "non-negative integer (microseconds), got '%s'\n",
-                     value.c_str());
+      options.max_connections = static_cast<int>(*value);
+    } else if (arg == "--slow-request-us" && i + 1 < argc) {
+      const auto value = parse_number(arg, argv[++i], 0);
+      if (!value.has_value()) {
         return 2;
       }
-      options.coalesce.window_us =
-          static_cast<std::uint64_t>(std::stoul(value));
-    } else if (arg == "--coalesce-min-patterns" && i + 1 < argc) {
-      // Same strictness as --coalesce-window-us: "2OO" must not
-      // silently become 2 and cripple the flush threshold.
-      const std::string value = argv[++i];
-      const bool numeric =
-          !value.empty() && value.size() <= 9 &&
-          value.find_first_not_of("0123456789") == std::string::npos;
-      if (!numeric || value.find_first_not_of('0') == std::string::npos) {
-        std::fprintf(stderr,
-                     "ambit_serve: --coalesce-min-patterns needs a "
-                     "positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      options.coalesce.min_patterns =
-          static_cast<std::uint64_t>(std::stoul(value));
+      options.slow_request_us = *value;
     } else if (arg == "--preload" && i + 1 < argc) {
       const std::string spec = argv[++i];
       const auto eq = spec.find('=');
@@ -166,21 +149,6 @@ int main(int argc, char** argv) {
       preloads.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_spec = argv[++i];
-    } else if (arg == "--slow-request-us" && i + 1 < argc) {
-      // Strict digits for the same reason as --coalesce-window-us: a
-      // typo must not silently parse to 0 and disable the dump.
-      const std::string value = argv[++i];
-      const bool numeric =
-          !value.empty() && value.size() <= 9 &&
-          value.find_first_not_of("0123456789") == std::string::npos;
-      if (!numeric) {
-        std::fprintf(stderr,
-                     "ambit_serve: --slow-request-us needs a non-negative "
-                     "integer (microseconds), got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      options.slow_request_us = static_cast<std::uint64_t>(std::stoul(value));
     } else if (arg == "--log-level" && i + 1 < argc) {
       const std::string value = argv[++i];
       const auto level = logs::parse_level(value);
@@ -207,15 +175,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "ambit_serve: --socket and --tcp are mutually exclusive "
                  "(run two processes to serve both)\n");
-    return 2;
-  }
-  if (socket_path.empty() && tcp_spec.empty() &&
-      options.coalesce.window_us > 0) {
-    // stdio serves exactly one connection, so there is nothing to fuse
-    // across — the window would only add latency to every request.
-    std::fprintf(stderr,
-                 "ambit_serve: --coalesce-window-us needs a socket "
-                 "transport (--socket or --tcp)\n");
     return 2;
   }
 
@@ -247,23 +206,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ambit_serve: served %llu request(s)\n",
                    static_cast<unsigned long long>(served));
     };
-    const auto describe_coalescing = [&options]() -> std::string {
-      if (options.coalesce.window_us == 0) {
-        return "coalescing off";
-      }
-      return "coalescing " + std::to_string(options.coalesce.window_us) +
-             " us / " + std::to_string(options.coalesce.min_patterns) +
-             " patterns";
-    };
     if (!tcp_spec.empty()) {
       const auto [host, port] = serve::parse_host_port(tcp_spec);
       std::atomic<int> bound_port{0};
       std::fprintf(stderr,
                    "ambit_serve: serving tcp %s:%d, %d worker(s), up to %d "
-                   "concurrent connection(s), %s; %s\n",
+                   "concurrent connection(s); %s\n",
                    host.c_str(), port, session.pool().num_workers(),
-                   options.max_connections, describe_coalescing().c_str(),
-                   serve::help_text().c_str());
+                   options.max_connections, serve::help_text().c_str());
       // With port 0 the kernel picks the port, and a script driving
       // this tool needs it WHILE the server runs — serve_tcp publishes
       // it before the first accept and serve_tcp_announced prints it
@@ -277,10 +227,9 @@ int main(int argc, char** argv) {
     } else if (!socket_path.empty()) {
       std::fprintf(stderr,
                    "ambit_serve: serving %s, %d worker(s), up to %d "
-                   "concurrent connection(s), %s; %s\n",
+                   "concurrent connection(s); %s\n",
                    socket_path.c_str(), session.pool().num_workers(),
-                   options.max_connections, describe_coalescing().c_str(),
-                   serve::help_text().c_str());
+                   options.max_connections, serve::help_text().c_str());
       report_served(server.serve_unix(socket_path));
     } else {
 #ifdef _WIN32
