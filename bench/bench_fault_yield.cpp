@@ -11,6 +11,7 @@
 #include "espresso/espresso.h"
 #include "fault/yield.h"
 #include "logic/pla_io.h"
+#include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -18,6 +19,14 @@
 using namespace ambit;
 
 int main() {
+  // A bad AMBIT_THREADS is a usage error (exit 2), read before any work.
+  int workers = 1;
+  try {
+    workers = ThreadPool::default_workers();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "bench_fault_yield: %s\n", e.what());
+    return 2;
+  }
   std::printf("=== Yield vs defect rate: naive vs defect-aware mapping ===\n\n");
 
   const auto pla_file =
@@ -38,7 +47,7 @@ int main() {
         pla, rates,
         fault::YieldSpec{.spare_rows = spares, .trials = 300,
                          .functional_check = true,
-                         .workers = ThreadPool::default_workers()});
+                         .workers = workers});
     TextTable table({"defect rate", "naive yield", "repaired yield",
                      "functional yield", "mean relocations"});
     for (const auto& point : curve) {

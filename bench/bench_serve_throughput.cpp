@@ -100,9 +100,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// p50 / p99 / max snapshot of a latency histogram — the three numbers
-/// every section reports alongside its throughput. All zero in a
-/// -DAMBIT_METRICS=OFF build (observe() is compiled out), which the
-/// main() banner calls out.
+/// every section reports alongside its throughput.
 struct LatencyStats {
   std::uint64_t p50_us = 0;
   std::uint64_t p99_us = 0;
@@ -373,10 +371,6 @@ int main(int argc, char** argv) {
   json.add("hw_threads", hw);
   json.add("sharded_seq_mpps", seq_pps / 1e6);
   json.add("sharded_seq_sweep", stats_of(seq_latency));
-  if (!metrics::metrics_enabled()) {
-    std::printf("NOTE: -DAMBIT_METRICS=OFF build — latency histograms are "
-                "compiled out, p50/p99/max report 0\n");
-  }
 
   TextTable table({"workers", "Mpatterns/s", "speedup", "sweep p50/p99/max us",
                    "bit-identical"});
@@ -699,8 +693,7 @@ int main(int argc, char** argv) {
   // --- 6. Instrumentation overhead ----------------------------------------
   // The exact workload PR 6 benchmarked — a serve_stream EVAL storm —
   // once with per-request recording live and once with
-  // enable_metrics = false (one branch at the top of serve_line, the
-  // runtime twin of the -DAMBIT_METRICS=OFF compile-out). Arms are
+  // enable_metrics = false (one branch at the top of serve_line). Arms are
   // interleaved best-of-N so a background scheduler blip cannot charge
   // one arm only; the gap is the tentpole's <= 5% budget.
   double metrics_overhead_pct = 0;
@@ -963,8 +956,7 @@ int main(int argc, char** argv) {
                 metrics_overhead_pct);
   }
   // The concurrency bars only apply where the storms could run (no
-  // sockets -> no storm -> no bar). The overhead bar only means
-  // something when the instrumentation is compiled in at all.
+  // sockets -> no storm -> no bar).
   const bool pass = all_identical && evalb_identical && storm_identical &&
                     storm_served && fusion_identical && fusion_served &&
                     unfused_arm_fused == 0 && errors == 0 && c10k_all_served &&
@@ -973,8 +965,7 @@ int main(int argc, char** argv) {
                      (best_speedup_4plus >= 3.0 &&
                       (!storm_ran || conc_speedup >= 2.0) &&
                       (!fusion_ran || fusion_speedup >= 1.5) &&
-                      (!metrics::metrics_enabled() ||
-                       metrics_overhead_pct <= 5.0)));
+                      metrics_overhead_pct <= 5.0));
   std::printf("\n%s\n", json.render().c_str());
   return pass ? 0 : 1;
 }

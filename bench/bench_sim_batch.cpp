@@ -33,6 +33,7 @@
 #include "logic/synth_bench.h"
 #include "simulate/pla_sim.h"
 #include "simulate/sim_evaluator.h"
+#include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -72,6 +73,14 @@ bool same_results(const BatchSimResult& a, const BatchSimResult& b) {
 }  // namespace
 
 int main() {
+  // A bad AMBIT_THREADS is a usage error (exit 2), read before any work.
+  int workers = 1;
+  try {
+    workers = ThreadPool::default_workers();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "bench_sim_batch: %s\n", e.what());
+    return 2;
+  }
   const tech::CnfetElectrical e = tech::default_cnfet_electrical();
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf("=== Batch switch-level simulation ===\n\n");
@@ -116,7 +125,6 @@ int main() {
   reuse_secs /= (reps - 1);
 
   // Shipped arm: reuse + word-aligned sharding across the pool.
-  const int workers = ThreadPool::default_workers();
   ThreadPool pool(workers);
   BatchSimResult sharded = sim.simulate_batch(fig2_in, &pool);
   reps = 1;

@@ -9,8 +9,9 @@ HTTP side port exactly the way a Prometheus scraper would. The run
 fails on malformed exposition output (a text-format 0.0.4 lint lives
 below, a deliberately independent reimplementation of the C++ lint in
 tests/prometheus_lint.h), on any non-OK protocol response, on wrong
-HTTP status codes (404/405/400 probes included), or on counters that
-move backwards between scrapes.
+HTTP status codes (404/405/400 probes included), on counters that
+move backwards between scrapes, or on a STATS line that disagrees with
+the page it renders.
 
 Usage: serve_scrape_smoke.py <path-to-ambit_serve>
 """
@@ -222,6 +223,16 @@ def metrics_over_verb(port):
     return lint_prometheus(page.decode())
 
 
+def stats_over_verb(port):
+    """The STATS fields as a dict of name -> text."""
+    with protocol_connect(port) as sock:
+        sock.sendall(b"STATS\nQUIT\n")
+        line = recv_line(sock)
+        if not line.startswith("OK ") or recv_line(sock) != "OK bye\n":
+            fail(f"STATS answered {line!r}")
+    return dict(field.split("=", 1) for field in line[3:].split())
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -279,17 +290,20 @@ def main():
                 if not before.get(key, 0) <= mid[key] <= after[key]:
                     fail(f"counter moved backwards: {key}")
             expected_evals = CLIENTS * REQUESTS_PER_CLIENT
-            if after[eval_key] not in (0, expected_evals):
+            if after[eval_key] != expected_evals:
                 fail(f"EVAL count {after[eval_key]} != {expected_evals}")
-            if after[eval_key] == 0:
-                # -DAMBIT_METRICS=OFF build: the page is still valid,
-                # it just records nothing; the smoke still proved the
-                # scrape path.
-                print("serve_scrape_smoke: metrics compiled out, "
-                      "grammar checks only")
             verb_page = metrics_over_verb(tcp_port)
             if verb_page[eval_key] < after[eval_key]:
                 fail("METRICS verb page behind the side-port page")
+
+            # STATS renders the same registry: the preload is one LOAD,
+            # and evals= is the page's counter.
+            stats = stats_over_verb(tcp_port)
+            if stats.get("loads") != "1":
+                fail(f"STATS loads={stats.get('loads')}, want 1 (--preload)")
+            page_evals = int(after[("ambit_serve_evals_total", "")])
+            if stats.get("evals") != str(page_evals):
+                fail(f"STATS evals={stats.get('evals')} != page {page_evals}")
 
             with protocol_connect(tcp_port) as sock:
                 sock.sendall(b"SHUTDOWN\n")

@@ -352,9 +352,7 @@ class EventLoop {
   }
 
   void close_conn(Conn& c, const char* reason) {
-    if (reason != nullptr) {
-      server_.note_connection_dropped(reason, c.id, c.served);
-    }
+    server_.note_connection_closed(reason, c.id, c.served);
     logs::debug("conn.close", {{"conn", std::to_string(c.id)},
                                {"served", std::to_string(c.served)}});
     const std::size_t unflushed = c.outbox.size() - c.out_off;
@@ -363,7 +361,6 @@ class EventLoop {
     }
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
     ::close(c.fd);
-    server_.connections_active_.fetch_sub(1, std::memory_order_relaxed);
     conns_.erase(c.id);  // invalidates c — callers return immediately
     // A freed slot — and a freed descriptor, if accept was starved —
     // lets the listener back in.
@@ -682,12 +679,8 @@ class EventLoop {
       // No-op (EOPNOTSUPP) on a Unix-domain connection.
       const int nodelay = 1;
       ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-      const std::uint64_t conn_id =
-          server_.connections_accepted_.fetch_add(1,
-                                                  std::memory_order_relaxed) +
-          1;
+      const std::uint64_t conn_id = ++accepted_;
       server_.note_connection_accepted();
-      server_.connections_active_.fetch_add(1, std::memory_order_relaxed);
       logs::debug("conn.accept", {{"conn", std::to_string(conn_id)},
                                   {"transport", what_}});
       auto state = std::make_unique<Conn>();
@@ -797,6 +790,8 @@ class EventLoop {
   bool draining_ = false;
   std::string fatal_;
   std::uint64_t served_total_ = 0;
+  /// Connections accepted so far; the latest one's id.
+  std::uint64_t accepted_ = 0;
   /// Loop iterations so far: a connection is served on the loop at most
   /// once per turn.
   std::uint64_t turn_ = 0;
@@ -933,7 +928,7 @@ std::uint64_t EventLoop::run() {
       server_.note_pending_write_delta(-static_cast<std::int64_t>(unflushed));
     }
     ::close(c->fd);
-    server_.connections_active_.fetch_sub(1, std::memory_order_relaxed);
+    server_.note_connection_closed(nullptr, id, c->served);
   }
   conns_.clear();
   ::close(wake_fd_);

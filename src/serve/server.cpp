@@ -50,7 +50,15 @@ std::pair<std::string, int> parse_host_port(const std::string& spec) {
 /// live behind a unique_ptr; all of them point into deque-backed
 /// registry storage whose addresses never move.
 struct Server::ServeMetrics {
+  std::unique_ptr<metrics::Registry> owned;  // when ServerOptions has none
   metrics::Registry& registry;
+  // What STATS reports, counted whatever enable_metrics says.
+  metrics::Counter* loads;
+  metrics::Counter* evals;
+  metrics::Counter* patterns;
+  metrics::Counter* sims;
+  metrics::Counter* sim_patterns;
+  metrics::Counter* verifies;
   // Indexed by Verb enum value — verb_names() lists the verbs in enum
   // order, which is what makes static_cast<size_t>(verb) valid here.
   std::vector<metrics::Counter*> requests;
@@ -72,7 +80,25 @@ struct Server::ServeMetrics {
   metrics::Histogram* loop_ready_events;
   metrics::Gauge* pending_write_bytes;
 
-  explicit ServeMetrics(metrics::Registry& reg) : registry(reg) {
+  explicit ServeMetrics(metrics::Registry* given)
+      : owned(given == nullptr ? std::make_unique<metrics::Registry>()
+                               : nullptr),
+        registry(given != nullptr ? *given : *owned) {
+    metrics::Registry& reg = registry;
+    loads = &reg.counter("ambit_serve_loads_total",
+                         "Circuits loaded by LOAD or --preload (STATS loads)");
+    evals = &reg.counter("ambit_serve_evals_total",
+                         "EVAL/EVALB requests evaluated (STATS evals)");
+    patterns =
+        &reg.counter("ambit_serve_patterns_total",
+                     "Patterns evaluated by EVAL/EVALB (STATS patterns)");
+    sims = &reg.counter("ambit_serve_sims_total",
+                        "SIM/SIMB requests simulated (STATS sims)");
+    sim_patterns =
+        &reg.counter("ambit_serve_sim_patterns_total",
+                     "Patterns simulated by SIM/SIMB (STATS sim_patterns)");
+    verifies = &reg.counter("ambit_serve_verifies_total",
+                            "VERIFY sweeps run (STATS verifies)");
     const std::vector<std::string> verbs = verb_names();
     requests.reserve(verbs.size());
     request_us.reserve(verbs.size());
@@ -102,11 +128,14 @@ struct Server::ServeMetrics {
           metrics::Histogram::default_latency_bounds_us(),
           {{"phase", metrics::phase_name(static_cast<metrics::Phase>(p))}});
     }
-    connections_active = &reg.gauge("ambit_serve_connections_active",
-                                    "Connections currently being served");
+    connections_active =
+        &reg.gauge("ambit_serve_connections_active",
+                   "Connections currently being served (STATS connections, "
+                   "before the slash)");
     connections_accepted =
         &reg.counter("ambit_serve_connections_accepted_total",
-                     "Connections accepted since server start");
+                     "Connections accepted since server start (STATS "
+                     "connections, after the slash)");
     const std::string drop_help =
         "Connections the SERVER closed, by reason: idle (receive "
         "timeout), send (peer stopped reading), malformed (oversized "
@@ -155,22 +184,43 @@ struct Server::ServeMetrics {
 Server::Server(Session& session, ServerOptions options)
     : session_(session),
       options_(options),
-      metrics_(std::make_unique<ServeMetrics>(options.registry != nullptr
-                                                  ? *options.registry
-                                                  : metrics::Registry::global())) {}
+      metrics_(std::make_unique<ServeMetrics>(options.registry)) {}
 
 Server::~Server() = default;
 
 std::string Server::metrics_page() {
-  // The sampled gauges are refreshed at scrape time — they describe
-  // "now", unlike the counters, which are exact cumulative history.
+  // The pool gauges are sampled at scrape time — they describe "now",
+  // unlike the counters, which are exact cumulative history.
   ThreadPool& pool = session_.pool();
   metrics_->pool_workers->set(pool.num_workers());
   metrics_->pool_queue_depth->set(pool.queued_tasks());
   metrics_->pool_busy->set(pool.busy_workers());
-  metrics_->connections_active->set(static_cast<std::int64_t>(
-      connections_active_.load(std::memory_order_relaxed)));
   return metrics_->registry.prometheus_text();
+}
+
+std::shared_ptr<const LoadedCircuit> Server::load(const std::string& name,
+                                                  const std::string& path) {
+  std::shared_ptr<const LoadedCircuit> circuit = session_.load(name, path);
+  metrics_->loads->add();
+  return circuit;
+}
+
+logic::PatternBatch Server::eval(
+    const std::shared_ptr<const LoadedCircuit>& circuit,
+    const logic::PatternBatch& inputs, std::uint64_t requests) {
+  logic::PatternBatch outputs = session_.eval(circuit, inputs);
+  metrics_->evals->add(requests);
+  metrics_->patterns->add(inputs.num_patterns());
+  return outputs;
+}
+
+simulate::BatchSimResult Server::sim(
+    const std::shared_ptr<const LoadedCircuit>& circuit,
+    const logic::PatternBatch& inputs) {
+  simulate::BatchSimResult result = session_.sim(circuit, inputs);
+  metrics_->sims->add();
+  metrics_->sim_patterns->add(inputs.num_patterns());
+  return result;
 }
 
 namespace {
@@ -243,7 +293,7 @@ Server::Outcome Server::dispatch(const Request& request) {
     switch (request.verb) {
       case Verb::kLoad: {
         const std::shared_ptr<const LoadedCircuit> circuit =
-            session_.load(request.name, request.path);
+            load(request.name, request.path);
         return {ok_response(
             "loaded " + circuit->name + ": " +
             std::to_string(circuit->gnor.num_inputs()) + " inputs, " +
@@ -264,7 +314,7 @@ Server::Outcome Server::dispatch(const Request& request) {
         simulate::BatchSimResult result(0, 0);
         {
           const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-          result = session_.sim(circuit, inputs);
+          result = sim(circuit, inputs);
         }
         check(result.all_definite(),
               request.name + ": simulation produced non-digital outputs");
@@ -299,6 +349,7 @@ Server::Outcome Server::dispatch(const Request& request) {
           const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
           equivalent = session_.verify(circuit);
         }
+        metrics_->verifies->add();
         const int inputs = circuit->gnor.num_inputs();
         if (!equivalent) {
           return {err_response(request.name +
@@ -310,26 +361,21 @@ Server::Outcome Server::dispatch(const Request& request) {
             std::to_string(std::uint64_t{1} << inputs) + " patterns")};
       }
       case Verb::kStats: {
-        const SessionStats stats = session_.stats();
-        std::string detail =
-            "circuits=" + std::to_string(stats.circuits) +
-            " loads=" + std::to_string(stats.loads) +
-            " evals=" + std::to_string(stats.evals) +
-            " patterns=" + std::to_string(stats.patterns) +
-            " sims=" + std::to_string(stats.sims) +
-            " sim_patterns=" + std::to_string(stats.sim_patterns) +
-            " verifies=" + std::to_string(stats.verifies) +
-            " workers=" + std::to_string(stats.workers);
-        // Appended LAST: every STATS consumer so far matches fields by
-        // name, and append-only growth keeps any that slice by prefix
-        // byte-stable.
-        detail +=
-            " connections=" +
-            std::to_string(connections_active_.load(std::memory_order_relaxed)) +
-            "/" +
-            std::to_string(
-                connections_accepted_.load(std::memory_order_relaxed));
-        return {ok_response(detail)};
+        // A rendering of this Server's registry, plus two facts about
+        // the Session. connections= stays last: append-only growth
+        // keeps consumers that slice by prefix byte-stable.
+        const ServeMetrics& m = *metrics_;
+        return {ok_response(
+            "circuits=" + std::to_string(session_.names().size()) +
+            " loads=" + std::to_string(m.loads->value()) +
+            " evals=" + std::to_string(m.evals->value()) +
+            " patterns=" + std::to_string(m.patterns->value()) +
+            " sims=" + std::to_string(m.sims->value()) +
+            " sim_patterns=" + std::to_string(m.sim_patterns->value()) +
+            " verifies=" + std::to_string(m.verifies->value()) +
+            " workers=" + std::to_string(session_.pool().num_workers()) +
+            " connections=" + std::to_string(m.connections_active->value()) +
+            "/" + std::to_string(m.connections_accepted->value()))};
       }
       case Verb::kUnload:
         session_.unload(request.name);
@@ -351,7 +397,7 @@ Server::Outcome Server::dispatch(const Request& request) {
 bool Server::serve_line(const std::string& line, std::string_view payload,
                         std::string& out, Outcome& outcome,
                         std::uint64_t conn_id, std::uint64_t queued_at_us) {
-  if (!metrics_on()) {
+  if (!options_.enable_metrics) {
     return serve_line_inner(line, payload, out, outcome, nullptr);
   }
   metrics::PhaseTrace trace;
@@ -504,14 +550,14 @@ bool Server::serve_line_inner(const std::string& line,
       logic::PatternBatch outputs(0, 0);
       {
         const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-        outputs = session_.eval(job.circuit, job.inputs);
+        outputs = eval(job.circuit, job.inputs);
       }
       out_words = encode_eval(job, outputs, outcome);
     } else {
       simulate::BatchSimResult result(0, 0);
       {
         const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-        result = session_.sim(job.circuit, job.inputs);
+        result = sim(job.circuit, job.inputs);
       }
       check(result.all_definite(),
             request.name + ": simulation produced non-digital outputs");
@@ -622,7 +668,7 @@ std::vector<std::uint64_t> Server::encode_eval(
 }
 
 void Server::serve_turn(std::vector<TurnRequest>& requests) {
-  const bool timed = metrics_on();
+  const bool timed = options_.enable_metrics;
   // Per request: the decoded job, its phase trace and the wall time of
   // its own decode and encode plus its sweep — its total, so its phases
   // add up to it even though the turn interleaves the requests.
@@ -675,7 +721,7 @@ void Server::serve_turn(std::vector<TurnRequest>& requests) {
     const std::uint64_t sweep_start = now_us();
     try {
       if (sweep.size() == 1) {
-        outputs.push_back(session_.eval(circuit, members[i].job.inputs));
+        outputs.push_back(eval(circuit, members[i].job.inputs));
       } else {
         logic::PatternBatch fused(circuit->gnor.num_inputs(), patterns);
         std::uint64_t at = 0;
@@ -683,8 +729,7 @@ void Server::serve_turn(std::vector<TurnRequest>& requests) {
           fused.copy_patterns_from(members[k].job.inputs, 0, at, size(k));
           at += size(k);
         }
-        const logic::PatternBatch all =
-            session_.eval(circuit, fused, sweep.size());
+        const logic::PatternBatch all = eval(circuit, fused, sweep.size());
         at = 0;
         for (const std::size_t k : sweep) {
           logic::PatternBatch mine(all.num_signals(), size(k));
@@ -831,15 +876,17 @@ std::uint64_t Server::serve_chunks(
 }
 
 void Server::note_connection_accepted() {
-  if (metrics_on()) {
-    metrics_->connections_accepted->add();
-  }
+  metrics_->connections_accepted->add();
+  metrics_->connections_active->add();
 }
 
-void Server::note_connection_dropped(const char* reason,
-                                     std::uint64_t conn_id,
-                                     std::uint64_t served) {
-  if (metrics_on()) {
+void Server::note_connection_closed(const char* reason, std::uint64_t conn_id,
+                                    std::uint64_t served) {
+  metrics_->connections_active->sub();
+  if (reason == nullptr) {
+    return;
+  }
+  if (options_.enable_metrics) {
     if (std::strcmp(reason, "idle") == 0) {
       metrics_->dropped_idle->add();
     } else if (std::strcmp(reason, "send") == 0) {
@@ -854,14 +901,14 @@ void Server::note_connection_dropped(const char* reason,
 }
 
 void Server::note_loop_wakeup(std::size_t ready_events) {
-  if (metrics_on()) {
+  if (options_.enable_metrics) {
     metrics_->loop_iterations->add();
     metrics_->loop_ready_events->observe(ready_events);
   }
 }
 
 void Server::note_pending_write_delta(std::int64_t delta) {
-  if (metrics_on()) {
+  if (options_.enable_metrics) {
     metrics_->pending_write_bytes->add(delta);
   }
 }

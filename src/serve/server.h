@@ -27,7 +27,8 @@
 //
 // Per-connection state (the framing buffer, the outbox, the QUIT flag)
 // is owned by the loop, never by the shared Server object — the only
-// cross-connection state is the SHUTDOWN latch and the Session.
+// cross-connection state is the SHUTDOWN latch, the metrics registry
+// (which STATS renders) and the Session.
 //
 // Bulk evaluation uses the EVALB binary frame (see protocol.h): the
 // payload words load straight into a logic::PatternBatch via its
@@ -124,13 +125,16 @@ struct ServerOptions {
   /// A peer whose owed response made no write progress for this many
   /// seconds is dropped (0 = never).
   long send_timeout_secs = kSendTimeoutSecs;
-  /// Metrics sink (util/metrics.h): null = the process-global registry.
-  /// Tests and benches pass their own Registry for isolated, exactly
-  /// assertable counts.
+  /// Metrics sink (util/metrics.h): null = a registry the Server owns.
+  /// Tests and benches pass their own to read it directly; Servers that
+  /// share one share every count, STATS included.
   metrics::Registry* registry = nullptr;
-  /// Runtime master switch for the per-request instrumentation (the
-  /// compile-time switch is -DAMBIT_METRICS). bench_serve_throughput
-  /// flips it off to measure the instrumentation overhead.
+  /// Switch for the per-request instrumentation: per-verb counters and
+  /// latency, phase histograms, connection drops, loop and fusion
+  /// counters, the slow-request dump. The STATS counters (loads, evals,
+  /// patterns, sims, sim_patterns, verifies, connections) record
+  /// either way. bench_serve_throughput flips it off to measure the
+  /// instrumentation overhead.
   bool enable_metrics = true;
   /// Requests whose total wall time reaches this many microseconds log
   /// their phase trace (parse / queue_wait / evaluate / serialize) at
@@ -218,12 +222,17 @@ class Server {
   /// True once a SHUTDOWN request was handled.
   bool shutdown_requested() const { return shutdown_.load(); }
 
+  /// Runs LOAD: Session::load, counted in STATS `loads=`. ambit_serve's
+  /// --preload calls it too. Throws like Session::load.
+  std::shared_ptr<const LoadedCircuit> load(const std::string& name,
+                                            const std::string& path);
+
   /// The Prometheus text-format exposition page: refreshes the sampled
-  /// gauges (pool depth/utilization, active connections), then renders
-  /// the server's registry. Served by the METRICS verb and by the
-  /// --metrics HTTP side listener (serve/metrics_http.h). The page
-  /// reflects requests COMPLETED before the one serving it — per-verb
-  /// counters are bumped after the response is built.
+  /// pool gauges, then renders the server's registry. Served by the
+  /// METRICS verb and by the --metrics HTTP side listener
+  /// (serve/metrics_http.h). The page reflects requests COMPLETED
+  /// before the one serving it — per-verb counters are bumped after the
+  /// response is built.
   std::string metrics_page();
 
  private:
@@ -263,6 +272,16 @@ class Server {
   /// `request`. Throws ambit::Error on a bad request.
   EvalJob decode(const Request& request,
                  const std::vector<std::uint64_t>& words);
+
+  /// Session::eval and Session::sim, counted in STATS once they return;
+  /// one sweep answers `requests` EVAL/EVALB requests (serve_turn packs
+  /// several into one).
+  logic::PatternBatch eval(const std::shared_ptr<const LoadedCircuit>& circuit,
+                           const logic::PatternBatch& inputs,
+                           std::uint64_t requests = 1);
+  simulate::BatchSimResult sim(
+      const std::shared_ptr<const LoadedCircuit>& circuit,
+      const logic::PatternBatch& inputs);
 
   /// Encodes `outputs` (the job's own patterns, in order) as the EVAL
   /// or EVALB response: the line goes to outcome.response, an EVALB's
@@ -311,12 +330,6 @@ class Server {
               std::uint64_t total_us, const Outcome& outcome,
               std::uint64_t conn_id);
 
-  /// True when instrumentation should record: compiled in AND enabled
-  /// by ServerOptions::enable_metrics.
-  bool metrics_on() const {
-    return metrics::metrics_enabled() && options_.enable_metrics;
-  }
-
   /// The in-process connection loop behind serve_stream and
   /// serve_chunks: drives one ConnState, calling `feed(state)` whenever
   /// it needs input (feed appends bytes or notes EOF) and `emit(bytes)`
@@ -326,10 +339,11 @@ class Server {
   std::uint64_t serve_framed(Feed&& feed, Emit&& emit);
 
   /// Connection-lifecycle accounting for the event loop, defined in
-  /// server.cpp where ServeMetrics is visible.
+  /// server.cpp where ServeMetrics is visible. `reason` is null for a
+  /// close the peer asked for, else why the server dropped it.
   void note_connection_accepted();
-  void note_connection_dropped(const char* reason, std::uint64_t conn_id,
-                               std::uint64_t served);
+  void note_connection_closed(const char* reason, std::uint64_t conn_id,
+                              std::uint64_t served);
   /// Event-loop instrumentation (no-ops when metrics are off): one
   /// wakeup = one epoll_wait return with `ready_events` descriptors.
   void note_loop_wakeup(std::size_t ready_events);
@@ -337,7 +351,8 @@ class Server {
   void note_pending_write_delta(std::int64_t delta);
 
   /// Handles are registered once at construction; recording is relaxed
-  /// atomics only. Defined in server.cpp (one member per metric).
+  /// atomics only. Defined in server.cpp (one member per metric), with
+  /// the registry the Server owns when ServerOptions gave none.
   struct ServeMetrics;
 
   /// The epoll event loop (serve/event_loop.cpp) drives serve_line and
@@ -348,11 +363,6 @@ class Server {
   ServerOptions options_;
   std::unique_ptr<ServeMetrics> metrics_;
   std::atomic<bool> shutdown_{false};
-  // Connection lifecycle counters for STATS (`connections=<active>/
-  // <accepted>`). Deliberately NOT behind the metrics layer: STATS
-  // stays exact under -DAMBIT_METRICS=OFF.
-  std::atomic<std::uint64_t> connections_active_{0};
-  std::atomic<std::uint64_t> connections_accepted_{0};
   // One slow-request warn per interval, surplus folded into
   // suppressed=<n> — a storm of slow requests must not flood the log.
   logs::RateLimiter slow_log_limiter_{1'000'000};

@@ -27,11 +27,8 @@ std::shared_ptr<const LoadedCircuit> Session::load(const std::string& name,
   circuit->load_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  {
-    const MutexLock lock(mutex_);
-    circuits_[name] = circuit;
-  }
-  loads_.fetch_add(1, std::memory_order_relaxed);
+  const MutexLock lock(mutex_);
+  circuits_[name] = circuit;
   return circuit;
 }
 
@@ -62,16 +59,11 @@ logic::PatternBatch Session::eval(const std::string& name,
 
 logic::PatternBatch Session::eval(
     const std::shared_ptr<const LoadedCircuit>& circuit,
-    const logic::PatternBatch& inputs, std::uint64_t requests) {
+    const logic::PatternBatch& inputs) {
   check(circuit != nullptr, "Session::eval: null circuit");
   // The mapped array is immutable post-LOAD and the shared_ptr keeps it
   // alive, so the evaluation runs with no lock held.
-  logic::PatternBatch outputs = circuit->gnor.evaluate_batch(inputs, pool_);
-  circuit->evals.fetch_add(requests, std::memory_order_relaxed);
-  circuit->patterns.fetch_add(inputs.num_patterns(), std::memory_order_relaxed);
-  evals_.fetch_add(requests, std::memory_order_relaxed);
-  patterns_.fetch_add(inputs.num_patterns(), std::memory_order_relaxed);
-  return outputs;
+  return circuit->gnor.evaluate_batch(inputs, pool_);
 }
 
 simulate::BatchSimResult Session::sim(const std::string& name,
@@ -96,11 +88,7 @@ simulate::BatchSimResult Session::sim(
     }
     simulator = circuit->simulator;
   }
-  simulate::BatchSimResult result = simulator->simulate_batch(inputs, &pool_);
-  circuit->sims.fetch_add(1, std::memory_order_relaxed);
-  sims_.fetch_add(1, std::memory_order_relaxed);
-  sim_patterns_.fetch_add(inputs.num_patterns(), std::memory_order_relaxed);
-  return result;
+  return simulator->simulate_batch(inputs, &pool_);
 }
 
 bool Session::verify(const std::string& name) {
@@ -129,8 +117,6 @@ bool Session::verify(const std::shared_ptr<const LoadedCircuit>& circuit) {
   }
   const logic::TruthTable actual =
       exhaustive_truth_table(circuit->gnor, pool_);
-  circuit->verifies.fetch_add(1, std::memory_order_relaxed);
-  verifies_.fetch_add(1, std::memory_order_relaxed);
   return actual.count_mismatches(*circuit->reference, &*circuit->dontcare) ==
          0;
 }
@@ -150,22 +136,6 @@ std::vector<std::string> Session::names() const {
     result.push_back(name);
   }
   return result;
-}
-
-SessionStats Session::stats() const {
-  SessionStats stats;
-  stats.loads = loads_.load(std::memory_order_relaxed);
-  stats.evals = evals_.load(std::memory_order_relaxed);
-  stats.patterns = patterns_.load(std::memory_order_relaxed);
-  stats.sims = sims_.load(std::memory_order_relaxed);
-  stats.sim_patterns = sim_patterns_.load(std::memory_order_relaxed);
-  stats.verifies = verifies_.load(std::memory_order_relaxed);
-  {
-    const MutexLock lock(mutex_);
-    stats.circuits = static_cast<int>(circuits_.size());
-  }
-  stats.workers = pool_.num_workers();
-  return stats;
 }
 
 }  // namespace ambit::serve

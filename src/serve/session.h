@@ -12,23 +12,23 @@
 //     GnorPlaSimulator::simulate_batch sharded across the same pool;
 //   * VERIFY re-checks the mapped array exhaustively against its
 //     source cover, caching the reference truth tables per circuit so
-//     a re-verify only pays the array sweep, not the cover sweep;
-//   * STATS exposes the counters a long-running operator cares about.
+//     a re-verify only pays the array sweep, not the cover sweep.
+//
+// A Session counts nothing: the Server that drives it counts every
+// request in its metrics registry, and STATS renders those counters.
 //
 // Thread model: the Session is shared by EVERY request the concurrent
 // front door (serve/server.h) runs, so all of it is thread-safe: the
 // registry map is guarded by one mutex held only for lookups and
 // (un)registrations — never across an evaluation — circuits are handed
 // out as shared_ptr so an UNLOAD can never pull a circuit out from
-// under a running EVAL, counters are atomics so STATS stays exact under
-// concurrent traffic, and the per-circuit verify cache is built under a
-// per-circuit mutex. The expensive work (LOAD pipeline, batch
+// under a running EVAL, and the per-circuit verify cache is built under
+// a per-circuit mutex. The expensive work (LOAD pipeline, batch
 // evaluation, exhaustive verify sweeps) always runs OUTSIDE the
 // registry lock; below that, the shared worker pool shards every batch
 // (ThreadPool::parallel_for is safe for concurrent callers).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -58,17 +58,11 @@ struct LoadedCircuit {
   logic::Cover minimized;        ///< after Espresso
   core::GnorPla gnor;            ///< mapped once, evaluated many times
   double load_seconds = 0;       ///< parse+minimize+map wall time
-  // Bookkeeping, not logical state: callers hold circuits as
-  // shared_ptr<const LoadedCircuit>, and counting an eval must not
-  // require shedding the const.
-  mutable std::atomic<std::uint64_t> evals{0};     ///< EVAL requests served
-  mutable std::atomic<std::uint64_t> patterns{0};  ///< patterns evaluated
-  mutable std::atomic<std::uint64_t> sims{0};      ///< SIM/SIMB requests served
-  mutable std::atomic<std::uint64_t> verifies{0};  ///< VERIFY requests served
   /// Reference truth tables (onset / don't-care) for VERIFY, built on
   /// first use under verify_mutex; this is the per-session cache that
-  /// makes re-verify cheap. Mutable for the same reason as the
-  /// counters: a cache fill through a shared_ptr-to-const handle.
+  /// makes re-verify cheap. Mutable because callers hold circuits as
+  /// shared_ptr<const LoadedCircuit>: a cache fill is not a logical
+  /// change.
   mutable Mutex verify_mutex{LockRank::kCircuitVerify};
   mutable std::optional<logic::TruthTable> reference
       AMBIT_GUARDED_BY(verify_mutex);
@@ -86,18 +80,6 @@ struct LoadedCircuit {
       AMBIT_GUARDED_BY(sim_mutex);
 
   LoadedCircuit() : minimized(0, 1), gnor(0, 0, 1) {}
-};
-
-/// Session-wide counters for STATS.
-struct SessionStats {
-  std::uint64_t loads = 0;
-  std::uint64_t evals = 0;
-  std::uint64_t patterns = 0;      ///< patterns through EVAL/EVALB
-  std::uint64_t sims = 0;          ///< SIM/SIMB requests
-  std::uint64_t sim_patterns = 0;  ///< patterns through SIM/SIMB
-  std::uint64_t verifies = 0;
-  int circuits = 0;
-  int workers = 0;
 };
 
 /// A registry of loaded circuits sharing one worker pool. Safe to drive
@@ -124,20 +106,17 @@ class Session {
   /// nullptr when unknown (no throw).
   std::shared_ptr<const LoadedCircuit> find(const std::string& name) const;
 
-  /// Evaluates one batch through the sharded bit-parallel path and
-  /// bumps the counters. Input width must match the circuit.
+  /// Evaluates one batch through the sharded bit-parallel path. Input
+  /// width must match the circuit.
   logic::PatternBatch eval(const std::string& name,
                            const logic::PatternBatch& inputs);
 
   /// Same, against a circuit the caller already holds — no second
   /// registry lookup, and immune to a concurrent same-name reload
   /// swapping the circuit between the caller's width check and the
-  /// evaluation. The batch answers `requests` EVAL/EVALB requests: the
-  /// event loop packs several one-word requests into one sweep
-  /// (Server::serve_turn), and STATS counts each of them.
+  /// evaluation.
   logic::PatternBatch eval(const std::shared_ptr<const LoadedCircuit>& circuit,
-                           const logic::PatternBatch& inputs,
-                           std::uint64_t requests = 1);
+                           const logic::PatternBatch& inputs);
 
   /// Switch-level timing sweep through the circuit's lazily built
   /// transistor network (SIM/SIMB): per-pattern outputs AND phase
@@ -170,8 +149,6 @@ class Session {
   /// Registered names, sorted.
   std::vector<std::string> names() const;
 
-  SessionStats stats() const;
-
   ThreadPool& pool() { return pool_; }
 
  private:
@@ -184,16 +161,6 @@ class Session {
   mutable Mutex mutex_{LockRank::kSessionRegistry};
   std::map<std::string, std::shared_ptr<LoadedCircuit>> circuits_
       AMBIT_GUARDED_BY(mutex_);
-  // Session-lifetime counters: cumulative across UNLOADs and same-name
-  // reloads, so STATS never goes backwards (the per-circuit counters in
-  // LoadedCircuit die with the circuit). Atomics keep them exact when
-  // many request threads bump them at once.
-  std::atomic<std::uint64_t> loads_{0};
-  std::atomic<std::uint64_t> evals_{0};
-  std::atomic<std::uint64_t> patterns_{0};
-  std::atomic<std::uint64_t> sims_{0};
-  std::atomic<std::uint64_t> sim_patterns_{0};
-  std::atomic<std::uint64_t> verifies_{0};
 };
 
 }  // namespace ambit::serve

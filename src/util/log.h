@@ -22,13 +22,12 @@
 //     (append mode). The tools expose both knobs as --log-level and
 //     --log-file.
 //
-// The hot-path discipline differs from metrics.h: logging is NOT
-// compiled out (operators need it precisely in production), it is
-// rate-limitable instead. RateLimiter caps a noisy call site (e.g.
-// malformed-frame warnings under a fuzzing client) to one record per
-// interval and folds the overflow into a suppressed=<n> key on the
-// next emitted record, so bursts cost almost nothing and still leave
-// an accurate count in the log.
+// Logging cannot be switched off at build time (operators need it
+// precisely in production); it is rate-limitable instead. RateLimiter
+// caps a noisy call site (e.g. malformed-frame warnings under a
+// fuzzing client) to one record per interval and folds the overflow
+// into a suppressed=<n> key on the next emitted record, so bursts cost
+// almost nothing and still leave an accurate count in the log.
 #pragma once
 
 #include <atomic>

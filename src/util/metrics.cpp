@@ -124,7 +124,7 @@ std::vector<std::uint64_t> Histogram::default_latency_bounds_us() {
   return bounds;
 }
 
-void Histogram::record(std::uint64_t value) {
+void Histogram::observe(std::uint64_t value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const std::size_t idx =
       static_cast<std::size_t>(it - bounds_.begin());  // == size() -> +Inf
@@ -181,11 +181,6 @@ std::uint64_t Histogram::quantile(double q) const {
 }
 
 // --- Registry --------------------------------------------------------------
-
-Registry& Registry::global() {
-  static Registry instance;
-  return instance;
-}
 
 Registry::Family& Registry::family_locked(const std::string& name,
                                           const std::string& help, Type type) {

@@ -1,5 +1,5 @@
-// Process-wide, lock-light metrics: counters, gauges, log-bucketed
-// latency histograms, and Prometheus text-format exposition.
+// Lock-light metrics: counters, gauges, log-bucketed latency
+// histograms, and Prometheus text-format exposition.
 //
 // The serve front door (src/serve/) needs production observability —
 // per-verb request rates, latency distributions, connection lifecycle
@@ -21,13 +21,6 @@
 //     text format 0.0.4 page: # HELP / # TYPE lines, escaped label
 //     values, and for histograms the cumulative _bucket series with
 //     the mandatory +Inf bound plus _sum and _count.
-//
-// Compile-out: configuring with -DAMBIT_METRICS=OFF removes every
-// record call from the hot path the same way AMBIT_CHECK disappears
-// under -DAMBIT_ENABLE_INVARIANTS=OFF (util/check.h) — the methods
-// compile to nothing, `metrics_enabled()` lets tests skip exactness
-// assertions, and the registry still builds (it just exposes zeros),
-// so no caller needs an #ifdef.
 //
 // Histograms are fixed-bucket and log-spaced: bounds are chosen at
 // registration (default: powers of two from 1 us to ~67 s), the bucket
@@ -62,17 +55,6 @@
 
 namespace ambit::metrics {
 
-/// True when instrumentation is compiled in (-DAMBIT_METRICS=ON, the
-/// default). When false every record call below is a no-op and tests
-/// must not assert on recorded values.
-constexpr bool metrics_enabled() {
-#ifdef AMBIT_METRICS
-  return true;
-#else
-  return false;
-#endif
-}
-
 /// Microseconds on the monotonic clock — the time base every histogram
 /// and phase trace in the repo records in.
 inline std::uint64_t monotonic_us() {
@@ -83,15 +65,11 @@ inline std::uint64_t monotonic_us() {
 }
 
 /// Monotonically increasing event count. add() is one relaxed
-/// fetch_add; compiled out entirely under -DAMBIT_METRICS=OFF.
+/// fetch_add.
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-#ifdef AMBIT_METRICS
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
@@ -103,20 +81,10 @@ class Counter {
 /// Instantaneous signed level (active connections, queue depth).
 class Gauge {
  public:
-  void set(std::int64_t v) {
-#ifdef AMBIT_METRICS
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
+  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
 
   void add(std::int64_t n = 1) {
-#ifdef AMBIT_METRICS
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   void sub(std::int64_t n = 1) { add(-n); }
@@ -145,13 +113,7 @@ class Histogram {
   /// ~2x resolution across nine decades — the default for latencies.
   static std::vector<std::uint64_t> default_latency_bounds_us();
 
-  void observe(std::uint64_t value) {
-#ifdef AMBIT_METRICS
-    record(value);
-#else
-    (void)value;
-#endif
-  }
+  void observe(std::uint64_t value);
 
   std::uint64_t count() const;
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -173,8 +135,6 @@ class Histogram {
   std::vector<std::uint64_t> bucket_counts() const;
 
  private:
-  void record(std::uint64_t value);
-
   std::vector<std::uint64_t> bounds_;
   // bounds_.size() + 1 slots; the last is the overflow (+Inf) bucket.
   std::vector<std::atomic<std::uint64_t>> buckets_;
@@ -185,18 +145,15 @@ class Histogram {
 /// Label set attached to one registered metric, e.g. {{"verb","EVAL"}}.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Owns metric families and renders the exposition page. One global()
-/// instance serves production; tests and benches construct their own
-/// for isolated, exactly-assertable counts. Registration is idempotent:
+/// Owns metric families and renders the exposition page. Each Server
+/// owns one unless it is handed one (serve/server.h), so counts are
+/// per server and exactly assertable. Registration is idempotent:
 /// re-registering the same (name, labels) returns the same instance.
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
-
-  /// The process-wide default registry.
-  static Registry& global();
 
   Counter& counter(const std::string& name, const std::string& help,
                    const Labels& labels = {});
@@ -292,37 +249,26 @@ class TraceScope {
 
 /// Adds the scope's elapsed time to the ambient trace's `phase` slot.
 /// Free when no trace is installed: one thread-local read, no clock
-/// call. Compiled out entirely under -DAMBIT_METRICS=OFF.
+/// call.
 class ScopedPhaseTimer {
  public:
   explicit ScopedPhaseTimer(Phase phase)
-#ifdef AMBIT_METRICS
       : phase_(phase), trace_(current_trace()),
-        start_us_(trace_ != nullptr ? monotonic_us() : 0) {
-  }
-#else
-  {
-    (void)phase;
-  }
-#endif
+        start_us_(trace_ != nullptr ? monotonic_us() : 0) {}
 
   ~ScopedPhaseTimer() {
-#ifdef AMBIT_METRICS
     if (trace_ != nullptr) {
       trace_->add(phase_, monotonic_us() - start_us_);
     }
-#endif
   }
 
   ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
   ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
 
  private:
-#ifdef AMBIT_METRICS
   Phase phase_;
   PhaseTrace* trace_;
   std::uint64_t start_us_;
-#endif
 };
 
 }  // namespace ambit::metrics

@@ -1,7 +1,10 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+
+#include "util/error.h"
 
 namespace ambit {
 
@@ -56,6 +59,21 @@ std::vector<std::string> split_on(std::string_view text, char sep) {
 
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
+}
+
+std::uint64_t parse_count(std::string_view what, std::string_view text,
+                          std::uint64_t min) {
+  const bool digits = !text.empty() && text.size() <= 9 &&
+                      text.find_first_not_of("0123456789") ==
+                          std::string_view::npos;
+  std::uint64_t value = 0;
+  if (digits) {
+    std::from_chars(text.data(), text.data() + text.size(), value);
+  }
+  check(digits && value >= min,
+        std::string(what) + " needs an integer >= " + std::to_string(min) +
+            ", got '" + std::string(text) + "'");
+  return value;
 }
 
 std::string format_double(double value, int digits) {

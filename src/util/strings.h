@@ -1,6 +1,7 @@
 // Small string utilities used by the file parsers and report writers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,14 @@ std::vector<std::string> split_on(std::string_view text, char sep);
 
 /// True when `text` begins with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
+
+/// `text` as a count: decimal digits only, at most 9 of them, and at
+/// least `min`. Anything else ("2x", "-3", "4294967298") throws
+/// ambit::Error "<what> needs an integer >= <min>, got '<text>'" rather
+/// than parsing a prefix or wrapping. Numeric command-line options and
+/// AMBIT_THREADS (ThreadPool::default_workers) all parse through it.
+std::uint64_t parse_count(std::string_view what, std::string_view text,
+                          std::uint64_t min);
 
 /// Formats `value` with `digits` digits after the decimal point.
 std::string format_double(double value, int digits);

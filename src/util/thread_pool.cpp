@@ -8,6 +8,7 @@
 
 #include "util/check.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace ambit {
 
@@ -111,9 +112,7 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     const MutexLock lock(mutex_);
     tasks_.push(std::move(guarded));
-#ifdef AMBIT_METRICS
     queued_.fetch_add(1, std::memory_order_relaxed);
-#endif
   }
   work_ready_.notify_one();
 }
@@ -132,14 +131,10 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-#ifdef AMBIT_METRICS
     queued_.fetch_sub(1, std::memory_order_relaxed);
     busy_.fetch_add(1, std::memory_order_relaxed);
-#endif
     task();
-#ifdef AMBIT_METRICS
     busy_.fetch_sub(1, std::memory_order_relaxed);
-#endif
   }
 }
 
@@ -182,10 +177,8 @@ void ThreadPool::parallel_for(
     for (std::uint64_t h = 0; h < helpers; ++h) {
       tasks_.push([job] { job->drain(); });
     }
-#ifdef AMBIT_METRICS
     queued_.fetch_add(static_cast<std::int64_t>(helpers),
                       std::memory_order_relaxed);
-#endif
   }
   work_ready_.notify_all();
 
@@ -201,10 +194,7 @@ void ThreadPool::parallel_for(
 
 int ThreadPool::default_workers() {
   if (const char* env = std::getenv("AMBIT_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) {
-      return n;
-    }
+    return static_cast<int>(parse_count("AMBIT_THREADS", env, 1));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

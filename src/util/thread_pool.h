@@ -87,13 +87,13 @@ class ThreadPool {
   void submit(std::function<void()> task);
 
   /// Worker count for "use the machine": the AMBIT_THREADS environment
-  /// variable when set and positive, else std::thread::hardware_concurrency.
+  /// variable when set, else std::thread::hardware_concurrency. A set
+  /// AMBIT_THREADS must be a count >= 1 (parse_count, util/strings.h);
+  /// anything else throws ambit::Error naming the variable and value.
   static int default_workers();
 
-  /// Observability snapshots (relaxed; maintained only when the
-  /// metrics layer is compiled in — see util/metrics.h — and always 0
-  /// otherwise). Tasks (submitted ones and parallel_for helpers)
-  /// enqueued but not yet picked up by a worker:
+  /// Observability snapshots (relaxed). Tasks (submitted ones and
+  /// parallel_for helpers) enqueued but not yet picked up by a worker:
   std::int64_t queued_tasks() const {
     return queued_.load(std::memory_order_relaxed);
   }

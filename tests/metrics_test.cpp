@@ -7,6 +7,7 @@
 // serve_test.cpp applies to the page fetched over the wire.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -33,9 +34,6 @@ using testing_support::prom_value;
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, CounterAndGaugeRecord) {
-  if (!metrics::metrics_enabled()) {
-    GTEST_SKIP() << "built with -DAMBIT_METRICS=OFF";
-  }
   metrics::Counter counter;
   counter.add();
   counter.add(41);
@@ -50,19 +48,6 @@ TEST(MetricsTest, CounterAndGaugeRecord) {
   EXPECT_EQ(gauge.value(), -2);
 }
 
-TEST(MetricsTest, RecordingCompilesOutCleanly) {
-  // Whichever way AMBIT_METRICS is configured, the objects build and
-  // the read side is well-defined (zeros when off).
-  metrics::Counter counter;
-  counter.add(5);
-  metrics::Histogram histogram({1, 2, 4});
-  histogram.observe(3);
-  if (!metrics::metrics_enabled()) {
-    EXPECT_EQ(counter.value(), 0u);
-    EXPECT_EQ(histogram.count(), 0u);
-  }
-}
-
 TEST(MetricsTest, DefaultLatencyBoundsArePowersOfTwo) {
   const std::vector<std::uint64_t> bounds =
       metrics::Histogram::default_latency_bounds_us();
@@ -75,9 +60,6 @@ TEST(MetricsTest, DefaultLatencyBoundsArePowersOfTwo) {
 }
 
 TEST(MetricsTest, HistogramBucketsCountAndSum) {
-  if (!metrics::metrics_enabled()) {
-    GTEST_SKIP() << "built with -DAMBIT_METRICS=OFF";
-  }
   metrics::Histogram histogram({10, 100, 1000});
   histogram.observe(0);     // first bucket (le=10 is inclusive)
   histogram.observe(10);    // still the first bucket
@@ -92,9 +74,6 @@ TEST(MetricsTest, HistogramBucketsCountAndSum) {
 }
 
 TEST(MetricsTest, HistogramQuantiles) {
-  if (!metrics::metrics_enabled()) {
-    GTEST_SKIP() << "built with -DAMBIT_METRICS=OFF";
-  }
   metrics::Histogram histogram({10, 100, 1000});
   EXPECT_EQ(histogram.quantile(0.5), 0u);  // empty
   for (int i = 0; i < 90; ++i) {
@@ -117,9 +96,6 @@ TEST(MetricsTest, HistogramQuantiles) {
 }
 
 TEST(MetricsTest, HistogramQuantileNeverExceedsTheLargestSample) {
-  if (!metrics::metrics_enabled()) {
-    GTEST_SKIP() << "built with -DAMBIT_METRICS=OFF";
-  }
   // One sample in the default layout's 65536 bucket: the bucket bound
   // would report a p50 far above anything observed.
   metrics::Histogram histogram(
@@ -170,9 +146,6 @@ TEST(MetricsTest, ExpositionPassesLintWithExactValues) {
 
   const std::string page = registry.prometheus_text();
   const auto samples = lint_prometheus_page(page);
-  if (!metrics::metrics_enabled()) {
-    return;  // page still lints; values are all zero
-  }
   EXPECT_EQ(prom_value(samples, "ambit_test_requests_total", "verb=\"EVAL\""),
             3.0);
   EXPECT_EQ(prom_value(samples, "ambit_test_requests_total", "verb=\"SIM\""),
@@ -231,6 +204,49 @@ TEST(MetricsTest, FamiliesRenderInSortedOrder) {
   lint_prometheus_page(page);
 }
 
+TEST(MetricsTest, ConcurrentRecordingStaysExact) {
+  // Four threads record into one registry while a fifth registers new
+  // series and renders the page, as a Server's counters are bumped from
+  // pool workers and the loop thread during a scrape. Every count is
+  // exact afterwards; under TSan this is the registry's race check.
+  metrics::Registry registry;
+  metrics::Counter& counter = registry.counter("ambit_test_total", "t");
+  metrics::Gauge& gauge = registry.gauge("ambit_test_level", "t");
+  metrics::Histogram& histogram =
+      registry.histogram("ambit_test_us", "t", {1, 10, 100});
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAdds = 10000;
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    for (int i = 0; !done.load(); ++i) {
+      registry
+          .counter("ambit_test_late_total", "t",
+                   {{"slot", std::to_string(i % 8)}})
+          .add();
+      EXPECT_FALSE(registry.prometheus_text().empty());
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) {
+        counter.add();
+        gauge.add();
+        gauge.sub();
+        histogram.observe(i % 200);
+      }
+    });
+  }
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  done.store(true);
+  scraper.join();
+  EXPECT_EQ(counter.value(), kThreads * kAdds);
+  EXPECT_EQ(gauge.value(), 0);
+  EXPECT_EQ(histogram.count(), kThreads * kAdds);
+}
+
 // ---------------------------------------------------------------------------
 // Phase tracing.
 // ---------------------------------------------------------------------------
@@ -245,9 +261,6 @@ TEST(MetricsTest, PhaseNamesAreStable) {
 }
 
 TEST(MetricsTest, ScopedPhaseTimerWritesAmbientTrace) {
-  if (!metrics::metrics_enabled()) {
-    GTEST_SKIP() << "built with -DAMBIT_METRICS=OFF";
-  }
   // No ambient trace: the timer is inert.
   EXPECT_EQ(metrics::current_trace(), nullptr);
   { const metrics::ScopedPhaseTimer inert(metrics::Phase::kParse); }

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -58,6 +59,16 @@ std::string write_sample_pla(const std::string& filename) {
   const std::string path = testing::TempDir() + "/" + filename;
   logic::write_pla_file(path, logic::make_pla(f, "sample"));
   return path;
+}
+
+/// The count `field` (e.g. "evals") reports in one STATS response line.
+std::uint64_t stats_field(const std::string& line, const std::string& field) {
+  const std::size_t at = line.find(" " + field + "=");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "STATS has no " << field << "=: " << line;
+    return 0;
+  }
+  return std::stoull(line.substr(at + field.size() + 2));
 }
 
 // ---------------------------------------------------------------------------
@@ -287,7 +298,13 @@ TEST(SessionTest, LoadEvalVerifyUnload) {
   EXPECT_TRUE(session.verify("s"));
   // Second verify rides the cached reference tables.
   EXPECT_TRUE(session.verify("s"));
-  EXPECT_EQ(session.get("s")->verifies.load(), 2u);
+  // STATS counts the VERIFYs a Server runs, not direct Session calls.
+  Server server(session);
+  EXPECT_EQ(server.handle_line("VERIFY s"),
+            "OK verified s: equivalent over 8 patterns");
+  EXPECT_EQ(server.handle_line("VERIFY s"),
+            "OK verified s: equivalent over 8 patterns");
+  EXPECT_EQ(stats_field(server.handle_line("STATS"), "verifies"), 2u);
 
   session.unload("s");
   EXPECT_EQ(session.find("s"), nullptr);
@@ -320,14 +337,16 @@ TEST(SessionTest, UnknownNamesThrow) {
 TEST(SessionTest, ReloadReplacesCircuit) {
   const std::string path = write_sample_pla("serve_reload.pla");
   Session session(1);
-  session.load("s", path);
+  Server server(session);
+  server.load("s", path);
   const Cover g = Cover::parse(2, 1, {"11 1"});
   const std::string path2 = testing::TempDir() + "/serve_reload2.pla";
   logic::write_pla_file(path2, logic::make_pla(g, "g"));
-  session.load("s", path2);
+  server.load("s", path2);
   EXPECT_EQ(session.get("s")->gnor.num_inputs(), 2);
-  EXPECT_EQ(session.stats().loads, 2u);
-  EXPECT_EQ(session.stats().circuits, 1);
+  const std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "loads"), 2u);
+  EXPECT_EQ(stats_field(stats, "circuits"), 1u);
 }
 
 TEST(SessionTest, FailedLoadKeepsExistingCircuit) {
@@ -341,21 +360,25 @@ TEST(SessionTest, FailedLoadKeepsExistingCircuit) {
 TEST(SessionTest, StatsAccumulate) {
   const std::string path = write_sample_pla("serve_stats.pla");
   Session session(1);
-  session.load("a", path);
-  session.load("b", path);
-  session.eval("a", PatternBatch::exhaustive(3));
-  session.eval("b", PatternBatch::exhaustive(3));
-  const SessionStats stats = session.stats();
-  EXPECT_EQ(stats.circuits, 2);
-  EXPECT_EQ(stats.evals, 2u);
-  EXPECT_EQ(stats.patterns, 16u);
-  // Counters are session-cumulative: dropping or replacing circuits
-  // must never make STATS go backwards.
-  session.unload("a");
-  session.load("b", path);
-  EXPECT_EQ(session.stats().evals, 2u);
-  EXPECT_EQ(session.stats().patterns, 16u);
-  EXPECT_EQ(session.stats().circuits, 1);
+  Server server(session);
+  server.load("a", path);
+  server.load("b", path);
+  const std::string all = " 0 1 2 3 4 5 6 7";  // 8 patterns
+  EXPECT_TRUE(starts_with(server.handle_line("EVAL a" + all), "OK "));
+  EXPECT_TRUE(starts_with(server.handle_line("EVAL b" + all), "OK "));
+  std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "circuits"), 2u);
+  EXPECT_EQ(stats_field(stats, "evals"), 2u);
+  EXPECT_EQ(stats_field(stats, "patterns"), 16u);
+  // Counters are cumulative: dropping or replacing circuits must never
+  // make STATS go backwards.
+  EXPECT_EQ(server.handle_line("UNLOAD a"), "OK unloaded a");
+  server.load("b", path);
+  stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "evals"), 2u);
+  EXPECT_EQ(stats_field(stats, "patterns"), 16u);
+  EXPECT_EQ(stats_field(stats, "circuits"), 1u);
+  EXPECT_EQ(stats_field(stats, "loads"), 3u);
 }
 
 TEST(SessionTest, SimMatchesDirectSimulatorAndCounts) {
@@ -379,11 +402,16 @@ TEST(SessionTest, SimMatchesDirectSimulatorAndCounts) {
   // through the serve layer too.
   EXPECT_EQ(served.outputs, session.eval("s", inputs));
 
-  const SessionStats stats = session.stats();
-  EXPECT_EQ(stats.sims, 1u);
-  EXPECT_EQ(stats.sim_patterns, 8u);
-  EXPECT_EQ(stats.evals, 1u);  // the eval() above
-  EXPECT_EQ(session.get("s")->sims.load(), 1u);
+  // A Server counts its SIMs and EVALs apart.
+  Server server(session);
+  const std::string all = " 0 1 2 3 4 5 6 7";
+  EXPECT_TRUE(starts_with(server.handle_line("SIM s" + all), "OK "));
+  EXPECT_TRUE(starts_with(server.handle_line("EVAL s" + all), "OK "));
+  const std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "sims"), 1u);
+  EXPECT_EQ(stats_field(stats, "sim_patterns"), 8u);
+  EXPECT_EQ(stats_field(stats, "evals"), 1u);
+  EXPECT_EQ(stats_field(stats, "patterns"), 8u);
   // Width mismatches surface as ambit::Error, same as eval.
   EXPECT_THROW(session.sim("s", PatternBatch(2, 4)), Error);
   EXPECT_THROW(session.sim("ghost", inputs), Error);
@@ -527,9 +555,6 @@ TEST(ServerTest, MetricsVerbOverStreamLintsAndCountsExactly) {
   EXPECT_EQ(wire.substr(cursor + consumed), "OK bye\n");
 
   const auto samples = testing_support::lint_prometheus_page(page);
-  if (!metrics::metrics_enabled()) {
-    return;  // page still renders and lints; values are zeros
-  }
   // Per-verb counters are bumped AFTER the response bytes go out, so
   // the page a METRICS request returns excludes that request itself.
   EXPECT_EQ(testing_support::prom_value(samples, "ambit_serve_requests_total",
@@ -570,9 +595,6 @@ TEST(ServerTest, ErrorResponsesBumpTheErrorCounter) {
   std::istringstream in("EVAL ghost ff\nNONSENSE\nSTATS\nQUIT\n");
   std::ostringstream out;
   EXPECT_EQ(server.serve_stream(in, out), 4u);
-  if (!metrics::metrics_enabled()) {
-    return;
-  }
   const metrics::Counter* errors =
       registry.find_counter("ambit_serve_request_errors_total");
   ASSERT_NE(errors, nullptr);
@@ -584,10 +606,47 @@ TEST(ServerTest, ErrorResponsesBumpTheErrorCounter) {
   EXPECT_EQ(malformed->value(), 1u);
 }
 
-TEST(ServerTest, SlowRequestsDumpTheirPhaseTrace) {
-  if (!metrics::metrics_enabled()) {
-    GTEST_SKIP() << "phase tracing is compiled out";
+TEST(ServerTest, ServersWithoutARegistryCountApart) {
+  // A Server given no registry owns one: two of them over one Session
+  // each report only their own traffic, on STATS and on METRICS.
+  const std::string path = write_sample_pla("serve_own_registry.pla");
+  Session session(1);
+  Server first(session);
+  Server second(session);
+  std::istringstream first_in("LOAD a " + path + "\nEVAL a 7 0\nQUIT\n");
+  std::istringstream second_in("EVAL a 3\nQUIT\n");
+  std::ostringstream out;
+  EXPECT_EQ(first.serve_stream(first_in, out), 3u);
+  EXPECT_EQ(second.serve_stream(second_in, out), 2u);
+
+  const std::string first_stats = first.handle_line("STATS");
+  const std::string second_stats = second.handle_line("STATS");
+  EXPECT_EQ(stats_field(first_stats, "loads"), 1u);
+  EXPECT_EQ(stats_field(first_stats, "evals"), 1u);
+  EXPECT_EQ(stats_field(first_stats, "patterns"), 2u);
+  EXPECT_EQ(stats_field(second_stats, "loads"), 0u);
+  EXPECT_EQ(stats_field(second_stats, "evals"), 1u);
+  EXPECT_EQ(stats_field(second_stats, "patterns"), 1u);
+
+  const auto first_page =
+      testing_support::lint_prometheus_page(first.metrics_page());
+  const auto second_page =
+      testing_support::lint_prometheus_page(second.metrics_page());
+  for (const auto& [page, loads] :
+       {std::pair{&first_page, 1.0}, std::pair{&second_page, 0.0}}) {
+    EXPECT_EQ(testing_support::prom_value(*page, "ambit_serve_requests_total",
+                                          "verb=\"LOAD\""),
+              loads);
+    EXPECT_EQ(testing_support::prom_value(*page, "ambit_serve_requests_total",
+                                          "verb=\"EVAL\""),
+              1.0);
+    EXPECT_EQ(testing_support::prom_value(*page, "ambit_serve_requests_total",
+                                          "verb=\"QUIT\""),
+              1.0);
   }
+}
+
+TEST(ServerTest, SlowRequestsDumpTheirPhaseTrace) {
   // --slow-request-us 1 makes every request "slow": the warn record
   // must carry the full phase decomposition, rate-limited to one line.
   const std::string log_path = testing::TempDir() + "/serve_slow.log";
@@ -647,6 +706,41 @@ std::string frame_payload(const PatternBatch& batch) {
                      words.size() * sizeof(std::uint64_t));
 }
 
+TEST(ServerTest, StatsIsExactWithMetricsOff) {
+  // enable_metrics = false switches the per-request instrumentation
+  // off, never the STATS counts: every verb that STATS counts is served
+  // once, around an UNLOAD and a reload, and STATS is exact.
+  const std::string path = write_sample_pla("serve_stats_off.pla");
+  Session session(1);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  options.enable_metrics = false;
+  Server server(session, options);
+  const PatternBatch inputs = PatternBatch::exhaustive(3);  // 8 patterns
+  std::ostringstream request;
+  request << "LOAD s " << path << "\nEVAL s 7\n"
+          << "EVALB s 8 " << inputs.total_words() << "\n"
+          << frame_payload(inputs) << "SIM s 0 7 3\n"
+          << "SIMB s 8 " << inputs.total_words() << "\n"
+          << frame_payload(inputs) << "VERIFY s\nUNLOAD s\nLOAD s " << path
+          << "\nSTATS\nQUIT\n";
+  std::istringstream in(request.str());
+  std::ostringstream out;
+  EXPECT_EQ(server.serve_stream(in, out), 10u);
+  const std::string wire = out.str();
+  const std::size_t at = wire.find("OK circuits=");
+  ASSERT_NE(at, std::string::npos) << wire;
+  EXPECT_EQ(wire.substr(at, wire.find('\n', at) - at),
+            "OK circuits=1 loads=2 evals=2 patterns=9 sims=2 sim_patterns=11 "
+            "verifies=1 workers=0 connections=0/0");
+  // The instrumentation itself stayed off.
+  const metrics::Counter* evals =
+      registry.find_counter("ambit_serve_requests_total", {{"verb", "EVAL"}});
+  ASSERT_NE(evals, nullptr);
+  EXPECT_EQ(evals->value(), 0u);
+}
+
 TEST(ServerTest, StreamEvalbRoundTrip) {
   const std::string path = write_sample_pla("serve_evalb.pla");
   Session session(1);
@@ -691,7 +785,7 @@ TEST(ServerTest, StreamEvalbRoundTrip) {
   EXPECT_EQ(line, "OK bye");
 
   // The session counted the bulk patterns exactly.
-  EXPECT_EQ(session.stats().patterns, kPatterns);
+  EXPECT_EQ(stats_field(server.handle_line("STATS"), "patterns"), kPatterns);
 }
 
 TEST(ServerTest, EvalbLengthPrefixKeepsStreamFramedOnErrors) {
@@ -725,7 +819,7 @@ TEST(ServerTest, EvalbLengthPrefixKeepsStreamFramedOnErrors) {
   EXPECT_TRUE(starts_with(line, "ERR EVALB needs at least one pattern"));
   ASSERT_TRUE(std::getline(response, line));
   EXPECT_TRUE(starts_with(line, "OK circuits=1"));
-  EXPECT_EQ(session.stats().evals, 0u);  // no bulk request ever evaluated
+  EXPECT_EQ(stats_field(line, "evals"), 0u);  // no bulk request evaluated
 }
 
 TEST(ServerTest, EvalbHugePatternCountIsRejectedNotCrashing) {
@@ -814,8 +908,9 @@ TEST(ServerTest, StreamSimRoundTripMatchesScalarSimulator) {
                                " " +
                                expected_sim_token(gnor, hex_decode("3", 3));
   EXPECT_EQ(lines[1], expected);
-  EXPECT_EQ(session.stats().sims, 1u);
-  EXPECT_EQ(session.stats().sim_patterns, 3u);
+  const std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "sims"), 1u);
+  EXPECT_EQ(stats_field(stats, "sim_patterns"), 3u);
 }
 
 TEST(ServerTest, SimErrorLines) {
@@ -829,7 +924,7 @@ TEST(ServerTest, SimErrorLines) {
   EXPECT_TRUE(starts_with(server.handle_line("SIM s 8"), "ERR"));
   // SIMB is binary-only in the text entry point, like EVALB.
   EXPECT_TRUE(starts_with(server.handle_line("SIMB s 8 3"), "ERR SIMB"));
-  EXPECT_EQ(session.stats().sims, 0u);
+  EXPECT_EQ(stats_field(server.handle_line("STATS"), "sims"), 0u);
 }
 
 TEST(ServerTest, StreamSimbRoundTrip) {
@@ -886,8 +981,9 @@ TEST(ServerTest, StreamSimbRoundTrip) {
   EXPECT_EQ(e2, expected.plane2_eval_delay_s);
   ASSERT_TRUE(std::getline(response, line));
   EXPECT_EQ(line, "OK bye");
-  EXPECT_EQ(session.stats().sim_patterns, kPatterns);
-  EXPECT_EQ(session.stats().patterns, 0u);  // EVAL counters untouched
+  const std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "sim_patterns"), kPatterns);
+  EXPECT_EQ(stats_field(stats, "patterns"), 0u);  // EVAL counters untouched
 }
 
 TEST(ServerTest, SimbErrorsKeepStreamFramed) {
@@ -927,7 +1023,7 @@ TEST(ServerTest, SimbErrorsKeepStreamFramed) {
   EXPECT_NE(line.find("simulation limit"), std::string::npos) << line;
   ASSERT_TRUE(std::getline(response, line));
   EXPECT_TRUE(starts_with(line, "OK circuits=1"));
-  EXPECT_EQ(session.stats().sims, 0u);  // no bulk request ever simulated
+  EXPECT_EQ(stats_field(line, "sims"), 0u);  // no bulk request simulated
 }
 
 TEST(ServerTest, SimbOversizedHeaderDropsConnection) {
@@ -1195,7 +1291,7 @@ TEST(ServerSocketTest, ResidualEvalbHeaderAtEofFailsCleanly) {
   }
   ::close(fd);
   EXPECT_EQ(buffer, "");  // no bogus OK EVALB from self-consumed bytes
-  EXPECT_EQ(session.stats().evals, 0u);
+  EXPECT_EQ(stats_field(server.handle_line("STATS"), "evals"), 0u);
 
   const int ctl = connect_with_retry(socket_path);
   ASSERT_GE(ctl, 0);
@@ -1330,7 +1426,7 @@ TEST(ServerSocketTest, PipelinedLinesAfterQuitAreDiscarded) {
   char extra;
   EXPECT_EQ(::read(fd, &extra, 1), 0);
   ::close(fd);
-  EXPECT_EQ(session.stats().loads, 0u);
+  EXPECT_EQ(stats_field(server.handle_line("STATS"), "loads"), 0u);
 
   const int ctl = connect_with_retry(socket_path);
   ASSERT_GE(ctl, 0);
@@ -1341,7 +1437,7 @@ TEST(ServerSocketTest, PipelinedLinesAfterQuitAreDiscarded) {
   EXPECT_EQ(ctl_lines[0], "OK shutting down");
   ::close(ctl);
   server_thread.join();
-  EXPECT_EQ(session.stats().loads, 0u);
+  EXPECT_EQ(stats_field(server.handle_line("STATS"), "loads"), 0u);
 }
 
 TEST(ServerSocketTest, RefusesToStealLiveSocket) {
@@ -1469,10 +1565,10 @@ TEST(ServerSocketTest, MultiClientHammerMatchesSequentialServing) {
   server_thread.join();
 
   // Counters stayed exact under concurrency.
-  const SessionStats stats = session.stats();
-  EXPECT_EQ(stats.evals,
+  const std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "evals"),
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
-  EXPECT_EQ(stats.patterns,
+  EXPECT_EQ(stats_field(stats, "patterns"),
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient * 2);
 }
 
@@ -1582,8 +1678,9 @@ TEST(ServerSocketTest, UnixSocketSimAndSimbRoundTrip) {
               pre.size() * sizeof(double));
   EXPECT_EQ(pre, expected.precharge_delay_s);
   EXPECT_EQ(buffer.substr(consumed), "OK shutting down\n");
-  EXPECT_EQ(session.stats().sims, 2u);  // one SIM + one SIMB
-  EXPECT_EQ(session.stats().sim_patterns, 10u);
+  const std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "sims"), 2u);  // one SIM + one SIMB
+  EXPECT_EQ(stats_field(stats, "sim_patterns"), 10u);
 }
 
 TEST(ServerSocketTest, MultiClientHammerMixesEvalbAndSimb) {
@@ -1706,13 +1803,14 @@ TEST(ServerSocketTest, MultiClientHammerMixesEvalbAndSimb) {
   server_thread.join();
 
   // Counters stayed exact under mixed concurrent bulk traffic.
-  const SessionStats stats = session.stats();
+  const std::string stats = server.handle_line("STATS");
   const std::uint64_t rounds =
       static_cast<std::uint64_t>(kClients) * kRoundsPerClient;
-  EXPECT_EQ(stats.evals, rounds);
-  EXPECT_EQ(stats.patterns, rounds * inputs.num_patterns());
-  EXPECT_EQ(stats.sims, rounds);
-  EXPECT_EQ(stats.sim_patterns, rounds * inputs.num_patterns());
+  EXPECT_EQ(stats_field(stats, "evals"), rounds);
+  EXPECT_EQ(stats_field(stats, "patterns"), rounds * inputs.num_patterns());
+  EXPECT_EQ(stats_field(stats, "sims"), rounds);
+  EXPECT_EQ(stats_field(stats, "sim_patterns"),
+            rounds * inputs.num_patterns());
 }
 
 // ---------------------------------------------------------------------------
@@ -1999,10 +2097,10 @@ TEST(TcpSocketTest, MultiClientHammerMatchesDirectEvaluation) {
   ::close(ctl);
   server_thread.join();
 
-  const SessionStats stats = session.stats();
-  EXPECT_EQ(stats.evals,
+  const std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "evals"),
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
-  EXPECT_EQ(stats.patterns,
+  EXPECT_EQ(stats_field(stats, "patterns"),
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient * 2);
 }
 
@@ -2164,19 +2262,17 @@ TEST(TcpSocketTest, LoopServesCheapRequestsWhileThePoolIsSaturated) {
                                std::chrono::seconds(30)));
   EXPECT_TRUE(starts_with(line, "OK verified s")) << line;
 
-  if (metrics::metrics_enabled()) {
-    // Only the VERIFY went through the pool queue, and it waited there
-    // for most of the hold; that wait is part of its request time too.
-    const metrics::Histogram* queue_wait = registry.find_histogram(
-        "ambit_serve_phase_us", {{"phase", "queue_wait"}});
-    ASSERT_NE(queue_wait, nullptr);
-    EXPECT_EQ(queue_wait->count(), 1u);
-    EXPECT_GE(queue_wait->sum(), 200'000u);
-    const metrics::Histogram* verify_us = registry.find_histogram(
-        "ambit_serve_request_us", {{"verb", "VERIFY"}});
-    ASSERT_NE(verify_us, nullptr);
-    EXPECT_GE(verify_us->sum(), queue_wait->sum());
-  }
+  // Only the VERIFY went through the pool queue, and it waited there
+  // for most of the hold; that wait is part of its request time too.
+  const metrics::Histogram* queue_wait = registry.find_histogram(
+      "ambit_serve_phase_us", {{"phase", "queue_wait"}});
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_EQ(queue_wait->count(), 1u);
+  EXPECT_GE(queue_wait->sum(), 200'000u);
+  const metrics::Histogram* verify_us = registry.find_histogram(
+      "ambit_serve_request_us", {{"verb", "VERIFY"}});
+  ASSERT_NE(verify_us, nullptr);
+  EXPECT_GE(verify_us->sum(), queue_wait->sum());
 }
 
 TEST(TcpSocketTest, PipelinedBurstDoesNotStarveAnotherConnection) {
@@ -2269,12 +2365,14 @@ TEST(TcpSocketTest, PipelinedBurstDoesNotStarveAnotherConnection) {
 
 TEST(ObservabilitySocketTest, StatsReportsConnectionCounts) {
   // The append-only STATS extension: " connections=<active>/<accepted>"
-  // closes the line, exact regardless of -DAMBIT_METRICS (the counts
-  // are plain Server atomics, not metrics-layer objects).
+  // closes the line. It renders two registry series that count whether
+  // or not the per-request instrumentation is on, so it runs here off.
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_connstats.sock";
   Session session(1);
-  Server server(session);
+  ServerOptions options;
+  options.enable_metrics = false;
+  Server server(session, options);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   const int fd = connect_with_retry(socket_path);
@@ -2295,7 +2393,7 @@ TEST(ObservabilitySocketTest, StatsReportsConnectionCounts) {
   const int second = connect_with_retry(socket_path);
   ASSERT_GE(second, 0);
   std::vector<std::string> lines2;
-  // The first connection's teardown (connections_active_ decrement)
+  // The first connection's teardown (the active gauge's decrement)
   // races our connect; poll STATS until it settles.
   for (int attempt = 0; attempt < 100; ++attempt) {
     lines2 = socket_transact(second, "STATS\n", 1);
@@ -2384,9 +2482,8 @@ TEST(ObservabilitySocketTest, HttpSideListenerServesScrapesMidTraffic) {
   for (int attempt = 0; attempt < 100; ++attempt) {
     ok = http_transact(http_port, "GET /metrics HTTP/1.0\r\n\r\n");
     page = http_body(ok);
-    if (!metrics::metrics_enabled() ||
-        page.find("ambit_serve_requests_total{verb=\"EVAL\"} 2") !=
-            std::string::npos) {
+    if (page.find("ambit_serve_requests_total{verb=\"EVAL\"} 2") !=
+        std::string::npos) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -2395,19 +2492,17 @@ TEST(ObservabilitySocketTest, HttpSideListenerServesScrapesMidTraffic) {
   EXPECT_NE(ok.find("Content-Type: text/plain; version=0.0.4"),
             std::string::npos);
   const auto samples = testing_support::lint_prometheus_page(page);
-  if (metrics::metrics_enabled()) {
-    EXPECT_EQ(testing_support::prom_value(
-                  samples, "ambit_serve_requests_total", "verb=\"EVAL\""),
-              2.0);
-    EXPECT_EQ(testing_support::prom_value(
-                  samples, "ambit_serve_requests_total", "verb=\"LOAD\""),
-              1.0);
-    // The side listener is NOT a protocol connection: gauges see only
-    // the one line-protocol client.
-    EXPECT_EQ(testing_support::prom_value(samples,
-                                          "ambit_serve_connections_active"),
-              1.0);
-  }
+  EXPECT_EQ(testing_support::prom_value(
+                samples, "ambit_serve_requests_total", "verb=\"EVAL\""),
+            2.0);
+  EXPECT_EQ(testing_support::prom_value(
+                samples, "ambit_serve_requests_total", "verb=\"LOAD\""),
+            1.0);
+  // The side listener is NOT a protocol connection: gauges see only
+  // the one line-protocol client.
+  EXPECT_EQ(testing_support::prom_value(samples,
+                                        "ambit_serve_connections_active"),
+            1.0);
 
   const std::string health =
       http_transact(http_port, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
@@ -2444,11 +2539,11 @@ TEST(ObservabilitySocketTest, MixedVerbHammerCountsEveryRequestExactly) {
   const std::string socket_path =
       testing::TempDir() + "/ambit_serve_obshammer.sock";
   Session session(/*workers=*/2);
-  session.load("s", path);
   metrics::Registry registry;
   ServerOptions options;
   options.registry = &registry;
   Server server(session, options);
+  server.load("s", path);
   std::thread server_thread([&] { server.serve_unix(socket_path); });
 
   PatternBatch inputs = PatternBatch::exhaustive(3);
@@ -2551,9 +2646,6 @@ TEST(ObservabilitySocketTest, MixedVerbHammerCountsEveryRequestExactly) {
   ::close(ctl);
   server_thread.join();
 
-  if (!metrics::metrics_enabled()) {
-    return;  // session counters above already validated the traffic
-  }
   // Every counter and histogram count, exactly — scraped AFTER the
   // server drained, so the bump-after-respond window is closed.
   const std::string page = server.metrics_page();
@@ -2590,10 +2682,28 @@ TEST(ObservabilitySocketTest, MixedVerbHammerCountsEveryRequestExactly) {
               0.0)
         << reason;
   }
-  // And the totals agree with the session's own exact accounting.
-  const SessionStats stats = session.stats();
-  EXPECT_EQ(stats.evals, static_cast<std::uint64_t>(rounds) * 2);  // EVAL+EVALB
-  EXPECT_EQ(stats.sims, static_cast<std::uint64_t>(rounds));
+  // STATS renders the same registry: each count equals its series.
+  const std::string stats = server.handle_line("STATS");
+  const std::uint64_t n = static_cast<std::uint64_t>(rounds);
+  const std::uint64_t batch = inputs.num_patterns();
+  const std::vector<std::tuple<std::string, std::string, std::uint64_t>>
+      fields = {{"loads", "ambit_serve_loads_total", 1},
+                {"evals", "ambit_serve_evals_total", n * 2},  // EVAL+EVALB
+                {"patterns", "ambit_serve_patterns_total", n * (1 + batch)},
+                {"sims", "ambit_serve_sims_total", n},
+                {"sim_patterns", "ambit_serve_sim_patterns_total", n * batch},
+                {"verifies", "ambit_serve_verifies_total", 0}};
+  for (const auto& [field, series, want] : fields) {
+    EXPECT_EQ(stats_field(stats, field), want) << field;
+    EXPECT_EQ(count(series, ""), static_cast<double>(want)) << series;
+  }
+  const auto whole = [&count](const std::string& series) {
+    return std::to_string(static_cast<std::uint64_t>(count(series, "")));
+  };
+  EXPECT_TRUE(stats.ends_with(
+      " connections=" + whole("ambit_serve_connections_active") + "/" +
+      whole("ambit_serve_connections_accepted_total")))
+      << stats;
 }
 
 TEST(ObservabilitySocketTest, DroppedConnectionsAreClassified) {
@@ -2636,9 +2746,6 @@ TEST(ObservabilitySocketTest, DroppedConnectionsAreClassified) {
   ::close(shut);
   server_thread.join();
 
-  if (!metrics::metrics_enabled()) {
-    return;
-  }
   const metrics::Counter* malformed = registry.find_counter(
       "ambit_serve_connections_dropped_total", {{"reason", "malformed"}});
   ASSERT_NE(malformed, nullptr);
@@ -2957,26 +3064,24 @@ TEST(TcpSocketTest, FusedTurnMatchesServeChunksWithExactCounts) {
         expected);
     EXPECT_EQ(got[static_cast<std::size_t>(c)], expected) << "client " << c;
   }
-  const SessionStats stats = session.stats();
-  EXPECT_EQ(stats.evals, evals);
-  EXPECT_EQ(stats.patterns, patterns);
-  if (metrics::metrics_enabled()) {
-    const auto value = [&](const std::string& name,
-                           const metrics::Labels& labels) {
-      const metrics::Counter* counter = registry.find_counter(name, labels);
-      return counter != nullptr ? counter->value() : 0;
-    };
-    EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "EVAL"}}),
-              eval_lines);
-    EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "EVALB"}}),
-              evalb_lines);
-    EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "QUIT"}}),
-              static_cast<std::uint64_t>(kClients));
-    EXPECT_EQ(value("ambit_serve_request_errors_total", {}),
-              3u * kClients);
-    EXPECT_GT(value("ambit_serve_coalesce_fused_total", {}), 0u)
-        << "no two requests shared a sweep";
-  }
+  const std::string stats = server.handle_line("STATS");
+  EXPECT_EQ(stats_field(stats, "evals"), evals);
+  EXPECT_EQ(stats_field(stats, "patterns"), patterns);
+  const auto value = [&](const std::string& name,
+                         const metrics::Labels& labels) {
+    const metrics::Counter* counter = registry.find_counter(name, labels);
+    return counter != nullptr ? counter->value() : 0;
+  };
+  EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "EVAL"}}),
+            eval_lines);
+  EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "EVALB"}}),
+            evalb_lines);
+  EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "QUIT"}}),
+            static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(value("ambit_serve_request_errors_total", {}),
+            3u * kClients);
+  EXPECT_GT(value("ambit_serve_coalesce_fused_total", {}), 0u)
+      << "no two requests shared a sweep";
 }
 
 #endif  // __linux__

@@ -304,12 +304,10 @@ TEST(SlowPeerTest, SlowLorisIsIdleDroppedWithoutPinningOthers) {
   EXPECT_LT(elapsed, std::chrono::seconds(10));
 
   server.shutdown();
-  if (metrics::metrics_enabled()) {
-    const metrics::Counter* idle = registry.find_counter(
-        "ambit_serve_connections_dropped_total", {{"reason", "idle"}});
-    ASSERT_NE(idle, nullptr);
-    EXPECT_EQ(idle->value(), 1u);
-  }
+  const metrics::Counter* idle = registry.find_counter(
+      "ambit_serve_connections_dropped_total", {{"reason", "idle"}});
+  ASSERT_NE(idle, nullptr);
+  EXPECT_EQ(idle->value(), 1u);
 }
 
 // ---------------------------------------------------------------------------

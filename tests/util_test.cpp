@@ -192,6 +192,23 @@ TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(starts_with("anything", ""));
 }
 
+TEST(StringsTest, ParseCountTakesPlainDigitsOnly) {
+  EXPECT_EQ(parse_count("--n", "1", 1), 1u);
+  EXPECT_EQ(parse_count("--n", "0", 0), 0u);
+  EXPECT_EQ(parse_count("--n", "999999999", 1), 999999999u);
+  // No prefix parse, no wrap, no sign, no fallback.
+  for (const char* bad :
+       {"", "0", "2x", "-3", "+4", " 4", "abc", "4294967298", "1000000000"}) {
+    EXPECT_THROW(parse_count("--n", bad, 1), Error) << bad;
+  }
+  try {
+    parse_count("AMBIT_THREADS", "2x", 1);
+    ADD_FAILURE() << "2x parsed";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "AMBIT_THREADS needs an integer >= 1, got '2x'");
+  }
+}
+
 TEST(StringsTest, FormatDouble) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(-0.5, 0), "-0");

@@ -134,6 +134,16 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  // A bad AMBIT_THREADS is a usage error, like a bad flag.
+  int workers = 1;
+  if (serve_mode || sim) {
+    try {
+      workers = ThreadPool::default_workers();
+    } catch (const Error& e) {
+      std::fprintf(stderr, "ambit_cli: %s\n", e.what());
+      return 2;
+    }
+  }
   if (serve_mode) {
     // Delegate to the serve subsystem: a long-running session over
     // stdin/stdout (or TCP with --tcp), sharded across the default
@@ -144,7 +154,7 @@ int main(int argc, char** argv) {
       return usage();
     }
     try {
-      serve::Session session;
+      serve::Session session(workers);
       serve::Server server(session);
       if (!tcp_spec.empty()) {
         const auto [host, port] = serve::parse_host_port(tcp_spec);
@@ -281,7 +291,7 @@ int main(int argc, char** argv) {
       }
       simulate::GnorPlaSimulator simulator(gnor,
                                            tech::default_cnfet_electrical());
-      ThreadPool pool(ThreadPool::default_workers());
+      ThreadPool pool(workers);
       const auto sim_start = std::chrono::steady_clock::now();
       const simulate::BatchSimResult swept =
           simulator.simulate_batch(patterns, &pool);

@@ -36,8 +36,9 @@
 //   --log-level <level>  debug|info|warn|error|off (default info)
 //   --log-file <path>    append log records to <path> instead of stderr
 //
-// Every numeric option takes plain decimal digits; anything else
-// ("1OO", "2x", "-1") exits 2 naming the option, never parses silently.
+// Every numeric option, and AMBIT_THREADS, takes plain decimal digits;
+// anything else ("1OO", "2x", "-1") exits 2 naming the option or the
+// variable, never parses silently.
 //
 // The protocol grammar is documented in docs/PROTOCOL.md (normative)
 // and src/serve/protocol.h; an interactive session starts with HELP.
@@ -47,7 +48,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -61,6 +61,7 @@
 #include "serve/session.h"
 #include "util/error.h"
 #include "util/log.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 #ifdef _WIN32
@@ -84,92 +85,72 @@ int usage() {
   return 2;
 }
 
-/// The value of numeric option `flag`: decimal digits only, at most 9
-/// of them, and at least `min`. Anything else is reported, naming the
-/// flag, and yields nullopt (the caller exits 2).
-std::optional<std::uint64_t> parse_number(const std::string& flag,
-                                          const std::string& value,
-                                          std::uint64_t min) {
-  const bool digits = !value.empty() && value.size() <= 9 &&
-                      value.find_first_not_of("0123456789") ==
-                          std::string::npos;
-  if (!digits || std::stoull(value) < min) {
-    std::fprintf(stderr,
-                 "ambit_serve: %s needs an integer >= %llu, got '%s'\n",
-                 flag.c_str(), static_cast<unsigned long long>(min),
-                 value.c_str());
-    return std::nullopt;
-  }
-  return std::stoull(value);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string socket_path;
   std::string tcp_spec;
   std::string metrics_spec;
-  int workers = ThreadPool::default_workers();
+  int workers = 0;  // 0 = not given: ThreadPool::default_workers()
   serve::ServerOptions options;
   std::vector<std::pair<std::string, std::string>> preloads;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--stdio") {
-      socket_path.clear();
-      tcp_spec.clear();
-    } else if (arg == "--socket" && i + 1 < argc) {
-      socket_path = argv[++i];
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      tcp_spec = argv[++i];
-    } else if (arg == "--workers" && i + 1 < argc) {
-      const auto value = parse_number(arg, argv[++i], 1);
-      if (!value.has_value()) {
-        return 2;
+  // A bad number is a usage error (exit 2), whether it came from a flag
+  // or from AMBIT_THREADS.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--stdio") {
+        socket_path.clear();
+        tcp_spec.clear();
+      } else if (arg == "--socket" && i + 1 < argc) {
+        socket_path = argv[++i];
+      } else if (arg == "--tcp" && i + 1 < argc) {
+        tcp_spec = argv[++i];
+      } else if (arg == "--workers" && i + 1 < argc) {
+        workers = static_cast<int>(parse_count(arg, argv[++i], 1));
+      } else if (arg == "--max-connections" && i + 1 < argc) {
+        options.max_connections =
+            static_cast<int>(parse_count(arg, argv[++i], 1));
+      } else if (arg == "--slow-request-us" && i + 1 < argc) {
+        options.slow_request_us = parse_count(arg, argv[++i], 0);
+      } else if (arg == "--preload" && i + 1 < argc) {
+        const std::string spec = argv[++i];
+        const auto eq = spec.find('=');
+        if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
+          std::fprintf(stderr, "ambit_serve: --preload needs <name>=<path>\n");
+          return 2;
+        }
+        preloads.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
+      } else if (arg == "--metrics" && i + 1 < argc) {
+        metrics_spec = argv[++i];
+      } else if (arg == "--log-level" && i + 1 < argc) {
+        const std::string value = argv[++i];
+        const auto level = logs::parse_level(value);
+        if (!level.has_value()) {
+          std::fprintf(stderr,
+                       "ambit_serve: --log-level needs "
+                       "debug|info|warn|error|off, got '%s'\n",
+                       value.c_str());
+          return 2;
+        }
+        logs::set_threshold(*level);
+      } else if (arg == "--log-file" && i + 1 < argc) {
+        const std::string value = argv[++i];
+        if (!logs::set_file(value)) {
+          std::fprintf(stderr, "ambit_serve: cannot open log file '%s'\n",
+                       value.c_str());
+          return 2;
+        }
+      } else {
+        return usage();
       }
-      workers = static_cast<int>(*value);
-    } else if (arg == "--max-connections" && i + 1 < argc) {
-      const auto value = parse_number(arg, argv[++i], 1);
-      if (!value.has_value()) {
-        return 2;
-      }
-      options.max_connections = static_cast<int>(*value);
-    } else if (arg == "--slow-request-us" && i + 1 < argc) {
-      const auto value = parse_number(arg, argv[++i], 0);
-      if (!value.has_value()) {
-        return 2;
-      }
-      options.slow_request_us = *value;
-    } else if (arg == "--preload" && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const auto eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
-        std::fprintf(stderr, "ambit_serve: --preload needs <name>=<path>\n");
-        return 2;
-      }
-      preloads.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_spec = argv[++i];
-    } else if (arg == "--log-level" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      const auto level = logs::parse_level(value);
-      if (!level.has_value()) {
-        std::fprintf(stderr,
-                     "ambit_serve: --log-level needs "
-                     "debug|info|warn|error|off, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      logs::set_threshold(*level);
-    } else if (arg == "--log-file" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (!logs::set_file(value)) {
-        std::fprintf(stderr, "ambit_serve: cannot open log file '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-    } else {
-      return usage();
     }
+    if (workers == 0) {
+      workers = ThreadPool::default_workers();
+    }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "ambit_serve: %s\n", e.what());
+    return 2;
   }
   if (!socket_path.empty() && !tcp_spec.empty()) {
     std::fprintf(stderr,
@@ -180,13 +161,14 @@ int main(int argc, char** argv) {
 
   try {
     serve::Session session(workers);
+    serve::Server server(session, options);
     for (const auto& [name, path] : preloads) {
-      const auto circuit = session.load(name, path);
+      // Through the Server, like LOAD, so STATS counts it in loads=.
+      const auto circuit = server.load(name, path);
       std::fprintf(stderr, "ambit_serve: preloaded %s (%d in, %d out, %d products)\n",
                    circuit->name.c_str(), circuit->gnor.num_inputs(),
                    circuit->gnor.num_outputs(), circuit->gnor.num_products());
     }
-    serve::Server server(session, options);
     // The side listener runs for the whole serve call and stops on
     // scope exit (its destructor) — after the transport has drained,
     // so a scrape can still read the final counters mid-SHUTDOWN.
