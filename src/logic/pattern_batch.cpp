@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "util/check.h"
 #include "util/error.h"
@@ -24,14 +25,36 @@ constexpr std::uint64_t kStripe[6] = {
 }  // namespace
 
 PatternBatch::PatternBatch(int num_signals, std::uint64_t num_patterns)
-    : num_signals_(num_signals), num_patterns_(num_patterns) {
+    : PatternBatch(num_signals, num_patterns, LaneWords()) {
+  words_.assign(total_words(), 0);
+}
+
+PatternBatch::PatternBatch(int num_signals, std::uint64_t num_patterns,
+                           LaneWords words)
+    : num_signals_(num_signals),
+      num_patterns_(num_patterns),
+      words_(std::move(words)) {
   check(num_signals >= 0, "PatternBatch: negative signal count");
   check(num_patterns <= ~std::uint64_t{0} - 63,
         "PatternBatch: pattern count overflows the word layout");
   words_per_lane_ = (num_patterns + 63) / 64;
   const std::uint64_t tail = num_patterns % 64;
   tail_mask_ = tail == 0 ? ~std::uint64_t{0} : ((std::uint64_t{1} << tail) - 1);
-  words_.assign(words_per_lane_ * static_cast<std::uint64_t>(num_signals), 0);
+}
+
+PatternBatch PatternBatch::from_words(int num_signals,
+                                      std::uint64_t num_patterns,
+                                      LaneWords words) {
+  PatternBatch batch(num_signals, num_patterns, std::move(words));
+  check(batch.words_.size() == batch.total_words(),
+        "PatternBatch::from_words: expected " +
+            std::to_string(batch.total_words()) + " words, got " +
+            std::to_string(batch.words_.size()));
+  batch.mask_tails();
+  // As in load_words: the re-mask is what makes a hostile frame's stray
+  // tail bits harmless.
+  batch.assert_tail_clean("PatternBatch::from_words (result)");
+  return batch;
 }
 
 PatternBatch PatternBatch::exhaustive(int num_inputs) {
@@ -273,11 +296,7 @@ void PatternBatch::load_words(const std::uint64_t* src, std::uint64_t count) {
         "PatternBatch::load_words: expected " + std::to_string(total_words()) +
             " words, got " + std::to_string(count));
   std::copy(src, src + count, words_.begin());
-  if (tail_mask_ != ~std::uint64_t{0}) {
-    for (int s = 0; s < num_signals_; ++s) {
-      lane(s)[words_per_lane_ - 1] &= tail_mask_;
-    }
-  }
+  mask_tails();
   // The re-mask above is what makes a hostile EVALB frame with stray
   // tail bits harmless; this is the executable form of that promise.
   assert_tail_clean("PatternBatch::load_words (result)");
@@ -288,6 +307,20 @@ void PatternBatch::store_words(std::uint64_t* dst, std::uint64_t count) const {
         "PatternBatch::store_words: expected " + std::to_string(total_words()) +
             " words, got " + std::to_string(count));
   std::copy(words_.begin(), words_.end(), dst);
+}
+
+LaneWords PatternBatch::release_words() && {
+  LaneWords words = std::move(words_);
+  *this = PatternBatch(0, 0);
+  return words;
+}
+
+void PatternBatch::mask_tails() {
+  if (tail_mask_ != ~std::uint64_t{0}) {
+    for (int s = 0; s < num_signals_; ++s) {
+      lane(s)[words_per_lane_ - 1] &= tail_mask_;
+    }
+  }
 }
 
 void PatternBatch::complement_lane(int signal) {

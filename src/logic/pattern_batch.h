@@ -21,6 +21,16 @@
 
 namespace ambit::logic {
 
+/// The 64-byte-aligned word vector a PatternBatch stores its lanes in,
+/// in the EVALB wire layout: lane 0's words, then lane 1's, and so on.
+/// `resize` leaves new words unwritten (util/aligned.h), so the serve
+/// layer sizes a payload's buffer and read() writes it once; from_words
+/// then makes it a batch's lanes, and release_words hands an output
+/// batch's lanes to the socket, both without a copy.
+using LaneWords =
+    std::vector<std::uint64_t,
+                AlignedAllocator<std::uint64_t, lanes::kLaneAlignment>>;
+
 /// A fixed-size batch of bit-packed patterns, one 64-bit lane set per
 /// signal. Unused bits of the last word of every lane are kept zero.
 class PatternBatch {
@@ -33,6 +43,14 @@ class PatternBatch {
   /// Lane words follow the classic truth-table stripe patterns, so
   /// construction is O(signals · words), not O(signals · patterns).
   static PatternBatch exhaustive(int num_inputs);
+
+  /// Takes `words` over as the lanes of a `num_signals` x
+  /// `num_patterns` batch, with no copy. The word count must equal the
+  /// batch's total_words(); each lane's tail padding is re-masked in
+  /// place, so a frame with stray bits beyond num_patterns() cannot
+  /// corrupt downstream word-parallel kernels (the load_words promise).
+  static PatternBatch from_words(int num_signals, std::uint64_t num_patterns,
+                                 LaneWords words);
 
   /// Packs a vector of same-width patterns (pattern-major to
   /// signal-major transpose).
@@ -111,6 +129,10 @@ class PatternBatch {
   /// equal total_words().
   void store_words(std::uint64_t* dst, std::uint64_t count) const;
 
+  /// Hands the lanes over in the same layout, with no copy, leaving an
+  /// empty 0 x 0 batch behind.
+  LaneWords release_words() &&;
+
   /// Complements lane `signal` over the valid pattern bits (the tail
   /// padding stays zero). Runs on the dispatched SIMD tier
   /// (logic/lane_kernels.h).
@@ -123,7 +145,7 @@ class PatternBatch {
   /// Invariant probe (util/check.h): aborts via AMBIT_CHECK when any
   /// lane carries a set bit in its tail padding. No-op unless the
   /// AMBIT_ENABLE_INVARIANTS build option is on. slice/paste/
-  /// copy_patterns_from/load_words run it on their operands and
+  /// copy_patterns_from/load_words/from_words run it on their operands and
   /// results, and the Evaluator runs it on every kernel result, so a
   /// kernel (or a caller scribbling through lane()) that dirties the
   /// padding is caught at the first word-parallel boundary instead of
@@ -140,11 +162,15 @@ class PatternBatch {
   std::uint64_t tail_mask_;
   // Signal-major: lane s at s*words_per_lane_. Base pointer is
   // kLaneAlignment-byte aligned (see the lane() alignment contract).
-  std::vector<std::uint64_t,
-              AlignedAllocator<std::uint64_t, lanes::kLaneAlignment>>
-      words_;
+  LaneWords words_;
+
+  /// The shape checks and fields for `num_signals` x `num_patterns`,
+  /// with `words` as the lanes as they are (no size check, no fill).
+  PatternBatch(int num_signals, std::uint64_t num_patterns, LaneWords words);
 
   std::uint64_t lane_start(int signal) const;
+  /// Clears every lane's tail padding (the bits past num_patterns()).
+  void mask_tails();
 };
 
 }  // namespace ambit::logic

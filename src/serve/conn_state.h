@@ -18,11 +18,27 @@
 // EVALB/SIMB, every payload byte its header declares. The protocol work
 // itself (dispatch, payload validation, responses) stays in
 // Server::serve_line.
+//
+// Lines are reassembled in a byte buffer read from an offset, compacted
+// only once the consumed prefix is half of it, so a burst of pipelined
+// requests costs each one its own bytes, not the bytes behind it. A
+// bulk payload is reassembled apart from the lines, in the aligned lane
+// words (logic::LaneWords) its input PatternBatch takes over: once the
+// header is framed, read_payload() lets a transport read() straight
+// into them. That buffer grows with the bytes received — never past
+// twice what has arrived, or one 64 KiB read — so a header alone holds
+// no memory for its declared size. The one exception is a connection
+// that has already delivered a payload of that size: its next one is
+// sized in full when its first bytes arrive, and written once, by
+// read().
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <string_view>
+
+#include "logic/pattern_batch.h"
+#include "util/error.h"
 
 namespace ambit::serve {
 
@@ -43,24 +59,27 @@ class ConnState {
     kRequest,    ///< line() and its payload are ready
     kOversized,  ///< line exceeded kMaxLineBytes: answer
                  ///< oversized_line_response(), drop as "malformed"
+                 ///< (returned from then on)
     kClosed,     ///< nothing more will be served (EOF / post-QUIT)
   };
 
   explicit ConnState(PayloadMode /*mode*/ = PayloadMode::kBuffered) {}
 
-  /// Appends peer bytes as they arrived from the transport.
-  void append(const char* data, std::size_t n) { buffer_.append(data, n); }
+  /// Appends peer bytes as they arrived from the transport. Bytes the
+  /// current bulk request's payload still lacks go straight to its
+  /// lanes; the rest are buffered as lines.
+  void append(const char* data, std::size_t n);
 
-  /// Lets `read(dst, n)` store up to `n` bytes straight into the buffer
-  /// and keeps the count it returns: a transport that reads exactly
-  /// missing_payload_bytes() this way (serve_stream) takes a payload in
-  /// one read, with no intermediate copy.
+  /// Lets `read(dst, k)` store up to `k` <= `n` bytes of the current
+  /// request's payload straight into its lanes, and keeps the count it
+  /// returns. Only while missing_payload_bytes() > 0. `k` may be less
+  /// than `n`: the lanes grow with the bytes received (see above).
   template <typename Read>
-  std::size_t append_from(std::size_t n, Read&& read) {
-    const std::size_t old = buffer_.size();
-    buffer_.resize(old + n);
-    const std::size_t got = read(buffer_.data() + old, n);
-    buffer_.resize(old + got);
+  std::size_t read_payload(std::size_t n, Read&& read) {
+    check(missing_payload_bytes() > 0, "ConnState: no payload to read");
+    const std::size_t k = payload_room(n);
+    const std::size_t got = read(payload_bytes() + payload_have_, k);
+    payload_have_ += got;
     return got;
   }
 
@@ -77,43 +96,45 @@ class ConnState {
   bool eof() const { return eof_; }
 
   /// Advances the machine over the buffered bytes (consuming blank
-  /// lines) and reports what the connection needs. kNeedInput is never
-  /// returned after note_eof().
+  /// lines, framing a bulk header's payload) and reports what the
+  /// connection needs. kNeedInput is never returned after note_eof().
+  /// Calling it again without new input returns the same step.
   Step advance();
 
   /// Payload bytes the current request still lacks: non-zero only while
   /// advance() waits on a bulk frame whose line is complete. A transport
-  /// that can bound its reads (serve_stream) reads exactly this many
-  /// next, so it never consumes bytes past the frame.
+  /// reads them with read_payload(), never past the frame.
   std::size_t missing_payload_bytes() const {
-    return have_line_ && buffer_.size() < payload_need_
-               ? payload_need_ - buffer_.size()
-               : 0;
+    return have_line_ ? payload_need_ - payload_have_ : 0;
   }
 
   /// The request line to serve. Valid after advance() returned
   /// kRequest, until finish_request().
   const std::string& line() const { return line_; }
 
-  /// The current request's payload (up to the byte count its frame
-  /// requires), still in the buffer, for Server::serve_line. Shorter
-  /// than required only when EOF truncated the frame, which serve_line
-  /// reports without answering. Valid until the next call that changes
-  /// the buffer.
+  /// The current request's payload bytes, in its lanes. Shorter than
+  /// the header declares only when EOF truncated the frame, which
+  /// serve_line reports without answering. Valid until the payload is
+  /// taken or the request finished.
   std::string_view request_payload() const {
-    return std::string_view(buffer_).substr(0, payload_need_);
+    return {payload_bytes(), payload_have_};
   }
 
-  /// Moves request_payload() out of the buffer as one string, for a
-  /// request served after the buffer has moved on (the event loop hands
-  /// it to a pool worker).
+  /// Moves the current request's payload out as lane words, no copy:
+  /// as many whole words as arrived, which is the header's word count
+  /// unless EOF truncated the frame. The event loop hands them to
+  /// Server::serve_line, whose input batch takes them over.
+  logic::LaneWords take_payload_words();
+
+  /// request_payload() as one string (a copy), for callers that want
+  /// bytes; the payload is gone from the connection afterwards.
   std::string take_request_payload();
 
-  /// Ends the current request, dropping its payload from the buffer if
-  /// take_request_payload() did not. `quit` applies the post-QUIT drain
-  /// policy: complete lines still buffered are DISCARDED, never
-  /// half-processed — the quit response is the last thing the peer
-  /// gets, and pipelining past QUIT is a client bug.
+  /// Ends the current request, dropping its payload if it was not
+  /// taken. `quit` applies the post-QUIT drain policy: complete lines
+  /// still buffered are DISCARDED, never half-processed — the quit
+  /// response is the last thing the peer gets, and pipelining past QUIT
+  /// is a client bug.
   void finish_request(bool quit);
 
  private:
@@ -124,13 +145,41 @@ class ConnState {
   /// payload.
   static std::size_t required_payload(const std::string& line);
 
-  std::string buffer_;
+  char* payload_bytes() {
+    return reinterpret_cast<char*>(payload_.data());
+  }
+  const char* payload_bytes() const {
+    return reinterpret_cast<const char*>(payload_.data());
+  }
+
+  /// Bytes (at most `want`, at least 1) the payload can take next at
+  /// payload_have_, growing the lanes first when they are full.
+  std::size_t payload_room(std::size_t want);
+
+  /// Copies as many of `n` bytes as the current payload still lacks into
+  /// its lanes; returns that count.
+  std::size_t write_payload(const char* data, std::size_t n);
+
+  /// Drops `n` bytes at the read offset, compacting the buffer once the
+  /// consumed prefix is at least half of it.
+  void consume(std::size_t n);
+
+  std::size_t unread() const { return buffer_.size() - read_at_; }
+
+  std::string buffer_;       ///< line bytes; [read_at_, size) unread
+  std::size_t read_at_ = 0;
+  std::size_t scanned_ = 0;  ///< no '\n' in [read_at_, scanned_)
   std::string line_;
   bool have_line_ = false;
-  std::size_t payload_need_ = 0;
+  std::size_t payload_need_ = 0;  ///< bytes the frame's payload declares
+  std::size_t payload_have_ = 0;  ///< bytes of it in payload_
+  logic::LaneWords payload_;
+  /// The largest payload this connection has delivered in full (bytes).
+  std::size_t proven_payload_ = 0;
   bool eof_ = false;
   bool clean_eof_ = false;
   bool closed_ = false;
+  bool oversized_ = false;
 };
 
 }  // namespace ambit::serve

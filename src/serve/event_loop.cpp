@@ -9,8 +9,10 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
@@ -28,6 +30,7 @@
 #include "serve/conn_state.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/check.h"
 #include "util/error.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -53,6 +56,12 @@ std::uint64_t now_ms() {
 /// of the u64 space can never collide with one.
 constexpr std::uint64_t kListenerTag = ~std::uint64_t{0};
 constexpr std::uint64_t kWakeTag = ~std::uint64_t{0} - 1;
+
+/// Reads per readable connection per wakeup, and bytes per read.
+/// Level-triggered epoll re-reports the rest, so one huge sender cannot
+/// starve the other connections.
+constexpr int kReadsPerWakeup = 4;
+constexpr std::size_t kReadBytes = 65536;
 
 /// epoll_wait timeout: the housekeeping tick that advances the timer
 /// wheel and retries an accept starved of descriptors, even when no
@@ -229,10 +238,11 @@ class EventLoop {
     int fd = -1;
     std::uint64_t id = 0;
     ConnState state;
-    /// Write-backpressure queue: response bytes the socket has not
-    /// taken yet. out_off tracks the flushed prefix; both reset when
-    /// the outbox drains.
-    std::string outbox;
+    /// Write-backpressure queue: the response the socket has not taken
+    /// yet, text then lanes. It holds one response at most, because the
+    /// next request is not parsed until it drains. out_off counts the
+    /// bytes flushed; both reset when it drains.
+    Response outbox;
     std::size_t out_off = 0;
     /// A request is being served: a job on the pool, or set aside for
     /// the turn's fused pass.
@@ -259,7 +269,7 @@ class EventLoop {
   /// for a request it served itself.
   struct Completion {
     std::uint64_t conn_id = 0;
-    std::string out;  ///< response bytes (line + any bulk payload)
+    Response out;  ///< the response (line + any bulk payload lanes)
     bool alive = false;
     bool quit = false;
     bool payload_truncated = false;
@@ -296,18 +306,48 @@ class EventLoop {
     listener_registered_ = want;
   }
 
-  void queue_output(Conn& c, const std::string& bytes) {
-    if (bytes.empty()) {
+  /// Moves `response` into the (drained) outbox: its lanes are the
+  /// buffer the evaluator wrote, and the socket takes them from there.
+  void queue_output(Conn& c, Response&& response) {
+    if (response.size() == 0) {
       return;
     }
-    const bool was_empty = c.out_off >= c.outbox.size();
-    c.outbox.append(bytes);
-    server_.note_pending_write_delta(static_cast<std::int64_t>(bytes.size()));
-    if (was_empty && server_.options_.send_timeout_secs > 0) {
+    AMBIT_CHECK(c.outbox.size() == 0,
+                "event loop: outbox already holds a response");
+    c.outbox = std::move(response);
+    c.out_off = 0;
+    server_.note_pending_write_delta(
+        static_cast<std::int64_t>(c.outbox.size()));
+    if (server_.options_.send_timeout_secs > 0) {
       c.send_deadline_ms =
           now_ms() +
           static_cast<std::uint64_t>(server_.options_.send_timeout_secs) * 1000;
     }
+  }
+
+  /// One send of the outbox's unflushed bytes: the text alone through
+  /// send(), text and lanes together through one sendmsg() over two
+  /// iovecs.
+  static ssize_t send_outbox(const Conn& c) {
+    const Response& r = c.outbox;
+    const std::size_t text = r.text.size();
+    if (r.lanes.empty()) {
+      return ::send(c.fd, r.text.data() + c.out_off, text - c.out_off,
+                    MSG_NOSIGNAL);
+    }
+    iovec iov[2];
+    std::size_t count = 0;
+    if (c.out_off < text) {
+      iov[count++] = {const_cast<char*>(r.text.data()) + c.out_off,
+                      text - c.out_off};
+    }
+    const std::size_t lanes_off = c.out_off < text ? 0 : c.out_off - text;
+    iov[count++] = {const_cast<char*>(r.lane_bytes()) + lanes_off,
+                    r.size() - text - lanes_off};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    return ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
   }
 
   /// Non-blocking flush of the outbox; false when the peer is gone (a
@@ -316,8 +356,7 @@ class EventLoop {
     std::size_t flushed = 0;
     bool ok = true;
     while (c.out_off < c.outbox.size()) {
-      const ssize_t n = ::send(c.fd, c.outbox.data() + c.out_off,
-                               c.outbox.size() - c.out_off, MSG_NOSIGNAL);
+      const ssize_t n = send_outbox(c);
       if (n > 0) {
         c.out_off += static_cast<std::size_t>(n);
         flushed += static_cast<std::size_t>(n);
@@ -344,7 +383,7 @@ class EventLoop {
       }
     }
     if (c.out_off >= c.outbox.size()) {
-      c.outbox.clear();
+      c.outbox = Response();  // frees the lanes
       c.out_off = 0;
       c.send_deadline_ms = 0;
     }
@@ -372,17 +411,16 @@ class EventLoop {
 
   /// Runs one framed request through serve_line, on a pool worker or
   /// on the loop thread. Touches no connection state: `payload` is the
-  /// job's own copy or a view into the connection's buffer.
+  /// lanes taken out of the connection's ConnState.
   static Completion serve(Server& server, std::uint64_t conn_id,
-                          const std::string& line, std::string_view payload,
+                          const std::string& line, logic::LaneWords payload,
                           std::uint64_t queued_at_us) {
     Completion done;
     done.conn_id = conn_id;
     Server::Outcome outcome;
     try {
-      done.alive =
-          server.serve_line(line, payload, done.out, outcome, conn_id,
-                            queued_at_us);
+      done.alive = server.serve_line(line, std::move(payload), done.out,
+                                     outcome, conn_id, queued_at_us);
       // serve_line fails only when EOF truncated the buffered frame.
       done.payload_truncated = !done.alive;
     } catch (...) {
@@ -394,39 +432,38 @@ class EventLoop {
     return done;
   }
 
-  /// Hands the ready request to a pool worker: the job owns copies of
-  /// the line and payload, builds its response bytes locally, and posts
-  /// a Completion — it never touches connection state. The dispatch
-  /// stamp makes the wait for a worker the request's queue_wait phase.
+  /// Hands the ready request to a pool worker: the job owns a copy of
+  /// the line and the payload's lanes (moved, not copied), builds its
+  /// response locally, and posts a Completion — it never touches
+  /// connection state. The dispatch stamp makes the wait for a worker
+  /// the request's queue_wait phase.
   void dispatch(Conn& c) {
     c.busy = true;
     c.idle_deadline_ms = 0;  // the idle clock only runs while reading
     const std::uint64_t queued_at_us = metrics::monotonic_us();
     const std::uint64_t id = c.id;
     std::string line = c.state.line();
-    std::string payload = c.state.take_request_payload();
+    logic::LaneWords payload = c.state.take_payload_words();
     Server* server = &server_;
     EventLoop* loop = this;
     server_.session_.pool().submit([loop, server, id, queued_at_us,
                                     line = std::move(line),
-                                    payload = std::move(payload)] {
-      loop->post(serve(*server, id, line, payload, queued_at_us));
+                                    payload = std::move(payload)]() mutable {
+      loop->post(serve(*server, id, line, std::move(payload), queued_at_us));
     });
   }
 
-  /// Serves the ready request to completion on the loop thread, reading
-  /// the payload where it sits in the connection buffer.
+  /// Serves the ready request to completion on the loop thread.
   void serve_inline(Conn& c) {
     c.idle_deadline_ms = 0;
-    finish(c, serve(server_, c.id, c.state.line(), c.state.request_payload(),
-                    /*queued_at_us=*/0));
+    finish(c, serve(server_, c.id, c.state.line(),
+                    c.state.take_payload_words(), /*queued_at_us=*/0));
   }
 
   /// Serves the turn's set-aside EVAL/EVALB requests in one
-  /// Server::serve_turn, which sweeps those for one circuit together,
-  /// reading each payload where it sits in its connection buffer; then
-  /// steps each connection on. Runs before the loop next waits, so a
-  /// set-aside request never waits for a tick.
+  /// Server::serve_turn, which sweeps those for one circuit together;
+  /// then steps each connection on. Runs before the loop next waits, so
+  /// a set-aside request never waits for a tick.
   void serve_set_aside() {
     if (set_aside_.empty()) {
       return;
@@ -439,7 +476,7 @@ class EventLoop {
         Server::TurnRequest& r = requests.emplace_back();
         r.conn_id = id;
         r.line = &it->second->state.line();
-        r.payload = it->second->state.request_payload();
+        r.payload = it->second->state.take_payload_words();
       }
     }
     set_aside_.clear();
@@ -456,7 +493,7 @@ class EventLoop {
       done.alive = served && r.complete;
       done.payload_truncated = served && !r.complete;
       done.quit = r.outcome.quit;
-      finish(*conns_.at(r.conn_id), done);
+      finish(*conns_.at(r.conn_id), std::move(done));
     }
     for (const Server::TurnRequest& r : requests) {
       step(r.conn_id);
@@ -466,7 +503,7 @@ class EventLoop {
   /// Settles a served request on its connection, wherever it ran: the
   /// served counts, the QUIT/SHUTDOWN close, the drop reasons, and the
   /// queued response. The caller steps the connection next.
-  void finish(Conn& c, const Completion& done) {
+  void finish(Conn& c, Completion&& done) {
     c.busy = false;
     if (done.alive) {
       ++c.served;
@@ -479,7 +516,7 @@ class EventLoop {
       c.drop_reason = done.payload_truncated ? "malformed" : "send";
       c.want_close = true;
     } else if (done.quit) {
-      if (done.out.rfind("ERR", 0) == 0) {
+      if (done.out.text.rfind("ERR", 0) == 0) {
         // Server-initiated close with an ERR response: an unframed or
         // over-limit bulk request. QUIT/SHUTDOWN answer OK and are
         // peer-initiated, not drops.
@@ -487,7 +524,7 @@ class EventLoop {
       }
       c.want_close = true;
     }
-    queue_output(c, done.out);
+    queue_output(c, std::move(done.out));
   }
 
   /// Drives one connection as far as it can go without new input:
@@ -525,7 +562,7 @@ class EventLoop {
         return;
       }
       if (s == ConnState::Step::kOversized) {
-        queue_output(c, oversized_line_response());
+        queue_output(c, Response{oversized_line_response(), {}});
         c.drop_reason = "malformed";
         c.want_close = true;
         continue;  // flush the ERR line, then close
@@ -611,17 +648,36 @@ class EventLoop {
     }
   }
 
+  /// Reads what the peer sent, up to kReadsPerWakeup reads: request
+  /// lines into the ConnState buffer, and a framed bulk header's
+  /// payload straight into its lanes. Each read is framed at once, so
+  /// the reads after a bulk header land in the lanes, and the reads
+  /// stop at the first complete request (step() serves it).
   void handle_readable(Conn& c) {
-    if (c.busy || c.runnable || c.no_reads || c.state.eof()) {
+    if (c.busy || c.runnable || c.no_reads || c.want_close ||
+        c.state.eof()) {
       return;  // stale event; completion/flush paths own the next move
     }
-    char chunk[65536];
-    // Level-triggered: a few bursts per wakeup, the rest re-triggers —
-    // one huge sender cannot starve the other connections.
-    for (int burst = 0; burst < 4; ++burst) {
-      const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
+    char chunk[kReadBytes];
+    for (int burst = 0; burst < kReadsPerWakeup; ++burst) {
+      const std::size_t missing = c.state.missing_payload_bytes();
+      ssize_t n = 0;
+      if (missing > 0) {
+        c.state.read_payload(std::min(missing, kReadBytes),
+                             [&](char* dst, std::size_t len) {
+                               n = ::read(c.fd, dst, len);
+                               return n > 0 ? static_cast<std::size_t>(n) : 0;
+                             });
+      } else {
+        n = ::read(c.fd, chunk, sizeof(chunk));
+        if (n > 0) {
+          c.state.append(chunk, static_cast<std::size_t>(n));
+        }
+      }
       if (n > 0) {
-        c.state.append(chunk, static_cast<std::size_t>(n));
+        if (c.state.advance() != ConnState::Step::kNeedInput) {
+          break;
+        }
         continue;
       }
       if (n < 0 && errno == EINTR) {
@@ -765,13 +821,14 @@ class EventLoop {
       const MutexLock lock(mutex_);
       batch.swap(completions_);
     }
-    for (const Completion& done : batch) {
+    for (Completion& done : batch) {
       const auto it = conns_.find(done.conn_id);
       if (it == conns_.end()) {
         continue;
       }
-      finish(*it->second, done);
-      step(done.conn_id);
+      const std::uint64_t id = done.conn_id;
+      finish(*it->second, std::move(done));
+      step(id);
     }
   }
 

@@ -13,13 +13,13 @@
 // Division of labor (ownership rules in docs/ARCHITECTURE.md):
 //
 //   * the LOOP THREAD owns every per-connection object — fds, the
-//     ConnState buffer, the write-backpressure outbox, the timer-wheel
-//     deadlines — and serves the cheap requests in place, reading
-//     their payload where it sits in the buffer. No lock guards
-//     connection state because no other thread touches it.
+//     ConnState buffers, the write-backpressure outbox, the timer-wheel
+//     deadlines — and serves the cheap requests in place. No lock
+//     guards connection state because no other thread touches it.
 //   * WORKERS own only what a dispatched request job captured: the
-//     request line, its payload bytes (moved out of the connection
-//     buffer before dispatch), and the response bytes they build.
+//     request line, its payload lanes (moved out of the connection's
+//     ConnState before dispatch), and the response they build, whose
+//     lanes move on into the connection's outbox.
 //   * the ONE shared structure is the completion queue (LockRank::
 //     kEventLoop) workers post finished results to, paired with an
 //     eventfd that wakes the loop.

@@ -235,15 +235,13 @@ std::string error_response(const std::exception& e) {
              : err_response(std::string("internal: ") + e.what());
 }
 
-/// Appends one response line and, for a bulk answer, its payload words.
-bool respond(std::string& out, const std::string& response,
-             const std::vector<std::uint64_t>& payload = {}) {
-  out += response;
-  out += '\n';
-  if (!payload.empty()) {
-    out.append(reinterpret_cast<const char*>(payload.data()),
-               payload.size() * sizeof(std::uint64_t));
-  }
+/// Appends one response line and, for a bulk answer, moves its lanes in
+/// (a response carries at most one lane buffer).
+bool respond(Response& out, const std::string& response,
+             logic::LaneWords lanes = {}) {
+  out.text += response;
+  out.text += '\n';
+  out.lanes = std::move(lanes);
   return true;
 }
 
@@ -282,7 +280,7 @@ std::string Server::handle_line(const std::string& line) {
         "METRICS carries a multi-line payload and needs a stream or socket "
         "transport");
   }
-  std::string out;
+  Response out;
   Outcome outcome;
   serve_line_inner(line, {}, out, outcome, nullptr);
   return outcome.response;
@@ -394,11 +392,11 @@ Server::Outcome Server::dispatch(const Request& request) {
   }
 }
 
-bool Server::serve_line(const std::string& line, std::string_view payload,
-                        std::string& out, Outcome& outcome,
+bool Server::serve_line(const std::string& line, logic::LaneWords payload,
+                        Response& out, Outcome& outcome,
                         std::uint64_t conn_id, std::uint64_t queued_at_us) {
   if (!options_.enable_metrics) {
-    return serve_line_inner(line, payload, out, outcome, nullptr);
+    return serve_line_inner(line, std::move(payload), out, outcome, nullptr);
   }
   metrics::PhaseTrace trace;
   int verb_index = -1;
@@ -410,7 +408,8 @@ bool Server::serve_line(const std::string& line, std::string_view payload,
   bool complete = false;
   {
     const metrics::TraceScope scope(&trace);
-    complete = serve_line_inner(line, payload, out, outcome, &verb_index);
+    complete =
+        serve_line_inner(line, std::move(payload), out, outcome, &verb_index);
   }
   record(trace, verb_index, metrics::monotonic_us() - arrived_us, outcome,
          conn_id);
@@ -455,7 +454,7 @@ void Server::record(const metrics::PhaseTrace& trace, int verb_index,
 }
 
 bool Server::serve_line_inner(const std::string& line,
-                              std::string_view payload, std::string& out,
+                              logic::LaneWords payload, Response& out,
                               Outcome& outcome, int* verb_index_out,
                               EvalJob* held) {
   outcome = Outcome{};
@@ -493,7 +492,7 @@ bool Server::serve_line_inner(const std::string& line,
     }
     outcome.response = "OK METRICS " + std::to_string(page.size());
     respond(out, outcome.response);
-    out += page;
+    out.text += page;
     return true;
   }
 
@@ -502,7 +501,6 @@ bool Server::serve_line_inner(const std::string& line,
     return respond(out, outcome.response);
   }
 
-  std::vector<std::uint64_t> words;
   if (is_bulk_verb(request.verb)) {
     // EVALB/SIMB: the length prefix is trusted BEFORE the name or the
     // pattern count, so the payload can always be consumed and the
@@ -516,32 +514,16 @@ bool Server::serve_line_inner(const std::string& line,
       outcome.quit = true;
       return respond(out, outcome.response);
     }
-    try {
-      words.resize(request.num_words);
-    } catch (const std::exception&) {
-      // Under memory pressure even a within-limit payload buffer can
-      // fail to allocate. The request cannot be served, so the
-      // connection must go — but the SERVER stays up.
-      outcome.response = err_response(
-          std::string(verb) + ": cannot allocate " +
-          std::to_string(request.num_words) + "-word payload buffer");
-      outcome.quit = true;
-      return respond(out, outcome.response);
-    }
-    const std::size_t payload_bytes = words.size() * sizeof(std::uint64_t);
-    if (payload.size() < payload_bytes) {
-      // EOF mid-payload: nothing sensible to answer.
+    if (payload.size() < request.num_words) {
+      // EOF mid-payload: nothing sensible to answer. ConnState held only
+      // the bytes that arrived, so nothing was sized for the rest.
       outcome.quit = true;
       return false;
     }
-    if (payload_bytes > 0) {
-      std::memcpy(words.data(), payload.data(), payload_bytes);
-    }
   }
 
-  std::vector<std::uint64_t> out_words;  // the binary answer
   try {
-    EvalJob job = decode(request, words);
+    EvalJob job = decode(request, std::move(payload));
     if (request.verb != Verb::kSimB) {
       if (held != nullptr) {
         *held = std::move(job);
@@ -552,42 +534,41 @@ bool Server::serve_line_inner(const std::string& line,
         const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
         outputs = eval(job.circuit, job.inputs);
       }
-      out_words = encode_eval(job, outputs, outcome);
-    } else {
-      simulate::BatchSimResult result(0, 0);
-      {
-        const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-        result = sim(job.circuit, job.inputs);
-      }
-      check(result.all_definite(),
-            request.name + ": simulation produced non-digital outputs");
-      const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-      // The output lanes, then the delay arrays as raw doubles, one per
-      // 8-byte word — same-endianness memcpy, like the lanes.
-      const std::uint64_t np = request.num_patterns;
-      const std::uint64_t lane_words = result.outputs.total_words();
-      out_words.resize(lane_words + 3 * np);
-      result.outputs.store_words(out_words.data(), lane_words);
-      std::memcpy(out_words.data() + lane_words,
-                  result.precharge_delay_s.data(), np * sizeof(double));
-      std::memcpy(out_words.data() + lane_words + np,
-                  result.plane1_eval_delay_s.data(), np * sizeof(double));
-      std::memcpy(out_words.data() + lane_words + 2 * np,
-                  result.plane2_eval_delay_s.data(), np * sizeof(double));
-      outcome.response = simb_response_header(np, out_words.size());
+      encode_eval(job, std::move(outputs), outcome, out);
+      return true;
     }
+    simulate::BatchSimResult result(0, 0);
+    {
+      const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
+      result = sim(job.circuit, job.inputs);
+    }
+    check(result.all_definite(),
+          request.name + ": simulation produced non-digital outputs");
+    const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
+    // The output lanes, then the delay arrays as raw doubles, one per
+    // 8-byte word — same-endianness memcpy, like the lanes — assembled
+    // once in the buffer the response sends.
+    const std::uint64_t np = request.num_patterns;
+    const std::uint64_t lane_words = result.outputs.total_words();
+    logic::LaneWords lanes;
+    lanes.resize(lane_words + 3 * np);
+    result.outputs.store_words(lanes.data(), lane_words);
+    std::memcpy(lanes.data() + lane_words, result.precharge_delay_s.data(),
+                np * sizeof(double));
+    std::memcpy(lanes.data() + lane_words + np,
+                result.plane1_eval_delay_s.data(), np * sizeof(double));
+    std::memcpy(lanes.data() + lane_words + 2 * np,
+                result.plane2_eval_delay_s.data(), np * sizeof(double));
+    outcome.response = simb_response_header(np, lanes.size());
+    return respond(out, outcome.response, std::move(lanes));
   } catch (const std::exception& e) {
     outcome.response = error_response(e);
-    out_words.clear();
   }
-  // The input and output lanes are already freed: a bulk response
-  // grows into their memory, not on top of it.
   const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-  return respond(out, outcome.response, out_words);
+  return respond(out, outcome.response);
 }
 
-Server::EvalJob Server::decode(const Request& request,
-                               const std::vector<std::uint64_t>& words) {
+Server::EvalJob Server::decode(const Request& request, logic::LaneWords words) {
   EvalJob job;
   job.bulk = is_bulk_verb(request.verb);
   if (!job.bulk) {
@@ -639,22 +620,20 @@ Server::EvalJob Server::decode(const Request& request,
             " words over " + std::to_string(num_outputs) +
             " outputs exceeds the " + std::to_string(kMaxEvalbWords) +
             "-word limit");
-  job.inputs = logic::PatternBatch(width, request.num_patterns);
   const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-  job.inputs.load_words(words.data(), words.size());
+  job.inputs = logic::PatternBatch::from_words(width, request.num_patterns,
+                                               std::move(words));
   return job;
 }
 
-std::vector<std::uint64_t> Server::encode_eval(
-    const EvalJob& job, const logic::PatternBatch& outputs, Outcome& outcome) {
+void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
+                         Outcome& outcome, Response& out) {
   const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-  std::vector<std::uint64_t> words;
   if (job.bulk) {
-    words.resize(outputs.total_words());
-    outputs.store_words(words.data(), words.size());
     outcome.response =
-        evalb_response_header(outputs.num_patterns(), words.size());
-    return words;
+        evalb_response_header(outputs.num_patterns(), outputs.total_words());
+    respond(out, outcome.response, std::move(outputs).release_words());
+    return;
   }
   std::string detail;
   for (std::uint64_t p = 0; p < outputs.num_patterns(); ++p) {
@@ -664,7 +643,7 @@ std::vector<std::uint64_t> Server::encode_eval(
     detail += hex_encode(outputs.pattern(p));
   }
   outcome.response = ok_response(detail);
-  return words;
+  respond(out, outcome.response);
 }
 
 void Server::serve_turn(std::vector<TurnRequest>& requests) {
@@ -686,8 +665,8 @@ void Server::serve_turn(std::vector<TurnRequest>& requests) {
     const std::uint64_t start = now_us();
     {
       const metrics::TraceScope scope(timed ? &m.trace : nullptr);
-      r.complete = serve_line_inner(*r.line, r.payload, r.out, r.outcome,
-                                    &m.verb_index, &m.job);
+      r.complete = serve_line_inner(*r.line, std::move(r.payload), r.out,
+                                    r.outcome, &m.verb_index, &m.job);
     }
     m.us = now_us() - start;
     if (m.job.circuit == nullptr && timed) {
@@ -753,14 +732,13 @@ void Server::serve_turn(std::vector<TurnRequest>& requests) {
       const std::uint64_t start = now_us();
       {
         const metrics::TraceScope scope(timed ? &m.trace : nullptr);
-        std::vector<std::uint64_t> words;
         if (failure.empty()) {
-          words = encode_eval(m.job, outputs[j], r.outcome);
+          encode_eval(m.job, std::move(outputs[j]), r.outcome, r.out);
         } else {
           r.outcome.response = failure;
+          const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
+          respond(r.out, r.outcome.response);
         }
-        const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-        respond(r.out, r.outcome.response, words);
       }
       m.job.circuit.reset();
       if (timed) {
@@ -776,7 +754,7 @@ template <typename Feed, typename Emit>
 std::uint64_t Server::serve_framed(Feed&& feed, Emit&& emit) {
   ConnState state;
   std::uint64_t served = 0;
-  std::string response;
+  Response response;
   for (;;) {
     switch (state.advance()) {
       case ConnState::Step::kNeedInput:
@@ -784,9 +762,10 @@ std::uint64_t Server::serve_framed(Feed&& feed, Emit&& emit) {
         break;
       case ConnState::Step::kRequest: {
         Outcome outcome;
-        response.clear();
+        response.text.clear();
+        response.lanes = logic::LaneWords();
         const bool complete = serve_line(
-            state.line(), state.request_payload(), response, outcome);
+            state.line(), state.take_payload_words(), response, outcome);
         state.finish_request(outcome.quit);
         if (!complete || !emit(response)) {
           return served;
@@ -798,7 +777,7 @@ std::uint64_t Server::serve_framed(Feed&& feed, Emit&& emit) {
         break;
       }
       case ConnState::Step::kOversized:
-        emit(oversized_line_response());
+        emit(Response{oversized_line_response(), {}});
         return served;
       case ConnState::Step::kClosed:
         return served;
@@ -839,7 +818,9 @@ std::uint64_t Server::serve_stream(std::istream& in, std::ostream& out) {
         const std::size_t missing = state.missing_payload_bytes();
         std::size_t got = 0;
         if (missing > 0) {
-          got = state.append_from(missing, [&](char* dst, std::size_t n) {
+          // Straight into the payload's lanes, as much as they can take
+          // yet (all of it once this peer has sent a payload that size).
+          got = state.read_payload(missing, [&](char* dst, std::size_t n) {
             in.read(dst, static_cast<std::streamsize>(n));
             return static_cast<std::size_t>(in.gcount());
           });
@@ -851,8 +832,12 @@ std::uint64_t Server::serve_stream(std::istream& in, std::ostream& out) {
           state.note_eof(/*clean=*/!in.bad());
         }
       },
-      [&](const std::string& bytes) {
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      [&](const Response& response) {
+        out.write(response.text.data(),
+                  static_cast<std::streamsize>(response.text.size()));
+        out.write(response.lane_bytes(),
+                  static_cast<std::streamsize>(response.size() -
+                                               response.text.size()));
         out.flush();
         return out.good();
       });
@@ -869,8 +854,10 @@ std::uint64_t Server::serve_chunks(
           state.append(chunk.data(), chunk.size());
         }
       },
-      [&](const std::string& bytes) {
-        out += bytes;
+      [&](const Response& response) {
+        out += response.text;
+        out.append(response.lane_bytes(),
+                   response.size() - response.text.size());
         return true;
       });
 }

@@ -30,13 +30,17 @@
 // cross-connection state is the SHUTDOWN latch, the metrics registry
 // (which STATS renders) and the Session.
 //
-// Bulk evaluation uses the EVALB binary frame (see protocol.h): the
-// payload words load straight into a logic::PatternBatch via its
-// load_words/store_words lane helpers, so a million-pattern request
-// pays two memcpys instead of a million hex parses. All transports
-// speak it. SIMB rides the exact same input framing and answers from
-// the switch-level simulator instead — output lanes plus the three
-// per-pattern phase-delay arrays as raw doubles.
+// Bulk evaluation uses the EVALB binary frame (see protocol.h). The
+// payload is reassembled in lane words (ConnState), which the input
+// logic::PatternBatch takes over (from_words); the output batch's lanes
+// become the response's binary part (release_words), which the
+// transport writes after the header line. On the socket path a
+// million-pattern request makes no user-space copy of its lanes either
+// way: read() writes the input, the evaluator writes the output, and
+// sendmsg() takes it from there. All transports speak it. SIMB rides
+// the exact same input framing and answers from the switch-level
+// simulator instead — output lanes plus the three per-pattern
+// phase-delay arrays as raw doubles, assembled once.
 //
 // Per-turn fusion (serve_turn): the event loop sets aside the one-word
 // EVAL/EVALB requests that are ready in one loop turn, and those for
@@ -61,10 +65,10 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "logic/pattern_batch.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "util/log.h"
@@ -140,6 +144,23 @@ struct ServerOptions {
   /// their phase trace (parse / queue_wait / evaluate / serialize) at
   /// warn, rate-limited. 0 (default) disables the dump.
   std::uint64_t slow_request_us = 0;
+};
+
+/// One response's wire bytes: the text (the response line, and a
+/// METRICS page), then an EVALB/SIMB answer's binary payload. The lanes
+/// are the buffer the evaluator wrote, moved here, never copied; the
+/// transports write them where they lie.
+struct Response {
+  std::string text;
+  logic::LaneWords lanes;
+
+  std::size_t size() const {
+    return text.size() + lanes.size() * sizeof(std::uint64_t);
+  }
+  /// The lanes as bytes.
+  const char* lane_bytes() const {
+    return reinterpret_cast<const char*>(lanes.data());
+  }
 };
 
 /// Splits "host:port" into its parts; throws ambit::Error on a missing
@@ -257,8 +278,8 @@ class Server {
   struct TurnRequest {
     std::uint64_t conn_id = 0;
     const std::string* line = nullptr;
-    std::string_view payload;
-    std::string out;        ///< the response bytes
+    logic::LaneWords payload;
+    Response out;           ///< the response
     Outcome outcome;
     bool complete = false;  ///< serve_line's return value
   };
@@ -267,11 +288,11 @@ class Server {
   /// EVALB, SIMB and METRICS, which serve_line_inner handles).
   Outcome dispatch(const Request& request);
 
-  /// Decodes an EVAL's hex tokens, or the payload `words` of an
-  /// EVALB/SIMB after checking its counts, against the circuit named in
-  /// `request`. Throws ambit::Error on a bad request.
-  EvalJob decode(const Request& request,
-                 const std::vector<std::uint64_t>& words);
+  /// Decodes an EVAL's hex tokens, or takes over the payload `words` of
+  /// an EVALB/SIMB as its input lanes after checking its counts, against
+  /// the circuit named in `request`. Throws ambit::Error on a bad
+  /// request.
+  EvalJob decode(const Request& request, logic::LaneWords words);
 
   /// Session::eval and Session::sim, counted in STATS once they return;
   /// one sweep answers `requests` EVAL/EVALB requests (serve_turn packs
@@ -284,11 +305,10 @@ class Server {
       const logic::PatternBatch& inputs);
 
   /// Encodes `outputs` (the job's own patterns, in order) as the EVAL
-  /// or EVALB response: the line goes to outcome.response, an EVALB's
-  /// payload words are returned.
-  static std::vector<std::uint64_t> encode_eval(
-      const EvalJob& job, const logic::PatternBatch& outputs,
-      Outcome& outcome);
+  /// or EVALB response into outcome.response and `out`; an EVALB's
+  /// lanes move into out.lanes.
+  static void encode_eval(const EvalJob& job, logic::PatternBatch outputs,
+                          Outcome& outcome, Response& out);
 
   /// Serves a loop turn's set-aside requests. Each is decoded against
   /// the circuit its lookup returns; those for one circuit are packed,
@@ -299,10 +319,11 @@ class Server {
   void serve_turn(std::vector<TurnRequest>& requests);
 
   /// Serves one complete request on any transport: `line` plus, for
-  /// EVALB/SIMB, the `payload` bytes ConnState reassembled behind it.
-  /// Appends the response bytes — the line and any binary frame — to
-  /// `out`. Returns false, appending nothing, when the payload is
-  /// shorter than its header declares (EOF truncated the frame);
+  /// EVALB/SIMB, the `payload` words ConnState reassembled behind it
+  /// (ConnState::take_payload_words). Appends the response — the line,
+  /// and any binary frame as its lanes — to `out`. Returns false,
+  /// appending nothing, when the payload is shorter than its header
+  /// declares (EOF truncated the frame);
   /// `outcome` is valid either way. `conn_id` identifies the connection
   /// in slow-request logs (0 for the in-process transports).
   /// `queued_at_us` is the metrics::monotonic_us() stamp at which the
@@ -311,18 +332,18 @@ class Server {
   /// and counts toward its total. This wrapper owns the per-request
   /// instrumentation — timing, phase trace, per-verb counters, the
   /// slow-request dump; serve_line_inner does the protocol work.
-  bool serve_line(const std::string& line, std::string_view payload,
-                  std::string& out, Outcome& outcome,
-                  std::uint64_t conn_id = 0, std::uint64_t queued_at_us = 0);
+  bool serve_line(const std::string& line, logic::LaneWords payload,
+                  Response& out, Outcome& outcome, std::uint64_t conn_id = 0,
+                  std::uint64_t queued_at_us = 0);
 
   /// The uninstrumented request path shared by every transport.
   /// `verb_index_out`, when non-null, receives the parsed verb's enum
   /// index (-1 when the line failed to parse). With `held` non-null, an
   /// EVAL/EVALB that decodes stops before its sweep: it lands in *held
   /// (circuit set) and nothing is appended to `out`.
-  bool serve_line_inner(const std::string& line, std::string_view payload,
-                        std::string& out, Outcome& outcome,
-                        int* verb_index_out, EvalJob* held = nullptr);
+  bool serve_line_inner(const std::string& line, logic::LaneWords payload,
+                        Response& out, Outcome& outcome, int* verb_index_out,
+                        EvalJob* held = nullptr);
 
   /// serve_line's instrumentation tail: per-verb counters and latency,
   /// the phase histograms, the slow-request dump.
@@ -332,9 +353,9 @@ class Server {
 
   /// The in-process connection loop behind serve_stream and
   /// serve_chunks: drives one ConnState, calling `feed(state)` whenever
-  /// it needs input (feed appends bytes or notes EOF) and `emit(bytes)`
-  /// with each response (false when the peer is gone). Defined and
-  /// instantiated in server.cpp only.
+  /// it needs input (feed appends bytes or notes EOF) and
+  /// `emit(response)` with each Response (false when the peer is gone).
+  /// Defined and instantiated in server.cpp only.
   template <typename Feed, typename Emit>
   std::uint64_t serve_framed(Feed&& feed, Emit&& emit);
 
@@ -347,7 +368,7 @@ class Server {
   /// Event-loop instrumentation (no-ops when metrics are off): one
   /// wakeup = one epoll_wait return with `ready_events` descriptors.
   void note_loop_wakeup(std::size_t ready_events);
-  /// Tracks the aggregate write-backpressure outbox size.
+  /// Tracks the aggregate write-backpressure outbox size (text and lanes).
   void note_pending_write_delta(std::int64_t delta);
 
   /// Handles are registered once at construction; recording is relaxed

@@ -6,13 +6,17 @@
 // BASE pointer: interior lane pointers at `base + signal * words` are
 // aligned only when the stride cooperates, which is why the kernels
 // are loadu/storeu-only — the allocator is a throughput nicety, the
-// unaligned-access contract is the correctness rule.
+// unaligned-access contract is the correctness rule. `resize` leaves
+// new elements uninitialized (see construct below): the serve layer
+// sizes a payload's lanes and lets read() write them once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 namespace ambit {
 
@@ -61,6 +65,20 @@ struct AlignedAllocator {
     std::memcpy(&raw, reinterpret_cast<const char*>(p) - sizeof(void*),
                 sizeof(void*));
     ::operator delete(raw);
+  }
+
+  /// Default-initializes where std::allocator value-initializes, so
+  /// `resize(n)` leaves new trivial elements unwritten: a buffer can be
+  /// sized first and then filled once, by read() say, without a zero
+  /// pass that would touch (and page in) all of it. Construction with a
+  /// value — `assign(n, 0)` — still writes that value.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {

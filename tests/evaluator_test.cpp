@@ -379,16 +379,42 @@ TEST(PatternBatchTest, WordIoRoundTrip) {
 
 TEST(PatternBatchTest, LoadWordsMasksTailPadding) {
   // A frame with stray bits beyond num_patterns must come out clean —
-  // word-parallel kernels rely on zero tail padding.
-  PatternBatch batch(2, 70);  // words_per_lane = 2, 6-bit tail
-  std::vector<std::uint64_t> words(batch.total_words(),
+  // word-parallel kernels rely on zero tail padding. Both ingestion
+  // paths keep the promise: the copy (load_words) and the take-over of
+  // a payload's own buffer (from_words).
+  PatternBatch loaded(2, 70);  // words_per_lane = 2, 6-bit tail
+  std::vector<std::uint64_t> words(loaded.total_words(),
                                    ~std::uint64_t{0});  // all bits set
-  batch.load_words(words.data(), words.size());
-  for (int s = 0; s < 2; ++s) {
-    EXPECT_EQ(batch.lane(s)[0], ~std::uint64_t{0});
-    EXPECT_EQ(batch.lane(s)[1] & ~batch.tail_mask(), 0u);
-    EXPECT_EQ(batch.lane(s)[1], batch.tail_mask());
+  loaded.load_words(words.data(), words.size());
+  const PatternBatch taken = PatternBatch::from_words(
+      2, 70, logic::LaneWords(words.begin(), words.end()));
+  const PatternBatch* const batches[] = {&loaded, &taken};
+  for (const PatternBatch* batch : batches) {
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(batch->lane(s)[0], ~std::uint64_t{0});
+      EXPECT_EQ(batch->lane(s)[1] & ~batch->tail_mask(), 0u);
+      EXPECT_EQ(batch->lane(s)[1], batch->tail_mask());
+    }
   }
+  EXPECT_EQ(taken, loaded);
+}
+
+TEST(PatternBatchTest, FromWordsTakesTheBufferAndReleaseHandsItBack) {
+  // No copy either way: the batch's lanes ARE the buffer it was given,
+  // and release_words hands that same buffer on, leaving 0 x 0 behind.
+  logic::LaneWords words(3 * 3);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = i + 1;
+  }
+  const std::uint64_t* storage = words.data();
+  PatternBatch batch = PatternBatch::from_words(3, 150, std::move(words));
+  EXPECT_EQ(batch.lane(0), storage);
+  EXPECT_EQ(batch.lane(1)[0], 4u);
+  logic::LaneWords back = std::move(batch).release_words();
+  EXPECT_EQ(back.data(), storage);
+  EXPECT_EQ(back.size(), 9u);
+  EXPECT_EQ(batch.num_signals(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(batch.num_patterns(), 0u);
 }
 
 TEST(PatternBatchTest, WordIoRejectsWrongCounts) {
@@ -397,6 +423,8 @@ TEST(PatternBatchTest, WordIoRejectsWrongCounts) {
   EXPECT_THROW(batch.load_words(words.data(), words.size()), Error);
   EXPECT_THROW(batch.store_words(words.data(), batch.total_words() - 1),
                Error);
+  EXPECT_THROW(PatternBatch::from_words(2, 70, logic::LaneWords(5)), Error);
+  EXPECT_THROW(PatternBatch::from_words(2, 70, logic::LaneWords(3)), Error);
 }
 
 TEST(PatternBatchTest, SliceRejectsMisalignedAndOutOfRange) {

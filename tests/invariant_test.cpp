@@ -82,14 +82,21 @@ TEST(InvariantTest, CopyPatternsFromDiesOnCorruptDestinationTail) {
 }
 
 TEST(InvariantTest, LoadWordsRemasksInsteadOfDying) {
-  // load_words is the EVALB ingestion path: stray tail bits arrive from
-  // the network routinely, so the contract there is re-mask, not abort.
+  // load_words and from_words are the EVALB ingestion paths (a copy,
+  // and the serve layer's take-over of the payload buffer): stray tail
+  // bits arrive from the network routinely, so the contract there is
+  // re-mask, not abort.
   PatternBatch batch(2, 70);
   std::vector<std::uint64_t> words(batch.total_words(), ~std::uint64_t{0});
   batch.load_words(words.data(), words.size());
-  batch.assert_tail_clean("InvariantTest");
-  for (int s = 0; s < 2; ++s) {
-    EXPECT_EQ(batch.lane(s)[1] & ~batch.tail_mask(), 0u);
+  const PatternBatch taken = PatternBatch::from_words(
+      2, 70, logic::LaneWords(words.begin(), words.end()));
+  const PatternBatch* const batches[] = {&batch, &taken};
+  for (const PatternBatch* b : batches) {
+    b->assert_tail_clean("InvariantTest");
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(b->lane(s)[1] & ~b->tail_mask(), 0u);
+    }
   }
 }
 

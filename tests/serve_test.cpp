@@ -25,6 +25,7 @@
 #include "logic/pla_io.h"
 #include "prometheus_lint.h"
 #include "serve/client.h"
+#include "serve/conn_state.h"
 #include "serve/metrics_http.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -277,6 +278,120 @@ TEST(ProtocolTest, HelpListsEveryVerb) {
   EXPECT_NE(help.find("docs/PROTOCOL.md"), std::string::npos);
   EXPECT_NE(help.find("v" + std::to_string(kProtocolVersion)),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// ConnState: framing cost and payload memory.
+// ---------------------------------------------------------------------------
+
+/// Microseconds per request to frame 4 MiB of pipelined EVAL lines
+/// that arrive in bursts of about `burst_bytes`, each burst appended at
+/// once to a fresh ConnState and served by advance() and
+/// finish_request() until the buffer is empty. Every size frames the
+/// same number of requests, so a busy host slows each size alike. Stops
+/// after one second, so a quadratic framer fails in bounded time.
+double burst_us_per_request(std::size_t burst_bytes) {
+  const std::string line = "EVAL heavy 0001 0002 0003 0004\n";
+  std::string burst;
+  while (burst.size() + line.size() <= burst_bytes) {
+    burst += line;
+  }
+  const std::size_t bursts = (std::size_t{4} << 20) / burst_bytes;
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t served = 0;
+  for (std::size_t b = 0; b < bursts; ++b) {
+    ConnState state;
+    state.append(burst.data(), burst.size());
+    while (state.advance() == ConnState::Step::kRequest) {
+      EXPECT_EQ(state.line().size(), line.size() - 1);
+      state.finish_request(false);
+      if (++served % 256 == 0 &&
+          std::chrono::steady_clock::now() - start > std::chrono::seconds(1)) {
+        b = bursts;
+        break;
+      }
+    }
+  }
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+             .count() /
+         static_cast<double>(served);
+}
+
+TEST(ConnStateTest, FramingCostPerRequestDoesNotGrowWithTheBurst) {
+  // Each request consumes its own line from a read offset; erasing it
+  // from the front of the buffer instead memmoves every byte buffered
+  // behind it, so a 4 MiB burst (about 16 loop wakeups' worth) would
+  // cost each request ~64x what a 64 KiB burst does. A ratio survives
+  // sanitizer slowdowns that absolute times do not; the best of five
+  // interleaved runs survives a loaded host.
+  double small = 0;
+  double large = 0;
+  for (int run = 0; run < 5; ++run) {
+    const double s = burst_us_per_request(std::size_t{64} << 10);
+    const double l = burst_us_per_request(std::size_t{4} << 20);
+    small = run == 0 ? s : std::min(small, s);
+    large = run == 0 ? l : std::min(large, l);
+  }
+  EXPECT_LE(large, 4 * small) << "64 KiB bursts: " << small
+                              << " us/request, a 4 MiB burst: " << large
+                              << " us/request";
+}
+
+TEST(ConnStateTest, PayloadLanesGrowWithTheBytesReceived) {
+  // A header alone holds no memory for its declared size: the lanes
+  // offer room for one read's worth, then for twice what has arrived.
+  constexpr std::uint64_t kWords = std::uint64_t{1} << 16;  // 512 KiB
+  const std::string header = "EVALB c 4194304 " + std::to_string(kWords) +
+                             "\n";
+  const std::string first(8, '\x5a');
+  ConnState state;
+  state.append(header.data(), header.size());
+  state.append(first.data(), first.size());
+  ASSERT_EQ(state.advance(), ConnState::Step::kNeedInput);
+  EXPECT_EQ(state.request_payload(), first);
+  const std::size_t declared = kWords * sizeof(std::uint64_t);
+  std::vector<std::size_t> offered;
+  char fill = 0;
+  while (state.missing_payload_bytes() > 0) {
+    state.read_payload(state.missing_payload_bytes(),
+                       [&](char* dst, std::size_t n) {
+                         offered.push_back(n);
+                         std::memset(dst, ++fill, n);
+                         return n;
+                       });
+  }
+  // 64 KiB - 8, then 64 KiB, 128 KiB, 256 KiB: never more room than
+  // the bytes already received (or one 64 KiB read).
+  ASSERT_EQ(offered.size(), 4u);
+  EXPECT_EQ(offered[0], (std::size_t{64} << 10) - first.size());
+  std::size_t received = first.size();
+  for (const std::size_t n : offered) {
+    EXPECT_LE(n, std::max(received, std::size_t{64} << 10));
+    received += n;
+  }
+  EXPECT_EQ(received, declared);
+  ASSERT_EQ(state.advance(), ConnState::Step::kRequest);
+  const std::string_view payload = state.request_payload();
+  ASSERT_EQ(payload.size(), declared);
+  EXPECT_EQ(payload.substr(0, first.size()), first);
+  EXPECT_EQ(payload.back(), fill);
+  const logic::LaneWords words = state.take_payload_words();
+  EXPECT_EQ(words.size(), kWords);
+  EXPECT_TRUE(state.request_payload().empty());
+  state.finish_request(false);
+
+  // The connection has now delivered a payload this large, so the next
+  // one is sized in full and read in one piece.
+  state.append(header.data(), header.size());
+  ASSERT_EQ(state.advance(), ConnState::Step::kNeedInput);
+  offered.clear();
+  state.read_payload(declared, [&](char*, std::size_t n) {
+    offered.push_back(n);
+    return n;
+  });
+  EXPECT_EQ(offered, std::vector<std::size_t>{declared});
+  EXPECT_EQ(state.advance(), ConnState::Step::kRequest);
 }
 
 // ---------------------------------------------------------------------------

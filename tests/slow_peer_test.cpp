@@ -9,6 +9,7 @@
 // connections down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -28,7 +29,9 @@
 
 #ifdef __linux__  // the socket transports run on epoll
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -473,6 +476,193 @@ TEST(SlowPeerTest, RunningOutOfDescriptorsPausesOnlyAccept) {
               queued_lines[0].compare(queued_lines[0].size() - 2, 2, "/2") ==
                   0)
       << queued_lines[0];
+}
+
+// ---------------------------------------------------------------------------
+// The lane outbox: an EVALB answer leaves from the lanes the evaluator
+// wrote, as the text line plus one lane buffer, flushed by sendmsg.
+// ---------------------------------------------------------------------------
+
+/// A 3-input cover with 64 outputs: a 1M-pattern EVALB answer carries
+/// 8 MiB of output lanes, more than a socket's send buffer may grow to
+/// (tcp_wmem's usual 4 MiB ceiling), so the outbox must hold the rest.
+std::string write_wide_pla(const std::string& filename) {
+  std::string a;
+  std::string b;
+  std::string c;
+  for (int o = 0; o < 64; ++o) {
+    a += o % 2 == 0 ? '1' : '0';
+    b += o % 2 == 0 ? '0' : '1';
+    c += o % 3 == 0 ? '1' : '0';
+  }
+  const Cover f = Cover::parse(3, 64, {"11- " + a, "0-1 " + b, "10- " + c});
+  const std::string path = testing::TempDir() + "/" + filename;
+  logic::write_pla_file(path, logic::make_pla(f, "wide"));
+  return path;
+}
+
+/// Connects to 127.0.0.1:`port` with a 16 KiB receive buffer, set before
+/// connect() so the advertised window stays small: the server's
+/// outbox, not the kernel, holds what the client has not read yet.
+int connect_small_window(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int rcvbuf = 16 << 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void send_all(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+TEST(SlowPeerTest, LaneOutboxServesASlowReaderAndDropsAResetPeer) {
+  // A 1M-pattern EVALB with an EVAL pipelined behind it, read 4 KiB at
+  // a time with pauses: the bytes must equal serve_chunks on a fresh
+  // session, and ambit_serve_pending_write_bytes must have counted the
+  // queued lanes meanwhile. A second client resets the connection in
+  // the middle of its lanes: it is dropped with reason=send and the
+  // server keeps serving. With both gone the gauge is back to 0.
+  const std::string path = write_wide_pla("lane_outbox.pla");
+  constexpr std::uint64_t kPatterns = std::uint64_t{1} << 20;
+  PatternBatch inputs(3, kPatterns);
+  for (std::uint64_t w = 0; w < inputs.words_per_lane(); ++w) {
+    inputs.lane(0)[w] = 0xAAAAAAAAAAAAAAAAULL;  // pattern p = p mod 8
+    inputs.lane(1)[w] = 0xCCCCCCCCCCCCCCCCULL;
+    inputs.lane(2)[w] = 0xF0F0F0F0F0F0F0F0ULL;
+  }
+  const std::string frame = "EVALB w " + std::to_string(kPatterns) + " " +
+                            std::to_string(inputs.total_words()) + "\n" +
+                            frame_payload(inputs);
+  const std::string wire = frame + "EVAL w 5 2\nQUIT\n";
+
+  std::string expected;
+  {
+    Session fresh(0);
+    fresh.load("w", path);
+    metrics::Registry registry;
+    ServerOptions options;
+    options.registry = &registry;
+    Server reference(fresh, options);
+    bool fed = false;
+    reference.serve_chunks(
+        [&]() -> std::string {
+          if (fed) {
+            return {};
+          }
+          fed = true;
+          return wire;
+        },
+        expected);
+  }
+  ASSERT_GT(expected.size(), std::size_t{8} << 20);
+
+  Session session(2);
+  session.load("w", path);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server server(session, options);
+  std::atomic<int> port{0};
+  std::thread serve_thread([&] {
+    try {
+      server.serve_tcp("127.0.0.1", 0, &port);
+    } catch (const Error& e) {
+      ADD_FAILURE() << "serve_tcp threw: " << e.what();
+      port.store(-1);
+    }
+  });
+  const int bound = await_bound_port(port);
+  const auto pending = [&] {
+    const metrics::Gauge* gauge =
+        registry.find_gauge("ambit_serve_pending_write_bytes");
+    return gauge != nullptr ? gauge->value() : -1;
+  };
+
+  std::string slow_response;
+  std::int64_t most_pending = 0;
+  std::uint64_t dropped_send = 0;
+  std::vector<std::string> after_reset;
+  if (bound > 0) {
+    const int slow = connect_small_window(bound);
+    if (slow >= 0) {
+      send_all(slow, wire);
+      char chunk[4096];
+      for (;;) {
+        const ssize_t n = ::read(slow, chunk, sizeof(chunk));
+        if (n < 0 && errno == EINTR) {
+          continue;
+        }
+        if (n <= 0) {
+          break;
+        }
+        slow_response.append(chunk, static_cast<std::size_t>(n));
+        most_pending = std::max(most_pending, pending());
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+      ::close(slow);
+    }
+
+    const int reset = connect_small_window(bound);
+    if (reset >= 0) {
+      send_all(reset, frame);
+      char chunk[4096];
+      std::size_t got = 0;
+      while (got < sizeof(chunk)) {  // the header and the first lanes
+        const ssize_t n = ::read(reset, chunk, sizeof(chunk) - got);
+        if (n <= 0) {
+          break;
+        }
+        got += static_cast<std::size_t>(n);
+      }
+      const linger hard{1, 0};  // close() sends RST
+      ::setsockopt(reset, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+      ::close(reset);
+    }
+    const metrics::Counter* send_drops = registry.find_counter(
+        "ambit_serve_connections_dropped_total", {{"reason", "send"}});
+    for (int i = 0; i < 500 && send_drops != nullptr &&
+                    send_drops->value() == 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    dropped_send = send_drops != nullptr ? send_drops->value() : 0;
+
+    const int after = connect_tcp_with_retry("127.0.0.1", bound);
+    if (after >= 0) {
+      after_reset = socket_transact(after, "EVAL w 5\nSHUTDOWN\n", 2);
+      ::close(after);
+    }
+  }
+  serve_thread.join();
+
+  ASSERT_GT(bound, 0);
+  EXPECT_TRUE(slow_response == expected)
+      << "slow reader got " << slow_response.size() << " bytes, serve_chunks "
+      << expected.size();
+  EXPECT_GT(most_pending, 0) << "the outbox never held the queued lanes";
+  EXPECT_LE(most_pending, static_cast<std::int64_t>(expected.size()));
+  EXPECT_EQ(dropped_send, 1u);
+  ASSERT_EQ(after_reset.size(), 2u) << "the server stopped serving";
+  EXPECT_EQ(after_reset[0].compare(0, 3, "OK "), 0) << after_reset[0];
+  EXPECT_EQ(pending(), 0);
 }
 
 }  // namespace
