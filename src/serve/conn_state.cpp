@@ -45,15 +45,11 @@ std::size_t ConnState::write_payload(const char* data, std::size_t n) {
 std::size_t ConnState::payload_room(std::size_t want) {
   const std::size_t capacity = payload_.size() * sizeof(std::uint64_t);
   if (payload_have_ == capacity) {
-    // Full: grow to the whole payload if this connection has delivered
-    // one that large, else to twice what has arrived (at least one
-    // read). Only the bytes that arrived move; the new words stay
-    // unwritten until they do.
+    // Full: grow to twice what has arrived (at least one read). Only
+    // the bytes that arrived move; the new words stay unwritten until
+    // they do.
     const std::size_t target =
-        payload_need_ <= proven_payload_
-            ? payload_need_
-            : std::min(payload_need_,
-                       std::max(kPayloadStep, 2 * payload_have_));
+        std::min(payload_need_, std::max(kPayloadStep, 2 * payload_have_));
     logic::LaneWords grown;
     grown.resize((target + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t));
     if (payload_have_ > 0) {
@@ -141,9 +137,6 @@ ConnState::Step ConnState::advance() {
     }
     if (payload_have_ < payload_need_ && !eof_) {
       return Step::kNeedInput;  // the frame's payload is still arriving
-    }
-    if (payload_have_ == payload_need_) {
-      proven_payload_ = std::max(proven_payload_, payload_need_);
     }
     return Step::kRequest;
   }

@@ -27,10 +27,7 @@
 // header is framed, read_payload() lets a transport read() straight
 // into them. That buffer grows with the bytes received — never past
 // twice what has arrived, or one 64 KiB read — so a header alone holds
-// no memory for its declared size. The one exception is a connection
-// that has already delivered a payload of that size: its next one is
-// sized in full when its first bytes arrive, and written once, by
-// read().
+// no memory for its declared size.
 #pragma once
 
 #include <cstddef>
@@ -174,8 +171,6 @@ class ConnState {
   std::size_t payload_need_ = 0;  ///< bytes the frame's payload declares
   std::size_t payload_have_ = 0;  ///< bytes of it in payload_
   logic::LaneWords payload_;
-  /// The largest payload this connection has delivered in full (bytes).
-  std::size_t proven_payload_ = 0;
   bool eof_ = false;
   bool clean_eof_ = false;
   bool closed_ = false;

@@ -325,28 +325,21 @@ class EventLoop {
     }
   }
 
-  /// One send of the outbox's unflushed bytes: the text alone through
-  /// send(), text and lanes together through one sendmsg() over two
-  /// iovecs.
+  /// One send of the outbox's unflushed bytes: one sendmsg() over the
+  /// rest of the text and the rest of the lanes (either may be empty).
   static ssize_t send_outbox(const Conn& c) {
     const Response& r = c.outbox;
-    const std::size_t text = r.text.size();
-    if (r.lanes.empty()) {
-      return ::send(c.fd, r.text.data() + c.out_off, text - c.out_off,
-                    MSG_NOSIGNAL);
-    }
-    iovec iov[2];
-    std::size_t count = 0;
-    if (c.out_off < text) {
-      iov[count++] = {const_cast<char*>(r.text.data()) + c.out_off,
-                      text - c.out_off};
-    }
-    const std::size_t lanes_off = c.out_off < text ? 0 : c.out_off - text;
-    iov[count++] = {const_cast<char*>(r.lane_bytes()) + lanes_off,
-                    r.size() - text - lanes_off};
+    const std::size_t text_off = std::min(c.out_off, r.text.size());
+    const std::size_t lanes_off = c.out_off - text_off;
+    iovec iov[2] = {
+        {const_cast<char*>(r.text.data()) + text_off,
+         r.text.size() - text_off},
+        {const_cast<char*>(r.lane_bytes()) + lanes_off,
+         r.size() - r.text.size() - lanes_off},
+    };
     msghdr msg{};
     msg.msg_iov = iov;
-    msg.msg_iovlen = count;
+    msg.msg_iovlen = 2;
     return ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
   }
 

@@ -819,7 +819,7 @@ std::uint64_t Server::serve_stream(std::istream& in, std::ostream& out) {
         std::size_t got = 0;
         if (missing > 0) {
           // Straight into the payload's lanes, as much as they can take
-          // yet (all of it once this peer has sent a payload that size).
+          // yet.
           got = state.read_payload(missing, [&](char* dst, std::size_t n) {
             in.read(dst, static_cast<std::streamsize>(n));
             return static_cast<std::size_t>(in.gcount());

@@ -379,19 +379,6 @@ TEST(ConnStateTest, PayloadLanesGrowWithTheBytesReceived) {
   const logic::LaneWords words = state.take_payload_words();
   EXPECT_EQ(words.size(), kWords);
   EXPECT_TRUE(state.request_payload().empty());
-  state.finish_request(false);
-
-  // The connection has now delivered a payload this large, so the next
-  // one is sized in full and read in one piece.
-  state.append(header.data(), header.size());
-  ASSERT_EQ(state.advance(), ConnState::Step::kNeedInput);
-  offered.clear();
-  state.read_payload(declared, [&](char*, std::size_t n) {
-    offered.push_back(n);
-    return n;
-  });
-  EXPECT_EQ(offered, std::vector<std::size_t>{declared});
-  EXPECT_EQ(state.advance(), ConnState::Step::kRequest);
 }
 
 // ---------------------------------------------------------------------------
