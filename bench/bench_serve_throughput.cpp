@@ -693,7 +693,7 @@ int main(int argc, char** argv) {
   // --- 6. Instrumentation overhead ----------------------------------------
   // The exact workload PR 6 benchmarked — a serve_stream EVAL storm —
   // once with per-request recording live and once with
-  // enable_metrics = false (one branch at the top of serve_line). Arms are
+  // enable_metrics = false (the `timed` branches of serve_batch). Arms are
   // interleaved best-of-N so a background scheduler blip cannot charge
   // one arm only; the gap is the tentpole's <= 5% budget.
   double metrics_overhead_pct = 0;

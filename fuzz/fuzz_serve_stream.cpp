@@ -19,9 +19,11 @@
 //   * each run gets a fresh Session (0 workers: in-line evaluation)
 //     and a fresh Server, so SHUTDOWN's latch and loaded-circuit state
 //     cannot leak between runs and every input reproduces standalone;
-//   * each Server records into its own registry with per-request
-//     metrics off, so a METRICS page is the same in both transcripts
-//     of the differential.
+//   * each Server records into its own registry. The differential runs
+//     with per-request metrics off, so a METRICS page is the same in
+//     both transcripts; the CHNK mode, which has no second transcript,
+//     runs with them on, so every request also takes the instrumented
+//     branches (phase traces, queue wait, per-request recording).
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -94,16 +96,17 @@ std::string sanitize(const std::string& text) {
   return out;
 }
 
-/// Runs `serve` against a fresh Session and Server; returns false when
-/// the connection ended in an exception instead of a transcript.
+/// Runs `serve` against a fresh Session and Server, with per-request
+/// metrics on or off; returns false when the connection ended in an
+/// exception instead of a transcript.
 template <typename Serve>
-bool run_connection(Serve&& serve) {
+bool run_connection(bool enable_metrics, Serve&& serve) {
   try {
     ambit::serve::Session session(0);
     ambit::metrics::Registry registry;
     ambit::serve::ServerOptions options;
     options.registry = &registry;
-    options.enable_metrics = false;
+    options.enable_metrics = enable_metrics;
     ambit::serve::Server server(session, options);
     serve(server);
     return true;
@@ -120,9 +123,9 @@ bool run_connection(Serve&& serve) {
 
 /// serve_chunks over `wire`, `next_len(turn)` bytes per read.
 template <typename NextLen>
-bool serve_in_chunks(const std::string& wire, NextLen&& next_len,
-                     std::string& out) {
-  return run_connection([&](ambit::serve::Server& server) {
+bool serve_in_chunks(bool enable_metrics, const std::string& wire,
+                     NextLen&& next_len, std::string& out) {
+  return run_connection(enable_metrics, [&](ambit::serve::Server& server) {
     std::size_t pos = 0;
     std::size_t turn = 0;
     server.serve_chunks(
@@ -161,7 +164,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         reinterpret_cast<const char*>(data + 5 + count), size - 5 - count));
     std::string out;
     serve_in_chunks(
-        wire,
+        /*enable_metrics=*/true, wire,
         [&](std::size_t turn) -> std::size_t {
           return count == 0 ? 1 : (seeds[turn % count] % 64) + 1;
         },
@@ -172,14 +175,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::string text =
       sanitize(std::string(reinterpret_cast<const char*>(data), size));
   std::ostringstream streamed;
-  const bool stream_ok = run_connection([&](ambit::serve::Server& server) {
-    std::istringstream in(text);
-    server.serve_stream(in, streamed);
-  });
+  const bool stream_ok =
+      run_connection(/*enable_metrics=*/false,
+                     [&](ambit::serve::Server& server) {
+                       std::istringstream in(text);
+                       server.serve_stream(in, streamed);
+                     });
   std::string chunked;
-  const bool chunks_ok =
-      serve_in_chunks(text, [](std::size_t) -> std::size_t { return 1; },
-                      chunked);
+  const bool chunks_ok = serve_in_chunks(
+      /*enable_metrics=*/false, text,
+      [](std::size_t) -> std::size_t { return 1; }, chunked);
   if (stream_ok && chunks_ok &&
       ambit::serve::canonical_load_times(streamed.str()) !=
           ambit::serve::canonical_load_times(chunked)) {

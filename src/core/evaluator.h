@@ -30,7 +30,7 @@
 //   * word-aligned sharding (the pool overload below) is bit-identical
 //     to the sequential sweep for any worker count;
 //   * batches packed back-to-back at BIT granularity (the serve event
-//     loop's per-turn fusion, Server::serve_turn) evaluate to exactly
+//     loop's per-turn fusion, Server::serve_batch) evaluate to exactly
 //     the concatenation of their separate results.
 // A kernel that carries state across bit positions — shifts across
 // patterns, arithmetic carries, pattern-index logic — violates both;

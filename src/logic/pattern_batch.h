@@ -107,7 +107,7 @@ class PatternBatch {
   /// tail padding — are left untouched, so back-to-back copies from
   /// many sources pack a batch bit-contiguously (this is how the serve
   /// event loop fuses a turn's small requests into shared words; see
-  /// Server::serve_turn). Signal counts must match and both ranges must
+  /// Server::serve_batch). Signal counts must match and both ranges must
   /// be in bounds.
   void copy_patterns_from(const PatternBatch& src, std::uint64_t src_first,
                           std::uint64_t dst_first, std::uint64_t count);

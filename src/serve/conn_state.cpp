@@ -173,7 +173,7 @@ void ConnState::finish_request(bool quit) {
 
 std::size_t ConnState::required_payload(const std::string& line) {
   // Only a bulk header declares a payload, so every other line skips
-  // the full parse that serve_line repeats.
+  // the full parse that Server::serve_batch repeats.
   std::string_view rest = line;
   const std::optional<Verb> verb = find_verb(next_token(rest));
   if (!verb.has_value() || !is_bulk_verb(*verb)) {
@@ -186,7 +186,7 @@ std::size_t ConnState::required_payload(const std::string& line) {
              sizeof(std::uint64_t);
     }
   } catch (const Error&) {
-    // Malformed line: serve_line answers ERR (and, for an unframed bulk
+    // Malformed line: serve_batch answers ERR (and, for an unframed bulk
     // header, drops the connection) without touching any payload.
   }
   // An over-limit header is likewise rejected before any payload read.

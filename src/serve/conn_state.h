@@ -17,7 +17,7 @@
 // request is ready once its whole frame is buffered — the line and, for
 // EVALB/SIMB, every payload byte its header declares. The protocol work
 // itself (dispatch, payload validation, responses) stays in
-// Server::serve_line.
+// Server::serve_batch.
 //
 // Lines are reassembled in a byte buffer read from an offset, compacted
 // only once the consumed prefix is half of it, so a burst of pipelined
@@ -111,7 +111,7 @@ class ConnState {
 
   /// The current request's payload bytes, in its lanes. Shorter than
   /// the header declares only when EOF truncated the frame, which
-  /// serve_line reports without answering. Valid until the payload is
+  /// Server::serve_batch reports without answering. Valid until the payload is
   /// taken or the request finished.
   std::string_view request_payload() const {
     return {payload_bytes(), payload_have_};
@@ -119,8 +119,8 @@ class ConnState {
 
   /// Moves the current request's payload out as lane words, no copy:
   /// as many whole words as arrived, which is the header's word count
-  /// unless EOF truncated the frame. The event loop hands them to
-  /// Server::serve_line, whose input batch takes them over.
+  /// unless EOF truncated the frame. Every transport hands them to
+  /// Server::serve_batch, whose input batch takes them over.
   logic::LaneWords take_payload_words();
 
   /// request_payload() as one string (a copy), for callers that want

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -79,20 +80,19 @@ constexpr std::size_t kLoopMaxPatternBytes = std::size_t{16} << 10;
 
 /// Where a framed request is served.
 enum class Where {
-  kPool,  ///< on a pool worker
-  kLoop,  ///< on the loop thread, at once
-  kTurn,  ///< on the loop thread, in the turn's fused EVAL/EVALB pass
+  kPool,  ///< on a pool worker, a batch of one
+  kLoop,  ///< on the loop thread, in the turn's batch
 };
 
 /// Where the request on `line` is served, read from the line alone with
 /// the tokenizer parse_request uses, but without its allocations. The
 /// switch names every verb and has no default, so a new verb does not
 /// compile (-Wswitch) until it is placed here. Cheap requests run on
-/// the loop: the bookkeeping verbs and the lines whose answer is one
-/// ERR (an unknown verb, an EVALB header whose counts do not parse) at
-/// once; one-word EVAL/EVALB in the turn's fused pass, which answers an
-/// EVAL without patterns with its ERR too. A LOAD, VERIFY, SIM or SIMB
-/// line with bad arguments is answered on the pool like a good one.
+/// the loop: one-word EVAL/EVALB, the bookkeeping verbs and the lines
+/// whose answer is one ERR (an unknown verb, an EVALB header whose
+/// counts do not parse, an EVAL without patterns). A LOAD, VERIFY, SIM
+/// or SIMB line with bad arguments is answered on the pool like a good
+/// one.
 Where where_served(std::string_view line) {
   std::string_view rest = line;
   const std::optional<Verb> verb = find_verb(next_token(rest));
@@ -109,7 +109,7 @@ Where where_served(std::string_view line) {
       while (!next_token(rest).empty()) {
         ++patterns;
       }
-      return patterns <= kLoopMaxPatterns ? Where::kTurn : Where::kPool;
+      return patterns <= kLoopMaxPatterns ? Where::kLoop : Where::kPool;
     }
     case Verb::kEvalB: {
       next_token(rest);  // the circuit name
@@ -127,7 +127,7 @@ Where where_served(std::string_view line) {
       }
       return patterns <= kLoopMaxPatterns &&
                      words <= kLoopMaxPatternBytes / sizeof(std::uint64_t)
-                 ? Where::kTurn
+                 ? Where::kLoop
                  : Where::kPool;
     }
     case Verb::kStats:
@@ -220,7 +220,7 @@ class TimerWheel {
 
 /// The epoll loop: see event_loop.h for the ownership rules. A friend
 /// of Server — on this path the loop IS the transport, driving
-/// serve_line and the drop accounting directly.
+/// serve_batch and the drop accounting directly.
 class EventLoop {
  public:
   EventLoop(Server& server, int listener, std::string what,
@@ -245,7 +245,7 @@ class EventLoop {
     Response outbox;
     std::size_t out_off = 0;
     /// A request is being served: a job on the pool, or set aside for
-    /// the turn's fused pass.
+    /// the turn's batch.
     bool busy = false;
     bool want_close = false;  ///< close once the outbox drains
     bool no_reads = false;    ///< SHUTDOWN drain cut the input side
@@ -266,7 +266,7 @@ class EventLoop {
   };
 
   /// A served request: posted by a pool worker, or built on the loop
-  /// for a request it served itself.
+  /// for a request of the turn's batch.
   struct Completion {
     std::uint64_t conn_id = 0;
     Response out;  ///< the response (line + any bulk payload lanes)
@@ -276,6 +276,36 @@ class EventLoop {
   };
 
   std::size_t active() const { return conns_.size(); }
+
+  /// The loop-clock deadline `secs` seconds from now; 0 (disarmed) for
+  /// a timeout of 0, which never fires.
+  static std::uint64_t deadline_after(long secs) {
+    return secs > 0 ? now_ms() + static_cast<std::uint64_t>(secs) * 1000 : 0;
+  }
+
+  /// Serves `requests` in one Server::serve_batch — a pool job's batch
+  /// of one, or the turn's batch on the loop thread — and hands each
+  /// one's Completion to `done`, in order. Touches no connection state.
+  template <typename Done>
+  static void serve_and_complete(Server& server,
+                                 std::span<Server::BatchRequest> requests,
+                                 Done&& done) {
+    bool served = true;
+    try {
+      server.serve_batch(requests);
+    } catch (...) {
+      // serve_batch's guards make this near-unreachable (bad_alloc
+      // building a response); cost the connections, not the loop.
+      served = false;
+    }
+    for (Server::BatchRequest& r : requests) {
+      done(Completion{.conn_id = r.conn_id,
+                      .out = std::move(r.out),
+                      .alive = served && !r.truncated,
+                      .quit = r.quit,
+                      .payload_truncated = served && r.truncated});
+    }
+  }
 
   void post(Completion&& done) {
     const MutexLock lock(mutex_);
@@ -318,11 +348,7 @@ class EventLoop {
     c.out_off = 0;
     server_.note_pending_write_delta(
         static_cast<std::int64_t>(c.outbox.size()));
-    if (server_.options_.send_timeout_secs > 0) {
-      c.send_deadline_ms =
-          now_ms() +
-          static_cast<std::uint64_t>(server_.options_.send_timeout_secs) * 1000;
-    }
+    c.send_deadline_ms = deadline_after(server_.options_.send_timeout_secs);
   }
 
   /// One send of the outbox's unflushed bytes: one sendmsg() over the
@@ -366,14 +392,9 @@ class EventLoop {
     }
     if (flushed > 0) {
       server_.note_pending_write_delta(-static_cast<std::int64_t>(flushed));
-      if (server_.options_.send_timeout_secs > 0) {
-        // Progress re-arms the send deadline: the timeout bounds a
-        // stall, not a whole large response.
-        c.send_deadline_ms =
-            now_ms() +
-            static_cast<std::uint64_t>(server_.options_.send_timeout_secs) *
-                1000;
-      }
+      // Progress re-arms the send deadline: the timeout bounds a stall,
+      // not a whole large response.
+      c.send_deadline_ms = deadline_after(server_.options_.send_timeout_secs);
     }
     if (c.out_off >= c.outbox.size()) {
       c.outbox = Response();  // frees the lanes
@@ -383,16 +404,24 @@ class EventLoop {
     return ok;
   }
 
-  void close_conn(Conn& c, const char* reason) {
+  /// What every close of a connection does, here or at the loop's
+  /// teardown: reports it (`reason` as for
+  /// Server::note_connection_closed), un-counts the outbox bytes the
+  /// socket never took, and closes the descriptor.
+  void release(const Conn& c, const char* reason) {
     server_.note_connection_closed(reason, c.id, c.served);
-    logs::debug("conn.close", {{"conn", std::to_string(c.id)},
-                               {"served", std::to_string(c.served)}});
     const std::size_t unflushed = c.outbox.size() - c.out_off;
     if (unflushed > 0) {
       server_.note_pending_write_delta(-static_cast<std::int64_t>(unflushed));
     }
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
     ::close(c.fd);
+  }
+
+  void close_conn(Conn& c, const char* reason) {
+    logs::debug("conn.close", {{"conn", std::to_string(c.id)},
+                               {"served", std::to_string(c.served)}});
+    release(c, reason);
     conns_.erase(c.id);  // invalidates c — callers return immediately
     // A freed slot — and a freed descriptor, if accept was starved —
     // lets the listener back in.
@@ -402,32 +431,9 @@ class EventLoop {
     }
   }
 
-  /// Runs one framed request through serve_line, on a pool worker or
-  /// on the loop thread. Touches no connection state: `payload` is the
-  /// lanes taken out of the connection's ConnState.
-  static Completion serve(Server& server, std::uint64_t conn_id,
-                          const std::string& line, logic::LaneWords payload,
-                          std::uint64_t queued_at_us) {
-    Completion done;
-    done.conn_id = conn_id;
-    Server::Outcome outcome;
-    try {
-      done.alive = server.serve_line(line, std::move(payload), done.out,
-                                     outcome, conn_id, queued_at_us);
-      // serve_line fails only when EOF truncated the buffered frame.
-      done.payload_truncated = !done.alive;
-    } catch (...) {
-      // serve_line's guards make this near-unreachable (bad_alloc
-      // building a response); cost the connection, not the loop.
-      done.alive = false;
-    }
-    done.quit = outcome.quit;
-    return done;
-  }
-
   /// Hands the ready request to a pool worker: the job owns a copy of
-  /// the line and the payload's lanes (moved, not copied), builds its
-  /// response locally, and posts a Completion — it never touches
+  /// the line and the payload's lanes (moved, not copied), serves them
+  /// as a batch of one, and posts the Completion — it never touches
   /// connection state. The dispatch stamp makes the wait for a worker
   /// the request's queue_wait phase.
   void dispatch(Conn& c) {
@@ -442,53 +448,41 @@ class EventLoop {
     server_.session_.pool().submit([loop, server, id, queued_at_us,
                                     line = std::move(line),
                                     payload = std::move(payload)]() mutable {
-      loop->post(serve(*server, id, line, std::move(payload), queued_at_us));
+      Server::BatchRequest r;
+      r.conn_id = id;
+      r.line = &line;
+      r.payload = std::move(payload);
+      r.queued_at_us = queued_at_us;
+      serve_and_complete(*server, {&r, 1}, [loop](Completion&& done) {
+        loop->post(std::move(done));
+      });
     });
   }
 
-  /// Serves the ready request to completion on the loop thread.
-  void serve_inline(Conn& c) {
-    c.idle_deadline_ms = 0;
-    finish(c, serve(server_, c.id, c.state.line(),
-                    c.state.take_payload_words(), /*queued_at_us=*/0));
-  }
-
-  /// Serves the turn's set-aside EVAL/EVALB requests in one
-  /// Server::serve_turn, which sweeps those for one circuit together;
-  /// then steps each connection on. Runs before the loop next waits, so
-  /// a set-aside request never waits for a tick.
+  /// Serves the turn's set-aside requests as one batch, in which
+  /// Server::serve_batch sweeps the EVAL/EVALBs for one circuit
+  /// together; then steps each connection on. Runs before the loop next
+  /// waits, so a set-aside request never waits for a tick.
   void serve_set_aside() {
     if (set_aside_.empty()) {
       return;
     }
-    std::vector<Server::TurnRequest> requests;
+    std::vector<Server::BatchRequest> requests;
     requests.reserve(set_aside_.size());
     for (const std::uint64_t id : set_aside_) {
       const auto it = conns_.find(id);
       if (it != conns_.end()) {  // a failed flush may have closed it
-        Server::TurnRequest& r = requests.emplace_back();
+        Server::BatchRequest& r = requests.emplace_back();
         r.conn_id = id;
         r.line = &it->second->state.line();
         r.payload = it->second->state.take_payload_words();
       }
     }
     set_aside_.clear();
-    bool served = true;
-    try {
-      server_.serve_turn(requests);
-    } catch (...) {
-      served = false;  // bad_alloc mid-turn: cost the connections
-    }
-    for (Server::TurnRequest& r : requests) {
-      Completion done;
-      done.conn_id = r.conn_id;
-      done.out = std::move(r.out);
-      done.alive = served && r.complete;
-      done.payload_truncated = served && !r.complete;
-      done.quit = r.outcome.quit;
-      finish(*conns_.at(r.conn_id), std::move(done));
-    }
-    for (const Server::TurnRequest& r : requests) {
+    serve_and_complete(server_, requests, [this](Completion&& done) {
+      finish(*conns_.at(done.conn_id), std::move(done));
+    });
+    for (const Server::BatchRequest& r : requests) {
       step(r.conn_id);
     }
   }
@@ -524,14 +518,12 @@ class EventLoop {
   /// flush pending writes, serve buffered requests (one at a time — a
   /// response must drain before the next request is parsed, so a peer
   /// that stops reading stops being served), then settle interest and
-  /// timers. A cheap request (where_served) runs on the loop, but only
-  /// one per connection per turn: a second one waits on runnable_ for
-  /// the next turn, so one peer's pipelined burst cannot hold the loop
-  /// while another peer waits. A one-word EVAL/EVALB is set aside for
-  /// the turn's fused pass, which steps the connection again; any other
-  /// cheap request is served right here. The rest go to the pool, and
-  /// the connection waits for its Completion. May close (and erase)
-  /// the connection.
+  /// timers. A cheap request (where_served) is set aside for the turn's
+  /// batch, which steps the connection again — but only one per
+  /// connection per turn: a second one waits on runnable_ for the next
+  /// turn, so one peer's pipelined burst cannot hold the loop while
+  /// another peer waits. The rest go to the pool, and the connection
+  /// waits for its Completion. May close (and erase) the connection.
   void step(std::uint64_t id) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) {
@@ -561,8 +553,7 @@ class EventLoop {
         continue;  // flush the ERR line, then close
       }
       // kRequest
-      const Where where = where_served(c.state.line());
-      if (where == Where::kPool) {
+      if (where_served(c.state.line()) == Where::kPool) {
         dispatch(c);
         break;
       }
@@ -573,15 +564,12 @@ class EventLoop {
         }
         break;
       }
+      // Interest and timers settle when serve_set_aside steps it.
       c.inline_turn = turn_;
-      if (where == Where::kTurn) {
-        // Interest and timers settle when serve_set_aside steps it.
-        c.busy = true;
-        c.idle_deadline_ms = 0;
-        set_aside_.push_back(c.id);
-        return;
-      }
-      serve_inline(c);
+      c.busy = true;
+      c.idle_deadline_ms = 0;
+      set_aside_.push_back(c.id);
+      return;
     }
     if (c.want_close && !c.busy && c.out_off >= c.outbox.size()) {
       close_conn(c, c.drop_reason);
@@ -606,12 +594,9 @@ class EventLoop {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
       c.interest = want;
     }
-    const std::uint64_t now = now_ms();
-    if ((want & EPOLLIN) != 0 && server_.options_.idle_timeout_secs > 0) {
-      c.idle_deadline_ms =
-          now +
-          static_cast<std::uint64_t>(server_.options_.idle_timeout_secs) * 1000;
-      if (!c.idle_filed) {
+    if ((want & EPOLLIN) != 0) {
+      c.idle_deadline_ms = deadline_after(server_.options_.idle_timeout_secs);
+      if (c.idle_deadline_ms != 0 && !c.idle_filed) {
         wheel_.arm(c.id, TimerKind::kIdle, c.idle_deadline_ms);
         c.idle_filed = true;
       }
@@ -742,12 +727,8 @@ class EventLoop {
       ev.data.u64 = conn_id;
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn, &ev);
       c.interest = EPOLLIN;
-      const std::uint64_t now = now_ms();
-      if (server_.options_.idle_timeout_secs > 0) {
-        c.idle_deadline_ms =
-            now +
-            static_cast<std::uint64_t>(server_.options_.idle_timeout_secs) *
-                1000;
+      c.idle_deadline_ms = deadline_after(server_.options_.idle_timeout_secs);
+      if (c.idle_deadline_ms != 0) {
         wheel_.arm(conn_id, TimerKind::kIdle, c.idle_deadline_ms);
         c.idle_filed = true;
       }
@@ -847,8 +828,8 @@ class EventLoop {
   std::uint64_t turn_ = 0;
   /// Connections holding a request that waits for the next turn.
   std::vector<std::uint64_t> runnable_;
-  /// Connections whose one-word EVAL/EVALB waits for this turn's fused
-  /// pass (serve_set_aside).
+  /// Connections whose request waits for this turn's batch
+  /// (serve_set_aside).
   std::vector<std::uint64_t> set_aside_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   TimerWheel wheel_;
@@ -940,12 +921,15 @@ std::uint64_t EventLoop::run() {
     }
     drain_completions();
     serve_runnable();
-    // A SHUTDOWN served this turn, on the loop or on a worker.
-    if (server_.shutdown_.load() && !draining_) {
-      begin_drain();
-    }
     // Last, after every step that may set a request aside.
     serve_set_aside();
+    // A SHUTDOWN answered in that batch drains before the loop reads
+    // again, so no request sent after its answer is served. The drain
+    // steps every connection, which may set a buffered request aside.
+    if (server_.shutdown_.load() && !draining_) {
+      begin_drain();
+      serve_set_aside();
+    }
     const std::uint64_t now = now_ms();
     wheel_.advance(now, [this](const TimerWheel::Entry& e) { on_timer(e); });
     if (accept_retry_ms_ != 0 && now >= accept_retry_ms_ && !draining_) {
@@ -972,13 +956,8 @@ std::uint64_t EventLoop::run() {
     (void)!::read(wake_fd_, &drained, sizeof(drained));
     drain_completions();
   }
-  for (auto& [id, c] : conns_) {
-    const std::size_t unflushed = c->outbox.size() - c->out_off;
-    if (unflushed > 0) {
-      server_.note_pending_write_delta(-static_cast<std::int64_t>(unflushed));
-    }
-    ::close(c->fd);
-    server_.note_connection_closed(nullptr, id, c->served);
+  for (const auto& [id, c] : conns_) {
+    release(*c, nullptr);
   }
   conns_.clear();
   ::close(wake_fd_);

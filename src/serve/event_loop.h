@@ -3,19 +3,20 @@
 // non-blocking sockets and the ConnState framing machine
 // (serve/conn_state.h). Cheap requests — one-word EVAL/EVALB, STATS,
 // HELP, METRICS, UNLOAD, QUIT, SHUTDOWN and unparseable lines — are
-// served to completion on the loop thread, at most one per connection
-// per loop turn. The one-word EVAL/EVALBs are set aside until the end
-// of the turn, and those for one circuit share one sweep
-// (Server::serve_turn). LOAD, VERIFY, SIM, SIMB and larger evaluations
-// go to the session ThreadPool, so the loop never blocks on a
-// multi-word sweep or an Espresso run.
+// set aside, at most one per connection per loop turn, and served on
+// the loop thread at the end of the turn as one batch, in which the
+// EVAL/EVALBs for one circuit share one sweep (Server::serve_batch).
+// LOAD, VERIFY, SIM, SIMB and larger evaluations go to the session
+// ThreadPool, a batch of one each, so the loop never blocks on a
+// multi-word sweep or an Espresso run. A SHUTDOWN answered in a turn's
+// batch starts the drain in that same turn.
 //
 // Division of labor (ownership rules in docs/ARCHITECTURE.md):
 //
 //   * the LOOP THREAD owns every per-connection object — fds, the
 //     ConnState buffers, the write-backpressure outbox, the timer-wheel
-//     deadlines — and serves the cheap requests in place. No lock
-//     guards connection state because no other thread touches it.
+//     deadlines — and serves the cheap requests itself. No lock guards
+//     connection state because no other thread touches it.
 //   * WORKERS own only what a dispatched request job captured: the
 //     request line, its payload lanes (moved out of the connection's
 //     ConnState before dispatch), and the response they build, whose

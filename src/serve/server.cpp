@@ -237,12 +237,11 @@ std::string error_response(const std::exception& e) {
 
 /// Appends one response line and, for a bulk answer, moves its lanes in
 /// (a response carries at most one lane buffer).
-bool respond(Response& out, const std::string& response,
+void respond(Response& out, const std::string& response,
              logic::LaneWords lanes = {}) {
   out.text += response;
   out.text += '\n';
   out.lanes = std::move(lanes);
-  return true;
 }
 
 /// The shared EVAL/SIM front half: one registry handle, every hex
@@ -274,31 +273,32 @@ std::string Server::handle_line(const std::string& line) {
                         (evalb ? "EVAL" : "SIM") + " for text)");
   }
   if (verb == Verb::kMetrics) {
-    // The page is multi-line; only serve_line's transports can frame it
+    // The page is multi-line; only a framing transport can carry it
     // (OK METRICS <nbytes> + raw bytes).
     return err_response(
         "METRICS carries a multi-line payload and needs a stream or socket "
         "transport");
   }
-  Response out;
-  Outcome outcome;
-  serve_line_inner(line, {}, out, outcome, nullptr);
-  return outcome.response;
+  BatchRequest r;
+  r.line = &line;
+  serve_batch({&r, 1});
+  r.out.text.pop_back();  // the '\n'
+  return std::move(r.out.text);
 }
 
-Server::Outcome Server::dispatch(const Request& request) {
+std::string Server::dispatch(const Request& request) {
   try {
     switch (request.verb) {
       case Verb::kLoad: {
         const std::shared_ptr<const LoadedCircuit> circuit =
             load(request.name, request.path);
-        return {ok_response(
+        return ok_response(
             "loaded " + circuit->name + ": " +
             std::to_string(circuit->gnor.num_inputs()) + " inputs, " +
             std::to_string(circuit->gnor.num_outputs()) + " outputs, " +
             std::to_string(circuit->gnor.num_products()) + " products, " +
             std::to_string(circuit->gnor.cell_count()) + " cells, " +
-            format_double(circuit->load_seconds * 1e3, 1) + " ms")};
+            format_double(circuit->load_seconds * 1e3, 1) + " ms");
       }
       case Verb::kSim: {
         const std::shared_ptr<const LoadedCircuit> circuit =
@@ -327,15 +327,15 @@ Server::Outcome Server::dispatch(const Request& request) {
                               result.plane1_eval_delay_s[p],
                               result.plane2_eval_delay_s[p]);
         }
-        return {ok_response(detail)};
+        return ok_response(detail);
       }
       case Verb::kEval:
       case Verb::kEvalB:
       case Verb::kSimB:
       case Verb::kMetrics:
-        // Handled by serve_line_inner, which owns the decode/encode
+        // Handled by decode_or_answer, which owns the decode/encode
         // split and the payload exchange.
-        return {err_response("verb reached the one-line dispatcher")};
+        return err_response("verb reached the one-line dispatcher");
       case Verb::kVerify: {
         // One registry lookup, same reasoning as kEval: the verdict
         // and the reported pattern count must describe the SAME
@@ -350,20 +350,20 @@ Server::Outcome Server::dispatch(const Request& request) {
         metrics_->verifies->add();
         const int inputs = circuit->gnor.num_inputs();
         if (!equivalent) {
-          return {err_response(request.name +
-                               ": mapped array NOT equivalent to its source "
-                               "cover")};
+          return err_response(request.name +
+                              ": mapped array NOT equivalent to its source "
+                              "cover");
         }
-        return {ok_response(
+        return ok_response(
             "verified " + request.name + ": equivalent over " +
-            std::to_string(std::uint64_t{1} << inputs) + " patterns")};
+            std::to_string(std::uint64_t{1} << inputs) + " patterns");
       }
       case Verb::kStats: {
         // A rendering of this Server's registry, plus two facts about
         // the Session. connections= stays last: append-only growth
         // keeps consumers that slice by prefix byte-stable.
         const ServeMetrics& m = *metrics_;
-        return {ok_response(
+        return ok_response(
             "circuits=" + std::to_string(session_.names().size()) +
             " loads=" + std::to_string(m.loads->value()) +
             " evals=" + std::to_string(m.evals->value()) +
@@ -373,52 +373,27 @@ Server::Outcome Server::dispatch(const Request& request) {
             " verifies=" + std::to_string(m.verifies->value()) +
             " workers=" + std::to_string(session_.pool().num_workers()) +
             " connections=" + std::to_string(m.connections_active->value()) +
-            "/" + std::to_string(m.connections_accepted->value()))};
+            "/" + std::to_string(m.connections_accepted->value()));
       }
       case Verb::kUnload:
         session_.unload(request.name);
-        return {ok_response("unloaded " + request.name)};
+        return ok_response("unloaded " + request.name);
       case Verb::kHelp:
-        return {ok_response(help_text())};
+        return ok_response(help_text());
       case Verb::kQuit:
-        return {ok_response("bye"), /*quit=*/true};
+        return ok_response("bye");
       case Verb::kShutdown:
         shutdown_.store(true);
-        return {ok_response("shutting down"), /*quit=*/true};
+        return ok_response("shutting down");
     }
-    return {err_response("unhandled verb")};  // unreachable
+    return err_response("unhandled verb");  // unreachable
   } catch (const std::exception& e) {
-    return {error_response(e)};
+    return error_response(e);
   }
-}
-
-bool Server::serve_line(const std::string& line, logic::LaneWords payload,
-                        Response& out, Outcome& outcome,
-                        std::uint64_t conn_id, std::uint64_t queued_at_us) {
-  if (!options_.enable_metrics) {
-    return serve_line_inner(line, std::move(payload), out, outcome, nullptr);
-  }
-  metrics::PhaseTrace trace;
-  int verb_index = -1;
-  const std::uint64_t start_us = metrics::monotonic_us();
-  // A request that waited in the pool queue counts that wait as its
-  // first phase, so the phases still add up to total_us.
-  const std::uint64_t arrived_us = queued_at_us != 0 ? queued_at_us : start_us;
-  trace.add(metrics::Phase::kQueueWait, start_us - arrived_us);
-  bool complete = false;
-  {
-    const metrics::TraceScope scope(&trace);
-    complete =
-        serve_line_inner(line, std::move(payload), out, outcome, &verb_index);
-  }
-  record(trace, verb_index, metrics::monotonic_us() - arrived_us, outcome,
-         conn_id);
-  return complete;
 }
 
 void Server::record(const metrics::PhaseTrace& trace, int verb_index,
-                    std::uint64_t total_us, const Outcome& outcome,
-                    std::uint64_t conn_id) {
+                    std::uint64_t total_us, const BatchRequest& r) {
   if (verb_index < 0) {
     metrics_->requests_malformed->add();
   } else {
@@ -428,7 +403,7 @@ void Server::record(const metrics::PhaseTrace& trace, int verb_index,
     metrics_->request_us[static_cast<std::size_t>(verb_index)]->observe(
         total_us);
   }
-  if (outcome.response.rfind("ERR", 0) == 0) {
+  if (r.out.text.rfind("ERR", 0) == 0) {
     metrics_->request_errors->add();
   }
   for (std::size_t p = 0; p < metrics::kNumPhases; ++p) {
@@ -439,7 +414,7 @@ void Server::record(const metrics::PhaseTrace& trace, int verb_index,
   if (options_.slow_request_us > 0 && total_us >= options_.slow_request_us) {
     logs::warn_rate_limited(
         slow_log_limiter_, "serve.slow_request",
-        {{"conn", std::to_string(conn_id)},
+        {{"conn", std::to_string(r.conn_id)},
          {"verb", verb_index >= 0
                       ? verb_names()[static_cast<std::size_t>(verb_index)]
                       : std::string("malformed")},
@@ -453,33 +428,22 @@ void Server::record(const metrics::PhaseTrace& trace, int verb_index,
   }
 }
 
-bool Server::serve_line_inner(const std::string& line,
-                              logic::LaneWords payload, Response& out,
-                              Outcome& outcome, int* verb_index_out,
-                              EvalJob* held) {
-  outcome = Outcome{};
-  if (verb_index_out != nullptr) {
-    *verb_index_out = -1;
-  }
+int Server::decode_or_answer(BatchRequest& r, EvalJob& held) {
   Request request;
   try {
     const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-    request = parse_request(line);
+    request = parse_request(*r.line);
   } catch (const Error& e) {
-    outcome.response = err_response(e.what());
     // A malformed EVALB/SIMB header leaves an unknown number of payload
     // bytes unframed in the stream; resyncing is impossible, so the
     // connection must go. Only the exact bulk verbs qualify — a typo'd
     // verb like "EVALBATCH" is an ordinary one-line request.
-    const std::vector<std::string> tokens = split_ws(line);
-    if (!tokens.empty() && (tokens[0] == "EVALB" || tokens[0] == "SIMB")) {
-      outcome.quit = true;
-    }
-    return respond(out, outcome.response);
+    const std::vector<std::string> tokens = split_ws(*r.line);
+    r.quit = !tokens.empty() && (tokens[0] == "EVALB" || tokens[0] == "SIMB");
+    respond(r.out, err_response(e.what()));
+    return -1;
   }
-  if (verb_index_out != nullptr) {
-    *verb_index_out = static_cast<int>(request.verb);
-  }
+  const int verb_index = static_cast<int>(request.verb);
 
   if (request.verb == Verb::kMetrics) {
     // The page is framed like a bulk response: a one-line header
@@ -490,15 +454,15 @@ bool Server::serve_line_inner(const std::string& line,
       const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
       page = metrics_page();
     }
-    outcome.response = "OK METRICS " + std::to_string(page.size());
-    respond(out, outcome.response);
-    out.text += page;
-    return true;
+    respond(r.out, "OK METRICS " + std::to_string(page.size()));
+    r.out.text += page;
+    return verb_index;
   }
 
   if (!is_bulk_verb(request.verb) && request.verb != Verb::kEval) {
-    outcome = dispatch(request);
-    return respond(out, outcome.response);
+    r.quit = request.verb == Verb::kQuit || request.verb == Verb::kShutdown;
+    respond(r.out, dispatch(request));
+    return verb_index;
   }
 
   if (is_bulk_verb(request.verb)) {
@@ -507,35 +471,28 @@ bool Server::serve_line_inner(const std::string& line,
     // stream stays framed even when the request itself fails.
     const char* verb = request.verb == Verb::kEvalB ? "EVALB" : "SIMB";
     if (request.num_words > kMaxEvalbWords) {
-      outcome.response = err_response(
-          std::string(verb) + " payload of " +
-          std::to_string(request.num_words) + " words exceeds the " +
-          std::to_string(kMaxEvalbWords) + "-word limit");
-      outcome.quit = true;
-      return respond(out, outcome.response);
+      r.quit = true;
+      respond(r.out, err_response(std::string(verb) + " payload of " +
+                                  std::to_string(request.num_words) +
+                                  " words exceeds the " +
+                                  std::to_string(kMaxEvalbWords) +
+                                  "-word limit"));
+      return verb_index;
     }
-    if (payload.size() < request.num_words) {
+    if (r.payload.size() < request.num_words) {
       // EOF mid-payload: nothing sensible to answer. ConnState held only
       // the bytes that arrived, so nothing was sized for the rest.
-      outcome.quit = true;
-      return false;
+      r.truncated = true;
+      return verb_index;
     }
   }
 
+  std::string failure;
   try {
-    EvalJob job = decode(request, std::move(payload));
+    EvalJob job = decode(request, std::move(r.payload));
     if (request.verb != Verb::kSimB) {
-      if (held != nullptr) {
-        *held = std::move(job);
-        return true;
-      }
-      logic::PatternBatch outputs(0, 0);
-      {
-        const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-        outputs = eval(job.circuit, job.inputs);
-      }
-      encode_eval(job, std::move(outputs), outcome, out);
-      return true;
+      held = std::move(job);
+      return verb_index;
     }
     simulate::BatchSimResult result(0, 0);
     {
@@ -559,13 +516,16 @@ bool Server::serve_line_inner(const std::string& line,
                 result.plane1_eval_delay_s.data(), np * sizeof(double));
     std::memcpy(lanes.data() + lane_words + 2 * np,
                 result.plane2_eval_delay_s.data(), np * sizeof(double));
-    outcome.response = simb_response_header(np, lanes.size());
-    return respond(out, outcome.response, std::move(lanes));
+    // The header first: it reads the lanes' size before they move.
+    const std::string header = simb_response_header(np, lanes.size());
+    respond(r.out, header, std::move(lanes));
+    return verb_index;
   } catch (const std::exception& e) {
-    outcome.response = error_response(e);
+    failure = error_response(e);
   }
   const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-  return respond(out, outcome.response);
+  respond(r.out, failure);
+  return verb_index;
 }
 
 Server::EvalJob Server::decode(const Request& request, logic::LaneWords words) {
@@ -627,12 +587,13 @@ Server::EvalJob Server::decode(const Request& request, logic::LaneWords words) {
 }
 
 void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
-                         Outcome& outcome, Response& out) {
+                         Response& out) {
   const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
   if (job.bulk) {
-    outcome.response =
+    // The header first: it reads the counts before the lanes move.
+    const std::string header =
         evalb_response_header(outputs.num_patterns(), outputs.total_words());
-    respond(out, outcome.response, std::move(outputs).release_words());
+    respond(out, header, std::move(outputs).release_words());
     return;
   }
   std::string detail;
@@ -642,15 +603,15 @@ void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
     }
     detail += hex_encode(outputs.pattern(p));
   }
-  outcome.response = ok_response(detail);
-  respond(out, outcome.response);
+  respond(out, ok_response(detail));
 }
 
-void Server::serve_turn(std::vector<TurnRequest>& requests) {
+void Server::serve_batch(std::span<BatchRequest> requests) {
   const bool timed = options_.enable_metrics;
   // Per request: the decoded job, its phase trace and the wall time of
-  // its own decode and encode plus its sweep — its total, so its phases
-  // add up to it even though the turn interleaves the requests.
+  // its queue wait, its own decode and encode, and its sweep — its
+  // total, so its phases add up to it even though a batch interleaves
+  // its requests.
   struct Member {
     EvalJob job;
     metrics::PhaseTrace trace;
@@ -659,18 +620,29 @@ void Server::serve_turn(std::vector<TurnRequest>& requests) {
   };
   std::vector<Member> members(requests.size());
   const auto now_us = [timed] { return timed ? metrics::monotonic_us() : 0; };
+  const auto answered = [&](std::size_t k) {
+    if (timed && !requests[k].truncated) {
+      record(members[k].trace, members[k].verb_index, members[k].us,
+             requests[k]);
+    }
+  };
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    TurnRequest& r = requests[i];
+    BatchRequest& r = requests[i];
     Member& m = members[i];
     const std::uint64_t start = now_us();
+    if (timed && r.queued_at_us != 0) {
+      // A request that waited in the pool queue counts that wait as its
+      // first phase, so the phases still add up to its total.
+      m.us = start - r.queued_at_us;
+      m.trace.add(metrics::Phase::kQueueWait, m.us);
+    }
     {
       const metrics::TraceScope scope(timed ? &m.trace : nullptr);
-      r.complete = serve_line_inner(*r.line, std::move(r.payload), r.out,
-                                    r.outcome, &m.verb_index, &m.job);
+      m.verb_index = decode_or_answer(r, m.job);
     }
-    m.us = now_us() - start;
-    if (m.job.circuit == nullptr && timed) {
-      record(m.trace, m.verb_index, m.us, r.outcome, r.conn_id);  // answered
+    m.us += now_us() - start;
+    if (m.job.circuit == nullptr) {
+      answered(i);
     }
   }
 
@@ -727,25 +699,22 @@ void Server::serve_turn(std::vector<TurnRequest>& requests) {
     const std::uint64_t sweep_us = now_us() - sweep_start;
 
     for (std::size_t j = 0; j < sweep.size(); ++j) {
-      TurnRequest& r = requests[sweep[j]];
+      BatchRequest& r = requests[sweep[j]];
       Member& m = members[sweep[j]];
       const std::uint64_t start = now_us();
       {
         const metrics::TraceScope scope(timed ? &m.trace : nullptr);
         if (failure.empty()) {
-          encode_eval(m.job, std::move(outputs[j]), r.outcome, r.out);
+          encode_eval(m.job, std::move(outputs[j]), r.out);
         } else {
-          r.outcome.response = failure;
           const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-          respond(r.out, r.outcome.response);
+          respond(r.out, failure);
         }
       }
-      m.job.circuit.reset();
-      if (timed) {
-        m.trace.add(metrics::Phase::kEvaluate, sweep_us);
-        m.us += sweep_us + (now_us() - start);
-        record(m.trace, m.verb_index, m.us, r.outcome, r.conn_id);
-      }
+      m.job = EvalJob{};  // its sweep is done: free its input lanes
+      m.trace.add(metrics::Phase::kEvaluate, sweep_us);
+      m.us += sweep_us + (now_us() - start);
+      answered(sweep[j]);
     }
   }
 }
@@ -754,24 +723,22 @@ template <typename Feed, typename Emit>
 std::uint64_t Server::serve_framed(Feed&& feed, Emit&& emit) {
   ConnState state;
   std::uint64_t served = 0;
-  Response response;
   for (;;) {
     switch (state.advance()) {
       case ConnState::Step::kNeedInput:
         feed(state);
         break;
       case ConnState::Step::kRequest: {
-        Outcome outcome;
-        response.text.clear();
-        response.lanes = logic::LaneWords();
-        const bool complete = serve_line(
-            state.line(), state.take_payload_words(), response, outcome);
-        state.finish_request(outcome.quit);
-        if (!complete || !emit(response)) {
+        BatchRequest r;
+        r.line = &state.line();
+        r.payload = state.take_payload_words();
+        serve_batch({&r, 1});
+        state.finish_request(r.quit);
+        if (r.truncated || !emit(r.out)) {
           return served;
         }
         ++served;
-        if (outcome.quit) {
+        if (r.quit) {
           return served;
         }
         break;

@@ -12,14 +12,17 @@
 //     that only speak TCP) reach the same service.
 //
 // Every transport frames its byte stream with the same ConnState
-// machine (serve/conn_state.h) and answers through the same
-// serve_line. The two socket transports run one epoll event loop
-// (serve/event_loop.h, Linux only): one thread multiplexes up to
-// ServerOptions::max_connections non-blocking connections and serves
-// the cheap requests (one-word EVAL/EVALB, the bookkeeping verbs)
-// itself; LOAD, VERIFY, SIM, SIMB and multi-word evaluations run on
-// the Session's ThreadPool. All of them share the one thread-safe
-// Session, and idle/send timeouts live on a timer wheel.
+// machine (serve/conn_state.h), and every request it frames is served
+// by one call, serve_batch, on whichever thread makes it. The two socket
+// transports run one epoll event loop (serve/event_loop.h, Linux only):
+// one thread multiplexes up to ServerOptions::max_connections
+// non-blocking connections and serves the cheap requests (one-word
+// EVAL/EVALB, the bookkeeping verbs) itself, one batch per loop turn;
+// LOAD, VERIFY, SIM, SIMB and multi-word evaluations run on the
+// Session's ThreadPool, a batch of one each. serve_stream, serve_chunks
+// and handle_line serve a batch of one per request. All of them share
+// the one thread-safe Session, and idle/send timeouts live on a timer
+// wheel.
 // QUIT ends a connection; SHUTDOWN stops accepting, drains the
 // in-flight connections (their input is cut, responses already owed
 // are still written), then closes the listener — and, for serve_unix,
@@ -42,12 +45,13 @@
 // simulator instead — output lanes plus the three per-pattern
 // phase-delay arrays as raw doubles, assembled once.
 //
-// Per-turn fusion (serve_turn): the event loop sets aside the one-word
-// EVAL/EVALB requests that are ready in one loop turn, and those for
-// one circuit share a lane word — packed bit-contiguously into one
-// sweep, then each answered from its own slice. Every batch kernel is
-// bit-local (core/evaluator.h), so the answers are bit-identical to
-// separate sweeps; nothing waits for company, so no request is delayed.
+// Per-turn fusion: within a batch, the EVAL/EVALB requests for one
+// circuit share a sweep. The event loop's batch is the one-word ones
+// that are ready in one loop turn, so they share a lane word — packed
+// bit-contiguously into one sweep, then each answered from its own
+// slice. Every batch kernel is bit-local (core/evaluator.h), so the
+// answers are bit-identical to separate sweeps; nothing waits for
+// company, so no request is delayed.
 //
 // Request failures — unknown verbs, malformed covers, missing circuits
 // — never kill the server: every ambit::Error becomes one "ERR ..."
@@ -64,6 +68,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,7 +96,7 @@ inline constexpr int kDefaultMaxConnections = 64;
 inline constexpr std::uint64_t kMaxEvalbWords = std::uint64_t{1} << 24;
 
 /// The largest EVAL/EVALB the event loop serves itself, and the most
-/// patterns one fused sweep packs (serve_turn): one 64-bit lane word,
+/// patterns one fused sweep packs (serve_batch): one 64-bit lane word,
 /// far below the 16 words at which Evaluator::evaluate_batch shards.
 inline constexpr std::uint64_t kLoopMaxPatterns = 64;
 
@@ -191,11 +196,12 @@ class Server {
   explicit Server(Session& session, ServerOptions options = {});
   ~Server();
 
-  /// Handles one TEXT request line; returns the response line (no
-  /// trailing newline). Never throws for request-level failures — they
-  /// come back as "ERR ..." responses. EVALB is answered with ERR here:
-  /// its binary payload only exists on a transport (see serve_stream /
-  /// serve_unix / serve_tcp).
+  /// Serves one TEXT request line as a batch of one, recorded like any
+  /// other request; returns the response line (no trailing newline).
+  /// Never throws for request-level failures — they come back as
+  /// "ERR ..." responses. EVALB is answered with ERR here: its binary
+  /// payload only exists on a transport (see serve_stream / serve_unix /
+  /// serve_tcp).
   std::string handle_line(const std::string& line);
 
   /// Serves one connection read from `in` until QUIT, SHUTDOWN or EOF,
@@ -257,13 +263,6 @@ class Server {
   std::string metrics_page();
 
  private:
-  /// Outcome of one request on a connection.
-  struct Outcome {
-    std::string response;  ///< the response line (no trailing newline)
-    bool quit = false;     ///< close this connection (QUIT, SHUTDOWN,
-                           ///< or an unframed/oversized EVALB header)
-  };
-
   /// An EVAL/EVALB between its decode and its encode: the circuit its
   /// lookup returned and the patterns decoded against that circuit.
   struct EvalJob {
@@ -272,21 +271,35 @@ class Server {
     bool bulk = false;  ///< EVALB/SIMB: a binary frame carried the inputs
   };
 
-  /// A one-word EVAL/EVALB the event loop set aside for its turn's
-  /// fused pass: the framed request, then its answer as serve_line
-  /// would have produced it.
-  struct TurnRequest {
+  /// One request of a serve_batch call: the framed request, then the
+  /// answer the batch built for it.
+  struct BatchRequest {
+    /// Identifies the connection in slow-request logs (0 for the
+    /// in-process transports).
     std::uint64_t conn_id = 0;
+    /// The request line, owned by the caller, which keeps it alive
+    /// until serve_batch returns.
     const std::string* line = nullptr;
+    /// For EVALB/SIMB, the words ConnState reassembled behind the line
+    /// (ConnState::take_payload_words).
     logic::LaneWords payload;
-    Response out;           ///< the response
-    Outcome outcome;
-    bool complete = false;  ///< serve_line's return value
+    /// The metrics::monotonic_us() stamp at which the event loop queued
+    /// the request for a pool worker (0 = served where it was framed):
+    /// the gap to the batch's start on it is its queue_wait phase and
+    /// counts toward its total.
+    std::uint64_t queued_at_us = 0;
+    Response out;  ///< the response: the line, then any binary frame
+    /// Close the connection after the response: QUIT, SHUTDOWN, or a
+    /// bulk header that is unframed or over the limit.
+    bool quit = false;
+    /// EOF cut the bulk frame short: nothing answered, nothing recorded.
+    bool truncated = false;
   };
 
-  /// Dispatches one parsed one-line request (every verb but EVAL,
-  /// EVALB, SIMB and METRICS, which serve_line_inner handles).
-  Outcome dispatch(const Request& request);
+  /// Answers one parsed one-line request (every verb but EVAL, EVALB,
+  /// SIMB and METRICS, which decode_or_answer handles); returns the
+  /// response line.
+  std::string dispatch(const Request& request);
 
   /// Decodes an EVAL's hex tokens, or takes over the payload `words` of
   /// an EVALB/SIMB as its input lanes after checking its counts, against
@@ -295,7 +308,7 @@ class Server {
   EvalJob decode(const Request& request, logic::LaneWords words);
 
   /// Session::eval and Session::sim, counted in STATS once they return;
-  /// one sweep answers `requests` EVAL/EVALB requests (serve_turn packs
+  /// one sweep answers `requests` EVAL/EVALB requests (serve_batch packs
   /// several into one).
   logic::PatternBatch eval(const std::shared_ptr<const LoadedCircuit>& circuit,
                            const logic::PatternBatch& inputs,
@@ -305,51 +318,32 @@ class Server {
       const logic::PatternBatch& inputs);
 
   /// Encodes `outputs` (the job's own patterns, in order) as the EVAL
-  /// or EVALB response into outcome.response and `out`; an EVALB's
-  /// lanes move into out.lanes.
+  /// or EVALB response into `out`; an EVALB's lanes move into out.lanes.
   static void encode_eval(const EvalJob& job, logic::PatternBatch outputs,
-                          Outcome& outcome, Response& out);
+                          Response& out);
 
-  /// Serves a loop turn's set-aside requests. Each is decoded against
-  /// the circuit its lookup returns; those for one circuit are packed,
-  /// first fit in arrival order, into sweeps of at most
-  /// kLoopMaxPatterns patterns, one Session::eval each (a sweep of one
-  /// evaluates its own batch, no copy); each is answered and recorded
-  /// as serve_line would, with the shared sweep as its evaluate phase.
-  void serve_turn(std::vector<TurnRequest>& requests);
+  /// Serves `requests` on the calling thread — the only code that serves
+  /// a request. Each is parsed and answered, or decoded for a sweep
+  /// (decode_or_answer). The EVAL/EVALBs for one circuit are packed,
+  /// first fit in arrival order, into sweeps of at most kLoopMaxPatterns
+  /// patterns, one Session::eval each (a sweep of one evaluates its own
+  /// batch, no copy), and each is answered from its slice. With
+  /// enable_metrics, each request's phases are traced and recorded, with
+  /// its queue wait first and its shared sweep as its evaluate phase.
+  void serve_batch(std::span<BatchRequest> requests);
 
-  /// Serves one complete request on any transport: `line` plus, for
-  /// EVALB/SIMB, the `payload` words ConnState reassembled behind it
-  /// (ConnState::take_payload_words). Appends the response — the line,
-  /// and any binary frame as its lanes — to `out`. Returns false,
-  /// appending nothing, when the payload is shorter than its header
-  /// declares (EOF truncated the frame);
-  /// `outcome` is valid either way. `conn_id` identifies the connection
-  /// in slow-request logs (0 for the in-process transports).
-  /// `queued_at_us` is the metrics::monotonic_us() stamp at which the
-  /// event loop queued the request for a pool worker (0 = served where
-  /// it was framed): the gap to now is the request's queue_wait phase
-  /// and counts toward its total. This wrapper owns the per-request
-  /// instrumentation — timing, phase trace, per-verb counters, the
-  /// slow-request dump; serve_line_inner does the protocol work.
-  bool serve_line(const std::string& line, logic::LaneWords payload,
-                  Response& out, Outcome& outcome, std::uint64_t conn_id = 0,
-                  std::uint64_t queued_at_us = 0);
+  /// serve_batch's protocol work before the sweep: parses r's line and
+  /// answers it into r.out, setting r.quit or r.truncated — unless it is
+  /// an EVAL/EVALB that decodes, which lands in `held` (circuit set) for
+  /// the sweep. Returns the parsed verb's enum index, -1 when the line
+  /// failed to parse.
+  int decode_or_answer(BatchRequest& r, EvalJob& held);
 
-  /// The uninstrumented request path shared by every transport.
-  /// `verb_index_out`, when non-null, receives the parsed verb's enum
-  /// index (-1 when the line failed to parse). With `held` non-null, an
-  /// EVAL/EVALB that decodes stops before its sweep: it lands in *held
-  /// (circuit set) and nothing is appended to `out`.
-  bool serve_line_inner(const std::string& line, logic::LaneWords payload,
-                        Response& out, Outcome& outcome, int* verb_index_out,
-                        EvalJob* held = nullptr);
-
-  /// serve_line's instrumentation tail: per-verb counters and latency,
-  /// the phase histograms, the slow-request dump.
+  /// serve_batch's instrumentation tail for one answered request:
+  /// per-verb counters and latency, the phase histograms, the
+  /// slow-request dump.
   void record(const metrics::PhaseTrace& trace, int verb_index,
-              std::uint64_t total_us, const Outcome& outcome,
-              std::uint64_t conn_id);
+              std::uint64_t total_us, const BatchRequest& r);
 
   /// The in-process connection loop behind serve_stream and
   /// serve_chunks: drives one ConnState, calling `feed(state)` whenever
@@ -376,7 +370,7 @@ class Server {
   /// the registry the Server owns when ServerOptions gave none.
   struct ServeMetrics;
 
-  /// The epoll event loop (serve/event_loop.cpp) drives serve_line and
+  /// The epoll event loop (serve/event_loop.cpp) drives serve_batch and
   /// the connection accounting directly — it IS the socket transport.
   friend class EventLoop;
 

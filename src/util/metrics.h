@@ -35,8 +35,8 @@
 // Per-request phase tracing rides the same header: a PhaseTrace is a
 // fixed array of per-phase accumulators, installed for the current
 // thread with TraceScope, and ScopedPhaseTimer adds elapsed time to
-// the ambient trace (if any) on destruction. serve_line() uses it to
-// attribute each request's latency to parse / pool-queue wait /
+// the ambient trace (if any) on destruction. Server::serve_batch uses
+// it to attribute each request's latency to parse / pool-queue wait /
 // evaluate / serialize and to dump slow requests.
 #pragma once
 

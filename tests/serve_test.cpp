@@ -602,6 +602,28 @@ TEST(ServerTest, HandleLineRejectsEvalbWithoutTransport) {
   EXPECT_TRUE(starts_with(server.handle_line("EVALB f 64 3"), "ERR"));
 }
 
+TEST(ServerTest, HandleLineRequestsAreRecordedLikeAnyOther) {
+  // handle_line serves a batch of one through the path every transport
+  // takes, so its requests land in the per-verb counters, the latency
+  // histograms and the phase histograms like any other.
+  const std::string path = write_sample_pla("serve_handle_line_metrics.pla");
+  Session session(1);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server server(session, options);
+  ASSERT_TRUE(starts_with(server.handle_line("LOAD s " + path), "OK loaded"));
+  EXPECT_TRUE(starts_with(server.handle_line("EVAL s 7 0"), "OK "));
+  const metrics::Counter* evals = registry.find_counter(
+      "ambit_serve_requests_total", {{"verb", "EVAL"}});
+  ASSERT_NE(evals, nullptr);
+  EXPECT_EQ(evals->value(), 1u);
+  const metrics::Histogram* latency = registry.find_histogram(
+      "ambit_serve_request_us", {{"verb", "EVAL"}});
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // METRICS: the Prometheus page framed over the line protocol.
 // ---------------------------------------------------------------------------
@@ -1394,6 +1416,16 @@ TEST(ServerSocketTest, ResidualEvalbHeaderAtEofFailsCleanly) {
   ::close(fd);
   EXPECT_EQ(buffer, "");  // no bogus OK EVALB from self-consumed bytes
   EXPECT_EQ(stats_field(server.handle_line("STATS"), "evals"), 0u);
+  // The truncated frame was never served, so it is not counted as a
+  // served request; the connection counts as a malformed drop.
+  const std::string page = server.metrics_page();
+  EXPECT_NE(page.find("ambit_serve_requests_total{verb=\"EVALB\"} 0\n"),
+            std::string::npos)
+      << page;
+  EXPECT_NE(page.find("ambit_serve_connections_dropped_total{reason="
+                      "\"malformed\"} 1\n"),
+            std::string::npos)
+      << page;
 
   const int ctl = connect_with_retry(socket_path);
   ASSERT_GE(ctl, 0);
@@ -1474,6 +1506,37 @@ TEST(ServerSocketTest, ShutdownInterruptsSlotWait) {
   char extra;
   EXPECT_LE(::read(b, &extra, 1), 0);
   ::close(b);
+}
+
+TEST(ServerSocketTest, ShutdownDrainsInTheTurnThatAnsweredIt) {
+  // SHUTDOWN is answered in a loop turn's batch, and its drain must
+  // start in that same turn: once the answer is out, the loop reads
+  // nothing more. B was served once, so it is connected and waiting; a
+  // request it sends after A has read the answer gets no response.
+  const std::string socket_path =
+      testing::TempDir() + "/ambit_serve_drainturn.sock";
+  Session session(1);
+  Server server(session);
+  std::thread server_thread([&] { server.serve_unix(socket_path); });
+
+  const int a = connect_with_retry(socket_path);
+  ASSERT_GE(a, 0);
+  const int b = connect_with_retry(socket_path);
+  ASSERT_GE(b, 0);
+  ASSERT_EQ(socket_transact(b, "STATS\n", 1).size(), 1u);
+  const auto lines = socket_transact(a, "SHUTDOWN\n", 1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "OK shutting down");
+  // The drain may have closed B already; then this send fails (EPIPE).
+  const std::string late = "STATS\n";
+  (void)::send(b, late.data(), late.size(), MSG_NOSIGNAL);
+  // EOF — or ECONNRESET if the close found the late bytes unread — but
+  // never a response.
+  char extra;
+  EXPECT_LE(::read(b, &extra, 1), 0);
+  ::close(b);
+  ::close(a);
+  server_thread.join();
 }
 
 TEST(ServerSocketTest, ResidualLineWithoutNewlineIsServed) {
