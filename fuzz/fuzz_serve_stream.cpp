@@ -2,7 +2,7 @@
 //
 // Feeds arbitrary bytes through Server::serve_stream — the exact code
 // path behind the stdio transport — so it exercises the full request
-// loop: line framing, parse_request, dispatch, EVALB/SIMB binary
+// loop: line framing, parse_head, dispatch, EVALB/SIMB binary
 // payload framing and the drop-the-connection error paths. Every such
 // input is ALSO fed through Server::serve_chunks one byte per read, and
 // the harness aborts when the two transcripts differ (after

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <string_view>
+#include <utility>
 
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -17,6 +17,28 @@ std::string oversized_line_response() {
   return err_response("request line exceeds " + std::to_string(kMaxLineBytes) +
                       " bytes") +
          "\n";
+}
+
+std::size_t FramedRequest::payload_bytes() const {
+  if (!parsed() || !is_bulk_verb(head.verb) ||
+      head.num_words > kMaxEvalbWords) {
+    return 0;
+  }
+  return static_cast<std::size_t>(head.num_words) * sizeof(std::uint64_t);
+}
+
+FramedRequest frame_request(std::string line) {
+  FramedRequest r;
+  r.line = std::move(line);
+  try {
+    r.head = parse_head(r.line);
+    r.verb = r.head.verb;
+  } catch (const Error& e) {
+    r.error = e.what();
+    std::string_view rest = r.line;
+    r.verb = find_verb(next_token(rest));
+  }
+  return r;
 }
 
 namespace {
@@ -107,10 +129,9 @@ ConnState::Step ConnState::advance() {
         // comes up short and the request fails cleanly.
         if (clean_eof_ &&
             !trim(std::string_view(buffer_).substr(read_at_)).empty()) {
-          line_.assign(buffer_, read_at_);
+          std::string line(buffer_, read_at_);
           consume(unread());
-          have_line_ = true;
-          payload_need_ = required_payload(line_);
+          frame(std::move(line));
         } else {
           closed_ = true;
           return Step::kClosed;
@@ -123,23 +144,33 @@ ConnState::Step ConnState::advance() {
           oversized_ = true;
           return Step::kOversized;
         }
-        line_.assign(buffer_, read_at_, newline - read_at_);
+        std::string line(buffer_, read_at_, newline - read_at_);
         consume(newline + 1 - read_at_);
-        if (trim(line_).empty()) {
+        if (trim(line).empty()) {
           continue;  // blank lines are ignored
         }
-        have_line_ = true;
-        payload_need_ = required_payload(line_);
+        frame(std::move(line));
       }
-      // The payload bytes that arrived with the line move to its lanes;
-      // the rest of the payload is read straight into them.
-      consume(write_payload(buffer_.data() + read_at_, unread()));
     }
     if (payload_have_ < payload_need_ && !eof_) {
       return Step::kNeedInput;  // the frame's payload is still arriving
     }
     return Step::kRequest;
   }
+}
+
+void ConnState::frame(std::string line) {
+  request_ = frame_request(std::move(line));
+  have_line_ = true;
+  payload_need_ = request_.payload_bytes();
+  // The payload bytes that arrived with the line move to its lanes; the
+  // rest of the payload is read straight into them.
+  consume(write_payload(buffer_.data() + read_at_, unread()));
+}
+
+FramedRequest ConnState::take_request() {
+  request_.payload = take_payload_words();
+  return std::move(request_);
 }
 
 logic::LaneWords ConnState::take_payload_words() {
@@ -162,35 +193,13 @@ void ConnState::finish_request(bool quit) {
   payload_have_ = 0;
   payload_need_ = 0;
   have_line_ = false;
-  line_.clear();
+  request_ = FramedRequest();
   if (quit) {
     buffer_.clear();
     read_at_ = 0;
     scanned_ = 0;
     closed_ = true;
   }
-}
-
-std::size_t ConnState::required_payload(const std::string& line) {
-  // Only a bulk header declares a payload, so every other line skips
-  // the full parse that Server::serve_batch repeats.
-  std::string_view rest = line;
-  const std::optional<Verb> verb = find_verb(next_token(rest));
-  if (!verb.has_value() || !is_bulk_verb(*verb)) {
-    return 0;
-  }
-  try {
-    const Request request = parse_request(line);
-    if (is_bulk_verb(request.verb) && request.num_words <= kMaxEvalbWords) {
-      return static_cast<std::size_t>(request.num_words) *
-             sizeof(std::uint64_t);
-    }
-  } catch (const Error&) {
-    // Malformed line: serve_batch answers ERR (and, for an unframed bulk
-    // header, drops the connection) without touching any payload.
-  }
-  // An over-limit header is likewise rejected before any payload read.
-  return 0;
 }
 
 }  // namespace ambit::serve

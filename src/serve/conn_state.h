@@ -15,9 +15,14 @@
 // callers append() bytes as they arrive, call advance() to learn what
 // the connection needs next, and note_eof() when the peer is done. A
 // request is ready once its whole frame is buffered — the line and, for
-// EVALB/SIMB, every payload byte its header declares. The protocol work
-// itself (dispatch, payload validation, responses) stays in
-// Server::serve_batch.
+// EVALB/SIMB, every payload byte its header declares.
+//
+// Each line is parsed once, when it is framed: its head (parse_head)
+// goes into the FramedRequest record that carries the request from
+// here through the event loop's routing, Server::serve_batch and back.
+// The head says how many payload bytes follow the line. The rest of
+// the protocol work (the hex tokens, payload validation, responses)
+// stays in serve_batch.
 //
 // Lines are reassembled in a byte buffer read from an offset, compacted
 // only once the consumed prefix is half of it, so a burst of pipelined
@@ -31,10 +36,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "logic/pattern_batch.h"
+#include "serve/protocol.h"
 #include "util/error.h"
 
 namespace ambit::serve {
@@ -42,6 +50,78 @@ namespace ambit::serve {
 /// The one ERR line every transport answers before dropping a
 /// connection whose request line exceeded kMaxLineBytes.
 std::string oversized_line_response();
+
+/// One response's wire bytes: the text (the response line, and a
+/// METRICS page), then an EVALB/SIMB answer's binary payload. The lanes
+/// are the buffer the evaluator wrote, moved here, never copied; the
+/// transports write them where they lie.
+struct Response {
+  std::string text;
+  logic::LaneWords lanes;
+
+  std::size_t size() const {
+    return text.size() + lanes.size() * sizeof(std::uint64_t);
+  }
+  /// The lanes as bytes.
+  const char* lane_bytes() const {
+    return reinterpret_cast<const char*>(lanes.data());
+  }
+};
+
+/// One request from its framing to its answer: the line, its head as
+/// parsed once when it was framed, its payload, then the response
+/// Server::serve_batch built. The record moves from ConnState into the
+/// event loop's turn batch or a pool job, and comes back to the loop
+/// with its answer; serve_stream, serve_chunks and handle_line serve
+/// one in place.
+struct FramedRequest {
+  std::string line;
+  /// parse_head's result; meaningful only when parsed().
+  Request head;
+  /// parse_head's message when the line does not parse: the request's
+  /// ERR line.
+  std::string error;
+  /// The verb the line's first token names, whether or not the rest
+  /// parses (nullopt for an unknown verb).
+  std::optional<Verb> verb;
+  /// For EVALB/SIMB, the payload words reassembled behind the line.
+  logic::LaneWords payload;
+  /// Identifies the connection in slow-request logs (0 for the
+  /// in-process transports).
+  std::uint64_t conn_id = 0;
+  /// The metrics::monotonic_us() stamp at which the event loop queued
+  /// the request for a pool worker (0 = served where it was framed):
+  /// the gap to the batch's start on it is its queue_wait phase and
+  /// counts toward its total.
+  std::uint64_t queued_at_us = 0;
+  Response out;  ///< the response: the line, then any binary frame
+  /// Close the connection after the response: QUIT, SHUTDOWN, or a
+  /// bulk header that is unframed or over the limit.
+  bool quit = false;
+  /// EOF cut the bulk frame short: nothing answered, nothing recorded.
+  bool truncated = false;
+  /// serve_batch threw: the response is incomplete and the connection
+  /// is dropped as if the peer were gone.
+  bool failed = false;
+
+  bool parsed() const { return error.empty(); }
+  /// A bulk header that does not parse: how many payload bytes follow
+  /// it is unknown, so the stream cannot be resynced.
+  bool unframed() const {
+    return !parsed() && verb.has_value() && is_bulk_verb(*verb);
+  }
+  /// Payload bytes that follow the line: <num_words> * 8 for a parsed
+  /// EVALB/SIMB header within kMaxEvalbWords, else 0 — an unframed or
+  /// over-limit header is answered (and the connection dropped) without
+  /// waiting for any payload.
+  std::size_t payload_bytes() const;
+};
+
+/// Frames `line` as a request: parses its head (parse_head), keeping
+/// the error text and the first token's verb when it does not parse.
+/// The server parses a request line nowhere else: ConnState calls it
+/// for every transport, and so does Server::handle_line.
+FramedRequest frame_request(std::string line);
 
 class ConnState {
  public:
@@ -53,7 +133,7 @@ class ConnState {
   /// What the connection needs next.
   enum class Step {
     kNeedInput,  ///< no complete request buffered; feed more bytes
-    kRequest,    ///< line() and its payload are ready
+    kRequest,    ///< request() and its payload are ready
     kOversized,  ///< line exceeded kMaxLineBytes: answer
                  ///< oversized_line_response(), drop as "malformed"
                  ///< (returned from then on)
@@ -105,9 +185,15 @@ class ConnState {
     return have_line_ ? payload_need_ - payload_have_ : 0;
   }
 
-  /// The request line to serve. Valid after advance() returned
-  /// kRequest, until finish_request().
-  const std::string& line() const { return line_; }
+  /// The framed request to serve. Valid after advance() returned
+  /// kRequest, until take_request() or finish_request().
+  const FramedRequest& request() const { return request_; }
+  const std::string& line() const { return request_.line; }
+
+  /// Moves the framed request out with its payload words
+  /// (take_payload_words); the connection keeps only its place in the
+  /// stream until finish_request().
+  FramedRequest take_request();
 
   /// The current request's payload bytes, in its lanes. Shorter than
   /// the header declares only when EOF truncated the frame, which
@@ -119,7 +205,7 @@ class ConnState {
 
   /// Moves the current request's payload out as lane words, no copy:
   /// as many whole words as arrived, which is the header's word count
-  /// unless EOF truncated the frame. Every transport hands them to
+  /// unless EOF truncated the frame. take_request() carries them to
   /// Server::serve_batch, whose input batch takes them over.
   logic::LaneWords take_payload_words();
 
@@ -127,20 +213,17 @@ class ConnState {
   /// bytes; the payload is gone from the connection afterwards.
   std::string take_request_payload();
 
-  /// Ends the current request, dropping its payload if it was not
-  /// taken. `quit` applies the post-QUIT drain policy: complete lines
+  /// Ends the current request, dropping it and its payload if they
+  /// were not taken. `quit` applies the post-QUIT drain policy: complete lines
   /// still buffered are DISCARDED, never half-processed — the quit
   /// response is the last thing the peer gets, and pipelining past QUIT
   /// is a client bug.
   void finish_request(bool quit);
 
  private:
-  /// Payload bytes the current line's request will consume before it
-  /// can be served: <num_words> * 8 for a well-formed EVALB/SIMB header
-  /// within kMaxEvalbWords, else 0 — a malformed or over-limit header is
-  /// answered (and the connection dropped) without waiting for any
-  /// payload.
-  static std::size_t required_payload(const std::string& line);
+  /// Makes `line` the current request (frame_request) and moves the
+  /// payload bytes buffered behind it into its lanes.
+  void frame(std::string line);
 
   char* payload_bytes() {
     return reinterpret_cast<char*>(payload_.data());
@@ -166,7 +249,7 @@ class ConnState {
   std::string buffer_;       ///< line bytes; [read_at_, size) unread
   std::size_t read_at_ = 0;
   std::size_t scanned_ = 0;  ///< no '\n' in [read_at_, scanned_)
-  std::string line_;
+  FramedRequest request_;
   bool have_line_ = false;
   std::size_t payload_need_ = 0;  ///< bytes the frame's payload declares
   std::size_t payload_have_ = 0;  ///< bytes of it in payload_

@@ -14,16 +14,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,52 +81,35 @@ enum class Where {
   kLoop,  ///< on the loop thread, in the turn's batch
 };
 
-/// Where the request on `line` is served, read from the line alone with
-/// the tokenizer parse_request uses, but without its allocations. The
-/// switch names every verb and has no default, so a new verb does not
-/// compile (-Wswitch) until it is placed here. Cheap requests run on
-/// the loop: one-word EVAL/EVALB, the bookkeeping verbs and the lines
-/// whose answer is one ERR (an unknown verb, an EVALB header whose
-/// counts do not parse, an EVAL without patterns). A LOAD, VERIFY, SIM
-/// or SIMB line with bad arguments is answered on the pool like a good
-/// one.
-Where where_served(std::string_view line) {
-  std::string_view rest = line;
-  const std::optional<Verb> verb = find_verb(next_token(rest));
-  if (!verb.has_value()) {
+/// Where the framed request `r` is served, read from the head its
+/// framing parsed. The switch names every verb and has no default, so a
+/// new verb does not compile (-Wswitch) until it is placed here. Cheap
+/// requests run on the loop: one-word EVAL/EVALB, the bookkeeping verbs
+/// and every line that does not parse, whose answer is its ERR.
+Where where_served(const FramedRequest& r) {
+  if (!r.parsed()) {
     return Where::kLoop;
   }
-  switch (*verb) {
+  switch (r.head.verb) {
     case Verb::kEval: {
-      if (line.size() > kLoopMaxPatternBytes) {
+      if (r.line.size() > kLoopMaxPatternBytes) {
         return Where::kPool;
       }
-      next_token(rest);  // the circuit name
+      // One token past the limit settles it.
+      std::string_view rest =
+          std::string_view(r.line).substr(r.head.patterns_at);
       std::uint64_t patterns = 0;
-      while (!next_token(rest).empty()) {
+      while (patterns <= kLoopMaxPatterns && !next_token(rest).empty()) {
         ++patterns;
       }
       return patterns <= kLoopMaxPatterns ? Where::kLoop : Where::kPool;
     }
-    case Verb::kEvalB: {
-      next_token(rest);  // the circuit name
-      const std::string_view patterns_token = next_token(rest);
-      const std::string_view words_token = next_token(rest);
-      std::uint64_t patterns = 0;
-      std::uint64_t words = 0;
-      const auto parse = [](std::string_view token, std::uint64_t& value) {
-        const auto [end, error] =
-            std::from_chars(token.data(), token.data() + token.size(), value);
-        return error == std::errc() && end == token.data() + token.size();
-      };
-      if (!parse(patterns_token, patterns) || !parse(words_token, words)) {
-        return Where::kLoop;  // an unframed header: ERR, then the drop
-      }
-      return patterns <= kLoopMaxPatterns &&
-                     words <= kLoopMaxPatternBytes / sizeof(std::uint64_t)
+    case Verb::kEvalB:
+      return r.head.num_patterns <= kLoopMaxPatterns &&
+                     r.head.num_words <=
+                         kLoopMaxPatternBytes / sizeof(std::uint64_t)
                  ? Where::kLoop
                  : Where::kPool;
-    }
     case Verb::kStats:
     case Verb::kMetrics:
     case Verb::kUnload:
@@ -240,20 +220,17 @@ class EventLoop {
     ConnState state;
     /// Write-backpressure queue: the response the socket has not taken
     /// yet, text then lanes. It holds one response at most, because the
-    /// next request is not parsed until it drains. out_off counts the
+    /// next request is not taken until it drains. out_off counts the
     /// bytes flushed; both reset when it drains.
     Response outbox;
     std::size_t out_off = 0;
-    /// A request is being served: a job on the pool, or set aside for
-    /// the turn's batch.
-    bool busy = false;
+    bool busy = false;        ///< its request is a job on the pool
+    /// On ready_: its framed request waits for the turn's batch. Not
+    /// read from while listed, which bounds the buffer of a peer that
+    /// pipelines.
+    bool ready = false;
     bool want_close = false;  ///< close once the outbox drains
     bool no_reads = false;    ///< SHUTDOWN drain cut the input side
-    /// On runnable_: a complete request is buffered but this turn
-    /// already served one. Not read from while listed, which bounds
-    /// the buffer of a peer that pipelines.
-    bool runnable = false;
-    std::uint64_t inline_turn = 0;  ///< last turn the loop served it
     const char* drop_reason = nullptr;
     std::uint64_t served = 0;
     /// Deadlines (loop clock ms); 0 = disarmed. Refreshed on activity
@@ -265,16 +242,6 @@ class EventLoop {
     std::uint32_t interest = 0;  ///< epoll interest currently registered
   };
 
-  /// A served request: posted by a pool worker, or built on the loop
-  /// for a request of the turn's batch.
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    Response out;  ///< the response (line + any bulk payload lanes)
-    bool alive = false;
-    bool quit = false;
-    bool payload_truncated = false;
-  };
-
   std::size_t active() const { return conns_.size(); }
 
   /// The loop-clock deadline `secs` seconds from now; 0 (disarmed) for
@@ -283,31 +250,22 @@ class EventLoop {
     return secs > 0 ? now_ms() + static_cast<std::uint64_t>(secs) * 1000 : 0;
   }
 
-  /// Serves `requests` in one Server::serve_batch — a pool job's batch
-  /// of one, or the turn's batch on the loop thread — and hands each
-  /// one's Completion to `done`, in order. Touches no connection state.
-  template <typename Done>
-  static void serve_and_complete(Server& server,
-                                 std::span<Server::BatchRequest> requests,
-                                 Done&& done) {
-    bool served = true;
+  /// Serves `requests` as one Server::serve_batch — a pool job's batch
+  /// of one, or the turn's batch on the loop thread. Touches no
+  /// connection state.
+  static void serve(Server& server, std::span<FramedRequest> requests) {
     try {
       server.serve_batch(requests);
     } catch (...) {
       // serve_batch's guards make this near-unreachable (bad_alloc
       // building a response); cost the connections, not the loop.
-      served = false;
-    }
-    for (Server::BatchRequest& r : requests) {
-      done(Completion{.conn_id = r.conn_id,
-                      .out = std::move(r.out),
-                      .alive = served && !r.truncated,
-                      .quit = r.quit,
-                      .payload_truncated = served && r.truncated});
+      for (FramedRequest& r : requests) {
+        r.failed = true;
+      }
     }
   }
 
-  void post(Completion&& done) {
+  void post(FramedRequest&& done) {
     const MutexLock lock(mutex_);
     completions_.push_back(std::move(done));
     const std::uint64_t one = 1;
@@ -431,79 +389,77 @@ class EventLoop {
     }
   }
 
-  /// Hands the ready request to a pool worker: the job owns a copy of
-  /// the line and the payload's lanes (moved, not copied), serves them
-  /// as a batch of one, and posts the Completion — it never touches
-  /// connection state. The dispatch stamp makes the wait for a worker
-  /// the request's queue_wait phase.
+  /// Hands the framed request to a pool worker: the job owns the record
+  /// (line, head and payload lanes, moved, not copied), serves it as a
+  /// batch of one, and posts it back with its response — it never
+  /// touches connection state. The dispatch stamp makes the wait for a
+  /// worker the request's queue_wait phase.
   void dispatch(Conn& c) {
     c.busy = true;
     c.idle_deadline_ms = 0;  // the idle clock only runs while reading
-    const std::uint64_t queued_at_us = metrics::monotonic_us();
-    const std::uint64_t id = c.id;
-    std::string line = c.state.line();
-    logic::LaneWords payload = c.state.take_payload_words();
+    FramedRequest r = c.state.take_request();
+    r.conn_id = c.id;
+    r.queued_at_us = metrics::monotonic_us();
     Server* server = &server_;
     EventLoop* loop = this;
-    server_.session_.pool().submit([loop, server, id, queued_at_us,
-                                    line = std::move(line),
-                                    payload = std::move(payload)]() mutable {
-      Server::BatchRequest r;
-      r.conn_id = id;
-      r.line = &line;
-      r.payload = std::move(payload);
-      r.queued_at_us = queued_at_us;
-      serve_and_complete(*server, {&r, 1}, [loop](Completion&& done) {
-        loop->post(std::move(done));
-      });
+    server_.session_.pool().submit([loop, server, r = std::move(r)]() mutable {
+      serve(*server, {&r, 1});
+      loop->post(std::move(r));
     });
   }
 
-  /// Serves the turn's set-aside requests as one batch, in which
-  /// Server::serve_batch sweeps the EVAL/EVALBs for one circuit
-  /// together; then steps each connection on. Runs before the loop next
-  /// waits, so a set-aside request never waits for a tick.
-  void serve_set_aside() {
-    if (set_aside_.empty()) {
+  /// The turn's batch: one request from each connection on ready_,
+  /// served as one Server::serve_batch on the loop thread (which sweeps
+  /// the EVAL/EVALBs for one circuit together). Each connection is then
+  /// stepped on, which lists it again when another cheap request is
+  /// buffered — for the next turn's batch, so one peer's pipelined
+  /// burst takes turns with every other peer. Runs last in the turn,
+  /// before the loop next waits.
+  void serve_ready() {
+    if (ready_.empty()) {
       return;
     }
-    std::vector<Server::BatchRequest> requests;
-    requests.reserve(set_aside_.size());
-    for (const std::uint64_t id : set_aside_) {
+    for (const std::uint64_t id : ready_) {
       const auto it = conns_.find(id);
-      if (it != conns_.end()) {  // a failed flush may have closed it
-        Server::BatchRequest& r = requests.emplace_back();
-        r.conn_id = id;
-        r.line = &it->second->state.line();
-        r.payload = it->second->state.take_payload_words();
+      if (it == conns_.end()) {
+        continue;  // closed since it was listed
       }
+      it->second->ready = false;
+      batch_.push_back(it->second->state.take_request());
+      batch_.back().conn_id = id;
     }
-    set_aside_.clear();
-    serve_and_complete(server_, requests, [this](Completion&& done) {
-      finish(*conns_.at(done.conn_id), std::move(done));
-    });
-    for (const Server::BatchRequest& r : requests) {
+    ready_.clear();
+    serve(server_, batch_);
+    // Every response is queued before the first is sent, so the batch's
+    // answers leave back to back.
+    for (FramedRequest& r : batch_) {
+      finish(*conns_.at(r.conn_id), r);
+    }
+    for (const FramedRequest& r : batch_) {
       step(r.conn_id);
     }
+    batch_.clear();
   }
 
   /// Settles a served request on its connection, wherever it ran: the
   /// served counts, the QUIT/SHUTDOWN close, the drop reasons, and the
-  /// queued response. The caller steps the connection next.
-  void finish(Conn& c, Completion&& done) {
+  /// queued response, which it moves out of `r`. The caller steps the
+  /// connection next.
+  void finish(Conn& c, FramedRequest& r) {
     c.busy = false;
-    if (done.alive) {
+    const bool alive = !r.failed && !r.truncated;
+    if (alive) {
       ++c.served;
       ++served_total_;
     }
-    c.state.finish_request(done.quit);
-    if (!done.alive) {
-      // A truncated bulk frame is the peer's protocol error; anything
-      // else here is the peer gone mid-exchange.
-      c.drop_reason = done.payload_truncated ? "malformed" : "send";
+    c.state.finish_request(r.quit);
+    if (!alive) {
+      // A truncated bulk frame is the peer's protocol error; a failed
+      // batch is treated like the peer gone mid-exchange.
+      c.drop_reason = r.failed ? "send" : "malformed";
       c.want_close = true;
-    } else if (done.quit) {
-      if (done.out.text.rfind("ERR", 0) == 0) {
+    } else if (r.quit) {
+      if (r.out.text.rfind("ERR", 0) == 0) {
         // Server-initiated close with an ERR response: an unframed or
         // over-limit bulk request. QUIT/SHUTDOWN answer OK and are
         // peer-initiated, not drops.
@@ -511,25 +467,26 @@ class EventLoop {
       }
       c.want_close = true;
     }
-    queue_output(c, std::move(done.out));
+    queue_output(c, std::move(r.out));
   }
 
   /// Drives one connection as far as it can go without new input:
   /// flush pending writes, serve buffered requests (one at a time — a
-  /// response must drain before the next request is parsed, so a peer
+  /// response must drain before the next request is taken, so a peer
   /// that stops reading stops being served), then settle interest and
-  /// timers. A cheap request (where_served) is set aside for the turn's
-  /// batch, which steps the connection again — but only one per
-  /// connection per turn: a second one waits on runnable_ for the next
-  /// turn, so one peer's pipelined burst cannot hold the loop while
-  /// another peer waits. The rest go to the pool, and the connection
-  /// waits for its Completion. May close (and erase) the connection.
+  /// timers. A cheap request (where_served) is listed on ready_ for the
+  /// turn's batch, which steps the connection again; the rest go to
+  /// the pool, and the connection waits for the record to come back.
+  /// May close (and erase) the connection.
   void step(std::uint64_t id) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) {
       return;
     }
     Conn& c = *it->second;
+    if (c.ready) {
+      return;  // the turn's batch steps it
+    }
     for (;;) {
       if (!try_flush(c)) {
         close_conn(c, c.drop_reason != nullptr ? c.drop_reason : "send");
@@ -553,22 +510,16 @@ class EventLoop {
         continue;  // flush the ERR line, then close
       }
       // kRequest
-      if (where_served(c.state.line()) == Where::kPool) {
+      if (where_served(c.state.request()) == Where::kPool) {
         dispatch(c);
         break;
       }
-      if (c.inline_turn == turn_) {
-        if (!c.runnable) {
-          c.runnable = true;
-          runnable_.push_back(c.id);
-        }
-        break;
-      }
-      // Interest and timers settle when serve_set_aside steps it.
-      c.inline_turn = turn_;
-      c.busy = true;
+      // Interest and timers settle when the batch steps it: listing
+      // leaves the read interest as it is, so a request that the batch
+      // answers costs no epoll_ctl.
+      c.ready = true;
       c.idle_deadline_ms = 0;
-      set_aside_.push_back(c.id);
+      ready_.push_back(c.id);
       return;
     }
     if (c.want_close && !c.busy && c.out_off >= c.outbox.size()) {
@@ -580,8 +531,8 @@ class EventLoop {
     // its turn, which is what bounds per-connection memory); write while
     // the outbox has bytes.
     std::uint32_t want = 0;
-    if (!c.busy && !c.want_close && !c.no_reads && !c.runnable &&
-        !c.state.eof() && c.out_off >= c.outbox.size()) {
+    if (!c.busy && !c.want_close && !c.no_reads && !c.state.eof() &&
+        c.out_off >= c.outbox.size()) {
       want |= EPOLLIN;
     }
     if (c.out_off < c.outbox.size()) {
@@ -607,33 +558,13 @@ class EventLoop {
     }
   }
 
-  /// Steps every connection that waited a turn with a request buffered.
-  void serve_runnable() {
-    std::vector<std::uint64_t> batch;
-    batch.swap(runnable_);
-    for (const std::uint64_t id : batch) {
-      const auto it = conns_.find(id);
-      if (it == conns_.end()) {
-        continue;  // closed since it was queued
-      }
-      Conn& c = *it->second;
-      if (c.inline_turn == turn_) {
-        runnable_.push_back(id);  // already served this turn
-        continue;
-      }
-      c.runnable = false;
-      step(id);  // may queue it again
-    }
-  }
-
   /// Reads what the peer sent, up to kReadsPerWakeup reads: request
   /// lines into the ConnState buffer, and a framed bulk header's
   /// payload straight into its lanes. Each read is framed at once, so
   /// the reads after a bulk header land in the lanes, and the reads
   /// stop at the first complete request (step() serves it).
   void handle_readable(Conn& c) {
-    if (c.busy || c.runnable || c.no_reads || c.want_close ||
-        c.state.eof()) {
+    if (c.busy || c.ready || c.no_reads || c.want_close || c.state.eof()) {
       return;  // stale event; completion/flush paths own the next move
     }
     char chunk[kReadBytes];
@@ -790,19 +721,18 @@ class EventLoop {
   }
 
   void drain_completions() {
-    std::vector<Completion> batch;
+    std::vector<FramedRequest> done;
     {
       const MutexLock lock(mutex_);
-      batch.swap(completions_);
+      done.swap(completions_);
     }
-    for (Completion& done : batch) {
-      const auto it = conns_.find(done.conn_id);
+    for (FramedRequest& r : done) {
+      const auto it = conns_.find(r.conn_id);
       if (it == conns_.end()) {
         continue;
       }
-      const std::uint64_t id = done.conn_id;
-      finish(*it->second, std::move(done));
-      step(id);
+      finish(*it->second, r);
+      step(r.conn_id);
     }
   }
 
@@ -823,19 +753,16 @@ class EventLoop {
   std::uint64_t served_total_ = 0;
   /// Connections accepted so far; the latest one's id.
   std::uint64_t accepted_ = 0;
-  /// Loop iterations so far: a connection is served on the loop at most
-  /// once per turn.
-  std::uint64_t turn_ = 0;
-  /// Connections holding a request that waits for the next turn.
-  std::vector<std::uint64_t> runnable_;
-  /// Connections whose request waits for this turn's batch
-  /// (serve_set_aside).
-  std::vector<std::uint64_t> set_aside_;
+  /// Connections whose framed request waits for the turn's batch, at
+  /// most one each (Conn::ready). Kept, like batch_, with its capacity.
+  std::vector<std::uint64_t> ready_;
+  /// The turn's batch: the records serve_ready took off ready_.
+  std::vector<FramedRequest> batch_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   TimerWheel wheel_;
   // The worker→loop handoff: the ONLY state two threads share.
   Mutex mutex_{LockRank::kEventLoop};
-  std::vector<Completion> completions_ AMBIT_GUARDED_BY(mutex_);
+  std::vector<FramedRequest> completions_ AMBIT_GUARDED_BY(mutex_);
 };
 
 std::uint64_t EventLoop::run() {
@@ -876,19 +803,18 @@ std::uint64_t EventLoop::run() {
 
   std::vector<epoll_event> events(512);
   while (!(draining_ && conns_.empty())) {
-    ++turn_;
-    // A runnable connection must not wait out the housekeeping tick:
-    // poll, serve whatever became ready, then serve it.
+    // A listed request must not wait out the housekeeping tick: poll,
+    // list whatever became ready, then serve the batch.
     const int ready = ::epoll_wait(epoll_fd_, events.data(),
                                    static_cast<int>(events.size()),
-                                   runnable_.empty() ? kHousekeepingMs : 0);
+                                   ready_.empty() ? kHousekeepingMs : 0);
     if (ready < 0) {
       if (errno == EINTR) {
         continue;
       }
       fatal_ = what_ + ": epoll_wait failed: " + std::strerror(errno);
       begin_drain();
-      serve_set_aside();
+      serve_ready();
       // Without a working epoll there is nothing left to wait on;
       // busy jobs still post completions, drained below.
       break;
@@ -920,15 +846,14 @@ std::uint64_t EventLoop::run() {
       step(tag);
     }
     drain_completions();
-    serve_runnable();
-    // Last, after every step that may set a request aside.
-    serve_set_aside();
+    // Last, after every step that may list a request.
+    serve_ready();
     // A SHUTDOWN answered in that batch drains before the loop reads
     // again, so no request sent after its answer is served. The drain
-    // steps every connection, which may set a buffered request aside.
+    // steps every connection, which may list a buffered request: the
+    // next turn's batch serves it.
     if (server_.shutdown_.load() && !draining_) {
       begin_drain();
-      serve_set_aside();
     }
     const std::uint64_t now = now_ms();
     wheel_.advance(now, [this](const TimerWheel::Entry& e) { on_timer(e); });

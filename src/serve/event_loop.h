@@ -1,15 +1,18 @@
 // The epoll serve core behind Server::serve_unix and serve_tcp: one
 // loop thread multiplexing every accepted connection through
 // non-blocking sockets and the ConnState framing machine
-// (serve/conn_state.h). Cheap requests — one-word EVAL/EVALB, STATS,
-// HELP, METRICS, UNLOAD, QUIT, SHUTDOWN and unparseable lines — are
-// set aside, at most one per connection per loop turn, and served on
-// the loop thread at the end of the turn as one batch, in which the
-// EVAL/EVALBs for one circuit share one sweep (Server::serve_batch).
-// LOAD, VERIFY, SIM, SIMB and larger evaluations go to the session
-// ThreadPool, a batch of one each, so the loop never blocks on a
-// multi-word sweep or an Espresso run. A SHUTDOWN answered in a turn's
-// batch starts the drain in that same turn.
+// (serve/conn_state.h), which parses each request line's head once, as
+// it frames the line, into the FramedRequest record the loop routes.
+// Cheap requests — one-word EVAL/EVALB, STATS, HELP, METRICS, UNLOAD,
+// QUIT, SHUTDOWN and every line that does not parse — join one ready
+// list, at most one per connection; the end of each loop turn serves
+// one request from each listed connection on the loop thread as one
+// batch, in which the EVAL/EVALBs for one circuit share one sweep
+// (Server::serve_batch). LOAD, VERIFY, SIM, SIMB and larger evaluations
+// go to the session ThreadPool, a batch of one each, so the loop never
+// blocks on a multi-word sweep or an Espresso run. A SHUTDOWN answered
+// in a turn's batch starts the drain in that same turn, and the next
+// turn serves what the drain listed.
 //
 // Division of labor (ownership rules in docs/ARCHITECTURE.md):
 //
@@ -18,11 +21,11 @@
 //     deadlines — and serves the cheap requests itself. No lock guards
 //     connection state because no other thread touches it.
 //   * WORKERS own only what a dispatched request job captured: the
-//     request line, its payload lanes (moved out of the connection's
-//     ConnState before dispatch), and the response they build, whose
-//     lanes move on into the connection's outbox.
+//     request's record (line, head and payload lanes, moved out of the
+//     connection's ConnState before dispatch) and the response they
+//     build into it, whose lanes move on into the connection's outbox.
 //   * the ONE shared structure is the completion queue (LockRank::
-//     kEventLoop) workers post finished results to, paired with an
+//     kEventLoop) workers post served records to, paired with an
 //     eventfd that wakes the loop.
 //
 // Timeouts run on a hashed timer wheel: an idle peer is dropped

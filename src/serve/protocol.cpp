@@ -20,15 +20,24 @@ int hex_digit(char c) {
 }
 
 /// Parses a decimal count field of an EVALB header; every digit must be
-/// consumed, so "12x" and "-3" fail as loudly as "abc".
-std::uint64_t parse_count(const std::string& token, const std::string& what) {
+/// consumed, so "12x" and "-3" fail as loudly as "abc". The messages are
+/// built only on failure: the event loop parses every header.
+std::uint64_t parse_count(std::string_view token, const char* what) {
+  if (token.empty()) {
+    throw Error(std::string(what) + " is empty");
+  }
   std::uint64_t value = 0;
-  check(!token.empty(), what + " is empty");
   for (const char c : token) {
-    check(c >= '0' && c <= '9', what + " '" + token + "' is not a number");
-    check(value <= (~std::uint64_t{0} - static_cast<std::uint64_t>(c - '0')) / 10,
-          what + " '" + token + "' overflows");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    if (c < '0' || c > '9') {
+      throw Error(std::string(what) + " '" + std::string(token) +
+                  "' is not a number");
+    }
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (~std::uint64_t{0} - digit) / 10) {
+      throw Error(std::string(what) + " '" + std::string(token) +
+                  "' overflows");
+    }
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -44,62 +53,80 @@ static_assert(kVerbNames.size() ==
 
 }  // namespace
 
-Request parse_request(const std::string& line) {
-  const std::vector<std::string> tokens = split_ws(line);
-  check(!tokens.empty(), "empty request");
-  const std::optional<Verb> verb = find_verb(tokens[0]);
+Request parse_head(std::string_view line) {
+  std::string_view rest = line;
+  const std::string_view first = next_token(rest);
+  check(!first.empty(), "empty request");
+  const std::optional<Verb> verb = find_verb(first);
   if (!verb.has_value()) {
-    throw Error("unknown verb '" + tokens[0] + "' (try HELP)");
+    throw Error("unknown verb '" + std::string(first) + "' (try HELP)");
+  }
+  // Every check below needs at most four arguments, so `count` stops
+  // there: a fifth token, and the rest of a pattern list, go unread.
+  std::array<std::string_view, 4> args;
+  std::size_t count = 0;
+  while (count < args.size() && !(args[count] = next_token(rest)).empty()) {
+    ++count;
   }
   Request request;
   request.verb = *verb;
   switch (*verb) {
     case Verb::kLoad:
-      check(tokens.size() == 3, "LOAD needs: LOAD <name> <path>");
-      request.name = tokens[1];
-      request.path = tokens[2];
+      check(count == 2, "LOAD needs: LOAD <name> <path>");
+      request.name = args[0];
+      request.path = args[1];
       break;
     case Verb::kEval:
-      check(tokens.size() >= 3, "EVAL needs: EVAL <name> <hex-pattern>...");
-      request.name = tokens[1];
-      request.patterns.assign(tokens.begin() + 2, tokens.end());
+      check(count >= 2, "EVAL needs: EVAL <name> <hex-pattern>...");
+      request.name = args[0];
+      request.patterns_at =
+          static_cast<std::size_t>(args[1].data() - line.data());
       break;
     case Verb::kEvalB:
-      check(tokens.size() == 4,
-            "EVALB needs: EVALB <name> <npatterns> <nwords>");
-      request.name = tokens[1];
-      request.num_patterns = parse_count(tokens[2], "EVALB pattern count");
-      request.num_words = parse_count(tokens[3], "EVALB word count");
+      check(count == 3, "EVALB needs: EVALB <name> <npatterns> <nwords>");
+      request.name = args[0];
+      request.num_patterns = parse_count(args[1], "EVALB pattern count");
+      request.num_words = parse_count(args[2], "EVALB word count");
       break;
     case Verb::kSim:
-      check(tokens.size() >= 3, "SIM needs: SIM <name> <hex-pattern>...");
-      request.name = tokens[1];
-      request.patterns.assign(tokens.begin() + 2, tokens.end());
+      check(count >= 2, "SIM needs: SIM <name> <hex-pattern>...");
+      request.name = args[0];
+      request.patterns_at =
+          static_cast<std::size_t>(args[1].data() - line.data());
       break;
     case Verb::kSimB:
-      check(tokens.size() == 4, "SIMB needs: SIMB <name> <npatterns> <nwords>");
-      request.name = tokens[1];
-      request.num_patterns = parse_count(tokens[2], "SIMB pattern count");
-      request.num_words = parse_count(tokens[3], "SIMB word count");
+      check(count == 3, "SIMB needs: SIMB <name> <npatterns> <nwords>");
+      request.name = args[0];
+      request.num_patterns = parse_count(args[1], "SIMB pattern count");
+      request.num_words = parse_count(args[2], "SIMB word count");
       break;
     case Verb::kVerify:
-      check(tokens.size() == 2, "VERIFY needs: VERIFY <name>");
-      request.name = tokens[1];
+      check(count == 1, "VERIFY needs: VERIFY <name>");
+      request.name = args[0];
       break;
     case Verb::kStats:
-      check(tokens.size() == 1, "STATS takes no arguments");
+      check(count == 0, "STATS takes no arguments");
       break;
     case Verb::kMetrics:
-      check(tokens.size() == 1, "METRICS takes no arguments");
+      check(count == 0, "METRICS takes no arguments");
       break;
     case Verb::kUnload:
-      check(tokens.size() == 2, "UNLOAD needs: UNLOAD <name>");
-      request.name = tokens[1];
+      check(count == 1, "UNLOAD needs: UNLOAD <name>");
+      request.name = args[0];
       break;
     case Verb::kHelp:
     case Verb::kQuit:
     case Verb::kShutdown:
       break;
+  }
+  return request;
+}
+
+Request parse_request(const std::string& line) {
+  Request request = parse_head(line);
+  if (request.verb == Verb::kEval || request.verb == Verb::kSim) {
+    request.patterns =
+        split_ws(std::string_view(line).substr(request.patterns_at));
   }
   return request;
 }
@@ -137,13 +164,15 @@ std::string hex_encode(const std::vector<bool>& bits) {
   return hex;
 }
 
-std::vector<bool> hex_decode(const std::string& hex, int width) {
+std::vector<bool> hex_decode(std::string_view hex, int width) {
   check(width >= 0, "hex_decode: negative width");
   std::size_t start = 0;
   if (hex.size() >= 2 && hex[0] == '0' && (hex[1] == 'x' || hex[1] == 'X')) {
     start = 2;
   }
-  check(hex.size() > start, "empty hex pattern '" + hex + "'");
+  if (hex.size() <= start) {
+    throw Error("empty hex pattern '" + std::string(hex) + "'");
+  }
   std::vector<bool> bits(static_cast<std::size_t>(width), false);
   // Digit-wise from the right: digit j (0 = rightmost) covers bits
   // 4j..4j+3, so arbitrary widths never need a big integer.
@@ -152,15 +181,15 @@ std::vector<bool> hex_decode(const std::string& hex, int width) {
     const int value = hex_digit(c);
     if (value < 0) {
       throw Error("bad hex digit '" + std::string(1, c) + "' in pattern '" +
-                  hex + "'");
+                  std::string(hex) + "'");
     }
     for (int b = 0; b < 4; ++b) {
       if ((value >> b) & 1) {
         const std::size_t bit = 4 * k + static_cast<std::size_t>(b);
         if (bit >= static_cast<std::size_t>(width)) {
-          throw Error("pattern '" + hex + "' has bit " + std::to_string(bit) +
-                      " set but the circuit has " + std::to_string(width) +
-                      " inputs");
+          throw Error("pattern '" + std::string(hex) + "' has bit " +
+                      std::to_string(bit) + " set but the circuit has " +
+                      std::to_string(width) + " inputs");
         }
         bits[bit] = true;
       }

@@ -64,6 +64,7 @@
 // integer).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -106,20 +107,30 @@ struct Request {
   Verb verb = Verb::kHelp;
   std::string name;                   ///< circuit name (LOAD/EVAL*/SIM*/VERIFY/UNLOAD)
   std::string path;                   ///< .pla path (LOAD)
-  std::vector<std::string> patterns;  ///< raw hex tokens (EVAL/SIM)
+  std::vector<std::string> patterns;  ///< hex tokens (parse_request only)
   std::uint64_t num_patterns = 0;     ///< pattern count (EVALB/SIMB)
   std::uint64_t num_words = 0;        ///< payload word count (EVALB/SIMB)
+  /// Where the hex tokens start in the line (EVAL/SIM; 0 otherwise):
+  /// the whitespace-separated tokens from here on are `patterns`.
+  std::size_t patterns_at = 0;
 };
 
-/// Parses one request line; throws ambit::Error on malformed requests
-/// (unknown verb, wrong argument count).
+/// Parses one request line's head: every Request field but `patterns`.
+/// The EVAL/SIM hex tokens are only located (patterns_at), so the cost
+/// does not grow with the pattern list: at most five tokens are read.
+/// Throws ambit::Error on a malformed request (unknown verb, wrong
+/// argument count, an EVALB/SIMB count that is not a number).
+Request parse_head(std::string_view line);
+
+/// parse_head, plus the hex tokens split into `patterns`: the same
+/// checks and the same errors.
 Request parse_request(const std::string& line);
 
-/// The verb `name` spells, matched exactly the way parse_request reads
-/// a line's first token; std::nullopt for an unknown verb.
+/// The verb `name` spells, matched exactly the way parse_head reads a
+/// line's first token; std::nullopt for an unknown verb.
 std::optional<Verb> find_verb(std::string_view name);
 
-/// Every verb string parse_request dispatches, in Verb enum order. The
+/// Every verb string parse_head dispatches, in Verb enum order. The
 /// HELP audit test checks help_text() against this list, so a new verb
 /// cannot land without its HELP entry (and docs/PROTOCOL.md is written
 /// against the same list).
@@ -132,7 +143,7 @@ std::string hex_encode(const std::vector<bool>& bits);
 /// Parses a hex token into `width` signal bits. Accepts an optional
 /// "0x"/"0X" prefix. Throws ambit::Error on non-hex digits or when a
 /// set bit lies at or above `width`.
-std::vector<bool> hex_decode(const std::string& hex, int width);
+std::vector<bool> hex_decode(std::string_view hex, int width);
 
 /// "OK" / "OK <detail>".
 std::string ok_response(const std::string& detail = "");

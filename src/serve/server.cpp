@@ -4,7 +4,6 @@
 #include <cstring>
 #include <istream>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -244,49 +243,49 @@ void respond(Response& out, const std::string& response,
   out.lanes = std::move(lanes);
 }
 
-/// The shared EVAL/SIM front half: one registry handle, every hex
-/// token decoded against ITS width. One lookup on purpose — the decode
-/// and the evaluation must run against the same circuit even if a
-/// same-name reload lands in between, so the caller evaluates the
-/// returned circuit, never the name.
-std::vector<std::vector<bool>> decode_request_patterns(
-    const LoadedCircuit& circuit, const Request& request) {
+/// The shared EVAL/SIM front half: every hex token of r's line, read
+/// from where its head says they start, decoded against the width of
+/// the circuit the caller looked up once. One lookup on purpose — the
+/// decode and the evaluation must run against the same circuit even if
+/// a same-name reload lands in between, so the caller evaluates that
+/// circuit, never the name.
+logic::PatternBatch decode_request_patterns(const LoadedCircuit& circuit,
+                                            const FramedRequest& r) {
   const int width = circuit.gnor.num_inputs();
   std::vector<std::vector<bool>> patterns;
-  patterns.reserve(request.patterns.size());
-  for (const std::string& token : request.patterns) {
+  std::string_view rest = std::string_view(r.line).substr(r.head.patterns_at);
+  for (std::string_view token = next_token(rest); !token.empty();
+       token = next_token(rest)) {
     patterns.push_back(hex_decode(token, width));
   }
-  return patterns;
+  return logic::PatternBatch::from_patterns(patterns);
 }
 
 }  // namespace
 
 std::string Server::handle_line(const std::string& line) {
-  std::string_view rest = line;
-  const std::optional<Verb> verb = find_verb(next_token(rest));
-  if (verb == Verb::kEvalB || verb == Verb::kSimB) {
-    const bool evalb = verb == Verb::kEvalB;
+  FramedRequest r = frame_request(line);
+  if (r.verb == Verb::kEvalB || r.verb == Verb::kSimB) {
+    const bool evalb = r.verb == Verb::kEvalB;
     return err_response(std::string(evalb ? "EVALB" : "SIMB") +
                         " carries a binary payload and needs a stream or "
                         "socket transport (use " +
                         (evalb ? "EVAL" : "SIM") + " for text)");
   }
-  if (verb == Verb::kMetrics) {
+  if (r.verb == Verb::kMetrics) {
     // The page is multi-line; only a framing transport can carry it
     // (OK METRICS <nbytes> + raw bytes).
     return err_response(
         "METRICS carries a multi-line payload and needs a stream or socket "
         "transport");
   }
-  BatchRequest r;
-  r.line = &line;
   serve_batch({&r, 1});
   r.out.text.pop_back();  // the '\n'
   return std::move(r.out.text);
 }
 
-std::string Server::dispatch(const Request& request) {
+std::string Server::dispatch(const FramedRequest& r) {
+  const Request& request = r.head;
   try {
     switch (request.verb) {
       case Verb::kLoad: {
@@ -306,8 +305,7 @@ std::string Server::dispatch(const Request& request) {
         logic::PatternBatch inputs(0, 0);
         {
           const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-          inputs = logic::PatternBatch::from_patterns(
-              decode_request_patterns(*circuit, request));
+          inputs = decode_request_patterns(*circuit, r);
         }
         simulate::BatchSimResult result(0, 0);
         {
@@ -393,7 +391,7 @@ std::string Server::dispatch(const Request& request) {
 }
 
 void Server::record(const metrics::PhaseTrace& trace, int verb_index,
-                    std::uint64_t total_us, const BatchRequest& r) {
+                    std::uint64_t total_us, const FramedRequest& r) {
   if (verb_index < 0) {
     metrics_->requests_malformed->add();
   } else {
@@ -428,21 +426,17 @@ void Server::record(const metrics::PhaseTrace& trace, int verb_index,
   }
 }
 
-int Server::decode_or_answer(BatchRequest& r, EvalJob& held) {
-  Request request;
-  try {
-    const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-    request = parse_request(*r.line);
-  } catch (const Error& e) {
+int Server::decode_or_answer(FramedRequest& r, EvalJob& held) {
+  if (!r.parsed()) {
     // A malformed EVALB/SIMB header leaves an unknown number of payload
     // bytes unframed in the stream; resyncing is impossible, so the
     // connection must go. Only the exact bulk verbs qualify — a typo'd
     // verb like "EVALBATCH" is an ordinary one-line request.
-    const std::vector<std::string> tokens = split_ws(*r.line);
-    r.quit = !tokens.empty() && (tokens[0] == "EVALB" || tokens[0] == "SIMB");
-    respond(r.out, err_response(e.what()));
+    r.quit = r.unframed();
+    respond(r.out, err_response(r.error));
     return -1;
   }
+  const Request& request = r.head;
   const int verb_index = static_cast<int>(request.verb);
 
   if (request.verb == Verb::kMetrics) {
@@ -461,7 +455,7 @@ int Server::decode_or_answer(BatchRequest& r, EvalJob& held) {
 
   if (!is_bulk_verb(request.verb) && request.verb != Verb::kEval) {
     r.quit = request.verb == Verb::kQuit || request.verb == Verb::kShutdown;
-    respond(r.out, dispatch(request));
+    respond(r.out, dispatch(r));
     return verb_index;
   }
 
@@ -489,7 +483,7 @@ int Server::decode_or_answer(BatchRequest& r, EvalJob& held) {
 
   std::string failure;
   try {
-    EvalJob job = decode(request, std::move(r.payload));
+    EvalJob job = decode(r);
     if (request.verb != Verb::kSimB) {
       held = std::move(job);
       return verb_index;
@@ -528,14 +522,14 @@ int Server::decode_or_answer(BatchRequest& r, EvalJob& held) {
   return verb_index;
 }
 
-Server::EvalJob Server::decode(const Request& request, logic::LaneWords words) {
+Server::EvalJob Server::decode(FramedRequest& r) {
+  const Request& request = r.head;
   EvalJob job;
   job.bulk = is_bulk_verb(request.verb);
   if (!job.bulk) {
     job.circuit = session_.get(request.name);
     const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-    job.inputs = logic::PatternBatch::from_patterns(
-        decode_request_patterns(*job.circuit, request));
+    job.inputs = decode_request_patterns(*job.circuit, r);
     return job;
   }
   const std::string verb = request.verb == Verb::kEvalB ? "EVALB" : "SIMB";
@@ -582,7 +576,7 @@ Server::EvalJob Server::decode(const Request& request, logic::LaneWords words) {
             "-word limit");
   const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
   job.inputs = logic::PatternBatch::from_words(width, request.num_patterns,
-                                               std::move(words));
+                                               std::move(r.payload));
   return job;
 }
 
@@ -606,7 +600,7 @@ void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
   respond(out, ok_response(detail));
 }
 
-void Server::serve_batch(std::span<BatchRequest> requests) {
+void Server::serve_batch(std::span<FramedRequest> requests) {
   const bool timed = options_.enable_metrics;
   // Per request: the decoded job, its phase trace and the wall time of
   // its queue wait, its own decode and encode, and its sweep — its
@@ -627,7 +621,7 @@ void Server::serve_batch(std::span<BatchRequest> requests) {
     }
   };
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    BatchRequest& r = requests[i];
+    FramedRequest& r = requests[i];
     Member& m = members[i];
     const std::uint64_t start = now_us();
     if (timed && r.queued_at_us != 0) {
@@ -699,7 +693,7 @@ void Server::serve_batch(std::span<BatchRequest> requests) {
     const std::uint64_t sweep_us = now_us() - sweep_start;
 
     for (std::size_t j = 0; j < sweep.size(); ++j) {
-      BatchRequest& r = requests[sweep[j]];
+      FramedRequest& r = requests[sweep[j]];
       Member& m = members[sweep[j]];
       const std::uint64_t start = now_us();
       {
@@ -729,9 +723,7 @@ std::uint64_t Server::serve_framed(Feed&& feed, Emit&& emit) {
         feed(state);
         break;
       case ConnState::Step::kRequest: {
-        BatchRequest r;
-        r.line = &state.line();
-        r.payload = state.take_payload_words();
+        FramedRequest r = state.take_request();
         serve_batch({&r, 1});
         state.finish_request(r.quit);
         if (r.truncated || !emit(r.out)) {

@@ -4,25 +4,25 @@
 // normative reference: docs/PROTOCOL.md) and drives it over any of
 // three transports:
 //
-//   * serve_stream — any istream/ostream pair: ambit_cli --serve and
-//     ambit_serve --stdio run it over stdin/stdout, tests over
-//     stringstreams;
+//   * serve_stream — any istream/ostream pair: ambit_serve --stdio
+//     runs it over stdin/stdout, tests over stringstreams;
 //   * serve_unix — a Unix-domain socket;
 //   * serve_tcp  — a TCP socket, so clients on other hosts (or ones
 //     that only speak TCP) reach the same service.
 //
 // Every transport frames its byte stream with the same ConnState
-// machine (serve/conn_state.h), and every request it frames is served
-// by one call, serve_batch, on whichever thread makes it. The two socket
+// machine (serve/conn_state.h), which parses each line's head once into
+// a FramedRequest record, and every request it frames is served by one
+// call, serve_batch, on whichever thread makes it. The two socket
 // transports run one epoll event loop (serve/event_loop.h, Linux only):
 // one thread multiplexes up to ServerOptions::max_connections
 // non-blocking connections and serves the cheap requests (one-word
-// EVAL/EVALB, the bookkeeping verbs) itself, one batch per loop turn;
-// LOAD, VERIFY, SIM, SIMB and multi-word evaluations run on the
-// Session's ThreadPool, a batch of one each. serve_stream, serve_chunks
-// and handle_line serve a batch of one per request. All of them share
-// the one thread-safe Session, and idle/send timeouts live on a timer
-// wheel.
+// EVAL/EVALB, the bookkeeping verbs, lines that do not parse) itself,
+// one batch per loop turn; LOAD, VERIFY, SIM, SIMB and multi-word
+// evaluations run on the Session's ThreadPool, a batch of one each.
+// serve_stream, serve_chunks and handle_line serve a batch of one per
+// request. All of them share the one thread-safe Session, and idle/send
+// timeouts live on a timer wheel.
 // QUIT ends a connection; SHUTDOWN stops accepting, drains the
 // in-flight connections (their input is cut, responses already owed
 // are still written), then closes the listener — and, for serve_unix,
@@ -46,12 +46,12 @@
 // phase-delay arrays as raw doubles, assembled once.
 //
 // Per-turn fusion: within a batch, the EVAL/EVALB requests for one
-// circuit share a sweep. The event loop's batch is the one-word ones
-// that are ready in one loop turn, so they share a lane word — packed
-// bit-contiguously into one sweep, then each answered from its own
-// slice. Every batch kernel is bit-local (core/evaluator.h), so the
-// answers are bit-identical to separate sweeps; nothing waits for
-// company, so no request is delayed.
+// circuit share a sweep. The event loop's batch takes one request from
+// each connection on its ready list, so its one-word ones share a lane
+// word — packed bit-contiguously into one sweep, then each answered
+// from its own slice. Every batch kernel is bit-local
+// (core/evaluator.h), so the answers are bit-identical to separate
+// sweeps; nothing waits for company, so no request is delayed.
 //
 // Request failures — unknown verbs, malformed covers, missing circuits
 // — never kill the server: every ambit::Error becomes one "ERR ..."
@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "logic/pattern_batch.h"
+#include "serve/conn_state.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "util/log.h"
@@ -149,23 +150,6 @@ struct ServerOptions {
   /// their phase trace (parse / queue_wait / evaluate / serialize) at
   /// warn, rate-limited. 0 (default) disables the dump.
   std::uint64_t slow_request_us = 0;
-};
-
-/// One response's wire bytes: the text (the response line, and a
-/// METRICS page), then an EVALB/SIMB answer's binary payload. The lanes
-/// are the buffer the evaluator wrote, moved here, never copied; the
-/// transports write them where they lie.
-struct Response {
-  std::string text;
-  logic::LaneWords lanes;
-
-  std::size_t size() const {
-    return text.size() + lanes.size() * sizeof(std::uint64_t);
-  }
-  /// The lanes as bytes.
-  const char* lane_bytes() const {
-    return reinterpret_cast<const char*>(lanes.data());
-  }
 };
 
 /// Splits "host:port" into its parts; throws ambit::Error on a missing
@@ -271,41 +255,16 @@ class Server {
     bool bulk = false;  ///< EVALB/SIMB: a binary frame carried the inputs
   };
 
-  /// One request of a serve_batch call: the framed request, then the
-  /// answer the batch built for it.
-  struct BatchRequest {
-    /// Identifies the connection in slow-request logs (0 for the
-    /// in-process transports).
-    std::uint64_t conn_id = 0;
-    /// The request line, owned by the caller, which keeps it alive
-    /// until serve_batch returns.
-    const std::string* line = nullptr;
-    /// For EVALB/SIMB, the words ConnState reassembled behind the line
-    /// (ConnState::take_payload_words).
-    logic::LaneWords payload;
-    /// The metrics::monotonic_us() stamp at which the event loop queued
-    /// the request for a pool worker (0 = served where it was framed):
-    /// the gap to the batch's start on it is its queue_wait phase and
-    /// counts toward its total.
-    std::uint64_t queued_at_us = 0;
-    Response out;  ///< the response: the line, then any binary frame
-    /// Close the connection after the response: QUIT, SHUTDOWN, or a
-    /// bulk header that is unframed or over the limit.
-    bool quit = false;
-    /// EOF cut the bulk frame short: nothing answered, nothing recorded.
-    bool truncated = false;
-  };
-
   /// Answers one parsed one-line request (every verb but EVAL, EVALB,
   /// SIMB and METRICS, which decode_or_answer handles); returns the
   /// response line.
-  std::string dispatch(const Request& request);
+  std::string dispatch(const FramedRequest& r);
 
-  /// Decodes an EVAL's hex tokens, or takes over the payload `words` of
-  /// an EVALB/SIMB as its input lanes after checking its counts, against
-  /// the circuit named in `request`. Throws ambit::Error on a bad
+  /// Decodes an EVAL's hex tokens, or takes over the payload of an
+  /// EVALB/SIMB as its input lanes after checking its counts, against
+  /// the circuit named in r's head. Throws ambit::Error on a bad
   /// request.
-  EvalJob decode(const Request& request, logic::LaneWords words);
+  EvalJob decode(FramedRequest& r);
 
   /// Session::eval and Session::sim, counted in STATS once they return;
   /// one sweep answers `requests` EVAL/EVALB requests (serve_batch packs
@@ -323,27 +282,27 @@ class Server {
                           Response& out);
 
   /// Serves `requests` on the calling thread — the only code that serves
-  /// a request. Each is parsed and answered, or decoded for a sweep
-  /// (decode_or_answer). The EVAL/EVALBs for one circuit are packed,
-  /// first fit in arrival order, into sweeps of at most kLoopMaxPatterns
-  /// patterns, one Session::eval each (a sweep of one evaluates its own
-  /// batch, no copy), and each is answered from its slice. With
-  /// enable_metrics, each request's phases are traced and recorded, with
-  /// its queue wait first and its shared sweep as its evaluate phase.
-  void serve_batch(std::span<BatchRequest> requests);
+  /// a request. Each is answered from the head its framing parsed, or
+  /// decoded for a sweep (decode_or_answer). The EVAL/EVALBs for one
+  /// circuit are packed, first fit in arrival order, into sweeps of at
+  /// most kLoopMaxPatterns patterns, one Session::eval each (a sweep of
+  /// one evaluates its own batch, no copy), and each is answered from
+  /// its slice. With enable_metrics, each request's phases are traced
+  /// and recorded, with its queue wait first and its shared sweep as
+  /// its evaluate phase.
+  void serve_batch(std::span<FramedRequest> requests);
 
-  /// serve_batch's protocol work before the sweep: parses r's line and
-  /// answers it into r.out, setting r.quit or r.truncated — unless it is
-  /// an EVAL/EVALB that decodes, which lands in `held` (circuit set) for
-  /// the sweep. Returns the parsed verb's enum index, -1 when the line
-  /// failed to parse.
-  int decode_or_answer(BatchRequest& r, EvalJob& held);
+  /// serve_batch's protocol work before the sweep: answers r into
+  /// r.out, setting r.quit or r.truncated — unless it is an EVAL/EVALB
+  /// that decodes, which lands in `held` (circuit set) for the sweep.
+  /// Returns the verb's enum index, -1 when the line did not parse.
+  int decode_or_answer(FramedRequest& r, EvalJob& held);
 
   /// serve_batch's instrumentation tail for one answered request:
   /// per-verb counters and latency, the phase histograms, the
   /// slow-request dump.
   void record(const metrics::PhaseTrace& trace, int verb_index,
-              std::uint64_t total_us, const BatchRequest& r);
+              std::uint64_t total_us, const FramedRequest& r);
 
   /// The in-process connection loop behind serve_stream and
   /// serve_chunks: drives one ConnState, calling `feed(state)` whenever

@@ -32,29 +32,15 @@ std::shared_ptr<const LoadedCircuit> Session::load(const std::string& name,
   return circuit;
 }
 
-std::shared_ptr<const LoadedCircuit> Session::find(
-    const std::string& name) const {
-  const MutexLock lock(mutex_);
-  const auto it = circuits_.find(name);
-  return it == circuits_.end() ? nullptr : it->second;
-}
-
 std::shared_ptr<const LoadedCircuit> Session::get(
     const std::string& name) const {
-  return get_shared(name);
-}
-
-std::shared_ptr<LoadedCircuit> Session::get_shared(
-    const std::string& name) const {
   const MutexLock lock(mutex_);
   const auto it = circuits_.find(name);
-  check(it != circuits_.end(), "no circuit loaded under '" + name + "'");
+  if (it == circuits_.end()) {
+    // Built only on failure: every EVAL looks its circuit up here.
+    throw Error("no circuit loaded under '" + name + "'");
+  }
   return it->second;
-}
-
-logic::PatternBatch Session::eval(const std::string& name,
-                                  const logic::PatternBatch& inputs) {
-  return eval(std::shared_ptr<const LoadedCircuit>(get_shared(name)), inputs);
 }
 
 logic::PatternBatch Session::eval(
@@ -64,11 +50,6 @@ logic::PatternBatch Session::eval(
   // The mapped array is immutable post-LOAD and the shared_ptr keeps it
   // alive, so the evaluation runs with no lock held.
   return circuit->gnor.evaluate_batch(inputs, pool_);
-}
-
-simulate::BatchSimResult Session::sim(const std::string& name,
-                                      const logic::PatternBatch& inputs) {
-  return sim(std::shared_ptr<const LoadedCircuit>(get_shared(name)), inputs);
 }
 
 simulate::BatchSimResult Session::sim(
@@ -89,10 +70,6 @@ simulate::BatchSimResult Session::sim(
     simulator = circuit->simulator;
   }
   return simulator->simulate_batch(inputs, &pool_);
-}
-
-bool Session::verify(const std::string& name) {
-  return verify(std::shared_ptr<const LoadedCircuit>(get_shared(name)));
 }
 
 bool Session::verify(const std::shared_ptr<const LoadedCircuit>& circuit) {

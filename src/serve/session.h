@@ -100,21 +100,13 @@ class Session {
 
   /// The registered circuit; throws ambit::Error when unknown. The
   /// returned shared_ptr keeps the circuit alive across a concurrent
-  /// UNLOAD or same-name reload.
+  /// UNLOAD or same-name reload. The calls below take the circuit a
+  /// caller looked up once, so a same-name reload cannot swap it between
+  /// the caller's width check and the work.
   std::shared_ptr<const LoadedCircuit> get(const std::string& name) const;
-
-  /// nullptr when unknown (no throw).
-  std::shared_ptr<const LoadedCircuit> find(const std::string& name) const;
 
   /// Evaluates one batch through the sharded bit-parallel path. Input
   /// width must match the circuit.
-  logic::PatternBatch eval(const std::string& name,
-                           const logic::PatternBatch& inputs);
-
-  /// Same, against a circuit the caller already holds — no second
-  /// registry lookup, and immune to a concurrent same-name reload
-  /// swapping the circuit between the caller's width check and the
-  /// evaluation.
   logic::PatternBatch eval(const std::shared_ptr<const LoadedCircuit>& circuit,
                            const logic::PatternBatch& inputs);
 
@@ -122,10 +114,6 @@ class Session {
   /// transistor network (SIM/SIMB): per-pattern outputs AND phase
   /// delays, sharded across the session pool, bit-identical to a
   /// sequential sweep. Input width must match the circuit.
-  simulate::BatchSimResult sim(const std::string& name,
-                               const logic::PatternBatch& inputs);
-
-  /// Same, against a circuit the caller already holds.
   simulate::BatchSimResult sim(
       const std::shared_ptr<const LoadedCircuit>& circuit,
       const logic::PatternBatch& inputs);
@@ -136,10 +124,6 @@ class Session {
   /// TruthTable::kMaxInputs inputs. Concurrent verifies of the SAME
   /// circuit serialize on its verify_mutex; different circuits proceed
   /// in parallel.
-  bool verify(const std::string& name);
-
-  /// Same, against a circuit the caller already holds (no second
-  /// registry lookup).
   bool verify(const std::shared_ptr<const LoadedCircuit>& circuit);
 
   /// Drops a circuit; throws when unknown. In-flight evaluations that
@@ -152,8 +136,6 @@ class Session {
   ThreadPool& pool() { return pool_; }
 
  private:
-  std::shared_ptr<LoadedCircuit> get_shared(const std::string& name) const;
-
   ThreadPool pool_;
   /// Guards circuits_ — lookups and edits only, never held across
   /// LOAD/EVAL/verify work (its rank sits BELOW the pool's, so holding

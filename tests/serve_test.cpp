@@ -76,42 +76,90 @@ std::uint64_t stats_field(const std::string& line, const std::string& field) {
 // Protocol: request parsing and the hex codec.
 // ---------------------------------------------------------------------------
 
+/// parse_request's result for `line`, after checking that parse_head
+/// reads the same head (every field but the patterns) and that the
+/// tokens read from its pattern offset, the way serve_batch reads them,
+/// are parse_request's patterns.
+Request parse_both(const std::string& line) {
+  const Request full = parse_request(line);
+  const Request head = parse_head(line);
+  EXPECT_EQ(head.verb, full.verb) << line;
+  EXPECT_EQ(head.name, full.name) << line;
+  EXPECT_EQ(head.path, full.path) << line;
+  EXPECT_EQ(head.num_patterns, full.num_patterns) << line;
+  EXPECT_EQ(head.num_words, full.num_words) << line;
+  EXPECT_EQ(head.patterns_at, full.patterns_at) << line;
+  EXPECT_TRUE(head.patterns.empty()) << line;
+  std::vector<std::string> tokens;
+  if (head.patterns_at > 0) {
+    std::string_view rest = std::string_view(line).substr(head.patterns_at);
+    for (std::string_view t = next_token(rest); !t.empty();
+         t = next_token(rest)) {
+      tokens.emplace_back(t);
+    }
+  }
+  EXPECT_EQ(tokens, full.patterns) << line;
+  return full;
+}
+
+/// Both parsers reject `line`, with the same message.
+void expect_same_rejection(const std::string& line) {
+  EXPECT_THROW(parse_request(line), Error) << line;
+  std::string full;
+  std::string head;
+  try {
+    parse_request(line);
+  } catch (const Error& e) {
+    full = e.what();
+  }
+  try {
+    parse_head(line);
+  } catch (const Error& e) {
+    head = e.what();
+  }
+  EXPECT_FALSE(head.empty()) << "parse_head accepted '" << line << "'";
+  EXPECT_EQ(head, full) << line;
+}
+
 TEST(ProtocolTest, ParsesEveryVerb) {
-  EXPECT_EQ(parse_request("LOAD adder /tmp/a.pla").verb, Verb::kLoad);
-  EXPECT_EQ(parse_request("EVAL adder ff 0").verb, Verb::kEval);
-  EXPECT_EQ(parse_request("VERIFY adder").verb, Verb::kVerify);
-  EXPECT_EQ(parse_request("STATS").verb, Verb::kStats);
-  EXPECT_EQ(parse_request("METRICS").verb, Verb::kMetrics);
-  EXPECT_EQ(parse_request("UNLOAD adder").verb, Verb::kUnload);
-  EXPECT_EQ(parse_request("HELP").verb, Verb::kHelp);
-  EXPECT_EQ(parse_request("QUIT").verb, Verb::kQuit);
-  EXPECT_EQ(parse_request("SHUTDOWN").verb, Verb::kShutdown);
+  EXPECT_EQ(parse_both("LOAD adder /tmp/a.pla").verb, Verb::kLoad);
+  EXPECT_EQ(parse_both("EVAL adder ff 0").verb, Verb::kEval);
+  EXPECT_EQ(parse_both("VERIFY adder").verb, Verb::kVerify);
+  EXPECT_EQ(parse_both("STATS").verb, Verb::kStats);
+  EXPECT_EQ(parse_both("METRICS").verb, Verb::kMetrics);
+  EXPECT_EQ(parse_both("UNLOAD adder").verb, Verb::kUnload);
+  EXPECT_EQ(parse_both("HELP").verb, Verb::kHelp);
+  EXPECT_EQ(parse_both("QUIT").verb, Verb::kQuit);
+  EXPECT_EQ(parse_both("SHUTDOWN").verb, Verb::kShutdown);
 }
 
 TEST(ProtocolTest, LoadCarriesNameAndPath) {
-  const Request r = parse_request("  LOAD  c17   /data/c17.pla ");
+  const Request r = parse_both("  LOAD  c17   /data/c17.pla ");
   EXPECT_EQ(r.name, "c17");
   EXPECT_EQ(r.path, "/data/c17.pla");
 }
 
 TEST(ProtocolTest, EvalCarriesAllPatterns) {
-  const Request r = parse_request("EVAL f 0 1f 0x2a");
+  const Request r = parse_both("EVAL f 0 1f 0x2a");
   EXPECT_EQ(r.name, "f");
   EXPECT_EQ(r.patterns, (std::vector<std::string>{"0", "1f", "0x2a"}));
+  // The pattern offset points at the first hex token, past any run of
+  // whitespace, and the tokens run to the end of the line.
+  EXPECT_EQ(parse_both("EVAL f 0 1f 0x2a").patterns_at, 7u);
+  EXPECT_EQ(parse_both(" EVAL\tf \t 0x2a  7 ").patterns_at, 10u);
+  EXPECT_EQ(parse_both("EVAL f 1 2 3 4 5 6 7 8").patterns.size(), 8u);
 }
 
 TEST(ProtocolTest, MalformedRequestsRejected) {
-  EXPECT_THROW(parse_request(""), Error);
-  EXPECT_THROW(parse_request("FROBNICATE x"), Error);
-  EXPECT_THROW(parse_request("LOAD just_a_name"), Error);
-  EXPECT_THROW(parse_request("EVAL name_but_no_patterns"), Error);
-  EXPECT_THROW(parse_request("VERIFY"), Error);
-  EXPECT_THROW(parse_request("STATS extra"), Error);
-  EXPECT_THROW(parse_request("METRICS extra"), Error);
+  for (const char* line :
+       {"", "FROBNICATE x", "LOAD just_a_name", "EVAL name_but_no_patterns",
+        "VERIFY", "STATS extra", "METRICS extra"}) {
+    expect_same_rejection(line);
+  }
 }
 
 TEST(ProtocolTest, ParsesEvalbHeader) {
-  const Request r = parse_request("EVALB f 130 9");
+  const Request r = parse_both("EVALB f 130 9");
   EXPECT_EQ(r.verb, Verb::kEvalB);
   EXPECT_EQ(r.name, "f");
   EXPECT_EQ(r.num_patterns, 130u);
@@ -119,13 +167,12 @@ TEST(ProtocolTest, ParsesEvalbHeader) {
 }
 
 TEST(ProtocolTest, MalformedEvalbHeadersRejected) {
-  EXPECT_THROW(parse_request("EVALB f"), Error);
-  EXPECT_THROW(parse_request("EVALB f 128"), Error);
-  EXPECT_THROW(parse_request("EVALB f 128 6 extra"), Error);
-  EXPECT_THROW(parse_request("EVALB f abc 6"), Error);
-  EXPECT_THROW(parse_request("EVALB f 128 -6"), Error);
-  EXPECT_THROW(parse_request("EVALB f 12x8 6"), Error);
-  EXPECT_THROW(parse_request("EVALB f 99999999999999999999999 6"), Error);
+  for (const char* line :
+       {"EVALB f", "EVALB f 128", "EVALB f 128 6 extra", "EVALB f abc 6",
+        "EVALB f 128 -6", "EVALB f 12x8 6",
+        "EVALB f 99999999999999999999999 6"}) {
+    expect_same_rejection(line);
+  }
 }
 
 TEST(ProtocolTest, EvalbResponseHeaderFormat) {
@@ -133,12 +180,12 @@ TEST(ProtocolTest, EvalbResponseHeaderFormat) {
 }
 
 TEST(ProtocolTest, ParsesSimVerbs) {
-  const Request sim = parse_request("SIM f 0 1f 0x2a");
+  const Request sim = parse_both("SIM f 0 1f 0x2a");
   EXPECT_EQ(sim.verb, Verb::kSim);
   EXPECT_EQ(sim.name, "f");
   EXPECT_EQ(sim.patterns, (std::vector<std::string>{"0", "1f", "0x2a"}));
 
-  const Request simb = parse_request("SIMB f 130 9");
+  const Request simb = parse_both("SIMB f 130 9");
   EXPECT_EQ(simb.verb, Verb::kSimB);
   EXPECT_EQ(simb.name, "f");
   EXPECT_EQ(simb.num_patterns, 130u);
@@ -149,13 +196,12 @@ TEST(ProtocolTest, ParsesSimVerbs) {
 }
 
 TEST(ProtocolTest, MalformedSimRequestsRejected) {
-  EXPECT_THROW(parse_request("SIM name_but_no_patterns"), Error);
-  EXPECT_THROW(parse_request("SIMB f"), Error);
-  EXPECT_THROW(parse_request("SIMB f 128"), Error);
-  EXPECT_THROW(parse_request("SIMB f 128 6 extra"), Error);
-  EXPECT_THROW(parse_request("SIMB f abc 6"), Error);
-  EXPECT_THROW(parse_request("SIMB f 128 -6"), Error);
-  EXPECT_THROW(parse_request("SIMB f 99999999999999999999999 6"), Error);
+  for (const char* line :
+       {"SIM name_but_no_patterns", "SIMB f", "SIMB f 128",
+        "SIMB f 128 6 extra", "SIMB f abc 6", "SIMB f 128 -6",
+        "SIMB f 99999999999999999999999 6"}) {
+    expect_same_rejection(line);
+  }
 }
 
 TEST(ProtocolTest, SimbResponseHeaderAndSimTokenFormat) {
@@ -381,6 +427,107 @@ TEST(ConnStateTest, PayloadLanesGrowWithTheBytesReceived) {
   EXPECT_TRUE(state.request_payload().empty());
 }
 
+TEST(ConnStateTest, TheFramedRecordCarriesTheParsedHead) {
+  const auto framed = [](ConnState& state, const std::string& bytes) {
+    state.append(bytes.data(), bytes.size());
+    return state.advance();
+  };
+  {
+    // A bulk header whose counts do not parse: no payload is awaited,
+    // and the record says the stream is unframed.
+    ConnState state;
+    ASSERT_EQ(framed(state, "EVALB c x 8\n"), ConnState::Step::kRequest);
+    const FramedRequest& r = state.request();
+    EXPECT_FALSE(r.parsed());
+    EXPECT_EQ(r.error, "EVALB pattern count 'x' is not a number");
+    EXPECT_EQ(r.verb, Verb::kEvalB);
+    EXPECT_EQ(r.payload_bytes(), 0u);
+    EXPECT_TRUE(r.unframed());
+  }
+  {
+    // A typo'd verb is an ordinary line that does not parse.
+    ConnState state;
+    ASSERT_EQ(framed(state, "EVALBATCH x\n"), ConnState::Step::kRequest);
+    const FramedRequest& r = state.request();
+    EXPECT_FALSE(r.parsed());
+    EXPECT_EQ(r.error, "unknown verb 'EVALBATCH' (try HELP)");
+    EXPECT_FALSE(r.verb.has_value());
+    EXPECT_EQ(r.payload_bytes(), 0u);
+    EXPECT_FALSE(r.unframed());
+  }
+  {
+    // Over kMaxEvalbWords: it parses, but no payload is awaited; the
+    // server answers ERR and drops the connection.
+    ConnState state;
+    ASSERT_EQ(framed(state, "EVALB c 1 16777217\n"),
+              ConnState::Step::kRequest);
+    const FramedRequest& r = state.request();
+    EXPECT_TRUE(r.parsed());
+    EXPECT_EQ(r.head.num_words, kMaxEvalbWords + 1);
+    EXPECT_EQ(r.payload_bytes(), 0u);
+    EXPECT_FALSE(r.unframed());
+  }
+  {
+    // A well-formed header awaits its payload, which the taken record
+    // carries with the line and the head.
+    ConnState state;
+    ASSERT_EQ(framed(state, "EVALB c 64 3\n"), ConnState::Step::kNeedInput);
+    EXPECT_EQ(state.request().payload_bytes(), 24u);
+    ASSERT_EQ(framed(state, std::string(24, '\x01')),
+              ConnState::Step::kRequest);
+    const FramedRequest r = state.take_request();
+    EXPECT_EQ(r.line, "EVALB c 64 3");
+    EXPECT_EQ(r.head.verb, Verb::kEvalB);
+    EXPECT_EQ(r.head.num_patterns, 64u);
+    EXPECT_EQ(r.payload.size(), 3u);
+    state.finish_request(false);
+    EXPECT_EQ(state.advance(), ConnState::Step::kNeedInput);
+  }
+}
+
+/// Microseconds ConnState takes to frame `line` (newline included):
+/// appended to a fresh ConnState, advanced to its request and finished.
+double frame_us(const std::string& line) {
+  ConnState state;
+  const auto start = std::chrono::steady_clock::now();
+  state.append(line.data(), line.size());
+  EXPECT_EQ(state.advance(), ConnState::Step::kRequest);
+  state.finish_request(false);
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(ConnStateTest, FramingALineDoesNotSplitItsPatterns) {
+  // ConnState parses a line's head when it frames the line, on the
+  // event loop; the hex tokens are split later, by whichever thread
+  // serves the request. So a 1 MiB EVAL line of 1-digit tokens frames
+  // about as fast as the same bytes behind an unknown verb, which the
+  // head parse rejects at its first token. Splitting its half a million
+  // tokens at framing would cost tens of milliseconds. A ratio survives
+  // sanitizer slowdowns; the best of five interleaved runs survives a
+  // loaded host.
+  std::string eval = "EVAL c";
+  while (eval.size() + 2 <= kMaxLineBytes) {
+    eval += " 1";
+  }
+  std::string unknown = eval;
+  unknown[0] = 'X';  // "XVAL": same bytes, unknown verb
+  eval += '\n';
+  unknown += '\n';
+  double eval_us = 0;
+  double unknown_us = 0;
+  for (int run = 0; run < 5; ++run) {
+    const double e = frame_us(eval);
+    const double u = frame_us(unknown);
+    eval_us = run == 0 ? e : std::min(eval_us, e);
+    unknown_us = run == 0 ? u : std::min(unknown_us, u);
+  }
+  EXPECT_LE(eval_us, 4 * unknown_us)
+      << "a 1 MiB EVAL line: " << eval_us << " us, behind an unknown verb: "
+      << unknown_us << " us";
+}
+
 // ---------------------------------------------------------------------------
 // Session: the LOAD pipeline and the sharded answer paths.
 // ---------------------------------------------------------------------------
@@ -394,12 +541,12 @@ TEST(SessionTest, LoadEvalVerifyUnload) {
 
   // EVAL answers must match direct evaluation of the mapped array.
   PatternBatch inputs = PatternBatch::exhaustive(3);
-  const PatternBatch outputs = session.eval("s", inputs);
+  const PatternBatch outputs = session.eval(session.get("s"), inputs);
   EXPECT_EQ(outputs, circuit->gnor.evaluate_batch(inputs));
 
-  EXPECT_TRUE(session.verify("s"));
+  EXPECT_TRUE(session.verify(session.get("s")));
   // Second verify rides the cached reference tables.
-  EXPECT_TRUE(session.verify("s"));
+  EXPECT_TRUE(session.verify(session.get("s")));
   // STATS counts the VERIFYs a Server runs, not direct Session calls.
   Server server(session);
   EXPECT_EQ(server.handle_line("VERIFY s"),
@@ -409,8 +556,8 @@ TEST(SessionTest, LoadEvalVerifyUnload) {
   EXPECT_EQ(stats_field(server.handle_line("STATS"), "verifies"), 2u);
 
   session.unload("s");
-  EXPECT_EQ(session.find("s"), nullptr);
-  EXPECT_THROW(session.eval("s", inputs), Error);
+  EXPECT_THROW(session.get("s"), Error);
+  EXPECT_THROW(session.eval(session.get("s"), inputs), Error);
   // The shared_ptr handed out before the unload stays valid: an
   // in-flight evaluation can never dangle.
   EXPECT_EQ(circuit->gnor.num_inputs(), 3);
@@ -420,19 +567,19 @@ TEST(SessionTest, VerifyCatchesCorruptedArray) {
   const std::string path = write_sample_pla("serve_corrupt.pla");
   Session session(1);
   session.load("s", path);
-  ASSERT_TRUE(session.verify("s"));
+  ASSERT_TRUE(session.verify(session.get("s")));
   // Sabotage the mapped array behind the session's back; VERIFY must
   // notice. (The const_cast stands in for radiation/defect drift — the
   // protocol has no mutation verb.)
   auto& gnor = const_cast<core::GnorPla&>(session.get("s")->gnor);
   gnor.set_buffer_inverted(0, !gnor.buffer_inverted(0));
-  EXPECT_FALSE(session.verify("s"));
+  EXPECT_FALSE(session.verify(session.get("s")));
 }
 
 TEST(SessionTest, UnknownNamesThrow) {
   Session session(1);
   EXPECT_THROW(session.get("ghost"), Error);
-  EXPECT_THROW(session.verify("ghost"), Error);
+  EXPECT_THROW(session.verify(session.get("ghost")), Error);
   EXPECT_THROW(session.unload("ghost"), Error);
 }
 
@@ -489,7 +636,7 @@ TEST(SessionTest, SimMatchesDirectSimulatorAndCounts) {
   const std::shared_ptr<const LoadedCircuit> circuit = session.load("s", path);
 
   const PatternBatch inputs = PatternBatch::exhaustive(3);
-  const simulate::BatchSimResult served = session.sim("s", inputs);
+  const simulate::BatchSimResult served = session.sim(session.get("s"), inputs);
   // Reference: a directly built simulator over the SAME mapped array.
   simulate::GnorPlaSimulator direct(circuit->gnor,
                                     tech::default_cnfet_electrical());
@@ -502,7 +649,7 @@ TEST(SessionTest, SimMatchesDirectSimulatorAndCounts) {
 
   // And against the functional batch path: the oracle chain holds
   // through the serve layer too.
-  EXPECT_EQ(served.outputs, session.eval("s", inputs));
+  EXPECT_EQ(served.outputs, session.eval(session.get("s"), inputs));
 
   // A Server counts its SIMs and EVALs apart.
   Server server(session);
@@ -515,8 +662,8 @@ TEST(SessionTest, SimMatchesDirectSimulatorAndCounts) {
   EXPECT_EQ(stats_field(stats, "evals"), 1u);
   EXPECT_EQ(stats_field(stats, "patterns"), 8u);
   // Width mismatches surface as ambit::Error, same as eval.
-  EXPECT_THROW(session.sim("s", PatternBatch(2, 4)), Error);
-  EXPECT_THROW(session.sim("ghost", inputs), Error);
+  EXPECT_THROW(session.sim(session.get("s"), PatternBatch(2, 4)), Error);
+  EXPECT_THROW(session.sim(session.get("ghost"), inputs), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -2414,6 +2561,18 @@ TEST(TcpSocketTest, LoopServesCheapRequestsWhileThePoolIsSaturated) {
   ASSERT_TRUE(read_line_within(evals, pending, line, answer_within))
       << "HELP waited for a pool worker";
   EXPECT_TRUE(starts_with(line, "OK commands:")) << line;
+  // A line that does not parse is answered on the loop with its ERR,
+  // whatever its verb.
+  for (const auto& [bad, expected] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"LOAD onlyname", "ERR LOAD needs: LOAD <name> <path>"},
+           {"VERIFY", "ERR VERIFY needs: VERIFY <name>"},
+           {"SIM s", "ERR SIM needs: SIM <name> <hex-pattern>..."}}) {
+    socket_transact(evals, bad + "\n", 0);
+    ASSERT_TRUE(read_line_within(evals, pending, line, answer_within))
+        << bad << " waited for a pool worker";
+    EXPECT_EQ(line, expected);
+  }
 
   // Hold the workers for 300 ms after the VERIFY went out: it must
   // still be unanswered, then answered once they are released.

@@ -14,39 +14,17 @@
 //                       seeded random patterns): worst-case phase
 //                       delays and clock period, cross-checked
 //                       bit-for-bit against the functional model
-//   --serve             no input file: serve the ambit::serve line
-//                       protocol over stdin/stdout (see ambit_serve
-//                       for more options and docs/PROTOCOL.md for the
-//                       wire grammar)
-//   --tcp <host:port>   with --serve: serve over TCP instead of
-//                       stdin/stdout, Linux only (port 0 binds an
-//                       ephemeral port, announced on stderr once
-//                       listening)
-//   --log-level <level> debug|info|warn|error|off (default info) for
-//                       the structured serve logs (util/log.h)
-//   --log-file <path>   append log records to <path> instead of stderr
 //
 // Prints the minimization summary, the GNOR mapping, and the Table-1
-// style area comparison across Flash / EEPROM / CNFET.
-#include <atomic>
+// style area comparison across Flash / EEPROM / CNFET. Exits 1 when a
+// --verify or --sim check fails. To serve circuits over the line
+// protocol, run ambit_serve (--stdio, --socket or --tcp).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <thread>
-
-#include <iostream>
-
-#ifdef _WIN32
-#include <fcntl.h>
-#include <io.h>
-#endif
 
 #include "core/evaluator.h"
 #include "core/gnor_pla.h"
-#include "serve/client.h"
-#include "serve/server.h"
-#include "serve/session.h"
 #include "core/wpla.h"
 #include "espresso/phase_opt.h"
 #include "logic/blif.h"
@@ -57,7 +35,6 @@
 #include "tech/area_model.h"
 #include "tech/delay_model.h"
 #include "util/error.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -71,18 +48,13 @@ int usage() {
   std::fprintf(stderr,
                "usage: ambit_cli <input.pla> [--phase-opt] [--wpla]\n"
                "                 [--out-pla <path>] [--out-blif <path>]\n"
-               "                 [--verify] [--sim]\n"
-               "       ambit_cli --serve [--tcp <host:port>] "
-               "[--log-level <level>] [--log-file <path>]\n");
+               "                 [--verify] [--sim]\n");
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    return usage();
-  }
   std::string input;
   std::string out_pla;
   std::string out_blif;
@@ -90,15 +62,9 @@ int main(int argc, char** argv) {
   bool wpla = false;
   bool verify = false;
   bool sim = false;
-  bool serve_mode = false;
-  std::string tcp_spec;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--serve") {
-      serve_mode = true;
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      tcp_spec = argv[++i];
-    } else if (arg == "--phase-opt") {
+    if (arg == "--phase-opt") {
       phase_opt = true;
     } else if (arg == "--wpla") {
       wpla = true;
@@ -110,87 +76,24 @@ int main(int argc, char** argv) {
       out_pla = argv[++i];
     } else if (arg == "--out-blif" && i + 1 < argc) {
       out_blif = argv[++i];
-    } else if (arg == "--log-level" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      const auto level = logs::parse_level(value);
-      if (!level.has_value()) {
-        std::fprintf(stderr,
-                     "ambit_cli: --log-level needs debug|info|warn|error|off, "
-                     "got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      logs::set_threshold(*level);
-    } else if (arg == "--log-file" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (!logs::set_file(value)) {
-        std::fprintf(stderr, "ambit_cli: cannot open log file '%s'\n",
-                     value.c_str());
-        return 2;
-      }
     } else if (!arg.empty() && arg[0] != '-' && input.empty()) {
       input = arg;
     } else {
       return usage();
     }
   }
+  if (input.empty()) {
+    return usage();
+  }
   // A bad AMBIT_THREADS is a usage error, like a bad flag.
   int workers = 1;
-  if (serve_mode || sim) {
+  if (sim) {
     try {
       workers = ThreadPool::default_workers();
     } catch (const Error& e) {
       std::fprintf(stderr, "ambit_cli: %s\n", e.what());
       return 2;
     }
-  }
-  if (serve_mode) {
-    // Delegate to the serve subsystem: a long-running session over
-    // stdin/stdout (or TCP with --tcp), sharded across the default
-    // worker count. ambit_serve has the full option surface
-    // (--socket, --max-connections, preloads, metrics).
-    if (!input.empty() || phase_opt || wpla || verify || sim ||
-        !out_pla.empty() || !out_blif.empty()) {
-      return usage();
-    }
-    try {
-      serve::Session session(workers);
-      serve::Server server(session);
-      if (!tcp_spec.empty()) {
-        const auto [host, port] = serve::parse_host_port(tcp_spec);
-        std::fprintf(stderr, "ambit_cli: serving tcp %s:%d; %s\n",
-                     host.c_str(), port, serve::help_text().c_str());
-        // Kernel-assigned real port announced on stderr while the
-        // server runs (matters for port 0), so a driving script can
-        // connect.
-        std::atomic<int> bound_port{0};
-        serve::serve_tcp_announced(
-            bound_port,
-            [&] { return server.serve_tcp(host, port, &bound_port); },
-            [](int bound) {
-              std::fprintf(stderr, "ambit_cli: tcp bound port %d\n", bound);
-            });
-      } else {
-#ifdef _WIN32
-        // EVALB frames carry raw bytes; text-mode stdio would translate
-        // 0x0D 0x0A pairs and corrupt the framing.
-        _setmode(_fileno(stdin), _O_BINARY);
-        _setmode(_fileno(stdout), _O_BINARY);
-#endif
-        server.serve_stream(std::cin, std::cout);
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "ambit_cli: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-  if (!tcp_spec.empty()) {
-    // --tcp only means something with --serve.
-    return usage();
-  }
-  if (input.empty()) {
-    return usage();
   }
 
   try {
