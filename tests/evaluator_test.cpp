@@ -572,6 +572,29 @@ TEST(EvaluatorTest, ReprogrammedCellsReachTheNextBatch) {
   EXPECT_FALSE(after.evaluate_batch(inputs) == before.evaluate_batch(inputs))
       << "the reprogrammed cells should change the function";
 
+  // The classical PLA through its own mutators. Product 3 ends up with
+  // both rails of input 2 connected, x2 and ¬x2, so it is constant 0:
+  // a shape map_cover never builds.
+  ClassicalPla classical = ClassicalPla::map_cover(f);
+  EXPECT_EQ(classical.evaluate_batch(inputs),
+            scalar_reference(classical, inputs));
+  classical.set_and_plane(0, 9, true);   // insert the ¬x4 rail
+  classical.set_and_plane(1, 4, false);  // erase the x2 rail
+  classical.set_and_plane(3, 5, true);   // ¬x2 beside the x2 rail
+  classical.set_or_plane(2, 1, true);
+  classical.set_or_plane(0, 0, false);
+  classical.set_buffer_inverted(1, false);
+  ASSERT_TRUE(classical.and_plane_connected(3, 4) &&
+              classical.and_plane_connected(3, 5));
+  EXPECT_EQ(classical.evaluate_products(std::vector<bool>(5, false))[3],
+            false);
+  EXPECT_EQ(classical.evaluate_products(std::vector<bool>(5, true))[3],
+            false);
+  EXPECT_EQ(classical.evaluate_batch(inputs),
+            scalar_reference(classical, inputs));
+  EXPECT_EQ(classical.evaluate_batch(inputs, pool),
+            scalar_reference(classical, inputs));
+
   // The same plane, reprogrammed at random — every insert, erase and
   // overwrite position inside a row's sorted terms — against the scalar
   // row evaluation after every step.
@@ -602,7 +625,9 @@ TEST(EvaluatorTest, FusedTileBoundariesMatchScalarAndSimulation) {
                               .num_outputs = 3,
                               .num_cubes = 512,
                               .literals_per_cube = 3};
-  const GnorPla pla = GnorPla::map_cover(logic::generate_cover(spec, 5));
+  const Cover cover = logic::generate_cover(spec, 5);
+  const GnorPla pla = GnorPla::map_cover(cover);
+  const ClassicalPla classical = ClassicalPla::map_cover(cover);
   const std::uint64_t tile = logic::lanes::tile_words(
       static_cast<std::uint64_t>(pla.num_products()), ~std::uint64_t{0});
   ASSERT_GE(tile, 2u);
@@ -621,6 +646,12 @@ TEST(EvaluatorTest, FusedTileBoundariesMatchScalarAndSimulation) {
       EXPECT_EQ(pla.evaluate_batch(inputs, pool), expected)
           << count << " patterns, sharded, on the " << cpu::tier_name(tier)
           << " tier";
+      EXPECT_EQ(classical.evaluate_batch(inputs), expected)
+          << "ClassicalPla, " << count << " patterns on the "
+          << cpu::tier_name(tier) << " tier";
+      EXPECT_EQ(classical.evaluate_batch(inputs, pool), expected)
+          << "ClassicalPla, " << count << " patterns, sharded, on the "
+          << cpu::tier_name(tier) << " tier";
     }
     // The switch-level oracle on the patterns either side of every tile
     // edge and at the batch end.
@@ -644,6 +675,7 @@ TEST(EvaluatorTest, ShardedFromPoolTaskMatchesSequential) {
                                       "----11 001", "1--0-1 110",
                                       "0-1-0- 011"});
   const GnorPla gnor = GnorPla::map_cover(f);
+  const ClassicalPla classical = ClassicalPla::map_cover(f);
   const Cover a = Cover::parse(6, 1, {"11---- 1", "--0-1- 1"});
   const Cover b = Cover::parse(7, 1, {"--1---- 1", "------1 1"});
   const Wpla wpla(a, b, 6);
@@ -658,6 +690,7 @@ TEST(EvaluatorTest, ShardedFromPoolTaskMatchesSequential) {
     const PatternBatch inputs = random_batch(6, count, rng);
     for (const Evaluator* e :
          {static_cast<const Evaluator*>(&gnor),
+          static_cast<const Evaluator*>(&classical),
           static_cast<const Evaluator*>(&wpla),
           static_cast<const Evaluator*>(&fabric)}) {
       const PatternBatch expected = e->evaluate_batch(inputs);
@@ -677,9 +710,16 @@ TEST(EvaluatorTest, ZeroPatternBatchAcrossCircuitTypes) {
   const Cover f = Cover::parse(4, 2, {"11-- 10", "--11 01"});
   const GnorPla gnor = GnorPla::map_cover(f);
   const ClassicalPla classical = ClassicalPla::map_cover(f);
+  const Wpla wpla(Cover::parse(4, 1, {"11-- 1"}),
+                  Cover::parse(5, 2, {"--1-- 10", "----1 01"}), 4);
+  Fabric fabric(4);
+  fabric.add_stage(FabricStage(Fabric::identity_routing(4, 4),
+                               gnor.product_plane(), /*feed=*/true));
   for (const Evaluator* e :
        {static_cast<const Evaluator*>(&gnor),
-        static_cast<const Evaluator*>(&classical)}) {
+        static_cast<const Evaluator*>(&classical),
+        static_cast<const Evaluator*>(&wpla),
+        static_cast<const Evaluator*>(&fabric)}) {
     const PatternBatch out = e->evaluate_batch(PatternBatch(4, 0));
     EXPECT_EQ(out.num_patterns(), 0u);
     EXPECT_EQ(out.num_signals(), e->num_outputs());

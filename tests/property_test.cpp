@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "core/classical_pla.h"
 #include "core/crossbar.h"
 #include "core/fabric.h"
 #include "core/gnor_pla.h"
@@ -297,6 +298,31 @@ TEST_P(BatchScalarEquivalence, GnorPla) {
   }
 }
 
+TEST_P(BatchScalarEquivalence, ClassicalPla) {
+  for (int t = 0; t < 8; ++t) {
+    const int ni = 2 + static_cast<int>(rng_.next_below(8));
+    Cover f(ni, 3);
+    for (int k = 0; k < 2 + static_cast<int>(rng_.next_below(8)); ++k) {
+      f.add(random_cube(rng_, ni, 3));
+    }
+    auto pla = core::ClassicalPla::map_cover(f);
+    // Random rails beyond what map_cover builds: a product may end up
+    // with both rails of an input (constant 0) or none at all.
+    for (int s = 0; s < 6; ++s) {
+      pla.set_and_plane(
+          static_cast<int>(rng_.next_below(
+              static_cast<std::uint64_t>(pla.num_products()))),
+          static_cast<int>(rng_.next_below(2 * static_cast<std::uint64_t>(ni))),
+          rng_.next_bool());
+    }
+    pla.set_buffer_inverted(static_cast<int>(rng_.next_below(3)),
+                            rng_.next_bool());
+    for (const std::uint64_t count : kBatchSizes) {
+      expect_batch_matches_scalar(pla, rng_, count);
+    }
+  }
+}
+
 TEST_P(BatchScalarEquivalence, Wpla) {
   for (int t = 0; t < 6; ++t) {
     const int ni = 2 + static_cast<int>(rng_.next_below(6));
@@ -355,6 +381,9 @@ TEST(SimulatorCrossValidation, SimulatorMatchesEveryFunctionalModel) {
 }
 
 TEST_P(BatchScalarEquivalence, Fabric) {
+  const auto random_cell = [this] {
+    return static_cast<core::CellConfig>(rng_.next_below(3));
+  };
   for (int t = 0; t < 6; ++t) {
     const int ni = 2 + static_cast<int>(rng_.next_below(5));
     Cover f(ni, 2);
@@ -364,20 +393,48 @@ TEST_P(BatchScalarEquivalence, Fabric) {
     const auto pla = core::GnorPla::map_cover(f);
     core::Fabric fabric(ni);
     // Plane columns wider than the bus leave undriven (grounded)
-    // columns; feed-through on the first stage widens the bus.
+    // columns, here programmed at random, invert cells included;
+    // feed-through on the first stage widens the bus.
     core::GnorPlane wide(pla.num_products(), ni + 1);
     for (int r = 0; r < pla.num_products(); ++r) {
       for (int c = 0; c < ni; ++c) {
         wide.set_cell(r, c, pla.product_plane().cell(r, c));
       }
+      wide.set_cell(r, ni, random_cell());
     }
     fabric.add_stage(core::FabricStage(
         core::Fabric::identity_routing(ni, ni + 1), std::move(wide),
         /*feed=*/true));
+    // A permuted route onto a random plane, fed through again, so the
+    // next stage reads primary inputs and plane rows side by side.
+    const int bus = fabric.bus_width();
+    std::vector<int> order(static_cast<std::size_t>(bus));
+    for (int h = 0; h < bus; ++h) {
+      order[static_cast<std::size_t>(h)] = h;
+    }
+    rng_.shuffle(order);
+    core::Crossbar permuted(bus, bus);
+    core::GnorPlane mixer(3, bus);
+    for (int h = 0; h < bus; ++h) {
+      permuted.set_switch(h, order[static_cast<std::size_t>(h)], true);
+      for (int r = 0; r < 3; ++r) {
+        mixer.set_cell(r, h, random_cell());
+      }
+    }
+    fabric.add_stage(core::FabricStage(std::move(permuted), std::move(mixer),
+                                       /*feed=*/true));
+    // The last stage does not feed through on even trials, so the
+    // outputs are its rows alone; on odd ones they are the whole bus.
+    core::GnorPlane last(2, fabric.bus_width());
+    for (int r = 0; r < 2; ++r) {
+      for (int c = 0; c < fabric.bus_width(); ++c) {
+        last.set_cell(r, c, random_cell());
+      }
+    }
     fabric.add_stage(core::FabricStage(
         core::Fabric::identity_routing(fabric.bus_width(),
                                        fabric.bus_width()),
-        core::GnorPlane(2, fabric.bus_width())));
+        std::move(last), /*feed=*/t % 2 == 1));
     for (const std::uint64_t count : kBatchSizes) {
       expect_batch_matches_scalar(fabric, rng_, count);
     }
