@@ -2,13 +2,12 @@
 
 #include <vector>
 
-#include "logic/lane_kernels.h"
+#include "core/gnor_pla.h"
 #include "util/error.h"
 
 namespace ambit::core {
 
 using logic::Cover;
-using logic::Literal;
 
 ClassicalPla::ClassicalPla(int num_inputs, int num_products, int num_outputs)
     : num_inputs_(num_inputs),
@@ -20,82 +19,75 @@ ClassicalPla::ClassicalPla(int num_inputs, int num_products, int num_outputs)
       or_plane_(static_cast<std::size_t>(num_outputs) *
                     static_cast<std::size_t>(num_products),
                 false),
-      buffer_inverted_(static_cast<std::size_t>(num_outputs), true) {
+      buffer_inverted_(static_cast<std::size_t>(num_outputs), true),
+      and_compiled_(num_products, 2 * num_inputs),
+      or_compiled_(num_outputs, num_products) {
   check(num_inputs >= 0 && num_products >= 0 && num_outputs >= 0,
         "ClassicalPla: negative dimensions");
 }
 
 ClassicalPla ClassicalPla::map_cover(const Cover& cover,
                                      const std::vector<bool>& complemented) {
-  check(complemented.empty() ||
-            static_cast<int>(complemented.size()) == cover.num_outputs(),
-        "ClassicalPla::map_cover: phase vector arity mismatch");
-  ClassicalPla pla(cover.num_inputs(), static_cast<int>(cover.size()),
-                   cover.num_outputs());
-  for (int k = 0; k < static_cast<int>(cover.size()); ++k) {
-    const auto& cube = cover[static_cast<std::size_t>(k)];
-    for (int i = 0; i < cover.num_inputs(); ++i) {
-      switch (cube.input(i)) {
-        case Literal::kOne:
-          // P = …x… = NOR(…, x̄, …): connect the complement rail.
-          pla.set_and_plane(k, 2 * i + 1, true);
-          break;
-        case Literal::kZero:
-          pla.set_and_plane(k, 2 * i, true);
-          break;
-        default:
-          break;
+  // The GNOR mapping with every p-type cell (P = …x… = NOR(…, x̄, …))
+  // moved onto the complement rail and every n-type cell onto the true
+  // rail.
+  const GnorPla gnor = GnorPla::map_cover(cover, complemented);
+  ClassicalPla pla(gnor.num_inputs(), gnor.num_products(),
+                   gnor.num_outputs());
+  for (int k = 0; k < pla.num_products_; ++k) {
+    for (int i = 0; i < pla.num_inputs_; ++i) {
+      const CellConfig cell = gnor.product_plane().cell(k, i);
+      if (cell != CellConfig::kOff) {
+        pla.set_and_plane(k, 2 * i + (cell == CellConfig::kInvert), true);
       }
     }
-    for (int o = 0; o < cover.num_outputs(); ++o) {
-      if (cube.output(o)) {
-        pla.set_or_plane(o, k, true);
-      }
+    for (int o = 0; o < pla.num_outputs_; ++o) {
+      pla.set_or_plane(o, k, gnor.output_plane().cell(o, k) != CellConfig::kOff);
     }
   }
-  for (int o = 0; o < cover.num_outputs(); ++o) {
-    const bool phase_complemented =
-        !complemented.empty() && complemented[static_cast<std::size_t>(o)];
-    pla.buffer_inverted_[static_cast<std::size_t>(o)] = !phase_complemented;
+  for (int o = 0; o < pla.num_outputs_; ++o) {
+    pla.buffer_inverted_[static_cast<std::size_t>(o)] = gnor.buffer_inverted(o);
   }
   return pla;
 }
 
-bool ClassicalPla::and_plane_connected(int product, int literal_column) const {
+std::size_t ClassicalPla::and_index(int product, int literal_column) const {
   check(product >= 0 && product < num_products_ && literal_column >= 0 &&
             literal_column < 2 * num_inputs_,
         "ClassicalPla: and-plane index out of range");
-  return and_plane_[static_cast<std::size_t>(product) *
-                        static_cast<std::size_t>(2 * num_inputs_) +
-                    static_cast<std::size_t>(literal_column)];
+  return static_cast<std::size_t>(product) *
+             static_cast<std::size_t>(2 * num_inputs_) +
+         static_cast<std::size_t>(literal_column);
+}
+
+std::size_t ClassicalPla::or_index(int output, int product) const {
+  check(output >= 0 && output < num_outputs_ && product >= 0 &&
+            product < num_products_,
+        "ClassicalPla: or-plane index out of range");
+  return static_cast<std::size_t>(output) *
+             static_cast<std::size_t>(num_products_) +
+         static_cast<std::size_t>(product);
+}
+
+bool ClassicalPla::and_plane_connected(int product, int literal_column) const {
+  return and_plane_[and_index(product, literal_column)];
 }
 
 void ClassicalPla::set_and_plane(int product, int literal_column,
                                  bool connected) {
-  check(product >= 0 && product < num_products_ && literal_column >= 0 &&
-            literal_column < 2 * num_inputs_,
-        "ClassicalPla: and-plane index out of range");
-  and_plane_[static_cast<std::size_t>(product) *
-                 static_cast<std::size_t>(2 * num_inputs_) +
-             static_cast<std::size_t>(literal_column)] = connected;
+  and_plane_[and_index(product, literal_column)] = connected;
+  and_compiled_.connect(
+      product, {.lane = literal_column / 2, .invert = literal_column % 2 == 1},
+      connected);
 }
 
 bool ClassicalPla::or_plane_connected(int output, int product) const {
-  check(output >= 0 && output < num_outputs_ && product >= 0 &&
-            product < num_products_,
-        "ClassicalPla: or-plane index out of range");
-  return or_plane_[static_cast<std::size_t>(output) *
-                       static_cast<std::size_t>(num_products_) +
-                   static_cast<std::size_t>(product)];
+  return or_plane_[or_index(output, product)];
 }
 
 void ClassicalPla::set_or_plane(int output, int product, bool connected) {
-  check(output >= 0 && output < num_outputs_ && product >= 0 &&
-            product < num_products_,
-        "ClassicalPla: or-plane index out of range");
-  or_plane_[static_cast<std::size_t>(output) *
-                static_cast<std::size_t>(num_products_) +
-            static_cast<std::size_t>(product)] = connected;
+  or_plane_[or_index(output, product)] = connected;
+  or_compiled_.connect(output, {.lane = product, .invert = false}, connected);
 }
 
 bool ClassicalPla::buffer_inverted(int output) const {
@@ -152,59 +144,16 @@ std::vector<bool> ClassicalPla::do_evaluate(
   return outputs;
 }
 
-logic::PatternBatch ClassicalPla::do_evaluate_batch(
-    const logic::PatternBatch& inputs) const {
-  using logic::lanes::SweepRow;
-  using logic::lanes::SweepTerm;
-
-  // Plane 1: product row k NORs the connected literal rails — column
-  // 2i is the true rail (pass term), column 2i+1 the complement rail
-  // (invert term). The word-wide reduction runs on the dispatched lane
-  // kernel (logic/lane_kernels.h).
-  logic::PatternBatch products(num_products_, inputs.num_patterns());
-  std::vector<SweepTerm> and_terms;
-  std::vector<SweepRow> and_rows(static_cast<std::size_t>(num_products_));
-  for (int k = 0; k < num_products_; ++k) {
-    const std::uint64_t first = and_terms.size();
-    for (int i = 0; i < num_inputs_; ++i) {
-      if (and_plane_connected(k, 2 * i)) {
-        and_terms.push_back({.lane = i, .invert = false});
-      }
-      if (and_plane_connected(k, 2 * i + 1)) {
-        and_terms.push_back({.lane = i, .invert = true});
-      }
-    }
-    and_rows[static_cast<std::size_t>(k)] = {.first_term = first,
-                                             .num_terms =
-                                                 and_terms.size() - first,
-                                             .complement = true};
-  }
-  logic::lanes::nor_plane_sweep(and_rows.data(),
-                                static_cast<std::uint64_t>(num_products_),
-                                and_terms.data(), inputs, products);
-
-  // Plane 2 + buffers: output row o NORs the connected product lines;
-  // an inverting tap undoes the final complement, so it keeps the raw
-  // pull-down accumulator instead (complement=false).
-  logic::PatternBatch outputs(num_outputs_, inputs.num_patterns());
-  std::vector<SweepTerm> or_terms;
-  std::vector<SweepRow> or_rows(static_cast<std::size_t>(num_outputs_));
-  for (int o = 0; o < num_outputs_; ++o) {
-    const std::uint64_t first = or_terms.size();
-    for (int k = 0; k < num_products_; ++k) {
-      if (or_plane_connected(o, k)) {
-        or_terms.push_back({.lane = k, .invert = false});
-      }
-    }
-    or_rows[static_cast<std::size_t>(o)] = {
-        .first_term = first,
-        .num_terms = or_terms.size() - first,
-        .complement = !buffer_inverted_[static_cast<std::size_t>(o)]};
-  }
-  logic::lanes::nor_plane_sweep(or_rows.data(),
-                                static_cast<std::uint64_t>(num_outputs_),
-                                or_terms.data(), products, outputs);
-  return outputs;
+void ClassicalPla::do_evaluate_words(const logic::PatternBatch& inputs,
+                                     logic::PatternBatch& out,
+                                     std::uint64_t word_lo,
+                                     std::uint64_t word_hi) const {
+  const SweepStage stages[] = {
+      and_compiled_.stage(static_cast<std::uint64_t>(num_inputs_),
+                          kCallerLanes, 0),
+      or_compiled_.stage(static_cast<std::uint64_t>(num_products_), 0,
+                         kCallerLanes, &buffer_inverted_)};
+  SweepProgram{stages}.run(inputs, out, word_lo, word_hi);
 }
 
 tech::PlaDimensions ClassicalPla::dimensions() const {

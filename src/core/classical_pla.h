@@ -10,11 +10,21 @@
 //
 // Cell count = (2·inputs + outputs) · products — the first factor in
 // every Table 1 row.
+//
+// The batch path is GnorPla's two-stage SweepProgram
+// (core/sweep_program.h): the x_i and x̄_i rails of input i are a pass
+// and an invert term on the one input lane i, so a product row reads
+// the caller's input lanes in place into the product tile, and an
+// output row reads the tile into the caller's output lanes, its buffer
+// tap folded into its polarity. set_and_plane and set_or_plane keep the
+// compiled rows current; a product may connect both rails of an input,
+// which makes it constant 0.
 #pragma once
 
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/sweep_program.h"
 #include "logic/cover.h"
 #include "tech/area_model.h"
 
@@ -61,8 +71,10 @@ class ClassicalPla : public Evaluator {
  protected:
   /// Functional evaluation (after output buffers).
   std::vector<bool> do_evaluate(const std::vector<bool>& inputs) const override;
-  logic::PatternBatch do_evaluate_batch(
-      const logic::PatternBatch& inputs) const override;
+  /// Runs the two compiled planes over lane words [word_lo, word_hi).
+  void do_evaluate_words(const logic::PatternBatch& inputs,
+                         logic::PatternBatch& out, std::uint64_t word_lo,
+                         std::uint64_t word_hi) const override;
 
  private:
   int num_inputs_;
@@ -71,6 +83,12 @@ class ClassicalPla : public Evaluator {
   std::vector<bool> and_plane_;  // products × (2·inputs), row-major
   std::vector<bool> or_plane_;   // outputs × products, row-major
   std::vector<bool> buffer_inverted_;
+  CompiledPlane and_compiled_;   // over the input lanes
+  CompiledPlane or_compiled_;    // over the product lines
+
+  /// Checked row-major indices into and_plane_ and or_plane_.
+  std::size_t and_index(int product, int literal_column) const;
+  std::size_t or_index(int output, int product) const;
 };
 
 }  // namespace ambit::core

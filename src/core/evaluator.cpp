@@ -96,6 +96,13 @@ logic::PatternBatch Evaluator::evaluate_batch(const logic::PatternBatch& inputs,
   return out;
 }
 
+logic::PatternBatch Evaluator::do_evaluate_batch(
+    const logic::PatternBatch& inputs) const {
+  logic::PatternBatch out(num_outputs(), inputs.num_patterns());
+  do_evaluate_words(inputs, out, 0, inputs.words_per_lane());
+  return out;
+}
+
 void Evaluator::do_evaluate_words(const logic::PatternBatch& inputs,
                                   logic::PatternBatch& out,
                                   std::uint64_t word_lo,

@@ -17,6 +17,13 @@
 // batch path is guaranteed to accept exactly the shapes the scalar path
 // accepts.
 //
+// The four PLA models (GnorPla, ClassicalPla, Wpla, Fabric) implement
+// only the shard hook, do_evaluate_words, by running their compiled
+// SweepProgram (core/sweep_program.h) over the shard's words in place;
+// the whole batch is the one shard of every word. SimEvaluator
+// implements the batch hook instead and shards through the default
+// slice/paste copies.
+//
 // Exhaustive sweeps — verification, Table 1/2-style comparisons, fault
 // Monte-Carlo — should go through evaluate_batch: on a GNOR plane the
 // inner loop becomes AND/OR/NOT over packed lanes instead of per-bit
@@ -24,7 +31,7 @@
 // bench/bench_batch_eval.cpp).
 //
 // THE BIT-LOCALITY CONTRACT (docs/ARCHITECTURE.md has the long form):
-// every do_evaluate_batch kernel must be bitwise over the lane words —
+// every batch kernel must be bitwise over the lane words —
 // output bit b of lane word w may depend only on bit b of word w of
 // the input lanes. Two load-bearing consequences:
 //   * word-aligned sharding (the pool overload below) is bit-identical
@@ -99,9 +106,10 @@ class Evaluator {
   virtual std::vector<bool> do_evaluate(
       const std::vector<bool>& inputs) const = 0;
 
-  /// Width-validated batch evaluation hook.
+  /// Width-validated batch evaluation hook. The default allocates the
+  /// result and fills it through do_evaluate_words over every word.
   virtual logic::PatternBatch do_evaluate_batch(
-      const logic::PatternBatch& inputs) const = 0;
+      const logic::PatternBatch& inputs) const;
 
   /// Width-validated shard hook: evaluates lane words [word_lo,
   /// word_hi) of `inputs` into the same words of `out`, a batch of
@@ -110,8 +118,9 @@ class Evaluator {
   /// concurrently on disjoint ranges of one `out`, so it must be const
   /// and touch nothing shared but its own words. The default slices
   /// the range out, runs do_evaluate_batch on it and pastes the result
-  /// back; a kernel that addresses the caller's lanes in place
-  /// (GnorPla) overrides it and skips both copies.
+  /// back. Each default calls the other hook, so a derived class
+  /// overrides at least one: a kernel that addresses the caller's lanes
+  /// in place overrides this one and skips both copies.
   virtual void do_evaluate_words(const logic::PatternBatch& inputs,
                                  logic::PatternBatch& out,
                                  std::uint64_t word_lo,

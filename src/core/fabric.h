@@ -9,6 +9,12 @@
 // with the incoming bus, modelling feed-through tracks) become the next
 // bus. Two stages with identity routing reproduce a PLA; four stages
 // reproduce the Whirlpool-PLA NOR-NOR-NOR-NOR structure (§5).
+//
+// add_stage compiles the stage onto the fabric's SweepProgram
+// (core/sweep_program.h), whose lane space is the primary inputs, then
+// every stage's rows: a cell's term reads the lane its column is routed
+// from, so a route is a lane index, a feed-through keeps earlier lanes
+// on the bus, and the batch path copies no lane between stages.
 #pragma once
 
 #include <vector>
@@ -51,7 +57,7 @@ class Fabric : public Evaluator {
   int num_stages() const { return static_cast<int>(stages_.size()); }
 
   /// Bus width after the last stage (= width of evaluate()'s result).
-  int bus_width() const;
+  int bus_width() const { return static_cast<int>(bus_.size()); }
 
   int num_inputs() const override { return primary_inputs_; }
   int num_outputs() const override { return bus_width(); }
@@ -69,12 +75,24 @@ class Fabric : public Evaluator {
  protected:
   /// Evaluates the full cascade.
   std::vector<bool> do_evaluate(const std::vector<bool>& inputs) const override;
-  logic::PatternBatch do_evaluate_batch(
-      const logic::PatternBatch& inputs) const override;
+  /// Runs the compiled program over lane words [word_lo, word_hi).
+  void do_evaluate_words(const logic::PatternBatch& inputs,
+                         logic::PatternBatch& out, std::uint64_t word_lo,
+                         std::uint64_t word_hi) const override;
 
  private:
   int primary_inputs_;
   std::vector<FabricStage> stages_;
+  // The compiled program: every stage's rows in order with their terms
+  // on the lane space, the bus as one pass term on each signal's lane,
+  // and output_rows_ copying the bus out when it is not the last
+  // stage's rows alone (row i is bus signal i as a raw OR).
+  std::vector<logic::lanes::SweepRow> rows_;
+  std::vector<logic::lanes::SweepTerm> terms_;
+  std::vector<logic::lanes::SweepTerm> bus_;
+  std::vector<logic::lanes::SweepRow> output_rows_;
+
+  void compile_outputs();
 };
 
 }  // namespace ambit::core

@@ -1,9 +1,5 @@
 #include "core/gnor_pla.h"
 
-#include <algorithm>
-#include <memory>
-
-#include "logic/lane_kernels.h"
 #include "util/error.h"
 
 namespace ambit::core {
@@ -85,44 +81,21 @@ std::vector<bool> GnorPla::do_evaluate(const std::vector<bool>& inputs) const {
   return rows;
 }
 
-logic::PatternBatch GnorPla::do_evaluate_batch(
-    const logic::PatternBatch& inputs) const {
-  logic::PatternBatch out(num_outputs(), inputs.num_patterns());
-  do_evaluate_words(inputs, out, 0, inputs.words_per_lane());
-  return out;
+std::array<SweepStage, 2> GnorPla::sweep_stages(std::uint64_t from,
+                                                std::uint64_t products,
+                                                std::uint64_t to) const {
+  return {plane1_.compiled().stage(static_cast<std::uint64_t>(num_inputs()),
+                                   from, products),
+          plane2_.compiled().stage(static_cast<std::uint64_t>(num_products()),
+                                   products, to, &buffer_inverted_)};
 }
 
 void GnorPla::do_evaluate_words(const logic::PatternBatch& inputs,
                                 logic::PatternBatch& out,
                                 std::uint64_t word_lo,
                                 std::uint64_t word_hi) const {
-  using logic::lanes::SweepRow;
-  const logic::lanes::LaneKernels& kernels = logic::lanes::kernels();
-  const std::uint64_t words = inputs.words_per_lane();
-  const auto products = static_cast<std::uint64_t>(num_products());
-  const std::uint64_t tile = logic::lanes::tile_words(products, word_hi - word_lo);
-  // One tile of every product line; every word is written before it is
-  // read, so it needs no zeroing.
-  const auto product_tile =
-      std::make_unique_for_overwrite<std::uint64_t[]>(products * tile);
-  for (std::uint64_t w = word_lo; w < word_hi; w += tile) {
-    const std::uint64_t n = std::min(tile, word_hi - w);
-    const std::uint64_t tail_mask =
-        w + n == words ? inputs.tail_mask() : ~std::uint64_t{0};
-    kernels.plane_sweep(plane1_.sweep_rows(), products, plane1_.sweep_terms(),
-                        num_inputs() > 0 ? inputs.lane(0) + w : nullptr,
-                        words, static_cast<std::uint64_t>(num_inputs()),
-                        product_tile.get(), tile, n, tail_mask);
-    for (int o = 0; o < num_outputs(); ++o) {
-      // The row carries ¬g_o; an inverting buffer tap cancels the NOR's
-      // complement, so it keeps the raw OR instead of a second pass.
-      SweepRow row = plane2_.sweep_rows()[o];
-      row.complement = !buffer_inverted_[static_cast<std::size_t>(o)];
-      kernels.plane_sweep(&row, 1, plane2_.sweep_terms(), product_tile.get(),
-                          tile, products, out.lane(o) + w, words, n,
-                          tail_mask);
-    }
-  }
+  const auto stages = sweep_stages(kCallerLanes, 0, kCallerLanes);
+  SweepProgram{stages}.run(inputs, out, word_lo, word_hi);
 }
 
 tech::PlaDimensions GnorPla::dimensions() const {

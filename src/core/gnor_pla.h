@@ -17,15 +17,17 @@
 //
 // Cell count = (inputs + outputs) · products, matching Table 1.
 //
-// The batch path follows the paper's evaluate cycle, in which plane 1's
-// product lines drive plane 2 directly: the words are swept in tiles,
-// plane 1 writes one L2-sized tile of every product line into a
-// scratch buffer, and plane 2 reads that tile straight into the
-// caller's output lanes, with each output's buffer tap folded into its
-// row's final polarity. Product lines never reach memory, and a shard
-// (Evaluator::do_evaluate_words) is the same loop over its own words.
+// The batch path is the planes' two-stage SweepProgram
+// (core/sweep_program.h), following the paper's evaluate cycle, in
+// which plane 1's product lines drive plane 2 directly: plane 1 reads
+// the caller's input lanes in place into one L2-sized tile of every
+// product line, and plane 2 reads that tile straight into the caller's
+// output lanes, each output's buffer tap folded into its row's final
+// polarity. Product lines never reach memory, and a shard
+// (Evaluator::do_evaluate_words) is the same run over its own words.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -78,12 +80,19 @@ class GnorPla : public Evaluator {
   /// ASCII rendering of both planes.
   std::string to_ascii() const;
 
+  /// The two planes as program stages (see SweepStage): plane 1 reads
+  /// its inputs at `from` and writes its product lines at tile lane
+  /// `products`, where plane 2 reads them; plane 2 writes the outputs,
+  /// after their buffer taps, at `to`.
+  std::array<SweepStage, 2> sweep_stages(std::uint64_t from,
+                                         std::uint64_t products,
+                                         std::uint64_t to) const;
+
  protected:
   /// Full functional evaluation: inputs -> outputs (after buffers).
   std::vector<bool> do_evaluate(const std::vector<bool>& inputs) const override;
-  logic::PatternBatch do_evaluate_batch(
-      const logic::PatternBatch& inputs) const override;
-  /// The tile-fused sweep over lane words [word_lo, word_hi), in place.
+  /// Runs sweep_stages(caller, 0, caller) over lane words [word_lo,
+  /// word_hi).
   void do_evaluate_words(const logic::PatternBatch& inputs,
                          logic::PatternBatch& out, std::uint64_t word_lo,
                          std::uint64_t word_hi) const override;

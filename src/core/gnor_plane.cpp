@@ -1,27 +1,15 @@
 #include "core/gnor_plane.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "util/error.h"
 
 namespace ambit::core {
 
-using logic::lanes::SweepRow;
-using logic::lanes::SweepTerm;
-
-GnorPlane::GnorPlane(int rows, int cols) : rows_(rows), cols_(cols) {
-  check(rows >= 0 && cols >= 0, "GnorPlane: negative dimensions");
-  const std::size_t cells =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  cells_.assign(cells, CellConfig::kOff);
-  sweep_terms_.resize(cells);
-  sweep_rows_.resize(static_cast<std::size_t>(rows));
-  for (std::size_t r = 0; r < sweep_rows_.size(); ++r) {
-    sweep_rows_[r] = {.first_term = r * static_cast<std::size_t>(cols),
-                      .num_terms = 0,
-                      .complement = true};  // NOR: invert the pull-down
-  }
+GnorPlane::GnorPlane(int rows, int cols)
+    : rows_(rows), cols_(cols), compiled_(rows, cols) {
+  cells_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
+                CellConfig::kOff);
 }
 
 std::size_t GnorPlane::index(int row, int col) const {
@@ -37,28 +25,12 @@ CellConfig GnorPlane::cell(int row, int col) const {
 
 void GnorPlane::set_cell(int row, int col, CellConfig config) {
   cells_[index(row, col)] = config;
-  // Keep the row's live terms sorted by column: find the cell's slot,
-  // then overwrite, insert or erase it. Programming a row in column
-  // order appends, so building a plane cell by cell stays linear.
-  SweepRow& sweep = sweep_rows_[static_cast<std::size_t>(row)];
-  SweepTerm* first = sweep_terms_.data() + sweep.first_term;
-  SweepTerm* last = first + sweep.num_terms;
-  SweepTerm* at = std::lower_bound(
-      first, last, col,
-      [](const SweepTerm& term, int c) { return term.lane < c; });
-  const bool present = at != last && at->lane == col;
-  if (config == CellConfig::kOff) {
-    if (present) {
-      std::copy(at + 1, last, at);
-      --sweep.num_terms;
-    }
-    return;
-  }
-  if (!present) {
-    std::copy_backward(at, last, last + 1);
-    ++sweep.num_terms;
-  }
-  *at = {.lane = col, .invert = config == CellConfig::kInvert};
+  // Disconnect the polarity the cell does not have first, so a row
+  // never holds more terms than columns; off disconnects both.
+  compiled_.connect(row, {.lane = col, .invert = config != CellConfig::kInvert},
+                    false);
+  compiled_.connect(row, {.lane = col, .invert = config == CellConfig::kInvert},
+                    config != CellConfig::kOff);
 }
 
 GnorGate GnorPlane::row_gate(int row) const {
@@ -89,9 +61,9 @@ logic::PatternBatch GnorPlane::evaluate_batch(
   check(inputs.num_signals() == cols_,
         "GnorPlane::evaluate_batch: input arity mismatch");
   logic::PatternBatch out(rows_, inputs.num_patterns());
-  logic::lanes::nor_plane_sweep(sweep_rows(),
-                                static_cast<std::uint64_t>(rows_),
-                                sweep_terms(), inputs, out);
+  const SweepStage stage = compiled_.stage(static_cast<std::uint64_t>(cols_),
+                                           kCallerLanes, kCallerLanes);
+  SweepProgram{{&stage, 1}}.run(inputs, out, 0, inputs.words_per_lane());
   return out;
 }
 

@@ -6,18 +6,21 @@
 // into the crossbar interconnect (modeled separately in crossbar.h).
 //
 // Next to its cells a plane keeps its pull-down network compiled into
-// lane-kernel sweep rows (logic/lane_kernels.h). set_cell updates the
-// program eagerly, so evaluation does no per-call set-up and never
-// writes shared state: a const plane is safe to sweep from any number
-// of threads. The program is a pure function of the cells, so copies
-// carry a current one and operator== compares cells alone.
+// sweep rows (core/sweep_program.h): an n-type cell conducts on its
+// input lane as-is (a pass term), a p-type cell on its complement (an
+// invert term). set_cell updates the compiled rows eagerly, so the
+// stages GnorPla, Wpla and evaluate_batch run read the current cells,
+// evaluation does no per-call set-up, and a const plane is safe to
+// sweep from any number of threads. The compiled rows are a pure
+// function of the cells, so copies carry current ones and operator==
+// compares cells alone.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "core/gnor.h"
-#include "logic/lane_kernels.h"
+#include "core/sweep_program.h"
 #include "logic/pattern_batch.h"
 
 namespace ambit::core {
@@ -42,21 +45,12 @@ class GnorPlane {
 
   /// Word-parallel row evaluation: lane r of the result carries row r's
   /// value for all patterns of the batch (64 patterns per AND/OR/NOT),
-  /// one dispatched plane_sweep over the compiled program. GnorPla
-  /// runs the same program tile by tile instead (core/gnor_pla.h).
+  /// the compiled rows run as a one-stage SweepProgram.
   logic::PatternBatch evaluate_batch(const logic::PatternBatch& inputs) const;
 
-  /// The compiled program: one NOR row per plane row, whose terms are
-  /// the row's non-off cells in column order — an n-type cell conducts
-  /// on the input lane as-is (pass term), a p-type cell on its
-  /// complement (invert term). Row r's terms start at sweep_terms() +
-  /// r * cols(). Both stay valid until the next set_cell.
-  const logic::lanes::SweepRow* sweep_rows() const {
-    return sweep_rows_.data();
-  }
-  const logic::lanes::SweepTerm* sweep_terms() const {
-    return sweep_terms_.data();
-  }
+  /// The compiled rows: one NOR row per plane row, whose terms are the
+  /// row's non-off cells in column order (term lane = column).
+  const CompiledPlane& compiled() const { return compiled_; }
 
   /// Number of cells not configured off. 64-bit: rows · cols can
   /// exceed int.
@@ -81,10 +75,7 @@ class GnorPlane {
   int rows_;
   int cols_;
   std::vector<CellConfig> cells_;  // row-major
-  // The compiled program: row r owns the term slots [r*cols_,
-  // (r+1)*cols_), of which the first sweep_rows_[r].num_terms are live.
-  std::vector<logic::lanes::SweepRow> sweep_rows_;
-  std::vector<logic::lanes::SweepTerm> sweep_terms_;
+  CompiledPlane compiled_;         // cols_ term slots per row
 
   std::size_t index(int row, int col) const;
 };

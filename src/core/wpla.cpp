@@ -30,20 +30,19 @@ std::vector<bool> Wpla::do_evaluate(const std::vector<bool>& inputs) const {
   return stage_b_.evaluate(extended);
 }
 
-logic::PatternBatch Wpla::do_evaluate_batch(
-    const logic::PatternBatch& inputs) const {
-  const logic::PatternBatch g = stage_a_.evaluate_batch(inputs);
-  // Stage B reads [primary inputs … intermediates] (the primary inputs
-  // ride through on feed-through tracks).
-  logic::PatternBatch extended(primary_inputs_ + g.num_signals(),
-                               inputs.num_patterns());
-  for (int i = 0; i < primary_inputs_; ++i) {
-    extended.copy_lane_from(inputs, i, i);
-  }
-  for (int j = 0; j < g.num_signals(); ++j) {
-    extended.copy_lane_from(g, j, primary_inputs_ + j);
-  }
-  return stage_b_.evaluate_batch(extended);
+void Wpla::do_evaluate_words(const logic::PatternBatch& inputs,
+                             logic::PatternBatch& out, std::uint64_t word_lo,
+                             std::uint64_t word_hi) const {
+  // Tile lanes [primary inputs | G | A's products | B's products].
+  const auto g = static_cast<std::uint64_t>(primary_inputs_);
+  const auto products_a = g + static_cast<std::uint64_t>(num_intermediates());
+  const auto products_b =
+      products_a + static_cast<std::uint64_t>(stage_a_.num_products());
+  const auto a = stage_a_.sweep_stages(kCallerLanes, products_a, g);
+  const auto b = stage_b_.sweep_stages(0, products_b, kCallerLanes);
+  const SweepStage stages[] = {a[0], a[1], b[0], b[1]};
+  SweepProgram{stages, /*stage_inputs=*/true}.run(inputs, out, word_lo,
+                                                   word_hi);
 }
 
 long long Wpla::cell_count() const {

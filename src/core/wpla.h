@@ -10,6 +10,13 @@
 // through on feed-through tracks, Fig. 3 style). Because every plane
 // is a GNOR plane, each stage still needs only ONE column per signal.
 //
+// The batch path is the four planes' SweepProgram (core/sweep_program.h)
+// over one scratch tile laid out [primary inputs | G | stage A's
+// products | stage B's products], so plane 3 reads the feed-through
+// tracks and G as one run of lanes and no lane is copied between
+// stages; only the primary inputs are staged into the tile, once per
+// tile.
+//
 // Synthesis (synthesize_wpla) is a Doppio-Espresso variant — two
 // Espresso runs joined by OR-resubstitution:
 //
@@ -55,8 +62,10 @@ class Wpla : public Evaluator {
  protected:
   /// Evaluates the full four-plane cascade.
   std::vector<bool> do_evaluate(const std::vector<bool>& inputs) const override;
-  logic::PatternBatch do_evaluate_batch(
-      const logic::PatternBatch& inputs) const override;
+  /// Runs the four planes over lane words [word_lo, word_hi).
+  void do_evaluate_words(const logic::PatternBatch& inputs,
+                         logic::PatternBatch& out, std::uint64_t word_lo,
+                         std::uint64_t word_hi) const override;
 
  private:
   int primary_inputs_;

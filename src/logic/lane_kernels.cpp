@@ -16,20 +16,6 @@ namespace {
 // reference the SIMD tiers must match bit for bit, and the fallback
 // every platform can run.
 
-void scalar_or_into(std::uint64_t* dst, const std::uint64_t* src,
-                    std::uint64_t n) {
-  for (std::uint64_t w = 0; w < n; ++w) {
-    dst[w] |= src[w];
-  }
-}
-
-void scalar_or_not_into(std::uint64_t* dst, const std::uint64_t* src,
-                        std::uint64_t n) {
-  for (std::uint64_t w = 0; w < n; ++w) {
-    dst[w] |= ~src[w];
-  }
-}
-
 void scalar_complement_masked(std::uint64_t* dst, std::uint64_t n,
                               std::uint64_t tail_mask) {
   for (std::uint64_t w = 0; w < n; ++w) {
@@ -56,9 +42,13 @@ void scalar_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
       const std::uint64_t* src =
           in + static_cast<std::uint64_t>(term.lane) * in_stride;
       if (term.invert) {
-        scalar_or_not_into(lane, src, num_words);
+        for (std::uint64_t w = 0; w < num_words; ++w) {
+          lane[w] |= ~src[w];
+        }
       } else {
-        scalar_or_into(lane, src, num_words);
+        for (std::uint64_t w = 0; w < num_words; ++w) {
+          lane[w] |= src[w];
+        }
       }
     }
     if (row.complement) {
@@ -73,8 +63,6 @@ void scalar_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
 
 constexpr LaneKernels kScalarKernels = {
     .name = "scalar",
-    .or_into = scalar_or_into,
-    .or_not_into = scalar_or_not_into,
     .complement_masked = scalar_complement_masked,
     .plane_sweep = scalar_plane_sweep,
 };

@@ -1,12 +1,13 @@
 // SIMD lane kernels with one-time runtime dispatch.
 //
-// Every hot batch-evaluation loop in the repo bottoms out in the same
-// three word-wide operations over PatternBatch lanes — OR a lane in,
-// OR a complemented lane in, complement-and-mask a lane — plus one
-// composite: the NOR-plane sweep (rows of pull-down terms over shared
-// input lanes, the paper's two-plane PLA reduced to bit operations).
-// This header centralizes them behind a kernel table selected at
-// runtime from cpu::active_tier() (util/cpu_features.h):
+// Every batch evaluation in the repo bottoms out in one composite
+// kernel, the NOR-plane sweep: rows of pull-down terms over shared
+// input lanes, the paper's NOR planes reduced to bit operations, which
+// every circuit model's compiled SweepProgram (core/sweep_program.h)
+// calls stage by stage. The table carries it and the one primitive
+// still called through it, complement-and-mask a lane
+// (PatternBatch::complement_lane), selected at runtime from
+// cpu::active_tier() (util/cpu_features.h):
 //
 //   tier      width    where it comes from
 //   -------   ------   ------------------------------------------
@@ -88,14 +89,6 @@ struct SweepRow {
 /// repo dependency; PatternBatch callers use the wrappers below.
 struct LaneKernels {
   const char* name;
-
-  /// dst[w] |= src[w] for w in [0, n).
-  void (*or_into)(std::uint64_t* dst, const std::uint64_t* src,
-                  std::uint64_t n);
-
-  /// dst[w] |= ~src[w] for w in [0, n).
-  void (*or_not_into)(std::uint64_t* dst, const std::uint64_t* src,
-                      std::uint64_t n);
 
   /// dst[w] = ~dst[w] for w in [0, n), then dst[n-1] &= tail_mask.
   /// n must be > 0.

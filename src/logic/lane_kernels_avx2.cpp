@@ -29,39 +29,6 @@ namespace ambit::logic::lanes {
 
 namespace {
 
-void avx2_or_into(std::uint64_t* dst, const std::uint64_t* src,
-                  std::uint64_t n) {
-  std::uint64_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(d, s));
-  }
-  for (; w < n; ++w) {
-    dst[w] |= src[w];
-  }
-}
-
-void avx2_or_not_into(std::uint64_t* dst, const std::uint64_t* src,
-                      std::uint64_t n) {
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  std::uint64_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(d, _mm256_xor_si256(s, ones)));
-  }
-  for (; w < n; ++w) {
-    dst[w] |= ~src[w];
-  }
-}
-
 void avx2_complement_masked(std::uint64_t* dst, std::uint64_t n,
                             std::uint64_t tail_mask) {
   const __m256i ones = _mm256_set1_epi64x(-1);
@@ -183,8 +150,6 @@ void avx2_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
 
 constexpr LaneKernels kAvx2Kernels = {
     .name = "avx2",
-    .or_into = avx2_or_into,
-    .or_not_into = avx2_or_not_into,
     .complement_masked = avx2_complement_masked,
     .plane_sweep = avx2_plane_sweep,
 };

@@ -19,30 +19,6 @@ namespace ambit::logic::lanes {
 
 namespace {
 
-void neon_or_into(std::uint64_t* dst, const std::uint64_t* src,
-                  std::uint64_t n) {
-  std::uint64_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    vst1q_u64(dst + w, vorrq_u64(vld1q_u64(dst + w), vld1q_u64(src + w)));
-  }
-  for (; w < n; ++w) {
-    dst[w] |= src[w];
-  }
-}
-
-void neon_or_not_into(std::uint64_t* dst, const std::uint64_t* src,
-                      std::uint64_t n) {
-  const uint64x2_t ones = vdupq_n_u64(~std::uint64_t{0});
-  std::uint64_t w = 0;
-  for (; w + 2 <= n; w += 2) {
-    vst1q_u64(dst + w, vorrq_u64(vld1q_u64(dst + w),
-                                 veorq_u64(vld1q_u64(src + w), ones)));
-  }
-  for (; w < n; ++w) {
-    dst[w] |= ~src[w];
-  }
-}
-
 void neon_complement_masked(std::uint64_t* dst, std::uint64_t n,
                             std::uint64_t tail_mask) {
   const uint64x2_t ones = vdupq_n_u64(~std::uint64_t{0});
@@ -117,8 +93,6 @@ void neon_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
 
 constexpr LaneKernels kNeonKernels = {
     .name = "neon",
-    .or_into = neon_or_into,
-    .or_not_into = neon_or_not_into,
     .complement_masked = neon_complement_masked,
     .plane_sweep = neon_plane_sweep,
 };

@@ -143,17 +143,6 @@ std::uint64_t* PatternBatch::lane(int signal) {
   return words_.data() + lane_start(signal);
 }
 
-void PatternBatch::copy_lane_from(const PatternBatch& src, int src_signal,
-                                  int dst_signal) {
-  check(src.num_patterns_ == num_patterns_,
-        "PatternBatch::copy_lane_from: pattern count mismatch");
-  const std::uint64_t* from = src.lane(src_signal);
-  std::uint64_t* to = lane(dst_signal);
-  for (std::uint64_t w = 0; w < words_per_lane_; ++w) {
-    to[w] = from[w];
-  }
-}
-
 void PatternBatch::assert_tail_clean(const char* where) const {
   if constexpr (invariants_enabled()) {
     if (words_per_lane_ == 0 || tail_mask_ == ~std::uint64_t{0}) {

@@ -81,11 +81,6 @@ class PatternBatch {
   const std::uint64_t* lane(int signal) const;
   std::uint64_t* lane(int signal);
 
-  /// Copies lane `src_signal` of `src` into lane `dst_signal` (both
-  /// batches must hold the same number of patterns).
-  void copy_lane_from(const PatternBatch& src, int src_signal,
-                      int dst_signal);
-
   /// Copies patterns [first, first + count) of every lane into a new
   /// batch. `first` must be a multiple of 64 so the copy is word-wise:
   /// lane word k of the slice IS lane word first/64 + k of the source,

@@ -299,36 +299,9 @@ std::string Server::dispatch(const FramedRequest& r) {
             std::to_string(circuit->gnor.cell_count()) + " cells, " +
             format_double(circuit->load_seconds * 1e3, 1) + " ms");
       }
-      case Verb::kSim: {
-        const std::shared_ptr<const LoadedCircuit> circuit =
-            session_.get(request.name);
-        logic::PatternBatch inputs(0, 0);
-        {
-          const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
-          inputs = decode_request_patterns(*circuit, r);
-        }
-        simulate::BatchSimResult result(0, 0);
-        {
-          const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-          result = sim(circuit, inputs);
-        }
-        check(result.all_definite(),
-              request.name + ": simulation produced non-digital outputs");
-        const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-        std::string detail;
-        for (std::uint64_t p = 0; p < result.num_patterns(); ++p) {
-          if (!detail.empty()) {
-            detail += ' ';
-          }
-          detail += sim_token(result.outputs.pattern(p),
-                              result.precharge_delay_s[p],
-                              result.plane1_eval_delay_s[p],
-                              result.plane2_eval_delay_s[p]);
-        }
-        return ok_response(detail);
-      }
       case Verb::kEval:
       case Verb::kEvalB:
+      case Verb::kSim:
       case Verb::kSimB:
       case Verb::kMetrics:
         // Handled by decode_or_answer, which owns the decode/encode
@@ -453,7 +426,10 @@ int Server::decode_or_answer(FramedRequest& r, EvalJob& held) {
     return verb_index;
   }
 
-  if (!is_bulk_verb(request.verb) && request.verb != Verb::kEval) {
+  const bool simulated =
+      request.verb == Verb::kSim || request.verb == Verb::kSimB;
+  if (!is_bulk_verb(request.verb) && request.verb != Verb::kEval &&
+      !simulated) {
     r.quit = request.verb == Verb::kQuit || request.verb == Verb::kShutdown;
     respond(r.out, dispatch(r));
     return verb_index;
@@ -484,7 +460,7 @@ int Server::decode_or_answer(FramedRequest& r, EvalJob& held) {
   std::string failure;
   try {
     EvalJob job = decode(r);
-    if (request.verb != Verb::kSimB) {
+    if (!simulated) {
       held = std::move(job);
       return verb_index;
     }
@@ -495,24 +471,7 @@ int Server::decode_or_answer(FramedRequest& r, EvalJob& held) {
     }
     check(result.all_definite(),
           request.name + ": simulation produced non-digital outputs");
-    const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-    // The output lanes, then the delay arrays as raw doubles, one per
-    // 8-byte word — same-endianness memcpy, like the lanes — assembled
-    // once in the buffer the response sends.
-    const std::uint64_t np = request.num_patterns;
-    const std::uint64_t lane_words = result.outputs.total_words();
-    logic::LaneWords lanes;
-    lanes.resize(lane_words + 3 * np);
-    result.outputs.store_words(lanes.data(), lane_words);
-    std::memcpy(lanes.data() + lane_words, result.precharge_delay_s.data(),
-                np * sizeof(double));
-    std::memcpy(lanes.data() + lane_words + np,
-                result.plane1_eval_delay_s.data(), np * sizeof(double));
-    std::memcpy(lanes.data() + lane_words + 2 * np,
-                result.plane2_eval_delay_s.data(), np * sizeof(double));
-    // The header first: it reads the lanes' size before they move.
-    const std::string header = simb_response_header(np, lanes.size());
-    respond(r.out, header, std::move(lanes));
+    encode_sim(job, result, r.out);
     return verb_index;
   } catch (const std::exception& e) {
     failure = error_response(e);
@@ -596,6 +555,42 @@ void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
       detail += ' ';
     }
     detail += hex_encode(outputs.pattern(p));
+  }
+  respond(out, ok_response(detail));
+}
+
+void Server::encode_sim(const EvalJob& job,
+                        const simulate::BatchSimResult& result,
+                        Response& out) {
+  const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
+  const std::uint64_t np = result.num_patterns();
+  if (job.bulk) {
+    // The output lanes, then the delay arrays as raw doubles, one per
+    // 8-byte word — same-endianness memcpy, like the lanes — assembled
+    // once in the buffer the response sends.
+    const std::uint64_t lane_words = result.outputs.total_words();
+    logic::LaneWords lanes;
+    lanes.resize(lane_words + 3 * np);
+    result.outputs.store_words(lanes.data(), lane_words);
+    std::memcpy(lanes.data() + lane_words, result.precharge_delay_s.data(),
+                np * sizeof(double));
+    std::memcpy(lanes.data() + lane_words + np,
+                result.plane1_eval_delay_s.data(), np * sizeof(double));
+    std::memcpy(lanes.data() + lane_words + 2 * np,
+                result.plane2_eval_delay_s.data(), np * sizeof(double));
+    // The header first: it reads the lanes' size before they move.
+    const std::string header = simb_response_header(np, lanes.size());
+    respond(out, header, std::move(lanes));
+    return;
+  }
+  std::string detail;
+  for (std::uint64_t p = 0; p < np; ++p) {
+    if (!detail.empty()) {
+      detail += ' ';
+    }
+    detail += sim_token(result.outputs.pattern(p), result.precharge_delay_s[p],
+                        result.plane1_eval_delay_s[p],
+                        result.plane2_eval_delay_s[p]);
   }
   respond(out, ok_response(detail));
 }

@@ -247,8 +247,9 @@ class Server {
   std::string metrics_page();
 
  private:
-  /// An EVAL/EVALB between its decode and its encode: the circuit its
-  /// lookup returned and the patterns decoded against that circuit.
+  /// An EVAL/EVALB/SIM/SIMB between its decode and its encode: the
+  /// circuit its lookup returned and the patterns decoded against that
+  /// circuit.
   struct EvalJob {
     std::shared_ptr<const LoadedCircuit> circuit;
     logic::PatternBatch inputs{0, 0};
@@ -256,11 +257,11 @@ class Server {
   };
 
   /// Answers one parsed one-line request (every verb but EVAL, EVALB,
-  /// SIMB and METRICS, which decode_or_answer handles); returns the
-  /// response line.
+  /// SIM, SIMB and METRICS, which decode_or_answer handles); returns
+  /// the response line.
   std::string dispatch(const FramedRequest& r);
 
-  /// Decodes an EVAL's hex tokens, or takes over the payload of an
+  /// Decodes an EVAL/SIM's hex tokens, or takes over the payload of an
   /// EVALB/SIMB as its input lanes after checking its counts, against
   /// the circuit named in r's head. Throws ambit::Error on a bad
   /// request.
@@ -280,6 +281,11 @@ class Server {
   /// or EVALB response into `out`; an EVALB's lanes move into out.lanes.
   static void encode_eval(const EvalJob& job, logic::PatternBatch outputs,
                           Response& out);
+  /// Encodes a simulated job as the SIM or SIMB response into `out`: a
+  /// SIMB's output lanes and delay arrays move into out.lanes.
+  static void encode_sim(const EvalJob& job,
+                         const simulate::BatchSimResult& result,
+                         Response& out);
 
   /// Serves `requests` on the calling thread — the only code that serves
   /// a request. Each is answered from the head its framing parsed, or
@@ -293,8 +299,9 @@ class Server {
   void serve_batch(std::span<FramedRequest> requests);
 
   /// serve_batch's protocol work before the sweep: answers r into
-  /// r.out, setting r.quit or r.truncated — unless it is an EVAL/EVALB
-  /// that decodes, which lands in `held` (circuit set) for the sweep.
+  /// r.out, setting r.quit or r.truncated — a SIM/SIMB through decode,
+  /// simulate and encode_sim — unless it is an EVAL/EVALB that decodes,
+  /// which lands in `held` (circuit set) for the sweep.
   /// Returns the verb's enum index, -1 when the line did not parse.
   int decode_or_answer(FramedRequest& r, EvalJob& held);
 

@@ -1,7 +1,7 @@
 // Tests for the SIMD lane-kernel layer (logic/lane_kernels.h) and its
 // runtime dispatch policy (util/cpu_features.h): every tier this host
 // can run must be BIT-IDENTICAL to the portable u64 reference on the
-// primitive kernels and on full NOR-plane sweeps, across word counts
+// complement primitive and on full NOR-plane sweeps, across word counts
 // that straddle every vector-strip and cache-tile boundary, and the
 // force_tier/active_tier hooks must clamp and restore as documented.
 #include <gtest/gtest.h>
@@ -120,33 +120,9 @@ TEST(LaneKernelsTest, KernelsForClampsUnavailableTiers) {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive kernels: every tier bit-identical to the u64 reference at
-// word counts straddling the vector strips (4/8 words) on both sides.
+// The primitive kernel: every tier bit-identical to the u64 reference
+// at word counts straddling the vector strips (4/8 words) on both sides.
 // ---------------------------------------------------------------------------
-
-TEST(LaneKernelsTest, OrPrimitivesBitIdenticalAcrossTiers) {
-  Rng rng(91);
-  for (const cpu::SimdTier tier : available_tiers()) {
-    const lanes::LaneKernels& table = lanes::kernels_for(tier);
-    for (const std::uint64_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u,
-                                  17u, 31u, 32u, 33u, 64u, 100u}) {
-      const std::vector<std::uint64_t> src = random_words(n, rng);
-      const std::vector<std::uint64_t> base = random_words(n, rng);
-
-      std::vector<std::uint64_t> expected = base;
-      lanes::scalar_kernels().or_into(expected.data(), src.data(), n);
-      std::vector<std::uint64_t> got = base;
-      table.or_into(got.data(), src.data(), n);
-      ASSERT_EQ(got, expected) << table.name << " or_into n=" << n;
-
-      expected = base;
-      lanes::scalar_kernels().or_not_into(expected.data(), src.data(), n);
-      got = base;
-      table.or_not_into(got.data(), src.data(), n);
-      ASSERT_EQ(got, expected) << table.name << " or_not_into n=" << n;
-    }
-  }
-}
 
 TEST(LaneKernelsTest, ComplementMaskedBitIdenticalAcrossTiers) {
   Rng rng(92);
