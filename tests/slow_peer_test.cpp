@@ -3,10 +3,11 @@
 // EVALB/SIMB headers split across reads), slow readers that force the
 // server to hold a multi-megabyte response under write backpressure,
 // slow-loris peers that must be idle-dropped at the configured deadline
-// without pinning healthy connections, SHUTDOWN completing promptly
-// under continuous connect pressure, and a process out of file
-// descriptors, which must pause accepting rather than take the live
-// connections down.
+// without pinning healthy connections while a chatty peer outlives its
+// own, SHUTDOWN completing promptly under continuous connect pressure,
+// a process out of file descriptors, which must pause accepting rather
+// than take the live connections down and resume once descriptors come
+// back, and a peer that stops reading, dropped at its send deadline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,6 +314,38 @@ TEST(SlowPeerTest, SlowLorisIsIdleDroppedWithoutPinningOthers) {
   EXPECT_EQ(idle->value(), 1u);
 }
 
+TEST(SlowPeerTest, ChattyPeerOutlivesItsIdleTimeout) {
+  // The idle clock moves with activity: a peer that sends one EVAL
+  // every 250 ms for 2.5 s, more than twice its 1 s idle timeout, gets
+  // every answer and is never idle-dropped.
+  Session session(2);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.idle_timeout_secs = 1;
+  options.registry = &registry;
+  UnixServer server(session, options, "chatty");
+  const std::string path = write_sample_pla("slow_chatty.pla");
+  const int fd = server.connect();
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(socket_transact(fd, "LOAD s " + path + "\n", 1).size(), 1u);
+  int answered = 0;
+  for (int i = 0; i < 10; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    const auto lines = socket_transact(fd, "EVAL s 7 0\n", 1);
+    if (lines.size() == 1 && lines[0].compare(0, 3, "OK ") == 0) {
+      ++answered;
+    }
+  }
+  ::close(fd);
+
+  server.shutdown();
+  EXPECT_EQ(answered, 10);
+  const metrics::Counter* idle = registry.find_counter(
+      "ambit_serve_connections_dropped_total", {{"reason", "idle"}});
+  ASSERT_NE(idle, nullptr);
+  EXPECT_EQ(idle->value(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // SHUTDOWN under continuous connect pressure.
 // ---------------------------------------------------------------------------
@@ -475,6 +508,81 @@ TEST(SlowPeerTest, RunningOutOfDescriptorsPausesOnlyAccept) {
   EXPECT_TRUE(queued_lines[0].size() >= 2 &&
               queued_lines[0].compare(queued_lines[0].size() - 2, 2, "/2") ==
                   0)
+      << queued_lines[0];
+}
+
+TEST(SlowPeerTest, ParkedListenerReturnsWhenDescriptorsFreeWithoutAClose) {
+  // As above, but the descriptors come back while the live connection
+  // stays open: no close re-admits the parked listener, so the loop's
+  // housekeeping must, and the queued client is served with both
+  // connections open.
+  const std::string socket_path =
+      testing::TempDir() + "/ambit_slow_fds_back.sock";
+  Session session(1);
+  Server server(session);
+  std::atomic<bool> server_failed{false};
+  std::thread server_thread([&] {
+    try {
+      server.serve_unix(socket_path);
+    } catch (const Error& e) {
+      ADD_FAILURE() << "serve_unix threw: " << e.what();
+      server_failed = true;
+    }
+  });
+
+  const int live = connect_with_retry(socket_path);
+  const bool warmed_up =
+      live >= 0 && socket_transact(live, "STATS\n", 1).size() == 1;
+  int queued = -1;
+  std::vector<std::string> starved_lines;
+  std::vector<std::string> queued_lines;
+  if (warmed_up) {
+    {
+      FdExhaustion exhausted;
+      exhausted.release_one();  // room for exactly the client's socket
+      queued = connect_with_retry(socket_path, /*attempts=*/1);
+      if (queued >= 0) {
+        const timeval timeout{10, 0};
+        ::setsockopt(queued, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof(timeout));
+        const std::string stats = "STATS\n";
+        (void)!::send(queued, stats.data(), stats.size(), MSG_NOSIGNAL);
+      }
+      // Several housekeeping ticks of failing accepts.
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      starved_lines = socket_transact(live, "STATS\n", 1);
+    }  // the descriptors come back; `live` stays open
+    if (queued >= 0) {
+      queued_lines = socket_transact(queued, "", 1);
+    }
+  }
+  if (live >= 0) {
+    ::close(live);
+  }
+  if (queued >= 0) {
+    ::close(queued);
+  }
+  if (!server_failed) {
+    const int ctl = connect_with_retry(socket_path);
+    if (ctl >= 0) {
+      socket_transact(ctl, "SHUTDOWN\n", 1);
+      ::close(ctl);
+    }
+  }
+  server_thread.join();
+
+  ASSERT_TRUE(warmed_up);
+  ASSERT_GE(queued, 0);
+  ASSERT_EQ(starved_lines.size(), 1u)
+      << "the live connection lost its answer while accept was starved";
+  EXPECT_TRUE(starved_lines[0].size() >= 16 &&
+              starved_lines[0].compare(starved_lines[0].size() - 16, 16,
+                                       " connections=1/1") == 0)
+      << starved_lines[0];
+  ASSERT_EQ(queued_lines.size(), 1u) << "the queued client was never served";
+  EXPECT_TRUE(queued_lines[0].size() >= 16 &&
+              queued_lines[0].compare(queued_lines[0].size() - 16, 16,
+                                      " connections=2/2") == 0)
       << queued_lines[0];
 }
 
@@ -663,6 +771,81 @@ TEST(SlowPeerTest, LaneOutboxServesASlowReaderAndDropsAResetPeer) {
   ASSERT_EQ(after_reset.size(), 2u) << "the server stopped serving";
   EXPECT_EQ(after_reset[0].compare(0, 3, "OK "), 0) << after_reset[0];
   EXPECT_EQ(pending(), 0);
+}
+
+TEST(SlowPeerTest, SendTimeoutDropsAPeerThatStopsReading) {
+  // A peer that sends a 1M-pattern EVALB and never reads its 8 MiB
+  // answer stalls the outbox: with send_timeout_secs = 1 it is dropped
+  // with reason=send about a second after the last write progress,
+  // while a second connection is answered meanwhile.
+  const std::string path = write_wide_pla("send_timeout.pla");
+  constexpr std::uint64_t kPatterns = std::uint64_t{1} << 20;
+  const PatternBatch inputs(3, kPatterns);
+  const std::string frame = "EVALB w " + std::to_string(kPatterns) + " " +
+                            std::to_string(inputs.total_words()) + "\n" +
+                            frame_payload(inputs);
+
+  Session session(2);
+  session.load("w", path);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.send_timeout_secs = 1;
+  options.registry = &registry;
+  Server server(session, options);
+  std::atomic<int> port{0};
+  std::thread serve_thread([&] {
+    try {
+      server.serve_tcp("127.0.0.1", 0, &port);
+    } catch (const Error& e) {
+      ADD_FAILURE() << "serve_tcp threw: " << e.what();
+      port.store(-1);
+    }
+  });
+  const int bound = await_bound_port(port);
+  const metrics::Counter* send_drops = registry.find_counter(
+      "ambit_serve_connections_dropped_total", {{"reason", "send"}});
+
+  std::vector<std::string> meanwhile;
+  std::uint64_t drops_when_answered = 0;
+  auto dropped_after = std::chrono::milliseconds(-1);
+  if (bound > 0 && send_drops != nullptr) {
+    const int stalled = connect_small_window(bound);
+    if (stalled >= 0) {
+      send_all(stalled, frame);
+      const auto sent = std::chrono::steady_clock::now();
+      const int other = connect_tcp_with_retry("127.0.0.1", bound);
+      if (other >= 0) {
+        meanwhile = socket_transact(other, "EVAL w 5\n", 1);
+        drops_when_answered = send_drops->value();
+        ::close(other);
+      }
+      while (send_drops->value() == 0 &&
+             std::chrono::steady_clock::now() - sent <
+                 std::chrono::seconds(10)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      if (send_drops->value() > 0) {
+        dropped_after = std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - sent);
+      }
+      ::close(stalled);
+    }
+    const int ctl = connect_tcp_with_retry("127.0.0.1", bound);
+    if (ctl >= 0) {
+      socket_transact(ctl, "SHUTDOWN\n", 1);
+      ::close(ctl);
+    }
+  }
+  serve_thread.join();
+
+  ASSERT_GT(bound, 0);
+  ASSERT_NE(send_drops, nullptr);
+  ASSERT_EQ(meanwhile.size(), 1u) << "the second connection was not answered";
+  EXPECT_EQ(meanwhile[0].compare(0, 3, "OK "), 0) << meanwhile[0];
+  EXPECT_EQ(drops_when_answered, 0u) << "answered only after the drop";
+  EXPECT_EQ(send_drops->value(), 1u);
+  EXPECT_GE(dropped_after, std::chrono::milliseconds(900));
+  EXPECT_LT(dropped_after, std::chrono::seconds(10));
 }
 
 }  // namespace
