@@ -61,9 +61,9 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0} - 1;
 constexpr int kReadsPerWakeup = 4;
 constexpr std::size_t kReadBytes = 65536;
 
-/// epoll_wait timeout: the housekeeping tick that advances the timer
-/// wheel and retries an accept starved of descriptors, even when no
-/// descriptor is ready.
+/// epoll_wait timeout, and the period of the housekeeping pass that
+/// expires connection deadlines and re-admits a listener starved of
+/// descriptors, so both happen even when no descriptor is ready.
 constexpr int kHousekeepingMs = 50;
 
 /// The most pattern bytes a request the loop serves itself may carry
@@ -128,76 +128,6 @@ Where where_served(const FramedRequest& r) {
 
 }  // namespace
 
-/// Which per-connection deadline a wheel entry tracks.
-enum class TimerKind { kIdle, kSend };
-
-/// A hashed timing wheel over the connection deadlines: arming is O(1)
-/// (file the entry in the slot its deadline hashes to), and each loop
-/// iteration sweeps only the slots whose tick just passed — never all
-/// connections. Entries are lazy: the wheel hands expiry CANDIDATES to
-/// the loop, which checks them against the connection's CURRENT
-/// deadline (refreshed on activity without touching the wheel) and
-/// re-files the ones whose deadline moved. That caps wheel traffic at
-/// O(1) amortized per connection per timeout period, regardless of how
-/// chatty the connection is.
-class TimerWheel {
- public:
-  static constexpr std::uint64_t kTickMs = 100;
-  static constexpr std::size_t kSlots = 128;
-
-  struct Entry {
-    std::uint64_t conn_id;
-    TimerKind kind;
-    std::uint64_t deadline_ms;  ///< deadline at filing time
-  };
-
-  explicit TimerWheel(std::uint64_t start) : last_tick_(start / kTickMs) {}
-
-  void arm(std::uint64_t conn_id, TimerKind kind, std::uint64_t deadline_ms) {
-    slots_[(deadline_ms / kTickMs) % kSlots].push_back(
-        Entry{conn_id, kind, deadline_ms});
-  }
-
-  /// Sweeps the slots for every FULLY elapsed tick since the last
-  /// advance, handing each due entry to `fire` (which owns re-filing
-  /// against live deadlines). A slot holds deadlines from anywhere in
-  /// its tick's 100 ms span, so it is ripe only once `now` has passed
-  /// the tick's END — sweeping at the tick's start would misread a
-  /// deadline in the tick's final milliseconds as a later rotation and
-  /// park it for a full wheel turn. Due-ness is therefore decided by
-  /// rotation (the entry's tick vs the sweep target), never by
-  /// comparing the raw deadline against `now`.
-  template <typename Fire>
-  void advance(std::uint64_t now, Fire&& fire) {
-    const std::uint64_t tick = now / kTickMs;
-    if (tick == 0 || tick - 1 <= last_tick_) {
-      return;
-    }
-    const std::uint64_t target = tick - 1;
-    // A stall longer than one full rotation only requires each slot to
-    // be swept once.
-    const std::uint64_t steps =
-        target - last_tick_ < kSlots ? target - last_tick_ : kSlots;
-    for (std::uint64_t s = 1; s <= steps; ++s) {
-      std::vector<Entry>& slot = slots_[(last_tick_ + s) % kSlots];
-      std::size_t keep = 0;
-      for (std::size_t i = 0; i < slot.size(); ++i) {
-        if (slot[i].deadline_ms / kTickMs <= target) {
-          fire(slot[i]);
-        } else {
-          slot[keep++] = slot[i];  // a later rotation of this slot
-        }
-      }
-      slot.resize(keep);
-    }
-    last_tick_ = target;
-  }
-
- private:
-  std::uint64_t last_tick_;
-  std::vector<Entry> slots_[kSlots];
-};
-
 /// The epoll loop: see event_loop.h for the ownership rules. A friend
 /// of Server — on this path the loop IS the transport, driving
 /// serve_batch and the drop accounting directly.
@@ -208,8 +138,7 @@ class EventLoop {
       : server_(server),
         listener_(listener),
         what_(std::move(what)),
-        cleanup_(cleanup),
-        wheel_(now_ms()) {}
+        cleanup_(cleanup) {}
 
   std::uint64_t run();
 
@@ -230,15 +159,12 @@ class EventLoop {
     /// pipelines.
     bool ready = false;
     bool want_close = false;  ///< close once the outbox drains
-    bool no_reads = false;    ///< SHUTDOWN drain cut the input side
     const char* drop_reason = nullptr;
     std::uint64_t served = 0;
-    /// Deadlines (loop clock ms); 0 = disarmed. Refreshed on activity
-    /// without touching the wheel — see TimerWheel.
+    /// Deadlines (loop clock ms); 0 = disarmed. Activity moves them;
+    /// housekeep() closes the connection once one has passed.
     std::uint64_t idle_deadline_ms = 0;
     std::uint64_t send_deadline_ms = 0;
-    bool idle_filed = false;
-    bool send_filed = false;
     std::uint32_t interest = 0;  ///< epoll interest currently registered
   };
 
@@ -384,7 +310,6 @@ class EventLoop {
     // A freed slot — and a freed descriptor, if accept was starved —
     // lets the listener back in.
     if (!draining_ && active() < static_cast<std::size_t>(max_connections_)) {
-      accept_retry_ms_ = 0;
       set_listener_registered(true);
     }
   }
@@ -474,10 +399,10 @@ class EventLoop {
   /// flush pending writes, serve buffered requests (one at a time — a
   /// response must drain before the next request is taken, so a peer
   /// that stops reading stops being served), then settle interest and
-  /// timers. A cheap request (where_served) is listed on ready_ for the
-  /// turn's batch, which steps the connection again; the rest go to
-  /// the pool, and the connection waits for the record to come back.
-  /// May close (and erase) the connection.
+  /// the idle deadline. A cheap request (where_served) is listed on
+  /// ready_ for the turn's batch, which steps the connection again; the
+  /// rest go to the pool, and the connection waits for the record to
+  /// come back. May close (and erase) the connection.
   void step(std::uint64_t id) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) {
@@ -514,7 +439,7 @@ class EventLoop {
         dispatch(c);
         break;
       }
-      // Interest and timers settle when the batch steps it: listing
+      // Interest and deadline settle when the batch steps it: listing
       // leaves the read interest as it is, so a request that the batch
       // answers costs no epoll_ctl.
       c.ready = true;
@@ -531,7 +456,7 @@ class EventLoop {
     // its turn, which is what bounds per-connection memory); write while
     // the outbox has bytes.
     std::uint32_t want = 0;
-    if (!c.busy && !c.want_close && !c.no_reads && !c.state.eof() &&
+    if (!c.busy && !c.want_close && !c.state.eof() &&
         c.out_off >= c.outbox.size()) {
       want |= EPOLLIN;
     }
@@ -547,14 +472,6 @@ class EventLoop {
     }
     if ((want & EPOLLIN) != 0) {
       c.idle_deadline_ms = deadline_after(server_.options_.idle_timeout_secs);
-      if (c.idle_deadline_ms != 0 && !c.idle_filed) {
-        wheel_.arm(c.id, TimerKind::kIdle, c.idle_deadline_ms);
-        c.idle_filed = true;
-      }
-    }
-    if ((want & EPOLLOUT) != 0 && c.send_deadline_ms != 0 && !c.send_filed) {
-      wheel_.arm(c.id, TimerKind::kSend, c.send_deadline_ms);
-      c.send_filed = true;
     }
   }
 
@@ -564,7 +481,7 @@ class EventLoop {
   /// the reads after a bulk header land in the lanes, and the reads
   /// stop at the first complete request (step() serves it).
   void handle_readable(Conn& c) {
-    if (c.busy || c.ready || c.no_reads || c.want_close || c.state.eof()) {
+    if (c.busy || c.ready || c.want_close || c.state.eof()) {
       return;  // stale event; completion/flush paths own the next move
     }
     char chunk[kReadBytes];
@@ -625,10 +542,9 @@ class EventLoop {
           // Out of descriptors or kernel memory: the live connections
           // are fine, only this accept is not. Park the listener (the
           // backlog holds the new peer) until a connection closes or
-          // the next housekeeping tick, like a full max_connections.
+          // the next housekeeping pass, like a full max_connections.
           const std::string reason = std::strerror(errno);
           set_listener_registered(false);
-          accept_retry_ms_ = now_ms() + kHousekeepingMs;
           logs::warn_rate_limited(accept_log_limiter_, "conn.accept_starved",
                                   {{"transport", what_},
                                    {"error", reason},
@@ -659,43 +575,31 @@ class EventLoop {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn, &ev);
       c.interest = EPOLLIN;
       c.idle_deadline_ms = deadline_after(server_.options_.idle_timeout_secs);
-      if (c.idle_deadline_ms != 0) {
-        wheel_.arm(conn_id, TimerKind::kIdle, c.idle_deadline_ms);
-        c.idle_filed = true;
-      }
     }
   }
 
-  void on_timer(const TimerWheel::Entry& entry) {
-    const auto it = conns_.find(entry.conn_id);
-    if (it == conns_.end()) {
-      return;  // connection already gone; the entry just dies
-    }
-    Conn& c = *it->second;
-    if (entry.kind == TimerKind::kIdle) {
-      c.idle_filed = false;
-      if (c.idle_deadline_ms == 0) {
-        return;  // disarmed (busy serving); re-filed when reading resumes
-      }
-      if (now_ms() < c.idle_deadline_ms) {
-        // Activity moved the deadline since filing: re-file, don't fire.
-        wheel_.arm(c.id, TimerKind::kIdle, c.idle_deadline_ms);
-        c.idle_filed = true;
-        return;
-      }
-      close_conn(c, "idle");
+  /// The housekeeping pass, at most once per kHousekeepingMs: closes
+  /// every connection past its idle deadline (reason=idle) or its send
+  /// deadline (reason=send), then re-registers a listener parked for
+  /// want of descriptors if a slot is free. A drop fires within one
+  /// pass of its deadline.
+  void housekeep() {
+    const std::uint64_t now = now_ms();
+    if (now < next_housekeeping_ms_) {
       return;
     }
-    c.send_filed = false;
-    if (c.send_deadline_ms == 0) {
-      return;  // outbox drained since filing
+    next_housekeeping_ms_ = now + kHousekeepingMs;
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      Conn& c = *(it++)->second;  // close_conn erases c, not the next entry
+      if (c.idle_deadline_ms != 0 && now >= c.idle_deadline_ms) {
+        close_conn(c, "idle");
+      } else if (c.send_deadline_ms != 0 && now >= c.send_deadline_ms) {
+        close_conn(c, "send");
+      }
     }
-    if (now_ms() < c.send_deadline_ms) {
-      wheel_.arm(c.id, TimerKind::kSend, c.send_deadline_ms);
-      c.send_filed = true;
-      return;
+    if (!draining_ && active() < static_cast<std::size_t>(max_connections_)) {
+      set_listener_registered(true);
     }
-    close_conn(c, "send");
   }
 
   /// SHUTDOWN (or a fatal error): stop accepting and stop reading every
@@ -711,8 +615,7 @@ class EventLoop {
     std::vector<std::uint64_t> ids;
     ids.reserve(conns_.size());
     for (const auto& [id, c] : conns_) {
-      c->no_reads = true;
-      c->state.note_eof(false);
+      c->state.note_eof(false);  // eof() holds: no further reads
       ids.push_back(id);
     }
     for (const std::uint64_t id : ids) {
@@ -744,9 +647,8 @@ class EventLoop {
   int wake_fd_ = -1;
   int max_connections_ = 1;
   bool listener_registered_ = false;
-  /// Non-zero while accept is starved of descriptors: the loop clock
-  /// time at which the parked listener is re-registered.
-  std::uint64_t accept_retry_ms_ = 0;
+  /// The loop clock time from which housekeep() runs its next pass.
+  std::uint64_t next_housekeeping_ms_ = 0;
   logs::RateLimiter accept_log_limiter_{1'000'000};
   bool draining_ = false;
   std::string fatal_;
@@ -759,7 +661,6 @@ class EventLoop {
   /// The turn's batch: the records serve_ready took off ready_.
   std::vector<FramedRequest> batch_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-  TimerWheel wheel_;
   // The worker→loop handoff: the ONLY state two threads share.
   Mutex mutex_{LockRank::kEventLoop};
   std::vector<FramedRequest> completions_ AMBIT_GUARDED_BY(mutex_);
@@ -855,14 +756,7 @@ std::uint64_t EventLoop::run() {
     if (server_.shutdown_.load() && !draining_) {
       begin_drain();
     }
-    const std::uint64_t now = now_ms();
-    wheel_.advance(now, [this](const TimerWheel::Entry& e) { on_timer(e); });
-    if (accept_retry_ms_ != 0 && now >= accept_retry_ms_ && !draining_) {
-      accept_retry_ms_ = 0;
-      if (active() < static_cast<std::size_t>(max_connections_)) {
-        set_listener_registered(true);
-      }
-    }
+    housekeep();
   }
 
   // A handful of jobs may still be in flight after a hard epoll

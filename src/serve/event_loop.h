@@ -17,8 +17,8 @@
 // Division of labor (ownership rules in docs/ARCHITECTURE.md):
 //
 //   * the LOOP THREAD owns every per-connection object — fds, the
-//     ConnState buffers, the write-backpressure outbox, the timer-wheel
-//     deadlines — and serves the cheap requests itself. No lock guards
+//     ConnState buffers, the write-backpressure outbox, the idle and
+//     send deadlines — and serves the cheap requests itself. No lock guards
 //     connection state because no other thread touches it.
 //   * WORKERS own only what a dispatched request job captured: the
 //     request's record (line, head and payload lanes, moved out of the
@@ -28,12 +28,13 @@
 //     kEventLoop) workers post served records to, paired with an
 //     eventfd that wakes the loop.
 //
-// Timeouts run on a hashed timer wheel: an idle peer is dropped
-// (reason=idle) after idle_timeout_secs without input while the server
-// is waiting on it, and a peer that stops reading its responses is
-// dropped (reason=send) after send_timeout_secs without write
-// progress. Running out of descriptors is not fatal: accept pauses
-// until a connection closes or the next housekeeping tick.
+// Timeouts run in one housekeeping pass over every connection, at most
+// once per 50 ms tick: an idle peer is dropped (reason=idle) after
+// idle_timeout_secs without input while the server is waiting on it,
+// and a peer that stops reading its responses is dropped (reason=send)
+// after send_timeout_secs without write progress, each within one pass
+// of its deadline. Running out of descriptors is not fatal: accept
+// pauses until a connection closes or the next pass finds a free slot.
 #pragma once
 
 #ifdef __linux__

@@ -21,8 +21,8 @@
 // one batch per loop turn; LOAD, VERIFY, SIM, SIMB and multi-word
 // evaluations run on the Session's ThreadPool, a batch of one each.
 // serve_stream, serve_chunks and handle_line serve a batch of one per
-// request. All of them share the one thread-safe Session, and idle/send
-// timeouts live on a timer wheel.
+// request. All of them share the one thread-safe Session, and the
+// loop's housekeeping pass enforces the idle/send timeouts.
 // QUIT ends a connection; SHUTDOWN stops accepting, drains the
 // in-flight connections (their input is cut, responses already owed
 // are still written), then closes the listener — and, for serve_unix,
