@@ -18,8 +18,8 @@
 //
 //   * the LOOP THREAD owns every per-connection object — fds, the
 //     ConnState buffers, the write-backpressure outbox, the idle and
-//     send deadlines — and serves the cheap requests itself. No lock guards
-//     connection state because no other thread touches it.
+//     send deadlines — and serves the cheap requests itself. No lock
+//     guards connection state because no other thread touches it.
 //   * WORKERS own only what a dispatched request job captured: the
 //     request's record (line, head and payload lanes, moved out of the
 //     connection's ConnState before dispatch) and the response they
