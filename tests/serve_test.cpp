@@ -14,6 +14,8 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -946,6 +948,113 @@ TEST(ServerTest, SlowRequestsDumpTheirPhaseTrace) {
         "serialize_us="}) {
     EXPECT_NE(text.find(key), std::string::npos)
         << "slow-request record missing " << key << ": " << text;
+  }
+}
+
+/// `count` deterministic hex patterns over `width` inputs, each token
+/// preceded by a space (the tail of an EVAL or SIM line).
+std::string hex_patterns(int width, int count, std::uint64_t seed) {
+  std::string tokens;
+  std::uint64_t state = seed;
+  for (int p = 0; p < count; ++p) {
+    std::vector<bool> bits(static_cast<std::size_t>(width));
+    for (int s = 0; s < width; ++s) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      bits[static_cast<std::size_t>(s)] = ((state >> 60) & 1) != 0;
+    }
+    tokens += ' ';
+    tokens += hex_encode(bits);
+  }
+  return tokens;
+}
+
+TEST(ServerTest, EveryPhaseIsAttributedToItsRequest) {
+  // An EVAL and a SIM record parse, evaluate and serialize; a VERIFY
+  // records evaluate; a METRICS records serialize. Each request is
+  // sized so each of its phases takes well over the 1 us the clock
+  // resolves, because a 0 us phase is not recorded.
+  constexpr int kInputs = 14;
+  std::vector<std::string> rows;
+  std::uint64_t state = 0x5EED;
+  for (int p = 0; p < 40; ++p) {
+    std::string row;
+    for (int s = 0; s < kInputs; ++s) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      row += "01--"[(state >> 60) & 3];
+    }
+    row += ' ';
+    for (int o = 0; o < 8; ++o) {
+      row += (p + o) % 3 == 0 ? '1' : '0';
+    }
+    rows.push_back(row);
+  }
+  const std::string path = testing::TempDir() + "/serve_phases.pla";
+  logic::write_pla_file(
+      path, logic::make_pla(Cover::parse(kInputs, 8, rows), "phases"));
+  Session session(1);
+  session.load("c", path);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server server(session, options);
+
+  const std::string wire = "EVAL c" + hex_patterns(kInputs, 2048, 1) +
+                           "\nSIM c" + hex_patterns(kInputs, 128, 2) +
+                           "\nVERIFY c\nMETRICS\n";
+  bool fed = false;
+  std::string out;
+  EXPECT_EQ(server.serve_chunks(
+                [&]() -> std::string {
+                  if (fed) {
+                    return {};
+                  }
+                  fed = true;
+                  return wire;
+                },
+                out),
+            4u);
+  const metrics::Counter* errors =
+      registry.find_counter("ambit_serve_request_errors_total");
+  ASSERT_NE(errors, nullptr);
+  EXPECT_EQ(errors->value(), 0u) << out.substr(0, 200);
+
+  const auto phase_count = [&registry](const char* phase) {
+    const metrics::Histogram* h =
+        registry.find_histogram("ambit_serve_phase_us", {{"phase", phase}});
+    EXPECT_NE(h, nullptr) << phase;
+    return h != nullptr ? h->count() : 0;
+  };
+  EXPECT_EQ(phase_count("parse"), 2u);      // EVAL, SIM
+  EXPECT_EQ(phase_count("evaluate"), 3u);   // EVAL, SIM, VERIFY
+  EXPECT_EQ(phase_count("serialize"), 3u);  // EVAL, SIM, METRICS
+  EXPECT_EQ(phase_count("queue_wait"), 0u);  // no pool hand-off here
+}
+
+TEST(ServerTest, LatencyHistogramsKeepTheirPowerOfTwoBounds) {
+  // Every request and phase histogram child lists le = 1, 2, 4, ...,
+  // 2^26 and +Inf: the lines dashboards and recording rules read.
+  Session session(1);
+  Server server(session);
+  const auto samples =
+      testing_support::lint_prometheus_page(server.metrics_page());
+  std::set<std::string> wanted{"+Inf"};
+  for (int p = 0; p <= 26; ++p) {
+    wanted.insert(std::to_string(std::uint64_t{1} << p));
+  }
+  std::map<std::string, std::set<std::string>> les;  // child -> its le set
+  for (const auto& s : samples) {
+    if (s.name == "ambit_serve_request_us_bucket" ||
+        s.name == "ambit_serve_phase_us_bucket") {
+      les[s.name + "{" + testing_support::prom_labels_without(s.labels, "le") +
+          "}"]
+          .insert(testing_support::prom_label_value(s.labels, "le"));
+    }
+  }
+  EXPECT_EQ(les.size(), verb_names().size() + metrics::kNumPhases);
+  for (const auto& [child, child_les] : les) {
+    for (const std::string& le : wanted) {
+      EXPECT_EQ(child_les.count(le), 1u) << child << " lacks le=" << le;
+    }
   }
 }
 
@@ -3080,6 +3189,36 @@ TEST(ObservabilitySocketTest, DroppedConnectionsAreClassified) {
     ASSERT_NE(counter, nullptr) << reason;
     EXPECT_EQ(counter->value(), 0u) << reason;
   }
+}
+
+TEST(ObservabilitySocketTest, IdleLoopWakeupsLandInTheZeroBucket) {
+  // An idle loop wakes once per 50 ms housekeeping timeout with no
+  // descriptor ready; each such wakeup is counted under le="0".
+  Session session(1);
+  Server server(session);
+  std::atomic<int> port{0};
+  std::thread server_thread([&] {
+    try {
+      server.serve_tcp("127.0.0.1", 0, &port);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "serve_tcp failed: %s\n", e.what());
+      port.store(-1, std::memory_order_release);
+    }
+  });
+  const int bound = await_bound_port(port);
+  ASSERT_GT(bound, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  const auto samples =
+      testing_support::lint_prometheus_page(server.metrics_page());
+  EXPECT_GE(testing_support::prom_value(
+                samples, "ambit_serve_loop_ready_events_bucket", "le=\"0\""),
+            2.0);
+
+  const int shut = connect_tcp_with_retry("127.0.0.1", bound);
+  ASSERT_GE(shut, 0);
+  socket_transact(shut, "SHUTDOWN\n", 1);
+  ::close(shut);
+  server_thread.join();
 }
 
 // ---------------------------------------------------------------------------
