@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
 
   const PatternBatch inputs = PatternBatch::exhaustive(pla.num_inputs());
   const PatternBatch sequential = pla.evaluate_batch(inputs);
-  metrics::Histogram seq_latency(metrics::Histogram::default_latency_bounds_us());
+  metrics::Histogram seq_latency;
   const double seq_pps =
       measure_pps(inputs.num_patterns(), min_measure_secs,
                   [&] { (void)pla.evaluate_batch(inputs); }, &seq_latency);
@@ -391,7 +391,7 @@ int main(int argc, char** argv) {
     const PatternBatch parallel = pla.evaluate_batch(inputs, pool);
     const bool identical = parallel == sequential;
     all_identical = all_identical && identical;
-    metrics::Histogram latency(metrics::Histogram::default_latency_bounds_us());
+    metrics::Histogram latency;
     const double pps =
         measure_pps(inputs.num_patterns(), min_measure_secs,
                     [&] { (void)pla.evaluate_batch(inputs, pool); }, &latency);
@@ -483,7 +483,7 @@ int main(int argc, char** argv) {
     hex_script += '\n';
   }
   hex_script += "QUIT\n";
-  metrics::Histogram hex_latency(metrics::Histogram::default_latency_bounds_us());
+  metrics::Histogram hex_latency;
   const double hex_pps = measure_pps(
       bulk_patterns, min_measure_secs,
       [&] {
@@ -500,8 +500,7 @@ int main(int argc, char** argv) {
   frame_script.append(reinterpret_cast<const char*>(bulk_words.data()),
                       bulk_words.size() * sizeof(std::uint64_t));
   frame_script += "QUIT\n";
-  metrics::Histogram frame_latency(
-      metrics::Histogram::default_latency_bounds_us());
+  metrics::Histogram frame_latency;
   const double frame_pps = measure_pps(
       bulk_patterns, min_measure_secs,
       [&] {

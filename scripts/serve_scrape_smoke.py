@@ -10,8 +10,9 @@ fails on malformed exposition output (a text-format 0.0.4 lint lives
 below, a deliberately independent reimplementation of the C++ lint in
 tests/prometheus_lint.h), on any non-OK protocol response, on wrong
 HTTP status codes (404/405/400 probes included), on counters that
-move backwards between scrapes, or on a STATS line that disagrees with
-the page it renders.
+move backwards between scrapes, on two histogram children whose `le`
+bounds differ (every histogram shares one layout), or on a STATS line
+that disagrees with the page it renders.
 
 Usage: serve_scrape_smoke.py <path-to-ambit_serve>
 """
@@ -191,6 +192,14 @@ def lint_prometheus(page):
             fail(f"+Inf bucket / _count mismatch: {family}{{{rest}}}")
         if (family + "_sum", count_labels) not in samples:
             fail(f"histogram without _sum: {family}{{{rest}}}")
+    # One layout: every histogram child lists the same le bounds.
+    layouts = {key: sorted(le for le, _ in buckets)
+               for key, buckets in groups.items()}
+    first = min(layouts, default=None)
+    for key, les in layouts.items():
+        if les != layouts[first]:
+            fail(f"histogram layouts differ: {key[0]}{{{key[1]}}} lists "
+                 f"{les}, {first[0]}{{{first[1]}}} lists {layouts[first]}")
     return samples
 
 

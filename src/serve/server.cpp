@@ -110,8 +110,7 @@ struct Server::ServeMetrics {
           labels));
       request_us.push_back(&reg.histogram(
           "ambit_serve_request_us",
-          "End-to-end request wall time in microseconds, by verb",
-          metrics::Histogram::default_latency_bounds_us(), labels));
+          "End-to-end request wall time in microseconds, by verb", labels));
     }
     request_errors =
         &reg.counter("ambit_serve_request_errors_total",
@@ -124,7 +123,6 @@ struct Server::ServeMetrics {
           "ambit_serve_phase_us",
           "Per-request phase time in microseconds; the phases are "
           "additive",
-          metrics::Histogram::default_latency_bounds_us(),
           {{"phase", metrics::phase_name(static_cast<metrics::Phase>(p))}});
     }
     connections_active =
@@ -171,8 +169,7 @@ struct Server::ServeMetrics {
         "ambit_serve_loop_ready_events",
         "Descriptors ready per event-loop iteration — 0 means the "
         "50 ms housekeeping timeout fired, or a zero-timeout poll made "
-        "while pipelined requests wait their turn found nothing new",
-        {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
+        "while pipelined requests wait their turn found nothing new");
     pending_write_bytes = &reg.gauge(
         "ambit_serve_pending_write_bytes",
         "Response bytes queued in per-connection write-backpressure "
@@ -284,85 +281,6 @@ std::string Server::handle_line(const std::string& line) {
   return std::move(r.out.text);
 }
 
-std::string Server::dispatch(const FramedRequest& r) {
-  const Request& request = r.head;
-  try {
-    switch (request.verb) {
-      case Verb::kLoad: {
-        const std::shared_ptr<const LoadedCircuit> circuit =
-            load(request.name, request.path);
-        return ok_response(
-            "loaded " + circuit->name + ": " +
-            std::to_string(circuit->gnor.num_inputs()) + " inputs, " +
-            std::to_string(circuit->gnor.num_outputs()) + " outputs, " +
-            std::to_string(circuit->gnor.num_products()) + " products, " +
-            std::to_string(circuit->gnor.cell_count()) + " cells, " +
-            format_double(circuit->load_seconds * 1e3, 1) + " ms");
-      }
-      case Verb::kEval:
-      case Verb::kEvalB:
-      case Verb::kSim:
-      case Verb::kSimB:
-      case Verb::kMetrics:
-        // Handled by decode_or_answer, which owns the decode/encode
-        // split and the payload exchange.
-        return err_response("verb reached the one-line dispatcher");
-      case Verb::kVerify: {
-        // One registry lookup, same reasoning as kEval: the verdict
-        // and the reported pattern count must describe the SAME
-        // circuit even if a concurrent unload/reload lands in between.
-        const std::shared_ptr<const LoadedCircuit> circuit =
-            session_.get(request.name);
-        bool equivalent = false;
-        {
-          const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-          equivalent = session_.verify(circuit);
-        }
-        metrics_->verifies->add();
-        const int inputs = circuit->gnor.num_inputs();
-        if (!equivalent) {
-          return err_response(request.name +
-                              ": mapped array NOT equivalent to its source "
-                              "cover");
-        }
-        return ok_response(
-            "verified " + request.name + ": equivalent over " +
-            std::to_string(std::uint64_t{1} << inputs) + " patterns");
-      }
-      case Verb::kStats: {
-        // A rendering of this Server's registry, plus two facts about
-        // the Session. connections= stays last: append-only growth
-        // keeps consumers that slice by prefix byte-stable.
-        const ServeMetrics& m = *metrics_;
-        return ok_response(
-            "circuits=" + std::to_string(session_.names().size()) +
-            " loads=" + std::to_string(m.loads->value()) +
-            " evals=" + std::to_string(m.evals->value()) +
-            " patterns=" + std::to_string(m.patterns->value()) +
-            " sims=" + std::to_string(m.sims->value()) +
-            " sim_patterns=" + std::to_string(m.sim_patterns->value()) +
-            " verifies=" + std::to_string(m.verifies->value()) +
-            " workers=" + std::to_string(session_.pool().num_workers()) +
-            " connections=" + std::to_string(m.connections_active->value()) +
-            "/" + std::to_string(m.connections_accepted->value()));
-      }
-      case Verb::kUnload:
-        session_.unload(request.name);
-        return ok_response("unloaded " + request.name);
-      case Verb::kHelp:
-        return ok_response(help_text());
-      case Verb::kQuit:
-        return ok_response("bye");
-      case Verb::kShutdown:
-        shutdown_.store(true);
-        return ok_response("shutting down");
-    }
-    return err_response("unhandled verb");  // unreachable
-  } catch (const std::exception& e) {
-    return error_response(e);
-  }
-}
-
 void Server::record(const metrics::PhaseTrace& trace, int verb_index,
                     std::uint64_t total_us, const FramedRequest& r) {
   if (verb_index < 0) {
@@ -399,7 +317,8 @@ void Server::record(const metrics::PhaseTrace& trace, int verb_index,
   }
 }
 
-int Server::decode_or_answer(FramedRequest& r, EvalJob& held) {
+int Server::answer(FramedRequest& r, EvalJob& held,
+                   metrics::PhaseTrace* trace) {
   if (!r.parsed()) {
     // A malformed EVALB/SIMB header leaves an unknown number of payload
     // bytes unframed in the stream; resyncing is impossible, so the
@@ -410,84 +329,153 @@ int Server::decode_or_answer(FramedRequest& r, EvalJob& held) {
     return -1;
   }
   const Request& request = r.head;
-  const int verb_index = static_cast<int>(request.verb);
-
-  if (request.verb == Verb::kMetrics) {
-    // The page is framed like a bulk response: a one-line header
-    // announcing the byte count, then the raw exposition text — any
-    // transport that can carry an EVALB payload can carry it.
-    std::string page;
-    {
-      const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-      page = metrics_page();
-    }
-    respond(r.out, "OK METRICS " + std::to_string(page.size()));
-    r.out.text += page;
-    return verb_index;
-  }
-
-  const bool simulated =
-      request.verb == Verb::kSim || request.verb == Verb::kSimB;
-  if (!is_bulk_verb(request.verb) && request.verb != Verb::kEval &&
-      !simulated) {
-    r.quit = request.verb == Verb::kQuit || request.verb == Verb::kShutdown;
-    respond(r.out, dispatch(r));
-    return verb_index;
-  }
-
-  if (is_bulk_verb(request.verb)) {
-    // EVALB/SIMB: the length prefix is trusted BEFORE the name or the
-    // pattern count, so the payload can always be consumed and the
-    // stream stays framed even when the request itself fails.
-    const char* verb = request.verb == Verb::kEvalB ? "EVALB" : "SIMB";
-    if (request.num_words > kMaxEvalbWords) {
-      r.quit = true;
-      respond(r.out, err_response(std::string(verb) + " payload of " +
-                                  std::to_string(request.num_words) +
-                                  " words exceeds the " +
-                                  std::to_string(kMaxEvalbWords) +
-                                  "-word limit"));
-      return verb_index;
-    }
-    if (r.payload.size() < request.num_words) {
-      // EOF mid-payload: nothing sensible to answer. ConnState held only
-      // the bytes that arrived, so nothing was sized for the rest.
-      r.truncated = true;
-      return verb_index;
-    }
-  }
-
-  std::string failure;
   try {
-    EvalJob job = decode(r);
-    if (!simulated) {
-      held = std::move(job);
-      return verb_index;
+    switch (request.verb) {
+      case Verb::kLoad: {
+        const std::shared_ptr<const LoadedCircuit> circuit =
+            load(request.name, request.path);
+        const std::string loaded =
+            "loaded " + circuit->name + ": " +
+            std::to_string(circuit->gnor.num_inputs()) + " inputs, " +
+            std::to_string(circuit->gnor.num_outputs()) + " outputs, " +
+            std::to_string(circuit->gnor.num_products()) + " products, " +
+            std::to_string(circuit->gnor.cell_count()) + " cells, " +
+            format_double(circuit->load_seconds * 1e3, 1) + " ms";
+        respond(r.out, ok_response(loaded));
+        break;
+      }
+      case Verb::kEvalB:
+      case Verb::kSimB: {
+        // The length prefix is trusted BEFORE the name or the pattern
+        // count, so the payload can always be consumed and the stream
+        // stays framed even when the request itself fails.
+        const char* verb = request.verb == Verb::kEvalB ? "EVALB" : "SIMB";
+        if (request.num_words > kMaxEvalbWords) {
+          r.quit = true;
+          respond(r.out, err_response(std::string(verb) + " payload of " +
+                                      std::to_string(request.num_words) +
+                                      " words exceeds the " +
+                                      std::to_string(kMaxEvalbWords) +
+                                      "-word limit"));
+          break;
+        }
+        if (r.payload.size() < request.num_words) {
+          // EOF mid-payload: nothing sensible to answer. ConnState held
+          // only the bytes that arrived, so nothing was sized for the
+          // rest.
+          r.truncated = true;
+          break;
+        }
+      }
+        [[fallthrough]];
+      case Verb::kEval:
+      case Verb::kSim: {
+        EvalJob job = decode(r, trace);
+        if (request.verb == Verb::kEval || request.verb == Verb::kEvalB) {
+          held = std::move(job);  // answered from serve_batch's sweep
+          break;
+        }
+        simulate::BatchSimResult result(0, 0);
+        {
+          const metrics::ScopedPhaseTimer timer(trace,
+                                                metrics::Phase::kEvaluate);
+          result = sim(job.circuit, job.inputs);
+        }
+        check(result.all_definite(),
+              request.name + ": simulation produced non-digital outputs");
+        encode_sim(job, result, r.out, trace);
+        break;
+      }
+      case Verb::kVerify: {
+        // One registry lookup, same reasoning as kEval: the verdict
+        // and the reported pattern count must describe the SAME
+        // circuit even if a concurrent unload/reload lands in between.
+        const std::shared_ptr<const LoadedCircuit> circuit =
+            session_.get(request.name);
+        bool equivalent = false;
+        {
+          const metrics::ScopedPhaseTimer timer(trace,
+                                                metrics::Phase::kEvaluate);
+          equivalent = session_.verify(circuit);
+        }
+        metrics_->verifies->add();
+        const int inputs = circuit->gnor.num_inputs();
+        if (!equivalent) {
+          respond(r.out, err_response(request.name +
+                                      ": mapped array NOT equivalent to its "
+                                      "source cover"));
+          break;
+        }
+        respond(r.out, ok_response("verified " + request.name +
+                                   ": equivalent over " +
+                                   std::to_string(std::uint64_t{1} << inputs) +
+                                   " patterns"));
+        break;
+      }
+      case Verb::kMetrics: {
+        // The page is framed like a bulk response: a one-line header
+        // announcing the byte count, then the raw exposition text — any
+        // transport that can carry an EVALB payload can carry it.
+        std::string page;
+        {
+          const metrics::ScopedPhaseTimer timer(trace,
+                                                metrics::Phase::kSerialize);
+          page = metrics_page();
+        }
+        respond(r.out, "OK METRICS " + std::to_string(page.size()));
+        r.out.text += page;
+        break;
+      }
+      case Verb::kStats: {
+        // A rendering of this Server's registry, plus two facts about
+        // the Session. connections= stays last: append-only growth
+        // keeps consumers that slice by prefix byte-stable.
+        const ServeMetrics& m = *metrics_;
+        const std::string stats =
+            "circuits=" + std::to_string(session_.names().size()) +
+            " loads=" + std::to_string(m.loads->value()) +
+            " evals=" + std::to_string(m.evals->value()) +
+            " patterns=" + std::to_string(m.patterns->value()) +
+            " sims=" + std::to_string(m.sims->value()) +
+            " sim_patterns=" + std::to_string(m.sim_patterns->value()) +
+            " verifies=" + std::to_string(m.verifies->value()) +
+            " workers=" + std::to_string(session_.pool().num_workers()) +
+            " connections=" + std::to_string(m.connections_active->value()) +
+            "/" + std::to_string(m.connections_accepted->value());
+        respond(r.out, ok_response(stats));
+        break;
+      }
+      case Verb::kUnload:
+        session_.unload(request.name);
+        respond(r.out, ok_response("unloaded " + request.name));
+        break;
+      case Verb::kHelp:
+        respond(r.out, ok_response(help_text()));
+        break;
+      case Verb::kQuit:
+        r.quit = true;
+        respond(r.out, ok_response("bye"));
+        break;
+      case Verb::kShutdown:
+        r.quit = true;
+        shutdown_.store(true);
+        respond(r.out, ok_response("shutting down"));
+        break;
     }
-    simulate::BatchSimResult result(0, 0);
-    {
-      const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-      result = sim(job.circuit, job.inputs);
-    }
-    check(result.all_definite(),
-          request.name + ": simulation produced non-digital outputs");
-    encode_sim(job, result, r.out);
-    return verb_index;
   } catch (const std::exception& e) {
-    failure = error_response(e);
+    const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kSerialize);
+    respond(r.out, error_response(e));
   }
-  const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-  respond(r.out, failure);
-  return verb_index;
+  return static_cast<int>(request.verb);
 }
 
-Server::EvalJob Server::decode(FramedRequest& r) {
+Server::EvalJob Server::decode(FramedRequest& r, metrics::PhaseTrace* trace) {
   const Request& request = r.head;
   EvalJob job;
   job.bulk = is_bulk_verb(request.verb);
   if (!job.bulk) {
     job.circuit = session_.get(request.name);
-    const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
+    const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kParse);
     job.inputs = decode_request_patterns(*job.circuit, r);
     return job;
   }
@@ -533,15 +521,15 @@ Server::EvalJob Server::decode(FramedRequest& r) {
             " words over " + std::to_string(num_outputs) +
             " outputs exceeds the " + std::to_string(kMaxEvalbWords) +
             "-word limit");
-  const metrics::ScopedPhaseTimer timer(metrics::Phase::kParse);
+  const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kParse);
   job.inputs = logic::PatternBatch::from_words(width, request.num_patterns,
                                                std::move(r.payload));
   return job;
 }
 
 void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
-                         Response& out) {
-  const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
+                         Response& out, metrics::PhaseTrace* trace) {
+  const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kSerialize);
   if (job.bulk) {
     // The header first: it reads the counts before the lanes move.
     const std::string header =
@@ -560,9 +548,9 @@ void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
 }
 
 void Server::encode_sim(const EvalJob& job,
-                        const simulate::BatchSimResult& result,
-                        Response& out) {
-  const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
+                        const simulate::BatchSimResult& result, Response& out,
+                        metrics::PhaseTrace* trace) {
+  const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kSerialize);
   const std::uint64_t np = result.num_patterns();
   if (job.bulk) {
     // The output lanes, then the delay arrays as raw doubles, one per
@@ -609,6 +597,7 @@ void Server::serve_batch(std::span<FramedRequest> requests) {
   };
   std::vector<Member> members(requests.size());
   const auto now_us = [timed] { return timed ? metrics::monotonic_us() : 0; };
+  const auto trace = [timed](Member& m) { return timed ? &m.trace : nullptr; };
   const auto answered = [&](std::size_t k) {
     if (timed && !requests[k].truncated) {
       record(members[k].trace, members[k].verb_index, members[k].us,
@@ -625,10 +614,7 @@ void Server::serve_batch(std::span<FramedRequest> requests) {
       m.us = start - r.queued_at_us;
       m.trace.add(metrics::Phase::kQueueWait, m.us);
     }
-    {
-      const metrics::TraceScope scope(timed ? &m.trace : nullptr);
-      m.verb_index = decode_or_answer(r, m.job);
-    }
+    m.verb_index = answer(r, m.job, trace(m));
     m.us += now_us() - start;
     if (m.job.circuit == nullptr) {
       answered(i);
@@ -691,14 +677,12 @@ void Server::serve_batch(std::span<FramedRequest> requests) {
       FramedRequest& r = requests[sweep[j]];
       Member& m = members[sweep[j]];
       const std::uint64_t start = now_us();
-      {
-        const metrics::TraceScope scope(timed ? &m.trace : nullptr);
-        if (failure.empty()) {
-          encode_eval(m.job, std::move(outputs[j]), r.out);
-        } else {
-          const metrics::ScopedPhaseTimer timer(metrics::Phase::kSerialize);
-          respond(r.out, failure);
-        }
+      if (failure.empty()) {
+        encode_eval(m.job, std::move(outputs[j]), r.out, trace(m));
+      } else {
+        const metrics::ScopedPhaseTimer timer(trace(m),
+                                              metrics::Phase::kSerialize);
+        respond(r.out, failure);
       }
       m.job = EvalJob{};  // its sweep is done: free its input lanes
       m.trace.add(metrics::Phase::kEvaluate, sweep_us);
@@ -836,7 +820,8 @@ void Server::note_connection_closed(const char* reason, std::uint64_t conn_id,
       metrics_->dropped_malformed->add();
     }
   }
-  logs::warn("conn.drop", {{"conn", std::to_string(conn_id)},
+  logs::warn_rate_limited(drop_log_limiter_, "conn.drop",
+                          {{"conn", std::to_string(conn_id)},
                            {"reason", reason},
                            {"served", std::to_string(served)}});
 }

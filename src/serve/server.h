@@ -256,16 +256,11 @@ class Server {
     bool bulk = false;  ///< EVALB/SIMB: a binary frame carried the inputs
   };
 
-  /// Answers one parsed one-line request (every verb but EVAL, EVALB,
-  /// SIM, SIMB and METRICS, which decode_or_answer handles); returns
-  /// the response line.
-  std::string dispatch(const FramedRequest& r);
-
   /// Decodes an EVAL/SIM's hex tokens, or takes over the payload of an
   /// EVALB/SIMB as its input lanes after checking its counts, against
-  /// the circuit named in r's head. Throws ambit::Error on a bad
-  /// request.
-  EvalJob decode(FramedRequest& r);
+  /// the circuit named in r's head, timed as `trace`'s parse phase.
+  /// Throws ambit::Error on a bad request.
+  EvalJob decode(FramedRequest& r, metrics::PhaseTrace* trace);
 
   /// Session::eval and Session::sim, counted in STATS once they return;
   /// one sweep answers `requests` EVAL/EVALB requests (serve_batch packs
@@ -278,32 +273,37 @@ class Server {
       const logic::PatternBatch& inputs);
 
   /// Encodes `outputs` (the job's own patterns, in order) as the EVAL
-  /// or EVALB response into `out`; an EVALB's lanes move into out.lanes.
+  /// or EVALB response into `out`, timed as `trace`'s serialize phase;
+  /// an EVALB's lanes move into out.lanes.
   static void encode_eval(const EvalJob& job, logic::PatternBatch outputs,
-                          Response& out);
-  /// Encodes a simulated job as the SIM or SIMB response into `out`: a
-  /// SIMB's output lanes and delay arrays move into out.lanes.
+                          Response& out, metrics::PhaseTrace* trace);
+  /// Encodes a simulated job as the SIM or SIMB response into `out`,
+  /// timed like encode_eval: a SIMB's output lanes and delay arrays move
+  /// into out.lanes.
   static void encode_sim(const EvalJob& job,
                          const simulate::BatchSimResult& result,
-                         Response& out);
+                         Response& out, metrics::PhaseTrace* trace);
 
   /// Serves `requests` on the calling thread — the only code that serves
   /// a request. Each is answered from the head its framing parsed, or
-  /// decoded for a sweep (decode_or_answer). The EVAL/EVALBs for one
+  /// decoded for a sweep (answer). The EVAL/EVALBs for one
   /// circuit are packed, first fit in arrival order, into sweeps of at
   /// most kLoopMaxPatterns patterns, one Session::eval each (a sweep of
   /// one evaluates its own batch, no copy), and each is answered from
   /// its slice. With enable_metrics, each request's phases are traced
-  /// and recorded, with its queue wait first and its shared sweep as
-  /// its evaluate phase.
+  /// into a trace of its own, passed down to every timer, and recorded,
+  /// with its queue wait first and its shared sweep as its evaluate
+  /// phase.
   void serve_batch(std::span<FramedRequest> requests);
 
-  /// serve_batch's protocol work before the sweep: answers r into
-  /// r.out, setting r.quit or r.truncated — a SIM/SIMB through decode,
-  /// simulate and encode_sim — unless it is an EVAL/EVALB that decodes,
-  /// which lands in `held` (circuit set) for the sweep.
-  /// Returns the verb's enum index, -1 when the line did not parse.
-  int decode_or_answer(FramedRequest& r, EvalJob& held);
+  /// serve_batch's per-request step, one switch over every verb: answers
+  /// r into r.out, setting r.quit or r.truncated — a SIM/SIMB through
+  /// decode, simulate and encode_sim — unless it is an EVAL/EVALB that
+  /// decodes, which lands in `held` (circuit set) for the sweep. Any
+  /// exception becomes the request's ERR line. Phases are timed into
+  /// `trace` (null: untimed). Returns the verb's enum index, -1 when
+  /// the line did not parse.
+  int answer(FramedRequest& r, EvalJob& held, metrics::PhaseTrace* trace);
 
   /// serve_batch's instrumentation tail for one answered request:
   /// per-verb counters and latency, the phase histograms, the
@@ -344,9 +344,11 @@ class Server {
   ServerOptions options_;
   std::unique_ptr<ServeMetrics> metrics_;
   std::atomic<bool> shutdown_{false};
-  // One slow-request warn per interval, surplus folded into
-  // suppressed=<n> — a storm of slow requests must not flood the log.
+  // One slow-request and one conn.drop warn per interval each, surplus
+  // folded into suppressed=<n> — a storm of slow requests or of
+  // malformed peers must not flood the log from the loop thread.
   logs::RateLimiter slow_log_limiter_{1'000'000};
+  logs::RateLimiter drop_log_limiter_{1'000'000};
 };
 
 }  // namespace ambit::serve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/error.h"
 
@@ -95,40 +96,12 @@ std::string render_labels(const Labels& labels, const std::string& extra_name,
   return out;
 }
 
-void validate_labels(const Labels& labels) {
-  for (const auto& [k, v] : labels) {
-    (void)v;
-    check(valid_label_name(k), "metrics: invalid label name '" + k + "'");
-  }
-}
-
 }  // namespace
 
 // --- Histogram -------------------------------------------------------------
 
-Histogram::Histogram(std::vector<std::uint64_t> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
-  check(!bounds_.empty(), "Histogram: needs at least one finite bucket bound");
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    check(bounds_[i - 1] < bounds_[i],
-          "Histogram: bucket bounds must be strictly increasing");
-  }
-}
-
-std::vector<std::uint64_t> Histogram::default_latency_bounds_us() {
-  std::vector<std::uint64_t> bounds;
-  bounds.reserve(27);
-  for (int p = 0; p <= 26; ++p) {
-    bounds.push_back(std::uint64_t{1} << p);
-  }
-  return bounds;
-}
-
 void Histogram::observe(std::uint64_t value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const std::size_t idx =
-      static_cast<std::size_t>(it - bounds_.begin());  // == size() -> +Inf
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
   std::uint64_t seen = max_.load(std::memory_order_relaxed);
   while (value > seen &&
@@ -137,29 +110,24 @@ void Histogram::observe(std::uint64_t value) {
 }
 
 std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const auto& bucket : buckets_) {
-    total += bucket.load(std::memory_order_relaxed);
-  }
-  return total;
+  const std::array<std::uint64_t, kBuckets> counts = bucket_counts();
+  return std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
 }
 
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> counts;
-  counts.reserve(buckets_.size());
-  for (const auto& bucket : buckets_) {
-    counts.push_back(bucket.load(std::memory_order_relaxed));
+std::array<std::uint64_t, Histogram::kBuckets> Histogram::bucket_counts()
+    const {
+  std::array<std::uint64_t, kBuckets> counts{};
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return counts;
 }
 
 std::uint64_t Histogram::quantile(double q) const {
   check(q > 0.0 && q <= 1.0, "Histogram::quantile: q must be in (0, 1]");
-  const std::vector<std::uint64_t> counts = bucket_counts();
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : counts) {
-    total += c;
-  }
+  const std::array<std::uint64_t, kBuckets> counts = bucket_counts();
+  const std::uint64_t total =
+      std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
   if (total == 0) {
     return 0;
   }
@@ -167,174 +135,132 @@ std::uint64_t Histogram::quantile(double q) const {
   const auto rank = static_cast<std::uint64_t>(
       std::max<double>(1.0, std::ceil(q * static_cast<double>(total))));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    seen += counts[i];
-    if (seen >= rank) {
-      // A bucket's upper bound can lie far above every sample in it
-      // (one 38871 us sample sits in the 65536 bucket); no quantile may
-      // exceed the largest sample.
-      return i < bounds_.size() ? std::min(bounds_[i], max_observed())
-                                : max_observed();
-    }
+  std::size_t i = 0;
+  while (seen + counts[i] < rank) {  // rank <= total: stops in bounds
+    seen += counts[i++];
   }
-  return max_observed();  // unreachable; keeps the compiler satisfied
+  // A bucket's upper bound can lie far above every sample in it (one
+  // 38871 us sample sits in the 65536 bucket); no quantile may exceed
+  // the largest sample, which also answers for the overflow bucket.
+  return i + 1 < kBuckets ? std::min(bound(i), max_observed())
+                          : max_observed();
 }
 
 // --- Registry --------------------------------------------------------------
 
-Registry::Family& Registry::family_locked(const std::string& name,
-                                          const std::string& help, Type type) {
+namespace {
+/// The # TYPE word of each Registry metric alternative, in variant order.
+constexpr const char* kTypeNames[] = {"counter", "gauge", "histogram"};
+}  // namespace
+
+template <typename M>
+M& Registry::child(const std::string& name, const std::string& help,
+                   const Labels& labels) {
   check(valid_metric_name(name), "metrics: invalid metric name '" + name + "'");
+  for (const auto& label : labels) {
+    check(valid_label_name(label.first),
+          "metrics: invalid label name '" + label.first + "'");
+  }
+  const MutexLock lock(mutex_);
   const auto [it, inserted] = families_.try_emplace(name);
   Family& fam = it->second;
   if (inserted) {
-    fam.type = type;
     fam.help = help;
-  } else {
-    check(fam.type == type,
-          "metrics: metric '" + name + "' re-registered with a different type");
   }
-  return fam;
+  check(fam.children.empty() ||
+            std::holds_alternative<M>(fam.children.front().second),
+        "metrics: metric '" + name + "' re-registered with a different type");
+  for (auto& [child_labels, metric] : fam.children) {
+    if (child_labels == labels) {
+      return std::get<M>(metric);
+    }
+  }
+  fam.children.emplace_back(std::piecewise_construct,
+                            std::forward_as_tuple(labels),
+                            std::forward_as_tuple(std::in_place_type<M>));
+  return std::get<M>(fam.children.back().second);
+}
+
+template <typename M>
+const M* Registry::find(const std::string& name, const Labels& labels) const {
+  const MutexLock lock(mutex_);
+  const auto it = families_.find(name);
+  if (it != families_.end()) {
+    for (const auto& [child_labels, metric] : it->second.children) {
+      if (child_labels == labels) {
+        return std::get_if<M>(&metric);
+      }
+    }
+  }
+  return nullptr;
 }
 
 Counter& Registry::counter(const std::string& name, const std::string& help,
                            const Labels& labels) {
-  validate_labels(labels);
-  const MutexLock lock(mutex_);
-  Family& fam = family_locked(name, help, Type::kCounter);
-  for (auto& [child_labels, child] : fam.counters) {
-    if (child_labels == labels) {
-      return child;
-    }
-  }
-  fam.counters.emplace_back(std::piecewise_construct,
-                            std::forward_as_tuple(labels),
-                            std::forward_as_tuple());
-  return fam.counters.back().second;
+  return child<Counter>(name, help, labels);
 }
 
 Gauge& Registry::gauge(const std::string& name, const std::string& help,
                        const Labels& labels) {
-  validate_labels(labels);
-  const MutexLock lock(mutex_);
-  Family& fam = family_locked(name, help, Type::kGauge);
-  for (auto& [child_labels, child] : fam.gauges) {
-    if (child_labels == labels) {
-      return child;
-    }
-  }
-  fam.gauges.emplace_back(std::piecewise_construct,
-                          std::forward_as_tuple(labels),
-                          std::forward_as_tuple());
-  return fam.gauges.back().second;
+  return child<Gauge>(name, help, labels);
 }
 
 Histogram& Registry::histogram(const std::string& name, const std::string& help,
-                               std::vector<std::uint64_t> bounds,
                                const Labels& labels) {
-  validate_labels(labels);
-  const MutexLock lock(mutex_);
-  Family& fam = family_locked(name, help, Type::kHistogram);
-  for (auto& [child_labels, child] : fam.histograms) {
-    if (child_labels == labels) {
-      return child;
-    }
-  }
-  fam.histograms.emplace_back(std::piecewise_construct,
-                              std::forward_as_tuple(labels),
-                              std::forward_as_tuple(std::move(bounds)));
-  return fam.histograms.back().second;
+  return child<Histogram>(name, help, labels);
 }
 
 const Counter* Registry::find_counter(const std::string& name,
                                       const Labels& labels) const {
-  const MutexLock lock(mutex_);
-  const auto it = families_.find(name);
-  if (it == families_.end() || it->second.type != Type::kCounter) {
-    return nullptr;
-  }
-  for (const auto& [child_labels, child] : it->second.counters) {
-    if (child_labels == labels) {
-      return &child;
-    }
-  }
-  return nullptr;
+  return find<Counter>(name, labels);
 }
 
 const Gauge* Registry::find_gauge(const std::string& name,
                                   const Labels& labels) const {
-  const MutexLock lock(mutex_);
-  const auto it = families_.find(name);
-  if (it == families_.end() || it->second.type != Type::kGauge) {
-    return nullptr;
-  }
-  for (const auto& [child_labels, child] : it->second.gauges) {
-    if (child_labels == labels) {
-      return &child;
-    }
-  }
-  return nullptr;
+  return find<Gauge>(name, labels);
 }
 
 const Histogram* Registry::find_histogram(const std::string& name,
                                           const Labels& labels) const {
-  const MutexLock lock(mutex_);
-  const auto it = families_.find(name);
-  if (it == families_.end() || it->second.type != Type::kHistogram) {
-    return nullptr;
-  }
-  for (const auto& [child_labels, child] : it->second.histograms) {
-    if (child_labels == labels) {
-      return &child;
-    }
-  }
-  return nullptr;
+  return find<Histogram>(name, labels);
 }
 
 std::string Registry::prometheus_text() const {
   const MutexLock lock(mutex_);
   std::string out;
   for (const auto& [name, fam] : families_) {
+    if (fam.children.empty()) {
+      continue;  // its first child failed to construct
+    }
     out += "# HELP " + name + " " + escape_value(fam.help, false) + "\n";
-    switch (fam.type) {
-      case Type::kCounter:
-        out += "# TYPE " + name + " counter\n";
-        for (const auto& [labels, child] : fam.counters) {
-          out += name + render_labels(labels, "", "") + " " +
-                 std::to_string(child.value()) + "\n";
-        }
-        break;
-      case Type::kGauge:
-        out += "# TYPE " + name + " gauge\n";
-        for (const auto& [labels, child] : fam.gauges) {
-          out += name + render_labels(labels, "", "") + " " +
-                 std::to_string(child.value()) + "\n";
-        }
-        break;
-      case Type::kHistogram:
-        out += "# TYPE " + name + " histogram\n";
-        for (const auto& [labels, child] : fam.histograms) {
-          const std::vector<std::uint64_t> counts = child.bucket_counts();
-          std::uint64_t cumulative = 0;
-          for (std::size_t i = 0; i < child.bounds().size(); ++i) {
-            cumulative += counts[i];
-            out += name + "_bucket" +
-                   render_labels(labels, "le",
-                                 std::to_string(child.bounds()[i])) +
-                   " " + std::to_string(cumulative) + "\n";
-          }
-          cumulative += counts.back();
-          out += name + "_bucket" + render_labels(labels, "le", "+Inf") + " " +
-                 std::to_string(cumulative) + "\n";
-          // _count comes from the SAME bucket snapshot, so the +Inf
-          // cumulative always equals _count even mid-storm (the lint
-          // tests assert exactly that).
-          out += name + "_sum" + render_labels(labels, "", "") + " " +
-                 std::to_string(child.sum()) + "\n";
-          out += name + "_count" + render_labels(labels, "", "") + " " +
-                 std::to_string(cumulative) + "\n";
-        }
-        break;
+    out += "# TYPE " + name + " " +
+           kTypeNames[fam.children.front().second.index()] + "\n";
+    for (const auto& [labels, metric] : fam.children) {
+      const std::string plain = render_labels(labels, "", "");
+      if (const auto* counter = std::get_if<Counter>(&metric)) {
+        out += name + plain + " " + std::to_string(counter->value()) + "\n";
+        continue;
+      }
+      if (const auto* gauge = std::get_if<Gauge>(&metric)) {
+        out += name + plain + " " + std::to_string(gauge->value()) + "\n";
+        continue;
+      }
+      const auto counts = std::get<Histogram>(metric).bucket_counts();
+      std::uint64_t cumulative = 0;
+      for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+        cumulative += counts[i];
+        const std::string le = i + 1 < Histogram::kBuckets
+                                   ? std::to_string(Histogram::bound(i))
+                                   : "+Inf";
+        out += name + "_bucket" + render_labels(labels, "le", le) + " " +
+               std::to_string(cumulative) + "\n";
+      }
+      // _count comes from the SAME bucket snapshot, so the +Inf
+      // cumulative always equals _count even mid-storm (the lint tests
+      // assert exactly that).
+      out += name + "_sum" + plain + " " +
+             std::to_string(std::get<Histogram>(metric).sum()) + "\n";
+      out += name + "_count" + plain + " " + std::to_string(cumulative) + "\n";
     }
   }
   return out;
@@ -355,17 +281,5 @@ const char* phase_name(Phase phase) {
   }
   return "unknown";
 }
-
-namespace {
-thread_local PhaseTrace* g_current_trace = nullptr;
-}  // namespace
-
-PhaseTrace* current_trace() { return g_current_trace; }
-
-TraceScope::TraceScope(PhaseTrace* trace) : previous_(g_current_trace) {
-  g_current_trace = trace;
-}
-
-TraceScope::~TraceScope() { g_current_trace = previous_; }
 
 }  // namespace ambit::metrics

@@ -12,9 +12,9 @@
 //     the returned reference and never touch the registry again.
 //   * Recording (Counter::add, Gauge::set, Histogram::observe) is a
 //     handful of relaxed atomic operations — no locks, no allocation,
-//     no branches beyond the bucket search. Relaxed ordering is enough
-//     because each sample is independent; exposition reads are
-//     monotonic snapshots, the same contract Prometheus scrapes assume.
+//     no search. Relaxed ordering is enough because each sample is
+//     independent; exposition reads are monotonic snapshots, the same
+//     contract Prometheus scrapes assume.
 //   * Exposition (Registry::prometheus_text) walks the families under
 //     the registration mutex (which only excludes concurrent
 //     REGISTRATION — recording proceeds untouched) and renders the
@@ -22,32 +22,37 @@
 //     values, and for histograms the cumulative _bucket series with
 //     the mandatory +Inf bound plus _sum and _count.
 //
-// Histograms are fixed-bucket and log-spaced: bounds are chosen at
-// registration (default: powers of two from 1 us to ~67 s), the bucket
-// array is pre-sized, and observe() is a lower_bound over ~26 integers
-// plus two relaxed adds — allocation-free and wait-free. Quantiles are
-// exact in the histogram sense: quantile(q) returns the upper bound of
-// the bucket containing the q-rank sample, clamped to the max observed
+// Every histogram shares one fixed layout: a bucket for 0, powers of
+// two from 1 to 2^26 (~67 s in microseconds), then +Inf. observe()
+// computes its bucket from the value's bit width (Histogram::bucket_of)
+// and makes two relaxed adds — allocation-free and wait-free; one
+// function gives the bounds (Histogram::bound). Quantiles are exact in
+// the histogram sense: quantile(q) returns the upper bound of the
+// bucket containing the q-rank sample, clamped to the max observed
 // value (which also answers for the overflow bucket), which is the
 // precision the bucket layout promises and what p50/p90/p99 dashboards
 // consume.
 //
 // Per-request phase tracing rides the same header: a PhaseTrace is a
-// fixed array of per-phase accumulators, installed for the current
-// thread with TraceScope, and ScopedPhaseTimer adds elapsed time to
-// the ambient trace (if any) on destruction. Server::serve_batch uses
-// it to attribute each request's latency to parse / pool-queue wait /
-// evaluate / serialize and to dump slow requests.
+// fixed array of per-phase accumulators owned by the request's serving
+// frame, and a ScopedPhaseTimer adds its scope's elapsed time to the
+// trace it is handed (none when handed null). Server::serve_batch
+// passes each request's trace down its serving step to attribute its
+// latency to parse / pool-queue wait / evaluate / serialize and to dump
+// slow requests.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/mutex.h"
@@ -95,23 +100,31 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Fixed-bucket, log-spaced histogram. Bounds are set at registration;
-/// observe() is allocation-free: a lower_bound over the bounds plus
-/// relaxed adds into the pre-sized bucket array.
+/// Fixed-bucket, log-spaced histogram in the one layout every histogram
+/// shares. observe() is allocation-free: a bit-width bucket index plus
+/// relaxed adds into the bucket array.
 class Histogram {
  public:
-  /// Upper bounds (inclusive, in recording units — microseconds by
-  /// convention) for the finite buckets; one overflow (+Inf) bucket is
-  /// appended implicitly. Bounds must be strictly increasing and
-  /// non-empty.
-  explicit Histogram(std::vector<std::uint64_t> bounds);
+  /// Finite buckets (0, then 2^0 .. 2^26) plus the overflow (+Inf).
+  static constexpr std::size_t kBuckets = 29;
 
+  /// The bucket `value` lands in: 0 holds 0, k holds (2^(k-2), 2^(k-1)]
+  /// for k in [1, 27], and kBuckets - 1 holds everything above 2^26.
+  static constexpr std::size_t bucket_of(std::uint64_t value) {
+    return value == 0 ? 0
+                      : std::min<std::size_t>(std::bit_width(value - 1) + 1,
+                                              kBuckets - 1);
+  }
+
+  /// Inclusive upper bound of finite bucket `i` (i < kBuckets - 1), in
+  /// recording units — microseconds by convention.
+  static constexpr std::uint64_t bound(std::size_t i) {
+    return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
+  }
+
+  Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
-
-  /// Powers of two from 1 us to 2^26 us (~67 s): 27 finite buckets,
-  /// ~2x resolution across nine decades — the default for latencies.
-  static std::vector<std::uint64_t> default_latency_bounds_us();
 
   void observe(std::uint64_t value);
 
@@ -127,17 +140,13 @@ class Histogram {
   /// histogram is empty. Exact at bucket resolution by construction.
   std::uint64_t quantile(double q) const;
 
-  const std::vector<std::uint64_t>& bounds() const { return bounds_; }
-
   /// Per-bucket counts (finite buckets then overflow), a relaxed
   /// snapshot — buckets may be mid-update relative to each other, which
   /// is the standard scrape contract.
-  std::vector<std::uint64_t> bucket_counts() const;
+  std::array<std::uint64_t, kBuckets> bucket_counts() const;
 
  private:
-  std::vector<std::uint64_t> bounds_;
-  // bounds_.size() + 1 slots; the last is the overflow (+Inf) bucket.
-  std::vector<std::atomic<std::uint64_t>> buckets_;
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
 };
@@ -160,7 +169,6 @@ class Registry {
   Gauge& gauge(const std::string& name, const std::string& help,
                const Labels& labels = {});
   Histogram& histogram(const std::string& name, const std::string& help,
-                       std::vector<std::uint64_t> bounds,
                        const Labels& labels = {});
 
   /// Prometheus text format 0.0.4: families sorted by name, # HELP and
@@ -176,21 +184,25 @@ class Registry {
                                   const Labels& labels = {}) const;
 
  private:
-  enum class Type { kCounter, kGauge, kHistogram };
+  using Metric = std::variant<Counter, Gauge, Histogram>;
 
-  /// One metric family: a name, a type, and its labeled children in
-  /// registration order. Children live in deques so the references
-  /// handed out at registration stay valid forever.
+  /// One metric family: its help text and its labeled children in
+  /// registration order, all of one Metric alternative (the family's
+  /// type). Children live in a deque so the references handed out at
+  /// registration stay valid forever.
   struct Family {
-    Type type = Type::kCounter;
     std::string help;
-    std::deque<std::pair<Labels, Counter>> counters;
-    std::deque<std::pair<Labels, Gauge>> gauges;
-    std::deque<std::pair<Labels, Histogram>> histograms;
+    std::deque<std::pair<Labels, Metric>> children;
   };
 
-  Family& family_locked(const std::string& name, const std::string& help,
-                        Type type) AMBIT_REQUIRES(mutex_);
+  /// The one registration path: the child of `name` with `labels`,
+  /// created (with its family) on first use.
+  template <typename M>
+  M& child(const std::string& name, const std::string& help,
+           const Labels& labels);
+  /// The one lookup path; nullptr when absent or of another type.
+  template <typename M>
+  const M* find(const std::string& name, const Labels& labels) const;
 
   mutable Mutex mutex_{LockRank::kMetricsRegistry};
   // Ordered by name: exposition renders in deterministic sorted order.
@@ -216,8 +228,8 @@ inline constexpr std::size_t kNumPhases = 4;
 const char* phase_name(Phase phase);
 
 /// Accumulated microseconds per phase for one request. Plain data —
-/// owned by the request's serving frame, written through the ambient
-/// thread-local pointer by the RAII timers below.
+/// owned by the request's serving frame, written by the RAII timers
+/// below.
 struct PhaseTrace {
   std::array<std::uint64_t, kNumPhases> us{};
 
@@ -229,32 +241,13 @@ struct PhaseTrace {
   }
 };
 
-/// The calling thread's active trace, or nullptr when the current work
-/// is not being traced (metrics off, tracing disabled, worker thread).
-PhaseTrace* current_trace();
-
-/// Installs `trace` as the calling thread's active trace for the scope;
-/// restores the previous one on exit (scopes nest). Pass nullptr to
-/// disable tracing for the scope.
-class TraceScope {
- public:
-  explicit TraceScope(PhaseTrace* trace);
-  ~TraceScope();
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  PhaseTrace* previous_;
-};
-
-/// Adds the scope's elapsed time to the ambient trace's `phase` slot.
-/// Free when no trace is installed: one thread-local read, no clock
-/// call.
+/// Adds the scope's elapsed time to `trace`'s `phase` slot. Free when
+/// `trace` is null (metrics off): no clock call.
 class ScopedPhaseTimer {
  public:
-  explicit ScopedPhaseTimer(Phase phase)
-      : phase_(phase), trace_(current_trace()),
-        start_us_(trace_ != nullptr ? monotonic_us() : 0) {}
+  ScopedPhaseTimer(PhaseTrace* trace, Phase phase)
+      : trace_(trace), phase_(phase),
+        start_us_(trace != nullptr ? monotonic_us() : 0) {}
 
   ~ScopedPhaseTimer() {
     if (trace_ != nullptr) {
@@ -266,8 +259,8 @@ class ScopedPhaseTimer {
   ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
 
  private:
-  Phase phase_;
   PhaseTrace* trace_;
+  Phase phase_;
   std::uint64_t start_us_;
 };
 

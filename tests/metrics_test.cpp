@@ -7,6 +7,7 @@
 // serve_test.cpp applies to the page fetched over the wire.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -48,58 +49,82 @@ TEST(MetricsTest, CounterAndGaugeRecord) {
   EXPECT_EQ(gauge.value(), -2);
 }
 
-TEST(MetricsTest, DefaultLatencyBoundsArePowersOfTwo) {
-  const std::vector<std::uint64_t> bounds =
-      metrics::Histogram::default_latency_bounds_us();
-  ASSERT_EQ(bounds.size(), 27u);
-  EXPECT_EQ(bounds.front(), 1u);
-  EXPECT_EQ(bounds.back(), std::uint64_t{1} << 26);
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_EQ(bounds[i], bounds[i - 1] * 2);
+TEST(MetricsTest, TheOneLayoutIsZeroThenPowersOfTwo) {
+  // Every histogram shares one layout: le = 0, 1, 2, 4, ..., 2^26, then
+  // +Inf. bucket_of must put each value in the first bucket whose bound
+  // is >= the value, the rule the cumulative le lines rely on.
+  ASSERT_EQ(metrics::Histogram::kBuckets, 29u);
+  EXPECT_EQ(metrics::Histogram::bound(0), 0u);
+  for (std::size_t i = 1; i + 1 < metrics::Histogram::kBuckets; ++i) {
+    const std::uint64_t bound = metrics::Histogram::bound(i);
+    EXPECT_EQ(bound, std::uint64_t{1} << (i - 1));
+    EXPECT_EQ(metrics::Histogram::bucket_of(bound), i);
+    EXPECT_EQ(metrics::Histogram::bucket_of(bound + 1), i + 1);
   }
+  EXPECT_EQ(metrics::Histogram::bucket_of(0), 0u);
+  EXPECT_EQ(metrics::Histogram::bucket_of(3), 3u);  // le=4
+  EXPECT_EQ(metrics::Histogram::bucket_of(~std::uint64_t{0}),
+            metrics::Histogram::kBuckets - 1);
 }
 
 TEST(MetricsTest, HistogramBucketsCountAndSum) {
-  metrics::Histogram histogram({10, 100, 1000});
-  histogram.observe(0);     // first bucket (le=10 is inclusive)
-  histogram.observe(10);    // still the first bucket
-  histogram.observe(11);    // second
-  histogram.observe(1000);  // third
-  histogram.observe(5000);  // overflow
-  EXPECT_EQ(histogram.count(), 5u);
-  EXPECT_EQ(histogram.sum(), 0u + 10 + 11 + 1000 + 5000);
-  EXPECT_EQ(histogram.max_observed(), 5000u);
-  EXPECT_EQ(histogram.bucket_counts(),
-            (std::vector<std::uint64_t>{2, 1, 1, 1}));
+  metrics::Histogram histogram;
+  histogram.observe(0);                          // le=0
+  histogram.observe(1);                          // le=1 is inclusive
+  histogram.observe(3);                          // le=4
+  histogram.observe(4);                          // still le=4
+  histogram.observe(5000);                       // le=8192
+  histogram.observe((std::uint64_t{1} << 26) + 1);  // overflow
+  EXPECT_EQ(histogram.count(), 6u);
+  EXPECT_EQ(histogram.sum(), 0u + 1 + 3 + 4 + 5000 + (1u << 26) + 1);
+  EXPECT_EQ(histogram.max_observed(), (std::uint64_t{1} << 26) + 1);
+  std::array<std::uint64_t, metrics::Histogram::kBuckets> expected{};
+  expected[0] = 1;
+  expected[1] = 1;
+  expected[3] = 2;
+  expected[14] = 1;
+  expected[28] = 1;
+  EXPECT_EQ(histogram.bucket_counts(), expected);
 }
 
 TEST(MetricsTest, HistogramQuantiles) {
-  metrics::Histogram histogram({10, 100, 1000});
+  metrics::Histogram histogram;
   EXPECT_EQ(histogram.quantile(0.5), 0u);  // empty
   for (int i = 0; i < 90; ++i) {
-    histogram.observe(5);  // le=10
+    histogram.observe(5);  // le=8
   }
   for (int i = 0; i < 9; ++i) {
-    histogram.observe(50);  // le=100
+    histogram.observe(50);  // le=64
   }
-  histogram.observe(999);  // le=1000
+  histogram.observe(999);  // le=1024
   // Quantiles are bucket upper bounds — exactly the resolution the
   // layout promises — but never above the largest sample.
-  EXPECT_EQ(histogram.quantile(0.5), 10u);
-  EXPECT_EQ(histogram.quantile(0.90), 10u);
-  EXPECT_EQ(histogram.quantile(0.95), 100u);
+  EXPECT_EQ(histogram.quantile(0.5), 8u);
+  EXPECT_EQ(histogram.quantile(0.90), 8u);
+  EXPECT_EQ(histogram.quantile(0.95), 64u);
   EXPECT_EQ(histogram.quantile(1.0), 999u);
   // A sample in the overflow bucket reports the max observed value
   // instead of a meaningless +Inf.
-  histogram.observe(123456);
-  EXPECT_EQ(histogram.quantile(1.0), 123456u);
+  histogram.observe(std::uint64_t{1} << 30);
+  EXPECT_EQ(histogram.quantile(1.0), std::uint64_t{1} << 30);
+}
+
+TEST(MetricsTest, QuantilesOfZeroSamplesReadZero) {
+  // 0 us samples have a bucket of their own, so a quantile that lands
+  // on them reads 0 even when larger samples raise the max.
+  metrics::Histogram histogram;
+  for (int i = 0; i < 3; ++i) {
+    histogram.observe(0);
+  }
+  histogram.observe(5);
+  EXPECT_EQ(histogram.quantile(0.5), 0u);
+  EXPECT_EQ(histogram.quantile(1.0), 5u);
 }
 
 TEST(MetricsTest, HistogramQuantileNeverExceedsTheLargestSample) {
-  // One sample in the default layout's 65536 bucket: the bucket bound
-  // would report a p50 far above anything observed.
-  metrics::Histogram histogram(
-      metrics::Histogram::default_latency_bounds_us());
+  // One sample in the 65536 bucket: the bucket bound would report a p50
+  // far above anything observed.
+  metrics::Histogram histogram;
   histogram.observe(38871);
   EXPECT_EQ(histogram.quantile(0.5), 38871u);
   EXPECT_EQ(histogram.quantile(1.0), 38871u);
@@ -126,6 +151,14 @@ TEST(MetricsTest, RegistrationIsIdempotent) {
   EXPECT_EQ(registry.find_counter("ambit_ghost_total"), nullptr);
   EXPECT_EQ(registry.find_gauge("ambit_ghost"), nullptr);
   EXPECT_EQ(registry.find_histogram("ambit_ghost_us"), nullptr);
+  // One store holds every type, but a name keeps the type it was first
+  // registered with, and a lookup of another type finds nothing.
+  EXPECT_THROW(registry.gauge("ambit_test_total", "help", {{"verb", "X"}}),
+               Error);
+  EXPECT_EQ(registry.find_gauge("ambit_test_total", {{"verb", "EVAL"}}),
+            nullptr);
+  EXPECT_EQ(registry.find_histogram("ambit_test_total", {{"verb", "EVAL"}}),
+            nullptr);
 }
 
 TEST(MetricsTest, ExpositionPassesLintWithExactValues) {
@@ -136,8 +169,8 @@ TEST(MetricsTest, ExpositionPassesLintWithExactValues) {
   registry.counter("ambit_test_requests_total", "served requests",
                    {{"verb", "SIM"}});
   metrics::Gauge& active = registry.gauge("ambit_test_active", "live now");
-  metrics::Histogram& latency = registry.histogram(
-      "ambit_test_us", "latency", {10, 100, 1000}, {{"verb", "EVAL"}});
+  metrics::Histogram& latency =
+      registry.histogram("ambit_test_us", "latency", {{"verb", "EVAL"}});
   requests.add(3);
   active.set(2);
   latency.observe(5);
@@ -154,18 +187,20 @@ TEST(MetricsTest, ExpositionPassesLintWithExactValues) {
   EXPECT_EQ(prom_value(samples, "ambit_test_us_count", "verb=\"EVAL\""), 3.0);
   EXPECT_EQ(prom_value(samples, "ambit_test_us_sum", "verb=\"EVAL\""),
             5.0 + 50.0 + 12345.0);
-  EXPECT_EQ(
-      prom_value(samples, "ambit_test_us_bucket", "verb=\"EVAL\",le=\"10\""),
-      1.0);
-  EXPECT_EQ(
-      prom_value(samples, "ambit_test_us_bucket", "verb=\"EVAL\",le=\"100\""),
-      2.0);
-  EXPECT_EQ(
-      prom_value(samples, "ambit_test_us_bucket", "verb=\"EVAL\",le=\"1000\""),
-      2.0);
-  EXPECT_EQ(
-      prom_value(samples, "ambit_test_us_bucket", "verb=\"EVAL\",le=\"+Inf\""),
-      3.0);
+  for (const auto& [le, cumulative] :
+       std::vector<std::pair<std::string, double>>{{"0", 0.0},
+                                                   {"4", 0.0},
+                                                   {"8", 1.0},
+                                                   {"64", 2.0},
+                                                   {"8192", 2.0},
+                                                   {"16384", 3.0},
+                                                   {"67108864", 3.0},
+                                                   {"+Inf", 3.0}}) {
+    EXPECT_EQ(prom_value(samples, "ambit_test_us_bucket",
+                         "verb=\"EVAL\",le=\"" + le + "\""),
+              cumulative)
+        << le;
+  }
 }
 
 TEST(MetricsTest, ExpositionEscapesLabelValues) {
@@ -191,7 +226,7 @@ TEST(MetricsTest, FamiliesRenderInSortedOrder) {
   metrics::Registry registry;
   registry.counter("ambit_zz_total", "last");
   registry.gauge("ambit_aa", "first");
-  registry.histogram("ambit_mm_us", "middle", {1, 2});
+  registry.histogram("ambit_mm_us", "middle");
   const std::string page = registry.prometheus_text();
   const std::size_t aa = page.find("# TYPE ambit_aa ");
   const std::size_t mm = page.find("# TYPE ambit_mm_us ");
@@ -212,8 +247,7 @@ TEST(MetricsTest, ConcurrentRecordingStaysExact) {
   metrics::Registry registry;
   metrics::Counter& counter = registry.counter("ambit_test_total", "t");
   metrics::Gauge& gauge = registry.gauge("ambit_test_level", "t");
-  metrics::Histogram& histogram =
-      registry.histogram("ambit_test_us", "t", {1, 10, 100});
+  metrics::Histogram& histogram = registry.histogram("ambit_test_us", "t");
   constexpr int kThreads = 4;
   constexpr std::uint64_t kAdds = 10000;
   std::atomic<bool> done{false};
@@ -260,28 +294,17 @@ TEST(MetricsTest, PhaseNamesAreStable) {
   EXPECT_STREQ(metrics::phase_name(metrics::Phase::kSerialize), "serialize");
 }
 
-TEST(MetricsTest, ScopedPhaseTimerWritesAmbientTrace) {
-  // No ambient trace: the timer is inert.
-  EXPECT_EQ(metrics::current_trace(), nullptr);
-  { const metrics::ScopedPhaseTimer inert(metrics::Phase::kParse); }
+TEST(MetricsTest, ScopedPhaseTimerWritesTheTraceItIsHanded) {
+  // A null trace leaves the timer inert: metrics are off.
+  { const metrics::ScopedPhaseTimer inert(nullptr, metrics::Phase::kParse); }
 
   metrics::PhaseTrace trace;
   {
-    const metrics::TraceScope scope(&trace);
-    EXPECT_EQ(metrics::current_trace(), &trace);
-    {
-      const metrics::ScopedPhaseTimer timer(metrics::Phase::kEvaluate);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    // Scopes nest: an inner nullptr scope suspends tracing.
-    {
-      const metrics::TraceScope inner(nullptr);
-      EXPECT_EQ(metrics::current_trace(), nullptr);
-      const metrics::ScopedPhaseTimer untraced(metrics::Phase::kParse);
-    }
-    EXPECT_EQ(metrics::current_trace(), &trace);
+    const metrics::ScopedPhaseTimer timer(&trace, metrics::Phase::kEvaluate);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // A null timer inside a traced one writes nowhere.
+    const metrics::ScopedPhaseTimer untraced(nullptr, metrics::Phase::kParse);
   }
-  EXPECT_EQ(metrics::current_trace(), nullptr);
   EXPECT_GE(trace.get(metrics::Phase::kEvaluate), 1000u);  // >= 1 ms recorded
   EXPECT_EQ(trace.get(metrics::Phase::kParse), 0u);
 }

@@ -3191,20 +3191,90 @@ TEST(ObservabilitySocketTest, DroppedConnectionsAreClassified) {
   }
 }
 
+TEST(ObservabilitySocketTest, ConnectionDropWarningsAreRateLimited) {
+  // A burst of peers that each send an unframed EVALB header is counted
+  // exactly, but logged as one conn.drop record per second; the first
+  // drop after the interval carries the count of the ones left out.
+  const std::string log_path = testing::TempDir() + "/serve_drop_limit.log";
+  std::remove(log_path.c_str());
+  ASSERT_TRUE(logs::set_file(log_path));
+  Session session(1);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server server(session, options);
+  std::atomic<int> port{0};
+  std::thread server_thread = start_tcp_server(server, port);
+  const int bound = await_bound_port(port);
+  ASSERT_GT(bound, 0);
+  const metrics::Counter* malformed = registry.find_counter(
+      "ambit_serve_connections_dropped_total", {{"reason", "malformed"}});
+  ASSERT_NE(malformed, nullptr);
+  const auto drop_records = [&log_path] {
+    std::ifstream log(log_path);
+    std::ostringstream text;
+    text << log.rdbuf();
+    return text.str();
+  };
+  const auto records = [](const std::string& text) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find("event=conn.drop"); at != std::string::npos;
+         at = text.find("event=conn.drop", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const auto await_drops = [malformed](std::uint64_t want) {
+    for (int i = 0; i < 1000 && malformed->value() < want; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return malformed->value();
+  };
+  // Sends the unframed header on every connection, then reads each one
+  // to the EOF of the server's close.
+  const auto drop = [bound](int connections) {
+    std::vector<int> fds;
+    for (int i = 0; i < connections; ++i) {
+      fds.push_back(connect_tcp_with_retry("127.0.0.1", bound));
+    }
+    for (const int fd : fds) {
+      ASSERT_GE(fd, 0);
+      ASSERT_EQ(::send(fd, "EVALB x\n", 8, MSG_NOSIGNAL), 8);
+    }
+    for (const int fd : fds) {
+      char chunk[256];
+      while (::read(fd, chunk, sizeof(chunk)) > 0) {
+      }
+      ::close(fd);
+    }
+  };
+
+  drop(20);
+  EXPECT_EQ(await_drops(20), 20u);
+  std::string text = drop_records();
+  EXPECT_EQ(records(text), 1u) << text;
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  drop(1);
+  EXPECT_EQ(await_drops(21), 21u);
+  text = drop_records();
+  EXPECT_EQ(records(text), 2u) << text;
+  EXPECT_NE(text.find("suppressed=19"), std::string::npos) << text;
+
+  logs::set_file("");
+  const int shut = connect_tcp_with_retry("127.0.0.1", bound);
+  ASSERT_GE(shut, 0);
+  socket_transact(shut, "SHUTDOWN\n", 1);
+  ::close(shut);
+  server_thread.join();
+}
+
 TEST(ObservabilitySocketTest, IdleLoopWakeupsLandInTheZeroBucket) {
   // An idle loop wakes once per 50 ms housekeeping timeout with no
   // descriptor ready; each such wakeup is counted under le="0".
   Session session(1);
   Server server(session);
   std::atomic<int> port{0};
-  std::thread server_thread([&] {
-    try {
-      server.serve_tcp("127.0.0.1", 0, &port);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "serve_tcp failed: %s\n", e.what());
-      port.store(-1, std::memory_order_release);
-    }
-  });
+  std::thread server_thread = start_tcp_server(server, port);
   const int bound = await_bound_port(port);
   ASSERT_GT(bound, 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
