@@ -3617,6 +3617,178 @@ TEST(TcpSocketTest, FusedTurnMatchesServeChunksWithExactCounts) {
       << "no two requests shared a sweep";
 }
 
+// ---------------------------------------------------------------------------
+// EVAL and SIM share one decode -> evaluate -> encode path through
+// serve_batch; a SIM runs the simulator and is never packed into a sweep.
+// ---------------------------------------------------------------------------
+
+/// What serve_chunks on a fresh session, with `load` run on it, writes
+/// for `wire` fed in one chunk: one connection's bytes served alone.
+std::string served_alone(const std::function<void(Session&)>& load,
+                         const std::string& wire) {
+  Session fresh(1);
+  load(fresh);
+  Server alone(fresh);
+  std::string out;
+  bool fed = false;
+  alone.serve_chunks(
+      [&]() -> std::string {
+        if (fed) {
+          return {};
+        }
+        fed = true;
+        return wire;
+      },
+      out);
+  return out;
+}
+
+TEST(TcpSocketTest, SimBesideEvalInOneTurnMatchesServeChunks) {
+  // One connection pipelines small EVALs and another pipelines SIMs of
+  // the same patterns for the same circuit, both scripts sent at once,
+  // so loop turns read an EVAL and a SIM together. Each connection must
+  // read what it would read served alone, and no request may count as
+  // fused: only one connection sends EVALs, and a SIM never packs.
+  const std::string path = write_sample_pla("serve_sim_beside_eval.pla");
+  const auto load = [&path](Session& s) { s.load("s", path); };
+  Session session(/*workers=*/2);
+  load(session);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server server(session, options);
+  std::atomic<int> port{0};
+  std::thread server_thread = start_tcp_server(server, port);
+  const int bound = await_bound_port(port);
+  ASSERT_GT(bound, 0);
+
+  constexpr int kRequests = 40;
+  std::vector<std::string> scripts(2);
+  for (int r = 0; r < kRequests; ++r) {
+    const std::string patterns =
+        hex_patterns(3, 1 + r % 4, static_cast<std::uint64_t>(r));
+    scripts[0] += "EVAL s" + patterns + "\n";
+    scripts[1] += "SIM s" + patterns + "\n";
+  }
+  std::vector<int> fds;
+  for (std::string& script : scripts) {
+    script += "QUIT\n";
+    fds.push_back(connect_tcp_with_retry("127.0.0.1", bound));
+    ASSERT_GE(fds.back(), 0);
+  }
+  std::vector<std::string> got(scripts.size());
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < scripts.size(); ++c) {
+    clients.emplace_back([&, c] {
+      socket_transact(fds[c], scripts[c], /*expected_lines=*/0);  // send only
+      got[c] = read_to_eof(fds[c]);
+      ::close(fds[c]);
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  const int ctl = connect_tcp_with_retry("127.0.0.1", bound);
+  ASSERT_GE(ctl, 0);
+  socket_transact(ctl, "SHUTDOWN\n", 1);
+  ::close(ctl);
+  server_thread.join();
+
+  for (std::size_t c = 0; c < scripts.size(); ++c) {
+    EXPECT_EQ(got[c], served_alone(load, scripts[c])) << "client " << c;
+  }
+  const auto value = [&](const std::string& name,
+                         const metrics::Labels& labels) {
+    const metrics::Counter* counter = registry.find_counter(name, labels);
+    return counter != nullptr ? counter->value() : 0;
+  };
+  EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "EVAL"}}),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(value("ambit_serve_requests_total", {{"verb", "SIM"}}),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(value("ambit_serve_request_errors_total", {}), 0u);
+  EXPECT_EQ(value("ambit_serve_coalesce_fused_total", {}), 0u);
+}
+
+TEST(TcpSocketTest, PoolServedSimRecordsEveryPhase) {
+  // A SIM over a socket goes to the pool. Sent while every worker is
+  // held, it waits in the queue, then records that wait as queue_wait
+  // and its parse, evaluate and serialize, one sample each, all within
+  // its request time. 256 patterns make every phase take well over the
+  // 1 us the clock resolves, because a 0 us phase is not recorded.
+  const std::string path = write_sample_pla("serve_pool_sim_phases.pla");
+  Session session(/*workers=*/2);
+  session.load("s", path);
+  metrics::Registry registry;
+  ServerOptions options;
+  options.registry = &registry;
+  Server server(session, options);
+  std::atomic<int> port{0};
+  std::thread server_thread = start_tcp_server(server, port);
+  const int bound = await_bound_port(port);
+
+  std::atomic<bool> release{false};
+  std::atomic<int> held{0};
+  for (int w = 0; w < session.pool().num_workers(); ++w) {
+    session.pool().submit([&] {
+      held.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  int fd = -1;
+  const OnScopeExit teardown([&] {
+    release.store(true);
+    if (bound > 0) {
+      const int ctl = connect_tcp_with_retry("127.0.0.1", bound);
+      if (ctl >= 0) {
+        socket_transact(ctl, "SHUTDOWN\n", 1);
+        ::close(ctl);
+      }
+    }
+    server_thread.join();
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  });
+  ASSERT_GT(bound, 0);
+  const auto all_held =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (held.load() < session.pool().num_workers() &&
+         std::chrono::steady_clock::now() < all_held) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(held.load(), session.pool().num_workers());
+
+  fd = connect_tcp_with_retry("127.0.0.1", bound);
+  ASSERT_GE(fd, 0);
+  socket_transact(fd, "SIM s" + hex_patterns(3, 256, 7) + "\n", 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  release.store(true);
+  std::string pending;
+  std::string line;
+  ASSERT_TRUE(read_line_within(fd, pending, line, std::chrono::seconds(30)));
+  EXPECT_TRUE(starts_with(line, "OK ")) << line.substr(0, 200);
+
+  std::uint64_t phases_us = 0;
+  for (const char* phase : {"queue_wait", "parse", "evaluate", "serialize"}) {
+    const metrics::Histogram* h =
+        registry.find_histogram("ambit_serve_phase_us", {{"phase", phase}});
+    ASSERT_NE(h, nullptr) << phase;
+    EXPECT_EQ(h->count(), 1u) << phase;
+    phases_us += h->sum();
+  }
+  const metrics::Histogram* queue_wait = registry.find_histogram(
+      "ambit_serve_phase_us", {{"phase", "queue_wait"}});
+  EXPECT_GE(queue_wait->sum(), 20'000u);
+  const metrics::Histogram* sim_us =
+      registry.find_histogram("ambit_serve_request_us", {{"verb", "SIM"}});
+  ASSERT_NE(sim_us, nullptr);
+  EXPECT_EQ(sim_us->count(), 1u);
+  EXPECT_GE(sim_us->sum(), phases_us);
+}
+
 #endif  // __linux__
 
 }  // namespace
