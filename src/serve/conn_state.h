@@ -90,9 +90,9 @@ struct FramedRequest {
   /// in-process transports).
   std::uint64_t conn_id = 0;
   /// The metrics::monotonic_us() stamp at which the event loop queued
-  /// the request for a pool worker (0 = served where it was framed):
-  /// the gap to the batch's start on it is its queue_wait phase and
-  /// counts toward its total.
+  /// the request for a pool worker (0 = served where it was framed, or
+  /// metrics off): the gap to the batch's first clock read is its
+  /// queue_wait phase and counts toward its total.
   std::uint64_t queued_at_us = 0;
   Response out;  ///< the response: the line, then any binary frame
   /// Close the connection after the response: QUIT, SHUTDOWN, or a

@@ -317,14 +317,15 @@ class EventLoop {
   /// Hands the framed request to a pool worker: the job owns the record
   /// (line, head and payload lanes, moved, not copied), serves it as a
   /// batch of one, and posts it back with its response — it never
-  /// touches connection state. The dispatch stamp makes the wait for a
-  /// worker the request's queue_wait phase.
+  /// touches connection state. With metrics on, the dispatch stamp
+  /// makes the wait for a worker the request's queue_wait phase.
   void dispatch(Conn& c) {
     c.busy = true;
     c.idle_deadline_ms = 0;  // the idle clock only runs while reading
     FramedRequest r = c.state.take_request();
     r.conn_id = c.id;
-    r.queued_at_us = metrics::monotonic_us();
+    r.queued_at_us =
+        server_.options_.enable_metrics ? metrics::monotonic_us() : 0;
     Server* server = &server_;
     EventLoop* loop = this;
     server_.session_.pool().submit([loop, server, r = std::move(r)]() mutable {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <istream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -258,6 +259,30 @@ logic::PatternBatch decode_request_patterns(const LoadedCircuit& circuit,
   return logic::PatternBatch::from_patterns(patterns);
 }
 
+/// The phase a request's answer step is charged to: decoding for the
+/// verbs serve_batch evaluates, the exhaustive sweep for VERIFY,
+/// rendering the page for METRICS, none for the other verbs and for a
+/// line that does not parse. A request answered with its ERR in that
+/// step is charged the same way.
+std::optional<metrics::Phase> answer_phase(const FramedRequest& r) {
+  if (!r.parsed()) {
+    return std::nullopt;
+  }
+  switch (r.head.verb) {
+    case Verb::kEval:
+    case Verb::kEvalB:
+    case Verb::kSim:
+    case Verb::kSimB:
+      return metrics::Phase::kParse;
+    case Verb::kVerify:
+      return metrics::Phase::kEvaluate;
+    case Verb::kMetrics:
+      return metrics::Phase::kSerialize;
+    default:
+      return std::nullopt;
+  }
+}
+
 }  // namespace
 
 std::string Server::handle_line(const std::string& line) {
@@ -282,15 +307,15 @@ std::string Server::handle_line(const std::string& line) {
 }
 
 void Server::record(const metrics::PhaseTrace& trace, int verb_index,
-                    std::uint64_t total_us, const FramedRequest& r) {
+                    const FramedRequest& r) {
   if (verb_index < 0) {
     metrics_->requests_malformed->add();
   } else {
-    // Bumped AFTER the response is built: a scrape through the METRICS
-    // verb reports the requests completed before it, never itself.
+    // Bumped once the whole batch is answered: a scrape through the
+    // METRICS verb reports the requests of earlier batches, never itself.
     metrics_->requests[static_cast<std::size_t>(verb_index)]->add();
     metrics_->request_us[static_cast<std::size_t>(verb_index)]->observe(
-        total_us);
+        trace.total_us);
   }
   if (r.out.text.rfind("ERR", 0) == 0) {
     metrics_->request_errors->add();
@@ -300,14 +325,15 @@ void Server::record(const metrics::PhaseTrace& trace, int verb_index,
       metrics_->phase_us[p]->observe(trace.us[p]);
     }
   }
-  if (options_.slow_request_us > 0 && total_us >= options_.slow_request_us) {
+  if (options_.slow_request_us > 0 &&
+      trace.total_us >= options_.slow_request_us) {
     logs::warn_rate_limited(
         slow_log_limiter_, "serve.slow_request",
         {{"conn", std::to_string(r.conn_id)},
          {"verb", verb_index >= 0
                       ? verb_names()[static_cast<std::size_t>(verb_index)]
                       : std::string("malformed")},
-         {"total_us", std::to_string(total_us)},
+         {"total_us", std::to_string(trace.total_us)},
          {"parse_us", std::to_string(trace.get(metrics::Phase::kParse))},
          {"queue_wait_us",
           std::to_string(trace.get(metrics::Phase::kQueueWait))},
@@ -317,8 +343,7 @@ void Server::record(const metrics::PhaseTrace& trace, int verb_index,
   }
 }
 
-int Server::answer(FramedRequest& r, EvalJob& held,
-                   metrics::PhaseTrace* trace) {
+int Server::answer(FramedRequest& r, EvalJob& held) {
   if (!r.parsed()) {
     // A malformed EVALB/SIMB header leaves an unknown number of payload
     // bytes unframed in the stream; resyncing is impossible, so the
@@ -369,35 +394,16 @@ int Server::answer(FramedRequest& r, EvalJob& held,
       }
         [[fallthrough]];
       case Verb::kEval:
-      case Verb::kSim: {
-        EvalJob job = decode(r, trace);
-        if (request.verb == Verb::kEval || request.verb == Verb::kEvalB) {
-          held = std::move(job);  // answered from serve_batch's sweep
-          break;
-        }
-        simulate::BatchSimResult result(0, 0);
-        {
-          const metrics::ScopedPhaseTimer timer(trace,
-                                                metrics::Phase::kEvaluate);
-          result = sim(job.circuit, job.inputs);
-        }
-        check(result.all_definite(),
-              request.name + ": simulation produced non-digital outputs");
-        encode_sim(job, result, r.out, trace);
+      case Verb::kSim:
+        held = decode(r);  // evaluated and encoded by serve_batch
         break;
-      }
       case Verb::kVerify: {
         // One registry lookup, same reasoning as kEval: the verdict
         // and the reported pattern count must describe the SAME
         // circuit even if a concurrent unload/reload lands in between.
         const std::shared_ptr<const LoadedCircuit> circuit =
             session_.get(request.name);
-        bool equivalent = false;
-        {
-          const metrics::ScopedPhaseTimer timer(trace,
-                                                metrics::Phase::kEvaluate);
-          equivalent = session_.verify(circuit);
-        }
+        const bool equivalent = session_.verify(circuit);
         metrics_->verifies->add();
         const int inputs = circuit->gnor.num_inputs();
         if (!equivalent) {
@@ -416,12 +422,7 @@ int Server::answer(FramedRequest& r, EvalJob& held,
         // The page is framed like a bulk response: a one-line header
         // announcing the byte count, then the raw exposition text — any
         // transport that can carry an EVALB payload can carry it.
-        std::string page;
-        {
-          const metrics::ScopedPhaseTimer timer(trace,
-                                                metrics::Phase::kSerialize);
-          page = metrics_page();
-        }
+        const std::string page = metrics_page();
         respond(r.out, "OK METRICS " + std::to_string(page.size()));
         r.out.text += page;
         break;
@@ -463,19 +464,17 @@ int Server::answer(FramedRequest& r, EvalJob& held,
         break;
     }
   } catch (const std::exception& e) {
-    const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kSerialize);
     respond(r.out, error_response(e));
   }
   return static_cast<int>(request.verb);
 }
 
-Server::EvalJob Server::decode(FramedRequest& r, metrics::PhaseTrace* trace) {
+Server::EvalJob Server::decode(FramedRequest& r) {
   const Request& request = r.head;
   EvalJob job;
-  job.bulk = is_bulk_verb(request.verb);
-  if (!job.bulk) {
+  job.verb = request.verb;
+  if (!is_bulk_verb(request.verb)) {
     job.circuit = session_.get(request.name);
-    const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kParse);
     job.inputs = decode_request_patterns(*job.circuit, r);
     return job;
   }
@@ -521,16 +520,14 @@ Server::EvalJob Server::decode(FramedRequest& r, metrics::PhaseTrace* trace) {
             " words over " + std::to_string(num_outputs) +
             " outputs exceeds the " + std::to_string(kMaxEvalbWords) +
             "-word limit");
-  const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kParse);
   job.inputs = logic::PatternBatch::from_words(width, request.num_patterns,
                                                std::move(r.payload));
   return job;
 }
 
 void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
-                         Response& out, metrics::PhaseTrace* trace) {
-  const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kSerialize);
-  if (job.bulk) {
+                         Response& out) {
+  if (is_bulk_verb(job.verb)) {
     // The header first: it reads the counts before the lanes move.
     const std::string header =
         evalb_response_header(outputs.num_patterns(), outputs.total_words());
@@ -548,11 +545,10 @@ void Server::encode_eval(const EvalJob& job, logic::PatternBatch outputs,
 }
 
 void Server::encode_sim(const EvalJob& job,
-                        const simulate::BatchSimResult& result, Response& out,
-                        metrics::PhaseTrace* trace) {
-  const metrics::ScopedPhaseTimer timer(trace, metrics::Phase::kSerialize);
+                        const simulate::BatchSimResult& result,
+                        Response& out) {
   const std::uint64_t np = result.num_patterns();
-  if (job.bulk) {
+  if (is_bulk_verb(job.verb)) {
     // The output lanes, then the delay arrays as raw doubles, one per
     // 8-byte word — same-endianness memcpy, like the lanes — assembled
     // once in the buffer the response sends.
@@ -585,57 +581,56 @@ void Server::encode_sim(const EvalJob& job,
 
 void Server::serve_batch(std::span<FramedRequest> requests) {
   const bool timed = options_.enable_metrics;
-  // Per request: the decoded job, its phase trace and the wall time of
-  // its queue wait, its own decode and encode, and its sweep — its
-  // total, so its phases add up to it even though a batch interleaves
-  // its requests.
+  // Per request: the job it holds between its answer and its encode,
+  // and its trace: the steps it took part in, a shared sweep whole, so
+  // its phases add up to its total even though a batch interleaves its
+  // requests.
   struct Member {
     EvalJob job;
     metrics::PhaseTrace trace;
     int verb_index = -1;
-    std::uint64_t us = 0;
   };
   std::vector<Member> members(requests.size());
-  const auto now_us = [timed] { return timed ? metrics::monotonic_us() : 0; };
-  const auto trace = [timed](Member& m) { return timed ? &m.trace : nullptr; };
-  const auto answered = [&](std::size_t k) {
-    if (timed && !requests[k].truncated) {
-      record(members[k].trace, members[k].verb_index, members[k].us,
-             requests[k]);
-    }
+  // One clock read per step boundary: each step runs from the previous
+  // stamp to the next.
+  std::uint64_t stamp = timed ? metrics::monotonic_us() : 0;
+  const auto step_us = [&] {
+    const std::uint64_t begun = stamp;
+    stamp = timed ? metrics::monotonic_us() : 0;
+    return stamp - begun;
   };
   for (std::size_t i = 0; i < requests.size(); ++i) {
     FramedRequest& r = requests[i];
     Member& m = members[i];
-    const std::uint64_t start = now_us();
     if (timed && r.queued_at_us != 0) {
       // A request that waited in the pool queue counts that wait as its
-      // first phase, so the phases still add up to its total.
-      m.us = start - r.queued_at_us;
-      m.trace.add(metrics::Phase::kQueueWait, m.us);
+      // first phase.
+      m.trace.add(metrics::Phase::kQueueWait, stamp - r.queued_at_us);
     }
-    m.verb_index = answer(r, m.job, trace(m));
-    m.us += now_us() - start;
-    if (m.job.circuit == nullptr) {
-      answered(i);
-    }
+    m.verb_index = answer(r, m.job);
+    m.trace.add(answer_phase(r), step_us());
   }
 
   const auto size = [&](std::size_t k) {
     return members[k].job.inputs.num_patterns();
   };
   std::vector<std::size_t> sweep;
-  std::vector<logic::PatternBatch> outputs;
+  std::vector<logic::PatternBatch> outputs;  // a sweep's, one per member
+  simulate::BatchSimResult simulated(0, 0);  // a simulation's
+  std::uint64_t fused_requests = 0;
+  std::uint64_t fused_sweeps = 0;
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (members[i].job.circuit == nullptr) {
-      continue;  // answered while decoding, or by an earlier sweep
+      continue;  // answered by answer, or by an earlier sweep
     }
     const std::shared_ptr<const LoadedCircuit> circuit = members[i].job.circuit;
+    const bool simulates = members[i].job.simulates();
     sweep.assign(1, i);
     std::uint64_t patterns = size(i);
-    for (std::size_t k = i + 1;
-         k < members.size() && patterns < kLoopMaxPatterns; ++k) {
-      if (members[k].job.circuit == circuit &&
+    for (std::size_t k = i + 1; !simulates && k < members.size() &&
+                                patterns < kLoopMaxPatterns;
+         ++k) {
+      if (members[k].job.circuit == circuit && !members[k].job.simulates() &&
           patterns + size(k) <= kLoopMaxPatterns) {
         sweep.push_back(k);
         patterns += size(k);
@@ -644,9 +639,12 @@ void Server::serve_batch(std::span<FramedRequest> requests) {
 
     outputs.clear();
     std::string failure;  // the ERR line every member gets if it throws
-    const std::uint64_t sweep_start = now_us();
     try {
-      if (sweep.size() == 1) {
+      if (simulates) {
+        simulated = sim(circuit, members[i].job.inputs);
+        check(simulated.all_definite(),
+              circuit->name + ": simulation produced non-digital outputs");
+      } else if (sweep.size() == 1) {
         outputs.push_back(eval(circuit, members[i].job.inputs));
       } else {
         logic::PatternBatch fused(circuit->gnor.num_inputs(), patterns);
@@ -663,31 +661,39 @@ void Server::serve_batch(std::span<FramedRequest> requests) {
           outputs.push_back(std::move(mine));
           at += size(k);
         }
-        if (timed) {
-          metrics_->fused_requests->add(sweep.size());
-          metrics_->fused_sweeps->add();
-        }
+        fused_requests += sweep.size();
+        ++fused_sweeps;
       }
     } catch (const std::exception& e) {
       failure = error_response(e);
     }
-    const std::uint64_t sweep_us = now_us() - sweep_start;
+    const std::uint64_t sweep_us = step_us();
 
     for (std::size_t j = 0; j < sweep.size(); ++j) {
       FramedRequest& r = requests[sweep[j]];
       Member& m = members[sweep[j]];
-      const std::uint64_t start = now_us();
-      if (failure.empty()) {
-        encode_eval(m.job, std::move(outputs[j]), r.out, trace(m));
-      } else {
-        const metrics::ScopedPhaseTimer timer(trace(m),
-                                              metrics::Phase::kSerialize);
+      m.trace.add(metrics::Phase::kEvaluate, sweep_us);
+      if (!failure.empty()) {
         respond(r.out, failure);
+      } else if (simulates) {
+        encode_sim(m.job, simulated, r.out);
+      } else {
+        encode_eval(m.job, std::move(outputs[j]), r.out);
       }
       m.job = EvalJob{};  // its sweep is done: free its input lanes
-      m.trace.add(metrics::Phase::kEvaluate, sweep_us);
-      m.us += sweep_us + (now_us() - start);
-      answered(sweep[j]);
+      m.trace.add(metrics::Phase::kSerialize, step_us());
+    }
+  }
+
+  // Recorded once every request is answered: the recording is charged
+  // to no request.
+  if (timed && fused_sweeps > 0) {
+    metrics_->fused_requests->add(fused_requests);
+    metrics_->fused_sweeps->add(fused_sweeps);
+  }
+  for (std::size_t k = 0; timed && k < requests.size(); ++k) {
+    if (!requests[k].truncated) {
+      record(members[k].trace, members[k].verb_index, requests[k]);
     }
   }
 }

@@ -241,26 +241,31 @@ class Server {
   /// The Prometheus text-format exposition page: refreshes the sampled
   /// pool gauges, then renders the server's registry. Served by the
   /// METRICS verb and by the --metrics HTTP side listener
-  /// (serve/metrics_http.h). The page reflects requests COMPLETED
-  /// before the one serving it — per-verb counters are bumped after the
-  /// response is built.
+  /// (serve/metrics_http.h). The page reflects requests served by
+  /// earlier batches than the one serving it — serve_batch records its
+  /// requests once all of them are answered.
   std::string metrics_page();
 
  private:
-  /// An EVAL/EVALB/SIM/SIMB between its decode and its encode: the
-  /// circuit its lookup returned and the patterns decoded against that
-  /// circuit.
+  /// An EVAL/EVALB/SIM/SIMB between its answer step and its encode:
+  /// the verb, the circuit its lookup returned and the patterns decoded
+  /// against that circuit.
   struct EvalJob {
+    Verb verb = Verb::kEval;
     std::shared_ptr<const LoadedCircuit> circuit;
     logic::PatternBatch inputs{0, 0};
-    bool bulk = false;  ///< EVALB/SIMB: a binary frame carried the inputs
+
+    /// SIM/SIMB: answered by the simulator, never packed into a sweep.
+    bool simulates() const {
+      return verb == Verb::kSim || verb == Verb::kSimB;
+    }
   };
 
   /// Decodes an EVAL/SIM's hex tokens, or takes over the payload of an
   /// EVALB/SIMB as its input lanes after checking its counts, against
-  /// the circuit named in r's head, timed as `trace`'s parse phase.
-  /// Throws ambit::Error on a bad request.
-  EvalJob decode(FramedRequest& r, metrics::PhaseTrace* trace);
+  /// the circuit named in r's head. Throws ambit::Error on a bad
+  /// request.
+  EvalJob decode(FramedRequest& r);
 
   /// Session::eval and Session::sim, counted in STATS once they return;
   /// one sweep answers `requests` EVAL/EVALB requests (serve_batch packs
@@ -273,43 +278,43 @@ class Server {
       const logic::PatternBatch& inputs);
 
   /// Encodes `outputs` (the job's own patterns, in order) as the EVAL
-  /// or EVALB response into `out`, timed as `trace`'s serialize phase;
-  /// an EVALB's lanes move into out.lanes.
+  /// or EVALB response into `out`; an EVALB's lanes move into
+  /// out.lanes.
   static void encode_eval(const EvalJob& job, logic::PatternBatch outputs,
-                          Response& out, metrics::PhaseTrace* trace);
-  /// Encodes a simulated job as the SIM or SIMB response into `out`,
-  /// timed like encode_eval: a SIMB's output lanes and delay arrays move
-  /// into out.lanes.
+                          Response& out);
+  /// Encodes a simulated job as the SIM or SIMB response into `out`: a
+  /// SIMB's output lanes and delay arrays move into out.lanes.
   static void encode_sim(const EvalJob& job,
                          const simulate::BatchSimResult& result,
-                         Response& out, metrics::PhaseTrace* trace);
+                         Response& out);
 
   /// Serves `requests` on the calling thread — the only code that serves
   /// a request. Each is answered from the head its framing parsed, or
-  /// decoded for a sweep (answer). The EVAL/EVALBs for one
-  /// circuit are packed, first fit in arrival order, into sweeps of at
-  /// most kLoopMaxPatterns patterns, one Session::eval each (a sweep of
-  /// one evaluates its own batch, no copy), and each is answered from
-  /// its slice. With enable_metrics, each request's phases are traced
-  /// into a trace of its own, passed down to every timer, and recorded,
-  /// with its queue wait first and its shared sweep as its evaluate
-  /// phase.
+  /// decoded into a held job (answer). Each held job is then evaluated
+  /// and encoded: the EVAL/EVALBs for one circuit are packed, first fit
+  /// in arrival order, into sweeps of at most kLoopMaxPatterns patterns,
+  /// one Session::eval each (a sweep of one evaluates its own batch, no
+  /// copy), and each is answered from its slice; a SIM/SIMB runs the
+  /// simulator on its own. With enable_metrics the clock is read once
+  /// per step boundary, and each step — an answer, a sweep or
+  /// simulation, an encode — is charged to the total of every request
+  /// it serves and to at most one phase. Every answered request is
+  /// recorded once the whole batch is answered.
   void serve_batch(std::span<FramedRequest> requests);
 
-  /// serve_batch's per-request step, one switch over every verb: answers
-  /// r into r.out, setting r.quit or r.truncated — a SIM/SIMB through
-  /// decode, simulate and encode_sim — unless it is an EVAL/EVALB that
-  /// decodes, which lands in `held` (circuit set) for the sweep. Any
-  /// exception becomes the request's ERR line. Phases are timed into
-  /// `trace` (null: untimed). Returns the verb's enum index, -1 when
-  /// the line did not parse.
-  int answer(FramedRequest& r, EvalJob& held, metrics::PhaseTrace* trace);
+  /// serve_batch's answer step, one switch over every verb: answers r
+  /// into r.out, setting r.quit or r.truncated, unless it is an
+  /// EVAL/EVALB/SIM/SIMB that decodes, which lands in `held` (circuit
+  /// set) for serve_batch to evaluate. Any exception becomes the
+  /// request's ERR line. Returns the verb's enum index, -1 when the line
+  /// did not parse.
+  int answer(FramedRequest& r, EvalJob& held);
 
   /// serve_batch's instrumentation tail for one answered request:
   /// per-verb counters and latency, the phase histograms, the
   /// slow-request dump.
   void record(const metrics::PhaseTrace& trace, int verb_index,
-              std::uint64_t total_us, const FramedRequest& r);
+              const FramedRequest& r);
 
   /// The in-process connection loop behind serve_stream and
   /// serve_chunks: drives one ConnState, calling `feed(state)` whenever

@@ -1,5 +1,6 @@
 #include "serve/session.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -9,7 +10,7 @@
 
 namespace ambit::serve {
 
-Session::Session(int workers) : pool_(workers > 1 ? workers : 0) {}
+Session::Session(int workers) : pool_(std::max(workers, 1)) {}
 
 std::shared_ptr<const LoadedCircuit> Session::load(const std::string& name,
                                                    const std::string& path) {

@@ -86,8 +86,10 @@ struct LoadedCircuit {
 /// from any number of threads concurrently.
 class Session {
  public:
-  /// `workers` threads shard every batch evaluation; <= 1 keeps the
-  /// session sequential (still correct, see Evaluator::evaluate_batch).
+  /// `workers` threads shard every batch evaluation. The pool keeps at
+  /// least one thread, so a request the event loop hands off never runs
+  /// on the loop; with <= 1 the sweeps stay sequential (still correct,
+  /// see Evaluator::evaluate_batch).
   explicit Session(int workers = ThreadPool::default_workers());
 
   /// Runs the LOAD pipeline on `path` and registers the result under

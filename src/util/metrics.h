@@ -33,13 +33,13 @@
 // precision the bucket layout promises and what p50/p90/p99 dashboards
 // consume.
 //
-// Per-request phase tracing rides the same header: a PhaseTrace is a
-// fixed array of per-phase accumulators owned by the request's serving
-// frame, and a ScopedPhaseTimer adds its scope's elapsed time to the
-// trace it is handed (none when handed null). Server::serve_batch
-// passes each request's trace down its serving step to attribute its
-// latency to parse / pool-queue wait / evaluate / serialize and to dump
-// slow requests.
+// Per-request phase tracing rides the same header: a PhaseTrace holds
+// one request's total and a fixed array of per-phase accumulators, owned
+// by the request's serving frame. Server::serve_batch reads the clock
+// once per step boundary and charges each step to the total of every
+// request it serves and to at most one phase — parse / pool-queue wait /
+// evaluate / serialize — so the phases a request records add up to its
+// total; it also dumps slow requests.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -211,15 +212,18 @@ class Registry {
 
 // --- Per-request phase tracing ---------------------------------------------
 
-/// The phases a serve request's wall time decomposes into.
+/// The phases a serve request's wall time decomposes into. Each step
+/// of a request is charged to at most one of them (Server::serve_batch
+/// has the table); a step charged to none counts in the total only.
 enum class Phase : std::size_t {
-  kParse = 0,      ///< request-line tokenizing + argument parsing
+  kParse = 0,      ///< decoding an EVAL/SIM's patterns (the line's head
+                   ///< is parsed at framing, outside the clock)
   kQueueWait = 1,  ///< from the event loop's dispatch of a request to a
                    ///< pool worker starting it; requests the loop
                    ///< serves itself record none
   kEvaluate = 2,   ///< kernel sweep (eval/sim/verify); a request fused
                    ///< into a shared sweep records the whole sweep
-  kSerialize = 3,  ///< response formatting + payload write
+  kSerialize = 3,  ///< response formatting (and the METRICS page)
 };
 inline constexpr std::size_t kNumPhases = 4;
 
@@ -227,41 +231,23 @@ inline constexpr std::size_t kNumPhases = 4;
 /// the Prometheus label value and in slow-request log lines.
 const char* phase_name(Phase phase);
 
-/// Accumulated microseconds per phase for one request. Plain data —
-/// owned by the request's serving frame, written by the RAII timers
-/// below.
+/// One request's wall time: its total and each phase's share of it, in
+/// microseconds. Plain data, owned by the request's serving frame.
 struct PhaseTrace {
+  std::uint64_t total_us = 0;
   std::array<std::uint64_t, kNumPhases> us{};
 
-  void add(Phase phase, std::uint64_t elapsed_us) {
-    us[static_cast<std::size_t>(phase)] += elapsed_us;
+  /// Charges one step of `elapsed_us` to the total and, when given, to
+  /// `phase`.
+  void add(std::optional<Phase> phase, std::uint64_t elapsed_us) {
+    total_us += elapsed_us;
+    if (phase.has_value()) {
+      us[static_cast<std::size_t>(*phase)] += elapsed_us;
+    }
   }
   std::uint64_t get(Phase phase) const {
     return us[static_cast<std::size_t>(phase)];
   }
-};
-
-/// Adds the scope's elapsed time to `trace`'s `phase` slot. Free when
-/// `trace` is null (metrics off): no clock call.
-class ScopedPhaseTimer {
- public:
-  ScopedPhaseTimer(PhaseTrace* trace, Phase phase)
-      : trace_(trace), phase_(phase),
-        start_us_(trace != nullptr ? monotonic_us() : 0) {}
-
-  ~ScopedPhaseTimer() {
-    if (trace_ != nullptr) {
-      trace_->add(phase_, monotonic_us() - start_us_);
-    }
-  }
-
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  PhaseTrace* trace_;
-  Phase phase_;
-  std::uint64_t start_us_;
 };
 
 }  // namespace ambit::metrics

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -294,19 +295,19 @@ TEST(MetricsTest, PhaseNamesAreStable) {
   EXPECT_STREQ(metrics::phase_name(metrics::Phase::kSerialize), "serialize");
 }
 
-TEST(MetricsTest, ScopedPhaseTimerWritesTheTraceItIsHanded) {
-  // A null trace leaves the timer inert: metrics are off.
-  { const metrics::ScopedPhaseTimer inert(nullptr, metrics::Phase::kParse); }
-
+TEST(MetricsTest, PhaseTraceChargesTheTotalAndAtMostOnePhase) {
+  // A step charged to a phase counts in that phase and the total; a
+  // step charged to none counts in the total only.
   metrics::PhaseTrace trace;
-  {
-    const metrics::ScopedPhaseTimer timer(&trace, metrics::Phase::kEvaluate);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    // A null timer inside a traced one writes nowhere.
-    const metrics::ScopedPhaseTimer untraced(nullptr, metrics::Phase::kParse);
-  }
-  EXPECT_GE(trace.get(metrics::Phase::kEvaluate), 1000u);  // >= 1 ms recorded
-  EXPECT_EQ(trace.get(metrics::Phase::kParse), 0u);
+  trace.add(metrics::Phase::kParse, 3);
+  trace.add(metrics::Phase::kEvaluate, 40);
+  trace.add(metrics::Phase::kEvaluate, 2);
+  trace.add(std::nullopt, 5);
+  EXPECT_EQ(trace.get(metrics::Phase::kParse), 3u);
+  EXPECT_EQ(trace.get(metrics::Phase::kQueueWait), 0u);
+  EXPECT_EQ(trace.get(metrics::Phase::kEvaluate), 42u);
+  EXPECT_EQ(trace.get(metrics::Phase::kSerialize), 0u);
+  EXPECT_EQ(trace.total_us, 50u);
 }
 
 // ---------------------------------------------------------------------------

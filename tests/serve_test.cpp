@@ -1113,12 +1113,85 @@ TEST(ServerTest, StatsIsExactWithMetricsOff) {
   ASSERT_NE(at, std::string::npos) << wire;
   EXPECT_EQ(wire.substr(at, wire.find('\n', at) - at),
             "OK circuits=1 loads=2 evals=2 patterns=9 sims=2 sim_patterns=11 "
-            "verifies=1 workers=0 connections=0/0");
+            "verifies=1 workers=1 connections=0/0");
   // The instrumentation itself stayed off.
   const metrics::Counter* evals =
       registry.find_counter("ambit_serve_requests_total", {{"verb", "EVAL"}});
   ASSERT_NE(evals, nullptr);
   EXPECT_EQ(evals->value(), 0u);
+}
+
+TEST(ServerTest, PhasesAddUpToTheRequestTime) {
+  // Each step of a request is charged to its total and to at most one
+  // phase, so for every verb that records phases the phase sums add up
+  // to the request time's sum exactly. Streams of one verb each, on a
+  // registry of their own, compare the two; each stream but METRICS's
+  // starts with a request answered with its ERR.
+  const std::string path = write_sample_pla("serve_phase_sums.pla");
+  Session session(1);
+  session.load("s", path);
+  const PatternBatch inputs = make_request_batch(3, 40, 5);
+  const std::string words = " 40 " + std::to_string(inputs.total_words()) +
+                            "\n" + frame_payload(inputs);
+  const std::string bad_words = " 4 7\n" + std::string(56, 'x');
+  struct Stream {
+    std::string verb;
+    std::string failing;
+    std::string request;
+    int count;
+  };
+  const std::vector<Stream> streams = {
+      {"EVAL", "EVAL ghost 1\n", "EVAL s" + hex_patterns(3, 8, 1) + "\n",
+       500},
+      {"EVALB", "EVALB s" + bad_words, "EVALB s" + words, 100},
+      {"SIM", "SIM s 1 zz\n", "SIM s" + hex_patterns(3, 8, 2) + "\n", 100},
+      {"SIMB", "SIMB s" + bad_words, "SIMB s" + words, 50},
+      {"VERIFY", "VERIFY ghost\n", "VERIFY s\n", 100},
+      {"METRICS", "", "METRICS\n", 50},
+  };
+  for (const Stream& stream : streams) {
+    metrics::Registry registry;
+    ServerOptions options;
+    options.registry = &registry;
+    Server server(session, options);
+    std::string wire = stream.failing;
+    for (int k = 0; k < stream.count; ++k) {
+      wire += stream.request;
+    }
+    bool fed = false;
+    std::string out;
+    server.serve_chunks(
+        [&]() -> std::string {
+          if (fed) {
+            return {};
+          }
+          fed = true;
+          return wire;
+        },
+        out);
+    const metrics::Histogram* total = registry.find_histogram(
+        "ambit_serve_request_us", {{"verb", stream.verb}});
+    ASSERT_NE(total, nullptr) << stream.verb;
+    EXPECT_EQ(total->count(),
+              static_cast<std::uint64_t>(stream.count) +
+                  (stream.failing.empty() ? 0 : 1))
+        << stream.verb;
+    const metrics::Counter* errors =
+        registry.find_counter("ambit_serve_request_errors_total");
+    ASSERT_NE(errors, nullptr);
+    EXPECT_EQ(errors->value(), stream.failing.empty() ? 0u : 1u)
+        << stream.verb;
+    std::uint64_t phases_us = 0;
+    for (std::size_t p = 0; p < metrics::kNumPhases; ++p) {
+      const metrics::Histogram* phase = registry.find_histogram(
+          "ambit_serve_phase_us",
+          {{"phase", metrics::phase_name(static_cast<metrics::Phase>(p))}});
+      ASSERT_NE(phase, nullptr);
+      phases_us += phase->sum();
+    }
+    EXPECT_GT(total->sum(), 0u) << stream.verb;
+    EXPECT_EQ(total->sum(), phases_us) << stream.verb;
+  }
 }
 
 TEST(ServerTest, StreamEvalbRoundTrip) {
@@ -3787,6 +3860,65 @@ TEST(TcpSocketTest, PoolServedSimRecordsEveryPhase) {
   ASSERT_NE(sim_us, nullptr);
   EXPECT_EQ(sim_us->count(), 1u);
   EXPECT_GE(sim_us->sum(), phases_us);
+}
+
+TEST(TcpSocketTest, OneWorkerSessionAnswersAnEvalDuringALongSim) {
+  // A session of one worker still has a pool thread, so the loop hands
+  // a SIM off instead of running it itself: an EVAL on a second
+  // connection is answered while a long SIM on the first is still
+  // running.
+  const std::string path = write_sample_pla("serve_one_worker.pla");
+  Session session(/*workers=*/1);
+  session.load("s", path);
+  const core::GnorPla pla = core::GnorPla::map_cover(
+      Cover::parse(3, 2, {"11- 10", "0-1 01", "10- 11"}));
+  Server server(session);
+  std::atomic<int> port{0};
+  std::thread server_thread = start_tcp_server(server, port);
+  const int bound = await_bound_port(port);
+  int sims = -1;
+  int evals = -1;
+  const OnScopeExit teardown([&] {
+    if (bound > 0) {
+      const int ctl = connect_tcp_with_retry("127.0.0.1", bound);
+      if (ctl >= 0) {
+        socket_transact(ctl, "SHUTDOWN\n", 1);
+        ::close(ctl);
+      }
+    }
+    server_thread.join();
+    for (const int fd : {sims, evals}) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+  });
+  ASSERT_GT(bound, 0);
+  sims = connect_tcp_with_retry("127.0.0.1", bound);
+  evals = connect_tcp_with_retry("127.0.0.1", bound);
+  ASSERT_GE(sims, 0);
+  ASSERT_GE(evals, 0);
+
+  // About 150 ms of simulation in a Release build, and longer under the
+  // sanitizers, against the EVAL's sub-millisecond round trip.
+  constexpr int kLongSimPatterns = 60'000;
+  socket_transact(sims, "SIM s" + hex_patterns(3, kLongSimPatterns, 3) + "\n",
+                  0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto [eval, eval_expected] = sample_eval(pla, 2);
+  socket_transact(evals, eval, 0);
+  std::string pending;
+  std::string line;
+  ASSERT_TRUE(
+      read_line_within(evals, pending, line, std::chrono::seconds(60)));
+  EXPECT_EQ(line, eval_expected);
+  std::string sim_pending;
+  EXPECT_FALSE(read_line_within(sims, sim_pending, line,
+                                std::chrono::milliseconds(0)))
+      << "the EVAL waited for the SIM to finish";
+  ASSERT_TRUE(
+      read_line_within(sims, sim_pending, line, std::chrono::seconds(60)));
+  EXPECT_TRUE(starts_with(line, "OK ")) << line.substr(0, 200);
 }
 
 #endif  // __linux__
