@@ -2,7 +2,8 @@
 // Y = NOR(A, B', D) with input C inhibited (C1=V+, C2=V-, C3=V0,
 // C4=V+). Verified two ways: the functional GNOR model and the full
 // transistor-level switch simulation with precharge/evaluate phases,
-// including the §4 charge-programming step.
+// including the §4 charge-programming step. Exits 1 when the decode
+// round trip or the functional == switch-level check fails.
 #include <cstdio>
 
 #include "core/fig2.h"
@@ -31,9 +32,10 @@ int main() {
   core::PlaneProgrammer prog(1, 4, e);
   const auto pulses = core::PlaneProgrammer::compile(plane, e);
   prog.apply_all(pulses);
+  const bool decoded = prog.decode() == plane;
   std::printf("programming pulses: %zu (one per non-off cell)\n", pulses.size());
   std::printf("decode-after-programming matches target: %s\n\n",
-              prog.decode() == plane ? "yes" : "NO");
+              decoded ? "yes" : "NO");
 
   // Wrap into a 1-product/1-output PLA so the switch-level simulator
   // can clock it — the SHARED Fig. 2 reference construction
@@ -72,5 +74,5 @@ int main() {
               all_match ? "yes" : "NO");
   std::printf("worst-case evaluate delay: %.1f ps; C never influences Y\n",
               worst);
-  return 0;
+  return decoded && all_match ? 0 : 1;
 }

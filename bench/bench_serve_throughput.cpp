@@ -32,7 +32,8 @@
 //   6. instrumentation overhead: the same serve_stream EVAL storm once
 //      with per-request metrics recording enabled and once with
 //      ServerOptions::enable_metrics = false — the gap is what the
-//      counters, histograms, and phase timers cost the hot path.
+//      counters, histograms, and per-step clock reads cost the hot
+//      path.
 //   7. C10k (Linux): >= 2000 connections held open at once against the
 //      event loop, one EVAL each, every one of them answered.
 //

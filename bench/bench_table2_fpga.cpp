@@ -10,7 +10,8 @@
 // (the die is provisioned for the product it ships). Absolute MHz
 // depends on our calibrated RC constants; the paper's testbed was an
 // unnamed commercial FPGA, so the comparison targets the SHAPE:
-// occupancy ratio ~1/2 and frequency ratio ~2x.
+// occupancy ratio ~1/2 and frequency ratio ~2x. Exits 1 when either
+// design's "routed ok" reads NO.
 #include <cstdio>
 
 #include "fpga/flow.h"
@@ -102,5 +103,5 @@ int main() {
               sig_ratio);
   std::printf("occupancy ratio: %.2f (paper: 44.9/99 = 0.45)\n",
               cn_rep.occupancy / std_rep.occupancy);
-  return 0;
+  return std_rep.routing.success && cn_rep.routing.success ? 0 : 1;
 }

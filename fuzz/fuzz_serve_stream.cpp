@@ -16,7 +16,7 @@
 //     a fixed seed circuit from a temp file this harness wrote at
 //     startup — the fuzzer must not open attacker-chosen paths (or
 //     block forever on /dev/stdin);
-//   * each run gets a fresh Session (0 workers: in-line evaluation)
+//   * each run gets a fresh Session (one worker: in-line evaluation)
 //     and a fresh Server, so SHUTDOWN's latch and loaded-circuit state
 //     cannot leak between runs and every input reproduces standalone;
 //   * each Server records into its own registry. The differential runs
@@ -102,7 +102,7 @@ std::string sanitize(const std::string& text) {
 template <typename Serve>
 bool run_connection(bool enable_metrics, Serve&& serve) {
   try {
-    ambit::serve::Session session(0);
+    ambit::serve::Session session(1);
     ambit::metrics::Registry registry;
     ambit::serve::ServerOptions options;
     options.registry = &registry;
