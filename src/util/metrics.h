@@ -38,8 +38,8 @@
 // by the request's serving frame. Server::serve_batch reads the clock
 // once per step boundary and charges each step to the total of every
 // request it serves and to at most one phase — parse / pool-queue wait /
-// evaluate / serialize — so the phases a request records add up to its
-// total; it also dumps slow requests.
+// evaluate / serialize — so for a verb that records phases they add up
+// to its total; it also dumps slow requests.
 #pragma once
 
 #include <algorithm>
@@ -216,8 +216,9 @@ class Registry {
 /// of a request is charged to at most one of them (Server::serve_batch
 /// has the table); a step charged to none counts in the total only.
 enum class Phase : std::size_t {
-  kParse = 0,      ///< decoding an EVAL/SIM's patterns (the line's head
-                   ///< is parsed at framing, outside the clock)
+  kParse = 0,      ///< an EVAL/SIM's circuit lookup and pattern decode
+                   ///< (the line's head is parsed at framing, outside
+                   ///< the clock)
   kQueueWait = 1,  ///< from the event loop's dispatch of a request to a
                    ///< pool worker starting it; requests the loop
                    ///< serves itself record none
