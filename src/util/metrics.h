@@ -213,7 +213,7 @@ class Registry {
 // --- Per-request phase tracing ---------------------------------------------
 
 /// The phases a serve request's wall time decomposes into. Each step
-/// of a request is charged to at most one of them (Server::serve_batch
+/// of a request is charged to at most one of them (docs/OBSERVABILITY.md
 /// has the table); a step charged to none counts in the total only.
 enum class Phase : std::size_t {
   kParse = 0,      ///< an EVAL/SIM's circuit lookup and pattern decode
