@@ -666,6 +666,54 @@ TEST(EvaluatorTest, FusedTileBoundariesMatchScalarAndSimulation) {
   cpu::force_tier(entry);
 }
 
+TEST(EvaluatorTest, WideInputStageTilesMatchScalar) {
+  // A stage that reads more caller lanes than the program writes tile
+  // lanes: 300 inputs against 4 products. A tile of 300 lanes is
+  // tile_words(300) = 104 words, so 40,037 patterns (626 words, the
+  // last one 37 bits) take six full tiles and a partial seventh. The
+  // sequential and the sharded sweep must agree on every tier, and with
+  // the scalar path on the patterns either side of each tile edge.
+  const logic::SynthSpec spec{.num_inputs = 300,
+                              .num_outputs = 2,
+                              .num_cubes = 4,
+                              .literals_per_cube = 2};
+  const GnorPla pla = GnorPla::map_cover(logic::generate_cover(spec, 7));
+  ASSERT_EQ(pla.num_products(), 4);
+  const std::uint64_t tile = logic::lanes::tile_words(300, ~std::uint64_t{0});
+  const std::uint64_t count = 40'037;
+  PatternBatch inputs(300, count);
+  Rng rng(83);
+  for (int s = 0; s < inputs.num_signals(); ++s) {
+    for (std::uint64_t w = 0; w < inputs.words_per_lane(); ++w) {
+      inputs.lane(s)[w] = rng.next_u64();
+    }
+    inputs.lane(s)[inputs.words_per_lane() - 1] &= inputs.tail_mask();
+  }
+  ASSERT_GE(inputs.words_per_lane(), 6 * tile);
+  std::vector<std::uint64_t> samples;
+  for (std::uint64_t p = 0; p < count; p += 251) {
+    samples.push_back(p);
+  }
+  for (std::uint64_t edge = tile * 64; edge < count; edge += tile * 64) {
+    samples.push_back(edge - 1);
+    samples.push_back(edge);
+  }
+  samples.push_back(count - 1);
+  ThreadPool pool(3);
+  const cpu::SimdTier entry = cpu::active_tier();
+  for (const cpu::SimdTier tier : available_tiers()) {
+    cpu::force_tier(tier);
+    const PatternBatch sequential = pla.evaluate_batch(inputs);
+    EXPECT_EQ(pla.evaluate_batch(inputs, pool), sequential)
+        << "sharded on the " << cpu::tier_name(tier) << " tier";
+    for (const std::uint64_t p : samples) {
+      ASSERT_EQ(sequential.pattern(p), pla.evaluate(inputs.pattern(p)))
+          << "pattern " << p << " on the " << cpu::tier_name(tier) << " tier";
+    }
+  }
+  cpu::force_tier(entry);
+}
+
 TEST(EvaluatorTest, ShardedFromPoolTaskMatchesSequential) {
   // The serve event loop evaluates every request in a task on the pool
   // it shards through. A sharded call made from such a task shards

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "logic/lane_kernels.h"
@@ -154,17 +155,42 @@ TEST(LaneKernelsTest, ComplementMaskedBitIdenticalAcrossTiers) {
 // a bit past every word/strip boundary.
 // ---------------------------------------------------------------------------
 
+/// A plane sweep worked out pattern by pattern from its terms: the
+/// oracle for every tier, independent of any kernel and of how a sweep
+/// is cut into tiles.
+PatternBatch bitwise_sweep(const std::vector<lanes::SweepRow>& rows,
+                           const std::vector<lanes::SweepTerm>& terms,
+                           const PatternBatch& in) {
+  PatternBatch out(static_cast<int>(rows.size()), in.num_patterns());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::uint64_t p = 0; p < in.num_patterns(); ++p) {
+      bool any = false;
+      for (std::uint64_t t = 0; t < rows[r].num_terms; ++t) {
+        const lanes::SweepTerm& term = terms[rows[r].first_term + t];
+        any = any || in.get(p, term.lane) != term.invert;
+      }
+      out.set(p, static_cast<int>(r), any != rows[r].complement);
+    }
+  }
+  return out;
+}
+
 TEST(LaneKernelsTest, PlaneSweepBitIdenticalAcrossTiers) {
   TierGuard guard;
   Rng rng(93);
-  const int num_in_lanes = 5;
   const int num_rows = 17;
-  // 63/64/65 and 127/128/129 cross the word boundary on both sides of
-  // the tail mask; 513 and 1031 cross the 8- and 16-word AVX2 strips and
-  // leave a scalar remainder inside a tile; 4133 (64 words + 37 bits)
-  // runs the 32-word strips of pass-only rows.
-  for (const std::uint64_t np : {1ull, 63ull, 64ull, 65ull, 127ull, 128ull,
-                                 129ull, 513ull, 1031ull, 4133ull}) {
+  // Over 5 input lanes: 63/64/65 and 127/128/129 cross the word
+  // boundary on both sides of the tail mask; 513 and 1031 cross the 8-
+  // and 16-word AVX2 strips and leave a scalar remainder inside a tile;
+  // 4133 (64 words + 37 bits) runs the 32-word strips of pass-only
+  // rows. Over 300 input lanes a cache tile is tile_words(300) = 104
+  // words, so 20,517 patterns (321 words, the last one 37 bits) sweep
+  // in three full tiles and a partial fourth, and only the last tile's
+  // last word may be masked.
+  const std::vector<std::pair<int, std::uint64_t>> shapes = {
+      {5, 1},   {5, 63},  {5, 64},   {5, 65},   {5, 127},   {5, 128},
+      {5, 129}, {5, 513}, {5, 1031}, {5, 4133}, {300, 20517}};
+  for (const auto& [num_in_lanes, np] : shapes) {
     PatternBatch in(num_in_lanes, np);
     randomize(in, rng);
 
@@ -187,16 +213,13 @@ TEST(LaneKernelsTest, PlaneSweepBitIdenticalAcrossTiers) {
           .complement = rng.next_bool()};
     }
 
-    PatternBatch reference(num_rows, np);
-    cpu::force_tier(cpu::SimdTier::kScalar);
-    lanes::nor_plane_sweep(rows.data(), num_rows, terms.data(), in,
-                           reference);
+    const PatternBatch reference = bitwise_sweep(rows, terms, in);
     for (const cpu::SimdTier tier : available_tiers()) {
       cpu::force_tier(tier);
       PatternBatch out(num_rows, np);
       lanes::nor_plane_sweep(rows.data(), num_rows, terms.data(), in, out);
-      ASSERT_EQ(out, reference)
-          << cpu::tier_name(tier) << " sweep differs at np=" << np;
+      ASSERT_EQ(out, reference) << cpu::tier_name(tier) << " sweep differs at "
+                                << num_in_lanes << " lanes, np=" << np;
       out.assert_tail_clean("PlaneSweepBitIdenticalAcrossTiers");
     }
   }

@@ -447,12 +447,13 @@ TEST(SimEvaluatorTest, BatchBoundaryCountsMatchScalarSimulation) {
   // Word-boundary pattern counts through the transistor-level oracle:
   // 63/64/65 straddle the tail-mask flip (partial → all-ones → fresh
   // word), where a batch kernel mishandling the final word would
-  // diverge from per-pattern simulation.
+  // diverge from per-pattern simulation. 0 is an empty batch, which
+  // must come back empty rather than trip over a zero-word range.
   const Cover f = random_minimized_cover(4, 2, 31);
   const SimEvaluator sim_eval(GnorPla::map_cover(f),
                               default_cnfet_electrical());
   Rng rng(77);
-  for (const std::uint64_t count : {63ull, 64ull, 65ull}) {
+  for (const std::uint64_t count : {0ull, 63ull, 64ull, 65ull}) {
     PatternBatch inputs(sim_eval.num_inputs(), count);
     for (std::uint64_t p = 0; p < count; ++p) {
       for (int s = 0; s < sim_eval.num_inputs(); ++s) {
