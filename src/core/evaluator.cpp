@@ -1,6 +1,5 @@
 #include "core/evaluator.h"
 
-#include <algorithm>
 #include <string>
 
 #include "util/check.h"
@@ -32,37 +31,16 @@ std::vector<bool> Evaluator::evaluate(const std::vector<bool>& inputs) const {
   return out;
 }
 
-std::vector<bool> Evaluator::evaluate(std::span<const bool> inputs) const {
-  check_width(static_cast<int>(inputs.size()), num_inputs(), "evaluate");
-  return do_evaluate(std::vector<bool>(inputs.begin(), inputs.end()));
-}
-
-namespace {
-
-/// The batch half of the width contract, enforced on every kernel
-/// result: output lane count and pattern count must match, and the tail
-/// padding must be clean (a kernel leaving stray bits there would break
-/// the bit-locality consumers — sharded pastes and the serve event
-/// loop's bit-packed fusion).
-void check_batch_contract(const Evaluator& e, const logic::PatternBatch& in,
-                          const logic::PatternBatch& out) {
-  AMBIT_CHECK(out.num_signals() == e.num_outputs(),
-              "Evaluator::evaluate_batch: kernel produced " +
-                  std::to_string(out.num_signals()) +
-                  " output lanes, contract says " +
-                  std::to_string(e.num_outputs()));
-  AMBIT_CHECK(out.num_patterns() == in.num_patterns(),
-              "Evaluator::evaluate_batch: kernel changed the pattern count");
-  out.assert_tail_clean("Evaluator::evaluate_batch (kernel result)");
-}
-
-}  // namespace
-
 logic::PatternBatch Evaluator::evaluate_batch(
     const logic::PatternBatch& inputs) const {
   check_width(inputs.num_signals(), num_inputs(), "evaluate_batch");
-  logic::PatternBatch out = do_evaluate_batch(inputs);
-  check_batch_contract(*this, inputs, out);
+  logic::PatternBatch out(num_outputs(), inputs.num_patterns());
+  do_evaluate_words(inputs, out, 0, inputs.words_per_lane());
+  // The base class sized the result, so the one part of the batch
+  // contract a kernel can break is the tail padding: stray bits there
+  // would break the bit-locality consumers (sharded sweeps and the serve
+  // event loop's bit-packed fusion).
+  out.assert_tail_clean("Evaluator::evaluate_batch (kernel result)");
   return out;
 }
 
@@ -71,10 +49,10 @@ logic::PatternBatch Evaluator::evaluate_batch(const logic::PatternBatch& inputs,
   check_width(inputs.num_signals(), num_inputs(), "evaluate_batch");
   const std::uint64_t words = inputs.words_per_lane();
   // Below ~8 words (512 patterns) per worker the wakeup cost dominates;
-  // fall through to the sequential kernel.
+  // fall through to the sequential sweep.
   constexpr std::uint64_t kMinWordsPerShard = 8;
   if (pool.num_workers() <= 1 || words < 2 * kMinWordsPerShard) {
-    return do_evaluate_batch(inputs);
+    return evaluate_batch(inputs);
   }
   logic::PatternBatch out(num_outputs(), inputs.num_patterns());
   pool.parallel_for(
@@ -92,28 +70,8 @@ logic::PatternBatch Evaluator::evaluate_batch(const logic::PatternBatch& inputs,
                         ") violates the word-aligned shard contract");
         do_evaluate_words(inputs, out, word_lo, word_hi);
       });
-  check_batch_contract(*this, inputs, out);
+  out.assert_tail_clean("Evaluator::evaluate_batch (kernel result)");
   return out;
-}
-
-logic::PatternBatch Evaluator::do_evaluate_batch(
-    const logic::PatternBatch& inputs) const {
-  logic::PatternBatch out(num_outputs(), inputs.num_patterns());
-  do_evaluate_words(inputs, out, 0, inputs.words_per_lane());
-  return out;
-}
-
-void Evaluator::do_evaluate_words(const logic::PatternBatch& inputs,
-                                  logic::PatternBatch& out,
-                                  std::uint64_t word_lo,
-                                  std::uint64_t word_hi) const {
-  const std::uint64_t first = word_lo * 64;
-  const std::uint64_t count =
-      std::min(inputs.num_patterns(), word_hi * 64) - first;
-  const logic::PatternBatch shard_in = inputs.slice(first, count);
-  const logic::PatternBatch shard_out = do_evaluate_batch(shard_in);
-  check_batch_contract(*this, shard_in, shard_out);
-  out.paste(shard_out, first);
 }
 
 logic::TruthTable exhaustive_truth_table(const Evaluator& e) {

@@ -17,12 +17,13 @@
 // batch path is guaranteed to accept exactly the shapes the scalar path
 // accepts.
 //
-// The four PLA models (GnorPla, ClassicalPla, Wpla, Fabric) implement
-// only the shard hook, do_evaluate_words, by running their compiled
-// SweepProgram (core/sweep_program.h) over the shard's words in place;
-// the whole batch is the one shard of every word. SimEvaluator
-// implements the batch hook instead and shards through the default
-// slice/paste copies.
+// A model has one batch hook, do_evaluate_words, which fills a range of
+// lane words of a result the base class has already sized. The whole
+// batch is the one range of every word; a shard of the sharded
+// evaluate_batch is a range of its own. The four PLA models (GnorPla,
+// ClassicalPla, Wpla, Fabric) run their compiled SweepProgram
+// (core/sweep_program.h) over the range in place; SimEvaluator
+// simulates the range as a batch of its own and pastes it back.
 //
 // Exhaustive sweeps — verification, Table 1/2-style comparisons, fault
 // Monte-Carlo — should go through evaluate_batch: on a GNOR plane the
@@ -54,7 +55,7 @@
 // as immutable and replacing them wholesale.
 #pragma once
 
-#include <span>
+#include <cstdint>
 #include <vector>
 
 #include "logic/pattern_batch.h"
@@ -76,14 +77,10 @@ class Evaluator {
   /// inputs.size() != num_inputs().
   std::vector<bool> evaluate(const std::vector<bool>& inputs) const;
 
-  /// Scalar path over a contiguous bool span (for callers that keep
-  /// patterns unpacked in plain arrays rather than vector<bool>).
-  std::vector<bool> evaluate(std::span<const bool> inputs) const;
-
   /// Bit-parallel path: evaluates every pattern of the batch in one
-  /// pass. The result holds num_outputs() lanes over the same pattern
-  /// count. Throws ambit::Error when batch.num_signals() !=
-  /// num_inputs().
+  /// pass. Allocates the result, num_outputs() lanes over the same
+  /// pattern count, and fills it through do_evaluate_words over every
+  /// word. Throws ambit::Error when batch.num_signals() != num_inputs().
   logic::PatternBatch evaluate_batch(const logic::PatternBatch& inputs) const;
 
   /// Sharded bit-parallel path: splits the batch into word-aligned
@@ -93,7 +90,7 @@ class Evaluator {
   /// BIT-IDENTICAL to the single-thread evaluate_batch for any pattern
   /// count, including non-multiples of 64 — the shard partition is
   /// word-aligned and deterministic (util/thread_pool.h). Small batches
-  /// (< 16 words per lane) fall through to the sequential path. Safe
+  /// (< 16 words per lane) fall through to evaluate_batch(inputs). Safe
   /// for concurrent callers sharing one pool (each call joins only its
   /// own shards), and from a task running on `pool` itself: the caller
   /// runs shards too, so the call shards across whichever workers are
@@ -106,25 +103,17 @@ class Evaluator {
   virtual std::vector<bool> do_evaluate(
       const std::vector<bool>& inputs) const = 0;
 
-  /// Width-validated batch evaluation hook. The default allocates the
-  /// result and fills it through do_evaluate_words over every word.
-  virtual logic::PatternBatch do_evaluate_batch(
-      const logic::PatternBatch& inputs) const;
-
-  /// Width-validated shard hook: evaluates lane words [word_lo,
-  /// word_hi) of `inputs` into the same words of `out`, a batch of
-  /// num_outputs() lanes over inputs.num_patterns() patterns, and
-  /// writes no other word. The sharded evaluate_batch calls it
-  /// concurrently on disjoint ranges of one `out`, so it must be const
-  /// and touch nothing shared but its own words. The default slices
-  /// the range out, runs do_evaluate_batch on it and pastes the result
-  /// back. Each default calls the other hook, so a derived class
-  /// overrides at least one: a kernel that addresses the caller's lanes
-  /// in place overrides this one and skips both copies.
+  /// Width-validated batch hook, the only one: evaluates lane words
+  /// [word_lo, word_hi) of `inputs` into the same words of `out`, a
+  /// batch of num_outputs() lanes over inputs.num_patterns() patterns,
+  /// and writes no other word. The range is empty only for an empty
+  /// batch. The sharded evaluate_batch calls it concurrently on disjoint
+  /// ranges of one `out`, so it must be const and touch nothing shared
+  /// but its own words.
   virtual void do_evaluate_words(const logic::PatternBatch& inputs,
                                  logic::PatternBatch& out,
                                  std::uint64_t word_lo,
-                                 std::uint64_t word_hi) const;
+                                 std::uint64_t word_hi) const = 0;
 };
 
 /// Evaluates every minterm of the evaluator's input space through the

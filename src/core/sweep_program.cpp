@@ -18,13 +18,17 @@ void SweepProgram::run(const logic::PatternBatch& inputs,
   const std::uint64_t words = inputs.words_per_lane();
   const auto num_inputs = static_cast<std::uint64_t>(inputs.num_signals());
   std::uint64_t tile_lanes = stage_inputs ? num_inputs : 0;
+  std::uint64_t read_lanes = 0;
   for (const SweepStage& s : stages) {
     if (s.to != kCallerLanes) {
       tile_lanes = std::max(tile_lanes, s.to + s.num_rows);
     }
+    read_lanes = std::max(read_lanes, s.num_lanes);
   }
-  const std::uint64_t tile =
-      logic::lanes::tile_words(tile_lanes, word_hi - word_lo);
+  // The tile fits the larger of the scratch lanes and the most lanes one
+  // stage reads, so every kernel call sweeps exactly one cache tile.
+  const std::uint64_t tile = logic::lanes::tile_words(
+      std::max(tile_lanes, read_lanes), word_hi - word_lo);
   // Every tile word is written before it is read, so it needs no
   // zeroing.
   const auto scratch =
@@ -50,14 +54,14 @@ void SweepProgram::run(const logic::PatternBatch& inputs,
       const std::uint64_t in_stride = s.from != kCallerLanes ? tile : words;
       const std::uint64_t dst_stride = s.to != kCallerLanes ? tile : words;
       if (s.taps == nullptr) {
-        kernels.plane_sweep(s.rows, s.num_rows, s.terms, in, in_stride,
-                            s.num_lanes, dst, dst_stride, n, tail_mask);
+        kernels.plane_sweep(s.rows, s.num_rows, s.terms, in, in_stride, dst,
+                            dst_stride, n, tail_mask);
         continue;
       }
       for (std::uint64_t r = 0; r < s.num_rows; ++r) {
         SweepRow row = s.rows[r];
         row.complement = row.complement != (*s.taps)[r];
-        kernels.plane_sweep(&row, 1, s.terms, in, in_stride, s.num_lanes,
+        kernels.plane_sweep(&row, 1, s.terms, in, in_stride,
                             dst + r * dst_stride, dst_stride, n, tail_mask);
       }
     }

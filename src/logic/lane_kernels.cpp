@@ -16,20 +16,11 @@ namespace {
 // reference the SIMD tiers must match bit for bit, and the fallback
 // every platform can run.
 
-void scalar_complement_masked(std::uint64_t* dst, std::uint64_t n,
-                              std::uint64_t tail_mask) {
-  for (std::uint64_t w = 0; w < n; ++w) {
-    dst[w] = ~dst[w];
-  }
-  dst[n - 1] &= tail_mask;
-}
-
 void scalar_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
                         const SweepTerm* terms, const std::uint64_t* in,
-                        std::uint64_t in_stride, std::uint64_t num_in_lanes,
-                        std::uint64_t* out, std::uint64_t out_stride,
-                        std::uint64_t num_words, std::uint64_t tail_mask) {
-  (void)num_in_lanes;  // the scalar tier does not tile
+                        std::uint64_t in_stride, std::uint64_t* out,
+                        std::uint64_t out_stride, std::uint64_t num_words,
+                        std::uint64_t tail_mask) {
   if (num_words == 0) {
     return;
   }
@@ -52,18 +43,18 @@ void scalar_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
       }
     }
     if (row.complement) {
-      scalar_complement_masked(lane, num_words, tail_mask);
-    } else {
-      // An inverted-term OR row can set padding bits; keep the tail
-      // clean here so every row honors the PatternBatch invariant.
-      lane[num_words - 1] &= tail_mask;
+      for (std::uint64_t w = 0; w < num_words; ++w) {
+        lane[w] = ~lane[w];
+      }
     }
+    // A NOR row, or an OR row with an inverted term, sets padding bits;
+    // keep the tail clean so every row honors the PatternBatch invariant.
+    lane[num_words - 1] &= tail_mask;
   }
 }
 
 constexpr LaneKernels kScalarKernels = {
     .name = "scalar",
-    .complement_masked = scalar_complement_masked,
     .plane_sweep = scalar_plane_sweep,
 };
 
@@ -103,13 +94,20 @@ void nor_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
   if (num_rows == 0 || in.words_per_lane() == 0) {
     return;  // 0-row plane or 0-pattern batch: nothing to write
   }
-  // Lanes are stored contiguously signal-major in both batches, so the
-  // whole sweep is one kernel call over the raw words.
+  // Lanes are stored contiguously signal-major in both batches, so each
+  // cache tile is one kernel call over the raw words, and only the last
+  // tile ends the lanes.
+  const LaneKernels& table = kernels();
   const std::uint64_t words = in.words_per_lane();
-  const std::uint64_t* in_base = in.num_signals() > 0 ? in.lane(0) : nullptr;
-  kernels().plane_sweep(rows, num_rows, terms, in_base, words,
-                        static_cast<std::uint64_t>(in.num_signals()),
-                        out.lane(0), words, words, in.tail_mask());
+  const std::uint64_t tile =
+      tile_words(static_cast<std::uint64_t>(in.num_signals()), words);
+  for (std::uint64_t w = 0; w < words; w += tile) {
+    const std::uint64_t n = std::min(tile, words - w);
+    table.plane_sweep(rows, num_rows, terms,
+                      in.num_signals() > 0 ? in.lane(0) + w : nullptr, words,
+                      out.lane(0) + w, words, n,
+                      w + n == words ? in.tail_mask() : ~std::uint64_t{0});
+  }
   out.assert_tail_clean("nor_plane_sweep (result)");
 }
 

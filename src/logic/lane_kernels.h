@@ -4,10 +4,8 @@
 // kernel, the NOR-plane sweep: rows of pull-down terms over shared
 // input lanes, the paper's NOR planes reduced to bit operations, which
 // every circuit model's compiled SweepProgram (core/sweep_program.h)
-// calls stage by stage. The table carries it and the one primitive
-// still called through it, complement-and-mask a lane
-// (PatternBatch::complement_lane), selected at runtime from
-// cpu::active_tier() (util/cpu_features.h):
+// calls stage by stage. Each tier's table carries that one kernel,
+// selected at runtime from cpu::active_tier() (util/cpu_features.h):
 //
 //   tier      width    where it comes from
 //   -------   ------   ------------------------------------------
@@ -31,10 +29,13 @@
 // unaligned load on an aligned address costs the same as an aligned
 // load, so this contract costs nothing where it doesn't matter.)
 //
-// The plane sweep is cache-blocked: words are processed in tiles sized
-// so one tile of every input lane stays resident across all rows of
-// the plane (large covers — hundreds of products over the same input
-// lanes — are memory-bound without this; see docs/BENCHMARKS.md).
+// A kernel call sweeps the words it is given in one pass. Its callers
+// cut a sweep into cache tiles of tile_words() words, so one tile of
+// every input lane stays resident across all rows of the plane (large
+// covers — hundreds of products over the same input lanes — are
+// memory-bound without this; see docs/BENCHMARKS.md):
+// SweepProgram::run, the one tiler of the evaluation path, and
+// nor_plane_sweep for whole batches.
 //
 // STRIDE/RANGE CONTRACT: plane_sweep addresses the caller's lanes in
 // place. It sweeps `num_words` words per lane, reading input lane l at
@@ -84,31 +85,26 @@ struct SweepRow {
   bool complement = true;
 };
 
-/// The per-tier kernel table. All function pointers are non-null.
-/// Raw-pointer signatures keep the SIMD translation units free of any
-/// repo dependency; PatternBatch callers use the wrappers below.
+/// The per-tier kernel table. Raw-pointer signatures keep the SIMD
+/// translation units free of any repo dependency; PatternBatch callers
+/// use the wrapper below.
 struct LaneKernels {
   const char* name;
 
-  /// dst[w] = ~dst[w] for w in [0, n), then dst[n-1] &= tail_mask.
-  /// n must be > 0.
-  void (*complement_masked)(std::uint64_t* dst, std::uint64_t n,
-                            std::uint64_t tail_mask);
-
-  /// The tiled plane sweep over `num_words` words of every lane (see the
-  /// stride/range contract above). Input lane l is the words
+  /// The plane sweep over `num_words` words of every lane (see the
+  /// stride/range contract above), in one pass: the caller sizes
+  /// `num_words` to a cache tile. Input lane l is the words
   /// [l*in_stride, l*in_stride + num_words) of `in`; output row r the
   /// words [r*out_stride, r*out_stride + num_words) of `out`. Every
   /// output word is overwritten: row r = OR of its terms (complemented
   /// per term), then NOR'd when rows[r].complement, and the row's last
   /// word is ANDed with tail_mask. A row with zero terms is constant 1
-  /// (NOR) or 0 (OR). `num_in_lanes` only sizes the cache tiles. Input
-  /// and output words must not overlap.
+  /// (NOR) or 0 (OR). Input and output words must not overlap.
   void (*plane_sweep)(const SweepRow* rows, std::uint64_t num_rows,
                       const SweepTerm* terms, const std::uint64_t* in,
-                      std::uint64_t in_stride, std::uint64_t num_in_lanes,
-                      std::uint64_t* out, std::uint64_t out_stride,
-                      std::uint64_t num_words, std::uint64_t tail_mask);
+                      std::uint64_t in_stride, std::uint64_t* out,
+                      std::uint64_t out_stride, std::uint64_t num_words,
+                      std::uint64_t tail_mask);
 };
 
 /// Bytes one cache tile of every resident lane may take: half a typical
@@ -139,9 +135,10 @@ const LaneKernels& kernels_for(cpu::SimdTier tier);
 
 /// PatternBatch-level wrapper over plane_sweep: evaluates `num_rows`
 /// rows of terms over `in`'s lanes into `out`'s lanes (shapes checked
-/// under AMBIT_CHECK). `out` must hold exactly `num_rows` signals over
-/// `in.num_patterns()` patterns. Handles the 0-pattern and 0-row edge
-/// cases by doing nothing.
+/// under AMBIT_CHECK), one kernel call per cache tile of
+/// tile_words(in.num_signals()) words. `out` must hold exactly
+/// `num_rows` signals over `in.num_patterns()` patterns. Handles the
+/// 0-pattern and 0-row edge cases by doing nothing.
 void nor_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
                      const SweepTerm* terms, const PatternBatch& in,
                      PatternBatch& out);

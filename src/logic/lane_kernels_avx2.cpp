@@ -7,43 +7,22 @@
 // AVX2 (util/cpu_features.h). Everything here uses unaligned
 // loads/stores per the lane alignment contract.
 //
-// The plane sweep differs from the scalar tier in two ways that matter
-// beyond vector width:
-//   * register accumulation — each 8- to 32-word strip of an output
-//     row is reduced across all terms in registers and stored ONCE, versus
-//     the scalar tier's read-modify-write pass per term (3 memory ops
-//     per word per term);
-//   * cache-blocked tiling — words are processed in tiles sized so one
-//     tile of every input lane stays resident across all rows, which
-//     is what keeps classifier-scale covers (hundreds of products over
-//     shared inputs) from going memory-bound.
+// Beyond vector width, the plane sweep differs from the scalar tier in
+// register accumulation: each 8- to 32-word strip of an output row is
+// reduced across all terms in registers and stored ONCE, versus the
+// scalar tier's read-modify-write pass per term (3 memory ops per word
+// per term). A call covers one cache tile, which its caller sizes
+// (logic/lane_kernels.h), so every input lane's words stay resident
+// across all rows.
 #include "logic/lane_kernels.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
-#include <algorithm>
-
 namespace ambit::logic::lanes {
 
 namespace {
-
-void avx2_complement_masked(std::uint64_t* dst, std::uint64_t n,
-                            std::uint64_t tail_mask) {
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  std::uint64_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_xor_si256(d, ones));
-  }
-  for (; w < n; ++w) {
-    dst[w] = ~dst[w];
-  }
-  dst[n - 1] &= tail_mask;
-}
 
 /// One strip of kVectors 4-word vectors of an output row, reduced
 /// across every term in registers and stored once. Pass terms OR into
@@ -91,66 +70,55 @@ inline void avx2_row_strip(const SweepRow& row, const SweepTerm* terms,
 
 void avx2_plane_sweep(const SweepRow* rows, std::uint64_t num_rows,
                       const SweepTerm* terms, const std::uint64_t* in,
-                      std::uint64_t in_stride, std::uint64_t num_in_lanes,
-                      std::uint64_t* out, std::uint64_t out_stride,
-                      std::uint64_t num_words, std::uint64_t tail_mask) {
+                      std::uint64_t in_stride, std::uint64_t* out,
+                      std::uint64_t out_stride, std::uint64_t num_words,
+                      std::uint64_t tail_mask) {
   if (num_words == 0) {
     return;
   }
-  // Tiles are 8-word multiples, so only the final tile has a scalar
-  // remainder.
-  const std::uint64_t tile = tile_words(num_in_lanes, num_words);
-
   const __m256i ones = _mm256_set1_epi64x(-1);
-  for (std::uint64_t t0 = 0; t0 < num_words; t0 += tile) {
-    const std::uint64_t t1 = std::min(num_words, t0 + tile);
-    for (std::uint64_t r = 0; r < num_rows; ++r) {
-      std::uint64_t* lane = out + r * out_stride;
-      const SweepRow& row = rows[r];
-      const SweepTerm* row_terms = terms + row.first_term;
-      const __m256i polarity = row.complement ? ones : _mm256_setzero_si256();
-      bool pass_only = true;
-      for (std::uint64_t t = 0; t < row.num_terms; ++t) {
-        pass_only = pass_only && !row_terms[t].invert;
-      }
-      std::uint64_t w = t0;
-      // 32-word strips for pass-only rows, then 16-word strips, then at
-      // most one 8-word strip per tile.
-      if (pass_only) {
-        for (; w + 32 <= t1; w += 32) {
-          avx2_row_strip<8, true>(row, row_terms, in + w, in_stride, lane + w,
-                                  polarity);
-        }
-      }
-      for (; w + 16 <= t1; w += 16) {
-        avx2_row_strip<4, false>(row, row_terms, in + w, in_stride, lane + w,
-                                 polarity);
-      }
-      for (; w + 8 <= t1; w += 8) {
-        avx2_row_strip<2, false>(row, row_terms, in + w, in_stride, lane + w,
-                                 polarity);
-      }
-      // Scalar remainder of the tile (at most 7 words, final tile only).
-      for (; w < t1; ++w) {
-        std::uint64_t acc = 0;
-        for (std::uint64_t t = 0; t < row.num_terms; ++t) {
-          const std::uint64_t v =
-              in[static_cast<std::uint64_t>(row_terms[t].lane) * in_stride +
-                 w];
-          acc |= row_terms[t].invert ? ~v : v;
-        }
-        lane[w] = row.complement ? ~acc : acc;
-      }
-      if (t1 == num_words) {
-        lane[num_words - 1] &= tail_mask;
+  for (std::uint64_t r = 0; r < num_rows; ++r) {
+    std::uint64_t* lane = out + r * out_stride;
+    const SweepRow& row = rows[r];
+    const SweepTerm* row_terms = terms + row.first_term;
+    const __m256i polarity = row.complement ? ones : _mm256_setzero_si256();
+    bool pass_only = true;
+    for (std::uint64_t t = 0; t < row.num_terms; ++t) {
+      pass_only = pass_only && !row_terms[t].invert;
+    }
+    std::uint64_t w = 0;
+    // 32-word strips for pass-only rows, then 16-word strips, then at
+    // most one 8-word strip.
+    if (pass_only) {
+      for (; w + 32 <= num_words; w += 32) {
+        avx2_row_strip<8, true>(row, row_terms, in + w, in_stride, lane + w,
+                                polarity);
       }
     }
+    for (; w + 16 <= num_words; w += 16) {
+      avx2_row_strip<4, false>(row, row_terms, in + w, in_stride, lane + w,
+                               polarity);
+    }
+    for (; w + 8 <= num_words; w += 8) {
+      avx2_row_strip<2, false>(row, row_terms, in + w, in_stride, lane + w,
+                               polarity);
+    }
+    // Scalar remainder (at most 7 words).
+    for (; w < num_words; ++w) {
+      std::uint64_t acc = 0;
+      for (std::uint64_t t = 0; t < row.num_terms; ++t) {
+        const std::uint64_t v =
+            in[static_cast<std::uint64_t>(row_terms[t].lane) * in_stride + w];
+        acc |= row_terms[t].invert ? ~v : v;
+      }
+      lane[w] = row.complement ? ~acc : acc;
+    }
+    lane[num_words - 1] &= tail_mask;
   }
 }
 
 constexpr LaneKernels kAvx2Kernels = {
     .name = "avx2",
-    .complement_masked = avx2_complement_masked,
     .plane_sweep = avx2_plane_sweep,
 };
 

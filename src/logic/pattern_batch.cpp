@@ -313,11 +313,13 @@ void PatternBatch::mask_tails() {
 }
 
 void PatternBatch::complement_lane(int signal) {
-  if (words_per_lane_ == 0) {
-    (void)lane_start(signal);  // keep the index validation for 0-pattern lanes
-    return;
+  std::uint64_t* words = lane(signal);
+  for (std::uint64_t w = 0; w < words_per_lane_; ++w) {
+    words[w] = ~words[w];
   }
-  lanes::kernels().complement_masked(lane(signal), words_per_lane_, tail_mask_);
+  if (words_per_lane_ > 0) {
+    words[words_per_lane_ - 1] &= tail_mask_;
+  }
 }
 
 }  // namespace ambit::logic

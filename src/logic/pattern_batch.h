@@ -84,9 +84,10 @@ class PatternBatch {
   /// Copies patterns [first, first + count) of every lane into a new
   /// batch. `first` must be a multiple of 64 so the copy is word-wise:
   /// lane word k of the slice IS lane word first/64 + k of the source,
-  /// which is what lets the sharded evaluation driver (core/evaluator.h)
-  /// stay bit-identical to the unsharded run. A partial final word is
-  /// only allowed at the very end of the batch.
+  /// which is what lets SimEvaluator simulate a shard's words as a
+  /// batch of their own (simulate/sim_evaluator.h) and stay
+  /// bit-identical to the unsharded run. `count` must be > 0, and a
+  /// partial final word is only allowed at the very end of the batch.
   PatternBatch slice(std::uint64_t first, std::uint64_t count) const;
 
   /// Inverse of slice: copies every lane of `src` into this batch
@@ -129,8 +130,7 @@ class PatternBatch {
   LaneWords release_words() &&;
 
   /// Complements lane `signal` over the valid pattern bits (the tail
-  /// padding stays zero). Runs on the dispatched SIMD tier
-  /// (logic/lane_kernels.h).
+  /// padding stays zero).
   void complement_lane(int signal);
 
   /// Mask selecting the valid bits of the LAST word of a lane; all

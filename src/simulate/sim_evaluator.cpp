@@ -1,5 +1,7 @@
 #include "simulate/sim_evaluator.h"
 
+#include <algorithm>
+
 #include "util/error.h"
 
 namespace ambit::simulate {
@@ -20,12 +22,21 @@ std::vector<bool> SimEvaluator::do_evaluate(
   return result.outputs.pattern(0);
 }
 
-logic::PatternBatch SimEvaluator::do_evaluate_batch(
-    const logic::PatternBatch& inputs) const {
-  BatchSimResult result = sim_.simulate_batch(inputs);
+void SimEvaluator::do_evaluate_words(const logic::PatternBatch& inputs,
+                                     logic::PatternBatch& out,
+                                     std::uint64_t word_lo,
+                                     std::uint64_t word_hi) const {
+  if (word_lo == word_hi) {
+    return;  // an empty batch: slice() rejects a count of 0
+  }
+  const std::uint64_t first = word_lo * 64;
+  const std::uint64_t count =
+      std::min(inputs.num_patterns(), word_hi * 64) - first;
+  const BatchSimResult result =
+      sim_.simulate_batch(inputs.slice(first, count));
   check(result.all_definite(),
         "SimEvaluator: output failed to settle to a definite value");
-  return std::move(result.outputs);
+  out.paste(result.outputs, first);
 }
 
 }  // namespace ambit::simulate

@@ -42,8 +42,11 @@ class SimEvaluator : public Evaluator {
  protected:
   std::vector<bool> do_evaluate(
       const std::vector<bool>& inputs) const override;
-  logic::PatternBatch do_evaluate_batch(
-      const logic::PatternBatch& inputs) const override;
+  /// Simulates lane words [word_lo, word_hi) as a batch of their own
+  /// (a slice of `inputs`) and pastes the outputs into `out`.
+  void do_evaluate_words(const logic::PatternBatch& inputs,
+                         logic::PatternBatch& out, std::uint64_t word_lo,
+                         std::uint64_t word_hi) const override;
 
  private:
   // The evaluation hooks are const (the Evaluator contract lets callers

@@ -3,7 +3,6 @@
 // and the uniform input-width validation at the Evaluator boundary.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <string>
 #include <type_traits>
 
@@ -784,14 +783,6 @@ TEST(EvaluatorTest, ExhaustiveTruthTableMatchesCover) {
   // And the two architectures agree with each other.
   const ClassicalPla classical = ClassicalPla::map_cover(f);
   EXPECT_TRUE(equivalent(pla, classical));
-}
-
-TEST(EvaluatorTest, SpanEntryPointMatchesVectorEntryPoint) {
-  const Cover f = Cover::parse(3, 1, {"11- 1", "0-1 1"});
-  const GnorPla pla = GnorPla::map_cover(f);
-  const bool raw[3] = {true, true, false};
-  EXPECT_EQ(pla.evaluate(std::span<const bool>(raw)),
-            pla.evaluate(std::vector<bool>{true, true, false}));
 }
 
 // ---------------------------------------------------------------------------

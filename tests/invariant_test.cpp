@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "core/evaluator.h"
@@ -130,11 +131,12 @@ TEST(InvariantTest, CleanCubesPassThePaddingProbe) {
   }
 }
 
-/// An Evaluator whose batch kernel violates the width contract on
-/// demand: wrong lane count, wrong pattern count, or a dirty tail.
+/// An Evaluator that computes output = input 0 and breaks the contract
+/// on demand: a scalar result of the wrong width, or a batch result
+/// with a dirty tail.
 class EvilEvaluator : public Evaluator {
  public:
-  enum class Lie { kNone, kLaneCount, kPatternCount, kDirtyTail };
+  enum class Lie { kNone, kOutputWidth, kDirtyTail };
   explicit EvilEvaluator(Lie lie) : lie_(lie) {}
 
   int num_inputs() const override { return 2; }
@@ -142,28 +144,20 @@ class EvilEvaluator : public Evaluator {
 
  protected:
   std::vector<bool> do_evaluate(const std::vector<bool>& inputs) const override {
-    if (lie_ == Lie::kLaneCount) {
+    if (lie_ == Lie::kOutputWidth) {
       return {inputs[0], inputs[1]};  // two outputs, contract says one
     }
     return {inputs[0]};
   }
 
-  logic::PatternBatch do_evaluate_batch(
-      const logic::PatternBatch& inputs) const override {
-    switch (lie_) {
-      case Lie::kLaneCount:
-        return logic::PatternBatch(2, inputs.num_patterns());
-      case Lie::kPatternCount:
-        return logic::PatternBatch(1, inputs.num_patterns() + 1);
-      case Lie::kDirtyTail: {
-        logic::PatternBatch out(1, inputs.num_patterns());
-        out.lane(0)[out.words_per_lane() - 1] |= ~out.tail_mask();
-        return out;
-      }
-      case Lie::kNone:
-        break;
+  void do_evaluate_words(const logic::PatternBatch& inputs,
+                         logic::PatternBatch& out, std::uint64_t word_lo,
+                         std::uint64_t word_hi) const override {
+    std::copy(inputs.lane(0) + word_lo, inputs.lane(0) + word_hi,
+              out.lane(0) + word_lo);
+    if (lie_ == Lie::kDirtyTail && word_hi == out.words_per_lane()) {
+      out.lane(0)[word_hi - 1] |= ~out.tail_mask();
     }
-    return logic::PatternBatch(1, inputs.num_patterns());
   }
 
  private:
@@ -172,23 +166,9 @@ class EvilEvaluator : public Evaluator {
 
 TEST(InvariantTest, EvaluatorDiesOnWrongScalarOutputWidth) {
   SKIP_WITHOUT_INVARIANTS();
-  const EvilEvaluator evil(EvilEvaluator::Lie::kLaneCount);
+  const EvilEvaluator evil(EvilEvaluator::Lie::kOutputWidth);
   EXPECT_DEATH(evil.evaluate(std::vector<bool>{false, true}),
                "kernel produced 2 outputs");
-}
-
-TEST(InvariantTest, EvaluatorDiesOnWrongBatchLaneCount) {
-  SKIP_WITHOUT_INVARIANTS();
-  const EvilEvaluator evil(EvilEvaluator::Lie::kLaneCount);
-  EXPECT_DEATH(evil.evaluate_batch(PatternBatch(2, 70)),
-               "kernel produced 2 output lanes");
-}
-
-TEST(InvariantTest, EvaluatorDiesOnChangedPatternCount) {
-  SKIP_WITHOUT_INVARIANTS();
-  const EvilEvaluator evil(EvilEvaluator::Lie::kPatternCount);
-  EXPECT_DEATH(evil.evaluate_batch(PatternBatch(2, 70)),
-               "changed the pattern count");
 }
 
 TEST(InvariantTest, EvaluatorDiesOnDirtyKernelTail) {
