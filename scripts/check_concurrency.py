@@ -29,14 +29,11 @@ every first-party C++ file:
                          the documented hierarchy (docs/CONCURRENCY.md)
                          can't be order-checked.
 
-Findings are normalized to "path: [rule]" and gated against
-scripts/check_concurrency_baseline.txt exactly like
-scripts/run_clang_tidy.py gates clang-tidy findings: the baseline is
-kept EMPTY, so any finding fails the run; --update-baseline rewrites it
-for reviewed, deliberate adoptions.
+Any finding fails the run (exit 1), as scripts/run_clang_tidy.py
+fails on any clang-tidy finding: a finding is fixed, not listed.
 
 Usage:
-    scripts/check_concurrency.py [--build-dir build] [--update-baseline]
+    scripts/check_concurrency.py [--build-dir build]
 
 --build-dir is optional: the file set is discovered by walking the
 first-party directories, and a build tree's compile_commands.json only
@@ -198,17 +195,6 @@ def discover_files(repo, build_dir):
     return sorted(files)
 
 
-def load_baseline(path):
-    if not os.path.exists(path):
-        return set()
-    with open(path, encoding="utf-8") as baseline:
-        return {
-            line.strip()
-            for line in baseline
-            if line.strip() and not line.startswith("#")
-        }
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir",
@@ -218,61 +204,29 @@ def main():
                         help="repository root to scan (default: the repo "
                              "this script lives in; overridden by the "
                              "self-test's fixture trees)")
-    parser.add_argument("--baseline",
-                        help="accepted-findings file (default: "
-                             "<root>/scripts/check_concurrency_baseline.txt)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
     args = parser.parse_args()
     repo = os.path.abspath(args.root)
-    if args.baseline is None:
-        args.baseline = os.path.join(repo, "scripts",
-                                     "check_concurrency_baseline.txt")
 
     files = discover_files(repo, args.build_dir)
     if not files:
         sys.exit("error: no first-party C++ files found")
 
-    findings = set()
-    details = []
+    findings = []
     for path in files:
         rel = os.path.relpath(path, repo).replace(os.sep, "/")
         with open(path, encoding="utf-8") as source:
             text = source.read()
         for rule, line, message in check_file(os.path.relpath(path, repo),
                                               text):
-            findings.add(f"{rel}: [{rule}]")
-            details.append(f"{rel}:{line}: [{rule}] {message}")
+            findings.append(f"{rel}:{line}: [{rule}] {message}")
 
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as baseline:
-            baseline.write(
-                "# Accepted concurrency-lint findings (one '<path>: [<rule>]'"
-                " per line).\n# Kept empty on purpose: new findings must be "
-                "fixed, not listed.\n"
-            )
-            for finding in sorted(findings):
-                baseline.write(finding + "\n")
-        print(f"baseline rewritten with {len(findings)} findings")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    new = sorted(findings - baseline)
-    fixed = sorted(baseline - findings)
-    for finding in fixed:
-        print(f"note: baseline entry no longer fires: {finding}")
-    if new:
-        print(f"\n{len(new)} new concurrency-lint finding(s):",
+    if findings:
+        print(f"\n{len(findings)} concurrency-lint finding(s):",
               file=sys.stderr)
-        for detail in sorted(details):
-            key = f"{detail.split(':', 1)[0]}: [{detail.split('[', 1)[1].split(']', 1)[0]}]"
-            if key in new:
-                print(f"  {detail}", file=sys.stderr)
-        print("\nFix them (preferred) or, if reviewed and accepted, rerun "
-              "with --update-baseline.", file=sys.stderr)
+        for finding in sorted(findings):
+            print(f"  {finding}", file=sys.stderr)
         return 1
-    print(f"concurrency lint clean over {len(files)} files "
-          f"({len(findings)} baselined, 0 new)")
+    print(f"concurrency lint clean over {len(files)} files (0 findings)")
     return 0
 
 

@@ -1,22 +1,14 @@
 #!/usr/bin/env python3
-"""Run clang-tidy over the repository and gate on NEW findings.
+"""Run clang-tidy over the repository and fail on any finding.
 
 Drives clang-tidy (configured by the checked-in .clang-tidy) across
 every first-party translation unit in a build tree's
-compile_commands.json, normalizes the findings, and compares them
-against scripts/clang_tidy_baseline.txt:
-
-  * a finding not in the baseline fails the run (exit 1) — this is the
-    CI gate, and since the baseline is kept EMPTY it means "zero
-    findings";
-  * a baseline entry that no longer fires is reported so the baseline
-    can shrink (never a failure);
-  * --update-baseline rewrites the baseline from the current findings
-    (for reviewed, deliberate adoptions only).
+compile_commands.json, normalizes the findings, and exits 1 if there
+is any: this is the CI gate, and it means "zero findings". A finding is
+fixed, not listed.
 
 Usage:
     scripts/run_clang_tidy.py --build-dir build [--jobs N]
-    scripts/run_clang_tidy.py --build-dir build --update-baseline
 
 Requires clang-tidy (any version with the configured checks); the
 build tree must have been configured with CMAKE_EXPORT_COMPILE_COMMANDS
@@ -33,7 +25,6 @@ import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_BASELINE = os.path.join(REPO, "scripts", "clang_tidy_baseline.txt")
 
 # Directories whose translation units we own (relative to the repo
 # root). Everything else in compile_commands.json — fetched googletest,
@@ -93,17 +84,6 @@ def run_one(clang_tidy, build_dir, source):
     return findings, proc.stderr if broken else ""
 
 
-def load_baseline(path):
-    if not os.path.exists(path):
-        return set()
-    with open(path, encoding="utf-8") as baseline:
-        return {
-            line.strip()
-            for line in baseline
-            if line.strip() and not line.startswith("#")
-        }
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", required=True,
@@ -113,10 +93,6 @@ def main():
     parser.add_argument("--jobs", type=int,
                         default=max(os.cpu_count() or 1, 1),
                         help="parallel clang-tidy processes")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="accepted-findings file (default: %(default)s)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
     args = parser.parse_args()
 
     if shutil.which(args.clang_tidy) is None:
@@ -148,31 +124,12 @@ def main():
                   file=sys.stderr)
         return 1
 
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as baseline:
-            baseline.write(
-                "# Accepted clang-tidy findings (one '<path>: [<check>]' "
-                "per line).\n# Kept empty on purpose: new findings must be "
-                "fixed, not listed.\n"
-            )
-            for finding in sorted(findings):
-                baseline.write(finding + "\n")
-        print(f"baseline rewritten with {len(findings)} findings")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    new = sorted(findings - baseline)
-    fixed = sorted(baseline - findings)
-    for finding in fixed:
-        print(f"note: baseline entry no longer fires: {finding}")
-    if new:
-        print(f"\n{len(new)} new clang-tidy finding(s):", file=sys.stderr)
-        for finding in new:
+    if findings:
+        print(f"\n{len(findings)} clang-tidy finding(s):", file=sys.stderr)
+        for finding in sorted(findings):
             print(f"  {finding}", file=sys.stderr)
-        print("\nFix them (preferred) or, if reviewed and accepted, rerun "
-              "with --update-baseline.", file=sys.stderr)
         return 1
-    print(f"clang-tidy clean ({len(findings)} baselined, 0 new)")
+    print("clang-tidy clean (0 findings)")
     return 0
 
 

@@ -5,8 +5,8 @@ The concurrency lint is a CI gate; this fixture test keeps the gate
 honest. It builds one source tree that obeys every rule and one tree
 violating each rule exactly once, runs the real linter as a subprocess
 against both (via --root), and verifies that each rule fires where it
-must, stays silent where it must — including the comment/string and
-wrapper-layer exemptions — and that the baseline flow works.
+must, and stays silent where it must — including the comment/string
+and wrapper-layer exemptions.
 """
 
 import subprocess
@@ -109,7 +109,7 @@ def main():
         good = Path(tmp) / "good"
         write_tree(good, CLEAN_TREE)
         result = run_linter(good)
-        expect(result.returncode == 0 and "0 new" in result.stdout,
+        expect(result.returncode == 0 and "0 findings" in result.stdout,
                "clean tree passes (wrapper-layer and comment/string "
                "exemptions hold)", result)
 
@@ -127,20 +127,6 @@ def main():
                f"no false positives among clean files ({clean_names!r})",
                result)
 
-        # Baseline flow: adopting the findings makes the same tree pass,
-        # and fixing one is reported as a stale entry, not a failure.
-        baseline = bad / "scripts" / "check_concurrency_baseline.txt"
-        baseline.parent.mkdir(parents=True)
-        result = run_linter(bad, "--update-baseline")
-        expect(result.returncode == 0 and "baseline rewritten" in result.stdout,
-               "--update-baseline adopts findings", result)
-        result = run_linter(bad)
-        expect(result.returncode == 0, "baselined tree passes", result)
-        (bad / "src/serve/bad_detach.cpp").write_text(
-            "void fire() {}\n", encoding="utf-8")
-        result = run_linter(bad)
-        expect(result.returncode == 0 and "no longer fires" in result.stdout,
-               "fixed finding reported as stale baseline entry", result)
     print("check_concurrency self-test: all cases passed")
     return 0
 
