@@ -132,8 +132,7 @@ inline int await_bound_port(const std::atomic<int>& port, int attempts = 2000,
 /// `announce(bound)` once the server is listening (skipped when it
 /// never binds). The reporter is joined on BOTH exit paths — on a
 /// serve failure, -1 is stored first so the reporter cannot be left
-/// waiting. One implementation of this unblock-on-throw/join protocol
-/// so ambit_serve and ambit_cli cannot drift on it.
+/// waiting. ambit_serve's TCP mode is its one caller.
 template <typename ServeFn, typename Announce>
 std::uint64_t serve_tcp_announced(std::atomic<int>& port, ServeFn&& serve_fn,
                                   Announce&& announce) {

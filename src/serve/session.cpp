@@ -22,9 +22,9 @@ std::shared_ptr<const LoadedCircuit> Session::load(const std::string& name,
   auto circuit = std::make_shared<LoadedCircuit>();
   circuit->name = name;
   circuit->pla = logic::read_pla_file(path);
-  circuit->minimized =
+  const logic::Cover minimized =
       espresso::minimize(circuit->pla.onset, circuit->pla.dcset).cover;
-  circuit->gnor = core::GnorPla::map_cover(circuit->minimized);
+  circuit->gnor = core::GnorPla::map_cover(minimized);
   circuit->load_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -47,16 +47,15 @@
 
 namespace ambit::serve {
 
-/// One circuit after the LOAD pipeline: source cover, minimized cover,
-/// mapped GNOR array, lazily cached verification tables. The covers and
-/// the mapped array are immutable once registered — that immutability
-/// is what lets concurrent requests evaluate without a
-/// per-circuit lock; only the verify cache mutates, under verify_mutex.
+/// One circuit after the LOAD pipeline: source cover, mapped GNOR
+/// array, lazily cached verification tables. The cover and the mapped
+/// array are immutable once registered — that immutability is what
+/// lets concurrent requests evaluate without a per-circuit lock; only
+/// the verify cache mutates, under verify_mutex.
 struct LoadedCircuit {
   std::string name;
   logic::PlaFile pla;            ///< as parsed from disk
-  logic::Cover minimized;        ///< after Espresso
-  core::GnorPla gnor;            ///< mapped once, evaluated many times
+  core::GnorPla gnor;            ///< Espresso's cover, mapped once
   double load_seconds = 0;       ///< parse+minimize+map wall time
   /// Reference truth tables (onset / don't-care) for VERIFY, built on
   /// first use under verify_mutex; this is the per-session cache that
@@ -79,7 +78,7 @@ struct LoadedCircuit {
   mutable std::shared_ptr<const simulate::GnorPlaSimulator> simulator
       AMBIT_GUARDED_BY(sim_mutex);
 
-  LoadedCircuit() : minimized(0, 1), gnor(0, 0, 1) {}
+  LoadedCircuit() : gnor(0, 0, 1) {}
 };
 
 /// A registry of loaded circuits sharing one worker pool. Safe to drive
