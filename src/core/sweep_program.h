@@ -11,10 +11,12 @@
 // index and a feed-through is a stage that reads back past the stage
 // before it. An output buffer tap folds into its row's final polarity.
 //
-// run() sweeps a range of lane words in L2-sized tiles. A stage reads
-// the caller's input lanes in place or a lane of the scratch tile, and
-// writes a tile lane or, for the last stage, the caller's output lanes
-// in place. Intermediate rows therefore never reach memory, and a shard
+// run() sweeps a range of lane words in L2-sized tiles, sized for the
+// larger of the scratch lanes and the most lanes one stage reads. It is
+// the one tiler of the evaluation path: each lane-kernel call covers
+// exactly one cache tile. A stage reads the caller's input lanes in
+// place or a lane of the scratch tile, and writes a tile lane or, for
+// the last stage, the caller's output lanes in place. Intermediate rows therefore never reach memory, and a shard
 // (Evaluator::do_evaluate_words) is the same call over its own words.
 //
 // A program is a view. Its stages point at rows and terms that each
